@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
 
-from asymgeo.compactness import Instance, Verdict, decide_compact, region_extreme_points, verify_theorems
+from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance
 from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
-from asymgeo.cli.suite import RunReport, run_reference_suite
+from asymgeo.cli.suite import _check, run_reference_suite
 
 
 def _fmt(q: Fraction) -> str:
@@ -34,26 +33,7 @@ def _load(path: str):
 
 def _cmd_check(args) -> int:
     norm, region = _load(args.file)
-    start = time.perf_counter()
-    inst = Instance.build(norm, region)
-    cert = decide_compact(inst)
-    claims = ()
-    if cert.verdict is Verdict.COMPACT:
-        rep = verify_theorems(inst, cert)
-        claims = tuple((c.claim_id, c.status.value) for c in rep.claims)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report = RunReport(
-        name=args.file,
-        dim=norm.dim,
-        functionals=len(norm.functionals),
-        rows=len(region.constraints),
-        verdict=cert.verdict.value,
-        center=cert.center.vertices if cert.center is not None else None,
-        witness=repr(cert.witness) if cert.witness is not None else None,
-        claims=claims,
-        timing_ms=elapsed,
-    )
-    sys.stdout.write(report.render(include_timing=not args.no_timing))
+    sys.stdout.write(_check(args.file, norm, region).render(include_timing=not args.no_timing))
     return 0
 
 

@@ -8,11 +8,12 @@ self-verifying: any mismatch is reported and flips the overall status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from asymgeo.compactness import (
+    ClaimStatus,
     Instance,
     Verdict,
     decide_compact,
@@ -64,6 +65,27 @@ class RunReport:
         if include_timing:
             lines.append(f"timing_ms: {self.timing_ms:.1f}")
         return "\n".join(lines) + "\n"
+
+
+def _check(name: str, norm: AsymNorm, region: PartialPolyhedron) -> RunReport:
+    """Build, decide and, when COMPACT, run the structure checks; timed."""
+    start = time.perf_counter()
+    inst = Instance.build(norm, region)
+    cert = decide_compact(inst)
+    claims = ()
+    if cert.verdict is Verdict.COMPACT:
+        claims = tuple((c.claim_id, c.status.value) for c in verify_theorems(inst, cert).claims)
+    return RunReport(
+        name=name,
+        dim=norm.dim,
+        functionals=len(norm.functionals),
+        rows=len(region.constraints),
+        verdict=cert.verdict.value,
+        center=cert.center.vertices if cert.center is not None else None,
+        witness=repr(cert.witness) if cert.witness is not None else None,
+        claims=claims,
+        timing_ms=(time.perf_counter() - start) * 1000.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -171,41 +193,18 @@ def run_reference_suite() -> tuple[list[RunReport], bool]:
     ok = True
     previous_center_size = 0
     for entry in reference_catalog():
-        start = time.perf_counter()
-        inst = Instance.build(entry.norm, entry.region)
-        cert = decide_compact(inst)
-        report_claims = []
-        matched = cert.verdict is entry.expected_verdict
-        center = None
-        witness = None
-        if cert.center is not None:
-            center = cert.center.vertices
-            if entry.expected_center is not None:
-                matched = matched and tuple(sorted(center)) == tuple(sorted(entry.expected_center))
-        if cert.witness is not None:
-            witness = repr(cert.witness)
-        if cert.verdict is Verdict.COMPACT:
-            rep = verify_theorems(inst, cert)
-            report_claims = [(c.claim_id, c.status.value) for c in rep.claims]
-            if entry.expect_all_claims_pass:
-                matched = matched and rep.all_pass
+        report = _check(entry.name, entry.norm, entry.region)
+        center = report.center
+        matched = report.verdict == entry.expected_verdict.value
+        if center is not None and entry.expected_center is not None:
+            matched = matched and tuple(sorted(center)) == tuple(sorted(entry.expected_center))
+        if report.claims and entry.expect_all_claims_pass:
+            all_pass = all(status == ClaimStatus.PASS.value for _, status in report.claims)
+            matched = matched and all_pass
         if entry.name.startswith("arc-hull"):
             # the centers must grow strictly with the sample count
             matched = matched and center is not None and len(center) > previous_center_size
             previous_center_size = len(center) if center is not None else 0
-        elapsed = (time.perf_counter() - start) * 1000.0
         ok = ok and matched
-        reports.append(RunReport(
-            name=entry.name,
-            dim=entry.norm.dim,
-            functionals=len(entry.norm.functionals),
-            rows=len(entry.region.constraints),
-            verdict=cert.verdict.value,
-            center=center,
-            witness=witness,
-            claims=tuple(report_claims),
-            note=entry.note,
-            matched=matched,
-            timing_ms=elapsed,
-        ))
+        reports.append(replace(report, note=entry.note, matched=matched))
     return reports, ok

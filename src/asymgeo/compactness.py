@@ -31,6 +31,7 @@ from typing import Optional, Union
 from asymgeo.ratlp import Vec, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, DegeneracyCone, ball, degeneracy_cone, gauge_eval
 from asymgeo.polyhedron import (
+    Cone,
     Constraint,
     PartialPolyhedron,
     Polyhedron,
@@ -133,13 +134,12 @@ def center_candidate(inst: Instance) -> Polyhedron:
     return Polyhedron(inst.region.dim, ext, ())
 
 
-def _sum_with_degeneracy(inst: Instance, poly: Polyhedron) -> Polyhedron:
-    return minkowski_sum_with_cone(poly, inst.degeneracy.as_cone())
-
-
-def _sandwich_holds(inst: Instance, core: Polyhedron) -> bool:
-    padded = _sum_with_degeneracy(inst, core)
-    return subset(to_partial(core), inst.region) and subset(inst.region, to_partial(padded))
+def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone) -> Optional[Polyhedron]:
+    """core + cone when core <= region <= core + cone holds, else None."""
+    padded = minkowski_sum_with_cone(core, cone)
+    if subset(to_partial(core), region) and subset(region, to_partial(padded)):
+        return padded
+    return None
 
 
 def decide_compact(inst: Instance) -> CompactnessCertificate:
@@ -160,7 +160,7 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if not member(inst.region, v):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
-    if not _sandwich_holds(inst, core):
+    if _sandwich(core, inst.region, inst.degeneracy.as_cone()) is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
@@ -176,8 +176,7 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
         raise ValueError("the core must be a bounded polytope")
     if core.dim != region.dim or norm.dim != region.dim:
         raise ValueError("dimension mismatch")
-    padded = minkowski_sum_with_cone(core, degeneracy_cone(norm).as_cone())
-    return subset(to_partial(core), region) and subset(region, to_partial(padded))
+    return _sandwich(core, region, degeneracy_cone(norm).as_cone()) is not None
 
 
 def saturate_region(inst: Instance) -> PartialPolyhedron:
@@ -186,6 +185,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     Rows come from the closed sum; a row is strict exactly when its optimal
     face over the closure never meets the region, since a boundary point of
     the sum decomposes as (face point of the closure) + (cone point).
+    Without strict rows that is ``to_partial(inst.saturated)``, which comes
+    with its closure already known.
     """
     rows = inst.saturated.hrep
     out = []
@@ -200,6 +201,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
             )
             strict = partial_is_empty(PartialPolyhedron(inst.region.dim, face))
         out.append(Constraint(c, b, strict))
+    if not any(c.strict for c in out):
+        return to_partial(inst.saturated)
     return PartialPolyhedron(inst.region.dim, tuple(out))
 
 
@@ -271,11 +274,9 @@ def verify_theorems(inst: Instance,
     own_ext = region_extreme_points(inst)
     claims.append(_claim("T2", bool(own_ext), "no extreme point found"))
 
-    padded = _sum_with_degeneracy(inst, core)
+    padded = _sandwich(core, inst.region, inst.degeneracy.as_cone())
     sat_partial = to_partial(inst.saturated)
-    t3 = (subset(to_partial(core), inst.region)
-          and subset(inst.region, to_partial(padded))
-          and set_equal(to_partial(padded), sat_partial))
+    t3 = padded is not None and set_equal(to_partial(padded), sat_partial)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))
 
     half_open_sum = saturate_region(inst)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from asymgeo.ratlp import Rational, Vec, as_vec, dot, rank, rat, vneg, zero_vec
-from asymgeo.polyhedron import (
-    Cone,
-    Constraint,
-    PartialPolyhedron,
-    cone_from_rows,
-    in_conv_plus_cone,
-)
+from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, cone_from_rows
 
 
 class DefinitenessViolation(ValueError):
@@ -138,19 +132,3 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
         rows.append(Constraint(zero_vec(norm.dim), Fraction(0), True))
     return Ball(center, radius, closedness, PartialPolyhedron(norm.dim, tuple(rows)))
 
-
-def reduce_functionals(norm: AsymNorm) -> AsymNorm:
-    """Optional normalization: drop rows that never attain the max.
-
-    A row is redundant iff it lies in the convex hull of the remaining rows
-    and the origin, since the gauge is the support function of that hull.
-    """
-    rows = list(norm.functionals)
-    i = 0
-    while i < len(rows):
-        others = rows[:i] + rows[i + 1:] + [zero_vec(norm.dim)]
-        if in_conv_plus_cone(rows[i], others, ()):
-            rows.pop(i)
-        else:
-            i += 1
-    return AsymNorm(norm.dim, tuple(rows))

@@ -77,6 +77,7 @@ class PartialPolyhedron:
 
     Denotes {x : <c_j, x> < b_j for strict rows, <= b_j otherwise}.  Rows
     are stored exactly as given; redundancy never changes the denoted set.
+    The closure is memoized on the value (``to_partial`` seeds it).
     """
 
     dim: int
@@ -90,6 +91,14 @@ class PartialPolyhedron:
                 raise ValueError(f"constraint row of length {len(normal)} in dimension {self.dim}")
             rows.append(Constraint(normal, rat(rhs), bool(strict)))
         object.__setattr__(self, "constraints", tuple(rows))
+
+    @cached_property
+    def _closure(self) -> Optional[Polyhedron]:
+        if partial_is_empty(self):
+            return None
+        poly = dd_convert_h_to_v(relaxed_rows(self), self.dim)
+        assert poly is not None, "closure of a nonempty region is nonempty"
+        return poly
 
 
 @dataclass(frozen=True)
@@ -302,17 +311,13 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     return tuple(sorted(normalized))
 
 
-# Closures are memoized: the same region value is closed over and over by
-# the inclusion tests, and `to_partial` seeds the cache so converting a
-# polyhedron back and forth costs nothing.  Entries are immutable values.
-_CLOSURE_CACHE: dict[PartialPolyhedron, Optional[Polyhedron]] = {}
-_CLOSURE_CACHE_LIMIT = 50000
-
-
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
-    """The same closed set as an all-non-strict partial polyhedron."""
+    """The same closed set as an all-non-strict partial polyhedron.
+
+    Its closure is ``poly`` itself, so converting back costs nothing.
+    """
     part = PartialPolyhedron(poly.dim, tuple(Constraint(c, b, False) for c, b in poly.hrep))
-    _CLOSURE_CACHE.setdefault(part, poly)
+    object.__setattr__(part, "_closure", poly)
     return part
 
 
@@ -376,19 +381,9 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
 
     For a nonempty intersection of open and closed half-spaces the closure
     is exactly the all-non-strict relaxation, so it suffices to drop the
-    strict flags and convert.  Results are memoized by region value.
+    strict flags and convert.  The result is memoized on the region.
     """
-    if region in _CLOSURE_CACHE:
-        return _CLOSURE_CACHE[region]
-    if partial_is_empty(region):
-        poly = None
-    else:
-        poly = dd_convert_h_to_v(relaxed_rows(region), region.dim)
-        assert poly is not None, "closure of a nonempty region is nonempty"
-    if len(_CLOSURE_CACHE) > _CLOSURE_CACHE_LIMIT:
-        _CLOSURE_CACHE.clear()
-    _CLOSURE_CACHE[region] = poly
-    return poly
+    return region._closure
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
@@ -498,13 +493,8 @@ def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         return ()
-    verts = poly.vertices
-    out = []
-    for i, v in enumerate(verts):
-        others = verts[:i] + verts[i + 1:]
-        if not in_conv_plus_cone(v, others, poly.rays):
-            out.append(v)
-    return tuple(out)
+    rays = poly.rays
+    return tuple(_irredundant(poly.vertices, lambda v, others: in_conv_plus_cone(v, others, rays)))
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -514,13 +504,7 @@ def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    rays = poly.rays
-    out = []
-    for i, r in enumerate(rays):
-        others = rays[:i] + rays[i + 1:]
-        if not in_cone(r, others):
-            out.append(_first_nonzero_unit(r))
-    return tuple(sorted(out))
+    return tuple(sorted(_first_nonzero_unit(r) for r in _irredundant(poly.rays, in_cone)))
 
 
 def _first_nonzero_unit(r: Vec) -> Vec:
@@ -536,29 +520,24 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     for l in cone.lineality_basis:
         rays.append(l)
         rays.append(vneg(l))
-    rays = sorted(set(_canonical_rays(rays, poly.dim)))
-    rays = _prune_cone_generators(rays)
-    verts = list(poly.vertices)
-    i = 0
-    while i < len(verts):
-        others = verts[:i] + verts[i + 1:]
-        if others and in_conv_plus_cone(verts[i], others, rays):
-            verts.pop(i)
-        else:
-            i += 1
+    rays = _irredundant(_canonical_rays(rays, poly.dim), in_cone)
+    verts = _irredundant(poly.vertices, lambda v, others: in_conv_plus_cone(v, others, rays))
     return Polyhedron(poly.dim, tuple(verts), tuple(rays))
 
 
-def _prune_cone_generators(rays: list[Vec]) -> list[Vec]:
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(rays):
-            others = rays[:i] + rays[i + 1:]
-            if in_cone(rays[i], others):
-                rays.pop(i)
-                changed = True
-            else:
-                i += 1
-    return rays
+def _irredundant(items: Sequence[Vec], generated) -> list[Vec]:
+    """Drop, in order, each item that ``generated(item, rest)`` says the rest generate.
+
+    One pass suffices: dropping a generated item leaves the generated set
+    unchanged, so an item kept once stays ungenerated by any subset of the
+    rest.  A lone item is never generated by nothing.
+    """
+    kept = list(items)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        if others and generated(kept[i], others):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept

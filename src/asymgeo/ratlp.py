@@ -2,10 +2,14 @@
 
 Everything downstream (gauge evaluation, polyhedra, compactness
 certificates) rests on this module.  Vectors are plain tuples of
-``fractions.Fraction``, linear programs are solved by a two-phase dense
-simplex with Bland's pivoting rule, and there is deliberately no floating
-point anywhere.  Instances are desk scale (dimension <= 6, at most a few
-hundred rows), so exactness and determinism win over speed.
+``fractions.Fraction`` and there is deliberately no floating point
+anywhere.  One Gauss-Jordan pivot (``_pivot``) does every elimination
+step, and one Bland's-rule simplex loop (``_bland``) drives every linear
+program: ``rref`` is the only elimination loop (``rank`` and ``invert``
+read their answers off it), while ``lp_solve`` (two-phase, free variables
+split) and ``feasible_nonneg`` (phase one only) just build a tableau for
+it.  Instances are desk scale (dimension <= 6, at most a few hundred rows),
+so exactness and determinism win over speed.
 """
 
 from __future__ import annotations
@@ -81,35 +85,58 @@ def primitive(u) -> tuple[Rational, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination helpers
+# The pivot kernel
 # ---------------------------------------------------------------------------
 
 
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact rank of the given rows via Gaussian elimination over Q."""
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("rows of differing length")
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+def _pivot(tab: list[list[Rational]], i: int, j: int) -> None:
+    """Scale row i so that entry j is 1, then clear column j from every other row.
+
+    A right-hand side, when there is one, is the last column of each row and
+    is carried along like any other entry.
+    """
+    row = tab[i]
+    piv = row[j]
+    if piv != 1:
+        inv = 1 / piv
+        row = tab[i] = [inv * x if x else x for x in row]
+    for k, other in enumerate(tab):
+        if k != i:
+            f = other[j]
+            if f:
+                tab[k] = [x - f * y if y else x for x, y in zip(other, row)]
+
+
+def _bland(tab: list[list[Rational]], basis: list[int], ncols: int) -> Optional[int]:
+    """Simplex with Bland's rule; None at optimality, else an unbounded column.
+
+    ``tab`` holds one row per basic variable, right-hand side last, and the
+    reduced objective (to be maximized) as its last row.  Only the first
+    ``ncols`` columns may enter.  The leaving row minimizes (ratio, basic
+    variable), so the pivot sequence is deterministic and cannot cycle.
+    """
+    m = len(tab) - 1
+    while True:
+        obj = tab[m]
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            return None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                key = (tab[i][-1] / a, basis[i])
+                if best is None or key < best:
+                    best, leave = key, i
+        if best is None:
+            return enter
+        _pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+# ---------------------------------------------------------------------------
+# Elimination
+# ---------------------------------------------------------------------------
 
 
 def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list[int]]:
@@ -119,23 +146,24 @@ def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list
     if not work:
         return [], pivots
     ncols = len(work[0])
-    r = 0
+    if any(len(r) != ncols for r in work):
+        raise ValueError("rows of differing length")
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        _pivot(work, r, col)
         pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return work[:len(pivots)], pivots
+
+
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Exact rank of the given rows over Q."""
+    return len(rref(rows)[1])
 
 
 def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
@@ -155,20 +183,13 @@ def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple
 def invert(rows: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
     """Exact inverse of a square matrix given as rows; raises on singular input."""
     n = len(rows)
-    work = [list(map(Fraction, r)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [inv * x for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [r[n:] for r in work]
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    ident = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    red, pivots = rref([list(r) + e for r, e in zip(rows, ident)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n:] for r in red]
 
 
 # ---------------------------------------------------------------------------
@@ -214,118 +235,64 @@ def lp_solve(objective: Sequence[Rational],
 
     m = len(rows)
     nreal = 2 * d + m  # u parts, w parts, slacks
+    arts = [i for i, (_, bj) in enumerate(rows) if bj < 0]
+    ncols = nreal + len(arts)
 
-    # Tableau rows over columns [u | w | s | artificials], rhs kept >= 0.
+    # Rows over columns [u | w | s | artificials | rhs], rhs kept >= 0.
     tab: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     basis: list[int] = []
-    art_cols: list[int] = []
     for i, (cj, bj) in enumerate(rows):
-        flip = bj < 0
-        sgn = -1 if flip else 1
+        sgn = -1 if bj < 0 else 1
         row = [sgn * x for x in cj] + [-sgn * x for x in cj] \
-            + [Fraction(0)] * m
+            + [Fraction(0)] * (ncols - 2 * d) + [sgn * bj]
         row[2 * d + i] = Fraction(sgn)
         tab.append(row)
-        rhs.append(sgn * bj)
-        basis.append(-1)  # fixed below
+        basis.append(2 * d + i)
+    for k, i in enumerate(arts):
+        tab[i][nreal + k] = Fraction(1)
+        basis[i] = nreal + k
 
-    ncols = nreal
-    for i, (cj, bj) in enumerate(rows):
-        if bj < 0:
-            for r in tab:
-                r.append(Fraction(0))
-            tab[i][ncols] = Fraction(1)
-            basis[i] = ncols
-            art_cols.append(ncols)
-            ncols += 1
-        else:
-            basis[i] = 2 * d + i
-
-    def run_simplex(cost: list[Fraction]) -> Optional[int]:
-        """Bland simplex on the current tableau; returns entering column on
-        unboundedness, None at optimality."""
-        # objective row expressed over the current basis
-        obj = list(cost)
+    def optimize(cost: list[Fraction], enterable: int) -> Optional[int]:
+        """Price ``cost`` against the basis, run Bland, drop the objective row."""
+        tab.append(cost + [Fraction(0)])
         for i, bi in enumerate(basis):
-            f = obj[bi]
-            if f != 0:
-                row_i = tab[i]
-                for j in range(len(obj)):
-                    obj[j] -= f * row_i[j]
-        while True:
-            enter = next((j for j in range(len(obj)) if obj[j] > 0), None)
-            if enter is None:
-                return None
-            best = None  # (ratio, basis var, row index)
-            for i in range(len(tab)):
-                a = tab[i][enter]
-                if a > 0:
-                    key = (rhs[i] / a, basis[i])
-                    if best is None or key < best[0:2]:
-                        best = (key[0], key[1], i)
-            if best is None:
-                return enter
-            _pivot(best[2], enter)
-            # update objective row
-            f = obj[enter]
-            if f != 0:
-                row_i = tab[best[2]]
-                obj[:] = [x - f * y if y else x for x, y in zip(obj, row_i)]
+            if tab[-1][bi]:
+                _pivot(tab, i, bi)
+        enter = _bland(tab, basis, enterable)
+        tab.pop()
+        return enter
 
-    def _pivot(i: int, j: int) -> None:
-        piv = tab[i][j]
-        inv = 1 / piv
-        tab[i] = [inv * x if x else x for x in tab[i]]
-        rhs[i] *= inv
-        for k in range(len(tab)):
-            if k != i:
-                f = tab[k][j]
-                if f != 0:
-                    row_i = tab[i]
-                    tab[k] = [x - f * y if y else x for x, y in zip(tab[k], row_i)]
-                    rhs[k] -= f * rhs[i]
-        basis[i] = j
-
-    if art_cols:
-        cost1 = [Fraction(0)] * ncols
-        for a in art_cols:
-            cost1[a] = Fraction(-1)
-        enter = run_simplex(cost1)
+    if arts:
+        enter = optimize([Fraction(0)] * nreal + [Fraction(-1)] * len(arts), ncols)
         assert enter is None, "phase one cannot be unbounded"
-        if sum(rhs[i] for i in range(m) if basis[i] in art_cols) > 0:
+        if sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) > 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         # pivot remaining artificials out of the basis, or drop zero rows
         keep = []
-        for i in range(len(tab)):
-            if basis[i] in art_cols:
+        for i in range(m):
+            if basis[i] >= nreal:
                 j = next((j for j in range(nreal) if tab[i][j] != 0), None)
                 if j is None:
                     continue  # redundant row (0 = 0)
-                _pivot(i, j)
+                _pivot(tab, i, j)
+                basis[i] = j
             keep.append(i)
-        tab[:] = [tab[i][:nreal] for i in keep]
-        rhs[:] = [rhs[i] for i in keep]
+        tab[:] = [tab[i][:nreal] + tab[i][-1:] for i in keep]
         basis[:] = [basis[i] for i in keep]
-        ncols = nreal
 
-    cost2 = [Fraction(0)] * ncols
-    for j in range(d):
-        cost2[j] = c_obj[j]
-        cost2[d + j] = -c_obj[j]
-    enter = run_simplex(cost2)
+    enter = optimize(list(c_obj) + [-x for x in c_obj] + [Fraction(0)] * m, nreal)
 
     if enter is not None:
         delta = [Fraction(0)] * nreal
         delta[enter] = Fraction(1)
-        for i, bi in enumerate(basis):
-            delta[bi] = -tab[i][enter]
+        for row, bi in zip(tab, basis):
+            delta[bi] = -row[enter]
         direction = tuple(delta[j] - delta[d + j] for j in range(d))
         return LpOutcome(LpStatus.UNBOUNDED, witness=direction)
 
     xs = [Fraction(0)] * nreal
-    for i, bi in enumerate(basis):
-        xs[bi] = rhs[i]
+    for row, bi in zip(tab, basis):
+        xs[bi] = row[-1]
     point = tuple(xs[j] - xs[d + j] for j in range(d))
     return LpOutcome(LpStatus.OPTIMAL, value=dot(c_obj, point), witness=point)
 
@@ -334,7 +301,7 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
                     rhs_col: Sequence[Rational]) -> bool:
     """Does A lam = b admit lam >= 0?  Phase-one simplex, Bland's rule.
 
-    Dedicated kernel for the conic/convex combination tests, which are by
+    Dedicated tableau for the conic/convex combination tests, which are by
     far the hottest queries: variables are already sign-constrained, so no
     split is needed and only the artificial phase runs.
     """
@@ -343,8 +310,7 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
         raise ValueError("row/rhs count mismatch")
     n = len(matrix_rows[0]) if m else 0
     tab: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for row, bi in zip(matrix_rows, rhs_col):
+    for i, (row, bi) in enumerate(zip(matrix_rows, rhs_col)):
         row = [Fraction(x) for x in row]
         bi = Fraction(bi)
         if len(row) != n:
@@ -353,42 +319,12 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
             row = [-x for x in row]
             bi = -bi
         ext = [Fraction(0)] * m
-        tab.append(row + ext)
-        rhs.append(bi)
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
+        ext[i] = Fraction(1)
+        tab.append(row + ext + [bi])
+    # reduced phase-one objective: the artificials' cost -1 priced out
+    tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n)]
+               + [Fraction(0)] * m + [sum((r[-1] for r in tab), Fraction(0))])
     basis = list(range(n, n + m))
-    obj = [sum((tab[i][j] for i in range(m)), Fraction(0)) for j in range(n)] \
-        + [Fraction(0)] * m
-
-    while True:
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                key = (rhs[i] / a, basis[i])
-                if best is None or key < best[0:2]:
-                    best = (key[0], key[1], i)
-        assert best is not None, "phase one is bounded"
-        i = best[2]
-        piv = tab[i][enter]
-        inv = 1 / piv
-        tab[i] = [inv * x if x else x for x in tab[i]]
-        rhs[i] *= inv
-        for k in range(m):
-            if k != i:
-                f = tab[k][enter]
-                if f != 0:
-                    row_i = tab[i]
-                    tab[k] = [x - f * y if y else x for x, y in zip(tab[k], row_i)]
-                    rhs[k] -= f * rhs[i]
-        f = obj[enter]
-        if f != 0:
-            row_i = tab[i]
-            obj[:] = [x - f * y if y else x for x, y in zip(obj, row_i)]
-        basis[i] = enter
-
-    return sum(rhs[i] for i in range(m) if basis[i] >= n) == 0
+    enter = _bland(tab, basis, n + m)
+    assert enter is None, "phase one is bounded"
+    return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0

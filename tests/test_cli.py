@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +264,10 @@ def test_cli_suite_exit_code(capsys):
     assert main(["suite", "--no-timing"]) == 0
     out = capsys.readouterr().out
     assert "suite: ok" in out
+
+
+def test_cli_suite_output_matches_golden_file(capsys):
+    """Every verdict, center, witness and claim line stays byte-identical."""
+    golden = Path(__file__).parent / "data" / "suite_no_timing.txt"
+    assert main(["suite", "--no-timing"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

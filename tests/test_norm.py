@@ -17,7 +17,6 @@ from asymgeo.norm import (
     degeneracy_cone,
     gauge_eval,
     make_norm,
-    reduce_functionals,
     sym_gauge_eval,
 )
 from asymgeo.polyhedron import (
@@ -221,18 +220,3 @@ def test_no_line_in_ball_closures():
             hull = closure(ball(q, (0,) * dim, Fraction(2), closed).as_set)
             assert hull is not None
             assert not contains_line(hull)
-
-
-def test_reduce_functionals_preserves_values():
-    fat = make_norm(1, [(1,), (Fraction(1, 2),)])
-    slim = reduce_functionals(fat)
-    assert slim.functionals == ((1,),)
-    rng = random.Random(47)
-    for seed in range(5):
-        dim = rng.randint(1, 3)
-        q = _norm_for(dim, seed + 600)
-        slim = reduce_functionals(q)
-        assert len(slim.functionals) <= len(q.functionals)
-        for _ in range(30):
-            x = rand_point(rng, dim)
-            assert gauge_eval(q, x) == gauge_eval(slim, x)

@@ -242,13 +242,18 @@ def test_extremality_is_intrinsic():
         ext_v, ext_r = set(extreme_points(p)), set(extreme_rays(p))
         verts = list(p.vertices)
         rays = list(p.rays)
-        # pad with redundant data: midpoints and doubled/summed rays
+        # pad with redundant data: two midpoints and doubled/summed rays, so
+        # that a redundant item is tested while another is still present
         if len(verts) >= 2:
-            verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], verts[1])))
+            mid = tuple((a + b) / 2 for a, b in zip(verts[0], verts[1]))
+            verts.append(mid)
+            verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], mid)))
         if rays:
+            verts.append(tuple(a + b for a, b in zip(verts[0], rays[0])))
             rays.append(tuple(2 * x for x in rays[0]))
-            if len(rays) >= 2:
-                rays.append(tuple(a + b for a, b in zip(rays[0], rays[1])))
+        if len(p.rays) >= 2:
+            rays.append(tuple(a + b for a, b in zip(rays[0], rays[1])))
+            rays.append(tuple(a + 2 * b for a, b in zip(rays[0], rays[1])))
         padded = Polyhedron(p.dim, tuple(verts), tuple(rays))
         assert set(extreme_points(padded)) == ext_v
         assert set(extreme_rays(padded)) == ext_r

@@ -17,6 +17,7 @@ from asymgeo.ratlp import (
     null_space_basis,
     primitive,
     rank,
+    rref,
 )
 
 from support import rand_fraction, rand_point
@@ -83,6 +84,30 @@ def test_invert_and_null_space():
     assert len(basis) == 2
     for b in basis:
         assert dot((1, 1, 0), b) == 0
+
+
+def test_invert_rejects_singular_and_non_square():
+    with pytest.raises(ValueError):
+        invert([(1, 2), (2, 4)])
+    with pytest.raises(ValueError):
+        invert([(0, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError):
+        invert([(1, 0, 0), (0, 1, 0)])
+    assert invert([]) == []
+
+
+def test_rank_and_rref_reject_ragged_rows():
+    with pytest.raises(ValueError):
+        rank([(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        rref([(1,), (1, 2)])
+
+
+def test_rref_examples():
+    red, pivots = rref([(0, 2, 4), (1, 1, 1), (1, 2, 3)])
+    assert pivots == [0, 1]
+    assert red == [[1, 0, -1], [0, 1, 2]]
+    assert rref([]) == ([], [])
 
 
 def test_primitive_normalization():
