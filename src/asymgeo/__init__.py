@@ -12,7 +12,6 @@ from asymgeo.norm import (
     Ball,
     Closedness,
     DefinitenessViolation,
-    DegeneracyCone,
     ball,
     degeneracy_cone,
     gauge_eval,

@@ -9,13 +9,15 @@ Grammar (one directive per line, ``#`` starts a comment):
     V: x1 ... xD          # or: generator form, vertices ...
     R: d1 ... dD          #     ... and ray directions
 
-Numbers are integers or fractions ``p/q``.  The set block is either all
-H rows or a V/R block (converted to inequalities on parse).  The writer
-emits a canonical H form, so ``write(parse(text))`` is byte-stable.
+Numbers are integers or fractions ``p/q``, exactly ``-?[0-9]+(/[0-9]+)?``
+with q > 0.  The set block is either all H rows or a V/R block (converted
+to inequalities on parse).  The writer emits a canonical H form, so
+``write(parse(text))`` is byte-stable.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -32,16 +34,18 @@ class InstanceError(ValueError):
     """Malformed instance text; the message carries the line number."""
 
 
+_NUMBER = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # -?[0-9]+(/[0-9]+)? with q > 0
+
+
 def _fail(lineno: int, msg: str) -> "InstanceError":
     return InstanceError(f"line {lineno}: {msg}")
 
 
-def _parse_rational(tok: str, lineno: int) -> Fraction:
-    try:
-        value = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise _fail(lineno, f"bad rational {tok!r}") from None
-    return value
+def _parse_rational(tok: str, where: str) -> Fraction:
+    # Fraction alone also takes 1.5, 1_000, +1 and 1e999999999 (a huge integer)
+    if not _NUMBER.fullmatch(tok):
+        raise InstanceError(f"{where}: bad rational {tok!r}")
+    return Fraction(tok)
 
 
 def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
@@ -65,7 +69,7 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
             continue
         if line.startswith("dim"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None or int(parts[1]) < 1:
                 raise _fail(lineno, "expected 'dim <positive integer>'")
             dim = int(parts[1])
             continue
@@ -74,29 +78,30 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
         key, rest = line.split(":", 1)
         key = key.strip()
         toks = rest.split()
+        where = f"line {lineno}"
         if dim is None:
             raise _fail(lineno, "dim must come before any row")
         if key == "F":
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coefficients, got {len(toks)}")
-            functionals.append(tuple(_parse_rational(t, lineno) for t in toks))
+            functionals.append(tuple(_parse_rational(t, where) for t in toks))
         elif key == "H":
             if len(toks) != dim + 2:
                 raise _fail(lineno, f"expected '{dim} coefficients REL rhs'")
             rel = toks[dim]
             if rel not in ("<", "<="):
                 raise _fail(lineno, f"relation must be '<' or '<=', got {rel!r}")
-            normal = tuple(_parse_rational(t, lineno) for t in toks[:dim])
-            rhs = _parse_rational(toks[dim + 1], lineno)
+            normal = tuple(_parse_rational(t, where) for t in toks[:dim])
+            rhs = _parse_rational(toks[dim + 1], where)
             h_rows.append(Constraint(normal, rhs, rel == "<"))
         elif key == "V":
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
-            vertices.append(tuple(_parse_rational(t, lineno) for t in toks))
+            vertices.append(tuple(_parse_rational(t, where) for t in toks))
         elif key == "R":
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
-            rays.append(tuple(_parse_rational(t, lineno) for t in toks))
+            rays.append(tuple(_parse_rational(t, where) for t in toks))
         else:
             raise _fail(lineno, f"unknown directive {key!r}")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance
-from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
+from asymgeo.cli.instances import InstanceError, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
 
@@ -65,10 +65,10 @@ def _cmd_theta(args) -> int:
 
 def _cmd_ball(args) -> int:
     norm, _ = _load(args.file)
-    center = tuple(Fraction(tok) for tok in args.center.split(",")) if args.center \
-        else (Fraction(0),) * norm.dim
+    center = tuple(_parse_rational(tok, "--center") for tok in args.center.split(",")) \
+        if args.center else (Fraction(0),) * norm.dim
     closed = Closedness.OPEN if args.open else Closedness.CLOSED
-    b = ball(norm, center, Fraction(args.radius), closed)
+    b = ball(norm, center, _parse_rational(args.radius, "--radius"), closed)
     for c in b.as_set.constraints:
         rel = "<" if c.strict else "<="
         print("H: " + " ".join(_fmt(x) for x in c.normal) + f" {rel} {_fmt(c.rhs)}")

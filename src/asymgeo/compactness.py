@@ -29,18 +29,18 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from asymgeo.ratlp import Vec, rat, vneg, zero_vec
-from asymgeo.norm import AsymNorm, Closedness, DegeneracyCone, ball, degeneracy_cone, gauge_eval
+from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
     PartialPolyhedron,
     Polyhedron,
+    _meets_face,
     closure,
     contains_line,
     extreme_points,
     member,
     minkowski_sum_with_cone,
-    partial_is_empty,
     recession_cone,
     set_equal,
     subset,
@@ -96,7 +96,7 @@ class Instance:
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
-    degeneracy: DegeneracyCone
+    degeneracy: Cone
     saturated: Polyhedron
 
     @classmethod
@@ -107,7 +107,7 @@ class Instance:
         if hull is None:
             raise EmptyRegionError("the region is empty")
         cone = degeneracy_cone(norm)
-        saturated = minkowski_sum_with_cone(hull, cone.as_cone())
+        saturated = minkowski_sum_with_cone(hull, cone)
         return cls(norm, region, hull, cone, saturated)
 
 
@@ -122,8 +122,9 @@ def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 
 
 def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
-    """Extreme points of closure(region) + degeneracy cone."""
-    return extreme_points(inst.saturated)
+    """Extreme points of closure(region) + degeneracy cone: the vertices
+    ``minkowski_sum_with_cone`` kept, or none when the sum contains a line."""
+    return () if contains_line(inst.saturated) else inst.saturated.vertices
 
 
 def center_candidate(inst: Instance) -> Polyhedron:
@@ -160,7 +161,7 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if not member(inst.region, v):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
-    if _sandwich(core, inst.region, inst.degeneracy.as_cone()) is None:
+    if _sandwich(core, inst.region, inst.degeneracy) is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
@@ -176,7 +177,7 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
         raise ValueError("the core must be a bounded polytope")
     if core.dim != region.dim or norm.dim != region.dim:
         raise ValueError("dimension mismatch")
-    return _sandwich(core, region, degeneracy_cone(norm).as_cone()) is not None
+    return _sandwich(core, region, degeneracy_cone(norm)) is not None
 
 
 def saturate_region(inst: Instance) -> PartialPolyhedron:
@@ -193,13 +194,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     for c, b in rows:
         top = support_value(inst.hull, c)
         assert top is not None and top <= b, "sum rows bound the closure"
-        strict = False
-        if top == b:
-            face = inst.region.constraints + (
-                Constraint(c, b, False),
-                Constraint(vneg(c), -b, False),
-            )
-            strict = partial_is_empty(PartialPolyhedron(inst.region.dim, face))
+        strict = top == b and not _meets_face(inst.region, inst.hull, c, b)
         out.append(Constraint(c, b, strict))
     if not any(c.strict for c in out):
         return to_partial(inst.saturated)
@@ -274,7 +269,7 @@ def verify_theorems(inst: Instance,
     own_ext = region_extreme_points(inst)
     claims.append(_claim("T2", bool(own_ext), "no extreme point found"))
 
-    padded = _sandwich(core, inst.region, inst.degeneracy.as_cone())
+    padded = _sandwich(core, inst.region, inst.degeneracy)
     sat_partial = to_partial(inst.saturated)
     t3 = padded is not None and set_equal(to_partial(padded), sat_partial)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))

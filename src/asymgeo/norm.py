@@ -40,17 +40,6 @@ class AsymNorm:
         object.__setattr__(self, "functionals", rows)
 
 
-@dataclass(frozen=True)
-class DegeneracyCone:
-    """The pointed cone of directions with vanishing gauge, by generators."""
-
-    dim: int
-    generators: tuple[Vec, ...]
-
-    def as_cone(self) -> Cone:
-        return Cone(self.dim, self.generators)
-
-
 class Closedness(enum.Enum):
     OPEN = "OPEN"
     CLOSED = "CLOSED"
@@ -101,15 +90,15 @@ def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
     return max(gauge_eval(norm, x), gauge_eval(norm, vneg(x)))
 
 
-def degeneracy_cone(norm: AsymNorm) -> DegeneracyCone:
-    """Generators of {x : q(x) = 0} = {x : <a_i, x> <= 0 for all i}.
+def degeneracy_cone(norm: AsymNorm) -> Cone:
+    """The pointed cone {x : q(x) = 0} = {x : <a_i, x> <= 0 for all i}.
 
     Pointedness is guaranteed by the constructor's rank check, so the
     double description of the functional rows never yields lineality.
     """
     gens, lin = cone_from_rows(norm.functionals, norm.dim)
     assert not lin, "a definite gauge has a pointed degeneracy cone"
-    return DegeneracyCone(norm.dim, gens)
+    return Cone(norm.dim, gens)
 
 
 def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:

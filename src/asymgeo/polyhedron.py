@@ -5,7 +5,7 @@ cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
 description method over exact rationals, and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
-scans and small LPs.
+scans and small LPs; emptiness is read off the closure's generators.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -94,10 +94,9 @@ class PartialPolyhedron:
 
     @cached_property
     def _closure(self) -> Optional[Polyhedron]:
-        if partial_is_empty(self):
-            return None
         poly = dd_convert_h_to_v(relaxed_rows(self), self.dim)
-        assert poly is not None, "closure of a nonempty region is nonempty"
+        if poly is None or not _meets_face(self, poly, zero_vec(self.dim), 0):
+            return None
         return poly
 
 
@@ -282,14 +281,13 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     Dualizes the homogenization cone: its polar is described by the
     generators as rows, so one more double description run yields the
     candidate rows.  The lineality of the polar comes back as opposite row
-    pairs pinning the affine hull; among the rest only facet rows are kept,
-    recognized by their tight generators spanning one dimension less than
-    the cone itself.  Rows are primitive integer data in sorted order.
+    pairs pinning the affine hull; the rest are the polar's extreme rays, so
+    facets, and only ``t >= 0`` (zero normal) is dropped.  Rows are
+    primitive integer data in sorted order.
     """
     dim = poly.dim
     gen_rows = [v + (Fraction(1),) for v in poly.vertices]
     gen_rows += [r + (Fraction(0),) for r in poly.rays]
-    cone_dim = rank(gen_rows)
     gens, lin = cone_from_rows(gen_rows, dim + 1)
     out: list[HRow] = []
     for h in gens:
@@ -297,9 +295,7 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
         if is_zero_vec(c):
             assert g <= 0, "a nonempty polyhedron admits no contradictory row"
             continue
-        tight = [row for row in gen_rows if dot(h, row) == 0]
-        if rank(tight) == cone_dim - 1:
-            out.append((c, -g))
+        out.append((c, -g))
     for l in list(lin) + [vneg(l) for l in lin]:
         c, g = l[:-1], l[-1]
         assert not is_zero_vec(c), "affine-hull rows have nonzero normals"
@@ -346,7 +342,8 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
 
     Maximizes a margin variable added to every strict row (capped at 1);
     the set is nonempty iff the closed system is feasible with a strictly
-    positive margin.
+    positive margin.  It serves callers with rows but no closure (the random
+    generator's rejection loop), where one LP is cheaper than a DD run.
     """
     dim = region.dim
     ext_rows: list[tuple[Vec, Rational]] = []
@@ -381,9 +378,25 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
 
     For a nonempty intersection of open and closed half-spaces the closure
     is exactly the all-non-strict relaxation, so it suffices to drop the
-    strict flags and convert.  The result is memoized on the region.
+    strict flags and convert; the region is empty iff that is, or the region
+    misses all of it.  The result is memoized on the region.
     """
     return region._closure
+
+
+def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Vec, top: Rational) -> bool:
+    """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
+
+    The face is generated by the vertices attaining ``top`` and the rays
+    orthogonal to ``normal``.  A strict row removes the subface where it is
+    tight, and finitely many faces cover a nonempty convex set only if one
+    is the whole set: the region meets the face iff no strict row is
+    tight on all of it.
+    """
+    verts = [v for v in hull.vertices if dot(normal, v) == top]
+    rays = [r for r in hull.rays if dot(normal, r) == 0]
+    return all(any(dot(c.normal, v) < c.rhs for v in verts) or any(dot(c.normal, r) != 0 for r in rays)
+               for c in region.constraints if c.strict)
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
@@ -421,13 +434,8 @@ def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
         top = support_value(hull, c.normal)
         if top is None or top > c.rhs:
             return False
-        if c.strict and top == c.rhs:
-            face = first.constraints + (
-                Constraint(c.normal, c.rhs, False),
-                Constraint(vneg(c.normal), -c.rhs, False),
-            )
-            if not partial_is_empty(PartialPolyhedron(first.dim, face)):
-                return False
+        if c.strict and top == c.rhs and _meets_face(first, hull, c.normal, top):
+            return False
     return True
 
 
@@ -513,7 +521,8 @@ def _first_nonzero_unit(r: Vec) -> Vec:
 
 
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
-    """poly + cone in generator form, canonicalized by LP redundancy removal."""
+    """poly + cone in generator form, canonicalized by LP redundancy removal;
+    when the sum contains no line, its kept vertices are its extreme points."""
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
     rays = list(poly.rays) + list(cone.generators)

@@ -48,6 +48,19 @@ def test_parse_rejects_zero_denominator():
         parse_instance(bad)
 
 
+@pytest.mark.parametrize("tok", ["1.5", "1e3", "1e999999999", "1_000", "+1", "\u0663"])
+def test_parse_accepts_only_the_number_grammar(tok):
+    bad = RAY_TEXT.replace("H: 1 <= 1", f"H: {tok} <= 1")
+    with pytest.raises(InstanceError, match="line 5: bad rational"):
+        parse_instance(bad)
+
+
+@pytest.mark.parametrize("tok", ["\u0663", "\u00b2"])
+def test_parse_dim_accepts_ascii_digits_only(tok):
+    with pytest.raises(InstanceError, match="line 1: expected 'dim"):
+        parse_instance(f"dim {tok}2\n")
+
+
 def test_parse_surfaces_rank_deficiency():
     text = "version 1\ndim 2\nF: 1 0\nH: 1 0 <= 1\n"
     with pytest.raises(DefinitenessViolation):
@@ -244,6 +257,15 @@ def test_cli_theta_and_ball(tmp_path, capsys):
     assert "generator: (-1)" in capsys.readouterr().out
     assert main(["ball", str(path), "--radius", "2", "--open"]) == 0
     assert "H: 1 < 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", [["--radius", "1.5"], ["--radius", "1e3"], ["--radius", "2/0"],
+                                    ["--radius", "2", "--center", "1_0"], ["--radius", "2", "--center", "+1"]])
+def test_cli_ball_rejects_numbers_outside_the_grammar(tmp_path, capsys, option):
+    path = tmp_path / "ray.txt"
+    path.write_text(RAY_TEXT, encoding="utf-8")
+    assert main(["ball", str(path)] + option) == 2
+    assert "bad rational" in capsys.readouterr().err
 
 
 def test_cli_center_reports_witness(tmp_path, capsys):

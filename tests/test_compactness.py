@@ -24,11 +24,13 @@ from asymgeo.compactness import (
     saturation_extreme_points,
     verify_theorems,
 )
+from asymgeo.cli.generators import gen_random_norm, gen_random_region
 from asymgeo.norm import Closedness, gauge_eval, make_norm
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
     Polyhedron,
+    contains_line,
     extreme_points,
     member,
     set_equal,
@@ -67,6 +69,18 @@ def test_saturation_extreme_points_examples():
     assert saturation_extreme_points(build(SUP2, UNIT_SQUARE)) == ((1, 1),)
     sym_inst = build(SYM2, UNIT_SQUARE)
     assert set(saturation_extreme_points(sym_inst)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_saturation_extreme_points_agree_with_lp_extremality():
+    """The pruned sum's vertices are its extreme points; one LP per vertex is the reference."""
+    rng = random.Random(61)
+    lines = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        inst = build(gen_random_norm(d, rng), gen_random_region(d, rng))
+        assert saturation_extreme_points(inst) == extreme_points(inst.saturated)
+        lines += contains_line(inst.saturated)
+    assert 0 < lines < 40
 
 
 def test_center_candidate_examples():

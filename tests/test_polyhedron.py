@@ -15,6 +15,7 @@ from asymgeo.polyhedron import (
     LinealityPresentError,
     PartialPolyhedron,
     Polyhedron,
+    _meets_face,
     closure,
     contains_line,
     dd_convert_h_to_v,
@@ -26,11 +27,13 @@ from asymgeo.polyhedron import (
     minkowski_sum_with_cone,
     partial_is_empty,
     recession_cone,
+    relaxed_rows,
     set_equal,
     subset,
+    support_value,
     to_partial,
 )
-from asymgeo.ratlp import dot
+from asymgeo.ratlp import dot, rank, vneg, zero_vec
 
 from support import interval, rand_fraction, rand_point
 
@@ -197,6 +200,8 @@ def test_subset_detects_strict_face():
     # [0,1] is not inside [0,1) but [0,1) is inside [0,1]
     assert not subset(interval(0, 1), interval(0, 1, hi_open=True))
     assert subset(interval(0, 1, hi_open=True), interval(0, 1))
+    # the strict row x < 1 is attained on the closure, but [0,1) misses that face
+    assert subset(interval(0, 1, hi_open=True), interval(-5, 1, hi_open=True))
     # empty sets are inside everything
     empty = region(1, ((1,), 0, True), ((-1,), 0, True))
     assert subset(empty, interval(5, 6))
@@ -421,6 +426,90 @@ def test_partial_is_empty_cases():
     assert not partial_is_empty(interval(0, 0))  # single point
     assert partial_is_empty(region(1, ((0,), 0, True)))  # 0 < 0 never holds
     assert not partial_is_empty(PartialPolyhedron(1, ()))  # whole line
+
+
+def _random_half_open_region(rng: random.Random, d: int) -> PartialPolyhedron:
+    """Small integer rows, so that tight strict rows, strips and empty sets occur.
+
+    About one draw in six adds the row 0 < 0; about one in three adds the
+    opposite of its first row, shifted to give a slab, a hyperplane or an
+    empty relaxation.
+    """
+    rows = [Constraint(rand_point(rng, d, span=2, max_den=1), F(rng.randint(-2, 2)), rng.random() < 0.5)
+            for _ in range(rng.randint(1, d + 3))]
+    pick = rng.random()
+    if pick < 0.15:
+        rows.append(Constraint(zero_vec(d), F(0), True))
+    elif pick < 0.45:
+        c, b = rows[0].normal, rows[0].rhs
+        rows.append(Constraint(vneg(c), -b + rng.randint(-1, 1), rng.random() < 0.5))
+    rng.shuffle(rows)
+    return PartialPolyhedron(d, tuple(rows))
+
+
+def test_closure_emptiness_agrees_with_margin_lp():
+    """``closure`` reads emptiness off the generators; the margin LP is the reference."""
+    rng = random.Random(31)
+    empty_relaxation = empty_region_only = nonempty = 0
+    for _ in range(300):
+        k = _random_half_open_region(rng, rng.randint(1, 3))
+        assert (closure(k) is None) == partial_is_empty(k), k
+        if dd_convert_h_to_v(relaxed_rows(k), k.dim) is None:
+            empty_relaxation += 1
+        elif closure(k) is None:
+            empty_region_only += 1
+        else:
+            nonempty += 1
+    assert min(empty_relaxation, empty_region_only, nonempty) >= 20
+
+
+def test_meets_face_agrees_with_face_system():
+    """A face of the closure meets the region iff the face system is nonempty."""
+    rng = random.Random(37)
+    met = missed = 0
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        k = _random_half_open_region(rng, d)
+        hull = closure(k)
+        if hull is None:
+            continue
+        normals = [zero_vec(d), rand_point(rng, d, span=2, max_den=1)]
+        normals += [c.normal for c in k.constraints]
+        for normal in normals:
+            top = support_value(hull, normal)
+            if top is None:
+                continue
+            face = k.constraints + (Constraint(normal, top, False), Constraint(vneg(normal), -top, False))
+            got = _meets_face(k, hull, normal, top)
+            assert got == (not partial_is_empty(PartialPolyhedron(d, face))), (k, normal)
+            met += got
+            missed += not got
+    assert met >= 50 and missed >= 50
+
+
+def test_v_to_h_rows_are_facets():
+    """Every row but the affine-hull pairs is a facet of the homogenization:
+    the generators tight on it have rank one below that of all generators."""
+    rng = random.Random(41)
+    for _ in range(80):
+        d = rng.randint(1, 3)
+        verts = [rand_point(rng, d, span=2, max_den=1) for _ in range(rng.randint(1, 5))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 3))]
+        if len(verts) >= 2:
+            verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], verts[1])))
+        if rays:
+            verts.append(tuple(a + b for a, b in zip(verts[0], rays[0])))
+            if rng.random() < 0.4:
+                rays.append(vneg(rays[0]))
+        p = Polyhedron(d, verts, rays)
+        gen_rows = [v + (F(1),) for v in p.vertices] + [r + (F(0),) for r in p.rays]
+        cone_dim = rank(gen_rows)
+        rows = set(p.hrep)
+        for c, b in rows:
+            if (vneg(c), -b) in rows:
+                continue
+            tight = [g for g in gen_rows if dot(c + (-b,), g) == 0]
+            assert rank(tight) == cone_dim - 1, (p, c, b)
 
 
 def test_vertexless_polyhedron_rejected():
