@@ -81,6 +81,8 @@ def _rand_rational(rng: random.Random) -> Fraction:
 
 def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
     """Random valid gauge; resamples until the functionals span the space."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     while True:
         count = rng.randint(dim, dim + 2)
         rows = [tuple(_rand_rational(rng) for _ in range(dim)) for _ in range(count)]
@@ -90,6 +92,8 @@ def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
 
 def gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:
     """Random nonempty region; half the draws add a bounding box."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     while True:
         count = rng.randint(dim + 1, dim + 4)
         rows = [

@@ -3,9 +3,12 @@
 Closed polyhedra carry a generator (V) representation ``conv(vertices) +
 cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
-description method over exact rationals, and every predicate (membership,
+description method over Python ints, and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
-scans and small LPs; emptiness is read off the closure's generators.
+scans and to incidence against the cached H-representation; emptiness is
+read off the closure's generators.  The LP membership tests (``in_cone``,
+``in_conv_plus_cone``) stay only as an independent reference, and
+``partial_is_empty`` serves callers that hold rows but no closure.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
@@ -35,7 +39,6 @@ from asymgeo.ratlp import (
     rref,
     vneg,
     vscale,
-    vsub,
     zero_vec,
 )
 
@@ -145,28 +148,32 @@ def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_rows(rows: Sequence[Vec]) -> list[Vec]:
-    """Primitive, deduplicated, lexicographically sorted nonzero rows."""
+def _prepare_rows(rows: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """Primitive, deduplicated, lexicographically sorted nonzero rows, as int tuples."""
     seen = set()
     for r in rows:
         p = primitive(as_vec(r))
         if not is_zero_vec(p):
-            seen.add(p)
+            seen.add(tuple(a.numerator for a in p))
     return sorted(seen)
 
 
-def _pointed_cone_rays(rows: list[Vec], dim: int) -> list[Vec]:
+def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[Vec]:
     """Extreme rays of the pointed cone {x : <row, x> <= 0 for all rows}.
 
-    Classic double description: start from a simplicial subcone given by a
-    maximal independent row subset, then insert the remaining rows one at a
-    time, combining adjacent rays across the new hyperplane.  Adjacency is
-    the combinatorial zero-set test, which is valid because the ray set
-    stays minimal throughout.  Requires rank(rows) == dim.
+    Classic double description over Python ints: start from a simplicial
+    subcone given by a maximal independent row subset, then insert the
+    remaining rows one at a time, combining adjacent rays across the new
+    hyperplane.  Each ray carries its incidence (the processed rows it is
+    tight on) as one bitmask, and a combined ray is tight exactly where both
+    parents are, plus on the new row.  Two rays are adjacent iff they share
+    at least dim - 2 tight rows and no third ray is tight on all of those
+    (the combinatorial test, valid because the ray set stays minimal).
+    Requires the rows of ``_prepare_rows``, of rank dim.
     """
     # greedy lexicographically-first independent subset
     base_idx: list[int] = []
-    chosen: list[Vec] = []
+    chosen: list[tuple[int, ...]] = []
     for i, row in enumerate(rows):
         if rank(chosen + [row]) > len(chosen):
             base_idx.append(i)
@@ -177,47 +184,32 @@ def _pointed_cone_rays(rows: list[Vec], dim: int) -> list[Vec]:
         raise ValueError("cone is not pointed (row rank below dimension)")
 
     inv = invert(chosen)
-    rays = [primitive(tuple(-inv[i][j] for i in range(dim))) for j in range(dim)]
-    processed = list(base_idx)
-
-    def incidence(r: Vec) -> frozenset[int]:
-        return frozenset(k for k in processed if dot(rows[k], r) == 0)
-
-    inc = {r: incidence(r) for r in rays}
+    rays = [tuple(a.numerator for a in primitive(tuple(-inv[i][j] for i in range(dim)))) for j in range(dim)]
+    base = sum(1 << i for i in base_idx)
+    inc = [base & ~(1 << i) for i in base_idx]
 
     for i, row in enumerate(rows):
-        if i in base_idx:
+        if base >> i & 1:
             continue
-        vals = {r: dot(row, r) for r in rays}
-        plus = [r for r in rays if vals[r] > 0]
-        if not plus:
-            processed.append(i)
-            for r in rays:
-                if vals[r] == 0:
-                    inc[r] = inc[r] | {i}
-            continue
-        minus = [r for r in rays if vals[r] < 0]
-        zero = [r for r in rays if vals[r] == 0]
-        fresh = []
-        for p in plus:
+        bit = 1 << i
+        vals = [sum(a * b for a, b in zip(row, r)) for r in rays]
+        kept = [k for k, v in enumerate(vals) if v <= 0]
+        minus = [k for k in kept if vals[k] < 0]
+        fresh, fresh_inc = [], []
+        for p in (k for k, v in enumerate(vals) if v > 0):
             for q in minus:
                 common = inc[p] & inc[q]
-                adjacent = not any(
-                    r is not p and r is not q and common <= inc[r] for r in rays
-                )
-                if adjacent:
-                    w = primitive(vsub(vscale(vals[p], q), vscale(vals[q], p)))
-                    fresh.append(w)
-        processed.append(i)
-        rays = zero + minus
-        for r in rays:
-            if vals[r] == 0:
-                inc[r] = inc[r] | {i}
-        for w in fresh:
-            if w not in rays:
-                rays.append(w)
-                inc[w] = incidence(w)
-    return sorted(set(rays))
+                if common.bit_count() < dim - 2 or any(
+                    m & common == common for k, m in enumerate(inc) if k != p and k != q
+                ):
+                    continue
+                w = tuple(vals[p] * b - vals[q] * a for a, b in zip(rays[p], rays[q]))
+                g = gcd(*w)
+                fresh.append(tuple(a // g for a in w))
+                fresh_inc.append(common | bit)
+        rays = [rays[k] for k in kept] + fresh
+        inc = [inc[k] | bit if vals[k] == 0 else inc[k] for k in kept] + fresh_inc
+    return [tuple(map(Fraction, r)) for r in sorted(set(rays))]
 
 
 def cone_from_rows(rows: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -449,7 +441,11 @@ def set_equal(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
 
 
 def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
-    """LP membership of x in the cone spanned by the generators."""
+    """LP membership of x in the cone spanned by the generators.
+
+    No predicate of this module calls it: it is the independent LP
+    reference that tests check the incidence predicates against.
+    """
     x = as_vec(x)
     gens = [as_vec(g) for g in generators]
     if not gens:
@@ -460,7 +456,7 @@ def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
 
 
 def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> bool:
-    """LP membership of x in conv(points) + cone(rays)."""
+    """LP membership of x in conv(points) + cone(rays); the LP reference, as ``in_cone``."""
     x = as_vec(x)
     pts = [as_vec(p) for p in points]
     rds = [as_vec(r) for r in rays]
@@ -473,46 +469,50 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
     return feasible_nonneg(rows, list(x) + [Fraction(1)])
 
 
-def _lineality_directions(rays: Sequence[Vec]) -> list[Vec]:
-    """Generators whose opposite also lies in the cone; they span the lineality."""
-    rays = list(rays)
-    return [r for r in rays if in_cone(vneg(r), rays)]
+def _tight_rank(poly: Polyhedron, x: Vec, level: int) -> int:
+    """Rank of the ``hrep`` normals c with <c, x> = level * b: the rows tight
+    at the point x (level 1), or orthogonal to the direction x (level 0).
+
+    The test runs on integers: ``hrep`` rows are integral, and (x, level)
+    scales to a primitive integer vector (y, top) with <c, y> = b * top.
+    """
+    *y, top = (a.numerator for a in primitive(tuple(x) + (Fraction(level),)))
+    return rank([c for c, b in poly.hrep if sum(a.numerator * k for a, k in zip(c, y)) == b.numerator * top])
 
 
 def recession_cone(poly: Polyhedron) -> Cone:
-    """cone(rays) of the polyhedron, with an explicit lineality basis."""
-    gens = poly.rays
-    lin_members = _lineality_directions(gens)
+    """cone(rays) of the polyhedron, with an explicit lineality basis.
+
+    The rays orthogonal to every ``hrep`` normal span the lineality.
+    """
+    normals = [c for c, _ in poly.hrep]
+    lin_members = [r for r in poly.rays if all(dot(c, r) == 0 for c in normals)]
     basis: list[Vec] = []
     if lin_members:
         basis = [primitive(tuple(row)) for row in rref(lin_members)[0]]
-    return Cone(poly.dim, gens, tuple(basis))
+    return Cone(poly.dim, poly.rays, tuple(basis))
 
 
 def contains_line(poly: Polyhedron) -> bool:
-    return bool(_lineality_directions(poly.rays))
+    """A line lies in the set iff the ``hrep`` normals have rank below dim."""
+    return _tight_rank(poly, zero_vec(poly.dim), 0) < poly.dim
 
 
 def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
-    """The extreme points of the polyhedron.
-
-    A listed vertex is extreme iff it cannot be generated by the remaining
-    vertices and the rays; a set containing a line has no extreme points.
-    """
-    if contains_line(poly):
-        return ()
-    rays = poly.rays
-    return tuple(_irredundant(poly.vertices, lambda v, others: in_conv_plus_cone(v, others, rays)))
+    """The extreme points of the polyhedron: the listed vertices whose tight
+    ``hrep`` rows have rank dim.  A set containing a line has none."""
+    return tuple(v for v in poly.vertices if _tight_rank(poly, v, 1) == poly.dim)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
-    """Extreme ray directions of the recession cone, line-free sets only.
+    """Extreme ray directions of the recession cone, line-free sets only: the
+    listed rays whose orthogonal ``hrep`` rows have rank dim - 1.
 
     Directions are normalized so the first nonzero coordinate is +-1.
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    return tuple(sorted(_first_nonzero_unit(r) for r in _irredundant(poly.rays, in_cone)))
+    return tuple(sorted(_first_nonzero_unit(r) for r in poly.rays if _tight_rank(poly, r, 0) == poly.dim - 1))
 
 
 def _first_nonzero_unit(r: Vec) -> Vec:
@@ -521,32 +521,22 @@ def _first_nonzero_unit(r: Vec) -> Vec:
 
 
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
-    """poly + cone in generator form, canonicalized by LP redundancy removal;
-    when the sum contains no line, its kept vertices are its extreme points."""
+    """poly + cone in generator form.
+
+    Without a line the sum keeps only its extreme points and extreme rays,
+    and it shares the ``hrep`` of the generator union, so the one DD run
+    that decided extremality also serves every later use of the sum.  With
+    a line there are no extreme points, and the union is returned as is.
+    """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
     rays = list(poly.rays) + list(cone.generators)
     for l in cone.lineality_basis:
         rays.append(l)
         rays.append(vneg(l))
-    rays = _irredundant(_canonical_rays(rays, poly.dim), in_cone)
-    verts = _irredundant(poly.vertices, lambda v, others: in_conv_plus_cone(v, others, rays))
-    return Polyhedron(poly.dim, tuple(verts), tuple(rays))
-
-
-def _irredundant(items: Sequence[Vec], generated) -> list[Vec]:
-    """Drop, in order, each item that ``generated(item, rest)`` says the rest generate.
-
-    One pass suffices: dropping a generated item leaves the generated set
-    unchanged, so an item kept once stays ungenerated by any subset of the
-    rest.  A lone item is never generated by nothing.
-    """
-    kept = list(items)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others and generated(kept[i], others):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
+    total = Polyhedron(poly.dim, poly.vertices, tuple(rays))
+    if contains_line(total):
+        return total
+    out = Polyhedron(poly.dim, extreme_points(total), extreme_rays(total))
+    object.__setattr__(out, "hrep", total.hrep)
+    return out

@@ -8,8 +8,10 @@ step, and one Bland's-rule simplex loop (``_bland``) drives every linear
 program: ``rref`` is the only elimination loop (``rank`` and ``invert``
 read their answers off it), while ``lp_solve`` (two-phase, free variables
 split) and ``feasible_nonneg`` (phase one only) just build a tableau for
-it.  Instances are desk scale (dimension <= 6, at most a few hundred rows),
-so exactness and determinism win over speed.
+it.  The compactness decision itself runs no LP: ``lp_solve`` serves the
+random generator's emptiness test, and ``feasible_nonneg`` the LP membership
+tests kept as a reference.  Instances are desk scale (dimension <= 6, at
+most a few hundred rows), so exactness and determinism win over speed.
 """
 
 from __future__ import annotations
@@ -301,9 +303,10 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
                     rhs_col: Sequence[Rational]) -> bool:
     """Does A lam = b admit lam >= 0?  Phase-one simplex, Bland's rule.
 
-    Dedicated tableau for the conic/convex combination tests, which are by
-    far the hottest queries: variables are already sign-constrained, so no
-    split is needed and only the artificial phase runs.
+    Dedicated tableau for the conic and convex combination tests that serve
+    as the LP reference for polyhedral extremality: variables are already
+    sign-constrained, so no split is needed and only the artificial phase
+    runs.
     """
     m = len(matrix_rows)
     if m != len(rhs_col):

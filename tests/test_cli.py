@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from asymgeo.cli.generators import (
     gen_arc_hull,
     gen_lattice_norm,
     gen_random_instance,
+    gen_random_norm,
+    gen_random_region,
 )
 from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
 from asymgeo.cli.main import main
@@ -274,6 +279,20 @@ def test_cli_center_reports_witness(tmp_path, capsys):
     assert main(["center", str(path)]) == 0
     out = capsys.readouterr().out
     assert "verdict: NOT_COMPACT" in out and "BadRecessionDirection" in out
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_cli_gen_random_rejects_nonpositive_dimension(dim):
+    """A separate process with a timeout, so that a resampling loop that never ends fails the test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "asymgeo.cli.main", "gen", "random", "--dim", dim],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert "dimension must be positive" in proc.stderr
+    for gen in (gen_random_norm, gen_random_region):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            gen(int(dim), random.Random(0))
 
 
 def test_cli_gen_one_flavor(capsys):

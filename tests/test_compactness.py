@@ -24,7 +24,9 @@ from asymgeo.compactness import (
     saturation_extreme_points,
     verify_theorems,
 )
-from asymgeo.cli.generators import gen_random_norm, gen_random_region
+from asymgeo import polyhedron, ratlp
+from asymgeo.cli.generators import gen_random_instance, gen_random_norm, gen_random_region
+from asymgeo.cli.suite import reference_catalog
 from asymgeo.norm import Closedness, gauge_eval, make_norm
 from asymgeo.polyhedron import (
     Constraint,
@@ -32,9 +34,12 @@ from asymgeo.polyhedron import (
     Polyhedron,
     contains_line,
     extreme_points,
+    in_cone,
+    in_conv_plus_cone,
     member,
     set_equal,
 )
+from asymgeo.ratlp import vneg
 
 from support import affine_image, interval, interval_compact_oracle, rand_point
 
@@ -72,15 +77,48 @@ def test_saturation_extreme_points_examples():
 
 
 def test_saturation_extreme_points_agree_with_lp_extremality():
-    """The pruned sum's vertices are its extreme points; one LP per vertex is the reference."""
+    """The pruned sum's vertices are its extreme points; LPs are the reference:
+    a line is a ray whose opposite the rays generate, and a vertex is extreme
+    iff the other vertices and the rays do not generate it."""
     rng = random.Random(61)
     lines = 0
     for _ in range(40):
         d = rng.randint(1, 3)
         inst = build(gen_random_norm(d, rng), gen_random_region(d, rng))
-        assert saturation_extreme_points(inst) == extreme_points(inst.saturated)
-        lines += contains_line(inst.saturated)
+        sat = inst.saturated
+        has_line = any(in_cone(vneg(r), sat.rays) for r in sat.rays)
+        assert contains_line(sat) == has_line
+        expected = () if has_line else tuple(
+            v for v in sat.vertices if not in_conv_plus_cone(v, [w for w in sat.vertices if w != v], sat.rays))
+        assert saturation_extreme_points(inst) == extreme_points(sat) == expected
+        lines += has_line
     assert 0 < lines < 40
+
+
+def test_decision_pipeline_runs_no_lp(monkeypatch):
+    """Build, decide and the structure checks read everything off double
+    description output: over the reference suite and 60 corpus seeds, no
+    LP runs."""
+    catalog = reference_catalog()
+    cases = [(entry.norm, entry.region) for entry in catalog]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP ran in the decision pipeline")
+
+    for module in (polyhedron, ratlp):
+        monkeypatch.setattr(module, "feasible_nonneg", forbidden)
+        monkeypatch.setattr(module, "lp_solve", forbidden)
+    monkeypatch.setattr(polyhedron, "in_cone", forbidden)
+    monkeypatch.setattr(polyhedron, "in_conv_plus_cone", forbidden)
+    verdicts = []
+    for norm, region in cases:
+        inst = Instance.build(norm, region)
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        verdicts.append(cert.verdict)
+    assert verdicts.count(Verdict.COMPACT) >= len(catalog)
+    assert Verdict.NOT_COMPACT in verdicts
 
 
 def test_center_candidate_examples():

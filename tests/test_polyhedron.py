@@ -21,6 +21,7 @@ from asymgeo.polyhedron import (
     dd_convert_h_to_v,
     extreme_points,
     extreme_rays,
+    in_cone,
     in_conv_plus_cone,
     is_closed,
     member,
@@ -33,7 +34,7 @@ from asymgeo.polyhedron import (
     support_value,
     to_partial,
 )
-from asymgeo.ratlp import dot, rank, vneg, zero_vec
+from asymgeo.ratlp import dot, primitive, rank, rref, vneg, zero_vec
 
 from support import interval, rand_fraction, rand_point
 
@@ -172,6 +173,16 @@ def test_extreme_rays_reject_lineality():
         extreme_rays(strip)
 
 
+def _lp_lineality_members(p):
+    """LP reference: the rays whose opposite lies in the cone of all rays."""
+    return [r for r in p.rays if in_cone(vneg(r), p.rays)]
+
+
+def _line_from_pointed():
+    """A pointed set plus a pointed cone whose sum contains the line x2 = 0."""
+    return minkowski_sum_with_cone(Polyhedron(2, [(0, 0)], [(1, 0)]), Cone(2, [(-1, 0)]))
+
+
 def test_recession_examples():
     box = Polyhedron(2, [(0, 0), (1, 1)])
     rc = recession_cone(box)
@@ -181,12 +192,33 @@ def test_recession_examples():
     strip = dd_convert_h_to_v([hrow(1, 0, 1), hrow(-1, 0, 1)], 2)
     rc = recession_cone(strip)
     assert rc.lineality_basis == ((0, 1),)
+    line = _line_from_pointed()
+    assert recession_cone(line).lineality_basis == ((1, 0),)
+    half_space = Polyhedron(3, [(0, 0, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, -1), (0, 0, 1)])
+    assert recession_cone(half_space).lineality_basis == ((1, 0, 0), (0, 1, 1))
+    for p in (box, ray, strip, line, half_space):
+        members = _lp_lineality_members(p)
+        expected = tuple(primitive(tuple(row)) for row in rref(members)[0]) if members else ()
+        assert recession_cone(p).lineality_basis == expected, p
 
 
 def test_contains_line_examples():
     strip = dd_convert_h_to_v([hrow(1, 0, 1), hrow(-1, 0, 1)], 2)
     assert contains_line(strip)
     assert not contains_line(Polyhedron(1, [(5,)]))
+    assert contains_line(_line_from_pointed())
+    assert not contains_line(Polyhedron(2, [(0, 0)], [(1, 0), (1, 1), (1, -1)]))
+    assert contains_line(Polyhedron(2, [(0, 0)], [(1, 0), (-1, 1), (-1, -1)]))  # the rays span the plane
+    assert contains_line(closure(PartialPolyhedron(2, ())))  # the whole plane, no hrep row
+    rng = random.Random(43)
+    lines = 0
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        p = Polyhedron(d, [rand_point(rng, d, span=2, max_den=1)],
+                       [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 5))])
+        assert contains_line(p) == bool(_lp_lineality_members(p)), p
+        lines += contains_line(p)
+    assert 10 <= lines <= 50
 
 
 def test_subset_examples():
@@ -240,6 +272,11 @@ def test_minkowski_weyl_reconstruction():
         assert set_equal(to_partial(rebuilt), to_partial(p))
 
 
+def _unit(r):
+    lead = next(a for a in r if a != 0)
+    return tuple(a / abs(lead) for a in r)
+
+
 def test_extremality_is_intrinsic():
     rng = random.Random(7)
     for _ in range(12):
@@ -262,6 +299,11 @@ def test_extremality_is_intrinsic():
         padded = Polyhedron(p.dim, tuple(verts), tuple(rays))
         assert set(extreme_points(padded)) == ext_v
         assert set(extreme_rays(padded)) == ext_r
+        # LP reference: an item is extreme iff the other items do not generate it
+        for vs, rs in ((p.vertices, p.rays), (padded.vertices, padded.rays)):
+            assert not any(in_cone(vneg(r), rs) for r in rs)
+            assert ext_v == {v for v in vs if not in_conv_plus_cone(v, [w for w in vs if w != v], rs)}
+            assert ext_r == {_unit(r) for r in rs if not in_cone(r, [s for s in rs if s != r])}
 
 
 def test_closure_idempotent_and_monotone():
@@ -336,6 +378,17 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         gens, lin = cone_from_rows(rows, d)
         assert lin == ()
         assert set(gens) == _brute_cone_rays(rows, d), (d, rows)
+    # degenerate cones, where a ray is tight on many more than d - 1 rows:
+    # the d=4 one-norm lattice functionals (each ray -e_i lies on 7 rows),
+    # and the homogenized pyramid over an octagon (the apex lies on 8 rows)
+    one_norm = [tuple(F(mask >> j & 1) for j in range(4)) for mask in range(1, 16)]
+    sides = [(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2), (1, 1, 3), (1, -1, 3), (-1, 1, 3), (-1, -1, 3)]
+    pyramid = [tuple(map(F, (a, b, h, -h))) for a, b, h in sides]
+    pyramid += [tuple(map(F, (0, 0, -1, 0))), tuple(map(F, (0, 0, 0, -1)))]
+    for rows, count in ((one_norm, 4), (pyramid, 9)):
+        gens, lin = cone_from_rows(rows, 4)
+        assert lin == () and len(gens) == count
+        assert set(gens) == _brute_cone_rays(rows, 4)
 
 
 def _brute_vertices(rows, dim):
