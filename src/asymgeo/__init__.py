@@ -6,7 +6,7 @@ machine-checkable certificates.  All arithmetic is over arbitrary-precision
 rationals; no floating point is used anywhere in the core.
 """
 
-from asymgeo.ratlp import LpOutcome, LpStatus, Rational, lp_solve, rank, rat, as_vec
+from asymgeo.ratlp import InternalInvariantError, LpOutcome, LpStatus, Rational, lp_solve, rank, rat, as_vec
 from asymgeo.norm import (
     AsymNorm,
     Ball,

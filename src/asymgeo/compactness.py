@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from asymgeo.ratlp import Vec, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval
 from asymgeo.polyhedron import (
     Cone,
@@ -193,7 +193,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     out = []
     for c, b in rows:
         top = support_value(inst.hull, c)
-        assert top is not None and top <= b, "sum rows bound the closure"
+        if top is None or top > b:
+            raise InternalInvariantError("sum rows bound the closure")
         strict = top == b and not _meets_face(inst.region, inst.hull, c, b)
         out.append(Constraint(c, b, strict))
     if not any(c.strict for c in out):
@@ -260,7 +261,8 @@ def verify_theorems(inst: Instance,
     claims = []
     ext_sat = saturation_extreme_points(inst)
     core = cert.center
-    assert core is not None
+    if core is None:
+        raise InternalInvariantError("a COMPACT certificate carries its center")
 
     escaped = next((v for v in ext_sat if not member(inst.region, v)), None)
     claims.append(_claim("T1", escaped is None,
@@ -305,5 +307,6 @@ def ball_no_line_check(norm: AsymNorm, radius, closedness: Closedness) -> bool:
         raise ValueError("radius must be positive")
     b = ball(norm, zero_vec(norm.dim), radius, closedness)
     hull = closure(b.as_set)
-    assert hull is not None, "a positive-radius ball is nonempty"
+    if hull is None:
+        raise InternalInvariantError("a positive-radius ball is nonempty")
     return not contains_line(hull)

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from asymgeo.ratlp import Rational, Vec, as_vec, dot, rank, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Rational, Vec, as_vec, dot, rank, rat, vneg, zero_vec
 from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, cone_from_rows
 
 
@@ -97,7 +97,8 @@ def degeneracy_cone(norm: AsymNorm) -> Cone:
     double description of the functional rows never yields lineality.
     """
     gens, lin = cone_from_rows(norm.functionals, norm.dim)
-    assert not lin, "a definite gauge has a pointed degeneracy cone"
+    if lin:
+        raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
     return Cone(norm.dim, gens)
 
 

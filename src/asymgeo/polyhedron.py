@@ -5,10 +5,11 @@ cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
-scans and to incidence against the cached H-representation; emptiness is
-read off the closure's generators.  The LP membership tests (``in_cone``,
-``in_conv_plus_cone``) stay only as an independent reference, and
-``partial_is_empty`` serves callers that hold rows but no closure.
+scans and to incidence against the H-representation, which is memoized on
+the value together with the line test; emptiness is read off the closure's
+generators.  The LP membership tests (``in_cone``, ``in_conv_plus_cone``)
+stay only as an independent reference, and ``partial_is_empty`` serves
+callers that hold rows but no closure.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -20,16 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
+    InternalInvariantError,
     LpStatus,
     Rational,
     Vec,
+    _reduce,
     as_vec,
     dot,
     feasible_nonneg,
-    invert,
     is_zero_vec,
     lp_solve,
     null_space_basis,
@@ -131,6 +134,15 @@ class Polyhedron:
     def hrep(self) -> tuple[HRow, ...]:
         return dd_convert_v_to_h(self)
 
+    @cached_property
+    def _int_hrep(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``hrep`` as ints (its rows are primitive integer data)."""
+        return tuple([(_ints(c), b.numerator) for c, b in self.hrep])
+
+    @cached_property
+    def _has_line(self) -> bool:
+        return _tight_rank(self, zero_vec(self.dim), 0) < self.dim
+
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     out = set()
@@ -158,7 +170,7 @@ def _prepare_rows(rows: Sequence[Vec]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[Vec]:
+def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : <row, x> <= 0 for all rows}.
 
     Classic double description over Python ints: start from a simplicial
@@ -169,22 +181,23 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[Vec]:
     parents are, plus on the new row.  Two rays are adjacent iff they share
     at least dim - 2 tight rows and no third ray is tight on all of those
     (the combinatorial test, valid because the ray set stays minimal).
-    Requires the rows of ``_prepare_rows``, of rank dim.
+    Requires the rows of ``_prepare_rows``, of rank dim; returns primitive
+    int tuples.
     """
-    # greedy lexicographically-first independent subset
-    base_idx: list[int] = []
-    chosen: list[tuple[int, ...]] = []
-    for i, row in enumerate(rows):
-        if rank(chosen + [row]) > len(chosen):
-            base_idx.append(i)
-            chosen.append(row)
-            if len(chosen) == dim:
-                break
-    if len(chosen) < dim:
+    # One elimination of [rows^T | I] picks the lexicographically first
+    # independent rows (the pivot columns) and leaves det * B^-1 transposed
+    # in the identity block, B the chosen rows and det = |det B| > 0: row j
+    # is a positive multiple of column j of B^-1, so minus it is the ray
+    # tight on every chosen row but the j-th.
+    m = len(rows)
+    work, base_idx, _ = _reduce([[row[t] for row in rows] + [int(t == k) for k in range(dim)]
+                                 for t in range(dim)], m)
+    if len(base_idx) < dim:
         raise ValueError("cone is not pointed (row rank below dimension)")
-
-    inv = invert(chosen)
-    rays = [tuple(a.numerator for a in primitive(tuple(-inv[i][j] for i in range(dim)))) for j in range(dim)]
+    rays = []
+    for w in work:
+        g = gcd(*w[m:])
+        rays.append(tuple(-a // g for a in w[m:]))
     base = sum(1 << i for i in base_idx)
     inc = [base & ~(1 << i) for i in base_idx]
 
@@ -209,7 +222,11 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[Vec]:
                 fresh_inc.append(common | bit)
         rays = [rays[k] for k in kept] + fresh
         inc = [inc[k] | bit if vals[k] == 0 else inc[k] for k in kept] + fresh_inc
-    return [tuple(map(Fraction, r)) for r in sorted(set(rays))]
+    return sorted(set(rays))
+
+
+def _ints(v: Vec) -> tuple[int, ...]:
+    return tuple(a.numerator for a in v)
 
 
 def cone_from_rows(rows: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -225,19 +242,17 @@ def cone_from_rows(rows: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tupl
         return (), tuple(ident)
     lin = null_space_basis(prepared, dim)
     if not lin:
-        return tuple(_pointed_cone_rays(prepared, dim)), ()
-    comp = null_space_basis(lin, dim)
-    proj = _prepare_rows([tuple(dot(h, w) for w in comp) for h in prepared])
+        return tuple([as_vec(r) for r in _pointed_cone_rays(prepared, dim)]), ()
+    comp = [_ints(w) for w in null_space_basis([_ints(l) for l in lin], dim)]
+    proj = _prepare_rows([tuple(sum(map(mul, h, w)) for w in comp) for h in prepared])
     if not proj:
         return (), tuple(lin)
-    sub_rays = _pointed_cone_rays(proj, len(comp))
     back = []
-    for y in sub_rays:
-        x = zero_vec(dim)
-        for yi, w in zip(y, comp):
-            x = tuple(a + yi * b for a, b in zip(x, w))
-        back.append(primitive(x))
-    return tuple(sorted(back)), tuple(lin)
+    for y in _pointed_cone_rays(proj, len(comp)):
+        x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
+        g = gcd(*x)
+        back.append(tuple(a // g for a in x))
+    return tuple([as_vec(r) for r in sorted(back)]), tuple(lin)
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -259,7 +274,8 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
         else:
             raydirs.append(g[:-1])
     for l in lin:
-        assert l[-1] == 0, "homogenization lineality must be horizontal"
+        if l[-1] != 0:
+            raise InternalInvariantError("homogenization lineality must be horizontal")
         raydirs.append(l[:-1])
         raydirs.append(vneg(l[:-1]))
     if not verts:
@@ -285,12 +301,14 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     for h in gens:
         c, g = h[:-1], h[-1]
         if is_zero_vec(c):
-            assert g <= 0, "a nonempty polyhedron admits no contradictory row"
+            if g > 0:
+                raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
             continue
         out.append((c, -g))
     for l in list(lin) + [vneg(l) for l in lin]:
         c, g = l[:-1], l[-1]
-        assert not is_zero_vec(c), "affine-hull rows have nonzero normals"
+        if is_zero_vec(c):
+            raise InternalInvariantError("affine-hull rows have nonzero normals")
         out.append((c, -g))
     normalized = set()
     for c, b in out:
@@ -346,7 +364,8 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
     res = lp_solve(zero_vec(dim) + (Fraction(1),), ext_rows)
     if res.status == LpStatus.INFEASIBLE:
         return True
-    assert res.status == LpStatus.OPTIMAL, "margin objective is capped"
+    if res.status != LpStatus.OPTIMAL:
+        raise InternalInvariantError("margin objective is capped")
     return res.value <= 0
 
 
@@ -404,7 +423,8 @@ def is_closed(region: PartialPolyhedron) -> bool:
         if not c.strict:
             continue
         top = support_value(hull, c.normal)
-        assert top is not None, "rows of the region bound its own closure"
+        if top is None:
+            raise InternalInvariantError("rows of the region bound its own closure")
         if top == c.rhs:
             return False
     return True
@@ -476,15 +496,18 @@ def _tight_rank(poly: Polyhedron, x: Vec, level: int) -> int:
     The test runs on integers: ``hrep`` rows are integral, and (x, level)
     scales to a primitive integer vector (y, top) with <c, y> = b * top.
     """
-    *y, top = (a.numerator for a in primitive(tuple(x) + (Fraction(level),)))
-    return rank([c for c, b in poly.hrep if sum(a.numerator * k for a, k in zip(c, y)) == b.numerator * top])
+    *y, top = _ints(primitive(tuple(x) + (Fraction(level),)))
+    return rank([c for c, b in poly._int_hrep if sum(map(mul, c, y)) == b * top])
 
 
 def recession_cone(poly: Polyhedron) -> Cone:
     """cone(rays) of the polyhedron, with an explicit lineality basis.
 
-    The rays orthogonal to every ``hrep`` normal span the lineality.
+    The rays orthogonal to every ``hrep`` normal span the lineality; a
+    polytope's cone is {0}, and its ``hrep`` is not needed.
     """
+    if not poly.rays:
+        return Cone(poly.dim, ())
     normals = [c for c, _ in poly.hrep]
     lin_members = [r for r in poly.rays if all(dot(c, r) == 0 for c in normals)]
     basis: list[Vec] = []
@@ -494,8 +517,10 @@ def recession_cone(poly: Polyhedron) -> Cone:
 
 
 def contains_line(poly: Polyhedron) -> bool:
-    """A line lies in the set iff the ``hrep`` normals have rank below dim."""
-    return _tight_rank(poly, zero_vec(poly.dim), 0) < poly.dim
+    """A line lies in the set iff the ``hrep`` normals have rank below dim.
+
+    Memoized on the value, as ``hrep`` is."""
+    return poly._has_line
 
 
 def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:

@@ -1,17 +1,16 @@
 """Exact rational linear algebra and linear programming kernel.
 
-Everything downstream (gauge evaluation, polyhedra, compactness
-certificates) rests on this module.  Vectors are plain tuples of
-``fractions.Fraction`` and there is deliberately no floating point
-anywhere.  One Gauss-Jordan pivot (``_pivot``) does every elimination
-step, and one Bland's-rule simplex loop (``_bland``) drives every linear
-program: ``rref`` is the only elimination loop (``rank`` and ``invert``
-read their answers off it), while ``lp_solve`` (two-phase, free variables
-split) and ``feasible_nonneg`` (phase one only) just build a tableau for
-it.  The compactness decision itself runs no LP: ``lp_solve`` serves the
-random generator's emptiness test, and ``feasible_nonneg`` the LP membership
-tests kept as a reference.  Instances are desk scale (dimension <= 6, at
-most a few hundred rows), so exactness and determinism win over speed.
+Vectors are plain tuples of ``fractions.Fraction``; there is no floating
+point anywhere.  The kernel itself is an integer fraction-free one: rows are
+cleared of denominators on entry and results become ``Fraction`` on return.
+One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
+rule loop (``_bland``) every simplex step.  ``_reduce`` is the only
+elimination loop (``rref``, ``rank``, ``invert`` and ``null_space_basis``
+read their answers off it); ``lp_solve`` (two-phase, free variables split)
+and ``feasible_nonneg`` (phase one only) build a tableau for ``_bland``.  The
+compactness decision runs no LP: ``lp_solve`` serves the random generator's
+emptiness test, ``feasible_nonneg`` the LP membership tests kept as a
+reference.
 """
 
 from __future__ import annotations
@@ -26,19 +25,15 @@ Rational = Fraction
 
 # Points, directions and functional rows all share one representation.
 Vec = tuple[Rational, ...]
-Point = Vec
-LinFunctional = Vec
 
 
 def rat(value, den: Optional[int] = None) -> Rational:
     """Coerce ``value`` (int, string like ``"3/5"``, or Fraction) to Rational."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
+    return Fraction(value) if den is None else Fraction(value, den)
 
 
 def as_vec(coords: Iterable) -> tuple[Rational, ...]:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def zero_vec(dim: int) -> tuple[Rational, ...]:
@@ -73,111 +68,146 @@ def is_zero_vec(u) -> bool:
 
 
 def primitive(u) -> tuple[Rational, ...]:
-    """Scale ``u`` to integer entries with gcd 1, preserving direction.
-
-    The zero vector is returned unchanged.  Used to canonicalize ray
-    directions and constraint rows so that equal directions compare equal.
-    """
-    if is_zero_vec(u):
-        return zero_vec(len(u))
-    mult = lcm(*(a.denominator for a in u))
-    ints = [int(a * mult) for a in u]
+    """Scale ``u`` to coprime integers, preserving direction (zero stays zero),
+    so that equal directions and constraint rows compare equal."""
+    ints = _clear(u)[1]
     g = gcd(*ints)
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(Fraction(n // g) for n in ints) if g else zero_vec(len(u))
 
 
-# ---------------------------------------------------------------------------
-# The pivot kernel
-# ---------------------------------------------------------------------------
+def _clear(row: Sequence) -> tuple[int, Sequence[int]]:
+    """(s, s * row) as ints, s > 0 the lcm of the denominators; int rows pass as is."""
+    if all(type(a) is int for a in row):
+        return 1, row
+    row = [a if type(a) is Fraction else Fraction(a) for a in row]
+    s = lcm(*[a.denominator for a in row])  # a list: a starred generator's tuple stays in the free list
+    return s, [a.numerator * (s // a.denominator) for a in row]
 
 
-def _pivot(tab: list[list[Rational]], i: int, j: int) -> None:
-    """Scale row i so that entry j is 1, then clear column j from every other row.
+class InternalInvariantError(RuntimeError):
+    """A broken invariant: a bug, never a bad input (raised, not asserted, so ``-O`` keeps it)."""
 
-    A right-hand side, when there is one, is the last column of each row and
-    is carried along like any other entry.
+
+# --- The pivot kernel --------------------------------------------------------
+
+
+def _pivot(tab: list[Sequence[int]], i: int, j: int, det: int) -> int:
+    """Fraction-free Gauss-Jordan step on entry (i, j); returns the new denominator.
+
+    Every row stands for itself over the common denominator ``det`` > 0.  Row i
+    is negated if need be so that its entry p = |tab[i][j]| is the new
+    denominator; every other row y becomes (p * y - y[j] * row_i) / det, which
+    divides exactly (Bareiss 1968: entries are minors of the input).
     """
     row = tab[i]
-    piv = row[j]
-    if piv != 1:
-        inv = 1 / piv
-        row = tab[i] = [inv * x if x else x for x in row]
+    p = row[j]
+    if p < 0:
+        p = -p
+        row = tab[i] = [-x for x in row]
     for k, other in enumerate(tab):
         if k != i:
             f = other[j]
             if f:
-                tab[k] = [x - f * y if y else x for x, y in zip(other, row)]
+                tab[k] = [(p * x - f * y) // det for x, y in zip(other, row)]
+            elif p != det:
+                tab[k] = [p * x // det for x in other]
+    return p
 
 
-def _bland(tab: list[list[Rational]], basis: list[int], ncols: int) -> Optional[int]:
-    """Simplex with Bland's rule; None at optimality, else an unbounded column.
+def _bland(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], ncols: int,
+           det: int) -> tuple[Optional[int], int]:
+    """Maximize ``cost``; returns (None at optimality, else an unbounded column; the denominator).
 
-    ``tab`` holds one row per basic variable, right-hand side last, and the
-    reduced objective (to be maximized) as its last row.  Only the first
-    ``ncols`` columns may enter.  The leaving row minimizes (ratio, basic
-    variable), so the pivot sequence is deterministic and cannot cycle.
+    ``tab`` holds one row per basic variable over ``det``, right-hand side
+    last; the priced cost row rides along as its last row until the end.
+    Only the first ``ncols`` columns may enter, and the leaving row minimizes
+    (ratio, basic variable), so the pivots are deterministic and cannot cycle.
     """
-    m = len(tab) - 1
+    m = len(tab)
+    tab.append([det * x for x in cost] + [0])
+    for i, bi in enumerate(basis):
+        if tab[m][bi]:
+            det = _pivot(tab, i, bi, det)
     while True:
         obj = tab[m]
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return None
+            break
         best = None
         for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                key = (tab[i][-1] / a, basis[i])
-                if best is None or key < best:
-                    best, leave = key, i
+            a, b = tab[i][enter], tab[i][-1]
+            # key (b / a, basis[i]), compared by cross-multiplying with the best (num, den)
+            if a > 0 and (best is None or b * best[1] < best[0] * a
+                          or b * best[1] == best[0] * a and basis[i] < basis[leave]):
+                best, leave = (b, a), i
         if best is None:
-            return enter
-        _pivot(tab, leave, enter)
+            break
+        det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
+    tab.pop()
+    return enter, det
 
 
-# ---------------------------------------------------------------------------
-# Elimination
-# ---------------------------------------------------------------------------
+def _phase_one(tab: list[Sequence[int]], basis: list[int], scales: list[int], nreal: int,
+               det: int) -> tuple[bool, int]:
+    """Minimize the sum of the artificials (columns ``nreal`` on); returns (feasible, det).
+
+    A row's artificial stands for s times the unscaled one (s its scale), so
+    it costs L / s: L = lcm(scales) times the unscaled cost."""
+    big = lcm(*scales)
+    enter, det = _bland(tab, basis, [0] * nreal + [-(big // s) for s in scales], nreal + len(scales), det)
+    if enter is not None:
+        raise InternalInvariantError("phase one is bounded")
+    return sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) == 0, det
+
+
+# --- Elimination -------------------------------------------------------------
+
+
+def _reduce(rows: Sequence[Sequence[Rational]],
+            ncols: Optional[int] = None) -> tuple[list[Sequence[int]], list[int], int]:
+    """Gauss-Jordan over the first ``ncols`` columns (default all) of the rows
+    cleared to ints; returns (rows, pivot columns, common denominator).
+    Pivot row k comes k-th; it stops once every row holds a pivot."""
+    work = [_clear(r)[1] for r in rows]
+    width = len(work[0]) if work else 0
+    if any(len(r) != width for r in work):
+        raise ValueError("rows of differing length")
+    pivots: list[int] = []
+    det = 1
+    for col in range(width if ncols is None else ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        det = _pivot(work, r, col, det)
+        pivots.append(col)
+    return work, pivots, det
 
 
 def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    if not work:
-        return [], pivots
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise ValueError("rows of differing length")
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        _pivot(work, r, col)
-        pivots.append(col)
-    return work[:len(pivots)], pivots
+    work, pivots, det = _reduce(rows)
+    return [[Fraction(x, det) for x in r] for r in work[:len(pivots)]], pivots
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Exact rank of the given rows over Q."""
-    return len(rref(rows)[1])
+    return len(_reduce(rows)[1])
 
 
 def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
-    """Deterministic basis of {x : <row, x> = 0 for every row}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
+    """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors."""
+    work, pivots, det = _reduce(rows, dim)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+    for f in (c for c in range(dim) if c not in pivots):
+        v = [0] * dim
+        v[f] = det
+        for row, p in zip(work, pivots):
+            v[p] = -row[f]
         basis.append(primitive(v))
     return basis
 
@@ -187,16 +217,14 @@ def invert(rows: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    ident = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, pivots = rref([list(r) + e for r, e in zip(rows, ident)])
-    if pivots != list(range(n)):
+    work, pivots, det = _reduce(
+        [[*ints, *(s * (j == i) for j in range(n))] for i, (s, ints) in enumerate(map(_clear, rows))], n)
+    if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [r[n:] for r in red]
+    return [[Fraction(x, det) for x in r[n:]] for r in work]
 
 
-# ---------------------------------------------------------------------------
-# Linear programming
-# ---------------------------------------------------------------------------
+# --- Linear programming ------------------------------------------------------
 
 
 class LpStatus(enum.Enum):
@@ -207,11 +235,8 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of ``lp_solve``.
-
-    ``witness`` is the optimizer when OPTIMAL and a recession direction with
-    positive objective growth when UNBOUNDED.
-    """
+    """Result of ``lp_solve``: ``witness`` is the optimizer when OPTIMAL and a
+    recession direction with positive objective growth when UNBOUNDED."""
 
     status: LpStatus
     value: Optional[Rational] = None
@@ -222,112 +247,86 @@ def lp_solve(objective: Sequence[Rational],
              constraints: Sequence[tuple[Sequence[Rational], Rational]]) -> LpOutcome:
     """Maximize <objective, x> subject to <c_j, x> <= b_j, x free.
 
-    Two-phase simplex over exact rationals with Bland's rule, so the result
-    is deterministic and cycling is impossible.  Free variables are split
-    into positive and negative parts internally.
+    Two-phase simplex with Bland's rule, free variables split in two parts.
+    Row j is scaled to integers by s_j > 0 while its slack and artificial keep
+    coefficient 1, so they stand for s_j times the unscaled ones: no reduced
+    cost or ratio changes sign or order, nor does the pivot sequence.
     """
     c_obj = as_vec(objective)
     d = len(c_obj)
-    rows = []
+    scales, rows = [], []
     for cj, bj in constraints:
-        cj = as_vec(cj)
-        if len(cj) != d:
-            raise ValueError(f"constraint dimension {len(cj)} != objective dimension {d}")
-        rows.append((cj, Fraction(bj)))
+        s, row = _clear((*cj, bj))
+        if len(row) != d + 1:
+            raise ValueError(f"constraint dimension {len(row) - 1} != objective dimension {d}")
+        scales.append(s)
+        rows.append(row)
 
     m = len(rows)
     nreal = 2 * d + m  # u parts, w parts, slacks
-    arts = [i for i, (_, bj) in enumerate(rows) if bj < 0]
-    ncols = nreal + len(arts)
+    arts = [i for i, row in enumerate(rows) if row[-1] < 0]
 
-    # Rows over columns [u | w | s | artificials | rhs], rhs kept >= 0.
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (cj, bj) in enumerate(rows):
-        sgn = -1 if bj < 0 else 1
-        row = [sgn * x for x in cj] + [-sgn * x for x in cj] \
-            + [Fraction(0)] * (ncols - 2 * d) + [sgn * bj]
-        row[2 * d + i] = Fraction(sgn)
-        tab.append(row)
-        basis.append(2 * d + i)
-    for k, i in enumerate(arts):
-        tab[i][nreal + k] = Fraction(1)
-        basis[i] = nreal + k
-
-    def optimize(cost: list[Fraction], enterable: int) -> Optional[int]:
-        """Price ``cost`` against the basis, run Bland, drop the objective row."""
-        tab.append(cost + [Fraction(0)])
-        for i, bi in enumerate(basis):
-            if tab[-1][bi]:
-                _pivot(tab, i, bi)
-        enter = _bland(tab, basis, enterable)
-        tab.pop()
-        return enter
+    # Rows over columns [u | w | s | artificials | rhs], rhs kept >= 0; the
+    # basis is the slacks, or the artificial where a row was negated.
+    tab: list[list[int]] = []
+    basis = [nreal + arts.index(i) if row[-1] < 0 else 2 * d + i for i, row in enumerate(rows)]
+    for i, row in enumerate(rows):
+        sgn = -1 if row[-1] < 0 else 1
+        cj = [sgn * x for x in row[:-1]]
+        tab.append(cj + [-x for x in cj] + [0] * (m + len(arts)) + [sgn * row[-1]])
+        tab[i][2 * d + i], tab[i][basis[i]] = sgn, 1
+    det = 1
 
     if arts:
-        enter = optimize([Fraction(0)] * nreal + [Fraction(-1)] * len(arts), ncols)
-        assert enter is None, "phase one cannot be unbounded"
-        if sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) > 0:
+        feasible, det = _phase_one(tab, basis, [scales[i] for i in arts], nreal, det)
+        if not feasible:
             return LpOutcome(LpStatus.INFEASIBLE)
         # pivot remaining artificials out of the basis, or drop zero rows
         keep = []
         for i in range(m):
             if basis[i] >= nreal:
-                j = next((j for j in range(nreal) if tab[i][j] != 0), None)
+                j = next((j for j in range(nreal) if tab[i][j]), None)
                 if j is None:
                     continue  # redundant row (0 = 0)
-                _pivot(tab, i, j)
+                det = _pivot(tab, i, j, det)
                 basis[i] = j
             keep.append(i)
         tab[:] = [tab[i][:nreal] + tab[i][-1:] for i in keep]
         basis[:] = [basis[i] for i in keep]
 
-    enter = optimize(list(c_obj) + [-x for x in c_obj] + [Fraction(0)] * m, nreal)
+    cost = _clear(c_obj)[1]
+    enter, det = _bland(tab, basis, [*cost, *(-x for x in cost), *[0] * m], nreal, det)
 
+    # xs: the basic solution (rhs column) at an optimum, else minus the ray
+    # (-det on the entering variable, its column on the basic ones)
+    xs = [0] * nreal
     if enter is not None:
-        delta = [Fraction(0)] * nreal
-        delta[enter] = Fraction(1)
-        for row, bi in zip(tab, basis):
-            delta[bi] = -row[enter]
-        direction = tuple(delta[j] - delta[d + j] for j in range(d))
-        return LpOutcome(LpStatus.UNBOUNDED, witness=direction)
-
-    xs = [Fraction(0)] * nreal
+        xs[enter] = -det
     for row, bi in zip(tab, basis):
-        xs[bi] = row[-1]
-    point = tuple(xs[j] - xs[d + j] for j in range(d))
-    return LpOutcome(LpStatus.OPTIMAL, value=dot(c_obj, point), witness=point)
+        xs[bi] = row[-1 if enter is None else enter]
+    if enter is None:
+        point = tuple(Fraction(xs[j] - xs[d + j], det) for j in range(d))
+        return LpOutcome(LpStatus.OPTIMAL, value=dot(c_obj, point), witness=point)
+    s = scales[enter - 2 * d] if enter >= 2 * d else 1  # an entering slack stands for s_k of them
+    return LpOutcome(LpStatus.UNBOUNDED, witness=tuple(Fraction(s * (xs[d + j] - xs[j]), det)
+                                                       for j in range(d)))
 
 
 def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
                     rhs_col: Sequence[Rational]) -> bool:
     """Does A lam = b admit lam >= 0?  Phase-one simplex, Bland's rule.
 
-    Dedicated tableau for the conic and convex combination tests that serve
-    as the LP reference for polyhedral extremality: variables are already
-    sign-constrained, so no split is needed and only the artificial phase
-    runs.
+    The tableau of the LP reference for polyhedral extremality: variables are
+    sign-constrained, so none is split and only the artificial phase runs.
     """
     m = len(matrix_rows)
     if m != len(rhs_col):
         raise ValueError("row/rhs count mismatch")
     n = len(matrix_rows[0]) if m else 0
-    tab: list[list[Fraction]] = []
-    for i, (row, bi) in enumerate(zip(matrix_rows, rhs_col)):
-        row = [Fraction(x) for x in row]
-        bi = Fraction(bi)
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        ext = [Fraction(0)] * m
-        ext[i] = Fraction(1)
-        tab.append(row + ext + [bi])
-    # reduced phase-one objective: the artificials' cost -1 priced out
-    tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n)]
-               + [Fraction(0)] * m + [sum((r[-1] for r in tab), Fraction(0))])
-    basis = list(range(n, n + m))
-    enter = _bland(tab, basis, n + m)
-    assert enter is None, "phase one is bounded"
-    return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0
+    if any(len(row) != n for row in matrix_rows):
+        raise ValueError("ragged matrix")
+    cleared = [_clear((*row, bi)) for row, bi in zip(matrix_rows, rhs_col)]
+    # rhs made >= 0, one artificial per row
+    tab = [[x if row[-1] >= 0 else -x for x in row[:-1]] + [int(k == i) for k in range(m)] + [abs(row[-1])]
+           for i, (_, row) in enumerate(cleared)]
+    return _phase_one(tab, list(range(n, n + m)), [s for s, _ in cleared], n, 1)[0]

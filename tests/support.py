@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles, interval builders, transforms."""
+"""Shared test helpers: independent oracles, interval builders, transforms,
+and the frozen Fraction reference of the exact kernel."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from asymgeo.polyhedron import Constraint, PartialPolyhedron
-from asymgeo.ratlp import dot
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, primitive
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -71,3 +72,189 @@ def rand_fraction(rng: random.Random, span: int = 3, max_den: int = 3) -> Fracti
 def rand_point(rng: random.Random, dim: int, span: int = 4, max_den: int = 3):
     return tuple(Fraction(rng.randint(-span * max_den, span * max_den), max_den)
                  for _ in range(dim))
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference kernel: Fraction Gauss-Jordan and two-phase Bland simplex
+# ---------------------------------------------------------------------------
+# A verbatim copy of the earlier Fraction kernel of ``asymgeo.ratlp``, kept
+# only so property tests can compare the integer kernel against it.  Do not
+# optimize it: its value is that it is the old, independent code path.
+
+
+def _ref_pivot(tab, i, j):
+    row = tab[i]
+    piv = row[j]
+    if piv != 1:
+        inv = 1 / piv
+        row = tab[i] = [inv * x if x else x for x in row]
+    for k, other in enumerate(tab):
+        if k != i:
+            f = other[j]
+            if f:
+                tab[k] = [x - f * y if y else x for x, y in zip(other, row)]
+
+
+def _ref_bland(tab, basis, ncols):
+    m = len(tab) - 1
+    while True:
+        obj = tab[m]
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            return None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                key = (tab[i][-1] / a, basis[i])
+                if best is None or key < best:
+                    best, leave = key, i
+        if best is None:
+            return enter
+        _ref_pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+def ref_rref(rows):
+    work = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    if not work:
+        return [], pivots
+    ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise ValueError("rows of differing length")
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        _ref_pivot(work, r, col)
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[1])
+
+
+def ref_null_space_basis(rows, dim):
+    red, pivots = ref_rref(rows)
+    free = [c for c in range(dim) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * dim
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(primitive(v))
+    return basis
+
+
+def ref_invert(rows):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    ident = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    red, pivots = ref_rref([list(r) + e for r, e in zip(rows, ident)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n:] for r in red]
+
+
+def ref_lp_solve(objective, constraints):
+    c_obj = as_vec(objective)
+    d = len(c_obj)
+    rows = []
+    for cj, bj in constraints:
+        cj = as_vec(cj)
+        if len(cj) != d:
+            raise ValueError(f"constraint dimension {len(cj)} != objective dimension {d}")
+        rows.append((cj, Fraction(bj)))
+
+    m = len(rows)
+    nreal = 2 * d + m
+    arts = [i for i, (_, bj) in enumerate(rows) if bj < 0]
+    ncols = nreal + len(arts)
+
+    tab = []
+    basis = []
+    for i, (cj, bj) in enumerate(rows):
+        sgn = -1 if bj < 0 else 1
+        row = [sgn * x for x in cj] + [-sgn * x for x in cj] \
+            + [Fraction(0)] * (ncols - 2 * d) + [sgn * bj]
+        row[2 * d + i] = Fraction(sgn)
+        tab.append(row)
+        basis.append(2 * d + i)
+    for k, i in enumerate(arts):
+        tab[i][nreal + k] = Fraction(1)
+        basis[i] = nreal + k
+
+    def optimize(cost, enterable):
+        tab.append(cost + [Fraction(0)])
+        for i, bi in enumerate(basis):
+            if tab[-1][bi]:
+                _ref_pivot(tab, i, bi)
+        enter = _ref_bland(tab, basis, enterable)
+        tab.pop()
+        return enter
+
+    if arts:
+        enter = optimize([Fraction(0)] * nreal + [Fraction(-1)] * len(arts), ncols)
+        assert enter is None, "phase one cannot be unbounded"
+        if sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) > 0:
+            return LpOutcome(LpStatus.INFEASIBLE)
+        keep = []
+        for i in range(m):
+            if basis[i] >= nreal:
+                j = next((j for j in range(nreal) if tab[i][j] != 0), None)
+                if j is None:
+                    continue
+                _ref_pivot(tab, i, j)
+                basis[i] = j
+            keep.append(i)
+        tab[:] = [tab[i][:nreal] + tab[i][-1:] for i in keep]
+        basis[:] = [basis[i] for i in keep]
+
+    enter = optimize(list(c_obj) + [-x for x in c_obj] + [Fraction(0)] * m, nreal)
+
+    if enter is not None:
+        delta = [Fraction(0)] * nreal
+        delta[enter] = Fraction(1)
+        for row, bi in zip(tab, basis):
+            delta[bi] = -row[enter]
+        direction = tuple(delta[j] - delta[d + j] for j in range(d))
+        return LpOutcome(LpStatus.UNBOUNDED, witness=direction)
+
+    xs = [Fraction(0)] * nreal
+    for row, bi in zip(tab, basis):
+        xs[bi] = row[-1]
+    point = tuple(xs[j] - xs[d + j] for j in range(d))
+    return LpOutcome(LpStatus.OPTIMAL, value=dot(c_obj, point), witness=point)
+
+
+def ref_feasible_nonneg(matrix_rows, rhs_col):
+    m = len(matrix_rows)
+    if m != len(rhs_col):
+        raise ValueError("row/rhs count mismatch")
+    n = len(matrix_rows[0]) if m else 0
+    tab = []
+    for i, (row, bi) in enumerate(zip(matrix_rows, rhs_col)):
+        row = [Fraction(x) for x in row]
+        bi = Fraction(bi)
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+        if bi < 0:
+            row = [-x for x in row]
+            bi = -bi
+        ext = [Fraction(0)] * m
+        ext[i] = Fraction(1)
+        tab.append(row + ext + [bi])
+    tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n)]
+               + [Fraction(0)] * m + [sum((r[-1] for r in tab), Fraction(0))])
+    basis = list(range(n, n + m))
+    enter = _ref_bland(tab, basis, n + m)
+    assert enter is None, "phase one is bounded"
+    return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0

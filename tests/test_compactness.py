@@ -121,6 +121,26 @@ def test_decision_pipeline_runs_no_lp(monkeypatch):
     assert Verdict.NOT_COMPACT in verdicts
 
 
+def test_decide_compact_skips_the_hrep_of_a_bounded_hull():
+    """A polytope's recession cone is {0}, so deciding runs no vertex-to-facet
+    DD on a ray-free hull, and the certificate is the one decided with the
+    H-representation at hand."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(30)]
+    verdicts = []
+    for norm, region in cases:
+        inst = Instance.build(norm, region)
+        if inst.hull.rays:
+            continue
+        cert = decide_compact(inst)
+        assert "hrep" not in inst.hull.__dict__
+        assert inst.hull.hrep
+        assert decide_compact(inst) == cert
+        verdicts.append(cert.verdict)
+    assert verdicts.count(Verdict.COMPACT) >= 5
+    assert verdicts.count(Verdict.NOT_COMPACT) >= 5
+
+
 def test_center_candidate_examples():
     assert center_candidate(build(POS_PART, HALF_OPEN)).vertices == ((1,),)
     assert center_candidate(build(SUP2, UNIT_SQUARE)).vertices == ((1, 1),)

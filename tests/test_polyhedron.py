@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymgeo import polyhedron
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -568,3 +569,40 @@ def test_v_to_h_rows_are_facets():
 def test_vertexless_polyhedron_rejected():
     with pytest.raises(ValueError):
         Polyhedron(1, [])
+
+
+def test_line_test_is_memoized_on_the_value(monkeypatch):
+    """contains_line runs one elimination per value; extreme_rays and
+    minkowski_sum_with_cone then spend one per listed ray or vertex and none
+    on the line."""
+    calls = []
+    real_rank = polyhedron.rank
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    def forbidden_rank(rows):
+        raise AssertionError("an elimination ran again")
+
+    poly = Polyhedron(3, [(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)])
+    assert poly.hrep
+    monkeypatch.setattr(polyhedron, "rank", counting_rank)
+    assert not contains_line(poly)
+    assert len(calls) == 1
+    assert len(extreme_rays(poly)) == 3
+    assert len(calls) == 1 + len(poly.rays)
+    monkeypatch.setattr(polyhedron, "rank", forbidden_rank)
+    assert not contains_line(poly)
+    box = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(polyhedron, "rank", counting_rank)
+    assert extreme_rays(box) == ()
+    monkeypatch.setattr(polyhedron, "rank", forbidden_rank)
+    assert extreme_rays(box) == ()
+    assert not contains_line(box)
+
+    monkeypatch.setattr(polyhedron, "rank", counting_rank)
+    calls.clear()
+    out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
+    assert out == Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)])
+    assert len(calls) == 1 + 2 + 2  # the line, then each vertex and each ray of the union

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import asymgeo
+from asymgeo import ratlp
 from asymgeo.ratlp import (
+    InternalInvariantError,
     LpStatus,
     dot,
     feasible_nonneg,
@@ -18,9 +23,19 @@ from asymgeo.ratlp import (
     primitive,
     rank,
     rref,
+    zero_vec,
 )
 
-from support import rand_fraction, rand_point
+from support import (
+    rand_fraction,
+    rand_point,
+    ref_feasible_nonneg,
+    ref_invert,
+    ref_lp_solve,
+    ref_null_space_basis,
+    ref_rank,
+    ref_rref,
+)
 
 
 def test_lp_unit_square_corner():
@@ -228,3 +243,124 @@ def test_exactness_denominators_divide_a_subdeterminant():
             den = coord.denominator
             assert den == 1 or any(det % den == 0 for det in dets), (res.witness, sorted(dets))
     assert checked >= 8
+
+
+# --- the integer kernel against the frozen Fraction reference ---------------
+
+
+def _rand_matrix(rng: random.Random, m: int, n: int):
+    """Random rational m x n matrix; half of them a product through a rank-k
+    bottleneck (k below both sizes when possible), the rest sparse."""
+    if rng.random() < 0.5:
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        left = [[rand_fraction(rng) for _ in range(k)] for _ in range(m)]
+        right = [[rand_fraction(rng) for _ in range(n)] for _ in range(k)]
+        return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                for row in left]
+    return [[rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+            for _ in range(m)]
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(23)
+    deficient = 0
+    for _ in range(1500):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        mat = _rand_matrix(rng, m, n)
+        assert rref(mat) == ref_rref(mat), mat
+        assert rank(mat) == ref_rank(mat), mat
+        assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
+        deficient += ref_rank(mat) < min(m, n)
+    assert deficient > 300
+
+
+def test_invert_matches_fraction_reference():
+    """Square matrices in both row orders, so each nonzero determinant shows up with both signs."""
+    rng = random.Random(29)
+    signs = {1: 0, -1: 0, 0: 0}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        mat = _rand_matrix(rng, n, n)
+        for rows in (mat, mat[1:2] + mat[:1] + mat[2:]):
+            det = _det(rows)
+            signs[(det > 0) - (det < 0)] += 1
+            if det == 0:
+                with pytest.raises(ValueError):
+                    ref_invert(rows)
+                with pytest.raises(ValueError):
+                    invert(rows)
+            else:
+                assert invert(rows) == ref_invert(rows), rows
+    assert min(signs.values()) > 100, signs
+
+
+def _rand_lp(rng: random.Random):
+    """Random LP with rational data.  Zero right-hand sides make degenerate
+    vertices, a rescaled copy of a row ties with it in every ratio test that
+    meets it, positive combinations add redundant rows, and negative
+    right-hand sides need phase-one artificials."""
+    d = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        c = tuple(rand_fraction(rng, max_den=4) for _ in range(d))
+        b = rand_fraction(rng, max_den=4) if rng.random() < 0.7 else Fraction(0)
+        rows.append((c, b))
+        if rng.random() < 0.3:
+            s = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            rows.append((tuple(s * x for x in c), s * b))
+    if len(rows) > 1 and rng.random() < 0.4:
+        w = [Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in rows]
+        normal = tuple(sum((wi * c[t] for wi, (c, _) in zip(w, rows)), Fraction(0)) for t in range(d))
+        rows.append((normal, sum((wi * b for wi, (_, b) in zip(w, rows)), Fraction(0))))
+    # a zero objective returns the point where phase one stopped; a row
+    # normal as objective makes ties among optima
+    obj = rng.choice([zero_vec(d), rows[0][0] if rows else zero_vec(d)] + [rand_point(rng, d)] * 3)
+    return obj, rows
+
+
+def test_lp_solve_matches_fraction_reference():
+    rng = random.Random(31)
+    seen = {status: 0 for status in LpStatus}
+    phase_one_feasible = 0
+    for _ in range(1200):
+        obj, rows = _rand_lp(rng)
+        res = lp_solve(obj, rows)
+        assert res == ref_lp_solve(obj, rows), (obj, rows)
+        seen[res.status] += 1
+        phase_one_feasible += res.status is not LpStatus.INFEASIBLE and any(b < 0 for _, b in rows)
+    assert min(seen.values()) > 100, seen
+    assert phase_one_feasible > 100
+
+
+def test_feasible_nonneg_matches_fraction_reference():
+    rng = random.Random(37)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1200):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        mat = _rand_matrix(rng, m, n)
+        rhs = [rand_fraction(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+        if rng.random() < 0.5:  # b in the cone of the columns
+            lam = [Fraction(rng.randint(0, 2), rng.randint(1, 3)) for _ in range(n)]
+            rhs = [sum((a * x for a, x in zip(row, lam)), Fraction(0)) for row in mat]
+        got = feasible_nonneg(mat, rhs)
+        assert got == ref_feasible_nonneg(mat, rhs), (mat, rhs)
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_src_holds_no_assert_statement():
+    """``python -O`` strips asserts, so invariant guards raise InternalInvariantError."""
+    root = Path(asymgeo.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_broken_invariant_raises_internal_invariant_error(monkeypatch):
+    monkeypatch.setattr(ratlp, "_bland", lambda tab, basis, cost, ncols, det: (0, det))
+    with pytest.raises(InternalInvariantError):
+        feasible_nonneg([[1, 0], [0, 1]], [1, 1])
+    with pytest.raises(InternalInvariantError):
+        lp_solve((1,), [((1,), -1)])
