@@ -45,7 +45,10 @@ def _parse_rational(tok: str, where: str) -> Fraction:
     # Fraction alone also takes 1.5, 1_000, +1 and 1e999999999 (a huge integer)
     if not _NUMBER.fullmatch(tok):
         raise InstanceError(f"{where}: bad rational {tok!r}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ValueError as exc:  # more digits than the interpreter's int_max_str_digits
+        raise InstanceError(f"{where}: number too long: {exc}") from None
 
 
 def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
@@ -69,7 +72,8 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
             continue
         if line.startswith("dim"):
             parts = line.split()
-            if len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None or int(parts[1]) < 1:
+            if (len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None
+                    or _parse_rational(parts[1], f"line {lineno}") < 1):
                 raise _fail(lineno, "expected 'dim <positive integer>'")
             dim = int(parts[1])
             continue

@@ -25,7 +25,7 @@ would be reported UNKNOWN rather than guessed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
@@ -36,6 +36,7 @@ from asymgeo.polyhedron import (
     PartialPolyhedron,
     Polyhedron,
     _meets_face,
+    _support,
     closure,
     contains_line,
     extreme_points,
@@ -44,7 +45,6 @@ from asymgeo.polyhedron import (
     recession_cone,
     set_equal,
     subset,
-    support_value,
     to_partial,
 )
 
@@ -91,13 +91,16 @@ class CompactnessCertificate:
 class Instance:
     """A gauge together with a nonempty region, plus the cached geometry
     every operation needs: the closure, the degeneracy cone, and the
-    saturated hull closure + cone."""
+    saturated hull closure + cone.  ``_verified_sums`` maps each core whose
+    sandwich ``decide_compact`` verified to core + cone; it is not part of
+    the value."""
 
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
     degeneracy: Cone
     saturated: Polyhedron
+    _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, norm: AsymNorm, region: PartialPolyhedron) -> "Instance":
@@ -161,8 +164,10 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if not member(inst.region, v):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
-    if _sandwich(core, inst.region, inst.degeneracy) is None:
+    padded = _sandwich(core, inst.region, inst.degeneracy)
+    if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
+    inst._verified_sums[core] = padded
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
 
@@ -189,13 +194,12 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     Without strict rows that is ``to_partial(inst.saturated)``, which comes
     with its closure already known.
     """
-    rows = inst.saturated.hrep
     out = []
-    for c, b in rows:
-        top = support_value(inst.hull, c)
-        if top is None or top > b:
+    for (c, b), (ci, bi) in zip(inst.saturated.hrep, inst.saturated._int_hrep):
+        top = _support(inst.hull, ci)
+        if top is None or top[0] > bi * top[1]:
             raise InternalInvariantError("sum rows bound the closure")
-        strict = top == b and not _meets_face(inst.region, inst.hull, c, b)
+        strict = top[0] == bi * top[1] and not _meets_face(inst.region, inst.hull, ci, bi)
         out.append(Constraint(c, b, strict))
     if not any(c.strict for c in out):
         return to_partial(inst.saturated)
@@ -271,7 +275,8 @@ def verify_theorems(inst: Instance,
     own_ext = region_extreme_points(inst)
     claims.append(_claim("T2", bool(own_ext), "no extreme point found"))
 
-    padded = _sandwich(core, inst.region, inst.degeneracy)
+    # a center decide_compact did not verify on this instance is checked here
+    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
     sat_partial = to_partial(inst.saturated)
     t3 = padded is not None and set_equal(to_partial(padded), sat_partial)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))

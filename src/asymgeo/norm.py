@@ -13,8 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from asymgeo.ratlp import InternalInvariantError, Rational, Vec, as_vec, dot, rank, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _clear, as_vec, dot, rank, rat, vneg, zero_vec
 from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, cone_from_rows
 
 
@@ -37,7 +39,16 @@ class AsymNorm:
 
     def __post_init__(self):
         rows = tuple(as_vec(f) for f in self.functionals)
+        for r in rows:
+            if len(r) != self.dim:
+                raise ValueError(f"functional of length {len(r)} in dimension {self.dim}")
         object.__setattr__(self, "functionals", rows)
+
+    @cached_property
+    def _int_functionals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(s, rows): the functionals times their common denominator s > 0, as ints."""
+        s, flat = _clear([a for f in self.functionals for a in f])
+        return s, tuple([tuple(flat[i:i + self.dim]) for i in range(0, len(flat), self.dim)])
 
 
 class Closedness(enum.Enum):
@@ -57,31 +68,26 @@ def make_norm(dim: int, functionals) -> AsymNorm:
     """Validated gauge; raises DefinitenessViolation on rank-deficient input."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    rows = [as_vec(f) for f in functionals]
-    if not rows:
+    norm = AsymNorm(dim, tuple(functionals))
+    if not norm.functionals:
         raise ValueError("at least one functional is required")
-    for r in rows:
-        if len(r) != dim:
-            raise ValueError(f"functional of length {len(r)} in dimension {dim}")
-    if rank(rows) < dim:
+    if rank(norm.functionals) < dim:
         raise DefinitenessViolation(
             "functionals span a proper subspace; the gauge would vanish in both "
             "directions along a line"
         )
-    return AsymNorm(dim, tuple(rows))
+    return norm
 
 
 def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
-    """q(x) = max(0, max_i <a_i, x>); always nonnegative."""
+    """q(x) = max(0, max_i <a_i, x>); always nonnegative.  With x = y / t it
+    is the max of the ints <s * a_i, y>, divided by s * t once."""
     x = as_vec(x)
     if len(x) != norm.dim:
         raise ValueError(f"point of length {len(x)} in dimension {norm.dim}")
-    best = Fraction(0)
-    for a in norm.functionals:
-        v = dot(a, x)
-        if v > best:
-            best = v
-    return best
+    t, y = _clear(x)
+    s, rows = norm._int_functionals
+    return Fraction(max(0, max(sum(map(mul, a, y)) for a in rows)), s * t)
 
 
 def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:

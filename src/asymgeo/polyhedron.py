@@ -7,9 +7,12 @@ description method over Python ints, and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
 scans and to incidence against the H-representation, which is memoized on
 the value together with the line test; emptiness is read off the closure's
-generators.  The LP membership tests (``in_cone``, ``in_conv_plus_cone``)
-stay only as an independent reference, and ``partial_is_empty`` serves
-callers that hold rows but no closure.
+generators.  The predicates run on int copies memoized on each value (a
+vertex v as (y, t), t > 0 and v = y / t; each row (c, b) scaled jointly), so
+<c, v> <= b is <c, y> <= b * t; only public results are ``Fraction``s.  The
+LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as an
+independent reference, and ``partial_is_empty`` serves callers that hold
+rows but no closure.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -29,9 +32,9 @@ from asymgeo.ratlp import (
     LpStatus,
     Rational,
     Vec,
+    _clear,
     _reduce,
     as_vec,
-    dot,
     feasible_nonneg,
     is_zero_vec,
     lp_solve,
@@ -101,9 +104,15 @@ class PartialPolyhedron:
     @cached_property
     def _closure(self) -> Optional[Polyhedron]:
         poly = dd_convert_h_to_v(relaxed_rows(self), self.dim)
-        if poly is None or not _meets_face(self, poly, zero_vec(self.dim), 0):
+        if poly is None or not _meets_face(self, poly, (0,) * self.dim, 0):
             return None
         return poly
+
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[Sequence[int], int, bool], ...]:
+        """The rows as ints (c, b, strict): each (c, b) scaled by one positive factor."""
+        rows = [(_clear((*c, b))[1], strict) for c, b, strict in self.constraints]
+        return tuple([(row[:-1], row[-1], strict) for row, strict in rows])
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,18 @@ class Polyhedron:
         return tuple([(_ints(c), b.numerator) for c, b in self.hrep])
 
     @cached_property
+    def _int_verts(self) -> tuple[tuple[Sequence[int], int], ...]:
+        """The vertices as ints (y, t) with t > 0 and vertex = y / t."""
+        return tuple([(y, t) for t, y in map(_clear, self.vertices)])
+
+    @cached_property
+    def _int_rays(self) -> tuple[tuple[int, ...], ...]:
+        """The rays as ints (they are primitive integer data)."""
+        return tuple([_ints(r) for r in self.rays])
+
+    @cached_property
     def _has_line(self) -> bool:
-        return _tight_rank(self, zero_vec(self.dim), 0) < self.dim
+        return _tight_rank(self, (0,) * self.dim, 0) < self.dim
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
@@ -333,9 +352,25 @@ def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
     Exact and LP-free: the supremum of a linear functional over
     conv(V) + cone(R) is attained at a vertex unless some ray ascends.
     """
-    if any(dot(direction, r) > 0 for r in poly.rays):
+    s, c = _clear(direction)
+    if len(c) != poly.dim:
+        raise ValueError(f"direction of length {len(c)} in dimension {poly.dim}")
+    top = _support(poly, c)
+    return None if top is None else Fraction(top[0], top[1] * s)
+
+
+def _support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
+    """``support_value`` for an int row c, as (n, t) with value n / t and t > 0.
+
+    The maximum over the vertices (y, t) is taken by cross-multiplying."""
+    if any(sum(map(mul, c, r)) > 0 for r in poly._int_rays):
         return None
-    return max(dot(direction, v) for v in poly.vertices)
+    best_n, best_t = None, 1
+    for y, t in poly._int_verts:
+        n = sum(map(mul, c, y))
+        if best_n is None or n * best_t > best_n * t:
+            best_n, best_t = n, t
+    return best_n, best_t
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +405,14 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
 
 
 def member(region: PartialPolyhedron, x: Vec) -> bool:
-    """Exact membership by direct evaluation of every row."""
-    x = as_vec(x)
-    if len(x) != region.dim:
-        raise ValueError(f"point of length {len(x)} in dimension {region.dim}")
-    for c in region.constraints:
-        val = dot(c.normal, x)
-        if c.strict:
-            if not val < c.rhs:
-                return False
-        elif not val <= c.rhs:
+    """Exact membership by direct evaluation of every row, on ints: x = y / t
+    lies on the right side of (c, b) iff <c, y> against b * t does."""
+    t, y = _clear(as_vec(x))
+    if len(y) != region.dim:
+        raise ValueError(f"point of length {len(y)} in dimension {region.dim}")
+    for c, b, strict in region._int_rows:
+        val, bound = sum(map(mul, c, y)), b * t
+        if val > bound or strict and val == bound:
             return False
     return True
 
@@ -395,19 +428,20 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     return region._closure
 
 
-def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Vec, top: Rational) -> bool:
+def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational) -> bool:
     """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
 
     The face is generated by the vertices attaining ``top`` and the rays
     orthogonal to ``normal``.  A strict row removes the subface where it is
     tight, and finitely many faces cover a nonempty convex set only if one
     is the whole set: the region meets the face iff no strict row is
-    tight on all of it.
+    tight on all of it.  Int input passes as is; every test runs on ints.
     """
-    verts = [v for v in hull.vertices if dot(normal, v) == top]
-    rays = [r for r in hull.rays if dot(normal, r) == 0]
-    return all(any(dot(c.normal, v) < c.rhs for v in verts) or any(dot(c.normal, r) != 0 for r in rays)
-               for c in region.constraints if c.strict)
+    *normal, top = _clear((*normal, top))[1]
+    verts = [(y, t) for y, t in hull._int_verts if sum(map(mul, normal, y)) == top * t]
+    rays = [r for r in hull._int_rays if sum(map(mul, normal, r)) == 0]
+    return all(any(sum(map(mul, c, y)) < b * t for y, t in verts) or any(sum(map(mul, c, r)) for r in rays)
+               for c, b, strict in region._int_rows if strict)
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
@@ -419,13 +453,13 @@ def is_closed(region: PartialPolyhedron) -> bool:
     hull = closure(region)
     if hull is None:
         return True
-    for c in region.constraints:
-        if not c.strict:
+    for c, b, strict in region._int_rows:
+        if not strict:
             continue
-        top = support_value(hull, c.normal)
+        top = _support(hull, c)
         if top is None:
             raise InternalInvariantError("rows of the region bound its own closure")
-        if top == c.rhs:
+        if top[0] == b * top[1]:
             return False
     return True
 
@@ -442,11 +476,11 @@ def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
     hull = closure(first)
     if hull is None:
         return True
-    for c in second.constraints:
-        top = support_value(hull, c.normal)
-        if top is None or top > c.rhs:
+    for c, b, strict in second._int_rows:
+        top = _support(hull, c)
+        if top is None or top[0] > b * top[1]:
             return False
-        if c.strict and top == c.rhs and _meets_face(first, hull, c.normal, top):
+        if strict and top[0] == b * top[1] and _meets_face(first, hull, c, b):
             return False
     return True
 
@@ -489,15 +523,11 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
     return feasible_nonneg(rows, list(x) + [Fraction(1)])
 
 
-def _tight_rank(poly: Polyhedron, x: Vec, level: int) -> int:
-    """Rank of the ``hrep`` normals c with <c, x> = level * b: the rows tight
-    at the point x (level 1), or orthogonal to the direction x (level 0).
-
-    The test runs on integers: ``hrep`` rows are integral, and (x, level)
-    scales to a primitive integer vector (y, top) with <c, y> = b * top.
+def _tight_rank(poly: Polyhedron, y: Sequence[int], t: int) -> int:
+    """Rank of the ``hrep`` normals c with <c, y> = b * t, all ints: the rows
+    tight at the point y / t (t > 0), or orthogonal to the direction y (t = 0).
     """
-    *y, top = _ints(primitive(tuple(x) + (Fraction(level),)))
-    return rank([c for c, b in poly._int_hrep if sum(map(mul, c, y)) == b * top])
+    return rank([c for c, b in poly._int_hrep if sum(map(mul, c, y)) == b * t])
 
 
 def recession_cone(poly: Polyhedron) -> Cone:
@@ -508,8 +538,8 @@ def recession_cone(poly: Polyhedron) -> Cone:
     """
     if not poly.rays:
         return Cone(poly.dim, ())
-    normals = [c for c, _ in poly.hrep]
-    lin_members = [r for r in poly.rays if all(dot(c, r) == 0 for c in normals)]
+    lin_members = [r for r, y in zip(poly.rays, poly._int_rays)
+                   if not any(sum(map(mul, c, y)) for c, _ in poly._int_hrep)]
     basis: list[Vec] = []
     if lin_members:
         basis = [primitive(tuple(row)) for row in rref(lin_members)[0]]
@@ -526,7 +556,7 @@ def contains_line(poly: Polyhedron) -> bool:
 def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
     """The extreme points of the polyhedron: the listed vertices whose tight
     ``hrep`` rows have rank dim.  A set containing a line has none."""
-    return tuple(v for v in poly.vertices if _tight_rank(poly, v, 1) == poly.dim)
+    return tuple(v for v, (y, t) in zip(poly.vertices, poly._int_verts) if _tight_rank(poly, y, t) == poly.dim)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -537,7 +567,8 @@ def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    return tuple(sorted(_first_nonzero_unit(r) for r in poly.rays if _tight_rank(poly, r, 0) == poly.dim - 1))
+    return tuple(sorted(_first_nonzero_unit(r) for r, y in zip(poly.rays, poly._int_rays)
+                        if _tight_rank(poly, y, 0) == poly.dim - 1))
 
 
 def _first_nonzero_unit(r: Vec) -> Vec:

@@ -10,7 +10,8 @@ read their answers off it); ``lp_solve`` (two-phase, free variables split)
 and ``feasible_nonneg`` (phase one only) build a tableau for ``_bland``.  The
 compactness decision runs no LP: ``lp_solve`` serves the random generator's
 emptiness test, ``feasible_nonneg`` the LP membership tests kept as a
-reference.
+reference.  Nor does it call ``dot``: the predicates compare int copies
+cleared by ``_clear``.
 """
 
 from __future__ import annotations

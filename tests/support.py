@@ -258,3 +258,51 @@ def ref_feasible_nonneg(matrix_rows, rhs_col):
     enter = _ref_bland(tab, basis, n + m)
     assert enter is None, "phase one is bounded"
     return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference predicates: Fraction dot products
+# ---------------------------------------------------------------------------
+# Verbatim copies of the earlier Fraction versions of ``support_value``,
+# ``member`` and ``_meets_face`` (``asymgeo.polyhedron``) and ``gauge_eval``
+# (``asymgeo.norm``), kept so property tests can compare the integer
+# predicates against them.  As with the kernel above, do not optimize them.
+
+
+def ref_support_value(poly, direction):
+    if any(dot(direction, r) > 0 for r in poly.rays):
+        return None
+    return max(dot(direction, v) for v in poly.vertices)
+
+
+def ref_member(region, x):
+    x = as_vec(x)
+    if len(x) != region.dim:
+        raise ValueError(f"point of length {len(x)} in dimension {region.dim}")
+    for c in region.constraints:
+        val = dot(c.normal, x)
+        if c.strict:
+            if not val < c.rhs:
+                return False
+        elif not val <= c.rhs:
+            return False
+    return True
+
+
+def ref_meets_face(region, hull, normal, top):
+    verts = [v for v in hull.vertices if dot(normal, v) == top]
+    rays = [r for r in hull.rays if dot(normal, r) == 0]
+    return all(any(dot(c.normal, v) < c.rhs for v in verts) or any(dot(c.normal, r) != 0 for r in rays)
+               for c in region.constraints if c.strict)
+
+
+def ref_gauge_eval(norm, x):
+    x = as_vec(x)
+    if len(x) != norm.dim:
+        raise ValueError(f"point of length {len(x)} in dimension {norm.dim}")
+    best = Fraction(0)
+    for a in norm.functionals:
+        v = dot(a, x)
+        if v > best:
+            best = v
+    return best

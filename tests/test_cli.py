@@ -66,6 +66,22 @@ def test_parse_dim_accepts_ascii_digits_only(tok):
         parse_instance(f"dim {tok}2\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit")
+def test_parse_names_the_line_of_an_over_long_number(tmp_path, capsys):
+    """A token past the interpreter's digit limit is an instance error with a
+    line number, in a row and in the dim line alike, and the CLI exits 2."""
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    bad = RAY_TEXT.replace("H: 1 <= 1", f"H: 1 <= {digits}")
+    with pytest.raises(InstanceError, match="line 5: number too long"):
+        parse_instance(bad)
+    with pytest.raises(InstanceError, match="line 1: number too long"):
+        parse_instance(f"dim {digits}\n")
+    path = tmp_path / "long.txt"
+    path.write_text(bad, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "line 5: number too long" in capsys.readouterr().err
+
+
 def test_parse_surfaces_rank_deficiency():
     text = "version 1\ndim 2\nF: 1 0\nH: 1 0 <= 1\n"
     with pytest.raises(DefinitenessViolation):

@@ -10,6 +10,7 @@ import pytest
 from asymgeo.compactness import (
     BadRecessionDirection,
     ClaimStatus,
+    CompactnessCertificate,
     EmptyExtremeSetError,
     EmptyRegionError,
     EscapedExtremePoint,
@@ -24,10 +25,11 @@ from asymgeo.compactness import (
     saturation_extreme_points,
     verify_theorems,
 )
-from asymgeo import polyhedron, ratlp
+from asymgeo import compactness, polyhedron, ratlp
+from asymgeo import norm as norm_module
 from asymgeo.cli.generators import gen_random_instance, gen_random_norm, gen_random_region
 from asymgeo.cli.suite import reference_catalog
-from asymgeo.norm import Closedness, gauge_eval, make_norm
+from asymgeo.norm import Closedness, ball, gauge_eval, make_norm
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
@@ -119,6 +121,68 @@ def test_decision_pipeline_runs_no_lp(monkeypatch):
         verdicts.append(cert.verdict)
     assert verdicts.count(Verdict.COMPACT) >= len(catalog)
     assert Verdict.NOT_COMPACT in verdicts
+
+
+def _lattice_balls(count: int):
+    """Closed and open balls of the d=4 one-norm lattice gauge, three closed
+    to two open, around seeded rational centers."""
+    from asymgeo.cli.generators import gen_lattice_norm
+    q = gen_lattice_norm(4, "one")
+    rng = random.Random(53)
+    out = []
+    for k in range(count):
+        center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4))
+        radius = F(rng.randint(1, 6), rng.randint(1, 3))
+        closedness = Closedness.CLOSED if k % 5 in (0, 2, 4) else Closedness.OPEN
+        out.append((q, ball(q, center, radius, closedness).as_set))
+    return out
+
+
+def test_decision_pipeline_runs_no_fraction_dot(monkeypatch):
+    """Support values, membership, face tests and the gauge compare ints: over
+    the reference suite, 60 corpus seeds and d=4 lattice balls, build,
+    decide and the structure checks never take a ``Fraction`` dot product."""
+    catalog = reference_catalog()
+    cases = [(entry.norm, entry.region) for entry in catalog]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
+    cases += _lattice_balls(10)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction dot product ran in the decision pipeline")
+
+    for module in (polyhedron, norm_module, compactness, ratlp):
+        monkeypatch.setattr(module, "dot", forbidden, raising=False)
+    verdicts = []
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        verdicts.append(cert.verdict)
+    assert verdicts.count(Verdict.COMPACT) >= len(catalog) + 6
+    assert Verdict.NOT_COMPACT in verdicts
+
+
+def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
+    """T3 takes the ``core + C`` that ``decide_compact`` verified on the same
+    instance and center; a center that ``decide_compact`` did not pick still
+    has its sandwich checked, and fails T3 when the sandwich fails."""
+    inst = build(SUP2, UNIT_SQUARE)
+    cert = decide_compact(inst)
+    assert cert.verdict is Verdict.COMPACT
+    regions = []
+    real = compactness._sandwich
+
+    def counting(core, region, cone):
+        regions.append(region)
+        return real(core, region, cone)
+
+    monkeypatch.setattr(compactness, "_sandwich", counting)
+    assert verify_theorems(inst, cert).all_pass
+    assert inst.region not in regions  # only T6's nested decision, on region + C
+    forged = CompactnessCertificate(Verdict.COMPACT, center=Polyhedron(2, [(0, 0)]))
+    t3 = verify_theorems(inst, forged).claims[2]
+    assert t3.claim_id == "T3" and t3.status is ClaimStatus.FAIL
+    assert inst.region in regions
 
 
 def test_decide_compact_skips_the_hrep_of_a_bounded_hull():

@@ -31,7 +31,7 @@ from asymgeo.polyhedron import (
 )
 from asymgeo.ratlp import vadd, vneg, vscale, vsub
 
-from support import rand_point
+from support import rand_point, ref_gauge_eval
 
 POS_PART = make_norm(1, [(1,)])  # gauge max(0, t) on the line
 SUP2 = make_norm(2, [(1, 0), (0, 1)])
@@ -84,6 +84,41 @@ def test_sym_gauge_examples():
 def test_gauge_dimension_mismatch():
     with pytest.raises(ValueError):
         gauge_eval(SUP2, (1, 2, 3))
+
+
+def test_functional_lengths_are_checked_on_construction():
+    """The int copy of the functionals is cut into rows of length dim, so a
+    row of another length must be refused when the gauge is made."""
+    with pytest.raises(ValueError, match="functional of length 1"):
+        AsymNorm(2, ((1, 0), (1,)))
+    with pytest.raises(ValueError, match="functional of length 3"):
+        make_norm(2, [(1, 0), (0, 1, 0)])
+
+
+def test_gauge_eval_matches_fraction_reference():
+    """gauge_eval runs on one int copy of the functionals over their common
+    denominator; it returns what the frozen Fraction version returns, as a
+    ``Fraction``, on functionals and points with mixed denominators and
+    zero entries."""
+    rng = random.Random(47)
+
+    def draw():
+        return Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    positive = zero = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        rows = [tuple(draw() for _ in range(d)) for _ in range(rng.randint(d, d + 3))]
+        try:
+            q = make_norm(d, rows)
+        except DefinitenessViolation:
+            continue
+        for x in [(0,) * d] + [tuple(draw() for _ in range(d)) for _ in range(4)]:
+            got = gauge_eval(q, x)
+            assert got == ref_gauge_eval(q, x) and type(got) is Fraction
+            positive += got > 0
+            zero += got == 0
+    assert positive >= 200 and zero >= 200
 
 
 def test_degeneracy_cone_examples():

@@ -37,7 +37,14 @@ from asymgeo.polyhedron import (
 )
 from asymgeo.ratlp import dot, primitive, rank, rref, vneg, zero_vec
 
-from support import interval, rand_fraction, rand_point
+from support import (
+    interval,
+    rand_fraction,
+    rand_point,
+    ref_meets_face,
+    ref_member,
+    ref_support_value,
+)
 
 F = Fraction
 
@@ -539,6 +546,75 @@ def test_meets_face_agrees_with_face_system():
             met += got
             missed += not got
     assert met >= 50 and missed >= 50
+
+
+def _mixed_rational(rng: random.Random) -> Fraction:
+    """Zero one time in four, else a signed fraction with denominator up to 7."""
+    return F(0) if rng.random() < 0.25 else F(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _mixed_vec(rng: random.Random, d: int):
+    return tuple(_mixed_rational(rng) for _ in range(d))
+
+
+def test_predicates_match_fraction_reference():
+    """``support_value``, ``member`` and ``_meets_face`` run on int generators
+    and rows; they return what the frozen Fraction versions return, and the
+    support value is still a ``Fraction``.  Polyhedra mix denominators, zero
+    and negative entries, rays and lines; regions mix strict and non-strict
+    rows with rational right-hand sides, and the points tried include the
+    closure's vertices, where rows are tight."""
+    rng = random.Random(43)
+    unbounded = bounded = inside = outside = met = missed = 0
+    for _ in range(250):
+        d = rng.randint(1, 4)
+        rays = [_mixed_vec(rng, d) for _ in range(rng.randint(0, 2))]
+        if rays and rng.random() < 0.3:
+            rays.append(vneg(rays[0]))
+        poly = Polyhedron(d, [_mixed_vec(rng, d) for _ in range(rng.randint(1, 5))], rays)
+        for direction in [zero_vec(d)] + [_mixed_vec(rng, d) for _ in range(4)]:
+            got = support_value(poly, direction)
+            assert got == ref_support_value(poly, direction)
+            assert got is None or type(got) is Fraction
+            unbounded += got is None
+            bounded += got is not None
+
+        rows = [Constraint(_mixed_vec(rng, d), _mixed_rational(rng), rng.random() < 0.5)
+                for _ in range(rng.randint(1, d + 3))]
+        k = PartialPolyhedron(d, tuple(rows))
+        hull = closure(k)
+        points = list(poly.vertices) + [_mixed_vec(rng, d) for _ in range(3)]
+        if hull is not None:
+            points += hull.vertices
+        for x in points:
+            got = member(k, x)
+            assert got == ref_member(k, x)
+            inside += got
+            outside += not got
+        if hull is None:
+            continue
+        for normal in [zero_vec(d), _mixed_vec(rng, d)] + [c.normal for c in k.constraints]:
+            top = ref_support_value(hull, normal)
+            if top is None:
+                continue
+            assert support_value(hull, normal) == top
+            got = _meets_face(k, hull, normal, top)
+            assert got == ref_meets_face(k, hull, normal, top), (k, normal)
+            met += got
+            missed += not got
+    assert min(unbounded, bounded, inside, outside, met, missed) >= 50
+
+
+def test_support_value_and_member_check_the_dimension():
+    """The int predicates zip rows with points, so a length mismatch must be
+    caught before any product is taken."""
+    poly = Polyhedron(2, [(0, 0), (1, 2)], [(1, 0)])
+    square = to_partial(Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+    for wrong in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            support_value(poly, wrong)
+        with pytest.raises(ValueError):
+            member(square, wrong)
 
 
 def test_v_to_h_rows_are_facets():
