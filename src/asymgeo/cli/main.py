@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
-from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance
+from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, gen_arc_hull, gen_lattice_norm, gen_random_instance
 from asymgeo.cli.instances import InstanceError, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
@@ -85,6 +85,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.dim > ONE_FLAVOR_DIM_LIMIT:
+        raise InstanceError(f"dimension {args.dim} is above the gen limit {ONE_FLAVOR_DIM_LIMIT}")
     if args.kind in ("sup", "one"):
         norm = gen_lattice_norm(args.dim, args.kind)
         # a canonical bounded sample region: the unit box
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated instance file")
     p.add_argument("kind", choices=["sup", "one", "random", "arc-hull"])
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=2, help=f"at most {ONE_FLAVOR_DIM_LIMIT}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arc", type=int, default=4, help="segment count for arc-hull")
     p.set_defaults(func=_cmd_gen)

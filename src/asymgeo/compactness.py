@@ -20,13 +20,22 @@ A COMPACT verdict therefore ships the center polytope S with the verified
 sandwich, and a NOT_COMPACT verdict ships a witness that re-verifies by
 direct evaluation.  If the internal sandwich check ever failed the verdict
 would be reported UNKNOWN rather than guessed.
+
+Only a COMPACT verdict needs closure(K) + C itself, with its facets: for the
+center, the sandwich and the checks T1, T3 and T4.  It is computed on first
+use.  A NOT_COMPACT verdict reads everything off the closure's generators and
+the region's own rows: (a) through the closure's recession cone, and (b),
+once (a) holds, through a local test at each closure vertex that misses K
+(its tangent cone must meet -C only in 0; see ``_extreme_in_saturation``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from operator import mul
+from typing import Optional, Sequence, Union
 
 from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval
@@ -38,6 +47,7 @@ from asymgeo.polyhedron import (
     _meets_face,
     _support,
     closure,
+    cone_from_rows,
     contains_line,
     extreme_points,
     member,
@@ -90,16 +100,17 @@ class CompactnessCertificate:
 @dataclass(frozen=True)
 class Instance:
     """A gauge together with a nonempty region, plus the cached geometry
-    every operation needs: the closure, the degeneracy cone, and the
-    saturated hull closure + cone.  ``_verified_sums`` maps each core whose
-    sandwich ``decide_compact`` verified to core + cone; it is not part of
-    the value."""
+    every operation needs: the closure and the degeneracy cone.  The
+    saturated hull closure + cone is computed on first use; only a COMPACT
+    verdict and the structure checks need it (the center, the sandwich,
+    T1, T3 and T4), so a NOT_COMPACT verdict never builds it.
+    ``_verified_sums`` maps each core whose sandwich ``decide_compact``
+    verified to core + cone; it is not part of the value."""
 
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
     degeneracy: Cone
-    saturated: Polyhedron
     _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -109,9 +120,12 @@ class Instance:
         hull = closure(region)
         if hull is None:
             raise EmptyRegionError("the region is empty")
-        cone = degeneracy_cone(norm)
-        saturated = minkowski_sum_with_cone(hull, cone)
-        return cls(norm, region, hull, cone, saturated)
+        return cls(norm, region, hull, degeneracy_cone(norm))
+
+    @cached_property
+    def saturated(self) -> Polyhedron:
+        """closure + degeneracy cone, pruned to its extreme points and rays."""
+        return minkowski_sum_with_cone(self.hull, self.degeneracy)
 
 
 def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
@@ -146,11 +160,32 @@ def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone) -> Option
     return None
 
 
+def _extreme_in_saturation(inst: Instance, y: Sequence[int], t: int) -> bool:
+    """Is the closure vertex v = y / t extreme in closure + degeneracy cone?
+
+    With P the closure and C = {x : <a_i, x> <= 0} the cone, v is extreme in
+    P + C iff its tangent cone T_P(v) = {x : A_v x <= 0} meets -C only in 0;
+    A_v are the rows of ``hull._rows`` tight at v.  If a nonzero c in C has
+    -c in T_P(v), v is the midpoint of v - εc in P and v + εc in P + C;
+    otherwise T_P(v) + C is a pointed cone, v + T_P(v) + C holds P + C, and
+    v is its apex.  One double description of {x : A_v x <= 0, <a_i, x> >= 0}
+    decides it: the cone is {0} iff it has neither generators nor lineality.
+    """
+    tight = [c for c, b in inst.hull._rows if sum(map(mul, c, y)) == b * t]
+    minus_cone = [vneg(a) for a in inst.norm._int_functionals[1]]
+    return cone_from_rows(tight + minus_cone, inst.norm.dim) == ((), ())
+
+
 def decide_compact(inst: Instance) -> CompactnessCertificate:
     """Verdict plus certificate; see the module docstring for the criterion.
 
     Witnesses are deterministic: directions and points are examined in
-    sorted order and the first violation is reported.
+    sorted order and the first violation is reported.  Once every recession
+    direction of the closure P has gauge 0, rec(P) lies in the pointed cone
+    C, so P is pointed and P + C is line-free with its vertices among P's:
+    the escaped extreme point is the first vertex of P that misses the
+    region and passes the local test of ``_extreme_in_saturation``, and
+    closure + C is built only when no vertex escapes.
     """
     rec = recession_cone(inst.hull)
     directions = set(rec.generators)
@@ -160,8 +195,10 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     for d in sorted(directions):
         if gauge_eval(inst.norm, d) > 0:
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=BadRecessionDirection(d))
-    for v in saturation_extreme_points(inst):
-        if not member(inst.region, v):
+    if inst.degeneracy.lineality_basis:
+        raise EmptyExtremeSetError("the saturated hull has no extreme points")
+    for v, (y, t) in zip(inst.hull.vertices, inst.hull._int_verts):
+        if not member(inst.region, v) and _extreme_in_saturation(inst, y, t):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
     padded = _sandwich(core, inst.region, inst.degeneracy)

@@ -5,14 +5,19 @@ cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
-scans and to incidence against the H-representation, which is memoized on
-the value together with the line test; emptiness is read off the closure's
-generators.  The predicates run on int copies memoized on each value (a
-vertex v as (y, t), t > 0 and v = y / t; each row (c, b) scaled jointly), so
-<c, v> <= b is <c, y> <= b * t; only public results are ``Fraction``s.  The
-LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as an
-independent reference, and ``partial_is_empty`` serves callers that hold
-rows but no closure.
+scans and to incidence against an H-representation, memoized on the value
+together with the line test; emptiness is read off the closure's
+generators.  The incidence predicates (extreme points and rays, lines, the
+recession cone's lineality) read ``Polyhedron._rows``, any integer
+inequality description of the set: a closure keeps the rows it was
+converted from, so they run without a vertex-to-facet conversion, and the
+facets (``hrep``) are computed only where they are needed.  The predicates
+run on int copies memoized on each value (a vertex v as (y, t), t > 0 and
+v = y / t; each row (c, b) scaled jointly), so <c, v> <= b is
+<c, y> <= b * t; only public results are ``Fraction``s.  The LP membership
+tests (``in_cone``, ``in_conv_plus_cone``) stay only as an independent
+reference, and ``partial_is_empty`` serves callers that hold rows but no
+closure.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -149,6 +154,15 @@ class Polyhedron:
         return tuple([(_ints(c), b.numerator) for c, b in self.hrep])
 
     @cached_property
+    def _rows(self) -> tuple[tuple[Sequence[int], int], ...]:
+        """An integer inequality description (c, b) of the set, read by the
+        incidence predicates: ``_int_hrep`` unless ``dd_convert_h_to_v`` seeded
+        it with the rows it converted.  Those may hold duplicate, rescaled,
+        redundant or zero rows; every rank the predicates take is exact on any
+        inequality description of the set."""
+        return self._int_hrep
+
+    @cached_property
     def _int_verts(self) -> tuple[tuple[Sequence[int], int], ...]:
         """The vertices as ints (y, t) with t > 0 and vertex = y / t."""
         return tuple([(y, t) for t, y in map(_clear, self.vertices)])
@@ -280,9 +294,12 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
+    The result's ``_rows`` are the given rows as ints, so its incidence
+    predicates run without a vertex-to-facet conversion.
     """
-    rows = [as_vec(c) + (-rat(b),) for c, b in hrep]
-    rows.append(zero_vec(dim) + (Fraction(-1),))
+    cleared = [_clear((*as_vec(c), rat(b)))[1] for c, b in hrep]
+    rows = [(*r[:-1], -r[-1]) for r in cleared]
+    rows.append((0,) * dim + (-1,))
     gens, lin = cone_from_rows(rows, dim + 1)
     verts = []
     raydirs = []
@@ -299,7 +316,9 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
         raydirs.append(vneg(l[:-1]))
     if not verts:
         return None
-    return Polyhedron(dim, tuple(verts), tuple(raydirs))
+    poly = Polyhedron(dim, tuple(verts), tuple(raydirs))
+    object.__setattr__(poly, "_rows", tuple([(tuple(r[:-1]), r[-1]) for r in cleared]))
+    return poly
 
 
 def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
@@ -524,22 +543,22 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
 
 
 def _tight_rank(poly: Polyhedron, y: Sequence[int], t: int) -> int:
-    """Rank of the ``hrep`` normals c with <c, y> = b * t, all ints: the rows
+    """Rank of the ``_rows`` normals c with <c, y> = b * t, all ints: the rows
     tight at the point y / t (t > 0), or orthogonal to the direction y (t = 0).
     """
-    return rank([c for c, b in poly._int_hrep if sum(map(mul, c, y)) == b * t])
+    return rank([c for c, b in poly._rows if sum(map(mul, c, y)) == b * t])
 
 
 def recession_cone(poly: Polyhedron) -> Cone:
     """cone(rays) of the polyhedron, with an explicit lineality basis.
 
-    The rays orthogonal to every ``hrep`` normal span the lineality; a
-    polytope's cone is {0}, and its ``hrep`` is not needed.
+    The rays orthogonal to every ``_rows`` normal span the lineality; a
+    polytope's cone is {0}, and no rows are needed.
     """
     if not poly.rays:
         return Cone(poly.dim, ())
     lin_members = [r for r, y in zip(poly.rays, poly._int_rays)
-                   if not any(sum(map(mul, c, y)) for c, _ in poly._int_hrep)]
+                   if not any(sum(map(mul, c, y)) for c, _ in poly._rows)]
     basis: list[Vec] = []
     if lin_members:
         basis = [primitive(tuple(row)) for row in rref(lin_members)[0]]
@@ -547,21 +566,21 @@ def recession_cone(poly: Polyhedron) -> Cone:
 
 
 def contains_line(poly: Polyhedron) -> bool:
-    """A line lies in the set iff the ``hrep`` normals have rank below dim.
+    """A line lies in the set iff the ``_rows`` normals have rank below dim.
 
-    Memoized on the value, as ``hrep`` is."""
+    Memoized on the value, as ``_rows`` is."""
     return poly._has_line
 
 
 def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
     """The extreme points of the polyhedron: the listed vertices whose tight
-    ``hrep`` rows have rank dim.  A set containing a line has none."""
+    ``_rows`` have rank dim.  A set containing a line has none."""
     return tuple(v for v, (y, t) in zip(poly.vertices, poly._int_verts) if _tight_rank(poly, y, t) == poly.dim)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """Extreme ray directions of the recession cone, line-free sets only: the
-    listed rays whose orthogonal ``hrep`` rows have rank dim - 1.
+    listed rays whose orthogonal ``_rows`` have rank dim - 1.
 
     Directions are normalized so the first nonzero coordinate is +-1.
     """

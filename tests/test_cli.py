@@ -311,6 +311,25 @@ def test_cli_gen_random_rejects_nonpositive_dimension(dim):
             gen(int(dim), random.Random(0))
 
 
+@pytest.mark.parametrize("kind,dim", [("random", "1000000"), ("sup", "13")])
+def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim):
+    """A separate process with a timeout: the limit is checked before any
+    matrix of that size is built."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "asymgeo.cli.main", "gen", kind, "--dim", dim],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"dimension {dim} is above the gen limit 12" in proc.stderr
+
+
+def test_cli_gen_takes_the_limit_itself(capsys):
+    assert main(["gen", "sup", "--dim", "12"]) == 0
+    norm, _ = parse_instance(capsys.readouterr().out)
+    assert norm.dim == 12
+
+
 def test_cli_gen_one_flavor(capsys):
     assert main(["gen", "one", "--dim", "3"]) == 0
     norm, _ = parse_instance(capsys.readouterr().out)

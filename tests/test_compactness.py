@@ -123,6 +123,73 @@ def test_decision_pipeline_runs_no_lp(monkeypatch):
     assert Verdict.NOT_COMPACT in verdicts
 
 
+def test_not_compact_verdict_runs_no_facet_dd(monkeypatch):
+    """A NOT_COMPACT verdict reads everything off the closure's generators and
+    the region's rows: over the reference suite, 60 corpus seeds and seeds
+    at d = 4, 5, 6, no vertex-to-facet double description runs, and an
+    escaping direction leaves closure + cone unbuilt."""
+
+    def cases():
+        out = [(entry.norm, entry.region) for entry in reference_catalog()]
+        out += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
+        out += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(8)]
+        return out
+
+    # fresh values after the first pass: the closure and rows are memoized on them
+    not_compact = [i for i, (q, region) in enumerate(cases())
+                   if decide_compact(Instance.build(q, region)).verdict is Verdict.NOT_COMPACT]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a vertex-to-facet double description ran")
+
+    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", forbidden)
+    fresh = cases()
+    kinds = set()
+    for i in not_compact:
+        inst = Instance.build(*fresh[i])
+        cert = decide_compact(inst)
+        assert cert.verdict is Verdict.NOT_COMPACT
+        if isinstance(cert.witness, BadRecessionDirection):
+            assert "saturated" not in inst.__dict__
+        kinds.add(type(cert.witness))
+    assert kinds == {BadRecessionDirection, EscapedExtremePoint}
+    assert len(not_compact) >= 60
+
+
+def test_local_test_agrees_with_lp_extremality():
+    """A closure vertex v is extreme in closure + cone iff no other vertex,
+    ray or cone generator generates it (an LP), whenever the sum is
+    line-free; the escaped witness is the first extreme point of the sum
+    that misses the region.  Gauges with the cone {0} (a random gauge plus
+    minus the sum of its functionals) and with a nontrivial cone."""
+    rng = random.Random(71)
+    checked = {True: 0, False: 0}
+    escaped = 0
+    trivial = 0
+    for _ in range(160):
+        d = rng.randint(1, 4)
+        q = gen_random_norm(d, rng)
+        if rng.random() < 0.5:
+            q = make_norm(d, q.functionals + (vneg(tuple(map(sum, zip(*q.functionals)))),))
+        inst = build(q, gen_random_region(d, rng))
+        hull, gens = inst.hull, inst.degeneracy.generators
+        trivial += not gens
+        rays = hull.rays + gens
+        if contains_line(hull) or any(in_cone(vneg(r), rays) for r in rays):
+            continue
+        for v, (y, t) in zip(hull.vertices, hull._int_verts):
+            lp = not in_conv_plus_cone(v, [w for w in hull.vertices if w != v], rays)
+            assert compactness._extreme_in_saturation(inst, y, t) == lp, (q, inst.region, v)
+            checked[lp] += 1
+        cert = decide_compact(inst)
+        if isinstance(cert.witness, BadRecessionDirection):
+            continue
+        first = next((v for v in saturation_extreme_points(inst) if not member(inst.region, v)), None)
+        assert cert.witness == (None if first is None else EscapedExtremePoint(first))
+        escaped += first is not None
+    assert min(checked.values()) >= 50 and escaped >= 40 and trivial >= 60, (checked, escaped, trivial)
+
+
 def _lattice_balls(count: int):
     """Closed and open balls of the d=4 one-norm lattice gauge, three closed
     to two open, around seeded rational centers."""

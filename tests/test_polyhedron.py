@@ -682,3 +682,47 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
     assert out == Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)])
     assert len(calls) == 1 + 2 + 2  # the line, then each vertex and each ray of the union
+
+
+def test_seeded_rows_answer_as_the_facets_do():
+    """The closure's incidence predicates read the region's own rows, which
+    may repeat, rescale, imply or trivially hold; every answer equals the
+    one read off the facets, and ``hrep`` still means the facets."""
+    rng = random.Random(47)
+    kinds = {"polytope": 0, "rays": 0, "line": 0}
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, 4))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
+        if rays and rng.random() < 0.4:
+            rays.append(vneg(rays[0]))
+        base = list(Polyhedron(d, verts, rays).hrep) or [(zero_vec(d), F(0))]
+        rows = list(base)
+        for _ in range(rng.randint(1, 4)):
+            (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
+            s = F(rng.randint(1, 5), rng.randint(1, 3))
+            rows += [
+                (c1, b1),                                             # duplicate
+                (tuple(s * a for a in c1), s * b1),                   # positive rescaling
+                (tuple(a + b for a, b in zip(c1, c2)), b1 + b2),      # implied by two rows
+                (c2, b2 + F(rng.randint(0, 3))),                      # implied, maybe slack
+            ]
+        rows.append((zero_vec(d), F(1)))                              # 0 <= 1
+        rng.shuffle(rows)
+        hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
+        assert len(hull._rows) == len(rows)
+        facets = Polyhedron(d, hull.vertices, hull.rays)
+        assert hull == facets
+        assert contains_line(hull) == contains_line(facets)
+        assert extreme_points(hull) == extreme_points(facets)
+        assert recession_cone(hull) == recession_cone(facets)
+        if contains_line(hull):
+            with pytest.raises(LinealityPresentError):
+                extreme_rays(hull)
+        else:
+            assert extreme_rays(hull) == extreme_rays(facets)
+        assert "hrep" not in hull.__dict__
+        assert hull._int_hrep == tuple((tuple(int(a) for a in c), int(b)) for c, b in hull.hrep)
+        assert hull.hrep == facets.hrep
+        kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
+    assert min(kinds.values()) >= 15, kinds
