@@ -27,6 +27,13 @@ use.  A NOT_COMPACT verdict reads everything off the closure's generators and
 the region's own rows: (a) through the closure's recession cone, and (b),
 once (a) holds, through a local test at each closure vertex that misses K
 (its tangent cone must meet -C only in 0; see ``_extreme_in_saturation``).
+
+A COMPACT verdict with the checks T1-T6 converts vertices to facets once per
+distinct set, so at most twice: for closure(K) + C and for S + C.  S <= K is
+read off the generators of S, and T3 reuses the S + C the verdict verified.
+T6 decides K + C: its closure already holds C's directions, so adding C
+builds no new set, its center is S again, and the parent's S + C is handed
+down (``Instance._sums``).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from asymgeo.polyhedron import (
     Polyhedron,
     _meets_face,
     _support,
+    _within,
     closure,
     cone_from_rows,
     contains_line,
@@ -100,17 +108,20 @@ class CompactnessCertificate:
 @dataclass(frozen=True)
 class Instance:
     """A gauge together with a nonempty region, plus the cached geometry
-    every operation needs: the closure and the degeneracy cone.  The
-    saturated hull closure + cone is computed on first use; only a COMPACT
-    verdict and the structure checks need it (the center, the sandwich,
-    T1, T3 and T4), so a NOT_COMPACT verdict never builds it.
-    ``_verified_sums`` maps each core whose sandwich ``decide_compact``
-    verified to core + cone; it is not part of the value."""
+    every operation needs: the closure and the degeneracy cone (the latter
+    memoized on the gauge).  The saturated hull closure + cone is computed
+    on first use; only a COMPACT verdict and the structure checks need it
+    (the center, the sandwich, T1, T3 and T4), so a NOT_COMPACT verdict
+    never builds it.  Two memos are not part of the value: ``_sums`` maps a
+    core to core + cone computed elsewhere (T6 hands its nested instance
+    the parent's), and ``_verified_sums`` maps each core whose sandwich
+    ``decide_compact`` verified on this instance to core + cone."""
 
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
     degeneracy: Cone
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -152,12 +163,18 @@ def center_candidate(inst: Instance) -> Polyhedron:
     return Polyhedron(inst.region.dim, ext, ())
 
 
-def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone) -> Optional[Polyhedron]:
-    """core + cone when core <= region <= core + cone holds, else None."""
-    padded = minkowski_sum_with_cone(core, cone)
-    if subset(to_partial(core), region) and subset(region, to_partial(padded)):
-        return padded
-    return None
+def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
+              padded: Optional[Polyhedron] = None) -> Optional[Polyhedron]:
+    """core + cone when core <= region <= core + cone holds, else None.
+
+    The first inclusion is read off the core's generators (``_within``);
+    ``padded`` is core + cone when the caller already has it.
+    """
+    if not _within(core, region):
+        return None
+    if padded is None:
+        padded = minkowski_sum_with_cone(core, cone)
+    return padded if subset(region, to_partial(padded)) else None
 
 
 def _extreme_in_saturation(inst: Instance, y: Sequence[int], t: int) -> bool:
@@ -201,7 +218,7 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if not member(inst.region, v) and _extreme_in_saturation(inst, y, t):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
-    padded = _sandwich(core, inst.region, inst.degeneracy)
+    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(core))
     if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
     inst._verified_sums[core] = padded
@@ -326,6 +343,8 @@ def verify_theorems(inst: Instance,
     claims.append(_claim("T5", t5, "closure contains a line"))
 
     sum_inst = Instance.build(inst.norm, half_open_sum)
+    if padded is not None:
+        sum_inst._sums[core] = padded  # core + C: the same core and cone
     t6 = decide_compact(sum_inst).verdict is Verdict.COMPACT
     claims.append(_claim("T6", t6, "the saturated region is not judged compact"))
 

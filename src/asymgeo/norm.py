@@ -50,6 +50,13 @@ class AsymNorm:
         s, flat = _clear([a for f in self.functionals for a in f])
         return s, tuple([tuple(flat[i:i + self.dim]) for i in range(0, len(flat), self.dim)])
 
+    @cached_property
+    def _degeneracy(self) -> Cone:
+        gens, lin = cone_from_rows(self._int_functionals[1], self.dim)
+        if lin:
+            raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
+        return Cone(self.dim, gens)
+
 
 class Closedness(enum.Enum):
     OPEN = "OPEN"
@@ -101,11 +108,9 @@ def degeneracy_cone(norm: AsymNorm) -> Cone:
 
     Pointedness is guaranteed by the constructor's rank check, so the
     double description of the functional rows never yields lineality.
+    Memoized on the gauge value.
     """
-    gens, lin = cone_from_rows(norm.functionals, norm.dim)
-    if lin:
-        raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
-    return Cone(norm.dim, gens)
+    return norm._degeneracy
 
 
 def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:

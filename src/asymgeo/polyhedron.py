@@ -193,13 +193,15 @@ def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_rows(rows: Sequence[Vec]) -> list[tuple[int, ...]]:
-    """Primitive, deduplicated, lexicographically sorted nonzero rows, as int tuples."""
+def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """Primitive, deduplicated, lexicographically sorted nonzero rows, as int
+    tuples; int rows are taken as they are, rational ones cleared first."""
     seen = set()
     for r in rows:
-        p = primitive(as_vec(r))
-        if not is_zero_vec(p):
-            seen.add(tuple(a.numerator for a in p))
+        ints = _clear(r)[1]
+        g = gcd(*ints)
+        if g:
+            seen.add(tuple([a // g for a in ints]))
     return sorted(seen)
 
 
@@ -268,24 +270,28 @@ def cone_from_rows(rows: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tupl
     Lineality (the null space of the rows) is split off first; the pointed
     part is computed in the orthogonal complement and mapped back.
     """
+    gens, lin = _cone(rows, dim)
+    return tuple([as_vec(r) for r in gens]), tuple(lin)
+
+
+def _cone(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[int, ...]], list[Vec]]:
+    """``cone_from_rows`` with the generators as sorted primitive int tuples."""
     prepared = _prepare_rows(rows)
     if not prepared:
-        ident = [primitive(tuple(Fraction(1 if j == i else 0) for j in range(dim)))
-                 for i in range(dim)]
-        return (), tuple(ident)
+        return [], [primitive(tuple(Fraction(1 if j == i else 0) for j in range(dim))) for i in range(dim)]
     lin = null_space_basis(prepared, dim)
     if not lin:
-        return tuple([as_vec(r) for r in _pointed_cone_rays(prepared, dim)]), ()
+        return _pointed_cone_rays(prepared, dim), []
     comp = [_ints(w) for w in null_space_basis([_ints(l) for l in lin], dim)]
     proj = _prepare_rows([tuple(sum(map(mul, h, w)) for w in comp) for h in prepared])
     if not proj:
-        return (), tuple(lin)
+        return [], lin
     back = []
     for y in _pointed_cone_rays(proj, len(comp)):
         x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
         g = gcd(*x)
         back.append(tuple(a // g for a in x))
-    return tuple([as_vec(r) for r in sorted(back)]), tuple(lin)
+    return sorted(back), lin
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -325,34 +331,27 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     """Inequality representation of a closed polyhedron.
 
     Dualizes the homogenization cone: its polar is described by the
-    generators as rows, so one more double description run yields the
-    candidate rows.  The lineality of the polar comes back as opposite row
-    pairs pinning the affine hull; the rest are the polar's extreme rays, so
-    facets, and only ``t >= 0`` (zero normal) is dropped.  Rows are
-    primitive integer data in sorted order.
+    generators as rows (the int vertices (y, t) as (y, t), the rays as
+    (r, 0)), so one more double description run yields the candidate rows.
+    The lineality of the polar comes back as opposite row pairs pinning the
+    affine hull; the rest are the polar's extreme rays, so facets, and only
+    ``t >= 0`` (zero normal) is dropped.  Both come out primitive, so the
+    rows are primitive integer data, in sorted order.
     """
-    dim = poly.dim
-    gen_rows = [v + (Fraction(1),) for v in poly.vertices]
-    gen_rows += [r + (Fraction(0),) for r in poly.rays]
-    gens, lin = cone_from_rows(gen_rows, dim + 1)
-    out: list[HRow] = []
-    for h in gens:
-        c, g = h[:-1], h[-1]
-        if is_zero_vec(c):
-            if g > 0:
-                raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
-            continue
-        out.append((c, -g))
-    for l in list(lin) + [vneg(l) for l in lin]:
-        c, g = l[:-1], l[-1]
-        if is_zero_vec(c):
+    rows = [(*y, t) for y, t in poly._int_verts] + [(*r, 0) for r in poly._int_rays]
+    gens, lin = _cone(rows, poly.dim + 1)
+    facets = set()
+    for *c, g in gens:
+        if any(c):
+            facets.add((tuple(c), -g))
+        elif g > 0:
+            raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
+    for *c, g in map(_ints, lin):
+        if not any(c):
             raise InternalInvariantError("affine-hull rows have nonzero normals")
-        out.append((c, -g))
-    normalized = set()
-    for c, b in out:
-        joint = primitive(c + (b,))
-        normalized.add((joint[:-1], joint[-1]))
-    return tuple(sorted(normalized))
+        facets.add((tuple(c), -g))
+        facets.add((tuple([-a for a in c]), g))
+    return tuple([(as_vec(c), Fraction(b)) for c, b in sorted(facets)])
 
 
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
@@ -504,6 +503,17 @@ def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
     return True
 
 
+def _within(poly: Polyhedron, region: PartialPolyhedron) -> bool:
+    """``poly`` <= ``region``, read off the generators of ``poly``: every
+    vertex is a member and no row of the region ascends along a ray.
+
+    The region is convex, so it holds conv(vertices) once it holds the
+    vertices, and a ray with <c, r> <= 0 keeps a strict row strict.
+    """
+    return (all(member(region, v) for v in poly.vertices)
+            and all(sum(map(mul, c, r)) <= 0 for r in poly._int_rays for c, _, _ in region._int_rows))
+
+
 def set_equal(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
     return subset(first, second) and subset(second, first)
 
@@ -599,19 +609,27 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     """poly + cone in generator form.
 
     Without a line the sum keeps only its extreme points and extreme rays,
-    and it shares the ``hrep`` of the generator union, so the one DD run
-    that decided extremality also serves every later use of the sum.  With
-    a line there are no extreme points, and the union is returned as is.
+    and it shares the rows of the generator union (``_rows``, and ``hrep``
+    once computed), so the incidence run that decided extremality also
+    serves every later use of the sum.  A pointed cone whose generators are
+    all rays of ``poly`` adds nothing: the union is ``poly`` itself, and no
+    new value (and no vertex-to-facet conversion) is made for it.  With a
+    line there are no extreme points, and the union is returned as is.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
-    rays = list(poly.rays) + list(cone.generators)
-    for l in cone.lineality_basis:
-        rays.append(l)
-        rays.append(vneg(l))
-    total = Polyhedron(poly.dim, poly.vertices, tuple(rays))
+    if not cone.lineality_basis and set(cone.generators) <= set(poly.rays):
+        total = poly
+    else:
+        rays = list(poly.rays) + list(cone.generators)
+        for l in cone.lineality_basis:
+            rays.append(l)
+            rays.append(vneg(l))
+        total = Polyhedron(poly.dim, poly.vertices, tuple(rays))
     if contains_line(total):
         return total
     out = Polyhedron(poly.dim, extreme_points(total), extreme_rays(total))
-    object.__setattr__(out, "hrep", total.hrep)
+    object.__setattr__(out, "_rows", total._rows)
+    if "hrep" in total.__dict__:
+        object.__setattr__(out, "hrep", total.hrep)
     return out

@@ -229,6 +229,64 @@ def test_decision_pipeline_runs_no_fraction_dot(monkeypatch):
     assert Verdict.NOT_COMPACT in verdicts
 
 
+def test_compact_path_runs_at_most_two_facet_dds(monkeypatch):
+    """A COMPACT verdict and T1-T6 convert vertices to facets once per distinct
+    set, closure + C and center + C: over the reference catalog, 300 corpus
+    seeds, seeds at d = 4 and 5 and five closed d=4 lattice balls, on fresh
+    values, no instance runs more than two vertex-to-facet DDs, and the
+    sandwich is still checked on the region and on region + C."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5) for k in range(8)]
+    closed_balls = [(q, k) for q, k in _lattice_balls(8) if not any(c.strict for c in k.constraints)]
+    assert len(closed_balls) == 5
+    cases += closed_balls
+    calls = []
+    real = polyhedron.dd_convert_v_to_h
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    sandwiched = []
+    real_sandwich = compactness._sandwich
+
+    def checking(core, region, *rest):
+        sandwiched.append(region)
+        return real_sandwich(core, region, *rest)
+
+    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", counting)
+    monkeypatch.setattr(compactness, "_sandwich", checking)
+    runs = {}
+    for i, (q, region) in enumerate(cases):
+        calls.clear()
+        sandwiched.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        assert len(calls) <= 2, (i, len(calls))
+        if cert.verdict is Verdict.COMPACT:
+            runs[i] = len(calls)
+            # both inclusions are still checked on the region and, in T6, on region + C
+            assert sandwiched == [inst.region, saturate_region(inst)]
+    assert len(runs) >= 70 and max(runs.values()) == 2
+    assert all(runs.get(len(cases) - 1 - j) == 2 for j in range(5))
+
+
+def test_a_handed_down_sum_is_not_taken_as_verified():
+    """``Instance._sums`` saves building core + C, not checking it: with a
+    wrong sum handed down the sandwich fails and the verdict is UNKNOWN,
+    and with the right one the certificate is the one decided without it."""
+    expected = decide_compact(build(SUP2, UNIT_SQUARE))
+    core = expected.center
+    wrong = build(SUP2, UNIT_SQUARE)
+    wrong._sums[core] = core
+    assert decide_compact(wrong).verdict is Verdict.UNKNOWN
+    right = build(SUP2, UNIT_SQUARE)
+    right._sums[core] = Polyhedron(2, core.vertices, ((-1, 0), (0, -1)))
+    assert decide_compact(right) == expected
+
+
 def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     """T3 takes the ``core + C`` that ``decide_compact`` verified on the same
     instance and center; a center that ``decide_compact`` did not pick still
@@ -239,9 +297,9 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     regions = []
     real = compactness._sandwich
 
-    def counting(core, region, cone):
+    def counting(core, region, *rest):
         regions.append(region)
-        return real(core, region, cone)
+        return real(core, region, *rest)
 
     monkeypatch.setattr(compactness, "_sandwich", counting)
     assert verify_theorems(inst, cert).all_pass

@@ -193,6 +193,17 @@ def test_degeneracy_cone_consistency():
                 assert not in_cone(x, cone.generators)
 
 
+def test_degeneracy_cone_is_memoized_on_the_value():
+    """One double description per gauge value: a second call returns the
+    same cone, and an equal gauge built anew gets an equal cone."""
+    q = make_norm(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)])
+    cone = degeneracy_cone(q)
+    assert degeneracy_cone(q) is cone
+    fresh = make_norm(3, q.functionals)
+    assert degeneracy_cone(fresh) == cone and degeneracy_cone(fresh) is not cone
+    assert cone.generators == ((0, 0, -1),) and not cone.lineality_basis
+
+
 def test_ball_examples():
     b = ball(POS_PART, (0,), 1, Closedness.OPEN)
     assert member(b.as_set, (Fraction(999, 1000),))

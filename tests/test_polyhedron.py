@@ -726,3 +726,85 @@ def test_seeded_rows_answer_as_the_facets_do():
         assert hull.hrep == facets.hrep
         kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_generator_inclusion_agrees_with_subset():
+    """poly <= region read off the generators of poly (every vertex a member,
+    no row ascending along a ray) agrees with ``subset`` on poly's
+    H-representation: 300 seeded polyhedra, with and without rays, against
+    half-open regions with ``0 < 0`` rows and opposite row pairs."""
+    rng = random.Random(83)
+    seen = {(with_rays, inside): 0 for with_rays in (False, True) for inside in (False, True)}
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        k = _random_half_open_region(rng, d)
+        hull = closure(k)
+        pool = [rand_point(rng, d, span=2)]
+        rays = []
+        if hull is not None:
+            # points of the region: its members among the closure's vertices
+            # and the centroid of a few vertices, pushed along the closure's rays
+            pool += [v for v in hull.vertices if member(k, v)]
+            picked = rng.sample(hull.vertices, min(len(hull.vertices), rng.randint(1, 3)))
+            centroid = tuple(sum(col) / len(picked) for col in zip(*picked))
+            pool += [tuple(a + b for a, b in zip(centroid, r)) for r in hull.rays[:1]] + [centroid] * 4
+        verts = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        if rng.random() < (0.7 if hull is not None and hull.rays else 0.4):
+            if hull is not None and hull.rays and rng.random() < 0.8:
+                rays.append(rng.choice(hull.rays))
+            else:
+                rays.append(rand_point(rng, d, span=1, max_den=1))
+        poly = Polyhedron(d, verts, rays)
+        got = polyhedron._within(poly, k)
+        assert got == subset(to_partial(poly), k), (poly, k)
+        seen[bool(poly.rays), got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_minkowski_shortcut_returns_the_union_value():
+    """A pointed cone whose generators are all rays of poly adds nothing:
+    the sum is the value the generator union gives (vertices, rays and
+    facets), it reuses poly's rows, and its facets come from poly when
+    poly has them.  Cases include polyhedra with a line, the cone {0}, and
+    cones with lineality, which must not take the shortcut."""
+    rng = random.Random(89)
+    kinds = {"shortcut": 0, "line": 0, "zero cone": 0, "lineality": 0}
+    for n in range(160):
+        d = rng.randint(1, 3)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, 4))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 3))]
+        if rays and rng.random() < 0.3:
+            rays.append(vneg(rays[0]))
+        poly = Polyhedron(d, verts, rays)
+        if n % 2 == 0:  # a closure, whose rows are the ones it was converted from
+            poly = dd_convert_h_to_v(poly.hrep, d)
+        gens = [r for r in poly.rays if rng.random() < 0.6]
+        lineality = ()
+        if rng.random() < 0.25:
+            lineality = (rand_point(rng, d, span=1, max_den=1),)
+            if all(a == 0 for a in lineality[0]):
+                lineality = ()
+        cone = Cone(d, gens, lineality)
+        if n % 4 == 2:
+            poly.hrep  # facets of a closure known before the sum
+        total = Polyhedron(d, poly.vertices, poly.rays + cone.generators
+                           + cone.lineality_basis + tuple(vneg(l) for l in cone.lineality_basis))
+        expected = total if contains_line(total) else Polyhedron(d, extreme_points(total), extreme_rays(total))
+        had_hrep = "hrep" in poly.__dict__
+        got = minkowski_sum_with_cone(poly, cone)
+        shortcut = not cone.lineality_basis
+        if shortcut and not contains_line(poly):
+            assert got._rows is poly._rows
+            # no facets are computed for the sum; a closure's rows serve,
+            # and other values have computed theirs to read incidence
+            assert ("hrep" in got.__dict__) == ("hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
+        elif shortcut:
+            assert got is poly
+        else:
+            assert got is not poly
+        assert got == expected, (poly, cone)
+        assert got.vertices == expected.vertices and got.rays == expected.rays
+        assert got.hrep == Polyhedron(d, expected.vertices, expected.rays).hrep
+        kinds["lineality" if cone.lineality_basis else "line" if contains_line(poly)
+              else "zero cone" if not cone.generators else "shortcut"] += 1
+    assert min(kinds.values()) >= 15, kinds
