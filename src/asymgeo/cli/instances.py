@@ -45,8 +45,9 @@ def _parse_rational(tok: str, where: str) -> Fraction:
     # Fraction alone also takes 1.5, 1_000, +1 and 1e999999999 (a huge integer)
     if not _NUMBER.fullmatch(tok):
         raise InstanceError(f"{where}: bad rational {tok!r}")
+    num, _, den = tok.partition("/")
     try:
-        return Fraction(tok)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:  # more digits than the interpreter's int_max_str_digits
         raise InstanceError(f"{where}: number too long: {exc}") from None
 

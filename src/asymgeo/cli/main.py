@@ -13,13 +13,9 @@ from fractions import Fraction
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, gen_arc_hull, gen_lattice_norm, gen_random_instance
-from asymgeo.cli.instances import InstanceError, _parse_rational, parse_instance, write_instance
+from asymgeo.cli.instances import InstanceError, _fmt, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _fmt_point(v) -> str:

@@ -3,7 +3,10 @@
 Closed polyhedra carry a generator (V) representation ``conv(vertices) +
 cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
-description method over Python ints, and every predicate (membership,
+description method over Python ints, entered only through
+``cone_from_rows`` (int or rational rows in, int generators out; the
+closure, the facets, the degeneracy cone and the local tangent-cone test
+all pass through it), and every predicate (membership,
 inclusion, extremality, closedness) reduces to exact support-function
 scans and to incidence against an H-representation, memoized on the value
 together with the line test; emptiness is read off the closure's
@@ -108,7 +111,7 @@ class PartialPolyhedron:
 
     @cached_property
     def _closure(self) -> Optional[Polyhedron]:
-        poly = dd_convert_h_to_v(relaxed_rows(self), self.dim)
+        poly = dd_convert_h_to_v([(c, b) for c, b, _ in self._int_rows], self.dim)
         if poly is None or not _meets_face(self, poly, (0,) * self.dim, 0):
             return None
         return poly
@@ -178,14 +181,10 @@ class Polyhedron:
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    out = set()
     for r in rays:
-        r = primitive(as_vec(r))
         if len(r) != dim:
             raise ValueError(f"ray of length {len(r)} in dimension {dim}")
-        if not is_zero_vec(r):
-            out.add(r)
-    return tuple(sorted(out))
+    return tuple([as_vec(r) for r in _prepare_rows(rays)])
 
 
 # ---------------------------------------------------------------------------
@@ -264,34 +263,31 @@ def _ints(v: Vec) -> tuple[int, ...]:
     return tuple(a.numerator for a in v)
 
 
-def cone_from_rows(rows: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+def cone_from_rows(rows: Sequence[Sequence],
+                   dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
 
-    Lineality (the null space of the rows) is split off first; the pointed
-    part is computed in the orthogonal complement and mapped back.
+    The one entry to the double description: int or rational rows in,
+    primitive int tuples out, the generators sorted.  Lineality (the null
+    space of the rows) is split off first; the pointed part is computed in
+    the orthogonal complement and mapped back.
     """
-    gens, lin = _cone(rows, dim)
-    return tuple([as_vec(r) for r in gens]), tuple(lin)
-
-
-def _cone(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[int, ...]], list[Vec]]:
-    """``cone_from_rows`` with the generators as sorted primitive int tuples."""
     prepared = _prepare_rows(rows)
     if not prepared:
-        return [], [primitive(tuple(Fraction(1 if j == i else 0) for j in range(dim))) for i in range(dim)]
-    lin = null_space_basis(prepared, dim)
+        return (), tuple([tuple([int(j == i) for j in range(dim)]) for i in range(dim)])
+    lin = tuple([_ints(l) for l in null_space_basis(prepared, dim)])
     if not lin:
-        return _pointed_cone_rays(prepared, dim), []
-    comp = [_ints(w) for w in null_space_basis([_ints(l) for l in lin], dim)]
+        return tuple(_pointed_cone_rays(prepared, dim)), ()
+    comp = [_ints(w) for w in null_space_basis(lin, dim)]
     proj = _prepare_rows([tuple(sum(map(mul, h, w)) for w in comp) for h in prepared])
     if not proj:
-        return [], lin
+        return (), lin
     back = []
     for y in _pointed_cone_rays(proj, len(comp)):
         x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
         g = gcd(*x)
         back.append(tuple(a // g for a in x))
-    return sorted(back), lin
+    return tuple(sorted(back)), lin
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -300,21 +296,21 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
+    Rows may be int or rational; each vertex becomes a ``Fraction`` once.
     The result's ``_rows`` are the given rows as ints, so its incidence
     predicates run without a vertex-to-facet conversion.
     """
-    cleared = [_clear((*as_vec(c), rat(b)))[1] for c, b in hrep]
+    cleared = [_clear((*c, b))[1] for c, b in hrep]
     rows = [(*r[:-1], -r[-1]) for r in cleared]
     rows.append((0,) * dim + (-1,))
     gens, lin = cone_from_rows(rows, dim + 1)
     verts = []
     raydirs = []
-    for g in gens:
-        t = g[-1]
+    for *y, t in gens:
         if t > 0:
-            verts.append(vscale(1 / t, g[:-1]))
+            verts.append(tuple([Fraction(a, t) for a in y]))
         else:
-            raydirs.append(g[:-1])
+            raydirs.append(y)
     for l in lin:
         if l[-1] != 0:
             raise InternalInvariantError("homogenization lineality must be horizontal")
@@ -339,14 +335,14 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     rows are primitive integer data, in sorted order.
     """
     rows = [(*y, t) for y, t in poly._int_verts] + [(*r, 0) for r in poly._int_rays]
-    gens, lin = _cone(rows, poly.dim + 1)
+    gens, lin = cone_from_rows(rows, poly.dim + 1)
     facets = set()
     for *c, g in gens:
         if any(c):
             facets.add((tuple(c), -g))
         elif g > 0:
             raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
-    for *c, g in map(_ints, lin):
+    for *c, g in lin:
         if not any(c):
             raise InternalInvariantError("affine-hull rows have nonzero normals")
         facets.add((tuple(c), -g))
@@ -394,10 +390,6 @@ def _support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Predicates on partial polyhedra
 # ---------------------------------------------------------------------------
-
-
-def relaxed_rows(region: PartialPolyhedron) -> list[HRow]:
-    return [(c.normal, c.rhs) for c in region.constraints]
 
 
 def partial_is_empty(region: PartialPolyhedron) -> bool:

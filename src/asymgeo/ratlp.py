@@ -5,9 +5,9 @@ point anywhere.  The kernel itself is an integer fraction-free one: rows are
 cleared of denominators on entry and results become ``Fraction`` on return.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  ``_reduce`` is the only
-elimination loop (``rref``, ``rank``, ``invert`` and ``null_space_basis``
-read their answers off it); ``lp_solve`` (two-phase, free variables split)
-and ``feasible_nonneg`` (phase one only) build a tableau for ``_bland``.  The
+elimination loop (``rref``, ``rank`` and ``null_space_basis`` read their
+answers off it); ``lp_solve`` (two-phase, free variables split) and
+``feasible_nonneg`` (phase one only) build a tableau for ``_bland``.  The
 compactness decision runs no LP: ``lp_solve`` serves the random generator's
 emptiness test, ``feasible_nonneg`` the LP membership tests kept as a
 reference.  Nor does it call ``dot``: the predicates compare int copies
@@ -211,18 +211,6 @@ def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple
             v[p] = -row[f]
         basis.append(primitive(v))
     return basis
-
-
-def invert(rows: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
-    """Exact inverse of a square matrix given as rows; raises on singular input."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    work, pivots, det = _reduce(
-        [[*ints, *(s * (j == i) for j in range(n))] for i, (s, ints) in enumerate(map(_clear, rows))], n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return [[Fraction(x, det) for x in r[n:]] for r in work]
 
 
 # --- Linear programming ------------------------------------------------------

@@ -273,6 +273,50 @@ def test_compact_path_runs_at_most_two_facet_dds(monkeypatch):
     assert all(runs.get(len(cases) - 1 - j) == 2 for j in range(5))
 
 
+def test_every_dd_enters_through_cone_from_rows(monkeypatch):
+    """The double description has one entry: over build, decide and T1-T6 on
+    the reference catalog, 90 corpus seeds and d=4 lattice balls, every
+    pointed-cone run (the facet conversions among them) happens inside a
+    ``cone_from_rows`` call, and every generator that call returns is an
+    int tuple."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(30)]
+    cases += _lattice_balls(8)
+    real_rays, real_entry, real_facets = (polyhedron._pointed_cone_rays, polyhedron.cone_from_rows,
+                                          polyhedron.dd_convert_v_to_h)
+    inside, stray, returned = [], [], []
+    facet_runs = []
+
+    def pointed(rows, dim):
+        if not inside:
+            stray.append(rows)
+        return real_rays(rows, dim)
+
+    def entry(rows, dim):
+        inside.append(rows)
+        try:
+            gens, lin = real_entry(rows, dim)
+        finally:
+            inside.pop()
+        returned.extend(gens + lin)
+        return gens, lin
+
+    def facets(poly):
+        facet_runs.append(poly)
+        return real_facets(poly)
+
+    monkeypatch.setattr(polyhedron, "_pointed_cone_rays", pointed)
+    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", facets)
+    for module in (polyhedron, norm_module, compactness):
+        monkeypatch.setattr(module, "cone_from_rows", entry)
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        verify_theorems(inst, decide_compact(inst))
+    assert not stray, stray[:3]
+    assert facet_runs and returned
+    assert all(type(g) is tuple and all(type(a) is int for a in g) for g in returned)
+
+
 def test_a_handed_down_sum_is_not_taken_as_verified():
     """``Instance._sums`` saves building core + C, not checking it: with a
     wrong sum handed down the sandwich fails and the verdict is UNKNOWN,

@@ -29,18 +29,18 @@ from asymgeo.polyhedron import (
     minkowski_sum_with_cone,
     partial_is_empty,
     recession_cone,
-    relaxed_rows,
     set_equal,
     subset,
     support_value,
     to_partial,
 )
-from asymgeo.ratlp import dot, primitive, rank, rref, vneg, zero_vec
+from asymgeo.ratlp import as_vec, dot, primitive, rank, rref, vneg, zero_vec
 
 from support import (
     interval,
     rand_fraction,
     rand_point,
+    ref_invert,
     ref_meets_face,
     ref_member,
     ref_support_value,
@@ -166,9 +166,18 @@ def test_extreme_points_with_lineality_is_empty():
     assert extreme_points(line) == ()
 
 
+def _ref_canonical_rays(rays, dim):
+    """Reference: the distinct primitive nonzero directions, sorted."""
+    return tuple(sorted({primitive(as_vec(r)) for r in rays} - {zero_vec(dim)}))
+
+
 def test_extreme_rays_examples():
     quad = Polyhedron(2, [(0, 0)], [(-1, 0), (0, -1)])
     assert set(extreme_rays(quad)) == {(-1, 0), (0, -1)}
+    rays = [(F(-1, 2), 0), (-3, 0), (0, 0), (F(2, 3), F(-4, 3)), (1, -2)]
+    scaled = Polyhedron(2, [(0, 0)], rays)
+    assert scaled.rays == ((-1, 0), (1, -2)) == _ref_canonical_rays(rays, 2)
+    assert Cone(2, rays).generators == scaled.rays
     box = Polyhedron(2, [(0, 0), (1, 1)])
     assert extreme_rays(box) == ()
     fan = Polyhedron(2, [(0, 0)], [(-1, 0), (0, -1), (-1, -1)])
@@ -399,18 +408,40 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         assert set(gens) == _brute_cone_rays(rows, 4)
 
 
+def test_h_to_v_takes_int_and_rational_rows_alike():
+    """The same rows as ints and as ``Fraction``s give the same vertices,
+    rays and integer rows (or both None)."""
+    rng = random.Random(23)
+    kinds = {"empty": 0, "polytope": 0, "rays": 0}
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        ints = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 4))
+                for _ in range(rng.randint(1, 7))]
+        fracs = [(tuple(map(F, c)), F(b)) for c, b in ints]
+        got, expected = dd_convert_h_to_v(ints, d), dd_convert_h_to_v(fracs, d)
+        if expected is None:
+            assert got is None
+            kinds["empty"] += 1
+            continue
+        assert got.vertices == expected.vertices and got.rays == expected.rays
+        assert got._rows == expected._rows
+        assert all(type(a) is int for c, b in got._rows for a in (*c, b))
+        kinds["rays" if got.rays else "polytope"] += 1
+    assert min(kinds.values()) >= 15, kinds
+
+
 def _brute_vertices(rows, dim):
     """Independent oracle: vertices are the feasible basic solutions, i.e.
     unique solutions of full-rank row subsets that satisfy every row."""
     from itertools import combinations
-    from asymgeo.ratlp import invert, rank as _rank
+    from asymgeo.ratlp import rank as _rank
 
     out = set()
     for sub in combinations(range(len(rows)), dim):
         mat = [rows[i][0] for i in sub]
         if _rank(mat) != dim:
             continue
-        inv = invert(mat)
+        inv = ref_invert(mat)
         x = tuple(sum(inv[i][j] * rows[sub[j]][1] for j in range(dim))
                   for i in range(dim))
         if all(dot(c, x) <= b for c, b in rows):
@@ -515,7 +546,7 @@ def test_closure_emptiness_agrees_with_margin_lp():
     for _ in range(300):
         k = _random_half_open_region(rng, rng.randint(1, 3))
         assert (closure(k) is None) == partial_is_empty(k), k
-        if dd_convert_h_to_v(relaxed_rows(k), k.dim) is None:
+        if dd_convert_h_to_v([(c.normal, c.rhs) for c in k.constraints], k.dim) is None:
             empty_relaxation += 1
         elif closure(k) is None:
             empty_region_only += 1
@@ -632,6 +663,7 @@ def test_v_to_h_rows_are_facets():
             if rng.random() < 0.4:
                 rays.append(vneg(rays[0]))
         p = Polyhedron(d, verts, rays)
+        assert p.rays == _ref_canonical_rays(rays, d)
         gen_rows = [v + (F(1),) for v in p.vertices] + [r + (F(0),) for r in p.rays]
         cone_dim = rank(gen_rows)
         rows = set(p.hrep)
@@ -785,6 +817,7 @@ def test_minkowski_shortcut_returns_the_union_value():
             if all(a == 0 for a in lineality[0]):
                 lineality = ()
         cone = Cone(d, gens, lineality)
+        assert cone.generators == _ref_canonical_rays(gens, d)
         if n % 4 == 2:
             poly.hrep  # facets of a closure known before the sum
         total = Polyhedron(d, poly.vertices, poly.rays + cone.generators

@@ -17,7 +17,6 @@ from asymgeo.ratlp import (
     LpStatus,
     dot,
     feasible_nonneg,
-    invert,
     lp_solve,
     null_space_basis,
     primitive,
@@ -30,7 +29,6 @@ from support import (
     rand_fraction,
     rand_point,
     ref_feasible_nonneg,
-    ref_invert,
     ref_lp_solve,
     ref_null_space_basis,
     ref_rank,
@@ -93,22 +91,10 @@ def test_rank_rational_rows():
 
 
 def test_invert_and_null_space():
-    inv = invert([(2, 0), (0, 4)])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
     basis = null_space_basis([(1, 1, 0)], 3)
     assert len(basis) == 2
     for b in basis:
         assert dot((1, 1, 0), b) == 0
-
-
-def test_invert_rejects_singular_and_non_square():
-    with pytest.raises(ValueError):
-        invert([(1, 2), (2, 4)])
-    with pytest.raises(ValueError):
-        invert([(0, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError):
-        invert([(1, 0, 0), (0, 1, 0)])
-    assert invert([]) == []
 
 
 def test_rank_and_rref_reject_ragged_rows():
@@ -272,26 +258,6 @@ def test_elimination_matches_fraction_reference():
         assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
         deficient += ref_rank(mat) < min(m, n)
     assert deficient > 300
-
-
-def test_invert_matches_fraction_reference():
-    """Square matrices in both row orders, so each nonzero determinant shows up with both signs."""
-    rng = random.Random(29)
-    signs = {1: 0, -1: 0, 0: 0}
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        mat = _rand_matrix(rng, n, n)
-        for rows in (mat, mat[1:2] + mat[:1] + mat[2:]):
-            det = _det(rows)
-            signs[(det > 0) - (det < 0)] += 1
-            if det == 0:
-                with pytest.raises(ValueError):
-                    ref_invert(rows)
-                with pytest.raises(ValueError):
-                    invert(rows)
-            else:
-                assert invert(rows) == ref_invert(rows), rows
-    assert min(signs.values()) > 100, signs
 
 
 def _rand_lp(rng: random.Random):
