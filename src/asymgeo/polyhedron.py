@@ -6,15 +6,19 @@ per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
 closure, the facets, the degeneracy cone and the local tangent-cone test
-all pass through it), and every predicate (membership,
-inclusion, extremality, closedness) reduces to exact support-function
-scans and to incidence against an H-representation, memoized on the value
-together with the line test; emptiness is read off the closure's
-generators.  The incidence predicates (extreme points and rays, lines, the
-recession cone's lineality) read ``Polyhedron._rows``, any integer
-inequality description of the set: a closure keeps the rows it was
-converted from, so they run without a vertex-to-facet conversion, and the
-facets (``hrep``) are computed only where they are needed.  The predicates
+all pass through it; a pointed cone costs one elimination), and every
+predicate (membership, inclusion, extremality, closedness) reduces to
+exact support-function scans and to incidence against an
+H-representation; emptiness is read off the closure's generators.  The
+incidence predicates (extreme points and rays, lines, the recession cone's
+lineality) read ``Polyhedron._rows``, any integer inequality description
+of the set, as one bitmask of tight rows per generator, and run no
+elimination: a generator is extreme iff no other one is tight on all its
+rows, and a line lies in the set iff some ray is tight on every row.  A
+closure keeps the rows it was converted from, so they run without a
+vertex-to-facet conversion, and the facets (``hrep``) are computed only
+where they are needed.  The ray masks and the line test are memoized on
+the value, and the conversions seed the line test.  The predicates
 run on int copies memoized on each value (a vertex v as (y, t), t > 0 and
 v = y / t; each row (c, b) scaled jointly), so <c, v> <= b is
 <c, y> <= b * t; only public results are ``Fraction``s.  The LP membership
@@ -48,7 +52,6 @@ from asymgeo.ratlp import (
     lp_solve,
     null_space_basis,
     primitive,
-    rank,
     rat,
     rref,
     vneg,
@@ -161,8 +164,8 @@ class Polyhedron:
         """An integer inequality description (c, b) of the set, read by the
         incidence predicates: ``_int_hrep`` unless ``dd_convert_h_to_v`` seeded
         it with the rows it converted.  Those may hold duplicate, rescaled,
-        redundant or zero rows; every rank the predicates take is exact on any
-        inequality description of the set."""
+        redundant or zero rows; incidence decides the same on any inequality
+        description of the set."""
         return self._int_hrep
 
     @cached_property
@@ -176,8 +179,20 @@ class Polyhedron:
         return tuple([_ints(r) for r in self.rays])
 
     @cached_property
+    def _ray_masks(self) -> tuple[int, ...]:
+        """Per ray, the ``_rows`` its direction is tight on (``_tight_masks``);
+        a polytope reads no row."""
+        return _tight_masks(self._rows, [(r, 0) for r in self._int_rays]) if self.rays else ()
+
+    @cached_property
     def _has_line(self) -> bool:
-        return _tight_rank(self, (0,) * self.dim, 0) < self.dim
+        """Is some ray orthogonal to every ``_rows`` normal?
+
+        Their intersection is the lineality space of the recession cone, a
+        face of cone(rays), so a ray lies in it unless it is {0}.  A polytope
+        reads no row, and ``dd_convert_h_to_v`` and ``minkowski_sum_with_cone``
+        seed the answer they already know."""
+        return bool(self.rays) and (1 << len(self._rows)) - 1 in self._ray_masks
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
@@ -204,7 +219,7 @@ def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[tuple[int, ...]]]:
     """Extreme rays of the pointed cone {x : <row, x> <= 0 for all rows}.
 
     Classic double description over Python ints: start from a simplicial
@@ -215,8 +230,9 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     parents are, plus on the new row.  Two rays are adjacent iff they share
     at least dim - 2 tight rows and no third ray is tight on all of those
     (the combinatorial test, valid because the ray set stays minimal).
-    Requires the rows of ``_prepare_rows``, of rank dim; returns primitive
-    int tuples.
+    Requires the rows of ``_prepare_rows``; returns primitive int tuples, or
+    None when the rows have rank below dim (the cone has lineality), which
+    the elimination that picks the base finds out first.
     """
     # One elimination of [rows^T | I] picks the lexicographically first
     # independent rows (the pivot columns) and leaves det * B^-1 transposed
@@ -227,7 +243,7 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     work, base_idx, _ = _reduce([[row[t] for row in rows] + [int(t == k) for k in range(dim)]
                                  for t in range(dim)], m)
     if len(base_idx) < dim:
-        raise ValueError("cone is not pointed (row rank below dimension)")
+        return None
     rays = []
     for w in work:
         g = gcd(*w[m:])
@@ -268,22 +284,26 @@ def cone_from_rows(rows: Sequence[Sequence],
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
 
     The one entry to the double description: int or rational rows in,
-    primitive int tuples out, the generators sorted.  Lineality (the null
-    space of the rows) is split off first; the pointed part is computed in
-    the orthogonal complement and mapped back.
+    primitive int tuples out, the generators sorted.  A pointed cone takes
+    one elimination, the one ``_pointed_cone_rays`` picks its base with.
+    Only when that finds the rank below dim is the lineality (the null space
+    of the rows) split off; the pointed part is then computed in the
+    orthogonal complement and mapped back.
     """
     prepared = _prepare_rows(rows)
-    if not prepared:
-        return (), tuple([tuple([int(j == i) for j in range(dim)]) for i in range(dim)])
+    rays = _pointed_cone_rays(prepared, dim)
+    if rays is not None:
+        return tuple(rays), ()
     lin = tuple([_ints(l) for l in null_space_basis(prepared, dim)])
-    if not lin:
-        return tuple(_pointed_cone_rays(prepared, dim)), ()
     comp = [_ints(w) for w in null_space_basis(lin, dim)]
     proj = _prepare_rows([tuple(sum(map(mul, h, w)) for w in comp) for h in prepared])
     if not proj:
         return (), lin
+    rays = _pointed_cone_rays(proj, len(comp))
+    if rays is None:
+        raise InternalInvariantError("the rows span the complement of their null space")
     back = []
-    for y in _pointed_cone_rays(proj, len(comp)):
+    for y in rays:
         x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
         g = gcd(*x)
         back.append(tuple(a // g for a in x))
@@ -298,7 +318,8 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     recession directions, and lineality comes back as opposite ray pairs.
     Rows may be int or rational; each vertex becomes a ``Fraction`` once.
     The result's ``_rows`` are the given rows as ints, so its incidence
-    predicates run without a vertex-to-facet conversion.
+    predicates run without a vertex-to-facet conversion, and it contains a
+    line iff the homogenization cone has lineality.
     """
     cleared = [_clear((*c, b))[1] for c, b in hrep]
     rows = [(*r[:-1], -r[-1]) for r in cleared]
@@ -320,6 +341,7 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
         return None
     poly = Polyhedron(dim, tuple(verts), tuple(raydirs))
     object.__setattr__(poly, "_rows", tuple([(tuple(r[:-1]), r[-1]) for r in cleared]))
+    object.__setattr__(poly, "_has_line", bool(lin))
     return poly
 
 
@@ -353,10 +375,12 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
-    Its closure is ``poly`` itself, so converting back costs nothing.
+    Its closure is ``poly`` itself, so converting back costs nothing, and
+    its int rows are ``poly``'s int facets.
     """
     part = PartialPolyhedron(poly.dim, tuple(Constraint(c, b, False) for c, b in poly.hrep))
     object.__setattr__(part, "_closure", poly)
+    object.__setattr__(part, "_int_rows", tuple([(c, b, False) for c, b in poly._int_hrep]))
     return part
 
 
@@ -544,23 +568,37 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
     return feasible_nonneg(rows, list(x) + [Fraction(1)])
 
 
-def _tight_rank(poly: Polyhedron, y: Sequence[int], t: int) -> int:
-    """Rank of the ``_rows`` normals c with <c, y> = b * t, all ints: the rows
-    tight at the point y / t (t > 0), or orthogonal to the direction y (t = 0).
-    """
-    return rank([c for c, b in poly._rows if sum(map(mul, c, y)) == b * t])
+def _tight_masks(rows: Sequence[tuple[Sequence[int], int]],
+                 gens: Sequence[tuple[Sequence[int], int]]) -> tuple[int, ...]:
+    """Incidence as bitmasks: per generator (y, t), bit i is set iff row i
+    (c, b) is tight on it, <c, y> = b * t (the point y / t for t > 0, the
+    direction y for t = 0)."""
+    masks = []
+    for y, t in gens:
+        mask = 0
+        for i, (c, b) in enumerate(rows):
+            if sum(map(mul, c, y)) == b * t:
+                mask |= 1 << i
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
+    """Per mask, whether no other mask and no rival holds all of its bits."""
+    pool = (*masks, *rivals)
+    return [not any(m & a == a for j, m in enumerate(pool) if j != k) for k, a in enumerate(masks)]
 
 
 def recession_cone(poly: Polyhedron) -> Cone:
     """cone(rays) of the polyhedron, with an explicit lineality basis.
 
-    The rays orthogonal to every ``_rows`` normal span the lineality; a
-    polytope's cone is {0}, and no rows are needed.
+    The rays tight on every ``_rows`` row span the lineality; a polytope's
+    cone is {0}, and no rows are needed.
     """
     if not poly.rays:
         return Cone(poly.dim, ())
-    lin_members = [r for r, y in zip(poly.rays, poly._int_rays)
-                   if not any(sum(map(mul, c, y)) for c, _ in poly._rows)]
+    full = (1 << len(poly._rows)) - 1
+    lin_members = [r for r, m in zip(poly.rays, poly._ray_masks) if m == full]
     basis: list[Vec] = []
     if lin_members:
         basis = [primitive(tuple(row)) for row in rref(lin_members)[0]]
@@ -568,28 +606,36 @@ def recession_cone(poly: Polyhedron) -> Cone:
 
 
 def contains_line(poly: Polyhedron) -> bool:
-    """A line lies in the set iff the ``_rows`` normals have rank below dim.
-
-    Memoized on the value, as ``_rows`` is."""
+    """A line lies in the set iff some ray is orthogonal to every ``_rows``
+    normal; no elimination runs.  Memoized on the value, as ``_rows`` is."""
     return poly._has_line
 
 
 def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
-    """The extreme points of the polyhedron: the listed vertices whose tight
-    ``_rows`` have rank dim.  A set containing a line has none."""
-    return tuple(v for v, (y, t) in zip(poly.vertices, poly._int_verts) if _tight_rank(poly, y, t) == poly.dim)
+    """The extreme points of the polyhedron, read off incidence.
+
+    The listed vertices (v, 1) and rays (r, 0) generate the homogenization
+    cone {(x, t) : <c, x> <= b t for the ``_rows`` (c, b), t >= 0}, so a
+    vertex is extreme iff no other vertex and no ray is tight on every row
+    it is tight on (rays are tight on t >= 0, vertices never, so that row
+    is left out).  This holds on any inequality description of the set,
+    redundant rows included.  A set containing a line has none: a ray in the
+    lineality is tight on every row.
+    """
+    masks = _tight_masks(poly._rows, poly._int_verts)
+    return tuple(v for v, keep in zip(poly.vertices, _maximal(masks, poly._ray_masks)) if keep)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
-    """Extreme ray directions of the recession cone, line-free sets only: the
-    listed rays whose orthogonal ``_rows`` have rank dim - 1.
+    """Extreme ray directions of the recession cone, line-free sets only: a
+    listed ray is extreme iff no other ray is tight on every ``_rows`` row it
+    is tight on (as in ``extreme_points``).
 
     Directions are normalized so the first nonzero coordinate is +-1.
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    return tuple(sorted(_first_nonzero_unit(r) for r, y in zip(poly.rays, poly._int_rays)
-                        if _tight_rank(poly, y, 0) == poly.dim - 1))
+    return tuple(sorted(_first_nonzero_unit(r) for r, keep in zip(poly.rays, _maximal(poly._ray_masks)) if keep))
 
 
 def _first_nonzero_unit(r: Vec) -> Vec:
@@ -601,12 +647,13 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     """poly + cone in generator form.
 
     Without a line the sum keeps only its extreme points and extreme rays,
-    and it shares the rows of the generator union (``_rows``, and ``hrep``
-    once computed), so the incidence run that decided extremality also
-    serves every later use of the sum.  A pointed cone whose generators are
-    all rays of ``poly`` adds nothing: the union is ``poly`` itself, and no
-    new value (and no vertex-to-facet conversion) is made for it.  With a
-    line there are no extreme points, and the union is returned as is.
+    both read off the incidence bitmasks of the generator union, the rays
+    handed over as ints.  It shares the union's rows (``_rows``, and
+    ``hrep`` once computed), so they serve every later use of the sum, and
+    it is known to be line-free.  A pointed cone whose generators are all
+    rays of ``poly`` adds nothing: the union is ``poly`` itself, and no new
+    value (and no vertex-to-facet conversion) is made for it.  With a line
+    there are no extreme points, and the union is returned as is.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
@@ -620,8 +667,10 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
         total = Polyhedron(poly.dim, poly.vertices, tuple(rays))
     if contains_line(total):
         return total
-    out = Polyhedron(poly.dim, extreme_points(total), extreme_rays(total))
+    rays = [r for r, keep in zip(total._int_rays, _maximal(total._ray_masks)) if keep]
+    out = Polyhedron(poly.dim, extreme_points(total), tuple(rays))
     object.__setattr__(out, "_rows", total._rows)
+    object.__setattr__(out, "_has_line", False)
     if "hrep" in total.__dict__:
         object.__setattr__(out, "hrep", total.hrep)
     return out

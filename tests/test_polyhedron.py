@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymgeo import polyhedron
+from asymgeo import polyhedron, ratlp
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -34,7 +35,7 @@ from asymgeo.polyhedron import (
     support_value,
     to_partial,
 )
-from asymgeo.ratlp import as_vec, dot, primitive, rank, rref, vneg, zero_vec
+from asymgeo.ratlp import as_vec, dot, null_space_basis, primitive, rank, rref, vneg, zero_vec
 
 from support import (
     interval,
@@ -43,6 +44,7 @@ from support import (
     ref_invert,
     ref_meets_face,
     ref_member,
+    ref_rank,
     ref_support_value,
 )
 
@@ -680,40 +682,74 @@ def test_vertexless_polyhedron_rejected():
 
 
 def test_line_test_is_memoized_on_the_value(monkeypatch):
-    """contains_line runs one elimination per value; extreme_rays and
-    minkowski_sum_with_cone then spend one per listed ray or vertex and none
-    on the line."""
-    calls = []
-    real_rank = polyhedron.rank
+    """Lines and extremality are read off incidence bitmasks: contains_line,
+    extreme_points, extreme_rays and minkowski_sum_with_cone run no
+    elimination outside the double descriptions that make their rows, and
+    the line test is memoized on the value.  A polytope answers it without
+    reading a row, and a closure and a pruned sum carry the answer their
+    construction found."""
+    real_reduce, real_entry = ratlp._reduce, polyhedron.cone_from_rows
+    inside, stray = [], []
 
-    def counting_rank(rows):
-        calls.append(len(rows))
-        return real_rank(rows)
+    def entry(rows, dim):
+        inside.append(rows)
+        try:
+            return real_entry(rows, dim)
+        finally:
+            inside.pop()
 
-    def forbidden_rank(rows):
-        raise AssertionError("an elimination ran again")
+    def counting(rows, ncols=None):
+        if not inside:
+            stray.append(rows)
+        return real_reduce(rows, ncols)
+
+    monkeypatch.setattr(polyhedron, "cone_from_rows", entry)
+    for module in (ratlp, polyhedron):
+        monkeypatch.setattr(module, "_reduce", counting)
 
     poly = Polyhedron(3, [(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)])
-    assert poly.hrep
-    monkeypatch.setattr(polyhedron, "rank", counting_rank)
-    assert not contains_line(poly)
-    assert len(calls) == 1
+    assert not contains_line(poly) and "_has_line" in poly.__dict__
     assert len(extreme_rays(poly)) == 3
-    assert len(calls) == 1 + len(poly.rays)
-    monkeypatch.setattr(polyhedron, "rank", forbidden_rank)
-    assert not contains_line(poly)
-    box = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    monkeypatch.setattr(polyhedron, "rank", counting_rank)
-    assert extreme_rays(box) == ()
-    monkeypatch.setattr(polyhedron, "rank", forbidden_rank)
-    assert extreme_rays(box) == ()
-    assert not contains_line(box)
+    assert extreme_points(poly) == ((0, 0, 0),)
 
-    monkeypatch.setattr(polyhedron, "rank", counting_rank)
-    calls.clear()
+    box = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert not contains_line(box) and extreme_rays(box) == ()
+    assert "_rows" not in box.__dict__
+    assert len(extreme_points(box)) == 4
+
+    strip = closure(region(2, ((1, 0), 1, False), ((-1, 0), 1, False), ((2, 0), 5, True)))
+    hull = closure(region(2, ((-1, 0), 0, True), ((0, -1), 0, False), ((-1, -1), 1, False)))
+    assert contains_line(strip) and not contains_line(hull)
+    assert {"_ray_masks", "hrep"}.isdisjoint(strip.__dict__) and {"_ray_masks", "hrep"}.isdisjoint(hull.__dict__)
+    assert extreme_points(strip) == () and extreme_points(hull) == ((0, 0),)
+
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
     assert out == Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)])
-    assert len(calls) == 1 + 2 + 2  # the line, then each vertex and each ray of the union
+    assert out.__dict__["_has_line"] is False
+    assert minkowski_sum_with_cone(hull, Cone(2, ((1, 0),))) == hull
+    assert contains_line(_line_from_pointed())
+    assert not stray, stray
+
+
+def _with_redundant_rows(rng: random.Random, poly: Polyhedron):
+    """The facets of ``poly`` (or ``0 <= 0`` when it is the whole space) with
+    duplicate, positively rescaled, implied and ``0 <= 1`` rows added,
+    shuffled: another inequality description of the same set."""
+    d = poly.dim
+    base = list(poly.hrep) or [(zero_vec(d), F(0))]
+    rows = list(base)
+    for _ in range(rng.randint(1, 4)):
+        (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
+        s = F(rng.randint(1, 5), rng.randint(1, 3))
+        rows += [
+            (c1, b1),                                             # duplicate
+            (tuple(s * a for a in c1), s * b1),                   # positive rescaling
+            (tuple(a + b for a, b in zip(c1, c2)), b1 + b2),      # implied by two rows
+            (c2, b2 + F(rng.randint(0, 3))),                      # implied, maybe slack
+        ]
+    rows.append((zero_vec(d), F(1)))                              # 0 <= 1
+    rng.shuffle(rows)
+    return rows
 
 
 def test_seeded_rows_answer_as_the_facets_do():
@@ -728,19 +764,7 @@ def test_seeded_rows_answer_as_the_facets_do():
         rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
         if rays and rng.random() < 0.4:
             rays.append(vneg(rays[0]))
-        base = list(Polyhedron(d, verts, rays).hrep) or [(zero_vec(d), F(0))]
-        rows = list(base)
-        for _ in range(rng.randint(1, 4)):
-            (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
-            s = F(rng.randint(1, 5), rng.randint(1, 3))
-            rows += [
-                (c1, b1),                                             # duplicate
-                (tuple(s * a for a in c1), s * b1),                   # positive rescaling
-                (tuple(a + b for a, b in zip(c1, c2)), b1 + b2),      # implied by two rows
-                (c2, b2 + F(rng.randint(0, 3))),                      # implied, maybe slack
-            ]
-        rows.append((zero_vec(d), F(1)))                              # 0 <= 1
-        rng.shuffle(rows)
+        rows = _with_redundant_rows(rng, Polyhedron(d, verts, rays))
         hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
         assert len(hull._rows) == len(rows)
         facets = Polyhedron(d, hull.vertices, hull.rays)
@@ -758,6 +782,101 @@ def test_seeded_rows_answer_as_the_facets_do():
         assert hull.hrep == facets.hrep
         kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_incidence_extremality_matches_lp_reference():
+    """Extreme points, extreme rays and lines read off incidence bitmasks
+    equal the LP reference at d = 1..4, on closures whose rows repeat,
+    rescale, imply or trivially hold, and on the same sets listed with
+    redundant points and rays next to those rows: a vertex is extreme iff
+    the other vertices and the rays do not generate it, a ray iff the other
+    rays do not, and a line lies in the set iff the rays generate the
+    opposite of one of them.  The line test a closure comes with equals
+    rank(normals) < dim."""
+    rng = random.Random(101)
+    kinds = {"polytope": 0, "rays": 0, "line": 0}
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, 5))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 3))]
+        if rays and rng.random() < 0.3:
+            rays.append(vneg(rays[0]))
+        rows = _with_redundant_rows(rng, Polyhedron(d, verts, rays))
+        hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
+        assert hull.__dict__["_has_line"] == (ref_rank([c for c, _ in rows]) < d)
+        pts, rds = list(hull.vertices), list(hull.rays)
+        if len(pts) >= 2:
+            pts.append(tuple((a + b) / 2 for a, b in zip(pts[0], pts[1])))
+        if rds:
+            pts.append(tuple(a + b for a, b in zip(pts[0], rds[0])))
+            rds.append(tuple(a + b for a, b in zip(rds[0], rds[-1])))
+        padded = Polyhedron(d, pts, rds)
+        object.__setattr__(padded, "_rows", hull._rows)
+        for p in (hull, padded):
+            line = any(in_cone(vneg(r), p.rays) for r in p.rays)
+            assert contains_line(p) == line, p
+            assert extreme_points(p) == (() if line else tuple(
+                v for v in p.vertices if not in_conv_plus_cone(v, [w for w in p.vertices if w != v], p.rays))), p
+            if line:
+                with pytest.raises(LinealityPresentError):
+                    extreme_rays(p)
+            else:
+                assert extreme_rays(p) == tuple(sorted(
+                    _unit(r) for r in p.rays if not in_cone(r, [s for s in p.rays if s != r]))), p
+        kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
+    assert min(kinds.values()) >= 15, kinds
+
+
+def _cone_from_rows_null_space_first(rows, dim):
+    """``cone_from_rows`` as it ran before the pointed double description
+    came first: the null space of the rows is split off before any DD."""
+    prepared = polyhedron._prepare_rows(rows)
+    if not prepared:
+        return (), tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
+    lin = tuple(tuple(int(a) for a in l) for l in null_space_basis(prepared, dim))
+    if not lin:
+        return tuple(polyhedron._pointed_cone_rays(prepared, dim)), ()
+    comp = [tuple(int(a) for a in w) for w in null_space_basis(lin, dim)]
+    proj = polyhedron._prepare_rows([tuple(sum(a * b for a, b in zip(h, w)) for w in comp) for h in prepared])
+    if not proj:
+        return (), lin
+    back = []
+    for y in polyhedron._pointed_cone_rays(proj, len(comp)):
+        x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
+        g = gcd(*x)
+        back.append(tuple(a // g for a in x))
+    return tuple(sorted(back)), lin
+
+
+def test_pointed_cones_take_no_null_space_elimination(monkeypatch):
+    """A pointed cone goes through ``cone_from_rows`` without a null-space
+    elimination (the pointed run finds the rank itself), and every row set
+    returns the ``(gens, lin)`` that splitting the null space off first
+    gives: 300 seeded int and rational row sets at d = 1..5, drawn from
+    subspaces of every rank, with zero rows and empty row sets."""
+    real = polyhedron.null_space_basis
+
+    def forbidden(*args):
+        raise AssertionError("a pointed cone split off its null space")
+
+    rng = random.Random(103)
+    kinds = {"pointed": 0, "lineality": 0, "lineality only": 0}
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        rank_bound = d if rng.random() < 0.5 else rng.randint(0, d - 1)
+        span = [rand_point(rng, d, span=2, max_den=1) for _ in range(rank_bound)]
+        rows = []
+        for _ in range(rng.randint(0, 2 * d + 2)):
+            coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in span]
+            rows.append(tuple(sum((a * v[t] for a, v in zip(coeffs, span)), F(0)) for t in range(d)))
+        if rng.random() < 0.5:
+            rows = [tuple(int(a * 6) for a in r) for r in rows]
+        expected = _cone_from_rows_null_space_first(rows, d)
+        pointed = bool(rows) and ref_rank(rows) == d
+        monkeypatch.setattr(polyhedron, "null_space_basis", forbidden if pointed else real)
+        assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
+        kinds["pointed" if pointed else "lineality" if expected[0] else "lineality only"] += 1
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_generator_inclusion_agrees_with_subset():
