@@ -156,11 +156,12 @@ def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 
 
 def center_candidate(inst: Instance) -> Polyhedron:
-    """The bounded polytope spanned by the saturated hull's extreme points."""
+    """The bounded polytope spanned by the saturated hull's extreme points,
+    built from the saturated hull's vertices and their int form as they are."""
     ext = saturation_extreme_points(inst)
     if not ext:
         raise EmptyExtremeSetError("the saturated hull has no extreme points")
-    return Polyhedron(inst.region.dim, ext, ())
+    return Polyhedron._of(inst.region.dim, ext, inst.saturated._int_verts, ())
 
 
 def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
@@ -242,22 +243,25 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
 def saturate_region(inst: Instance) -> PartialPolyhedron:
     """The half-open sum region + degeneracy cone as a partial polyhedron.
 
-    Rows come from the closed sum; a row is strict exactly when its optimal
-    face over the closure never meets the region, since a boundary point of
-    the sum decomposes as (face point of the closure) + (cone point).
+    Rows come from the closed sum's facets; a row is strict exactly when its
+    optimal face over the closure never meets the region, since a boundary
+    point of the sum decomposes as (face point of the closure) + (cone
+    point).  The strict flags are decided on the int facets ``_int_hrep``,
+    which are also the result's int rows (``PartialPolyhedron._of``).
     Without strict rows that is ``to_partial(inst.saturated)``, which comes
     with its closure already known.
     """
-    out = []
-    for (c, b), (ci, bi) in zip(inst.saturated.hrep, inst.saturated._int_hrep):
-        top = _support(inst.hull, ci)
-        if top is None or top[0] > bi * top[1]:
+    sat = inst.saturated
+    flags = []
+    for c, b in sat._int_hrep:
+        top = _support(inst.hull, c)
+        if top is None or top[0] > b * top[1]:
             raise InternalInvariantError("sum rows bound the closure")
-        strict = top[0] == bi * top[1] and not _meets_face(inst.region, inst.hull, ci, bi)
-        out.append(Constraint(c, b, strict))
-    if not any(c.strict for c in out):
-        return to_partial(inst.saturated)
-    return PartialPolyhedron(inst.region.dim, tuple(out))
+        flags.append(top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b))
+    if not any(flags):
+        return to_partial(sat)
+    return PartialPolyhedron._of(inst.region.dim, tuple([Constraint(c, b, s) for (c, b), s in zip(sat.hrep, flags)]),
+                                 tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
 
 
 # ---------------------------------------------------------------------------

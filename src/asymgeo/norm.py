@@ -55,7 +55,7 @@ class AsymNorm:
         gens, lin = cone_from_rows(self._int_functionals[1], self.dim)
         if lin:
             raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
-        return Cone(self.dim, gens)
+        return Cone._of(self.dim, gens)
 
 
 class Closedness(enum.Enum):

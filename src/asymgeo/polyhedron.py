@@ -16,15 +16,26 @@ of the set, as one bitmask of tight rows per generator, and run no
 elimination: a generator is extreme iff no other one is tight on all its
 rows, and a line lies in the set iff some ray is tight on every row.  A
 closure keeps the rows it was converted from, so they run without a
-vertex-to-facet conversion, and the facets (``hrep``) are computed only
-where they are needed.  The ray masks and the line test are memoized on
-the value, and the conversions seed the line test.  The predicates
-run on int copies memoized on each value (a vertex v as (y, t), t > 0 and
+vertex-to-facet conversion, and the facets are computed only where they
+are needed, as int rows first (``_int_hrep``, by ``_int_facets``); ``hrep``
+is their ``Fraction`` view.  The ray masks and the line test are memoized
+on the value, and the conversions seed the line test.  The predicates run
+on int copies memoized on each value (a vertex v as (y, t), t > 0 and
 v = y / t; each row (c, b) scaled jointly), so <c, v> <= b is
-<c, y> <= b * t; only public results are ``Fraction``s.  The LP membership
-tests (``in_cone``, ``in_conv_plus_cone``) stay only as an independent
-reference, and ``partial_is_empty`` serves callers that hold rows but no
-closure.
+<c, y> <= b * t; only public results are ``Fraction``s.
+
+Values come two ways.  The public constructors (``Polyhedron(...)``,
+``PartialPolyhedron(...)``, ``Cone(...)``) take any numbers, check them and
+canonicalize them.  The internal builders (the conversions, the Minkowski
+sum, ``to_partial``, ``recession_cone``, and in other modules the
+degeneracy cone, the center and the half-open sum) already hold canonical
+int data and hand it to each type's ``_of``, which takes it as given, sets
+the int views directly and builds the public ``Fraction`` attributes from
+them once.  Both make the same value: equal, with the same hash and repr.
+
+The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
+an independent reference, and ``partial_is_empty`` serves callers that
+hold rows but no closure.
 
 Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
 algorithms favour determinism and verifiability over asymptotics.
@@ -35,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -53,7 +65,6 @@ from asymgeo.ratlp import (
     null_space_basis,
     primitive,
     rat,
-    rref,
     vneg,
     vscale,
     zero_vec,
@@ -76,8 +87,11 @@ class Constraint(NamedTuple):
 class Cone:
     """Finitely generated cone, possibly with lineality.
 
-    ``lineality_basis`` spans the largest subspace contained in the cone;
-    generators are kept exactly as supplied (deduplicated and primitive).
+    ``lineality_basis`` spans the largest subspace contained in the cone.
+    The public constructor makes the generators primitive, deduplicated and
+    sorted (a zero generator is dropped, as a zero ray is) and each basis
+    vector primitive; a basis vector must have length ``dim`` and be
+    nonzero.  Internal builders hand over primitive int data through ``_of``.
     """
 
     dim: int
@@ -86,9 +100,31 @@ class Cone:
 
     def __post_init__(self):
         gens = _canonical_rays(self.generators, self.dim)
-        lin = tuple(primitive(as_vec(b)) for b in self.lineality_basis)
+        lin = []
+        for b in self.lineality_basis:
+            if len(b) != self.dim:
+                raise ValueError(f"lineality basis vector of length {len(b)} in dimension {self.dim}")
+            b = primitive(as_vec(b))
+            if not any(b):
+                raise ValueError("a lineality basis vector must be nonzero")
+            lin.append(b)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "lineality_basis", lin)
+        object.__setattr__(self, "lineality_basis", tuple(lin))
+
+    @classmethod
+    def _of(cls, dim: int, gens: tuple[tuple[int, ...], ...],
+            lin: tuple[tuple[int, ...], ...] = ()) -> Cone:
+        """The cone of trusted int data, taken as given: ``gens`` primitive,
+        deduplicated and sorted, ``lin`` primitive and nonzero."""
+        cone = object.__new__(cls)
+        vars(cone).update(dim=dim, generators=_fractions(gens), lineality_basis=_fractions(lin),
+                          _int_generators=gens)
+        return cone
+
+    @cached_property
+    def _int_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as ints (they are primitive integer data)."""
+        return tuple([_ints(g) for g in self.generators])
 
 
 @dataclass(frozen=True)
@@ -96,8 +132,10 @@ class PartialPolyhedron:
     """Intersection of closed and open half-spaces.
 
     Denotes {x : <c_j, x> < b_j for strict rows, <= b_j otherwise}.  Rows
-    are stored exactly as given; redundancy never changes the denoted set.
-    The closure is memoized on the value (``to_partial`` seeds it).
+    are stored as given, as ``Fraction``s; redundancy never changes the
+    denoted set.  The closure and the int rows ``_int_rows`` are memoized on
+    the value; ``to_partial`` and ``saturate_region`` build it through
+    ``_of`` with the int rows already known.
     """
 
     dim: int
@@ -112,6 +150,15 @@ class PartialPolyhedron:
             rows.append(Constraint(normal, rat(rhs), bool(strict)))
         object.__setattr__(self, "constraints", tuple(rows))
 
+    @classmethod
+    def _of(cls, dim: int, constraints: tuple[Constraint, ...],
+            int_rows: tuple[tuple[tuple[int, ...], int, bool], ...]) -> PartialPolyhedron:
+        """The region of trusted rows, taken as given: ``constraints`` of
+        ``Fraction`` normals and bounds, ``int_rows`` the same rows as ints."""
+        part = object.__new__(cls)
+        vars(part).update(dim=dim, constraints=constraints, _int_rows=int_rows)
+        return part
+
     @cached_property
     def _closure(self) -> Optional[Polyhedron]:
         poly = dd_convert_h_to_v([(c, b) for c, b, _ in self._int_rows], self.dim)
@@ -123,7 +170,7 @@ class PartialPolyhedron:
     def _int_rows(self) -> tuple[tuple[Sequence[int], int, bool], ...]:
         """The rows as ints (c, b, strict): each (c, b) scaled by one positive factor."""
         rows = [(_clear((*c, b))[1], strict) for c, b, strict in self.constraints]
-        return tuple([(row[:-1], row[-1], strict) for row, strict in rows])
+        return tuple([(tuple(row[:-1]), row[-1], strict) for row, strict in rows])
 
 
 @dataclass(frozen=True)
@@ -131,9 +178,11 @@ class Polyhedron:
     """Closed polyhedron conv(vertices) + cone(rays); never empty.
 
     Vertices are deduplicated and sorted; rays are reduced to primitive
-    integer direction vectors.  Lineality is represented by opposite ray
-    pairs.  The listed vertices need not all be extreme; ``extreme_points``
-    computes the true extreme set.
+    integer direction vectors, deduplicated and sorted.  Lineality is
+    represented by opposite ray pairs.  The listed vertices need not all be
+    extreme; ``extreme_points`` computes the true extreme set.  The int
+    views ``_int_verts`` and ``_int_rays`` are memoized on the value, and
+    internal builders set them directly through ``_of``.
     """
 
     dim: int
@@ -150,14 +199,28 @@ class Polyhedron:
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "rays", _canonical_rays(self.rays, self.dim))
 
+    @classmethod
+    def _of(cls, dim: int, vertices: tuple[Vec, ...], int_verts: tuple[tuple[tuple[int, ...], int], ...],
+            int_rays: tuple[tuple[int, ...], ...]) -> Polyhedron:
+        """The polyhedron of trusted data, taken as given: ``vertices``
+        nonempty, deduplicated and sorted, ``int_verts`` the same vertices as
+        ``_int_verts`` has them, in the same order, and ``int_rays`` primitive,
+        deduplicated and sorted int tuples."""
+        poly = object.__new__(cls)
+        vars(poly).update(dim=dim, vertices=vertices, rays=_fractions(int_rays),
+                          _int_verts=int_verts, _int_rays=int_rays)
+        return poly
+
     @cached_property
     def hrep(self) -> tuple[HRow, ...]:
-        return dd_convert_v_to_h(self)
+        """The facets (``dd_convert_v_to_h``): the ``Fraction`` view of ``_int_hrep``."""
+        return _fraction_rows(self._int_hrep)
 
     @cached_property
     def _int_hrep(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """``hrep`` as ints (its rows are primitive integer data)."""
-        return tuple([(_ints(c), b.numerator) for c, b in self.hrep])
+        """The facets as primitive int rows (c, b), sorted: the one
+        vertex-to-facet conversion of the value (``_int_facets``)."""
+        return _int_facets(self)
 
     @cached_property
     def _rows(self) -> tuple[tuple[Sequence[int], int], ...]:
@@ -171,7 +234,7 @@ class Polyhedron:
     @cached_property
     def _int_verts(self) -> tuple[tuple[Sequence[int], int], ...]:
         """The vertices as ints (y, t) with t > 0 and vertex = y / t."""
-        return tuple([(y, t) for t, y in map(_clear, self.vertices)])
+        return tuple([(tuple(y), t) for t, y in map(_clear, self.vertices)])
 
     @cached_property
     def _int_rays(self) -> tuple[tuple[int, ...], ...]:
@@ -199,7 +262,19 @@ def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     for r in rays:
         if len(r) != dim:
             raise ValueError(f"ray of length {len(r)} in dimension {dim}")
-    return tuple([as_vec(r) for r in _prepare_rows(rays)])
+    return _fractions(_prepare_rows(rays))
+
+
+def _fractions(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
+    """Int rows as the ``Fraction`` tuples of a public attribute, one
+    ``Fraction`` made per distinct entry."""
+    frac = {a: Fraction(a) for a in {a for r in rows for a in r}}
+    return tuple([tuple(map(frac.__getitem__, r)) for r in rows])
+
+
+def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...]:
+    """Int rows (c, b) as ``Fraction`` rows, as ``_fractions`` makes them."""
+    return tuple([(r[:-1], r[-1]) for r in _fractions([(*c, b) for c, b in rows])])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +354,12 @@ def _ints(v: Vec) -> tuple[int, ...]:
     return tuple(a.numerator for a in v)
 
 
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero int vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple([a // g for a in v])
+
+
 def cone_from_rows(rows: Sequence[Sequence],
                    dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
@@ -302,11 +383,7 @@ def cone_from_rows(rows: Sequence[Sequence],
     rays = _pointed_cone_rays(proj, len(comp))
     if rays is None:
         raise InternalInvariantError("the rows span the complement of their null space")
-    back = []
-    for y in rays:
-        x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
-        g = gcd(*x)
-        back.append(tuple(a // g for a in x))
+    back = [_primitive([sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]) for y in rays]
     return tuple(sorted(back)), lin
 
 
@@ -316,45 +393,55 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
-    Rows may be int or rational; each vertex becomes a ``Fraction`` once.
-    The result's ``_rows`` are the given rows as ints, so its incidence
-    predicates run without a vertex-to-facet conversion, and it contains a
-    line iff the homogenization cone has lineality.
+    Rows may be int or rational.  The value is built from the DD's int
+    output as it is (``Polyhedron._of``): a primitive generator (y, t) is
+    already the vertex's ``_int_verts`` entry, and each vertex becomes a
+    ``Fraction`` once.  The result's ``_rows`` are the given rows as ints, so
+    its incidence predicates run without a vertex-to-facet conversion, and
+    it contains a line iff the homogenization cone has lineality.
     """
     cleared = [_clear((*c, b))[1] for c, b in hrep]
     rows = [(*r[:-1], -r[-1]) for r in cleared]
     rows.append((0,) * dim + (-1,))
     gens, lin = cone_from_rows(rows, dim + 1)
     verts = []
-    raydirs = []
-    for *y, t in gens:
-        if t > 0:
-            verts.append(tuple([Fraction(a, t) for a in y]))
+    raydirs = set()
+    for g in gens:
+        if g[-1] > 0:
+            verts.append((tuple([Fraction(a, g[-1]) for a in g[:-1]]), (g[:-1], g[-1])))
         else:
-            raydirs.append(y)
+            raydirs.add(g[:-1])
     for l in lin:
         if l[-1] != 0:
             raise InternalInvariantError("homogenization lineality must be horizontal")
-        raydirs.append(l[:-1])
-        raydirs.append(vneg(l[:-1]))
+        raydirs.add(l[:-1])
+        raydirs.add(vneg(l[:-1]))
     if not verts:
         return None
-    poly = Polyhedron(dim, tuple(verts), tuple(raydirs))
-    object.__setattr__(poly, "_rows", tuple([(tuple(r[:-1]), r[-1]) for r in cleared]))
-    object.__setattr__(poly, "_has_line", bool(lin))
+    verts.sort(key=lambda pair: pair[0])
+    poly = Polyhedron._of(dim, tuple([v for v, _ in verts]), tuple([yt for _, yt in verts]),
+                          tuple(sorted(raydirs)))
+    vars(poly).update(_rows=tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), _has_line=bool(lin))
     return poly
 
 
 def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
-    """Inequality representation of a closed polyhedron.
+    """Inequality representation of a closed polyhedron: the rows of
+    ``_int_facets`` as ``Fraction``s, primitive integer data in sorted order.
+    Each call converts afresh; ``Polyhedron.hrep`` is the memoized view."""
+    return _fraction_rows(_int_facets(poly))
 
-    Dualizes the homogenization cone: its polar is described by the
-    generators as rows (the int vertices (y, t) as (y, t), the rays as
-    (r, 0)), so one more double description run yields the candidate rows.
-    The lineality of the polar comes back as opposite row pairs pinning the
-    affine hull; the rest are the polar's extreme rays, so facets, and only
-    ``t >= 0`` (zero normal) is dropped.  Both come out primitive, so the
-    rows are primitive integer data, in sorted order.
+
+def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facets of a closed polyhedron as int rows (c, b), <c, x> <= b.
+
+    Every vertex-to-facet conversion runs here.  Dualizes the homogenization
+    cone: its polar is described by the generators as rows (the int vertices
+    (y, t) as (y, t), the rays as (r, 0)), so one more double description run
+    yields the candidate rows.  The lineality of the polar comes back as
+    opposite row pairs pinning the affine hull; the rest are the polar's
+    extreme rays, so facets, and only ``t >= 0`` (zero normal) is dropped.
+    Both come out primitive, so the rows are primitive, in sorted order.
     """
     rows = [(*y, t) for y, t in poly._int_verts] + [(*r, 0) for r in poly._int_rays]
     gens, lin = cone_from_rows(rows, poly.dim + 1)
@@ -369,18 +456,19 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
             raise InternalInvariantError("affine-hull rows have nonzero normals")
         facets.add((tuple(c), -g))
         facets.add((tuple([-a for a in c]), g))
-    return tuple([(as_vec(c), Fraction(b)) for c, b in sorted(facets)])
+    return tuple(sorted(facets))
 
 
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
-    Its closure is ``poly`` itself, so converting back costs nothing, and
-    its int rows are ``poly``'s int facets.
+    Built from the facets as they are (``PartialPolyhedron._of``): its rows
+    are ``poly.hrep``, its int rows ``poly._int_hrep``, and its closure is
+    ``poly`` itself, so converting back costs nothing.
     """
-    part = PartialPolyhedron(poly.dim, tuple(Constraint(c, b, False) for c, b in poly.hrep))
-    object.__setattr__(part, "_closure", poly)
-    object.__setattr__(part, "_int_rows", tuple([(c, b, False) for c, b in poly._int_hrep]))
+    part = PartialPolyhedron._of(poly.dim, tuple([Constraint(c, b, False) for c, b in poly.hrep]),
+                                 tuple([(c, b, False) for c, b in poly._int_hrep]))
+    vars(part)["_closure"] = poly
     return part
 
 
@@ -592,17 +680,19 @@ def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
 def recession_cone(poly: Polyhedron) -> Cone:
     """cone(rays) of the polyhedron, with an explicit lineality basis.
 
-    The rays tight on every ``_rows`` row span the lineality; a polytope's
-    cone is {0}, and no rows are needed.
+    The rays tight on every ``_rows`` row span the lineality, and its basis
+    is their reduced row echelon form, each row made primitive; a polytope's
+    cone is {0}, and no rows are needed.  Built from the int rays as they are.
     """
     if not poly.rays:
-        return Cone(poly.dim, ())
+        return Cone._of(poly.dim, ())
     full = (1 << len(poly._rows)) - 1
-    lin_members = [r for r, m in zip(poly.rays, poly._ray_masks) if m == full]
-    basis: list[Vec] = []
+    lin_members = [r for r, m in zip(poly._int_rays, poly._ray_masks) if m == full]
+    basis = ()
     if lin_members:
-        basis = [primitive(tuple(row)) for row in rref(lin_members)[0]]
-    return Cone(poly.dim, poly.rays, tuple(basis))
+        work, pivots, _ = _reduce(lin_members)
+        basis = tuple([_primitive(row) for row in work[:len(pivots)]])
+    return Cone._of(poly.dim, poly._int_rays, basis)
 
 
 def contains_line(poly: Polyhedron) -> bool:
@@ -622,8 +712,12 @@ def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
     redundant rows included.  A set containing a line has none: a ray in the
     lineality is tight on every row.
     """
-    masks = _tight_masks(poly._rows, poly._int_verts)
-    return tuple(v for v, keep in zip(poly.vertices, _maximal(masks, poly._ray_masks)) if keep)
+    return tuple(compress(poly.vertices, _extreme_flags(poly)))
+
+
+def _extreme_flags(poly: Polyhedron) -> list[bool]:
+    """Per listed vertex, whether it is extreme (see ``extreme_points``)."""
+    return _maximal(_tight_masks(poly._rows, poly._int_verts), poly._ray_masks)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -646,31 +740,34 @@ def _first_nonzero_unit(r: Vec) -> Vec:
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     """poly + cone in generator form.
 
-    Without a line the sum keeps only its extreme points and extreme rays,
-    both read off the incidence bitmasks of the generator union, the rays
-    handed over as ints.  It shares the union's rows (``_rows``, and
-    ``hrep`` once computed), so they serve every later use of the sum, and
-    it is known to be line-free.  A pointed cone whose generators are all
-    rays of ``poly`` adds nothing: the union is ``poly`` itself, and no new
-    value (and no vertex-to-facet conversion) is made for it.  With a line
-    there are no extreme points, and the union is returned as is.
+    The union and the sum are built from int data (``Polyhedron._of``): the
+    union's rays are the int rays of ``poly``, the cone's generators and both
+    signs of its lineality basis, all primitive already.  Without a line the
+    sum keeps only its extreme points and extreme rays, both read off the
+    incidence bitmasks of the union.  It shares the union's rows (``_rows``,
+    and the facets ``_int_hrep`` once computed), so they serve every later
+    use of the sum, and it is known to be line-free.  A pointed cone whose
+    generators are all rays of ``poly`` adds nothing: the union is ``poly``
+    itself, and no new value (and no vertex-to-facet conversion) is made for
+    it.  With a line there are no extreme points, and the union is returned
+    as is.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
-    if not cone.lineality_basis and set(cone.generators) <= set(poly.rays):
+    if not cone.lineality_basis and set(cone._int_generators) <= set(poly._int_rays):
         total = poly
     else:
-        rays = list(poly.rays) + list(cone.generators)
-        for l in cone.lineality_basis:
-            rays.append(l)
-            rays.append(vneg(l))
-        total = Polyhedron(poly.dim, poly.vertices, tuple(rays))
+        rays = {*poly._int_rays, *cone._int_generators}
+        for l in map(_ints, cone.lineality_basis):
+            rays.add(l)
+            rays.add(vneg(l))
+        total = Polyhedron._of(poly.dim, poly.vertices, poly._int_verts, tuple(sorted(rays)))
     if contains_line(total):
         return total
-    rays = [r for r, keep in zip(total._int_rays, _maximal(total._ray_masks)) if keep]
-    out = Polyhedron(poly.dim, extreme_points(total), tuple(rays))
-    object.__setattr__(out, "_rows", total._rows)
-    object.__setattr__(out, "_has_line", False)
-    if "hrep" in total.__dict__:
-        object.__setattr__(out, "hrep", total.hrep)
+    keep = _extreme_flags(total)
+    out = Polyhedron._of(poly.dim, tuple(compress(total.vertices, keep)), tuple(compress(total._int_verts, keep)),
+                         tuple(compress(total._int_rays, _maximal(total._ray_masks))))
+    vars(out).update(_rows=total._rows, _has_line=False)
+    if "_int_hrep" in vars(total):
+        vars(out)["_int_hrep"] = total._int_hrep
     return out

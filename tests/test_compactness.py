@@ -28,9 +28,11 @@ from asymgeo.compactness import (
 from asymgeo import compactness, polyhedron, ratlp
 from asymgeo import norm as norm_module
 from asymgeo.cli.generators import gen_random_instance, gen_random_norm, gen_random_region
+from asymgeo.cli.instances import parse_instance, write_instance
 from asymgeo.cli.suite import reference_catalog
-from asymgeo.norm import Closedness, ball, gauge_eval, make_norm
+from asymgeo.norm import Closedness, ball, degeneracy_cone, gauge_eval, make_norm
 from asymgeo.polyhedron import (
+    Cone,
     Constraint,
     PartialPolyhedron,
     Polyhedron,
@@ -39,7 +41,10 @@ from asymgeo.polyhedron import (
     in_cone,
     in_conv_plus_cone,
     member,
+    minkowski_sum_with_cone,
+    recession_cone,
     set_equal,
+    to_partial,
 )
 from asymgeo.ratlp import vneg
 
@@ -142,8 +147,8 @@ def test_not_compact_verdict_runs_no_facet_dd(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a vertex-to-facet double description ran")
 
-    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", forbidden)
-    fresh = cases()
+    fresh = cases()  # the arc-hull entry is generated from vertices, by a facet DD
+    monkeypatch.setattr(polyhedron, "_int_facets", forbidden)
     kinds = set()
     for i in not_compact:
         inst = Instance.build(*fresh[i])
@@ -242,7 +247,7 @@ def test_compact_path_runs_at_most_two_facet_dds(monkeypatch):
     assert len(closed_balls) == 5
     cases += closed_balls
     calls = []
-    real = polyhedron.dd_convert_v_to_h
+    real = polyhedron._int_facets
 
     def counting(poly):
         calls.append(poly)
@@ -255,7 +260,7 @@ def test_compact_path_runs_at_most_two_facet_dds(monkeypatch):
         sandwiched.append(region)
         return real_sandwich(core, region, *rest)
 
-    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", counting)
+    monkeypatch.setattr(polyhedron, "_int_facets", counting)
     monkeypatch.setattr(compactness, "_sandwich", checking)
     runs = {}
     for i, (q, region) in enumerate(cases):
@@ -283,7 +288,7 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(30)]
     cases += _lattice_balls(8)
     real_rays, real_entry, real_facets = (polyhedron._pointed_cone_rays, polyhedron.cone_from_rows,
-                                          polyhedron.dd_convert_v_to_h)
+                                          polyhedron._int_facets)
     inside, stray, returned = [], [], []
     facet_runs = []
 
@@ -306,7 +311,7 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
         return real_facets(poly)
 
     monkeypatch.setattr(polyhedron, "_pointed_cone_rays", pointed)
-    monkeypatch.setattr(polyhedron, "dd_convert_v_to_h", facets)
+    monkeypatch.setattr(polyhedron, "_int_facets", facets)
     for module in (polyhedron, norm_module, compactness):
         monkeypatch.setattr(module, "cone_from_rows", entry)
     for q, region in cases:
@@ -315,6 +320,100 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     assert not stray, stray[:3]
     assert facet_runs and returned
     assert all(type(g) is tuple and all(type(a) is int for a in g) for g in returned)
+
+
+def _pipeline_cases():
+    """The reference catalog, 60 corpus seeds and eight d=4 lattice balls."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
+    return cases + _lattice_balls(8)
+
+
+def _shape(x):
+    """The types of a public attribute, nested as the attribute is."""
+    return (type(x), tuple(map(_shape, x))) if isinstance(x, tuple) else type(x)
+
+
+def _assert_public_value(value):
+    """``value`` is the value its public constructor makes from its public
+    attributes: equal, with the same hash, repr, attributes and attribute
+    types, and every memo seeded on it equals what that value computes."""
+    if isinstance(value, Polyhedron):
+        public = Polyhedron(value.dim, value.vertices, value.rays)
+        memos = ("_int_verts", "_int_rays", "_int_hrep", "_has_line")
+        assert value.hrep == public.hrep == polyhedron.dd_convert_v_to_h(public)
+    elif isinstance(value, PartialPolyhedron):
+        public = PartialPolyhedron(value.dim, value.constraints)
+        memos = ("_int_rows",)
+    else:
+        public = Cone(value.dim, value.generators, value.lineality_basis)
+        memos = ("_int_generators",)
+    assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
+    for name in public.__dataclass_fields__:
+        assert _shape(getattr(value, name)) == _shape(getattr(public, name)), name
+        assert getattr(value, name) == getattr(public, name), name
+    for name in memos:
+        if name in vars(value):
+            assert vars(value)[name] == getattr(public, name), name
+
+
+def test_internal_builders_make_the_public_values():
+    """Every value an internal builder makes from int data equals the one the
+    public constructor makes from its public attributes: the closure
+    (``dd_convert_h_to_v``), the union with a line and the pruned sum
+    (``minkowski_sum_with_cone``), ``to_partial``, ``saturate_region``, the
+    recession cones (with and without lineality) and the degeneracy cone,
+    the center and center + cone, over the catalog, 60 corpus seeds and d=4
+    lattice balls."""
+    kinds = {"line sum": 0, "pruned sum": 0, "strict rows": 0, "center": 0, "lineality": 0}
+    for q, region in _pipeline_cases():
+        inst = Instance.build(q, region)
+        d = q.dim
+        line_sum = minkowski_sum_with_cone(inst.hull, Cone(d, (), ((1,) + (0,) * (d - 1),)))
+        recs = [recession_cone(p) for p in (inst.hull, inst.saturated, line_sum)]
+        half_open_sum = saturate_region(inst)
+        values = [inst.hull, inst.degeneracy, degeneracy_cone(q), inst.saturated, line_sum, *recs,
+                  to_partial(inst.hull), to_partial(inst.saturated), half_open_sum]
+        kinds["lineality"] += sum(bool(rec.lineality_basis) for rec in recs[:2])
+        kinds["line sum" if contains_line(inst.saturated) else "pruned sum"] += 1
+        kinds["strict rows"] += any(c.strict for c in half_open_sum.constraints)
+        if saturation_extreme_points(inst):
+            core = center_candidate(inst)
+            values += [core, minkowski_sum_with_cone(core, inst.degeneracy)]
+            kinds["center"] += 1
+        for value in values:
+            _assert_public_value(value)
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_pipeline_runs_without_the_public_constructors(monkeypatch):
+    """Once the instances are parsed, build, decide and T1-T6 make every
+    value from trusted int data: with ``_canonical_rays`` and the
+    ``__post_init__`` of ``Polyhedron``, ``PartialPolyhedron`` and ``Cone``
+    made to raise, the catalog, 60 corpus seeds and d=4 lattice balls give
+    the certificates and reports they give without the patch."""
+    texts = [write_instance(q, region) for q, region in _pipeline_cases()]
+
+    def run(parsed):
+        out = []
+        for q, region in parsed:
+            inst = Instance.build(q, region)
+            cert = decide_compact(inst)
+            out.append((cert, verify_theorems(inst, cert)))
+        return out
+
+    expected = run([parse_instance(t) for t in texts])
+    parsed = [parse_instance(t) for t in texts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a public constructor ran on internal data")
+
+    monkeypatch.setattr(polyhedron, "_canonical_rays", forbidden)
+    for cls in (Polyhedron, PartialPolyhedron, Cone):
+        monkeypatch.setattr(cls, "__post_init__", forbidden)
+    assert run(parsed) == expected
+    verdicts = [cert.verdict for cert, _ in expected]
+    assert verdicts.count(Verdict.COMPACT) >= 20 and verdicts.count(Verdict.NOT_COMPACT) >= 20
 
 
 def test_a_handed_down_sum_is_not_taken_as_verified():

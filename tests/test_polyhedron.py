@@ -186,6 +186,21 @@ def test_extreme_rays_examples():
     assert set(extreme_rays(fan)) == {(-1, 0), (0, -1)}
 
 
+def test_cone_rejects_a_lineality_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Cone(2, (), ((1, 2, 3),))
+    with pytest.raises(ValueError):
+        Cone(2, (), ((1,),))
+
+
+def test_cone_rejects_a_zero_lineality_vector():
+    with pytest.raises(ValueError):
+        Cone(2, (), ((0, 0),))
+    with pytest.raises(ValueError):
+        Cone(2, ((1, 0),), ((0, 1), (F(0), F(0))))
+    assert Cone(2, (), ((0, F(-2, 3)),)).lineality_basis == ((0, -1),)
+
+
 def test_extreme_rays_reject_lineality():
     strip = dd_convert_h_to_v([hrow(1, 0, 1), hrow(-1, 0, 1)], 2)
     with pytest.raises(LinealityPresentError):
@@ -942,14 +957,14 @@ def test_minkowski_shortcut_returns_the_union_value():
         total = Polyhedron(d, poly.vertices, poly.rays + cone.generators
                            + cone.lineality_basis + tuple(vneg(l) for l in cone.lineality_basis))
         expected = total if contains_line(total) else Polyhedron(d, extreme_points(total), extreme_rays(total))
-        had_hrep = "hrep" in poly.__dict__
+        had_hrep = "_int_hrep" in poly.__dict__
         got = minkowski_sum_with_cone(poly, cone)
         shortcut = not cone.lineality_basis
         if shortcut and not contains_line(poly):
             assert got._rows is poly._rows
             # no facets are computed for the sum; a closure's rows serve,
             # and other values have computed theirs to read incidence
-            assert ("hrep" in got.__dict__) == ("hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
+            assert ("_int_hrep" in got.__dict__) == ("_int_hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
         elif shortcut:
             assert got is poly
         else:
