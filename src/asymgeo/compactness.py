@@ -158,10 +158,10 @@ def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 def center_candidate(inst: Instance) -> Polyhedron:
     """The bounded polytope spanned by the saturated hull's extreme points,
     built from the saturated hull's vertices and their int form as they are."""
-    ext = saturation_extreme_points(inst)
-    if not ext:
+    if not saturation_extreme_points(inst):
         raise EmptyExtremeSetError("the saturated hull has no extreme points")
-    return Polyhedron._of(inst.region.dim, ext, inst.saturated._int_verts, ())
+    sat = inst.saturated
+    return Polyhedron._of(inst.region.dim, sat.vertices, sat._int_verts, ())
 
 
 def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,

@@ -266,14 +266,12 @@ def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 
 
 def _fractions(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
-    """Int rows as the ``Fraction`` tuples of a public attribute, one
-    ``Fraction`` made per distinct entry."""
-    frac = {a: Fraction(a) for a in {a for r in rows for a in r}}
-    return tuple([tuple(map(frac.__getitem__, r)) for r in rows])
+    """Int rows as the ``Fraction`` tuples of a public attribute."""
+    return tuple([tuple(map(Fraction, r)) for r in rows])
 
 
 def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...]:
-    """Int rows (c, b) as ``Fraction`` rows, as ``_fractions`` makes them."""
+    """Int rows (c, b) as ``Fraction`` rows."""
     return tuple([(r[:-1], r[-1]) for r in _fractions([(*c, b) for c, b in rows])])
 
 
@@ -354,12 +352,6 @@ def _ints(v: Vec) -> tuple[int, ...]:
     return tuple(a.numerator for a in v)
 
 
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """A nonzero int vector divided by the gcd of its entries."""
-    g = gcd(*v)
-    return tuple([a // g for a in v])
-
-
 def cone_from_rows(rows: Sequence[Sequence],
                    dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
@@ -383,7 +375,11 @@ def cone_from_rows(rows: Sequence[Sequence],
     rays = _pointed_cone_rays(proj, len(comp))
     if rays is None:
         raise InternalInvariantError("the rows span the complement of their null space")
-    back = [_primitive([sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]) for y in rays]
+    back = []
+    for y in rays:
+        x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
+        g = gcd(*x)
+        back.append(tuple(a // g for a in x))
     return tuple(sorted(back)), lin
 
 
@@ -688,11 +684,13 @@ def recession_cone(poly: Polyhedron) -> Cone:
         return Cone._of(poly.dim, ())
     full = (1 << len(poly._rows)) - 1
     lin_members = [r for r, m in zip(poly._int_rays, poly._ray_masks) if m == full]
-    basis = ()
+    basis = []
     if lin_members:
         work, pivots, _ = _reduce(lin_members)
-        basis = tuple([_primitive(row) for row in work[:len(pivots)]])
-    return Cone._of(poly.dim, poly._int_rays, basis)
+        for row in work[:len(pivots)]:
+            g = gcd(*row)
+            basis.append(tuple(a // g for a in row))
+    return Cone._of(poly.dim, poly._int_rays, tuple(basis))
 
 
 def contains_line(poly: Polyhedron) -> bool:

@@ -465,7 +465,7 @@ def test_decide_compact_skips_the_hrep_of_a_bounded_hull():
         if inst.hull.rays:
             continue
         cert = decide_compact(inst)
-        assert "hrep" not in inst.hull.__dict__
+        assert "_int_hrep" not in inst.hull.__dict__
         assert inst.hull.hrep
         assert decide_compact(inst) == cert
         verdicts.append(cert.verdict)

@@ -735,7 +735,7 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     strip = closure(region(2, ((1, 0), 1, False), ((-1, 0), 1, False), ((2, 0), 5, True)))
     hull = closure(region(2, ((-1, 0), 0, True), ((0, -1), 0, False), ((-1, -1), 1, False)))
     assert contains_line(strip) and not contains_line(hull)
-    assert {"_ray_masks", "hrep"}.isdisjoint(strip.__dict__) and {"_ray_masks", "hrep"}.isdisjoint(hull.__dict__)
+    assert {"_ray_masks", "_int_hrep"}.isdisjoint(strip.__dict__) and {"_ray_masks", "_int_hrep"}.isdisjoint(hull.__dict__)
     assert extreme_points(strip) == () and extreme_points(hull) == ((0, 0),)
 
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
@@ -792,7 +792,7 @@ def test_seeded_rows_answer_as_the_facets_do():
                 extreme_rays(hull)
         else:
             assert extreme_rays(hull) == extreme_rays(facets)
-        assert "hrep" not in hull.__dict__
+        assert "_int_hrep" not in hull.__dict__
         assert hull._int_hrep == tuple((tuple(int(a) for a in c), int(b)) for c, b in hull.hrep)
         assert hull.hrep == facets.hrep
         kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
