@@ -20,7 +20,7 @@ from asymgeo.polyhedron import (
 )
 from asymgeo.ratlp import rank
 
-ONE_FLAVOR_DIM_LIMIT = 12  # 2^d - 1 one-norm functional rows; also the largest `gen --dim`
+ONE_FLAVOR_DIM_LIMIT = 12  # 2^d - 1 one-norm functional rows; also the largest `gen --dim` and parsed `dim`
 
 
 def gen_lattice_norm(dim: int, flavor: str) -> AsymNorm:

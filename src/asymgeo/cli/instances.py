@@ -3,7 +3,7 @@
 Grammar (one directive per line, ``#`` starts a comment):
 
     version 1
-    dim D
+    dim D                 # 1 <= D <= 12, the largest `gen --dim`
     F: a1 ... aD          # one gauge functional per line
     H: c1 ... cD REL b    # inequality row, REL in {<, <=}
     V: x1 ... xD          # or: generator form, vertices ...
@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
+from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.norm import AsymNorm, make_norm
 from asymgeo.polyhedron import (
     Constraint,
@@ -77,6 +78,8 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
                     or _parse_rational(parts[1], f"line {lineno}") < 1):
                 raise _fail(lineno, "expected 'dim <positive integer>'")
             dim = int(parts[1])
+            if dim > ONE_FLAVOR_DIM_LIMIT:
+                raise _fail(lineno, f"dim {dim} is above the limit {ONE_FLAVOR_DIM_LIMIT}")
             continue
         if ":" not in line:
             raise _fail(lineno, f"unknown directive {line.split()[0]!r}")

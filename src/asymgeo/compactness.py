@@ -51,6 +51,7 @@ from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
     Polyhedron,
+    _int_member,
     _meets_face,
     _support,
     _within,
@@ -115,7 +116,10 @@ class Instance:
     never builds it.  Two memos are not part of the value: ``_sums`` maps a
     core to core + cone computed elsewhere (T6 hands its nested instance
     the parent's), and ``_verified_sums`` maps each core whose sandwich
-    ``decide_compact`` verified on this instance to core + cone."""
+    ``decide_compact`` verified on this instance to core + cone.  Both are
+    keyed by the core's int generators ``(_int_verts, _int_rays)``, which
+    determine it, so a lookup hashes no ``Fraction``; a center handed to
+    ``verify_theorems`` may carry rays, and then matches no ray-free core."""
 
     norm: AsymNorm
     region: PartialPolyhedron
@@ -216,13 +220,14 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     if inst.degeneracy.lineality_basis:
         raise EmptyExtremeSetError("the saturated hull has no extreme points")
     for v, (y, t) in zip(inst.hull.vertices, inst.hull._int_verts):
-        if not member(inst.region, v) and _extreme_in_saturation(inst, y, t):
+        if not _int_member(inst.region, y, t) and _extreme_in_saturation(inst, y, t):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
     core = center_candidate(inst)
-    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(core))
+    key = core._int_verts, core._int_rays
+    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(key))
     if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
-    inst._verified_sums[core] = padded
+    inst._verified_sums[key] = padded
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
 
@@ -326,7 +331,9 @@ def verify_theorems(inst: Instance,
     if core is None:
         raise InternalInvariantError("a COMPACT certificate carries its center")
 
-    escaped = next((v for v in ext_sat if not member(inst.region, v)), None)
+    sat = inst.saturated
+    escaped = next((v for v, (y, t) in zip(sat.vertices, sat._int_verts)
+                    if not _int_member(inst.region, y, t)), None) if ext_sat else None
     claims.append(_claim("T1", escaped is None,
                          None if escaped is None else f"escaped extreme point {escaped}"))
 
@@ -334,8 +341,9 @@ def verify_theorems(inst: Instance,
     claims.append(_claim("T2", bool(own_ext), "no extreme point found"))
 
     # a center decide_compact did not verify on this instance is checked here
-    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
-    sat_partial = to_partial(inst.saturated)
+    key = core._int_verts, core._int_rays
+    padded = inst._verified_sums.get(key) or _sandwich(core, inst.region, inst.degeneracy)
+    sat_partial = to_partial(sat)
     t3 = padded is not None and set_equal(to_partial(padded), sat_partial)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))
 
@@ -348,7 +356,7 @@ def verify_theorems(inst: Instance,
 
     sum_inst = Instance.build(inst.norm, half_open_sum)
     if padded is not None:
-        sum_inst._sums[core] = padded  # core + C: the same core and cone
+        sum_inst._sums[key] = padded  # core + C: the same core and cone
     t6 = decide_compact(sum_inst).verdict is Verdict.COMPACT
     claims.append(_claim("T6", t6, "the saturated region is not judged compact"))
 

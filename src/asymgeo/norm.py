@@ -78,7 +78,7 @@ def make_norm(dim: int, functionals) -> AsymNorm:
     norm = AsymNorm(dim, tuple(functionals))
     if not norm.functionals:
         raise ValueError("at least one functional is required")
-    if rank(norm.functionals) < dim:
+    if rank(norm._int_functionals[1]) < dim:
         raise DefinitenessViolation(
             "functionals span a proper subspace; the gauge would vanish in both "
             "directions along a line"

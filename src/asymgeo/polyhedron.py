@@ -18,11 +18,12 @@ rows, and a line lies in the set iff some ray is tight on every row.  A
 closure keeps the rows it was converted from, so they run without a
 vertex-to-facet conversion, and the facets are computed only where they
 are needed, as int rows first (``_int_hrep``, by ``_int_facets``); ``hrep``
-is their ``Fraction`` view.  The ray masks and the line test are memoized
-on the value, and the conversions seed the line test.  The predicates run
-on int copies memoized on each value (a vertex v as (y, t), t > 0 and
-v = y / t; each row (c, b) scaled jointly), so <c, v> <= b is
-<c, y> <= b * t; only public results are ``Fraction``s.
+is their ``Fraction`` view.  The ray masks, the line test and the support
+values the predicates ask for (``_supports``, one per row) are memoized on
+the value, and the conversions seed the line test.  The predicates run on int copies
+memoized on each value (a vertex v as (y, t), t > 0 and v = y / t; each
+row (c, b) scaled jointly), so <c, v> <= b is <c, y> <= b * t; only
+public results are ``Fraction``s.
 
 Values come two ways.  The public constructors (``Polyhedron(...)``,
 ``PartialPolyhedron(...)``, ``Cone(...)``) take any numbers, check them and
@@ -248,6 +249,14 @@ class Polyhedron:
         return _tight_masks(self._rows, [(r, 0) for r in self._int_rays]) if self.rays else ()
 
     @cached_property
+    def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
+        """Memo of ``_support``: int row -> its value on the set (``subset``,
+        ``is_closed`` and ``saturate_region`` read it; ``support_value``
+        scans).  Not part of the value: equality, hash and repr read the
+        fields only."""
+        return {}
+
+    @cached_property
     def _has_line(self) -> bool:
         """Is some ray orthogonal to every ``_rows`` normal?
 
@@ -323,28 +332,45 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
         rays.append(tuple(-a // g for a in w[m:]))
     base = sum(1 << i for i in base_idx)
     inc = [base & ~(1 << i) for i in base_idx]
+    need = dim - 2
 
     for i, row in enumerate(rows):
         if base >> i & 1:
             continue
         bit = 1 << i
-        vals = [sum(a * b for a, b in zip(row, r)) for r in rays]
-        kept = [k for k, v in enumerate(vals) if v <= 0]
-        minus = [k for k in kept if vals[k] < 0]
-        fresh, fresh_inc = [], []
-        for p in (k for k, v in enumerate(vals) if v > 0):
-            for q in minus:
-                common = inc[p] & inc[q]
-                if common.bit_count() < dim - 2 or any(
-                    m & common == common for k, m in enumerate(inc) if k != p and k != q
-                ):
+        # one pass splits the rays: cut (v > 0) go, tight ones gain the bit,
+        # strictly kept ones (v < 0) stay as they are and pair with the cut;
+        # a row that cuts no ray only updates the masks
+        cut, minus, next_rays, next_inc = [], [], [], []
+        for r, m in zip(rays, inc):
+            v = sum(map(mul, row, r))
+            if v > 0:
+                cut.append((v, r, m))
+                continue
+            if v:
+                minus.append((v, r, m))
+            else:
+                m |= bit
+            next_rays.append(r)
+            next_inc.append(m)
+        for vp, rp, mp in cut:
+            for vq, rq, mq in minus:
+                common = mp & mq
+                if common.bit_count() < need:
                     continue
-                w = tuple(vals[p] * b - vals[q] * a for a, b in zip(rays[p], rays[q]))
-                g = gcd(*w)
-                fresh.append(tuple(a // g for a in w))
-                fresh_inc.append(common | bit)
-        rays = [rays[k] for k in kept] + fresh
-        inc = [inc[k] | bit if vals[k] == 0 else inc[k] for k in kept] + fresh_inc
+                # adjacent iff p and q are the only rays tight on all of common
+                holders = 0
+                for m in inc:
+                    if m & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    w = [vp * b - vq * a for a, b in zip(rp, rq)]
+                    g = gcd(*w)
+                    next_rays.append(tuple([a // g for a in w]))
+                    next_inc.append(common | bit)
+        rays, inc = next_rays, next_inc
     return sorted(set(rays))
 
 
@@ -477,11 +503,20 @@ def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
     s, c = _clear(direction)
     if len(c) != poly.dim:
         raise ValueError(f"direction of length {len(c)} in dimension {poly.dim}")
-    top = _support(poly, c)
+    top = _scan_support(poly, c)
     return None if top is None else Fraction(top[0], top[1] * s)
 
 
-def _support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
+def _support(poly: Polyhedron, c: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """``_scan_support`` once per value and int row: the predicates' entry,
+    memoized on the value (``_supports``)."""
+    memo = poly._supports
+    if c not in memo:
+        memo[c] = _scan_support(poly, c)
+    return memo[c]
+
+
+def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
     """``support_value`` for an int row c, as (n, t) with value n / t and t > 0.
 
     The maximum over the vertices (y, t) is taken by cross-multiplying."""
@@ -528,6 +563,11 @@ def member(region: PartialPolyhedron, x: Vec) -> bool:
     t, y = _clear(as_vec(x))
     if len(y) != region.dim:
         raise ValueError(f"point of length {len(y)} in dimension {region.dim}")
+    return _int_member(region, y, t)
+
+
+def _int_member(region: PartialPolyhedron, y: Sequence[int], t: int) -> bool:
+    """``member`` for the point y / t, t > 0, given as ints (an ``_int_verts`` entry)."""
     for c, b, strict in region._int_rows:
         val, bound = sum(map(mul, c, y)), b * t
         if val > bound or strict and val == bound:
@@ -610,7 +650,7 @@ def _within(poly: Polyhedron, region: PartialPolyhedron) -> bool:
     The region is convex, so it holds conv(vertices) once it holds the
     vertices, and a ray with <c, r> <= 0 keeps a strict row strict.
     """
-    return (all(member(region, v) for v in poly.vertices)
+    return (all(_int_member(region, y, t) for y, t in poly._int_verts)
             and all(sum(map(mul, c, r)) <= 0 for r in poly._int_rays for c, _, _ in region._int_rows))
 
 

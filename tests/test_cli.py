@@ -330,6 +330,18 @@ def test_cli_gen_takes_the_limit_itself(capsys):
     assert norm.dim == 12
 
 
+def test_cli_check_rejects_a_dim_above_the_limit(tmp_path, capsys):
+    """A parsed ``dim`` obeys the ``gen`` limit: ``dim 13`` is an instance
+    error naming its line, and ``check`` exits 2."""
+    text = "version 1\ndim 13\nF: " + " ".join(["1"] * 13) + "\n"
+    with pytest.raises(InstanceError, match="line 2: dim 13 is above the limit 12"):
+        parse_instance(text)
+    path = tmp_path / "dim13.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "line 2: dim 13 is above the limit 12" in capsys.readouterr().err
+
+
 def test_cli_gen_one_flavor(capsys):
     assert main(["gen", "one", "--dim", "3"]) == 0
     norm, _ = parse_instance(capsys.readouterr().out)

@@ -48,7 +48,14 @@ from asymgeo.polyhedron import (
 )
 from asymgeo.ratlp import vneg
 
-from support import affine_image, interval, interval_compact_oracle, rand_point
+from support import (
+    affine_image,
+    interval,
+    interval_compact_oracle,
+    rand_point,
+    ref_member,
+    ref_support_value,
+)
 
 F = Fraction
 POS_PART = make_norm(1, [(1,)])
@@ -322,6 +329,46 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     assert all(type(g) is tuple and all(type(a) is int for a in g) for g in returned)
 
 
+def test_support_memo_answers_as_a_fresh_scan(monkeypatch):
+    """``_support`` is memoized on each value: over build, decide and T1-T6
+    on the reference catalog and d=4 lattice balls, every (value, row) it
+    answers equals a fresh scan of the generators, and repeats are served
+    by the memo.  A filled memo leaves equality, hash and repr as a fresh
+    value has them, and the int membership test on a vertex's (y, t) agrees
+    with ``member`` on the ``Fraction`` vertex."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()] + _lattice_balls(8)
+    real = polyhedron._support
+    answered = []
+
+    def recording(poly, c):
+        top = real(poly, c)
+        answered.append((poly, c, top))
+        return top
+
+    for module in (polyhedron, compactness):
+        monkeypatch.setattr(module, "_support", recording)
+    inside = outside = 0
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        verify_theorems(inst, decide_compact(inst))
+        for poly in (inst.hull, inst.saturated):
+            for v, (y, t) in zip(poly.vertices, poly._int_verts):
+                got = polyhedron._int_member(inst.region, y, t)
+                assert got == member(inst.region, v) == ref_member(inst.region, v)
+                inside += got
+                outside += not got
+    assert inside and outside
+    values = {id(poly): poly for poly, _, _ in answered}
+    assert len({(id(poly), c) for poly, c, _ in answered}) < len(answered)
+    for poly, c, top in answered:
+        assert poly._supports[c] == top
+        assert (None if top is None else F(*top)) == ref_support_value(poly, c)
+    for poly in values.values():
+        twin = Polyhedron(poly.dim, poly.vertices, poly.rays)
+        assert "_supports" not in vars(twin)
+        assert poly == twin and hash(poly) == hash(twin) and repr(poly) == repr(twin)
+
+
 def _pipeline_cases():
     """The reference catalog, 60 corpus seeds and eight d=4 lattice balls."""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
@@ -423,17 +470,18 @@ def test_a_handed_down_sum_is_not_taken_as_verified():
     expected = decide_compact(build(SUP2, UNIT_SQUARE))
     core = expected.center
     wrong = build(SUP2, UNIT_SQUARE)
-    wrong._sums[core] = core
+    wrong._sums[core._int_verts, core._int_rays] = core
     assert decide_compact(wrong).verdict is Verdict.UNKNOWN
     right = build(SUP2, UNIT_SQUARE)
-    right._sums[core] = Polyhedron(2, core.vertices, ((-1, 0), (0, -1)))
+    right._sums[core._int_verts, core._int_rays] = Polyhedron(2, core.vertices, ((-1, 0), (0, -1)))
     assert decide_compact(right) == expected
 
 
 def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     """T3 takes the ``core + C`` that ``decide_compact`` verified on the same
     instance and center; a center that ``decide_compact`` did not pick still
-    has its sandwich checked, and fails T3 when the sandwich fails."""
+    has its sandwich checked, and fails T3 when the sandwich fails, also
+    when it has the verified center's vertices and a ray besides."""
     inst = build(SUP2, UNIT_SQUARE)
     cert = decide_compact(inst)
     assert cert.verdict is Verdict.COMPACT
@@ -450,6 +498,12 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     forged = CompactnessCertificate(Verdict.COMPACT, center=Polyhedron(2, [(0, 0)]))
     t3 = verify_theorems(inst, forged).claims[2]
     assert t3.claim_id == "T3" and t3.status is ClaimStatus.FAIL
+    assert inst.region in regions
+    regions.clear()
+    rayed = CompactnessCertificate(Verdict.COMPACT, center=Polyhedron(2, cert.center.vertices, ((1, 0),)))
+    report = verify_theorems(inst, rayed)
+    assert report.claims[2].claim_id == "T3" and report.claims[2].status is ClaimStatus.FAIL
+    assert not report.all_pass
     assert inst.region in regions
 
 

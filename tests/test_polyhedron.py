@@ -372,26 +372,33 @@ def test_member_respects_convexity(lam):
 def _brute_cone_rays(rows, dim):
     """Independent oracle: extreme rays of a pointed cone {<row,x> <= 0} are
     the feasible directions whose tight rows span dimension dim-1, found by
-    enumerating row subsets of that rank."""
+    enumerating row subsets of that rank.  Rows are scaled to primitive ints
+    first (a positive factor keeps the cone), and each candidate direction is
+    tried once."""
     from itertools import combinations
     from asymgeo.ratlp import null_space_basis, primitive, rank as _rank
 
-    out = set()
+    rows = [tuple(map(int, primitive(r))) for r in rows]
+
+    def feasible(s):
+        return all(sum(a * b for a, b in zip(r, s)) <= 0 for r in rows)
+
     if dim == 1:
-        for s in ((F(1),), (F(-1),)):
-            if all(dot(r, s) <= 0 for r in rows):
-                out.add(s)
-        return out
-    for sub in combinations(range(len(rows)), dim - 1):
-        base = [rows[i] for i in sub]
-        if _rank(base) != dim - 1:
+        return {s for s in ((1,), (-1,)) if feasible(s)}
+    out, tried = set(), set()
+    for sub in combinations(rows, dim - 1):
+        null = null_space_basis(sub, dim)
+        if len(null) != 1:  # the subset has rank below dim - 1
             continue
-        direction = null_space_basis(base, dim)[0]
+        direction = tuple(map(int, null[0]))
+        if direction in tried:
+            continue
+        tried.add(direction)
         for s in (direction, tuple(-c for c in direction)):
-            if all(dot(r, s) <= 0 for r in rows):
-                tight = [r for r in rows if dot(r, s) == 0]
+            if feasible(s):
+                tight = [r for r in rows if sum(a * b for a, b in zip(r, s)) == 0]
                 if _rank(tight) == dim - 1:
-                    out.add(primitive(s))
+                    out.add(s)
     return out
 
 
@@ -423,6 +430,25 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         gens, lin = cone_from_rows(rows, 4)
         assert lin == () and len(gens) == count
         assert set(gens) == _brute_cone_rays(rows, 4)
+    # at d=5: the one-norm lattice functionals (31 rows, each ray on 15), the
+    # homogenized rows (c, -b) and t >= 0 of a closed d=4 one-norm ball, and
+    # random rows with duplicated and positively rescaled copies
+    from asymgeo.cli.generators import gen_lattice_norm
+    from asymgeo.norm import Closedness, ball
+
+    one_norm5 = [tuple(F(mask >> j & 1) for j in range(5)) for mask in range(1, 32)]
+    q = gen_lattice_norm(4, "one")
+    closed_ball = ball(q, (F(1, 2), F(-1), F(2, 3), F(0)), F(5, 2), Closedness.CLOSED).as_set
+    homogenized = [(*c.normal, -c.rhs) for c in closed_ball.constraints] + [(0, 0, 0, 0, -1)]
+    while True:
+        rows = [rand_point(rng, 5, span=2) for _ in range(8)]
+        if all(any(r) for r in rows) and not null_space_basis(rows, 5):
+            break
+    rows += [rows[0], rows[3], tuple(F(3, 2) * a for a in rows[1]), tuple(2 * a for a in rows[5])]
+    for rows, count in ((one_norm5, 5), (homogenized, 8), (rows, 8)):
+        gens, lin = cone_from_rows(rows, 5)
+        assert lin == () and len(gens) == count
+        assert set(gens) == _brute_cone_rays(rows, 5)
 
 
 def test_h_to_v_takes_int_and_rational_rows_alike():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -321,6 +322,24 @@ def test_src_holds_no_assert_statement():
              for path in sorted(root.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_src_imports_only_the_standard_library():
+    """The runtime uses only the standard library: every module under
+    ``src/asymgeo`` imports ``asymgeo`` itself or a standard-library module."""
+    root = Path(asymgeo.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"asymgeo"}]
     assert found == []
 
 
