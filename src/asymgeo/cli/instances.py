@@ -1,9 +1,10 @@
 """Textual instance format: a gauge plus a region, exact rationals only.
 
-Grammar (one directive per line, ``#`` starts a comment):
+Grammar (one directive per line, ``#`` starts a comment; a directive is
+its line's first word, or the key before ``:`` on a row):
 
-    version 1
-    dim D                 # 1 <= D <= 12, the largest `gen --dim`
+    version 1             # exactly once
+    dim D                 # exactly once, before any row; 1 <= D <= 12, the largest `gen --dim`
     F: a1 ... aD          # one gauge functional per line
     H: c1 ... cD REL b    # inequality row, REL in {<, <=}
     V: x1 ... xD          # or: generator form, vertices ...
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
-from asymgeo.norm import AsymNorm, make_norm
+from asymgeo.norm import AsymNorm, _check_definite
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
@@ -42,74 +44,114 @@ def _fail(lineno: int, msg: str) -> "InstanceError":
     return InstanceError(f"line {lineno}: {msg}")
 
 
-def _parse_rational(tok: str, where: str) -> Fraction:
+def _rational(tok: str) -> Fraction:
+    """The number a grammar token denotes; a ValueError carries the reason."""
     # Fraction alone also takes 1.5, 1_000, +1 and 1e999999999 (a huge integer)
     if not _NUMBER.fullmatch(tok):
-        raise InstanceError(f"{where}: bad rational {tok!r}")
+        raise ValueError(f"bad rational {tok!r}")
     num, _, den = tok.partition("/")
     try:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:  # more digits than the interpreter's int_max_str_digits
-        raise InstanceError(f"{where}: number too long: {exc}") from None
+        raise ValueError(f"number too long: {exc}") from None
+
+
+def _parse_rational(tok: str, where: str) -> Fraction:
+    """``_rational``, its errors raised as ``InstanceError``s that begin with ``where``."""
+    try:
+        return _rational(tok)
+    except ValueError as exc:
+        raise InstanceError(f"{where}: {exc}") from None
+
+
+def _number(tok: str, numbers: dict[str, tuple[Fraction, int, int]],
+            lineno: int) -> tuple[Fraction, int, int]:
+    """A token not yet in ``numbers``, checked and reduced: (value, p, q) with
+    value = p / q in lowest terms, q > 0; memoized in ``numbers``."""
+    try:
+        value = _rational(tok)
+    except ValueError as exc:
+        raise _fail(lineno, str(exc)) from None
+    numbers[tok] = entry = value, value.numerator, value.denominator
+    return entry
+
+
+def _row(toks: list[str], numbers: dict[str, tuple[Fraction, int, int]],
+         lineno: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]:
+    """The tokens' values, reduced numerators and denominators, by ``_number``."""
+    vals, ps, qs = zip(*[numbers.get(t) or _number(t, numbers, lineno) for t in toks])
+    return vals, ps, qs
 
 
 def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
-    """Parse instance text into a validated (gauge, region) pair."""
+    """Parse instance text into a validated (gauge, region) pair.
+
+    An internal builder: each distinct number token is checked and reduced
+    once per call, every H row is cleared to ints by the lcm of its
+    denominators and the functionals jointly by theirs, and both values are
+    made through ``_of`` with their int views set, after the gauge's
+    definiteness check on those ints.  A V/R block goes through the public
+    constructors.
+    """
     version: Optional[str] = None
     dim: Optional[int] = None
-    functionals: list[tuple[Fraction, ...]] = []
-    h_rows: list[Constraint] = []
-    vertices: list[tuple[Fraction, ...]] = []
-    rays: list[tuple[Fraction, ...]] = []
+    numbers: dict[str, tuple[Fraction, int, int]] = {}
+    functionals: list[tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]] = []
+    constraints: list[Constraint] = []
+    int_rows: list[tuple[tuple[int, ...], int, bool]] = []
+    generators: dict[str, list[tuple[Fraction, ...]]] = {"V": [], "R": []}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("version"):
+        word = line.split(None, 1)[0]
+        if word == "version":
+            if version is not None:
+                raise _fail(lineno, "repeated 'version' line")
             parts = line.split()
             if len(parts) != 2:
                 raise _fail(lineno, "expected 'version <tag>'")
             version = parts[1]
             continue
-        if line.startswith("dim"):
+        if word == "dim":
+            if dim is not None:
+                raise _fail(lineno, "repeated 'dim' line")
             parts = line.split()
             if (len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None
-                    or _parse_rational(parts[1], f"line {lineno}") < 1):
+                    or _number(parts[1], numbers, lineno)[0] < 1):
                 raise _fail(lineno, "expected 'dim <positive integer>'")
             dim = int(parts[1])
             if dim > ONE_FLAVOR_DIM_LIMIT:
                 raise _fail(lineno, f"dim {dim} is above the limit {ONE_FLAVOR_DIM_LIMIT}")
             continue
         if ":" not in line:
-            raise _fail(lineno, f"unknown directive {line.split()[0]!r}")
+            raise _fail(lineno, f"unknown directive {word!r}")
         key, rest = line.split(":", 1)
         key = key.strip()
         toks = rest.split()
-        where = f"line {lineno}"
         if dim is None:
             raise _fail(lineno, "dim must come before any row")
         if key == "F":
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coefficients, got {len(toks)}")
-            functionals.append(tuple(_parse_rational(t, where) for t in toks))
+            functionals.append(_row(toks, numbers, lineno))
         elif key == "H":
             if len(toks) != dim + 2:
                 raise _fail(lineno, f"expected '{dim} coefficients REL rhs'")
-            rel = toks[dim]
+            rel = toks.pop(dim)
             if rel not in ("<", "<="):
                 raise _fail(lineno, f"relation must be '<' or '<=', got {rel!r}")
-            normal = tuple(_parse_rational(t, where) for t in toks[:dim])
-            rhs = _parse_rational(toks[dim + 1], where)
-            h_rows.append(Constraint(normal, rhs, rel == "<"))
-        elif key == "V":
+            vals, ps, qs = _row(toks, numbers, lineno)
+            s = lcm(*qs)
+            ints = ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
+            strict = rel == "<"
+            constraints.append(Constraint(vals[:-1], vals[-1], strict))
+            int_rows.append((ints[:-1], ints[-1], strict))
+        elif key in generators:
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
-            vertices.append(tuple(_parse_rational(t, where) for t in toks))
-        elif key == "R":
-            if len(toks) != dim:
-                raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
-            rays.append(tuple(_parse_rational(t, where) for t in toks))
+            generators[key].append(_row(toks, numbers, lineno)[0])
         else:
             raise _fail(lineno, f"unknown directive {key!r}")
 
@@ -121,12 +163,17 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
         raise InstanceError("missing 'dim' line")
     if not functionals:
         raise InstanceError("missing functional rows (F:)")
-    norm = make_norm(dim, functionals)
+    s = lcm(*[q for _, _, qs in functionals for q in qs])
+    int_functionals = tuple([ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
+                             for _, ps, qs in functionals])
+    _check_definite(dim, int_functionals)
+    norm = AsymNorm._of(dim, tuple([vals for vals, _, _ in functionals]), (s, int_functionals))
 
-    if h_rows and (vertices or rays):
+    vertices, rays = generators["V"], generators["R"]
+    if constraints and (vertices or rays):
         raise InstanceError("give either H rows or a V/R block, not both")
-    if h_rows:
-        region = PartialPolyhedron(dim, tuple(h_rows))
+    if constraints:
+        region = PartialPolyhedron._of(dim, tuple(constraints), tuple(int_rows))
     elif vertices:
         region = to_partial(Polyhedron(dim, tuple(vertices), tuple(rays)))
     else:

@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
-from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval
+from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -207,16 +208,21 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     C, so P is pointed and P + C is line-free with its vertices among P's:
     the escaped extreme point is the first vertex of P that misses the
     region and passes the local test of ``_extreme_in_saturation``, and
-    closure + C is built only when no vertex escapes.
+    closure + C is built only when no vertex escapes.  The recession
+    directions are tested as ints (``Cone._int_generators`` and
+    ``_int_lineality`` against ``AsymNorm._int_functionals``); only the
+    escaping one becomes a ``Fraction`` witness.
     """
     rec = recession_cone(inst.hull)
-    directions = set(rec.generators)
-    for l in rec.lineality_basis:
+    directions = set(rec._int_generators)
+    for l in rec._int_lineality:
         directions.add(l)
         directions.add(vneg(l))
+    rows = inst.norm._int_functionals[1]
     for d in sorted(directions):
-        if gauge_eval(inst.norm, d) > 0:
-            return CompactnessCertificate(Verdict.NOT_COMPACT, witness=BadRecessionDirection(d))
+        if any(sum(map(mul, a, d)) > 0 for a in rows):  # q(d) > 0
+            return CompactnessCertificate(Verdict.NOT_COMPACT,
+                                          witness=BadRecessionDirection(tuple(map(Fraction, d))))
     if inst.degeneracy.lineality_basis:
         raise EmptyExtremeSetError("the saturated hull has no extreme points")
     for v, (y, t) in zip(inst.hull.vertices, inst.hull._int_verts):

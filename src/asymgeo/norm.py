@@ -31,7 +31,8 @@ class AsymNorm:
 
     The zero functional is implicit (it is the 0 inside the max), so q >= 0
     holds structurally.  Functional rows are stored exactly as supplied;
-    redundant rows never change values.
+    redundant rows never change values.  The parser builds the gauge through
+    ``_of`` with the int functionals already known.
     """
 
     dim: int
@@ -43,6 +44,17 @@ class AsymNorm:
             if len(r) != self.dim:
                 raise ValueError(f"functional of length {len(r)} in dimension {self.dim}")
         object.__setattr__(self, "functionals", rows)
+
+    @classmethod
+    def _of(cls, dim: int, functionals: tuple[Vec, ...],
+            int_functionals: tuple[int, tuple[tuple[int, ...], ...]]) -> AsymNorm:
+        """The gauge of trusted rows, taken as given: ``functionals`` tuples of
+        ``dim`` ``Fraction``s, ``int_functionals`` the same rows as
+        ``_int_functionals`` has them.  Checks nothing, definiteness included
+        (``_check_definite``)."""
+        norm = object.__new__(cls)
+        vars(norm).update(dim=dim, functionals=functionals, _int_functionals=int_functionals)
+        return norm
 
     @cached_property
     def _int_functionals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -78,12 +90,17 @@ def make_norm(dim: int, functionals) -> AsymNorm:
     norm = AsymNorm(dim, tuple(functionals))
     if not norm.functionals:
         raise ValueError("at least one functional is required")
-    if rank(norm._int_functionals[1]) < dim:
+    _check_definite(dim, norm._int_functionals[1])
+    return norm
+
+
+def _check_definite(dim: int, int_functionals: tuple[tuple[int, ...], ...]) -> None:
+    """Raise DefinitenessViolation unless the int functional rows span the space."""
+    if rank(int_functionals) < dim:
         raise DefinitenessViolation(
             "functionals span a proper subspace; the gauge would vanish in both "
             "directions along a line"
         )
-    return norm
 
 
 def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:

@@ -26,13 +26,16 @@ row (c, b) scaled jointly), so <c, v> <= b is <c, y> <= b * t; only
 public results are ``Fraction``s.
 
 Values come two ways.  The public constructors (``Polyhedron(...)``,
-``PartialPolyhedron(...)``, ``Cone(...)``) take any numbers, check them and
-canonicalize them.  The internal builders (the conversions, the Minkowski
-sum, ``to_partial``, ``recession_cone``, and in other modules the
+``PartialPolyhedron(...)``, ``Cone(...)``, and ``AsymNorm(...)`` in
+``asymgeo.norm``) take any numbers, check them and canonicalize them.  The
+internal builders (the conversions, the Minkowski sum, ``to_partial``,
+``recession_cone``, and in other modules the instance parser, the
 degeneracy cone, the center and the half-open sum) already hold canonical
 int data and hand it to each type's ``_of``, which takes it as given, sets
 the int views directly and builds the public ``Fraction`` attributes from
-them once.  Both make the same value: equal, with the same hash and repr.
+them once; the parser reduces each distinct number token once and clears
+each H row, and the gauge's functionals jointly, to ints as it reads them.
+Both make the same value: equal, with the same hash and repr.
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
@@ -92,7 +95,8 @@ class Cone:
     The public constructor makes the generators primitive, deduplicated and
     sorted (a zero generator is dropped, as a zero ray is) and each basis
     vector primitive; a basis vector must have length ``dim`` and be
-    nonzero.  Internal builders hand over primitive int data through ``_of``.
+    nonzero.  Internal builders hand over primitive int data through ``_of``,
+    which sets the int views ``_int_generators`` and ``_int_lineality``.
     """
 
     dim: int
@@ -119,13 +123,18 @@ class Cone:
         deduplicated and sorted, ``lin`` primitive and nonzero."""
         cone = object.__new__(cls)
         vars(cone).update(dim=dim, generators=_fractions(gens), lineality_basis=_fractions(lin),
-                          _int_generators=gens)
+                          _int_generators=gens, _int_lineality=lin)
         return cone
 
     @cached_property
     def _int_generators(self) -> tuple[tuple[int, ...], ...]:
         """The generators as ints (they are primitive integer data)."""
         return tuple([_ints(g) for g in self.generators])
+
+    @cached_property
+    def _int_lineality(self) -> tuple[tuple[int, ...], ...]:
+        """The lineality basis as ints (primitive integer data)."""
+        return tuple([_ints(b) for b in self.lineality_basis])
 
 
 @dataclass(frozen=True)

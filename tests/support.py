@@ -1,13 +1,18 @@
 """Shared test helpers: independent oracles, interval builders, transforms,
-and the frozen Fraction reference of the exact kernel."""
+and the frozen Fraction references of the exact kernel, the predicates and
+the instance parser."""
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Optional
 
-from asymgeo.polyhedron import Constraint, PartialPolyhedron
+from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
+from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
+from asymgeo.norm import AsymNorm, make_norm
+from asymgeo.polyhedron import Constraint, PartialPolyhedron, Polyhedron, to_partial
 from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, primitive
 
 
@@ -258,6 +263,98 @@ def ref_feasible_nonneg(matrix_rows, rhs_col):
     enter = _ref_bland(tab, basis, n + m)
     assert enter is None, "phase one is bounded"
     return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference parser: public constructors over Fraction tokens
+# ---------------------------------------------------------------------------
+# A verbatim copy of the earlier ``asymgeo.cli.instances.parse_instance``,
+# which parsed every token into a ``Fraction`` and built the gauge and the
+# region with ``make_norm`` and ``PartialPolyhedron``, kept so property tests
+# can compare the integer parser against it.  It matches directives by
+# prefix and takes a repeated ``version`` or ``dim`` line, which the parser
+# now rejects.  Do not optimize it.
+
+
+def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
+    """Parse instance text into a validated (gauge, region) pair."""
+    version: Optional[str] = None
+    dim: Optional[int] = None
+    functionals: list[tuple[Fraction, ...]] = []
+    h_rows: list[Constraint] = []
+    vertices: list[tuple[Fraction, ...]] = []
+    rays: list[tuple[Fraction, ...]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("version"):
+            parts = line.split()
+            if len(parts) != 2:
+                raise _fail(lineno, "expected 'version <tag>'")
+            version = parts[1]
+            continue
+        if line.startswith("dim"):
+            parts = line.split()
+            if (len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None
+                    or _parse_rational(parts[1], f"line {lineno}") < 1):
+                raise _fail(lineno, "expected 'dim <positive integer>'")
+            dim = int(parts[1])
+            if dim > ONE_FLAVOR_DIM_LIMIT:
+                raise _fail(lineno, f"dim {dim} is above the limit {ONE_FLAVOR_DIM_LIMIT}")
+            continue
+        if ":" not in line:
+            raise _fail(lineno, f"unknown directive {line.split()[0]!r}")
+        key, rest = line.split(":", 1)
+        key = key.strip()
+        toks = rest.split()
+        where = f"line {lineno}"
+        if dim is None:
+            raise _fail(lineno, "dim must come before any row")
+        if key == "F":
+            if len(toks) != dim:
+                raise _fail(lineno, f"expected {dim} coefficients, got {len(toks)}")
+            functionals.append(tuple(_parse_rational(t, where) for t in toks))
+        elif key == "H":
+            if len(toks) != dim + 2:
+                raise _fail(lineno, f"expected '{dim} coefficients REL rhs'")
+            rel = toks[dim]
+            if rel not in ("<", "<="):
+                raise _fail(lineno, f"relation must be '<' or '<=', got {rel!r}")
+            normal = tuple(_parse_rational(t, where) for t in toks[:dim])
+            rhs = _parse_rational(toks[dim + 1], where)
+            h_rows.append(Constraint(normal, rhs, rel == "<"))
+        elif key == "V":
+            if len(toks) != dim:
+                raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
+            vertices.append(tuple(_parse_rational(t, where) for t in toks))
+        elif key == "R":
+            if len(toks) != dim:
+                raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
+            rays.append(tuple(_parse_rational(t, where) for t in toks))
+        else:
+            raise _fail(lineno, f"unknown directive {key!r}")
+
+    if version is None:
+        raise InstanceError("missing 'version' line")
+    if version != "1":
+        raise InstanceError(f"unsupported version {version!r}")
+    if dim is None:
+        raise InstanceError("missing 'dim' line")
+    if not functionals:
+        raise InstanceError("missing functional rows (F:)")
+    norm = make_norm(dim, functionals)
+
+    if h_rows and (vertices or rays):
+        raise InstanceError("give either H rows or a V/R block, not both")
+    if h_rows:
+        region = PartialPolyhedron(dim, tuple(h_rows))
+    elif vertices:
+        region = to_partial(Polyhedron(dim, tuple(vertices), tuple(rays)))
+    else:
+        raise InstanceError("missing set block (H rows or V/R block)")
+    return norm, region
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymgeo.cli.generators import (
     gen_arc_hull,
@@ -26,7 +28,7 @@ from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_cert
 from asymgeo.norm import DefinitenessViolation, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
 
-from support import interval, rand_point
+from support import interval, rand_point, ref_parse_instance
 
 F = Fraction
 
@@ -99,6 +101,86 @@ def test_parse_rejects_unknown_directives_and_bad_rows():
         parse_instance("dim 1\nF: 1\nH: 1 <= 1\n")
     with pytest.raises(InstanceError, match="set block"):
         parse_instance("version 1\ndim 1\nF: 1\n")
+
+
+@pytest.mark.parametrize("text, line, word", [
+    ("version 1\ndim 2\nF: 1 0\nF: 0 1\ndim 1\nH: 1 <= 1\n", 5, "dim"),
+    ("version 1\ndim 1\nF: 1\nversion 1\nH: 1 <= 1\n", 4, "version"),
+])
+def test_parse_rejects_a_repeated_directive(text, line, word):
+    """A second ``dim`` or ``version`` line is an instance error naming its
+    line; a second ``dim`` after rows would otherwise leave them too long."""
+    with pytest.raises(InstanceError, match=f"^line {line}: repeated '{word}' line$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("text, line, word", [
+    ("version 1\ndimfoo 1\nF: 1\nH: 1 <= 1\n", 2, "dimfoo"),
+    ("versionX 1\ndim 1\nF: 1\nH: 1 <= 1\n", 1, "versionX"),
+])
+def test_parse_matches_directive_words_exactly(text, line, word):
+    """``version`` and ``dim`` are whole first words, not prefixes."""
+    with pytest.raises(InstanceError, match=f"^line {line}: unknown directive '{word}'$"):
+        parse_instance(text)
+
+
+_TOKENS = ["0", "1", "-1", "2", "-3", "1/2", "-2/3", "2/4", "-0", "0/7", "007", "-12/8", "5/1"]
+_BAD_TOKENS = ["1.5", "+1", "1e3", "1/0", "x", "1_0", "\u0663"]
+_LONG = "9" * (sys.get_int_max_str_digits() + 1) if hasattr(sys, "get_int_max_str_digits") else "1"
+
+
+@st.composite
+def _instance_texts(draw):
+    """Instance text with one ``version`` and one ``dim`` line, in d = 1..3:
+    valid H or V/R rows, possibly rank-deficient functionals, and at most
+    one fault kind: bad tokens (one repeated), an over-long number, a wrong
+    token count or a wrong relation."""
+    d = draw(st.integers(1, 3))
+    token = st.sampled_from(_TOKENS)
+    set_key = draw(st.sampled_from(["H", "H", "H", "V", "R"]))
+    rows = [["F", *draw(st.lists(token, min_size=d, max_size=d))]
+            for _ in range(draw(st.sampled_from([0, 1, 2, 3, 3, 4])))]
+    for _ in range(draw(st.integers(0, 4))):
+        toks = draw(st.lists(token, min_size=d, max_size=d))
+        if set_key == "H":
+            toks += [draw(st.sampled_from(["<", "<="])), draw(token)]
+        rows.append([set_key, *toks])
+    if set_key == "R":
+        rows.append(["V", *draw(st.lists(token, min_size=d, max_size=d))])
+    fault = draw(st.sampled_from(["none", "none", "none", "token", "long", "count", "relation"]))
+    if rows and fault != "none":
+        row = draw(st.sampled_from(rows))
+        if fault in ("token", "long"):
+            bad = _LONG if fault == "long" else draw(st.sampled_from(_BAD_TOKENS))
+            for victim in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2)):
+                victim[draw(st.integers(1, d))] = bad
+        elif fault == "count" and draw(st.booleans()):
+            row.insert(1, "1")
+        elif fault == "count":
+            row.pop()
+        elif row[0] == "H":
+            row[d + 1] = ">="
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return "\n".join(["version 1", f"dim {d}", *(f"{r[0]}: " + " ".join(r[1:]) for r in rows),
+                      "# end"]) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        q, region = parse(text)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return q, region, q._int_functionals, region._int_rows, repr((q, region))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instance_texts())
+def test_parse_agrees_with_the_reference_parser(text):
+    """On texts with one ``version`` and one ``dim`` line, the parser returns
+    the values, int views and repr the earlier ``Fraction`` parser returns,
+    or raises the same exception class with the same message."""
+    assert _outcome(parse_instance, text) == _outcome(ref_parse_instance, text)
 
 
 def test_parse_v_block():

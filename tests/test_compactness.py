@@ -30,7 +30,7 @@ from asymgeo import norm as norm_module
 from asymgeo.cli.generators import gen_random_instance, gen_random_norm, gen_random_region
 from asymgeo.cli.instances import parse_instance, write_instance
 from asymgeo.cli.suite import reference_catalog
-from asymgeo.norm import Closedness, ball, degeneracy_cone, gauge_eval, make_norm
+from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval, make_norm
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -53,6 +53,7 @@ from support import (
     interval,
     interval_compact_oracle,
     rand_point,
+    ref_gauge_eval,
     ref_member,
     ref_support_value,
 )
@@ -392,9 +393,12 @@ def _assert_public_value(value):
     elif isinstance(value, PartialPolyhedron):
         public = PartialPolyhedron(value.dim, value.constraints)
         memos = ("_int_rows",)
+    elif isinstance(value, AsymNorm):
+        public = make_norm(value.dim, value.functionals)
+        memos = ("_int_functionals",)
     else:
         public = Cone(value.dim, value.generators, value.lineality_basis)
-        memos = ("_int_generators",)
+        memos = ("_int_generators", "_int_lineality")
     assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
     for name in public.__dataclass_fields__:
         assert _shape(getattr(value, name)) == _shape(getattr(public, name)), name
@@ -433,12 +437,57 @@ def test_internal_builders_make_the_public_values():
     assert min(kinds.values()) >= 5, kinds
 
 
+def _parsed_cases():
+    """Instance texts with the values the public constructors make: the
+    pipeline cases and eight d=4 random instances, written canonically."""
+    cases = _pipeline_cases() + [gen_random_instance(4, 4000 + k) for k in range(8)]
+    return [(write_instance(q, region), q, region) for q, region in cases]
+
+
+def test_parsed_values_are_the_public_values():
+    """The parser builds the gauge and the region from int data (``_of``);
+    each equals the value the public constructors make from the same
+    numbers, with the same hash, repr and int views, over the pipeline
+    cases and d=4 random instances, and equals the generated pair."""
+    for text, q, region in _parsed_cases():
+        got_q, got_region = parse_instance(text)
+        assert "_int_functionals" in vars(got_q) and "_int_rows" in vars(got_region)
+        _assert_public_value(got_q)
+        _assert_public_value(got_region)
+        assert (got_q, got_region) == (q, region)
+        assert repr(got_q) == repr(q) and repr(got_region) == repr(region)
+
+
+def test_parsed_tokens_reduce_and_clear_as_the_public_path_does():
+    """Hand-written tokens: unreduced fractions, negative zero, zero over a
+    denominator, leading zeros, a token an F and an H row share, and an
+    all-int row (cleared by 1).  Each parsed value is the public one, and
+    the int views are the rows each cleared by the lcm of its denominators
+    (H) and the functionals by one common denominator (F)."""
+    text = ("version 1\ndim 2\nF: 2/4 -0\nF: 0/7 007\nF: -12/8 1/6\n"
+            "H: 2/4 -12/8 <= 007\nH: 3 -1 < 0/7\nH: 1/6 -0 <= -12/8\n")
+    q, region = parse_instance(text)
+    expected_q = make_norm(2, [(F(1, 2), 0), (0, 7), (F(-3, 2), F(1, 6))])
+    expected_region = PartialPolyhedron(2, (
+        Constraint((F(1, 2), F(-3, 2)), F(7), False),
+        Constraint((F(3), F(-1)), F(0), True),
+        Constraint((F(1, 6), F(0)), F(-3, 2), False),
+    ))
+    assert (q, region) == (expected_q, expected_region)
+    assert q._int_functionals == (6, ((3, 0), (0, 42), (-9, 1)))
+    assert region._int_rows == (((1, -3), 14, False), ((3, -1), 0, True), ((1, 0), -9, False))
+    for value in (q, region):
+        _assert_public_value(value)
+    assert all(type(a) is F for f in q.functionals for a in f)
+
+
 def test_pipeline_runs_without_the_public_constructors(monkeypatch):
-    """Once the instances are parsed, build, decide and T1-T6 make every
-    value from trusted int data: with ``_canonical_rays`` and the
-    ``__post_init__`` of ``Polyhedron``, ``PartialPolyhedron`` and ``Cone``
-    made to raise, the catalog, 60 corpus seeds and d=4 lattice balls give
-    the certificates and reports they give without the patch."""
+    """Parsing, build, decide and T1-T6 make every value from trusted int
+    data: with ``_canonical_rays`` and the ``__post_init__`` of
+    ``Polyhedron``, ``PartialPolyhedron``, ``Cone`` and ``AsymNorm`` made to
+    raise, the H-form texts of the catalog, 60 corpus seeds and d=4 lattice
+    balls parse and give the certificates and reports they give without the
+    patch."""
     texts = [write_instance(q, region) for q, region in _pipeline_cases()]
 
     def run(parsed):
@@ -450,15 +499,14 @@ def test_pipeline_runs_without_the_public_constructors(monkeypatch):
         return out
 
     expected = run([parse_instance(t) for t in texts])
-    parsed = [parse_instance(t) for t in texts]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a public constructor ran on internal data")
 
     monkeypatch.setattr(polyhedron, "_canonical_rays", forbidden)
-    for cls in (Polyhedron, PartialPolyhedron, Cone):
+    for cls in (Polyhedron, PartialPolyhedron, Cone, AsymNorm):
         monkeypatch.setattr(cls, "__post_init__", forbidden)
-    assert run(parsed) == expected
+    assert run([parse_instance(t) for t in texts]) == expected
     verdicts = [cert.verdict for cert, _ in expected]
     assert verdicts.count(Verdict.COMPACT) >= 20 and verdicts.count(Verdict.NOT_COMPACT) >= 20
 
@@ -549,6 +597,34 @@ def test_decide_examples():
     assert cert.verdict is Verdict.NOT_COMPACT
     assert cert.witness == EscapedExtremePoint((F(1),))
     assert not member(HALF_OPEN, (F(-5),))  # sanity on helper orientation
+
+
+def test_escaping_direction_is_the_first_in_sorted_order():
+    """The recession directions are the rays and each lineality basis vector
+    in both signs, tested as ints; the witness is the first of positive
+    gauge in sorted order, as the ``Fraction`` reference finds it.  On a slab
+    of Q^3 that is minus a basis vector that is no ray of the closure."""
+    slab = PartialPolyhedron(3, (Constraint((F(1), F(1), F(1)), F(1), False),
+                                 Constraint((F(-1), F(-1), F(-1)), F(1), False)))
+    q = make_norm(3, [(1, -1, 0), (1, 0, 0), (1, 1, 1)])
+    cases = [(q, slab)] + _pipeline_cases()
+    escapes = 0
+    for q, region in cases:
+        inst = build(q, region)
+        rec = recession_cone(inst.hull)
+        directions = set(rec.generators) | set(rec.lineality_basis)
+        directions |= {vneg(l) for l in rec.lineality_basis}
+        first = next((d for d in sorted(directions) if ref_gauge_eval(q, d) > 0), None)
+        witness = decide_compact(inst).witness
+        if first is None:
+            assert not isinstance(witness, BadRecessionDirection)
+            continue
+        assert witness == BadRecessionDirection(first)
+        assert all(type(a) is F for a in witness.direction)
+        escapes += 1
+    assert decide_compact(build(*cases[0])).witness == BadRecessionDirection((F(0), F(-1), F(1)))
+    assert (F(0), F(-1), F(1)) not in build(*cases[0]).hull.rays
+    assert escapes >= 20
 
 
 def test_center_candidate_requires_extreme_points():
