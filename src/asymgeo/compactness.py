@@ -21,12 +21,14 @@ sandwich, and a NOT_COMPACT verdict ships a witness that re-verifies by
 direct evaluation.  If the internal sandwich check ever failed the verdict
 would be reported UNKNOWN rather than guessed.
 
-Only a COMPACT verdict needs closure(K) + C itself, with its facets: for the
-center, the sandwich and the checks T1, T3 and T4.  It is computed on first
-use.  A NOT_COMPACT verdict reads everything off the closure's generators and
-the region's own rows: (a) through the closure's recession cone, and (b),
-once (a) holds, through a local test at each closure vertex that misses K
-(its tangent cone must meet -C only in 0; see ``_extreme_in_saturation``).
+Only a COMPACT verdict needs C and closure(K) + C themselves, the sum with
+its facets: for the center, the sandwich and the checks T1, T3 and T4.  Both
+are computed on first use.  A NOT_COMPACT verdict builds neither, so it runs
+no double description of C.  It reads everything off the closure's
+generators, the region's own rows and the gauge's functionals: (a) through
+the closure's recession cone, and (b), once (a) holds, through a local test
+at each closure vertex that misses K (its tangent cone must meet -C only in
+0; see ``_extreme_in_saturation``).
 
 A COMPACT verdict with the checks T1-T6 converts vertices to facets once per
 distinct set, so at most twice: for closure(K) + C and for S + C.  S <= K is
@@ -109,23 +111,23 @@ class CompactnessCertificate:
 
 @dataclass(frozen=True)
 class Instance:
-    """A gauge together with a nonempty region, plus the cached geometry
-    every operation needs: the closure and the degeneracy cone (the latter
-    memoized on the gauge).  The saturated hull closure + cone is computed
-    on first use; only a COMPACT verdict and the structure checks need it
-    (the center, the sandwich, T1, T3 and T4), so a NOT_COMPACT verdict
-    never builds it.  Two memos are not part of the value: ``_sums`` maps a
-    core to core + cone computed elsewhere (T6 hands its nested instance
-    the parent's), and ``_verified_sums`` maps each core whose sandwich
-    ``decide_compact`` verified on this instance to core + cone.  Both are
-    keyed by the core's int generators ``(_int_verts, _int_rays)``, which
-    determine it, so a lookup hashes no ``Fraction``; a center handed to
-    ``verify_theorems`` may carry rays, and then matches no ray-free core."""
+    """A gauge together with a nonempty region and its closure, which every
+    operation needs.  The degeneracy cone and the saturated hull closure +
+    cone are computed on first use; only a COMPACT verdict and the
+    structure checks need them (the center, the sandwich, T1, T3 and T4),
+    so a NOT_COMPACT verdict builds neither.  The cone is memoized on the
+    gauge as well, so T6's instance on the same gauge reuses it.  Two memos
+    are not part of the value: ``_sums`` maps a core to core + cone computed
+    elsewhere (T6 hands its nested instance the parent's), and
+    ``_verified_sums`` maps each core whose sandwich ``decide_compact``
+    verified on this instance to core + cone.  Both are keyed by the core's
+    int generators ``(_int_verts, _int_rays)``, which determine it, so a
+    lookup hashes no ``Fraction``; a center handed to ``verify_theorems``
+    may carry rays, and then matches no ray-free core."""
 
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
-    degeneracy: Cone
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -136,7 +138,12 @@ class Instance:
         hull = closure(region)
         if hull is None:
             raise EmptyRegionError("the region is empty")
-        return cls(norm, region, hull, degeneracy_cone(norm))
+        return cls(norm, region, hull)
+
+    @cached_property
+    def degeneracy(self) -> Cone:
+        """The degeneracy cone of the gauge (``degeneracy_cone``)."""
+        return degeneracy_cone(self.norm)
 
     @cached_property
     def saturated(self) -> Polyhedron:
@@ -223,8 +230,6 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if any(sum(map(mul, a, d)) > 0 for a in rows):  # q(d) > 0
             return CompactnessCertificate(Verdict.NOT_COMPACT,
                                           witness=BadRecessionDirection(tuple(map(Fraction, d))))
-    if inst.degeneracy.lineality_basis:
-        raise EmptyExtremeSetError("the saturated hull has no extreme points")
     for v, (y, t) in zip(inst.hull.vertices, inst.hull._int_verts):
         if not _int_member(inst.region, y, t) and _extreme_in_saturation(inst, y, t):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))

@@ -31,8 +31,10 @@ class AsymNorm:
 
     The zero functional is implicit (it is the 0 inside the max), so q >= 0
     holds structurally.  Functional rows are stored exactly as supplied;
-    redundant rows never change values.  The parser builds the gauge through
-    ``_of`` with the int functionals already known.
+    redundant rows never change values.  Every gauge value is definite: the
+    constructor raises ``DefinitenessViolation`` when the functionals do not
+    span the space, and the parser builds the gauge through ``_of``, with the
+    int functionals already known, after the same check.
     """
 
     dim: int
@@ -44,6 +46,7 @@ class AsymNorm:
             if len(r) != self.dim:
                 raise ValueError(f"functional of length {len(r)} in dimension {self.dim}")
         object.__setattr__(self, "functionals", rows)
+        _check_definite(self.dim, self._int_functionals[1])
 
     @classmethod
     def _of(cls, dim: int, functionals: tuple[Vec, ...],
@@ -87,11 +90,10 @@ def make_norm(dim: int, functionals) -> AsymNorm:
     """Validated gauge; raises DefinitenessViolation on rank-deficient input."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    norm = AsymNorm(dim, tuple(functionals))
-    if not norm.functionals:
+    functionals = tuple(functionals)
+    if not functionals:
         raise ValueError("at least one functional is required")
-    _check_definite(dim, norm._int_functionals[1])
-    return norm
+    return AsymNorm(dim, functionals)
 
 
 def _check_definite(dim: int, int_functionals: tuple[tuple[int, ...], ...]) -> None:
@@ -123,9 +125,9 @@ def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
 def degeneracy_cone(norm: AsymNorm) -> Cone:
     """The pointed cone {x : q(x) = 0} = {x : <a_i, x> <= 0 for all i}.
 
-    Pointedness is guaranteed by the constructor's rank check, so the
-    double description of the functional rows never yields lineality.
-    Memoized on the gauge value.
+    Pointedness is guaranteed by the rank check every gauge value passed,
+    so the double description of the functional rows never yields
+    lineality.  Memoized on the gauge value.
     """
     return norm._degeneracy
 

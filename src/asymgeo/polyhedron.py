@@ -6,7 +6,8 @@ per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
 closure, the facets, the degeneracy cone and the local tangent-cone test
-all pass through it; a pointed cone costs one elimination), and every
+all pass through it, with int rows, which are prepared and eliminated as
+they are; a pointed cone costs one elimination), and every
 predicate (membership, inclusion, extremality, closedness) reduces to
 exact support-function scans and to incidence against an
 H-representation; emptiness is read off the closure's generators.  The
@@ -50,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from math import gcd
+from itertools import chain, compress
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,6 +61,7 @@ from asymgeo.ratlp import (
     LpStatus,
     Rational,
     Vec,
+    _all_int,
     _clear,
     _reduce,
     as_vec,
@@ -300,13 +302,17 @@ def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...
 
 def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Primitive, deduplicated, lexicographically sorted nonzero rows, as int
-    tuples; int rows are taken as they are, rational ones cleared first."""
+    tuples; int rows are taken as they are (divided only by a gcd above 1),
+    rational ones cleared first."""
+    if not _all_int(chain.from_iterable(rows)):
+        rows = [_clear(r)[1] for r in rows]
     seen = set()
     for r in rows:
-        ints = _clear(r)[1]
-        g = gcd(*ints)
-        if g:
-            seen.add(tuple([a // g for a in ints]))
+        g = gcd(*r)
+        if g == 1:
+            seen.add(tuple(r))
+        elif g:
+            seen.add(tuple([a // g for a in r]))
     return sorted(seen)
 
 
@@ -426,10 +432,11 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     recession directions, and lineality comes back as opposite ray pairs.
     Rows may be int or rational.  The value is built from the DD's int
     output as it is (``Polyhedron._of``): a primitive generator (y, t) is
-    already the vertex's ``_int_verts`` entry, and each vertex becomes a
-    ``Fraction`` once.  The result's ``_rows`` are the given rows as ints, so
-    its incidence predicates run without a vertex-to-facet conversion, and
-    it contains a line iff the homogenization cone has lineality.
+    already the vertex's ``_int_verts`` entry, the vertices are sorted on
+    ints, and each becomes a ``Fraction`` once.  The result's ``_rows`` are
+    the given rows as ints, so its incidence predicates run without a
+    vertex-to-facet conversion, and it contains a line iff the
+    homogenization cone has lineality.
     """
     cleared = [_clear((*c, b))[1] for c, b in hrep]
     rows = [(*r[:-1], -r[-1]) for r in cleared]
@@ -439,7 +446,7 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     raydirs = set()
     for g in gens:
         if g[-1] > 0:
-            verts.append((tuple([Fraction(a, g[-1]) for a in g[:-1]]), (g[:-1], g[-1])))
+            verts.append((g[:-1], g[-1]))
         else:
             raydirs.add(g[:-1])
     for l in lin:
@@ -449,8 +456,10 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
         raydirs.add(vneg(l[:-1]))
     if not verts:
         return None
-    verts.sort(key=lambda pair: pair[0])
-    poly = Polyhedron._of(dim, tuple([v for v, _ in verts]), tuple([yt for _, yt in verts]),
+    # y / t in lexicographic order is y * (L / t) in it, L the lcm of the t's
+    big = lcm(*[t for _, t in verts])
+    verts.sort(key=lambda yt: [a * (big // yt[1]) for a in yt[0]])
+    poly = Polyhedron._of(dim, tuple([tuple([Fraction(a, t) for a in y]) for y, t in verts]), tuple(verts),
                           tuple(sorted(raydirs)))
     vars(poly).update(_rows=tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), _has_line=bool(lin))
     return poly

@@ -2,7 +2,9 @@
 
 Vectors are plain tuples of ``fractions.Fraction``; there is no floating
 point anywhere.  The kernel itself is an integer fraction-free one: rows are
-cleared of denominators on entry and results become ``Fraction`` on return.
+cleared of denominators on entry (int rows, which the double description and
+the definiteness check hand over, pass as they are) and results become
+``Fraction`` on return.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  ``_reduce`` is the only
 elimination loop (``rref``, ``rank`` and ``null_space_basis`` read their
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -76,9 +79,14 @@ def primitive(u) -> tuple[Rational, ...]:
     return tuple(Fraction(n // g) for n in ints) if g else zero_vec(len(u))
 
 
+def _all_int(values: Iterable) -> bool:
+    """Is every value an ``int`` (bool excluded)?  One C-level pass, no generator."""
+    return set(map(type, values)) <= {int}
+
+
 def _clear(row: Sequence) -> tuple[int, Sequence[int]]:
     """(s, s * row) as ints, s > 0 the lcm of the denominators; int rows pass as is."""
-    if all(type(a) is int for a in row):
+    if _all_int(row):
         return 1, row
     row = [a if type(a) is Fraction else Fraction(a) for a in row]
     s = lcm(*[a.denominator for a in row])  # a list: a starred generator's tuple stays in the free list
@@ -109,7 +117,8 @@ def _pivot(tab: list[Sequence[int]], i: int, j: int, det: int) -> int:
         if k != i:
             f = other[j]
             if f:
-                tab[k] = [(p * x - f * y) // det for x, y in zip(other, row)]
+                tab[k] = ([p * x - f * y for x, y in zip(other, row)] if det == 1 else
+                          [(p * x - f * y) // det for x, y in zip(other, row)])
             elif p != det:
                 tab[k] = [p * x // det for x in other]
     return p
@@ -169,19 +178,24 @@ def _reduce(rows: Sequence[Sequence[Rational]],
             ncols: Optional[int] = None) -> tuple[list[Sequence[int]], list[int], int]:
     """Gauss-Jordan over the first ``ncols`` columns (default all) of the rows
     cleared to ints; returns (rows, pivot columns, common denominator).
-    Pivot row k comes k-th; it stops once every row holds a pivot."""
-    work = [_clear(r)[1] for r in rows]
-    width = len(work[0]) if work else 0
-    if any(len(r) != width for r in work):
+    Pivot row k comes k-th; it stops once every row holds a pivot.  Int
+    rows are taken as they are (``_pivot`` replaces a row, never mutates it)."""
+    work = list(rows)
+    if not _all_int(chain.from_iterable(work)):
+        work = [_clear(r)[1] for r in work]
+    n, width = len(work), len(work[0]) if work else 0
+    if len(set(map(len, work))) > 1:
         raise ValueError("rows of differing length")
     pivots: list[int] = []
     det = 1
     for col in range(width if ncols is None else ncols):
         r = len(pivots)
-        if r == len(work):
+        if r == n:
             break
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
+        for piv in range(r, n):
+            if work[piv][col]:
+                break
+        else:
             continue
         work[r], work[piv] = work[piv], work[r]
         det = _pivot(work, r, col, det)

@@ -169,6 +169,44 @@ def test_not_compact_verdict_runs_no_facet_dd(monkeypatch):
     assert len(not_compact) >= 60
 
 
+def test_only_a_compact_verdict_builds_the_degeneracy_cone(monkeypatch):
+    """The degeneracy cone C is read only by a COMPACT verdict: over 300
+    corpus seeds ``1000*d + k`` and eight d=4 random instances, on fresh
+    values, a NOT_COMPACT verdict and its report make no
+    ``degeneracy_cone`` call and leave ``Instance.degeneracy`` unbuilt,
+    while a COMPACT verdict with T1-T6 runs C's double description once
+    per gauge value, though T6 builds a second instance on the gauge."""
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += [gen_random_instance(4, 4000 + k) for k in range(8)]
+    cones, dds = [], []
+    real_cone, real_dd = compactness.degeneracy_cone, norm_module.cone_from_rows
+
+    def counting_cone(q):
+        cones.append(q)
+        return real_cone(q)
+
+    def counting_dd(rows, dim):
+        dds.append(rows)
+        return real_dd(rows, dim)
+
+    monkeypatch.setattr(compactness, "degeneracy_cone", counting_cone)
+    monkeypatch.setattr(norm_module, "cone_from_rows", counting_dd)
+    verdicts = []
+    for q, region in cases:
+        cones.clear()
+        dds.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        verdicts.append(cert.verdict)
+        if cert.verdict is Verdict.NOT_COMPACT:
+            assert not cones and not dds and "degeneracy" not in vars(inst)
+        else:
+            assert cert.verdict is Verdict.COMPACT
+            assert len(dds) == 1 and "degeneracy" in vars(inst) and set(map(id, cones)) == {id(q)}
+    assert verdicts.count(Verdict.COMPACT) >= 50 and verdicts.count(Verdict.NOT_COMPACT) >= 200
+
+
 def test_local_test_agrees_with_lp_extremality():
     """A closure vertex v is extreme in closure + cone iff no other vertex,
     ray or cone generator generates it (an LP), whenever the sum is

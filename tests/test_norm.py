@@ -52,6 +52,26 @@ def test_make_norm_examples():
         make_norm(2, [(1, 0)])
 
 
+def test_constructor_enforces_definiteness():
+    """Every gauge value is definite: the public constructor refuses
+    rank-deficient functionals itself, so no instance is built from one.
+    ``make_norm`` names a missing functional before definiteness, and a
+    row of the wrong length before either."""
+    from asymgeo.compactness import Instance
+
+    for dim, rows in ((2, ((1, 0),)), (2, ((1, 1), (-2, -2), (0, 0))), (3, ((1, 0, 0), (0, 1, 0))), (1, ())):
+        with pytest.raises(DefinitenessViolation):
+            AsymNorm(dim, rows)
+    box = PartialPolyhedron(2, tuple(Constraint(e, 1, False) for e in ((1, 0), (-1, 0), (0, 1), (0, -1))))
+    with pytest.raises(DefinitenessViolation):
+        Instance.build(AsymNorm(2, ((1, 0),)), box)
+    with pytest.raises(ValueError, match="at least one functional"):
+        make_norm(2, [])
+    with pytest.raises(ValueError, match="functional of length 1"):
+        make_norm(2, [(1,)])
+    assert AsymNorm(2, ((1, 0), (0, 1))) == SUP2
+
+
 def test_zero_and_duplicate_rows_are_kept():
     # rows are stored as given; zero rows never change values
     q = make_norm(1, [(0,), (1,), (1,)])

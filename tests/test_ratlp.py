@@ -259,6 +259,29 @@ def test_elimination_matches_fraction_reference():
         assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
         deficient += ref_rank(mat) < min(m, n)
     assert deficient > 300
+    # int rows are eliminated as they are: the same rows, pivots and
+    # denominator as the rows given as Fractions, or mixed, and the input
+    # rows are left as they were
+    int_deficient = 0
+    for _ in range(600):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        ints = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            ints[-1] = [2 * a - b for a, b in zip(ints[0], ints[1])]
+        before = [list(r) for r in ints]
+        work, pivots, det = ratlp._reduce(ints)
+        assert ints == before
+        fracs = [[Fraction(a) for a in r] for r in ints]
+        mixed = [[Fraction(a) if j % 2 else a for j, a in enumerate(r)] for r in ints]
+        for other in (fracs, mixed):
+            other_work, other_pivots, other_det = ratlp._reduce(other)
+            assert ([list(r) for r in work], pivots, det) == ([list(r) for r in other_work], other_pivots, other_det)
+        assert rref(ints) == ref_rref(fracs) and rank(ints) == ref_rank(fracs), ints
+        assert null_space_basis(ints, n) == ref_null_space_basis(fracs, n), ints
+        int_deficient += ref_rank(fracs) < min(m, n)
+    assert int_deficient > 60
+    with pytest.raises(ValueError, match="differing length"):
+        ratlp._reduce([(1, 2), (3,)])
 
 
 def _rand_lp(rng: random.Random):
