@@ -185,12 +185,16 @@ def _fmt(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _h_line(c: Constraint) -> str:
+    """The ``H:`` line of a row, as ``write_instance`` and ``asymgeo ball`` print it."""
+    rel = "<" if c.strict else "<="
+    return "H: " + " ".join(_fmt(x) for x in c.normal) + f" {rel} {_fmt(c.rhs)}"
+
+
 def write_instance(norm: AsymNorm, region: PartialPolyhedron) -> str:
     """Canonical text for the pair; parse(write(...)) round-trips exactly."""
     lines = ["version 1", f"dim {norm.dim}"]
     for f in norm.functionals:
         lines.append("F: " + " ".join(_fmt(c) for c in f))
-    for c in region.constraints:
-        rel = "<" if c.strict else "<="
-        lines.append("H: " + " ".join(_fmt(x) for x in c.normal) + f" {rel} {_fmt(c.rhs)}")
+    lines += map(_h_line, region.constraints)
     return "\n".join(lines) + "\n"

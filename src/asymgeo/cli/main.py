@@ -13,7 +13,7 @@ from fractions import Fraction
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, gen_arc_hull, gen_lattice_norm, gen_random_instance
-from asymgeo.cli.instances import InstanceError, _fmt, _parse_rational, parse_instance, write_instance
+from asymgeo.cli.instances import InstanceError, _fmt, _h_line, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
 
@@ -66,8 +66,7 @@ def _cmd_ball(args) -> int:
     closed = Closedness.OPEN if args.open else Closedness.CLOSED
     b = ball(norm, center, _parse_rational(args.radius, "--radius"), closed)
     for c in b.as_set.constraints:
-        rel = "<" if c.strict else "<="
-        print("H: " + " ".join(_fmt(x) for x in c.normal) + f" {rel} {_fmt(c.rhs)}")
+        print(_h_line(c))
     return 0
 
 

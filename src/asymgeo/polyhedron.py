@@ -7,16 +7,18 @@ description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
 closure, the facets, the degeneracy cone and the local tangent-cone test
 all pass through it, with int rows, which are prepared and eliminated as
-they are; a pointed cone costs one elimination), and every
+they are; a pointed cone costs one elimination, and a cone with lineality
+one null-space elimination more and a second pointed run, in the same
+coordinates, with the null space's basis as equation rows), and every
 predicate (membership, inclusion, extremality, closedness) reduces to
 exact support-function scans and to incidence against an
-H-representation; emptiness is read off the closure's generators.  The
-incidence predicates (extreme points and rays, lines, the recession cone's
-lineality) read ``Polyhedron._rows``, any integer inequality description
-of the set, as one bitmask of tight rows per generator, and run no
-elimination: a generator is extreme iff no other one is tight on all its
-rows, and a line lies in the set iff some ray is tight on every row.  A
-closure keeps the rows it was converted from, so they run without a
+H-representation; emptiness and closedness are read off the closure's
+generators.  The incidence predicates (extreme points and rays, lines,
+the recession cone's lineality) read ``Polyhedron._rows``, any integer
+inequality description of the set, as one bitmask of tight rows per
+generator, and run no elimination: a generator is extreme iff no other one
+is tight on all its rows, and a line lies in the set iff some ray is
+tight on every row.  A closure keeps the rows it was converted from, so they run without a
 vertex-to-facet conversion, and the facets are computed only where they
 are needed, as int rows first (``_int_hrep``, by ``_int_facets``); ``hrep``
 is their ``Fraction`` view.  The ray masks, the line test and the support
@@ -261,10 +263,9 @@ class Polyhedron:
 
     @cached_property
     def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
-        """Memo of ``_support``: int row -> its value on the set (``subset``,
-        ``is_closed`` and ``saturate_region`` read it; ``support_value``
-        scans).  Not part of the value: equality, hash and repr read the
-        fields only."""
+        """Memo of ``_support``: int row -> its value on the set (``subset``
+        and ``saturate_region`` read it; ``support_value`` scans).  Not part
+        of the value: equality, hash and repr read the fields only."""
         return {}
 
     @cached_property
@@ -401,27 +402,20 @@ def cone_from_rows(rows: Sequence[Sequence],
     primitive int tuples out, the generators sorted.  A pointed cone takes
     one elimination, the one ``_pointed_cone_rays`` picks its base with.
     Only when that finds the rank below dim is the lineality (the null space
-    of the rows) split off; the pointed part is then computed in the
-    orthogonal complement and mapped back.
+    of the rows) split off, and the cone is cut by its equations: each basis
+    vector l enters as the rows l and -l, so the same pointed run, in the
+    same coordinates, yields the extreme rays of the cone's intersection with
+    the orthogonal complement of the lineality (Fukuda & Prodon 1996).
     """
     prepared = _prepare_rows(rows)
     rays = _pointed_cone_rays(prepared, dim)
     if rays is not None:
         return tuple(rays), ()
     lin = tuple([_ints(l) for l in null_space_basis(prepared, dim)])
-    comp = [_ints(w) for w in null_space_basis(lin, dim)]
-    proj = _prepare_rows([tuple(sum(map(mul, h, w)) for w in comp) for h in prepared])
-    if not proj:
-        return (), lin
-    rays = _pointed_cone_rays(proj, len(comp))
+    rays = _pointed_cone_rays(_prepare_rows([*prepared, *lin, *map(vneg, lin)]), dim)
     if rays is None:
-        raise InternalInvariantError("the rows span the complement of their null space")
-    back = []
-    for y in rays:
-        x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
-        g = gcd(*x)
-        back.append(tuple(a // g for a in x))
-    return tuple(sorted(back)), lin
+        raise InternalInvariantError("the rows and their null space span the space")
+    return tuple(rays), lin
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -621,23 +615,18 @@ def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, t
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
-    """True iff the region equals its closure.
+    """True iff the region equals its closure, that is iff the closure lies
+    in the region (``_within``, read off the closure's generators).
 
-    A strict row matters only when the corresponding face of the closure is
-    nonempty, which is decided by maximizing the row over the closure.
+    The closure satisfies every row non-strictly, so it leaves the region
+    only where a strict row is tight.  A row tight at a point of the closure
+    attains its maximum there, and the maximum of a row bounded over
+    conv(vertices) + cone(rays) is attained at a listed vertex, so the region
+    is closed iff every vertex is a member (no ray of the closure ascends
+    along a row of the region).
     """
     hull = closure(region)
-    if hull is None:
-        return True
-    for c, b, strict in region._int_rows:
-        if not strict:
-            continue
-        top = _support(hull, c)
-        if top is None:
-            raise InternalInvariantError("rows of the region bound its own closure")
-        if top[0] == b * top[1]:
-            return False
-    return True
+    return hull is None or _within(hull, region)
 
 
 def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:

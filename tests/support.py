@@ -12,7 +12,7 @@ from typing import Optional
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
 from asymgeo.norm import AsymNorm, make_norm
-from asymgeo.polyhedron import Constraint, PartialPolyhedron, Polyhedron, to_partial
+from asymgeo.polyhedron import Constraint, PartialPolyhedron, Polyhedron, closure, to_partial
 from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, primitive
 
 
@@ -363,7 +363,9 @@ def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
 # Verbatim copies of the earlier Fraction versions of ``support_value``,
 # ``member`` and ``_meets_face`` (``asymgeo.polyhedron``) and ``gauge_eval``
 # (``asymgeo.norm``), kept so property tests can compare the integer
-# predicates against them.  As with the kernel above, do not optimize them.
+# predicates against them, and the earlier ``is_closed``, which scanned the
+# support of each strict row over the closure where the current one reads
+# the closure's generators.  As with the kernel above, do not optimize them.
 
 
 def ref_support_value(poly, direction):
@@ -391,6 +393,21 @@ def ref_meets_face(region, hull, normal, top):
     rays = [r for r in hull.rays if dot(normal, r) == 0]
     return all(any(dot(c.normal, v) < c.rhs for v in verts) or any(dot(c.normal, r) != 0 for r in rays)
                for c in region.constraints if c.strict)
+
+
+def ref_is_closed(region):
+    hull = closure(region)
+    if hull is None:
+        return True
+    for c in region.constraints:
+        if not c.strict:
+            continue
+        top = ref_support_value(hull, c.normal)
+        if top is None:
+            raise AssertionError("rows of the region bound its own closure")
+        if top == c.rhs:
+            return False
+    return True
 
 
 def ref_gauge_eval(norm, x):

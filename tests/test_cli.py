@@ -25,7 +25,7 @@ from asymgeo.cli.main import main
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import run_reference_suite
 from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_certify
-from asymgeo.norm import DefinitenessViolation, gauge_eval
+from asymgeo.norm import Closedness, DefinitenessViolation, ball, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
 
 from support import interval, rand_point, ref_parse_instance
@@ -360,6 +360,28 @@ def test_cli_theta_and_ball(tmp_path, capsys):
     assert "generator: (-1)" in capsys.readouterr().out
     assert main(["ball", str(path), "--radius", "2", "--open"]) == 0
     assert "H: 1 < 2" in capsys.readouterr().out
+
+
+def test_cli_ball_prints_the_rows_write_instance_writes(tmp_path, capsys):
+    """``asymgeo ball`` prints the ``H:`` lines that ``write_instance`` writes
+    for ``ball(...).as_set``: seeded gauges at d = 1..3, integer and
+    fractional centers and radii, open and closed, and the open ball of
+    radius 0 with its ``0 < 0`` row."""
+    rng = random.Random(107)
+    for n in range(24):
+        d = rng.randint(1, 3)
+        norm = gen_random_norm(d, rng)
+        center = rand_point(rng, d, span=2)
+        radius = F(0) if n % 6 == 0 else F(rng.randint(1, 9), rng.randint(1, 4))
+        closedness = Closedness.OPEN if n % 2 == 0 else Closedness.CLOSED
+        path = tmp_path / "gauge.txt"
+        path.write_text(write_instance(norm, PartialPolyhedron(d, (Constraint((0,) * d, 0, False),))),
+                        encoding="utf-8")
+        argv = ["ball", str(path), "--radius", str(radius), "--center=" + ",".join(map(str, center))]
+        assert main(argv + (["--open"] if closedness is Closedness.OPEN else [])) == 0
+        written = write_instance(norm, ball(norm, center, radius, closedness).as_set)
+        expected = [line for line in written.splitlines() if line.startswith("H:")]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("option", [["--radius", "1.5"], ["--radius", "1e3"], ["--radius", "2/0"],

@@ -42,6 +42,7 @@ from support import (
     rand_fraction,
     rand_point,
     ref_invert,
+    ref_is_closed,
     ref_meets_face,
     ref_member,
     ref_rank,
@@ -625,6 +626,38 @@ def test_closure_emptiness_agrees_with_margin_lp():
     assert min(empty_relaxation, empty_region_only, nonempty) >= 20
 
 
+def test_is_closed_agrees_with_the_support_scan():
+    """``is_closed`` reads the closure's generators; the earlier support scan
+    of each strict row over the closure is the reference.  720 seeded
+    regions at d = 1..4: every other one has each strict row (c, b) split
+    into c x <= b and a strict copy at b or b + 1, so closed regions with
+    strict rows occur next to empty and half-open ones."""
+    rng = random.Random(109)
+    kinds = {"empty": 0, "closed with a strict row": 0, "not closed": 0}
+    outcomes = {True: 0, False: 0}
+    for n in range(720):
+        d = rng.randint(1, 4)
+        k = _random_half_open_region(rng, d)
+        if n % 2:
+            rows = []
+            for c, b, strict in k.constraints:
+                rows.append(Constraint(c, b, False))
+                if strict:
+                    rows.append(Constraint(c, b + rng.randint(0, 1), True))
+            k = PartialPolyhedron(d, tuple(rows))
+        got = is_closed(k)
+        assert got == ref_is_closed(k), k
+        outcomes[got] += 1
+        if closure(k) is None:
+            kinds["empty"] += 1
+        elif not got:
+            kinds["not closed"] += 1
+        elif any(c.strict for c in k.constraints):
+            kinds["closed with a strict row"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+    assert min(kinds.values()) >= 50, kinds
+
+
 def test_meets_face_agrees_with_face_system():
     """A face of the closure meets the region iff the face system is nonempty."""
     rng = random.Random(37)
@@ -944,6 +977,51 @@ def test_pointed_cones_take_no_null_space_elimination(monkeypatch):
         monkeypatch.setattr(polyhedron, "null_space_basis", forbidden if pointed else real)
         assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
         kinds["pointed" if pointed else "lineality" if expected[0] else "lineality only"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_cones_with_lineality_take_one_null_space_elimination(monkeypatch):
+    """A cone with lineality runs one null-space elimination in
+    ``cone_from_rows`` (its basis then cuts the cone as equation rows) and
+    returns the ``(gens, lin)`` that splitting the null space off first
+    gives: seeded int and rational row sets at d = 1..6 orthogonal to a
+    random subspace of every dimension 1..d, with zero rows and, at each d,
+    the empty row set."""
+    real = polyhedron.null_space_basis
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedron, "null_space_basis", counted)
+    rng = random.Random(113)
+    seen = set()
+    kinds = {"lineality": 0, "lineality only": 0}
+    for d in range(1, 7):
+        cases = [[]]
+        for k in range(1, d + 1):
+            for _ in range(8):
+                lineality = []
+                while ref_rank(lineality) < k:
+                    lineality = [rand_point(rng, d, span=2, max_den=1) for _ in range(k)]
+                complement = null_space_basis(lineality, d)
+                rows = []
+                for _ in range(rng.randint(0, 2 * d + 2)):
+                    coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in complement]
+                    rows.append(tuple(sum((a * w[t] for a, w in zip(coeffs, complement)), F(0))
+                                      for t in range(d)))
+                if rng.random() < 0.5:
+                    rows = [tuple(int(a * 6) for a in r) for r in rows]
+                cases.append(rows)
+        for rows in cases:
+            expected = _cone_from_rows_null_space_first(rows, d)
+            calls.clear()
+            assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
+            assert len(calls) == 1, (d, rows)
+            seen.add((d, len(expected[1])))
+            kinds["lineality" if expected[0] else "lineality only"] += 1
+    assert seen == {(d, k) for d in range(1, 7) for k in range(1, d + 1)}, seen
     assert min(kinds.values()) >= 40, kinds
 
 
