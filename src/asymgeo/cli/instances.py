@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
@@ -44,61 +44,68 @@ def _fail(lineno: int, msg: str) -> "InstanceError":
     return InstanceError(f"line {lineno}: {msg}")
 
 
-def _rational(tok: str) -> Fraction:
-    """The number a grammar token denotes; a ValueError carries the reason."""
+def _reduced(tok: str) -> tuple[int, int]:
+    """(p, q), the number a grammar token denotes as p / q in lowest terms,
+    q > 0; a ValueError carries the reason."""
     # Fraction alone also takes 1.5, 1_000, +1 and 1e999999999 (a huge integer)
     if not _NUMBER.fullmatch(tok):
         raise ValueError(f"bad rational {tok!r}")
     num, _, den = tok.partition("/")
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        p, q = int(num), int(den or 1)
     except ValueError as exc:  # more digits than the interpreter's int_max_str_digits
         raise ValueError(f"number too long: {exc}") from None
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _parse_rational(tok: str, where: str) -> Fraction:
-    """``_rational``, its errors raised as ``InstanceError``s that begin with ``where``."""
+    """The token's value as a ``Fraction``; errors are raised as
+    ``InstanceError``s that begin with ``where``."""
     try:
-        return _rational(tok)
+        return Fraction(*_reduced(tok))
     except ValueError as exc:
         raise InstanceError(f"{where}: {exc}") from None
 
 
-def _number(tok: str, numbers: dict[str, tuple[Fraction, int, int]],
-            lineno: int) -> tuple[Fraction, int, int]:
-    """A token not yet in ``numbers``, checked and reduced: (value, p, q) with
-    value = p / q in lowest terms, q > 0; memoized in ``numbers``."""
+def _number(tok: str, numbers: dict[str, tuple[int, int]], lineno: int) -> tuple[int, int]:
+    """A token not yet in ``numbers``, checked and reduced (``_reduced``);
+    memoized in ``numbers``."""
     try:
-        value = _rational(tok)
+        numbers[tok] = entry = _reduced(tok)
     except ValueError as exc:
         raise _fail(lineno, str(exc)) from None
-    numbers[tok] = entry = value, value.numerator, value.denominator
     return entry
 
 
-def _row(toks: list[str], numbers: dict[str, tuple[Fraction, int, int]],
-         lineno: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]:
-    """The tokens' values, reduced numerators and denominators, by ``_number``."""
-    vals, ps, qs = zip(*[numbers.get(t) or _number(t, numbers, lineno) for t in toks])
-    return vals, ps, qs
+def _row(toks: list[str], numbers: dict[str, tuple[int, int]],
+         lineno: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tokens' reduced numerators and denominators, by ``_number``."""
+    ps, qs = zip(*[numbers.get(t) or _number(t, numbers, lineno) for t in toks])
+    return ps, qs
+
+
+def _cleared(ps: tuple[int, ...], qs: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The numbers p / q times s, a common multiple of the q's, as ints."""
+    return ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
 
 
 def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
     """Parse instance text into a validated (gauge, region) pair.
 
     An internal builder: each distinct number token is checked and reduced
-    once per call, every H row is cleared to ints by the lcm of its
+    to ints once per call, every H row is cleared by the lcm of its
     denominators and the functionals jointly by theirs, and both values are
-    made through ``_of`` with their int views set, after the gauge's
-    definiteness check on those ints.  A V/R block goes through the public
-    constructors.
+    made of that stored form (``_make``), after the gauge's definiteness
+    check on its ints; no ``Fraction`` is made for them.  A V/R block goes
+    through the public constructors.
     """
     version: Optional[str] = None
     dim: Optional[int] = None
-    numbers: dict[str, tuple[Fraction, int, int]] = {}
-    functionals: list[tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]] = []
-    constraints: list[Constraint] = []
-    int_rows: list[tuple[tuple[int, ...], int, bool]] = []
+    numbers: dict[str, tuple[int, int]] = {}
+    functionals: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    rows: list[tuple[tuple[int, ...], int, bool]] = []
+    scales: list[int] = []
     generators: dict[str, list[tuple[Fraction, ...]]] = {"V": [], "R": []}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,16 +149,15 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
             rel = toks.pop(dim)
             if rel not in ("<", "<="):
                 raise _fail(lineno, f"relation must be '<' or '<=', got {rel!r}")
-            vals, ps, qs = _row(toks, numbers, lineno)
+            ps, qs = _row(toks, numbers, lineno)
             s = lcm(*qs)
-            ints = ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
-            strict = rel == "<"
-            constraints.append(Constraint(vals[:-1], vals[-1], strict))
-            int_rows.append((ints[:-1], ints[-1], strict))
+            ints = _cleared(ps, qs, s)
+            rows.append((ints[:-1], ints[-1], rel == "<"))
+            scales.append(s)
         elif key in generators:
             if len(toks) != dim:
                 raise _fail(lineno, f"expected {dim} coordinates, got {len(toks)}")
-            generators[key].append(_row(toks, numbers, lineno)[0])
+            generators[key].append(tuple(map(Fraction, *_row(toks, numbers, lineno))))
         else:
             raise _fail(lineno, f"unknown directive {key!r}")
 
@@ -163,17 +169,16 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
         raise InstanceError("missing 'dim' line")
     if not functionals:
         raise InstanceError("missing functional rows (F:)")
-    s = lcm(*[q for _, _, qs in functionals for q in qs])
-    int_functionals = tuple([ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
-                             for _, ps, qs in functionals])
-    _check_definite(dim, int_functionals)
-    norm = AsymNorm._of(dim, tuple([vals for vals, _, _ in functionals]), (s, int_functionals))
+    s = lcm(*[q for _, qs in functionals for q in qs])
+    norm_rows = tuple([_cleared(ps, qs, s) for ps, qs in functionals])
+    _check_definite(dim, norm_rows)
+    norm = AsymNorm._make(dim=dim, _scale=s, _rows=norm_rows)
 
     vertices, rays = generators["V"], generators["R"]
-    if constraints and (vertices or rays):
+    if rows and (vertices or rays):
         raise InstanceError("give either H rows or a V/R block, not both")
-    if constraints:
-        region = PartialPolyhedron._of(dim, tuple(constraints), tuple(int_rows))
+    if rows:
+        region = PartialPolyhedron._make(dim=dim, _rows=tuple(rows), _scales=tuple(scales))
     elif vertices:
         region = to_partial(Polyhedron(dim, tuple(vertices), tuple(rays)))
     else:

@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="print a gauge ball as inequality rows")
     p.add_argument("file")
     p.add_argument("--radius", required=True)
-    p.add_argument("--center", default=None, help="comma-separated rationals")
+    p.add_argument("--center", default=None,
+                   help="comma-separated rationals; a negative first coordinate needs the = form, --center=-1,2")
     p.add_argument("--open", action="store_true", help="open ball (default closed)")
     p.set_defaults(func=_cmd_ball)
 

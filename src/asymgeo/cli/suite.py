@@ -78,8 +78,8 @@ def _check(name: str, norm: AsymNorm, region: PartialPolyhedron) -> RunReport:
     return RunReport(
         name=name,
         dim=norm.dim,
-        functionals=len(norm.functionals),
-        rows=len(region.constraints),
+        functionals=len(norm._rows),
+        rows=len(region._rows),
         verdict=cert.verdict.value,
         center=cert.center.vertices if cert.center is not None else None,
         witness=repr(cert.witness) if cert.witness is not None else None,

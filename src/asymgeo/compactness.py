@@ -45,15 +45,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
-    Constraint,
     PartialPolyhedron,
     Polyhedron,
+    _extreme_flags,
     _int_member,
     _meets_face,
     _support,
@@ -61,8 +61,6 @@ from asymgeo.polyhedron import (
     closure,
     cone_from_rows,
     contains_line,
-    extreme_points,
-    member,
     minkowski_sum_with_cone,
     recession_cone,
     set_equal,
@@ -120,10 +118,9 @@ class Instance:
     are not part of the value: ``_sums`` maps a core to core + cone computed
     elsewhere (T6 hands its nested instance the parent's), and
     ``_verified_sums`` maps each core whose sandwich ``decide_compact``
-    verified on this instance to core + cone.  Both are keyed by the core's
-    int generators ``(_int_verts, _int_rays)``, which determine it, so a
-    lookup hashes no ``Fraction``; a center handed to ``verify_theorems``
-    may carry rays, and then matches no ray-free core."""
+    verified on this instance to core + cone.  Both are keyed by the core
+    value itself; a center handed to ``verify_theorems`` may carry rays,
+    and then equals no ray-free core."""
 
     norm: AsymNorm
     region: PartialPolyhedron
@@ -158,7 +155,19 @@ def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
     flags keep or cut wholly, so the extreme points are exactly the closure
     vertices that survive membership.
     """
-    return tuple(v for v in extreme_points(inst.hull) if member(inst.region, v))
+    return tuple([_point(y, t) for y, t in _region_extreme(inst)])
+
+
+def _region_extreme(inst: Instance) -> Iterator[tuple[Sequence[int], int]]:
+    """The stored closure vertices (y, t) that ``region_extreme_points`` returns, lazily."""
+    hull = inst.hull
+    return ((y, t) for (y, t), keep in zip(hull._verts, _extreme_flags(hull))
+            if keep and _int_member(inst.region, y, t))
+
+
+def _point(y: Sequence[int], t: int) -> Vec:
+    """The stored point (y, t) as the ``Fraction`` point y / t of a result."""
+    return tuple([Fraction(a, t) for a in y])
 
 
 def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
@@ -169,11 +178,10 @@ def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 
 def center_candidate(inst: Instance) -> Polyhedron:
     """The bounded polytope spanned by the saturated hull's extreme points,
-    built from the saturated hull's vertices and their int form as they are."""
-    if not saturation_extreme_points(inst):
+    built from the saturated hull's stored vertices as they are."""
+    if contains_line(inst.saturated):
         raise EmptyExtremeSetError("the saturated hull has no extreme points")
-    sat = inst.saturated
-    return Polyhedron._of(inst.region.dim, sat.vertices, sat._int_verts, ())
+    return Polyhedron._make(dim=inst.region.dim, _verts=inst.saturated._verts, _rays=())
 
 
 def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
@@ -202,7 +210,7 @@ def _extreme_in_saturation(inst: Instance, y: Sequence[int], t: int) -> bool:
     decides it: the cone is {0} iff it has neither generators nor lineality.
     """
     tight = [c for c, b in inst.hull._rows if sum(map(mul, c, y)) == b * t]
-    minus_cone = [vneg(a) for a in inst.norm._int_functionals[1]]
+    minus_cone = [vneg(a) for a in inst.norm._rows]
     return cone_from_rows(tight + minus_cone, inst.norm.dim) == ((), ())
 
 
@@ -215,30 +223,24 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     C, so P is pointed and P + C is line-free with its vertices among P's:
     the escaped extreme point is the first vertex of P that misses the
     region and passes the local test of ``_extreme_in_saturation``, and
-    closure + C is built only when no vertex escapes.  The recession
-    directions are tested as ints (``Cone._int_generators`` and
-    ``_int_lineality`` against ``AsymNorm._int_functionals``); only the
-    escaping one becomes a ``Fraction`` witness.
+    closure + C is built only when no vertex escapes.  Everything is tested
+    on the stored ints of the cone, the gauge and the vertices; only the
+    witness becomes ``Fraction``s.
     """
     rec = recession_cone(inst.hull)
-    directions = set(rec._int_generators)
-    for l in rec._int_lineality:
-        directions.add(l)
-        directions.add(vneg(l))
-    rows = inst.norm._int_functionals[1]
+    directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
     for d in sorted(directions):
-        if any(sum(map(mul, a, d)) > 0 for a in rows):  # q(d) > 0
+        if any(sum(map(mul, a, d)) > 0 for a in inst.norm._rows):  # q(d) > 0
             return CompactnessCertificate(Verdict.NOT_COMPACT,
-                                          witness=BadRecessionDirection(tuple(map(Fraction, d))))
-    for v, (y, t) in zip(inst.hull.vertices, inst.hull._int_verts):
+                                          witness=BadRecessionDirection(_point(d, 1)))
+    for y, t in inst.hull._verts:
         if not _int_member(inst.region, y, t) and _extreme_in_saturation(inst, y, t):
-            return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(v))
+            return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
     core = center_candidate(inst)
-    key = core._int_verts, core._int_rays
-    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(key))
+    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(core))
     if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
-    inst._verified_sums[key] = padded
+    inst._verified_sums[core] = padded
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
 
@@ -249,7 +251,7 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
     bounded polytope, and gauge-open sets absorb the degeneracy cone, so
     any cover of the core extends over the padded set and hence the region.
     """
-    if core.rays:
+    if core._rays:
         raise ValueError("the core must be a bounded polytope")
     if core.dim != region.dim or norm.dim != region.dim:
         raise ValueError("dimension mismatch")
@@ -263,7 +265,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     optimal face over the closure never meets the region, since a boundary
     point of the sum decomposes as (face point of the closure) + (cone
     point).  The strict flags are decided on the int facets ``_int_hrep``,
-    which are also the result's int rows (``PartialPolyhedron._of``).
+    which are also the result's rows (``_make``), primitive, so of scale 1.
     Without strict rows that is ``to_partial(inst.saturated)``, which comes
     with its closure already known.
     """
@@ -276,8 +278,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
         flags.append(top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b))
     if not any(flags):
         return to_partial(sat)
-    return PartialPolyhedron._of(inst.region.dim, tuple([Constraint(c, b, s) for (c, b), s in zip(sat.hrep, flags)]),
-                                 tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
+    return PartialPolyhedron._make(dim=inst.region.dim, _scales=(1,) * len(flags),
+                                   _rows=tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +339,21 @@ def verify_theorems(inst: Instance,
         return TheoremReport(claims)
 
     claims = []
-    ext_sat = saturation_extreme_points(inst)
     core = cert.center
     if core is None:
         raise InternalInvariantError("a COMPACT certificate carries its center")
 
     sat = inst.saturated
-    escaped = next((v for v, (y, t) in zip(sat.vertices, sat._int_verts)
-                    if not _int_member(inst.region, y, t)), None) if ext_sat else None
+    escaped = None if contains_line(sat) else next(
+        (_point(y, t) for y, t in sat._verts if not _int_member(inst.region, y, t)), None)
     claims.append(_claim("T1", escaped is None,
                          None if escaped is None else f"escaped extreme point {escaped}"))
 
-    own_ext = region_extreme_points(inst)
-    claims.append(_claim("T2", bool(own_ext), "no extreme point found"))
+    own_ext = next(_region_extreme(inst), None) is not None
+    claims.append(_claim("T2", own_ext, "no extreme point found"))
 
     # a center decide_compact did not verify on this instance is checked here
-    key = core._int_verts, core._int_rays
-    padded = inst._verified_sums.get(key) or _sandwich(core, inst.region, inst.degeneracy)
+    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
     sat_partial = to_partial(sat)
     t3 = padded is not None and set_equal(to_partial(padded), sat_partial)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))
@@ -367,7 +367,7 @@ def verify_theorems(inst: Instance,
 
     sum_inst = Instance.build(inst.norm, half_open_sum)
     if padded is not None:
-        sum_inst._sums[key] = padded  # core + C: the same core and cone
+        sum_inst._sums[core] = padded  # core + C: the same core and cone
     t6 = decide_compact(sum_inst).verdict is Verdict.COMPACT
     claims.append(_claim("T6", t6, "the saturated region is not judged compact"))
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Sequence
 
 from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _clear, as_vec, dot, rank, rat, vneg, zero_vec
-from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, cone_from_rows
+from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, _fractions, _Value, cone_from_rows
 
 
 class DefinitenessViolation(ValueError):
@@ -25,52 +26,45 @@ class DefinitenessViolation(ValueError):
     both vanish along a line and the symmetrized gauge is not a norm."""
 
 
-@dataclass(frozen=True)
-class AsymNorm:
+@dataclass(frozen=True, init=False, repr=False)
+class AsymNorm(_Value):
     """Gauge q(x) = max(0, max_i <a_i, x>) over exact rational functionals.
 
     The zero functional is implicit (it is the 0 inside the max), so q >= 0
-    holds structurally.  Functional rows are stored exactly as supplied;
+    holds structurally.  Functional rows are stored as supplied, as the
+    ints ``_rows`` over their common denominator ``_scale`` (the lcm of all
+    their denominators); ``functionals`` is their ``Fraction`` view, and
     redundant rows never change values.  Every gauge value is definite: the
     constructor raises ``DefinitenessViolation`` when the functionals do not
-    span the space, and the parser builds the gauge through ``_of``, with the
-    int functionals already known, after the same check.
+    span the space, and the parser runs the same check (``_check_definite``)
+    on the ints it makes the gauge of.
     """
 
     dim: int
-    functionals: tuple[Vec, ...]
+    _scale: int
+    _rows: tuple[tuple[int, ...], ...]
+    _public = ("dim", "functionals")
 
-    def __post_init__(self):
-        rows = tuple(as_vec(f) for f in self.functionals)
+    def __init__(self, dim: int, functionals: Sequence[Vec]):
+        rows = [tuple(f) for f in functionals]
         for r in rows:
-            if len(r) != self.dim:
-                raise ValueError(f"functional of length {len(r)} in dimension {self.dim}")
-        object.__setattr__(self, "functionals", rows)
-        _check_definite(self.dim, self._int_functionals[1])
-
-    @classmethod
-    def _of(cls, dim: int, functionals: tuple[Vec, ...],
-            int_functionals: tuple[int, tuple[tuple[int, ...], ...]]) -> AsymNorm:
-        """The gauge of trusted rows, taken as given: ``functionals`` tuples of
-        ``dim`` ``Fraction``s, ``int_functionals`` the same rows as
-        ``_int_functionals`` has them.  Checks nothing, definiteness included
-        (``_check_definite``)."""
-        norm = object.__new__(cls)
-        vars(norm).update(dim=dim, functionals=functionals, _int_functionals=int_functionals)
-        return norm
+            if len(r) != dim:
+                raise ValueError(f"functional of length {len(r)} in dimension {dim}")
+        s, flat = _clear([a for r in rows for a in r])
+        rows = tuple([tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)])
+        _check_definite(dim, rows)
+        vars(self).update(dim=dim, _scale=s, _rows=rows)
 
     @cached_property
-    def _int_functionals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(s, rows): the functionals times their common denominator s > 0, as ints."""
-        s, flat = _clear([a for f in self.functionals for a in f])
-        return s, tuple([tuple(flat[i:i + self.dim]) for i in range(0, len(flat), self.dim)])
+    def functionals(self) -> tuple[Vec, ...]:
+        return tuple([_fractions(f, self._scale) for f in self._rows])
 
     @cached_property
     def _degeneracy(self) -> Cone:
-        gens, lin = cone_from_rows(self._int_functionals[1], self.dim)
+        gens, lin = cone_from_rows(self._rows, self.dim)
         if lin:
             raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
-        return Cone._of(self.dim, gens)
+        return Cone._make(dim=self.dim, _gens=gens, _lin=())
 
 
 class Closedness(enum.Enum):
@@ -112,8 +106,7 @@ def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
     if len(x) != norm.dim:
         raise ValueError(f"point of length {len(x)} in dimension {norm.dim}")
     t, y = _clear(x)
-    s, rows = norm._int_functionals
-    return Fraction(max(0, max(sum(map(mul, a, y)) for a in rows)), s * t)
+    return Fraction(max(0, max(sum(map(mul, a, y)) for a in norm._rows)), norm._scale * t)
 
 
 def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:

@@ -20,25 +20,29 @@ generator, and run no elimination: a generator is extreme iff no other one
 is tight on all its rows, and a line lies in the set iff some ray is
 tight on every row.  A closure keeps the rows it was converted from, so they run without a
 vertex-to-facet conversion, and the facets are computed only where they
-are needed, as int rows first (``_int_hrep``, by ``_int_facets``); ``hrep``
-is their ``Fraction`` view.  The ray masks, the line test and the support
-values the predicates ask for (``_supports``, one per row) are memoized on
-the value, and the conversions seed the line test.  The predicates run on int copies
-memoized on each value (a vertex v as (y, t), t > 0 and v = y / t; each
-row (c, b) scaled jointly), so <c, v> <= b is <c, y> <= b * t; only
-public results are ``Fraction``s.
+are needed, as int rows (``_int_hrep``, by ``_int_facets``).  The ray
+masks, the line test and the support values the predicates ask for
+(``_supports``, one per row) are memoized on the value, and the
+conversions seed the line test.
 
-Values come two ways.  The public constructors (``Polyhedron(...)``,
-``PartialPolyhedron(...)``, ``Cone(...)``, and ``AsymNorm(...)`` in
-``asymgeo.norm``) take any numbers, check them and canonicalize them.  The
-internal builders (the conversions, the Minkowski sum, ``to_partial``,
-``recession_cone``, and in other modules the instance parser, the
-degeneracy cone, the center and the half-open sum) already hold canonical
-int data and hand it to each type's ``_of``, which takes it as given, sets
-the int views directly and builds the public ``Fraction`` attributes from
-them once; the parser reduces each distinct number token once and clears
-each H row, and the gauge's functionals jointly, to ints as it reads them.
-Both make the same value: equal, with the same hash and repr.
+Each value stores one canonical int form as its dataclass fields, which
+equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
+(y, t), t > 0 and v = y / t, and its rays primitive; a ``Cone`` its
+generators and lineality basis primitive; a ``PartialPolyhedron`` each row
+(c, b) cleared by the lcm of its denominators, with that scale; an
+``AsymNorm`` (``asymgeo.norm``) its functionals over their common
+denominator, with it.  So <c, v> <= b is <c, y> <= b * t.  The public
+constructors (``Polyhedron(...)``, ``PartialPolyhedron(...)``,
+``Cone(...)`` and ``AsymNorm(...)``) take any numbers, check them and
+canonicalize them into this form.  The internal builders (the conversions,
+the Minkowski sum, ``to_partial``, ``recession_cone``, and in other modules
+the instance parser, the degeneracy cone, the center and the half-open
+sum) already hold it and hand it to ``_make``, which takes it as given.
+The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
+``generators``, ``lineality_basis``, ``functionals`` and the facets
+``hrep``) are views, built on first read and memoized; the repr prints
+them, as the constructor call that makes the value.  Only views and public
+results are ``Fraction``s.
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
@@ -56,7 +60,7 @@ from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
     InternalInvariantError,
@@ -71,11 +75,8 @@ from asymgeo.ratlp import (
     is_zero_vec,
     lp_solve,
     null_space_basis,
-    primitive,
-    rat,
     vneg,
     vscale,
-    zero_vec,
 )
 
 HRow = tuple[Vec, Rational]  # <normal, x> <= rhs
@@ -91,139 +92,133 @@ class Constraint(NamedTuple):
     strict: bool
 
 
-@dataclass(frozen=True)
-class Cone:
+class _Value:
+    """What the four value types share: the maker of a value from its
+    stored form, and a repr of the public views named in ``_public``."""
+
+    _public: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, **fields):
+        """The value of canonical stored fields, taken as given: checks nothing."""
+        value = object.__new__(cls)
+        vars(value).update(fields)
+        return value
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._public)})"
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Cone(_Value):
     """Finitely generated cone, possibly with lineality.
 
     ``lineality_basis`` spans the largest subspace contained in the cone.
-    The public constructor makes the generators primitive, deduplicated and
-    sorted (a zero generator is dropped, as a zero ray is) and each basis
-    vector primitive; a basis vector must have length ``dim`` and be
-    nonzero.  Internal builders hand over primitive int data through ``_of``,
-    which sets the int views ``_int_generators`` and ``_int_lineality``.
+    Stored as primitive int tuples: the generators deduplicated and sorted
+    (a zero generator is dropped, as a zero ray is), the basis as given; a
+    basis vector must have length ``dim`` and be nonzero.  ``generators``
+    and ``lineality_basis`` are their ``Fraction`` views.
     """
 
     dim: int
-    generators: tuple[Vec, ...]
-    lineality_basis: tuple[Vec, ...] = ()
+    _gens: tuple[tuple[int, ...], ...]
+    _lin: tuple[tuple[int, ...], ...]
+    _public = ("dim", "generators", "lineality_basis")
 
-    def __post_init__(self):
-        gens = _canonical_rays(self.generators, self.dim)
+    def __init__(self, dim: int, generators: Sequence[Vec], lineality_basis: Sequence[Vec] = ()):
+        gens = _canonical_rays(generators, dim)
         lin = []
-        for b in self.lineality_basis:
-            if len(b) != self.dim:
-                raise ValueError(f"lineality basis vector of length {len(b)} in dimension {self.dim}")
-            b = primitive(as_vec(b))
-            if not any(b):
+        for b in lineality_basis:
+            if len(b) != dim:
+                raise ValueError(f"lineality basis vector of length {len(b)} in dimension {dim}")
+            b = _prepare_rows([b])
+            if not b:
                 raise ValueError("a lineality basis vector must be nonzero")
-            lin.append(b)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "lineality_basis", tuple(lin))
-
-    @classmethod
-    def _of(cls, dim: int, gens: tuple[tuple[int, ...], ...],
-            lin: tuple[tuple[int, ...], ...] = ()) -> Cone:
-        """The cone of trusted int data, taken as given: ``gens`` primitive,
-        deduplicated and sorted, ``lin`` primitive and nonzero."""
-        cone = object.__new__(cls)
-        vars(cone).update(dim=dim, generators=_fractions(gens), lineality_basis=_fractions(lin),
-                          _int_generators=gens, _int_lineality=lin)
-        return cone
+            lin.append(b[0])
+        vars(self).update(dim=dim, _gens=gens, _lin=tuple(lin))
 
     @cached_property
-    def _int_generators(self) -> tuple[tuple[int, ...], ...]:
-        """The generators as ints (they are primitive integer data)."""
-        return tuple([_ints(g) for g in self.generators])
+    def generators(self) -> tuple[Vec, ...]:
+        return tuple(map(_fractions, self._gens))
 
     @cached_property
-    def _int_lineality(self) -> tuple[tuple[int, ...], ...]:
-        """The lineality basis as ints (primitive integer data)."""
-        return tuple([_ints(b) for b in self.lineality_basis])
+    def lineality_basis(self) -> tuple[Vec, ...]:
+        return tuple(map(_fractions, self._lin))
 
 
-@dataclass(frozen=True)
-class PartialPolyhedron:
+@dataclass(frozen=True, init=False, repr=False)
+class PartialPolyhedron(_Value):
     """Intersection of closed and open half-spaces.
 
     Denotes {x : <c_j, x> < b_j for strict rows, <= b_j otherwise}.  Rows
-    are stored as given, as ``Fraction``s; redundancy never changes the
-    denoted set.  The closure and the int rows ``_int_rows`` are memoized on
-    the value; ``to_partial`` and ``saturate_region`` build it through
-    ``_of`` with the int rows already known.
+    are stored as given, each (c, b, strict) with (c, b) as ints, cleared
+    by the lcm ``_scales[j]`` of its denominators; redundancy never changes
+    the denoted set.  ``constraints`` is their ``Fraction`` view, and the
+    closure is memoized on the value.
     """
 
     dim: int
-    constraints: tuple[Constraint, ...]
+    _rows: tuple[tuple[tuple[int, ...], int, bool], ...]
+    _scales: tuple[int, ...]
+    _public = ("dim", "constraints")
 
-    def __post_init__(self):
-        rows = []
-        for normal, rhs, strict in self.constraints:
-            normal = as_vec(normal)
-            if len(normal) != self.dim:
-                raise ValueError(f"constraint row of length {len(normal)} in dimension {self.dim}")
-            rows.append(Constraint(normal, rat(rhs), bool(strict)))
-        object.__setattr__(self, "constraints", tuple(rows))
+    def __init__(self, dim: int, constraints: Sequence[Constraint]):
+        rows, scales = [], []
+        for normal, rhs, strict in constraints:
+            normal = tuple(normal)
+            if len(normal) != dim:
+                raise ValueError(f"constraint row of length {len(normal)} in dimension {dim}")
+            s, row = _clear((*normal, rhs))
+            rows.append((tuple(row[:-1]), row[-1], bool(strict)))
+            scales.append(s)
+        vars(self).update(dim=dim, _rows=tuple(rows), _scales=tuple(scales))
 
-    @classmethod
-    def _of(cls, dim: int, constraints: tuple[Constraint, ...],
-            int_rows: tuple[tuple[tuple[int, ...], int, bool], ...]) -> PartialPolyhedron:
-        """The region of trusted rows, taken as given: ``constraints`` of
-        ``Fraction`` normals and bounds, ``int_rows`` the same rows as ints."""
-        part = object.__new__(cls)
-        vars(part).update(dim=dim, constraints=constraints, _int_rows=int_rows)
-        return part
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return tuple([Constraint(_fractions(c, s), Fraction(b, s), strict)
+                      for (c, b, strict), s in zip(self._rows, self._scales)])
 
     @cached_property
     def _closure(self) -> Optional[Polyhedron]:
-        poly = dd_convert_h_to_v([(c, b) for c, b, _ in self._int_rows], self.dim)
+        poly = dd_convert_h_to_v([(c, b) for c, b, _ in self._rows], self.dim)
         if poly is None or not _meets_face(self, poly, (0,) * self.dim, 0):
             return None
         return poly
 
-    @cached_property
-    def _int_rows(self) -> tuple[tuple[Sequence[int], int, bool], ...]:
-        """The rows as ints (c, b, strict): each (c, b) scaled by one positive factor."""
-        rows = [(_clear((*c, b))[1], strict) for c, b, strict in self.constraints]
-        return tuple([(tuple(row[:-1]), row[-1], strict) for row, strict in rows])
 
-
-@dataclass(frozen=True)
-class Polyhedron:
+@dataclass(frozen=True, init=False, repr=False)
+class Polyhedron(_Value):
     """Closed polyhedron conv(vertices) + cone(rays); never empty.
 
-    Vertices are deduplicated and sorted; rays are reduced to primitive
-    integer direction vectors, deduplicated and sorted.  Lineality is
-    represented by opposite ray pairs.  The listed vertices need not all be
-    extreme; ``extreme_points`` computes the true extreme set.  The int
-    views ``_int_verts`` and ``_int_rays`` are memoized on the value, and
-    internal builders set them directly through ``_of``.
+    Stored as ints: each vertex v as (y, t), t > 0 the lcm of its
+    denominators and v = y / t, deduplicated and in the lexicographic order
+    of the vertices; the rays primitive, deduplicated and sorted.
+    Lineality is represented by opposite ray pairs.  The listed vertices
+    need not all be extreme; ``extreme_points`` computes the true extreme
+    set.  ``vertices`` and ``rays`` are the ``Fraction`` views.
     """
 
     dim: int
-    vertices: tuple[Vec, ...]
-    rays: tuple[Vec, ...] = ()
+    _verts: tuple[tuple[tuple[int, ...], int], ...]
+    _rays: tuple[tuple[int, ...], ...]
+    _public = ("dim", "vertices", "rays")
 
-    def __post_init__(self):
-        verts = sorted({as_vec(v) for v in self.vertices})
+    def __init__(self, dim: int, vertices: Sequence[Vec], rays: Sequence[Vec] = ()):
+        verts = _sorted_points({(tuple(y), t) for t, y in map(_clear, vertices)})
         if not verts:
             raise ValueError("a Polyhedron must have at least one vertex; the empty set is represented by None")
-        for v in verts:
-            if len(v) != self.dim:
-                raise ValueError(f"vertex of length {len(v)} in dimension {self.dim}")
-        object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "rays", _canonical_rays(self.rays, self.dim))
+        for y, _ in verts:
+            if len(y) != dim:
+                raise ValueError(f"vertex of length {len(y)} in dimension {dim}")
+        vars(self).update(dim=dim, _verts=verts, _rays=_canonical_rays(rays, dim))
 
-    @classmethod
-    def _of(cls, dim: int, vertices: tuple[Vec, ...], int_verts: tuple[tuple[tuple[int, ...], int], ...],
-            int_rays: tuple[tuple[int, ...], ...]) -> Polyhedron:
-        """The polyhedron of trusted data, taken as given: ``vertices``
-        nonempty, deduplicated and sorted, ``int_verts`` the same vertices as
-        ``_int_verts`` has them, in the same order, and ``int_rays`` primitive,
-        deduplicated and sorted int tuples."""
-        poly = object.__new__(cls)
-        vars(poly).update(dim=dim, vertices=vertices, rays=_fractions(int_rays),
-                          _int_verts=int_verts, _int_rays=int_rays)
-        return poly
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple([_fractions(y, t) for y, t in self._verts])
+
+    @cached_property
+    def rays(self) -> tuple[Vec, ...]:
+        return tuple(map(_fractions, self._rays))
 
     @cached_property
     def hrep(self) -> tuple[HRow, ...]:
@@ -246,20 +241,10 @@ class Polyhedron:
         return self._int_hrep
 
     @cached_property
-    def _int_verts(self) -> tuple[tuple[Sequence[int], int], ...]:
-        """The vertices as ints (y, t) with t > 0 and vertex = y / t."""
-        return tuple([(tuple(y), t) for t, y in map(_clear, self.vertices)])
-
-    @cached_property
-    def _int_rays(self) -> tuple[tuple[int, ...], ...]:
-        """The rays as ints (they are primitive integer data)."""
-        return tuple([_ints(r) for r in self.rays])
-
-    @cached_property
     def _ray_masks(self) -> tuple[int, ...]:
         """Per ray, the ``_rows`` its direction is tight on (``_tight_masks``);
         a polytope reads no row."""
-        return _tight_masks(self._rows, [(r, 0) for r in self._int_rays]) if self.rays else ()
+        return _tight_masks(self._rows, [(r, 0) for r in self._rays]) if self._rays else ()
 
     @cached_property
     def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
@@ -276,24 +261,31 @@ class Polyhedron:
         face of cone(rays), so a ray lies in it unless it is {0}.  A polytope
         reads no row, and ``dd_convert_h_to_v`` and ``minkowski_sum_with_cone``
         seed the answer they already know."""
-        return bool(self.rays) and (1 << len(self._rows)) - 1 in self._ray_masks
+        return bool(self._rays) and (1 << len(self._rows)) - 1 in self._ray_masks
 
 
-def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
+def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[tuple[int, ...], ...]:
     for r in rays:
         if len(r) != dim:
             raise ValueError(f"ray of length {len(r)} in dimension {dim}")
-    return _fractions(_prepare_rows(rays))
+    return tuple(_prepare_rows(rays))
 
 
-def _fractions(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
-    """Int rows as the ``Fraction`` tuples of a public attribute."""
-    return tuple([tuple(map(Fraction, r)) for r in rows])
+def _sorted_points(points: Collection[tuple[tuple[int, ...], int]]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Points (y, t), t > 0, in the lexicographic order of y / t, which is
+    that of y * (L / t), L the lcm of the t's."""
+    big = lcm(*[t for _, t in points])
+    return tuple(sorted(points, key=lambda yt: [a * (big // yt[1]) for a in yt[0]]))
+
+
+def _fractions(row: Sequence[int], den: int = 1) -> Vec:
+    """An int row over ``den`` > 0 as the ``Fraction`` tuple of a view."""
+    return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
 
 
 def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...]:
     """Int rows (c, b) as ``Fraction`` rows."""
-    return tuple([(r[:-1], r[-1]) for r in _fractions([(*c, b) for c, b in rows])])
+    return tuple([(tuple(map(Fraction, c)), Fraction(b)) for c, b in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +417,10 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
     Rows may be int or rational.  The value is built from the DD's int
-    output as it is (``Polyhedron._of``): a primitive generator (y, t) is
-    already the vertex's ``_int_verts`` entry, the vertices are sorted on
-    ints, and each becomes a ``Fraction`` once.  The result's ``_rows`` are
-    the given rows as ints, so its incidence predicates run without a
-    vertex-to-facet conversion, and it contains a line iff the
+    output as it is (``_make``): a primitive generator (y, t) is already the
+    vertex's stored form, and the vertices are sorted on ints.  The result's
+    ``_rows`` are the given rows as ints, so its incidence predicates run
+    without a vertex-to-facet conversion, and it contains a line iff the
     homogenization cone has lineality.
     """
     cleared = [_clear((*c, b))[1] for c, b in hrep]
@@ -450,11 +441,7 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
         raydirs.add(vneg(l[:-1]))
     if not verts:
         return None
-    # y / t in lexicographic order is y * (L / t) in it, L the lcm of the t's
-    big = lcm(*[t for _, t in verts])
-    verts.sort(key=lambda yt: [a * (big // yt[1]) for a in yt[0]])
-    poly = Polyhedron._of(dim, tuple([tuple([Fraction(a, t) for a in y]) for y, t in verts]), tuple(verts),
-                          tuple(sorted(raydirs)))
+    poly = Polyhedron._make(dim=dim, _verts=_sorted_points(verts), _rays=tuple(sorted(raydirs)))
     vars(poly).update(_rows=tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), _has_line=bool(lin))
     return poly
 
@@ -477,7 +464,7 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[int, ...], int], ...]:
     extreme rays, so facets, and only ``t >= 0`` (zero normal) is dropped.
     Both come out primitive, so the rows are primitive, in sorted order.
     """
-    rows = [(*y, t) for y, t in poly._int_verts] + [(*r, 0) for r in poly._int_rays]
+    rows = [(*y, t) for y, t in poly._verts] + [(*r, 0) for r in poly._rays]
     gens, lin = cone_from_rows(rows, poly.dim + 1)
     facets = set()
     for *c, g in gens:
@@ -496,12 +483,13 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[int, ...], int], ...]:
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
-    Built from the facets as they are (``PartialPolyhedron._of``): its rows
-    are ``poly.hrep``, its int rows ``poly._int_hrep``, and its closure is
-    ``poly`` itself, so converting back costs nothing.
+    Built from the int facets as they are (``_make``): its rows are
+    ``poly._int_hrep``, primitive, so of scale 1, and its closure is ``poly``
+    itself, so converting back costs nothing.
     """
-    part = PartialPolyhedron._of(poly.dim, tuple([Constraint(c, b, False) for c, b in poly.hrep]),
-                                 tuple([(c, b, False) for c, b in poly._int_hrep]))
+    rows = poly._int_hrep
+    part = PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
+                                   _scales=(1,) * len(rows))
     vars(part)["_closure"] = poly
     return part
 
@@ -532,10 +520,10 @@ def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int
     """``support_value`` for an int row c, as (n, t) with value n / t and t > 0.
 
     The maximum over the vertices (y, t) is taken by cross-multiplying."""
-    if any(sum(map(mul, c, r)) > 0 for r in poly._int_rays):
+    if any(sum(map(mul, c, r)) > 0 for r in poly._rays):
         return None
     best_n, best_t = None, 1
-    for y, t in poly._int_verts:
+    for y, t in poly._verts:
         n = sum(map(mul, c, y))
         if best_n is None or n * best_t > best_n * t:
             best_n, best_t = n, t
@@ -553,15 +541,13 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
     Maximizes a margin variable added to every strict row (capped at 1);
     the set is nonempty iff the closed system is feasible with a strictly
     positive margin.  It serves callers with rows but no closure (the random
-    generator's rejection loop), where one LP is cheaper than a DD run.
+    generator's rejection loop), where one LP is cheaper than a DD run.  The
+    LP gets the stored int rows, each with its strict margin scaled as the
+    row is.
     """
-    dim = region.dim
-    ext_rows: list[tuple[Vec, Rational]] = []
-    for c in region.constraints:
-        margin = Fraction(1) if c.strict else Fraction(0)
-        ext_rows.append((c.normal + (margin,), c.rhs))
-    ext_rows.append((zero_vec(dim) + (Fraction(1),), Fraction(1)))
-    res = lp_solve(zero_vec(dim) + (Fraction(1),), ext_rows)
+    unit = (0,) * region.dim + (1,)
+    rows = [((*c, s if strict else 0), b) for (c, b, strict), s in zip(region._rows, region._scales)]
+    res = lp_solve(unit, [*rows, (unit, 1)])
     if res.status == LpStatus.INFEASIBLE:
         return True
     if res.status != LpStatus.OPTIMAL:
@@ -579,8 +565,8 @@ def member(region: PartialPolyhedron, x: Vec) -> bool:
 
 
 def _int_member(region: PartialPolyhedron, y: Sequence[int], t: int) -> bool:
-    """``member`` for the point y / t, t > 0, given as ints (an ``_int_verts`` entry)."""
-    for c, b, strict in region._int_rows:
+    """``member`` for the point y / t, t > 0, given as ints (a stored vertex)."""
+    for c, b, strict in region._rows:
         val, bound = sum(map(mul, c, y)), b * t
         if val > bound or strict and val == bound:
             return False
@@ -608,10 +594,10 @@ def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, t
     tight on all of it.  Int input passes as is; every test runs on ints.
     """
     *normal, top = _clear((*normal, top))[1]
-    verts = [(y, t) for y, t in hull._int_verts if sum(map(mul, normal, y)) == top * t]
-    rays = [r for r in hull._int_rays if sum(map(mul, normal, r)) == 0]
+    verts = [(y, t) for y, t in hull._verts if sum(map(mul, normal, y)) == top * t]
+    rays = [r for r in hull._rays if sum(map(mul, normal, r)) == 0]
     return all(any(sum(map(mul, c, y)) < b * t for y, t in verts) or any(sum(map(mul, c, r)) for r in rays)
-               for c, b, strict in region._int_rows if strict)
+               for c, b, strict in region._rows if strict)
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
@@ -641,7 +627,7 @@ def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
     hull = closure(first)
     if hull is None:
         return True
-    for c, b, strict in second._int_rows:
+    for c, b, strict in second._rows:
         top = _support(hull, c)
         if top is None or top[0] > b * top[1]:
             return False
@@ -657,8 +643,8 @@ def _within(poly: Polyhedron, region: PartialPolyhedron) -> bool:
     The region is convex, so it holds conv(vertices) once it holds the
     vertices, and a ray with <c, r> <= 0 keeps a strict row strict.
     """
-    return (all(_int_member(region, y, t) for y, t in poly._int_verts)
-            and all(sum(map(mul, c, r)) <= 0 for r in poly._int_rays for c, _, _ in region._int_rows))
+    return (all(_int_member(region, y, t) for y, t in poly._verts)
+            and all(sum(map(mul, c, r)) <= 0 for r in poly._rays for c, _, _ in region._rows))
 
 
 def set_equal(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
@@ -727,17 +713,17 @@ def recession_cone(poly: Polyhedron) -> Cone:
     is their reduced row echelon form, each row made primitive; a polytope's
     cone is {0}, and no rows are needed.  Built from the int rays as they are.
     """
-    if not poly.rays:
-        return Cone._of(poly.dim, ())
+    if not poly._rays:
+        return Cone._make(dim=poly.dim, _gens=(), _lin=())
     full = (1 << len(poly._rows)) - 1
-    lin_members = [r for r, m in zip(poly._int_rays, poly._ray_masks) if m == full]
+    lin_members = [r for r, m in zip(poly._rays, poly._ray_masks) if m == full]
     basis = []
     if lin_members:
         work, pivots, _ = _reduce(lin_members)
         for row in work[:len(pivots)]:
             g = gcd(*row)
             basis.append(tuple(a // g for a in row))
-    return Cone._of(poly.dim, poly._int_rays, tuple(basis))
+    return Cone._make(dim=poly.dim, _gens=poly._rays, _lin=tuple(basis))
 
 
 def contains_line(poly: Polyhedron) -> bool:
@@ -762,7 +748,7 @@ def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
 
 def _extreme_flags(poly: Polyhedron) -> list[bool]:
     """Per listed vertex, whether it is extreme (see ``extreme_points``)."""
-    return _maximal(_tight_masks(poly._rows, poly._int_verts), poly._ray_masks)
+    return _maximal(_tight_masks(poly._rows, poly._verts), poly._ray_masks)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -785,7 +771,7 @@ def _first_nonzero_unit(r: Vec) -> Vec:
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     """poly + cone in generator form.
 
-    The union and the sum are built from int data (``Polyhedron._of``): the
+    The union and the sum are built from int data (``_make``): the
     union's rays are the int rays of ``poly``, the cone's generators and both
     signs of its lineality basis, all primitive already.  Without a line the
     sum keeps only its extreme points and extreme rays, both read off the
@@ -799,19 +785,16 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
-    if not cone.lineality_basis and set(cone._int_generators) <= set(poly._int_rays):
+    if not cone._lin and set(cone._gens) <= set(poly._rays):
         total = poly
     else:
-        rays = {*poly._int_rays, *cone._int_generators}
-        for l in map(_ints, cone.lineality_basis):
-            rays.add(l)
-            rays.add(vneg(l))
-        total = Polyhedron._of(poly.dim, poly.vertices, poly._int_verts, tuple(sorted(rays)))
+        rays = {*poly._rays, *cone._gens, *cone._lin, *map(vneg, cone._lin)}
+        total = Polyhedron._make(dim=poly.dim, _verts=poly._verts, _rays=tuple(sorted(rays)))
     if contains_line(total):
         return total
     keep = _extreme_flags(total)
-    out = Polyhedron._of(poly.dim, tuple(compress(total.vertices, keep)), tuple(compress(total._int_verts, keep)),
-                         tuple(compress(total._int_rays, _maximal(total._ray_masks))))
+    out = Polyhedron._make(dim=poly.dim, _verts=tuple(compress(total._verts, keep)),
+                           _rays=tuple(compress(total._rays, _maximal(total._ray_masks))))
     vars(out).update(_rows=total._rows, _has_line=False)
     if "_int_hrep" in vars(total):
         vars(out)["_int_hrep"] = total._int_hrep

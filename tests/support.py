@@ -1,6 +1,6 @@
 """Shared test helpers: independent oracles, interval builders, transforms,
-and the frozen Fraction references of the exact kernel, the predicates and
-the instance parser."""
+and the frozen Fraction references of the exact kernel, the predicates, the
+instance parser and the values' public attributes."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from typing import Optional
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
 from asymgeo.norm import AsymNorm, make_norm
-from asymgeo.polyhedron import Constraint, PartialPolyhedron, Polyhedron, closure, to_partial
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, primitive
+from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, Polyhedron, closure, to_partial
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, primitive
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -420,3 +420,48 @@ def ref_gauge_eval(norm, x):
         if v > best:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference values: the Fraction canonicalization of the constructors
+# ---------------------------------------------------------------------------
+# Copies of the earlier ``__post_init__`` of ``Polyhedron``, ``Cone``,
+# ``PartialPolyhedron`` and ``AsymNorm``, which stored the public attributes
+# as ``Fraction`` dataclass fields, and of the repr the dataclass made of
+# them, kept so tests can check the stored int form and its views against
+# them.  Do not optimize them.
+
+REF_PUBLIC = {
+    Polyhedron: ("dim", "vertices", "rays"),
+    Cone: ("dim", "generators", "lineality_basis"),
+    PartialPolyhedron: ("dim", "constraints"),
+    AsymNorm: ("dim", "functionals"),
+}
+
+
+def _ref_rays(rays):
+    return tuple(sorted({primitive(as_vec(r)) for r in rays if not is_zero_vec(r)}))
+
+
+def ref_attributes(cls, dim, *args) -> tuple:
+    """The public attributes, ``dim`` first, that the earlier constructor of
+    ``cls`` made of its arguments."""
+    if cls is Polyhedron:
+        vertices, rays = args
+        return dim, tuple(sorted({as_vec(v) for v in vertices})), _ref_rays(rays)
+    if cls is Cone:
+        generators, lineality_basis = args
+        return dim, _ref_rays(generators), tuple(primitive(as_vec(b)) for b in lineality_basis)
+    if cls is PartialPolyhedron:
+        (constraints,) = args
+        return dim, tuple(Constraint(as_vec(c), Fraction(b), bool(s)) for c, b, s in constraints)
+    (functionals,) = args
+    return dim, tuple(as_vec(f) for f in functionals)
+
+
+def ref_repr(value) -> str:
+    """The repr the earlier dataclass made of the value its constructor made
+    of ``value``'s public attributes."""
+    names = REF_PUBLIC[type(value)]
+    attrs = ref_attributes(type(value), *[getattr(value, n) for n in names])
+    return f"{type(value).__name__}({', '.join(f'{n}={a!r}' for n, a in zip(names, attrs))})"

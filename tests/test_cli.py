@@ -28,7 +28,7 @@ from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_cert
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
 
-from support import interval, rand_point, ref_parse_instance
+from support import interval, rand_point, ref_parse_instance, ref_repr
 
 F = Fraction
 
@@ -171,15 +171,17 @@ def _outcome(parse, text):
         q, region = parse(text)
     except Exception as exc:  # the class and message are compared
         return type(exc), str(exc)
-    return q, region, q._int_functionals, region._int_rows, repr((q, region))
+    assert repr(q) == ref_repr(q) and repr(region) == ref_repr(region)
+    return q, region, (q._scale, q._rows), (region._rows, region._scales), repr((q, region))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_instance_texts())
 def test_parse_agrees_with_the_reference_parser(text):
     """On texts with one ``version`` and one ``dim`` line, the parser returns
-    the values, int views and repr the earlier ``Fraction`` parser returns,
-    or raises the same exception class with the same message."""
+    the values, stored ints and repr the earlier ``Fraction`` parser returns,
+    each value's repr the one the earlier ``Fraction`` values printed
+    (``ref_repr``), or raises the same exception class with the same message."""
     assert _outcome(parse_instance, text) == _outcome(ref_parse_instance, text)
 
 
@@ -382,6 +384,16 @@ def test_cli_ball_prints_the_rows_write_instance_writes(tmp_path, capsys):
         written = write_instance(norm, ball(norm, center, radius, closedness).as_set)
         expected = [line for line in written.splitlines() if line.startswith("H:")]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cli_ball_takes_a_negative_center_in_the_equals_form(tmp_path, capsys):
+    """A center with a negative first coordinate is given as ``--center=-1,2``
+    (argparse reads a separate ``-1,2`` as an option), and the rows printed
+    are the ball's, translated to that center."""
+    path = tmp_path / "sup.txt"
+    path.write_text("version 1\ndim 2\nF: 1 0\nF: 0 1\nH: 0 0 <= 0\n", encoding="utf-8")
+    assert main(["ball", str(path), "--radius", "1", "--center=-1,2"]) == 0
+    assert capsys.readouterr().out == "H: 1 0 <= 0\nH: 0 1 <= 3\n"
 
 
 @pytest.mark.parametrize("option", [["--radius", "1.5"], ["--radius", "1e3"], ["--radius", "2/0"],

@@ -49,12 +49,15 @@ from asymgeo.polyhedron import (
 from asymgeo.ratlp import vneg
 
 from support import (
+    REF_PUBLIC,
     affine_image,
     interval,
     interval_compact_oracle,
     rand_point,
+    ref_attributes,
     ref_gauge_eval,
     ref_member,
+    ref_repr,
     ref_support_value,
 )
 
@@ -228,7 +231,7 @@ def test_local_test_agrees_with_lp_extremality():
         rays = hull.rays + gens
         if contains_line(hull) or any(in_cone(vneg(r), rays) for r in rays):
             continue
-        for v, (y, t) in zip(hull.vertices, hull._int_verts):
+        for v, (y, t) in zip(hull.vertices, hull._verts):
             lp = not in_conv_plus_cone(v, [w for w in hull.vertices if w != v], rays)
             assert compactness._extreme_in_saturation(inst, y, t) == lp, (q, inst.region, v)
             checked[lp] += 1
@@ -391,7 +394,7 @@ def test_support_memo_answers_as_a_fresh_scan(monkeypatch):
         inst = Instance.build(q, region)
         verify_theorems(inst, decide_compact(inst))
         for poly in (inst.hull, inst.saturated):
-            for v, (y, t) in zip(poly.vertices, poly._int_verts):
+            for v, (y, t) in zip(poly.vertices, poly._verts):
                 got = polyhedron._int_member(inst.region, y, t)
                 assert got == member(inst.region, v) == ref_member(inst.region, v)
                 inside += got
@@ -422,28 +425,24 @@ def _shape(x):
 
 def _assert_public_value(value):
     """``value`` is the value its public constructor makes from its public
-    attributes: equal, with the same hash, repr, attributes and attribute
-    types, and every memo seeded on it equals what that value computes."""
+    attributes, and those are the attributes the earlier ``Fraction``
+    constructor made of them (``ref_attributes``): equal, with the same hash,
+    the same repr as the earlier dataclass printed (``ref_repr``), the same
+    attribute values and types, and every memo seeded on it equals what
+    that value computes."""
+    names = REF_PUBLIC[type(value)]
+    attrs = [getattr(value, name) for name in names]
+    public = type(value)(*attrs)
+    assert value == public and hash(value) == hash(public)
+    assert repr(value) == repr(public) == ref_repr(value)
+    for name, got, ref in zip(names, attrs, ref_attributes(type(value), *attrs)):
+        assert _shape(got) == _shape(getattr(public, name)) == _shape(ref), name
+        assert got == getattr(public, name) == ref, name
     if isinstance(value, Polyhedron):
-        public = Polyhedron(value.dim, value.vertices, value.rays)
-        memos = ("_int_verts", "_int_rays", "_int_hrep", "_has_line")
         assert value.hrep == public.hrep == polyhedron.dd_convert_v_to_h(public)
-    elif isinstance(value, PartialPolyhedron):
-        public = PartialPolyhedron(value.dim, value.constraints)
-        memos = ("_int_rows",)
-    elif isinstance(value, AsymNorm):
-        public = make_norm(value.dim, value.functionals)
-        memos = ("_int_functionals",)
-    else:
-        public = Cone(value.dim, value.generators, value.lineality_basis)
-        memos = ("_int_generators", "_int_lineality")
-    assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
-    for name in public.__dataclass_fields__:
-        assert _shape(getattr(value, name)) == _shape(getattr(public, name)), name
-        assert getattr(value, name) == getattr(public, name), name
-    for name in memos:
-        if name in vars(value):
-            assert vars(value)[name] == getattr(public, name), name
+        for name in ("_int_hrep", "_has_line"):
+            if name in vars(value):
+                assert vars(value)[name] == getattr(public, name), name
 
 
 def test_internal_builders_make_the_public_values():
@@ -483,13 +482,14 @@ def _parsed_cases():
 
 
 def test_parsed_values_are_the_public_values():
-    """The parser builds the gauge and the region from int data (``_of``);
-    each equals the value the public constructors make from the same
-    numbers, with the same hash, repr and int views, over the pipeline
-    cases and d=4 random instances, and equals the generated pair."""
+    """The parser builds the gauge and the region from int data (``_make``),
+    with no ``Fraction`` view; each equals the value the public constructors
+    make from the same numbers, with the same hash, repr and stored ints,
+    over the pipeline cases and d=4 random instances, and equals the
+    generated pair."""
     for text, q, region in _parsed_cases():
         got_q, got_region = parse_instance(text)
-        assert "_int_functionals" in vars(got_q) and "_int_rows" in vars(got_region)
+        assert "functionals" not in vars(got_q) and "constraints" not in vars(got_region)
         _assert_public_value(got_q)
         _assert_public_value(got_region)
         assert (got_q, got_region) == (q, region)
@@ -500,7 +500,7 @@ def test_parsed_tokens_reduce_and_clear_as_the_public_path_does():
     """Hand-written tokens: unreduced fractions, negative zero, zero over a
     denominator, leading zeros, a token an F and an H row share, and an
     all-int row (cleared by 1).  Each parsed value is the public one, and
-    the int views are the rows each cleared by the lcm of its denominators
+    the stored ints are the rows each cleared by the lcm of its denominators
     (H) and the functionals by one common denominator (F)."""
     text = ("version 1\ndim 2\nF: 2/4 -0\nF: 0/7 007\nF: -12/8 1/6\n"
             "H: 2/4 -12/8 <= 007\nH: 3 -1 < 0/7\nH: 1/6 -0 <= -12/8\n")
@@ -512,8 +512,9 @@ def test_parsed_tokens_reduce_and_clear_as_the_public_path_does():
         Constraint((F(1, 6), F(0)), F(-3, 2), False),
     ))
     assert (q, region) == (expected_q, expected_region)
-    assert q._int_functionals == (6, ((3, 0), (0, 42), (-9, 1)))
-    assert region._int_rows == (((1, -3), 14, False), ((3, -1), 0, True), ((1, 0), -9, False))
+    assert (q._scale, q._rows) == (6, ((3, 0), (0, 42), (-9, 1)))
+    assert region._rows == (((1, -3), 14, False), ((3, -1), 0, True), ((1, 0), -9, False))
+    assert region._scales == (2, 1, 6)
     for value in (q, region):
         _assert_public_value(value)
     assert all(type(a) is F for f in q.functionals for a in f)
@@ -521,7 +522,7 @@ def test_parsed_tokens_reduce_and_clear_as_the_public_path_does():
 
 def test_pipeline_runs_without_the_public_constructors(monkeypatch):
     """Parsing, build, decide and T1-T6 make every value from trusted int
-    data: with ``_canonical_rays`` and the ``__post_init__`` of
+    data: with ``_canonical_rays`` and the ``__init__`` of
     ``Polyhedron``, ``PartialPolyhedron``, ``Cone`` and ``AsymNorm`` made to
     raise, the H-form texts of the catalog, 60 corpus seeds and d=4 lattice
     balls parse and give the certificates and reports they give without the
@@ -543,10 +544,38 @@ def test_pipeline_runs_without_the_public_constructors(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "_canonical_rays", forbidden)
     for cls in (Polyhedron, PartialPolyhedron, Cone, AsymNorm):
-        monkeypatch.setattr(cls, "__post_init__", forbidden)
+        monkeypatch.setattr(cls, "__init__", forbidden)
     assert run([parse_instance(t) for t in texts]) == expected
     verdicts = [cert.verdict for cert, _ in expected]
     assert verdicts.count(Verdict.COMPACT) >= 20 and verdicts.count(Verdict.NOT_COMPACT) >= 20
+
+
+def test_the_pipeline_builds_views_on_demand_only(monkeypatch):
+    """Parsing, build, decide and T1-T6 read the stored ints only: over 60
+    corpus seeds ``1000*d + k`` and d=4 lattice balls, COMPACT and
+    NOT_COMPACT both, no value the pipeline made (``_make``) holds a
+    ``Fraction`` view in its ``vars()``."""
+    views = {"vertices", "rays", "constraints", "generators", "lineality_basis", "functionals", "hrep"}
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)] + _lattice_balls(8)
+    texts = [write_instance(q, region) for q, region in cases]
+    made = []
+    make = polyhedron._Value._make.__func__
+
+    def recording(cls, **fields):
+        made.append(make(cls, **fields))
+        return made[-1]
+
+    monkeypatch.setattr(polyhedron._Value, "_make", classmethod(recording))
+    verdicts = []
+    for text in texts:
+        inst = Instance.build(*parse_instance(text))
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        verdicts.append(cert.verdict)
+    assert verdicts.count(Verdict.COMPACT) >= 5 and verdicts.count(Verdict.NOT_COMPACT) >= 5
+    assert {type(value) for value in made} == {Polyhedron, PartialPolyhedron, Cone, AsymNorm}
+    for value in made:
+        assert not views & vars(value).keys(), (type(value).__name__, views & vars(value).keys())
 
 
 def test_a_handed_down_sum_is_not_taken_as_verified():
@@ -556,10 +585,10 @@ def test_a_handed_down_sum_is_not_taken_as_verified():
     expected = decide_compact(build(SUP2, UNIT_SQUARE))
     core = expected.center
     wrong = build(SUP2, UNIT_SQUARE)
-    wrong._sums[core._int_verts, core._int_rays] = core
+    wrong._sums[core] = core
     assert decide_compact(wrong).verdict is Verdict.UNKNOWN
     right = build(SUP2, UNIT_SQUARE)
-    right._sums[core._int_verts, core._int_rays] = Polyhedron(2, core.vertices, ((-1, 0), (0, -1)))
+    right._sums[core] = Polyhedron(2, core.vertices, ((-1, 0), (0, -1)))
     assert decide_compact(right) == expected
 
 
