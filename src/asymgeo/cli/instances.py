@@ -12,8 +12,9 @@ its line's first word, or the key before ``:`` on a row):
 
 Numbers are integers or fractions ``p/q``, exactly ``-?[0-9]+(/[0-9]+)?``
 with q > 0.  The set block is either all H rows or a V/R block (converted
-to inequalities on parse).  The writer emits a canonical H form, so
-``write(parse(text))`` is byte-stable.
+to inequalities on parse).  The writer emits a canonical H form, or for a
+region without rows (the whole space) the V/R block of the origin and the
+unit directions, so ``write(parse(text))`` is byte-stable.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.norm import AsymNorm, _check_definite
-from asymgeo.polyhedron import (
-    Constraint,
-    PartialPolyhedron,
-    Polyhedron,
-    to_partial,
-)
+from asymgeo.polyhedron import PartialPolyhedron, Polyhedron, to_partial
 
 
 class InstanceError(ValueError):
@@ -186,20 +182,32 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
     return norm, region
 
 
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _fmt(p: int, q: int) -> str:
+    """The number p / q, q > 0, in lowest terms as the grammar writes it."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def _h_line(c: Constraint) -> str:
-    """The ``H:`` line of a row, as ``write_instance`` and ``asymgeo ball`` print it."""
-    rel = "<" if c.strict else "<="
-    return "H: " + " ".join(_fmt(x) for x in c.normal) + f" {rel} {_fmt(c.rhs)}"
+def _h_line(c: Sequence[int], b: int, strict: bool, s: int) -> str:
+    """The ``H:`` line of a stored row (c, b, strict) of scale s, as
+    ``write_instance`` and ``asymgeo ball`` print it."""
+    rel = "<" if strict else "<="
+    return "H: " + " ".join([_fmt(x, s) for x in c]) + f" {rel} {_fmt(b, s)}"
 
 
 def write_instance(norm: AsymNorm, region: PartialPolyhedron) -> str:
-    """Canonical text for the pair; parse(write(...)) round-trips exactly."""
-    lines = ["version 1", f"dim {norm.dim}"]
-    for f in norm.functionals:
-        lines.append("F: " + " ".join(_fmt(c) for c in f))
-    lines += map(_h_line, region.constraints)
+    """Canonical text for the pair; parse(write(...)) round-trips exactly.
+
+    Printed from the stored ints.  A region without rows is the whole space,
+    which has no H row to print: it is written as the V/R block of the
+    origin and the 2 * dim unit directions.
+    """
+    d = norm.dim
+    lines = ["version 1", f"dim {d}"]
+    lines += ["F: " + " ".join([_fmt(a, norm._scale) for a in f]) for f in norm._rows]
+    lines += [_h_line(c, b, strict, s) for (c, b, strict), s in zip(region._rows, region._scales)]
+    if not region._rows:
+        lines.append("V: " + " ".join(["0"] * d))
+        lines += ["R: " + " ".join([sign if j == i else "0" for j in range(d)])
+                  for i in range(d) for sign in ("1", "-1")]
     return "\n".join(lines) + "\n"

@@ -13,13 +13,13 @@ from fractions import Fraction
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, gen_arc_hull, gen_lattice_norm, gen_random_instance
-from asymgeo.cli.instances import InstanceError, _fmt, _h_line, _parse_rational, parse_instance, write_instance
+from asymgeo.cli.instances import InstanceError, _h_line, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
 
 
 def _fmt_point(v) -> str:
-    return "(" + ", ".join(_fmt(x) for x in v) + ")"
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _load(path: str):
@@ -65,8 +65,8 @@ def _cmd_ball(args) -> int:
         if args.center else (Fraction(0),) * norm.dim
     closed = Closedness.OPEN if args.open else Closedness.CLOSED
     b = ball(norm, center, _parse_rational(args.radius, "--radius"), closed)
-    for c in b.as_set.constraints:
-        print(_h_line(c))
+    for row, s in zip(b.as_set._rows, b.as_set._scales):
+        print(_h_line(*row, s))
     return 0
 
 

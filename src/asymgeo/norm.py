@@ -46,6 +46,8 @@ class AsymNorm(_Value):
     _public = ("dim", "functionals")
 
     def __init__(self, dim: int, functionals: Sequence[Vec]):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
         rows = [tuple(f) for f in functionals]
         for r in rows:
             if len(r) != dim:
@@ -82,8 +84,6 @@ class Ball:
 
 def make_norm(dim: int, functionals) -> AsymNorm:
     """Validated gauge; raises DefinitenessViolation on rank-deficient input."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     functionals = tuple(functionals)
     if not functionals:
         raise ValueError("at least one functional is required")

@@ -69,12 +69,12 @@ from asymgeo.ratlp import (
     Vec,
     _all_int,
     _clear,
+    _null_space,
     _reduce,
     as_vec,
     feasible_nonneg,
     is_zero_vec,
     lp_solve,
-    null_space_basis,
     vneg,
     vscale,
 )
@@ -248,9 +248,10 @@ class Polyhedron(_Value):
 
     @cached_property
     def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
-        """Memo of ``_support``: int row -> its value on the set (``subset``
-        and ``saturate_region`` read it; ``support_value`` scans).  Not part
-        of the value: equality, hash and repr read the fields only."""
+        """Memo of ``_support``: int row -> its value on the set (``_within``,
+        so ``subset``, and ``saturate_region`` read it; ``support_value``
+        scans).  Not part of the value: equality, hash and repr read the
+        fields only."""
         return {}
 
     @cached_property
@@ -382,10 +383,6 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
     return sorted(set(rays))
 
 
-def _ints(v: Vec) -> tuple[int, ...]:
-    return tuple(a.numerator for a in v)
-
-
 def cone_from_rows(rows: Sequence[Sequence],
                    dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
@@ -403,7 +400,7 @@ def cone_from_rows(rows: Sequence[Sequence],
     rays = _pointed_cone_rays(prepared, dim)
     if rays is not None:
         return tuple(rays), ()
-    lin = tuple([_ints(l) for l in null_space_basis(prepared, dim)])
+    lin = tuple(_null_space(prepared, dim))
     rays = _pointed_cone_rays(_prepare_rows([*prepared, *lin, *map(vneg, lin)]), dim)
     if rays is None:
         raise InternalInvariantError("the rows and their null space span the space")
@@ -484,14 +481,13 @@ def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
     Built from the int facets as they are (``_make``): its rows are
-    ``poly._int_hrep``, primitive, so of scale 1, and its closure is ``poly``
-    itself, so converting back costs nothing.
+    ``poly._int_hrep``, primitive, so of scale 1.  Nothing else is seeded:
+    its closure, like every closure, is the double description of its rows,
+    so equal sets get equal closures whatever generators ``poly`` lists.
     """
     rows = poly._int_hrep
-    part = PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
+    return PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
                                    _scales=(1,) * len(rows))
-    vars(part)["_closure"] = poly
-    return part
 
 
 def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
@@ -605,46 +601,41 @@ def is_closed(region: PartialPolyhedron) -> bool:
     in the region (``_within``, read off the closure's generators).
 
     The closure satisfies every row non-strictly, so it leaves the region
-    only where a strict row is tight.  A row tight at a point of the closure
-    attains its maximum there, and the maximum of a row bounded over
-    conv(vertices) + cone(rays) is attained at a listed vertex, so the region
-    is closed iff every vertex is a member (no ray of the closure ascends
-    along a row of the region).
+    only where a strict row is tight, that is where the row attains its
+    maximum over the closure, at a listed vertex.
     """
     hull = closure(region)
     return hull is None or _within(hull, region)
 
 
 def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
-    """Exact decision of ``first`` being contained in ``second``.
-
-    Each row of ``second`` is maximized over the closure of ``first``; a
-    strict row additionally requires the optimal face of the closure to be
-    disjoint from ``first`` itself when the bound is attained.
-    """
+    """Exact decision of ``first`` being contained in ``second``: the closure
+    of ``first`` read by ``_within``, each strict row's optimal face against
+    ``first`` itself."""
     if first.dim != second.dim:
         raise ValueError("dimension mismatch")
     hull = closure(first)
-    if hull is None:
-        return True
-    for c, b, strict in second._rows:
-        top = _support(hull, c)
+    return hull is None or _within(hull, second, first)
+
+
+def _within(poly: Polyhedron, region: PartialPolyhedron,
+            part: Optional[PartialPolyhedron] = None) -> bool:
+    """``poly`` <= ``region``, or, for ``part`` whose closure is ``poly``,
+    ``part`` <= ``region``, read off the generators of ``poly``.
+
+    Each row of the region is maximized over ``poly`` (``_support``, once per
+    value and row); the maximum must exist and stay within the row's bound.
+    A strict row must not reach its bound on the closed ``poly``, and on
+    ``part`` it reaches it only where its optimal face over ``poly`` meets
+    ``part``.
+    """
+    for c, b, strict in region._rows:
+        top = _support(poly, c)
         if top is None or top[0] > b * top[1]:
             return False
-        if strict and top[0] == b * top[1] and _meets_face(first, hull, c, b):
+        if strict and top[0] == b * top[1] and (part is None or _meets_face(part, poly, c, b)):
             return False
     return True
-
-
-def _within(poly: Polyhedron, region: PartialPolyhedron) -> bool:
-    """``poly`` <= ``region``, read off the generators of ``poly``: every
-    vertex is a member and no row of the region ascends along a ray.
-
-    The region is convex, so it holds conv(vertices) once it holds the
-    vertices, and a ray with <c, r> <= 0 keeps a strict row strict.
-    """
-    return (all(_int_member(region, y, t) for y, t in poly._verts)
-            and all(sum(map(mul, c, r)) <= 0 for r in poly._rays for c, _, _ in region._rows))
 
 
 def set_equal(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:

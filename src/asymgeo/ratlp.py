@@ -4,16 +4,17 @@ Vectors are plain tuples of ``fractions.Fraction``; there is no floating
 point anywhere.  The kernel itself is an integer fraction-free one: rows are
 cleared of denominators on entry (int rows, which the double description and
 the definiteness check hand over, pass as they are) and results become
-``Fraction`` on return.
+``Fraction`` on return, except the int null space ``_null_space`` that the
+double description reads.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  ``_reduce`` is the only
-elimination loop (``rref``, ``rank`` and ``null_space_basis`` read their
-answers off it); ``lp_solve`` (two-phase, free variables split) and
-``feasible_nonneg`` (phase one only) build a tableau for ``_bland``.  The
-compactness decision runs no LP: ``lp_solve`` serves the random generator's
-emptiness test, ``feasible_nonneg`` the LP membership tests kept as a
-reference.  Nor does it call ``dot``: the predicates compare int copies
-cleared by ``_clear``.
+elimination loop (``rref``, ``rank`` and ``_null_space``, with its view
+``null_space_basis``, read their answers off it); ``lp_solve`` (two-phase,
+free variables split) and ``feasible_nonneg`` (phase one only) build a
+tableau for ``_bland``.  The compactness decision runs no LP: ``lp_solve``
+serves the random generator's emptiness test, ``feasible_nonneg`` the LP
+membership tests kept as a reference.  Nor does it call ``dot``: the
+predicates compare int copies cleared by ``_clear``.
 """
 
 from __future__ import annotations
@@ -215,7 +216,13 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
 
 
 def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
-    """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors."""
+    """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors:
+    the ``Fraction`` view of ``_null_space``."""
+    return [tuple(map(Fraction, v)) for v in _null_space(rows, dim)]
+
+
+def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int, ...]]:
+    """``null_space_basis`` as primitive int tuples, one per non-pivot column."""
     work, pivots, det = _reduce(rows, dim)
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
@@ -223,7 +230,8 @@ def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple
         v[f] = det
         for row, p in zip(work, pivots):
             v[p] = -row[f]
-        basis.append(primitive(v))
+        g = gcd(*v)
+        basis.append(tuple([a // g for a in v]))
     return basis
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -209,6 +210,64 @@ def test_writer_round_trip_preserves_rationals():
     norm, region = parse_instance(text)
     assert norm.functionals[0] == (F(1, 2), F(-2, 3))
     assert write_instance(norm, region) == text
+
+
+def test_writer_round_trips_the_stored_values():
+    """``parse(write(x)) == x`` for the gauge and the region: seeded random
+    instances at d = 1..3, an arc hull, open balls with fractional centers,
+    and row-less regions (the whole space, written as the V/R block of the
+    origin and the unit directions).  Writing reads the stored ints and
+    builds neither ``functionals`` nor ``constraints``."""
+    rng = random.Random(139)
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
+    cases.append(gen_arc_hull(4))
+    for d in (1, 2, 3):
+        norm = gen_random_norm(d, rng)
+        radius = F(rng.randint(1, 9), rng.randint(1, 4))
+        cases += [(norm, PartialPolyhedron(d, ())),
+                  (norm, ball(norm, rand_point(rng, d, span=2), radius, Closedness.OPEN).as_set)]
+    for norm, region in cases:
+        norm, region = [type(x)._make(**{f.name: getattr(x, f.name) for f in fields(x)}) for x in (norm, region)]
+        text = write_instance(norm, region)
+        assert "functionals" not in vars(norm) and "constraints" not in vars(region)
+        assert parse_instance(text) == (norm, region), text
+    whole = "version 1\ndim 2\nF: 1 0\nF: 0 1\nV: 0 0\nR: 1 0\nR: -1 0\nR: 0 1\nR: 0 -1\n"
+    assert parse_instance(whole)[1] == PartialPolyhedron(2, ())
+    assert write_instance(*parse_instance(whole)) == whole
+
+
+VR_WITH_A_REDUNDANT_RAY = "version 1\ndim 2\nF: 0 1\nF: -1 0\nV: 0 0\nV: 1 0\nR: 1 0\nR: 1 2\nR: 1 1\n"
+
+
+def test_check_of_a_v_block_reads_the_set_not_its_listing(tmp_path, capsys):
+    """``check --no-timing`` of a V/R file prints what it prints for the file
+    ``write_instance`` makes of it, but for the ``instance:`` line: the
+    closure is the double description of the set's facets, whatever
+    generators the block lists.  The redundant ray (1, 1) above, and 60
+    seeded V/R files at d = 1..3 with a redundant vertex and ray."""
+    rng = random.Random(149)
+    texts = [VR_WITH_A_REDUNDANT_RAY]
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, d + 2))]
+        verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], verts[-1])))
+        rays = [rand_point(rng, d, span=2, max_den=1) for _ in range(rng.randint(0, d + 1))]
+        rays += [tuple(map(sum, zip(*rays[:2])))] if len(rays) > 1 else []
+        lines = [f"F: {' '.join(map(str, f))}" for f in gen_random_norm(d, rng).functionals]
+        lines += [f"{key}: {' '.join(map(str, v))}" for key, vs in (("V", verts), ("R", rays)) for v in vs]
+        texts.append(f"version 1\ndim {d}\n" + "\n".join(lines) + "\n")
+    verdicts = set()
+    for text in texts:
+        listed, written = tmp_path / "listed.txt", tmp_path / "written.txt"
+        listed.write_text(text, encoding="utf-8")
+        written.write_text(write_instance(*parse_instance(text)), encoding="utf-8")
+        reports = []
+        for path in (listed, written):
+            assert main(["check", str(path), "--no-timing"]) == 0
+            reports.append(capsys.readouterr().out.splitlines()[1:])
+        assert reports[0] == reports[1], text
+        verdicts.add(reports[0][3])
+    assert verdicts == {"verdict: COMPACT", "verdict: NOT_COMPACT"}
 
 
 def test_lattice_norm_examples():

@@ -36,10 +36,14 @@ from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
     Polyhedron,
+    _within,
+    closure,
     contains_line,
+    dd_convert_h_to_v,
     extreme_points,
     in_cone,
     in_conv_plus_cone,
+    is_closed,
     member,
     minkowski_sum_with_cone,
     recession_cone,
@@ -620,6 +624,44 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     assert report.claims[2].claim_id == "T3" and report.claims[2].status is ClaimStatus.FAIL
     assert not report.all_pass
     assert inst.region in regions
+
+
+def test_t3_and_t4_compare_closed_sets_as_set_equal_does():
+    """T3 reads both inclusions of two closed sets off their generators
+    (``_within`` each way), and T4 is ``is_closed`` of the half-open sum.
+    Over the pipeline cases each agrees with ``set_equal`` on the same sets:
+    closure and closure + C, center + C and closure + C, center and
+    closure + C; the region and region + C against their closures.  The
+    report's T3 and T4 are those answers, and the closure
+    ``saturate_region`` seeds, on a line-free sum only, is the double
+    description of its rows."""
+    seen = dict.fromkeys(("equal", "unequal", "closed", "open", "seeded", "line"), 0)
+    for q, region in _pipeline_cases():
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        sat = inst.saturated
+        half_open_sum = saturate_region(inst)
+        seeded = "_closure" in vars(half_open_sum)
+        assert seeded == (not contains_line(sat))
+        seen["seeded" if seeded else "line"] += 1
+        rows = [(c, b) for c, b, _ in half_open_sum.constraints]
+        assert closure(half_open_sum) == dd_convert_h_to_v(rows, q.dim)
+        pairs = [(inst.hull, sat)]
+        if cert.verdict is Verdict.COMPACT:
+            pairs += [(minkowski_sum_with_cone(cert.center, inst.degeneracy), sat), (cert.center, sat)]
+        for a, b in pairs:
+            same = _within(a, to_partial(b)) and _within(b, to_partial(a))
+            assert same == set_equal(to_partial(a), to_partial(b)), (a, b)
+            seen["equal" if same else "unequal"] += 1
+        for k in (region, half_open_sum):
+            closed = is_closed(k)
+            assert closed == set_equal(k, to_partial(closure(k))), k
+            seen["closed" if closed else "open"] += 1
+        if cert.verdict is Verdict.COMPACT:
+            claims = {c.claim_id: c.status for c in verify_theorems(inst, cert).claims}
+            assert claims["T3"] is ClaimStatus.PASS
+            assert claims["T4"] is (ClaimStatus.PASS if is_closed(half_open_sum) else ClaimStatus.FAIL)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_decide_compact_skips_the_hrep_of_a_bounded_hull():

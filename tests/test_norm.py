@@ -72,6 +72,16 @@ def test_constructor_enforces_definiteness():
     assert AsymNorm(2, ((1, 0), (0, 1))) == SUP2
 
 
+def test_constructor_rejects_a_nonpositive_dimension():
+    """``AsymNorm`` (and ``make_norm`` through it) refuses dim < 1 before it
+    reads a functional; dim 1 without functionals is not definite."""
+    for dim, rows in ((0, ()), (-1, ()), (0, ((),)), (-2, ((1,),))):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            AsymNorm(dim, rows)
+    with pytest.raises(DefinitenessViolation):
+        AsymNorm(1, ())
+
+
 def test_zero_and_duplicate_rows_are_kept():
     # rows are stored as given; zero rows never change values
     q = make_norm(1, [(0,), (1,), (1,)])

@@ -359,6 +359,31 @@ def test_closure_idempotent_and_monotone():
         assert subset(k, to_partial(hull))
 
 
+def test_closure_depends_only_on_the_set():
+    """``closure(to_partial(p))`` is the double description of p's facets,
+    whatever generators p lists, so equal regions get equal closures: 240
+    seeded public-made polyhedra at d = 1..4, with redundant vertices,
+    non-extreme rays and lines, each also listed as the closure lists it."""
+    rng = random.Random(131)
+    kinds = {"redundant": 0, "line": 0, "canonical": 0}
+    for _ in range(240):
+        d = rng.randint(1, 4)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, d + 2))]
+        rays = [rand_point(rng, d, span=2, max_den=1) for _ in range(rng.randint(0, d + 1))]
+        if rng.random() < 0.5:  # a midpoint of two vertices and a sum of two rays
+            verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], verts[-1])))
+            rays += [tuple(map(sum, zip(*rays[:2])))] if len(rays) > 1 else []
+        if rng.random() < 0.2:
+            rays += [(F(1),) + (F(0),) * (d - 1), (F(-1),) + (F(0),) * (d - 1)]
+        p = Polyhedron(d, verts, rays)
+        hull = closure(to_partial(p))
+        assert hull == dd_convert_h_to_v(p.hrep, d), p
+        twin = Polyhedron(d, hull.vertices, hull.rays)
+        assert to_partial(twin) == to_partial(p) and closure(to_partial(twin)) == hull, p
+        kinds["line" if contains_line(hull) else "redundant" if hull != p else "canonical"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=0, max_value=1, max_denominator=12))
 def test_member_respects_convexity(lam):
@@ -955,7 +980,7 @@ def test_pointed_cones_take_no_null_space_elimination(monkeypatch):
     returns the ``(gens, lin)`` that splitting the null space off first
     gives: 300 seeded int and rational row sets at d = 1..5, drawn from
     subspaces of every rank, with zero rows and empty row sets."""
-    real = polyhedron.null_space_basis
+    real = polyhedron._null_space
 
     def forbidden(*args):
         raise AssertionError("a pointed cone split off its null space")
@@ -974,7 +999,7 @@ def test_pointed_cones_take_no_null_space_elimination(monkeypatch):
             rows = [tuple(int(a * 6) for a in r) for r in rows]
         expected = _cone_from_rows_null_space_first(rows, d)
         pointed = bool(rows) and ref_rank(rows) == d
-        monkeypatch.setattr(polyhedron, "null_space_basis", forbidden if pointed else real)
+        monkeypatch.setattr(polyhedron, "_null_space", forbidden if pointed else real)
         assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
         kinds["pointed" if pointed else "lineality" if expected[0] else "lineality only"] += 1
     assert min(kinds.values()) >= 40, kinds
@@ -987,14 +1012,14 @@ def test_cones_with_lineality_take_one_null_space_elimination(monkeypatch):
     gives: seeded int and rational row sets at d = 1..6 orthogonal to a
     random subspace of every dimension 1..d, with zero rows and, at each d,
     the empty row set."""
-    real = polyhedron.null_space_basis
+    real = polyhedron._null_space
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(polyhedron, "null_space_basis", counted)
+    monkeypatch.setattr(polyhedron, "_null_space", counted)
     rng = random.Random(113)
     seen = set()
     kinds = {"lineality": 0, "lineality only": 0}
@@ -1026,10 +1051,11 @@ def test_cones_with_lineality_take_one_null_space_elimination(monkeypatch):
 
 
 def test_generator_inclusion_agrees_with_subset():
-    """poly <= region read off the generators of poly (every vertex a member,
-    no row ascending along a ray) agrees with ``subset`` on poly's
-    H-representation: 300 seeded polyhedra, with and without rays, against
-    half-open regions with ``0 < 0`` rows and opposite row pairs."""
+    """poly <= region as ``_within`` reads it off the support values of poly
+    agrees with the generator test (every vertex a member, no row ascending
+    along a ray) and with ``subset`` on poly's H-representation: 300 seeded
+    polyhedra, with and without rays, against half-open regions with
+    ``0 < 0`` rows and opposite row pairs."""
     rng = random.Random(83)
     seen = {(with_rays, inside): 0 for with_rays in (False, True) for inside in (False, True)}
     for _ in range(300):
@@ -1053,7 +1079,9 @@ def test_generator_inclusion_agrees_with_subset():
                 rays.append(rand_point(rng, d, span=1, max_den=1))
         poly = Polyhedron(d, verts, rays)
         got = polyhedron._within(poly, k)
-        assert got == subset(to_partial(poly), k), (poly, k)
+        by_generators = (all(ref_member(k, v) for v in poly.vertices)
+                         and all(dot(c, r) <= 0 for r in poly.rays for c, _, _ in k.constraints))
+        assert got == by_generators == subset(to_partial(poly), k), (poly, k)
         seen[bool(poly.rays), got] += 1
     assert min(seen.values()) >= 20, seen
 
