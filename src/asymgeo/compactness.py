@@ -30,16 +30,21 @@ the closure's recession cone, and (b), once (a) holds, through a local test
 at each closure vertex that misses K (its tangent cone must meet -C only in
 0; see ``_extreme_in_saturation``).
 
-A COMPACT verdict with the checks T1-T6 converts vertices to facets once per
-distinct set, so at most twice: for closure(K) + C and for S + C.  S <= K is
-read off the generators of S, and T3 reuses the S + C the verdict verified.
-T3 and T4 compare closed sets by their generators against facets already
-at hand: S + C = closure(K) + C is two ``_within`` inclusions, and K + C
-equals its closure iff it is closed (``is_closed``).  The half-open K + C
-comes with its closure, closure(K) + C (``saturate_region``), so T4 and T6
-run no DD for it.  T6 decides K + C: its closure already holds C's
-directions, so adding C builds no new set, its center is S again, and the
-parent's S + C is handed down (``Instance._sums``).
+A COMPACT verdict with the checks T1-T6 converts vertices to facets once,
+for closure(K) + C.  Once every recession direction has gauge 0, the pruned
+closure(K) + C is S + C field for field: its vertices are S's, and its rays
+are C's generators, which ``decide_compact`` checks on the stored ints.
+The minimal generators of a line-free polyhedron are unique (Fukuda &
+Prodon 1996), so equal fields mean equal sets, and the sandwich checks
+K <= S + C against the facets of closure(K) + C.  S <= K is read off the
+generators of S.  T3 and T4 compare closed sets by their generators:
+S + C = closure(K) + C is that equality of values for the verified center
+(two ``_within`` inclusions against facets at hand for any other), and
+K + C equals its closure iff it is closed (``is_closed``).
+The half-open K + C comes with its closure, closure(K) + C
+(``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
+its closure already holds C's directions, so adding C builds no new set,
+its center is S again, and its saturated hull shares the parent's facets.
 """
 
 from __future__ import annotations
@@ -118,18 +123,16 @@ class Instance:
     cone are computed on first use; only a COMPACT verdict and the
     structure checks need them (the center, the sandwich, T1, T3 and T4),
     so a NOT_COMPACT verdict builds neither.  The cone is memoized on the
-    gauge as well, so T6's instance on the same gauge reuses it.  Two memos
-    are not part of the value: ``_sums`` maps a core to core + cone computed
-    elsewhere (T6 hands its nested instance the parent's), and
-    ``_verified_sums`` maps each core whose sandwich ``decide_compact``
-    verified on this instance to core + cone.  Both are keyed by the core
-    value itself; a center handed to ``verify_theorems`` may carry rays,
-    and then equals no ray-free core."""
+    gauge as well, so T6's instance on the same gauge reuses it.  One memo
+    is not part of the value: ``_verified_sums`` maps each core whose
+    sandwich ``decide_compact`` verified on this instance to core + cone,
+    the saturated hull.  It is keyed by the core value itself; a center
+    handed to ``verify_theorems`` may carry rays, and then equals no
+    ray-free core."""
 
     norm: AsymNorm
     region: PartialPolyhedron
     hull: Polyhedron
-    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -227,8 +230,11 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     C, so P is pointed and P + C is line-free with its vertices among P's:
     the escaped extreme point is the first vertex of P that misses the
     region and passes the local test of ``_extreme_in_saturation``, and
-    closure + C is built only when no vertex escapes.  Everything is tested
-    on the stored ints of the cone, the gauge and the vertices; only the
+    closure + C is built only when no vertex escapes.  It is then the center
+    plus C: the center is its vertices, and its rays must be C's generators
+    (a broken invariant otherwise), so the sandwich checks the region
+    against its facets and builds no second sum.  Everything is tested on
+    the stored ints of the cone, the gauge and the vertices; only the
     witness becomes ``Fraction``s.
     """
     rec = recession_cone(inst.hull)
@@ -241,7 +247,10 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if not _int_member(inst.region, y, t) and _extreme_in_saturation(inst, y, t):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
     core = center_candidate(inst)
-    padded = _sandwich(core, inst.region, inst.degeneracy, inst._sums.get(core))
+    sat = inst.saturated
+    if sat._rays != inst.degeneracy._gens:
+        raise InternalInvariantError("closure + cone has the cone's generators as its rays")
+    padded = _sandwich(core, inst.region, inst.degeneracy, sat)  # sat is core + cone
     if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
     inst._verified_sums[core] = padded
@@ -341,8 +350,10 @@ def verify_theorems(inst: Instance,
 
     Requires a COMPACT verdict; otherwise every claim is reported
     NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T3
-    checks the sandwich and reads center + C = closure + C as an inclusion
-    each way, each set's generators against the other's facets (``_within``);
+    checks the sandwich and reads center + C = closure + C off their stored
+    generators: for the center ``decide_compact`` verified the two values
+    are equal, and otherwise it checks an inclusion each way, each set's
+    generators against the other's facets (``_within``);
     T4 is ``is_closed`` of the half-open sum, whose closure is closure + C:
     of the two inclusions between them, the sum lies in its closure by
     construction, and the other is closedness.
@@ -371,7 +382,8 @@ def verify_theorems(inst: Instance,
 
     # a center decide_compact did not verify on this instance is checked here
     padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
-    t3 = padded is not None and _within(padded, to_partial(sat)) and _within(sat, to_partial(padded))
+    t3 = padded is not None and (padded == sat or _within(padded, to_partial(sat))
+                                 and _within(sat, to_partial(padded)))
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))
 
     half_open_sum = saturate_region(inst)
@@ -382,8 +394,6 @@ def verify_theorems(inst: Instance,
     claims.append(_claim("T5", t5, "closure contains a line"))
 
     sum_inst = Instance.build(inst.norm, half_open_sum)
-    if padded is not None:
-        sum_inst._sums[core] = padded  # core + C: the same core and cone
     t6 = decide_compact(sum_inst).verdict is Verdict.COMPACT
     claims.append(_claim("T6", t6, "the saturated region is not judged compact"))
 

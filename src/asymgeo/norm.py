@@ -14,11 +14,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _clear, as_vec, dot, rank, rat, vneg, zero_vec
-from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, _fractions, _Value, cone_from_rows
+from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _clear, as_vec, rank, rat, vneg
+from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, _Value, cone_from_rows
 
 
 class DefinitenessViolation(ValueError):
@@ -131,6 +132,12 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     Open: {y : q(y - center) < radius}; closed: <=.  The implicit zero
     functional makes the open radius-0 ball empty, while the closed
     radius-0 ball is the degeneracy cone translated to the center.
+
+    The rows are made as ints from the stored functionals: with each
+    functional a / s, the center y / t and the radius p / q, the row
+    <a / s, x> <= p / q + <a, y> / (s t) has the common denominator s t q
+    over the numerators (t q a, s t p + q <a, y>), and dividing both by
+    their gcd clears it by the lcm of its denominators, the stored form.
     """
     center = as_vec(center)
     radius = rat(radius)
@@ -139,9 +146,20 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     strict = closedness is Closedness.OPEN
-    rows = [Constraint(a, radius + dot(a, center), strict) for a in norm.functionals]
+    t, y = _clear(center)
+    p, q = radius.numerator, radius.denominator
+    den = norm._scale * t * q
+    lift, top = t * q, p * norm._scale * t
+    rows, scales = [], []
+    for a in norm._rows:
+        normal = [lift * c for c in a]
+        rhs = top + q * sum(map(mul, a, y))
+        g = gcd(den, rhs, *normal)
+        rows.append((tuple([c // g for c in normal]), rhs // g, strict))
+        scales.append(den // g)
     if strict and radius == 0:
         # 0 < radius fails identically: the open ball of radius 0 is empty
-        rows.append(Constraint(zero_vec(norm.dim), Fraction(0), True))
-    return Ball(center, radius, closedness, PartialPolyhedron(norm.dim, tuple(rows)))
-
+        rows.append(((0,) * norm.dim, 0, True))
+        scales.append(1)
+    return Ball(center, radius, closedness,
+                PartialPolyhedron._make(dim=norm.dim, _rows=tuple(rows), _scales=tuple(scales)))

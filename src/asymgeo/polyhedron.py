@@ -36,8 +36,9 @@ constructors (``Polyhedron(...)``, ``PartialPolyhedron(...)``,
 ``Cone(...)`` and ``AsymNorm(...)``) take any numbers, check them and
 canonicalize them into this form.  The internal builders (the conversions,
 the Minkowski sum, ``to_partial``, ``recession_cone``, and in other modules
-the instance parser, the degeneracy cone, the center and the half-open
-sum) already hold it and hand it to ``_make``, which takes it as given.
+the instance parser, the gauge ball, the degeneracy cone, the center and
+the half-open sum) already hold it and hand it to ``_make``, which takes
+it as given.
 The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
 ``generators``, ``lineality_basis``, ``functionals`` and the facets
 ``hrep``) are views, built on first read and memoized; the repr prints
@@ -587,13 +588,17 @@ def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, t
     orthogonal to ``normal``.  A strict row removes the subface where it is
     tight, and finitely many faces cover a nonempty convex set only if one
     is the whole set: the region meets the face iff no strict row is
-    tight on all of it.  Int input passes as is; every test runs on ints.
+    tight on all of it, so a region without strict rows meets every face
+    and no face is scanned.  Int input passes as is; every test runs on ints.
     """
+    strict = [(c, b) for c, b, s in region._rows if s]
+    if not strict:
+        return True
     *normal, top = _clear((*normal, top))[1]
     verts = [(y, t) for y, t in hull._verts if sum(map(mul, normal, y)) == top * t]
     rays = [r for r in hull._rays if sum(map(mul, normal, r)) == 0]
     return all(any(sum(map(mul, c, y)) < b * t for y, t in verts) or any(sum(map(mul, c, r)) for r in rays)
-               for c, b, strict in region._rows if strict)
+               for c, b in strict)
 
 
 def is_closed(region: PartialPolyhedron) -> bool:

@@ -365,7 +365,12 @@ def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
 # (``asymgeo.norm``), kept so property tests can compare the integer
 # predicates against them, and the earlier ``is_closed``, which scanned the
 # support of each strict row over the closure where the current one reads
-# the closure's generators.  As with the kernel above, do not optimize them.
+# the closure's generators.  ``ref_meets_face`` is the full face scan: it
+# scans the face also for a region without strict rows, which the current
+# ``_meets_face`` answers without one.  ``ref_ball_set`` is the earlier
+# ``ball`` region, made of ``Fraction`` rows by the public constructor, where
+# the current one makes the stored ints directly.  As with the kernel above,
+# do not optimize them.
 
 
 def ref_support_value(poly, direction):
@@ -393,6 +398,17 @@ def ref_meets_face(region, hull, normal, top):
     rays = [r for r in hull.rays if dot(normal, r) == 0]
     return all(any(dot(c.normal, v) < c.rhs for v in verts) or any(dot(c.normal, r) != 0 for r in rays)
                for c in region.constraints if c.strict)
+
+
+def ref_ball_set(norm, center, radius, strict):
+    """The earlier ``ball(...).as_set``: ``Fraction`` rows over the
+    ``functionals`` view, handed to the public ``PartialPolyhedron``
+    constructor."""
+    center, radius = as_vec(center), Fraction(radius)
+    rows = [Constraint(a, radius + dot(a, center), strict) for a in norm.functionals]
+    if strict and radius == 0:
+        rows.append(Constraint((Fraction(0),) * norm.dim, Fraction(0), True))
+    return PartialPolyhedron(norm.dim, tuple(rows))
 
 
 def ref_is_closed(region):

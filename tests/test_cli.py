@@ -29,7 +29,7 @@ from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_cert
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
 
-from support import interval, rand_point, ref_parse_instance, ref_repr
+from support import interval, rand_point, ref_ball_set, ref_parse_instance, ref_repr
 
 F = Fraction
 
@@ -425,9 +425,10 @@ def test_cli_theta_and_ball(tmp_path, capsys):
 
 def test_cli_ball_prints_the_rows_write_instance_writes(tmp_path, capsys):
     """``asymgeo ball`` prints the ``H:`` lines that ``write_instance`` writes
-    for ``ball(...).as_set``: seeded gauges at d = 1..3, integer and
-    fractional centers and radii, open and closed, and the open ball of
-    radius 0 with its ``0 < 0`` row."""
+    for ``ball(...).as_set``, and for the region the public constructor
+    makes of the earlier ``Fraction`` rows (``ref_ball_set``): seeded gauges
+    at d = 1..3, integer and fractional centers and radii, open and closed,
+    and the open ball of radius 0 with its ``0 < 0`` row."""
     rng = random.Random(107)
     for n in range(24):
         d = rng.randint(1, 3)
@@ -441,6 +442,8 @@ def test_cli_ball_prints_the_rows_write_instance_writes(tmp_path, capsys):
         argv = ["ball", str(path), "--radius", str(radius), "--center=" + ",".join(map(str, center))]
         assert main(argv + (["--open"] if closedness is Closedness.OPEN else [])) == 0
         written = write_instance(norm, ball(norm, center, radius, closedness).as_set)
+        strict = closedness is Closedness.OPEN
+        assert written == write_instance(norm, ref_ball_set(norm, center, radius, strict))
         expected = [line for line in written.splitlines() if line.startswith("H:")]
         assert capsys.readouterr().out.splitlines() == expected
 

@@ -31,7 +31,7 @@ from asymgeo.polyhedron import (
 )
 from asymgeo.ratlp import vadd, vneg, vscale, vsub
 
-from support import rand_point, ref_gauge_eval
+from support import rand_point, ref_ball_set, ref_gauge_eval
 
 POS_PART = make_norm(1, [(1,)])  # gauge max(0, t) on the line
 SUP2 = make_norm(2, [(1, 0), (0, 1)])
@@ -251,6 +251,30 @@ def test_ball_examples():
         Constraint((Fraction(0), Fraction(1)), Fraction(1), False),
     ))
     assert set_equal(b2.as_set, expected)
+
+
+def test_ball_rows_are_the_public_constructor_rows():
+    """``ball`` makes its rows as ints from the stored functionals, the
+    cleared center and radius; the region equals the one the public
+    constructor makes of the earlier ``Fraction`` rows, with the same stored
+    ints, scales and repr: seeded gauges at d = 1..4 with fractional
+    functionals, integer and fractional centers and radii, radius 0, open
+    and closed, and the unit-scale gauges."""
+    rng = random.Random(61)
+    norms = [POS_PART, SUP2, SUP3] + [_norm_for(rng.randint(1, 4), 600 + k) for k in range(40)]
+    scaled = 0
+    for q in norms:
+        scaled += q._scale > 1
+        for n in range(6):
+            center = rand_point(rng, q.dim, span=3, max_den=rng.randint(1, 4))
+            radius = Fraction(0) if n == 0 else Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            for closedness in Closedness:
+                got = ball(q, center, radius, closedness).as_set
+                ref = ref_ball_set(q, center, radius, closedness is Closedness.OPEN)
+                assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref), (q, center, radius)
+                assert (got._rows, got._scales) == (ref._rows, ref._scales)
+                assert all(type(a) is int for c, b, _ in got._rows for a in (*c, b))
+    assert scaled >= 20
 
 
 def test_ball_negative_radius_rejected():
