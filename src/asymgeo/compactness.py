@@ -37,7 +37,9 @@ are C's generators, which ``decide_compact`` checks on the stored ints.
 The minimal generators of a line-free polyhedron are unique (Fukuda &
 Prodon 1996), so equal fields mean equal sets, and the sandwich checks
 K <= S + C against the facets of closure(K) + C.  S <= K is read off the
-generators of S.  T3 and T4 compare closed sets by their generators:
+generators of S, and for the verified center T1 (every vertex of
+closure(K) + C lies in K) is that check.  T3 and T4 compare closed sets by
+their generators:
 S + C = closure(K) + C is that equality of values for the verified center
 (two ``_within`` inclusions against facets at hand for any other), and
 K + C equals its closure iff it is closed (``is_closed``).
@@ -349,8 +351,11 @@ def verify_theorems(inst: Instance,
     """Evaluate the six structural claims that hold for compact regions.
 
     Requires a COMPACT verdict; otherwise every claim is reported
-    NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T3
-    checks the sandwich and reads center + C = closure + C off their stored
+    NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T1
+    tests the saturated hull's vertices against the region, except for the
+    center ``decide_compact`` verified: those vertices are its own, and its
+    sandwich has placed them in the region (``_within``).  T3 checks the
+    sandwich and reads center + C = closure + C off their stored
     generators: for the center ``decide_compact`` verified the two values
     are equal, and otherwise it checks an inclusion each way, each set's
     generators against the other's facets (``_within``);
@@ -372,7 +377,9 @@ def verify_theorems(inst: Instance,
         raise InternalInvariantError("a COMPACT certificate carries its center")
 
     sat = inst.saturated
-    escaped = None if contains_line(sat) else next(
+    verified = inst._verified_sums.get(core)
+    # the verified center is sat's vertices, and its sandwich placed them in the region
+    escaped = None if verified is sat or contains_line(sat) else next(
         (_point(y, t) for y, t in sat._verts if not _int_member(inst.region, y, t)), None)
     claims.append(_claim("T1", escaped is None,
                          None if escaped is None else f"escaped extreme point {escaped}"))
@@ -381,7 +388,7 @@ def verify_theorems(inst: Instance,
     claims.append(_claim("T2", own_ext, "no extreme point found"))
 
     # a center decide_compact did not verify on this instance is checked here
-    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
+    padded = verified or _sandwich(core, inst.region, inst.degeneracy)
     t3 = padded is not None and (padded == sat or _within(padded, to_partial(sat))
                                  and _within(sat, to_partial(padded)))
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))

@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _clear, as_vec, rank, rat, vneg
+from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _basis, _clear, as_vec, rat, vneg
 from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, _Value, cone_from_rows
 
 
@@ -92,8 +92,9 @@ def make_norm(dim: int, functionals) -> AsymNorm:
 
 
 def _check_definite(dim: int, int_functionals: tuple[tuple[int, ...], ...]) -> None:
-    """Raise DefinitenessViolation unless the int functional rows span the space."""
-    if rank(int_functionals) < dim:
+    """Raise DefinitenessViolation unless the int functional rows span the space:
+    the elimination that picks the double description's base finds a base."""
+    if _basis(int_functionals, dim) is None:
         raise DefinitenessViolation(
             "functionals span a proper subspace; the gauge would vanish in both "
             "directions along a line"
@@ -119,7 +120,7 @@ def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
 def degeneracy_cone(norm: AsymNorm) -> Cone:
     """The pointed cone {x : q(x) = 0} = {x : <a_i, x> <= 0 for all i}.
 
-    Pointedness is guaranteed by the rank check every gauge value passed,
+    Pointedness is guaranteed by the definiteness check every gauge value passed,
     so the double description of the functional rows never yields
     lineality.  Memoized on the gauge value.
     """

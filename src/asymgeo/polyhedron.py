@@ -6,10 +6,12 @@ per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
 closure, the facets, the degeneracy cone and the local tangent-cone test
-all pass through it, with int rows, which are prepared and eliminated as
-they are; a pointed cone costs one elimination, and a cone with lineality
-one null-space elimination more and a second pointed run, in the same
-coordinates, with the null space's basis as equation rows), and every
+all pass through it, with int rows, which are prepared as they are; a
+pointed cone costs one base elimination (``ratlp._basis``, which forms the
+columns it reads only) and one insertion of the other rows, last to first,
+and a cone with lineality one null-space elimination more and a second
+pointed run, in the same coordinates, with the null space's basis as
+equation rows), and every
 predicate (membership, inclusion, extremality, closedness) reduces to
 exact support-function scans and to incidence against an
 H-representation; emptiness and closedness are read off the closure's
@@ -69,6 +71,7 @@ from asymgeo.ratlp import (
     Rational,
     Vec,
     _all_int,
+    _basis,
     _clear,
     _null_space,
     _reduce,
@@ -316,37 +319,41 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
 
     Classic double description over Python ints: start from a simplicial
     subcone given by a maximal independent row subset, then insert the
-    remaining rows one at a time, combining adjacent rays across the new
-    hyperplane.  Each ray carries its incidence (the processed rows it is
-    tight on) as one bitmask, and a combined ray is tight exactly where both
-    parents are, plus on the new row.  Two rays are adjacent iff they share
-    at least dim - 2 tight rows and no third ray is tight on all of those
-    (the combinatorial test, valid because the ray set stays minimal).
+    remaining rows one at a time, last to first, combining adjacent rays
+    across the new hyperplane.  The rays do not depend on the insertion
+    order, but the work does (Fukuda & Prodon 1996): on random inputs at
+    d = 4..8 the reverse lexicographic order makes fewer rays and candidate
+    pairs than the lexicographic one, though more on the homogenized rows
+    of a one-norm lattice ball.  Each ray carries its incidence (the
+    processed rows it is tight on) as one bitmask, and a combined ray is
+    tight exactly where both parents are, plus on the new row.  Two rays are
+    adjacent iff they share at least dim - 2 tight rows and no third ray is
+    tight on all of those (the combinatorial test, valid because the ray set
+    stays minimal).
     Requires the rows of ``_prepare_rows``; returns primitive int tuples, or
     None when the rows have rank below dim (the cone has lineality), which
-    the elimination that picks the base finds out first.
+    the elimination that picks the base (``_basis``) finds out first.
     """
-    # One elimination of [rows^T | I] picks the lexicographically first
-    # independent rows (the pivot columns) and leaves det * B^-1 transposed
-    # in the identity block, B the chosen rows and det = |det B| > 0: row j
-    # is a positive multiple of column j of B^-1, so minus it is the ray
-    # tight on every chosen row but the j-th.
-    m = len(rows)
-    work, base_idx, _ = _reduce([[row[t] for row in rows] + [int(t == k) for k in range(dim)]
-                                 for t in range(dim)], m)
-    if len(base_idx) < dim:
+    # The base is the lexicographically first independent rows B; the
+    # identity block of its elimination is det * B^-1 transposed,
+    # det = |det B| > 0: row j is a positive multiple of column j of B^-1,
+    # so minus it is the ray tight on every chosen row but the j-th.
+    picked = _basis(rows, dim)
+    if picked is None:
         return None
+    block, base_idx, _ = picked
     rays = []
-    for w in work:
-        g = gcd(*w[m:])
-        rays.append(tuple(-a // g for a in w[m:]))
+    for w in block:
+        g = gcd(*w)
+        rays.append(tuple([-a // g for a in w]))
     base = sum(1 << i for i in base_idx)
     inc = [base & ~(1 << i) for i in base_idx]
     need = dim - 2
 
-    for i, row in enumerate(rows):
+    for i in reversed(range(len(rows))):
         if base >> i & 1:
             continue
+        row = rows[i]
         bit = 1 << i
         # one pass splits the rays: cut (v > 0) go, tight ones gain the bit,
         # strictly kept ones (v < 0) stay as they are and pair with the cut;
@@ -378,7 +385,7 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
                 else:
                     w = [vp * b - vq * a for a, b in zip(rp, rq)]
                     g = gcd(*w)
-                    next_rays.append(tuple([a // g for a in w]))
+                    next_rays.append(tuple(w) if g == 1 else tuple([a // g for a in w]))
                     next_inc.append(common | bit)
         rays, inc = next_rays, next_inc
     return sorted(set(rays))
@@ -390,7 +397,8 @@ def cone_from_rows(rows: Sequence[Sequence],
 
     The one entry to the double description: int or rational rows in,
     primitive int tuples out, the generators sorted.  A pointed cone takes
-    one elimination, the one ``_pointed_cone_rays`` picks its base with.
+    one elimination, the lazy ``ratlp._basis`` that ``_pointed_cone_rays``
+    picks its base with.
     Only when that finds the rank below dim is the lineality (the null space
     of the rows) split off, and the cone is cut by its equations: each basis
     vector l enters as the rows l and -l, so the same pointed run, in the

@@ -7,9 +7,12 @@ the definiteness check hand over, pass as they are) and results become
 ``Fraction`` on return, except the int null space ``_null_space`` that the
 double description reads.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
-rule loop (``_bland``) every simplex step.  ``_reduce`` is the only
-elimination loop (``rref``, ``rank`` and ``_null_space``, with its view
-``null_space_basis``, read their answers off it); ``lp_solve`` (two-phase,
+rule loop (``_bland``) every simplex step.  Two loops run the eliminations:
+``_reduce`` (``rref``, ``rank`` and ``_null_space``, with its view
+``null_space_basis``, read their answers off it) and ``_basis``, the base
+of the double description and the definiteness check, which makes the
+pivots ``_reduce`` of [rows^T | I] makes but forms a column of rows^T only
+when its pivot search reaches it; ``lp_solve`` (two-phase,
 free variables split) and ``feasible_nonneg`` (phase one only) build a
 tableau for ``_bland``.  The compactness decision runs no LP: ``lp_solve``
 serves the random generator's emptiness test, ``feasible_nonneg`` the LP
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -202,6 +206,44 @@ def _reduce(rows: Sequence[Sequence[Rational]],
         det = _pivot(work, r, col, det)
         pivots.append(col)
     return work, pivots, det
+
+
+def _basis(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple[list[Sequence[int]], list[int], int]]:
+    """The base that ``_reduce`` of [rows^T | I] over the row columns picks:
+    (identity block, chosen row indices, common denominator), or None when
+    the int rows have rank below ``dim``.
+
+    The row block of that elimination always equals M * rows^T, M the
+    identity block, so it is never built: column j is formed when the pivot
+    search reaches it, as the ``dim`` dot products M * row_j, and a pivot is
+    ``_pivot`` on the dim x (dim + 1) tableau [M | column j].  The pivots,
+    row swaps, denominator and block are those of ``_reduce``; it stops at
+    the dim-th pivot."""
+    # the search forms the entries below the pivots up to the first nonzero
+    # one, a pivot the rest of the column; the tableau's rows are made here
+    # or by _pivot, so its column slot is written in place, and map() stops
+    # at the end of row_j
+    tab: list[list[int]] = [[int(i == k) for k in range(dim + 1)] for i in range(dim)]
+    picked: list[int] = []
+    det = 1
+    for j, row in enumerate(rows):
+        r = len(picked)
+        if r == dim:
+            break
+        for piv in range(r, dim):
+            c = sum(map(mul, tab[piv], row))
+            if c:
+                break
+        else:
+            continue
+        for k, t in enumerate(tab):
+            t[dim] = c if k == piv else 0 if r <= k < piv else sum(map(mul, t, row))
+        tab[r], tab[piv] = tab[piv], tab[r]
+        det = _pivot(tab, r, dim, det)
+        picked.append(j)
+    if len(picked) < dim:
+        return None
+    return [t[:dim] for t in tab], picked, det
 
 
 def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list[int]]:

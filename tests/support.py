@@ -1,12 +1,15 @@
 """Shared test helpers: independent oracles, interval builders, transforms,
-and the frozen Fraction references of the exact kernel, the predicates, the
-instance parser and the values' public attributes."""
+the frozen Fraction references of the exact kernel, the predicates, the
+instance parser and the values' public attributes, and the frozen integer
+double description with its base elimination."""
 
 from __future__ import annotations
 
 import random
 import re
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Optional
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
@@ -436,6 +439,115 @@ def ref_gauge_eval(norm, x):
         if v > best:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the double description's base and its lexicographic run
+# ---------------------------------------------------------------------------
+# Verbatim copies of the integer Bareiss step and elimination loop of
+# ``asymgeo.ratlp`` (``_pivot``, ``_reduce`` on int rows) and of the earlier
+# ``polyhedron._pointed_cone_rays``, which picked its base by eliminating
+# the whole [rows^T | I] and inserted the other rows in lexicographic order,
+# kept so tests can compare the lazy base and the reverse insertion order
+# against them.  Do not optimize them.
+
+
+def _ref_int_pivot(tab, i, j, det):
+    row = tab[i]
+    p = row[j]
+    if p < 0:
+        p = -p
+        row = tab[i] = [-x for x in row]
+    for k, other in enumerate(tab):
+        if k != i:
+            f = other[j]
+            if f:
+                tab[k] = ([p * x - f * y for x, y in zip(other, row)] if det == 1 else
+                          [(p * x - f * y) // det for x, y in zip(other, row)])
+            elif p != det:
+                tab[k] = [p * x // det for x in other]
+    return p
+
+
+def _ref_int_reduce(rows, ncols):
+    work = list(rows)
+    n = len(work)
+    pivots = []
+    det = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        for piv in range(r, n):
+            if work[piv][col]:
+                break
+        else:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        det = _ref_int_pivot(work, r, col, det)
+        pivots.append(col)
+    return work, pivots, det
+
+
+def ref_basis(rows, dim):
+    """(identity block, pivot columns, denominator) of the elimination of the
+    int tableau [rows^T | I] over its m row columns, or None below rank dim."""
+    m = len(rows)
+    work, pivots, det = _ref_int_reduce(
+        [[row[t] for row in rows] + [int(t == k) for k in range(dim)] for t in range(dim)], m)
+    if len(pivots) < dim:
+        return None
+    return [list(w[m:]) for w in work], pivots, det
+
+
+def ref_pointed_cone_rays(rows, dim):
+    """Extreme rays of {x : <row, x> <= 0} for ``_prepare_rows`` rows, by the
+    lexicographic double description; None below rank dim."""
+    picked = ref_basis(rows, dim)
+    if picked is None:
+        return None
+    block, base_idx, _ = picked
+    rays = []
+    for w in block:
+        g = gcd(*w)
+        rays.append(tuple(-a // g for a in w))
+    base = sum(1 << i for i in base_idx)
+    inc = [base & ~(1 << i) for i in base_idx]
+    need = dim - 2
+    for i, row in enumerate(rows):
+        if base >> i & 1:
+            continue
+        bit = 1 << i
+        cut, minus, next_rays, next_inc = [], [], [], []
+        for r, m in zip(rays, inc):
+            v = sum(map(mul, row, r))
+            if v > 0:
+                cut.append((v, r, m))
+                continue
+            if v:
+                minus.append((v, r, m))
+            else:
+                m |= bit
+            next_rays.append(r)
+            next_inc.append(m)
+        for vp, rp, mp in cut:
+            for vq, rq, mq in minus:
+                common = mp & mq
+                if common.bit_count() < need:
+                    continue
+                holders = 0
+                for m in inc:
+                    if m & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    w = [vp * b - vq * a for a, b in zip(rp, rq)]
+                    g = gcd(*w)
+                    next_rays.append(tuple([a // g for a in w]))
+                    next_inc.append(common | bit)
+        rays, inc = next_rays, next_inc
+    return sorted(set(rays))
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,53 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     assert inst.region in regions
 
 
+def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
+    """T1 for the center ``decide_compact`` verified reads PASS off its
+    sandwich, which placed the saturated hull's vertices in the region; a
+    center that the instance did not verify is still tested vertex by
+    vertex.  Over every COMPACT instance among the corpus seeds
+    ``1000*d + k`` (d = 1..3, k < 500) and twenty d=4 lattice balls, T1 says
+    what testing each vertex of closure + C with ``member`` says, with the
+    verified center and with the same center handed to a fresh instance of
+    the same gauge and region; only the second tests the vertices, each
+    once.  A forged saturated hull with a vertex outside the region fails
+    T1 also for the verified center."""
+    tested = []
+    real = compactness._int_member
+
+    def counting(region, y, t):
+        tested.append(region)
+        return real(region, y, t)
+
+    monkeypatch.setattr(compactness, "_int_member", counting)
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(500)]
+    cases += _lattice_balls(20)
+    compact = 0
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is not Verdict.COMPACT:
+            continue
+        compact += 1
+        sat = inst.saturated
+        scan = ClaimStatus.PASS if all(member(region, v) for v in sat.vertices) else ClaimStatus.FAIL
+        counts = []
+        for target in (inst, Instance.build(q, region)):
+            tested.clear()
+            t1 = verify_theorems(target, cert).claims[0]
+            assert t1.claim_id == "T1" and t1.status is scan, (q, region)
+            counts.append(sum(r is region for r in tested))  # T1 and T2 test the region itself
+        assert counts[1] - counts[0] == len(sat._verts), (q, region)
+    assert compact >= 300
+
+    inst = build(SUP2, UNIT_SQUARE)
+    cert = decide_compact(inst)
+    sat = inst.saturated
+    vars(inst)["saturated"] = Polyhedron(2, (*sat.vertices, (5, 5)), sat.rays)
+    t1 = verify_theorems(inst, cert).claims[0]
+    assert t1.claim_id == "T1" and t1.status is ClaimStatus.FAIL
+
+
 def test_t3_and_t4_compare_closed_sets_as_set_equal_does():
     """T3 reads both inclusions of two closed sets off their generators
     (``_within`` each way), and T4 is ``is_closed`` of the half-open sum.

@@ -45,6 +45,7 @@ from support import (
     ref_is_closed,
     ref_meets_face,
     ref_member,
+    ref_pointed_cone_rays,
     ref_rank,
     ref_support_value,
 )
@@ -445,36 +446,100 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         gens, lin = cone_from_rows(rows, d)
         assert lin == ()
         assert set(gens) == _brute_cone_rays(rows, d), (d, rows)
-    # degenerate cones, where a ray is tight on many more than d - 1 rows:
-    # the d=4 one-norm lattice functionals (each ray -e_i lies on 7 rows),
-    # and the homogenized pyramid over an octagon (the apex lies on 8 rows)
-    one_norm = [tuple(F(mask >> j & 1) for j in range(4)) for mask in range(1, 16)]
-    sides = [(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2), (1, 1, 3), (1, -1, 3), (-1, 1, 3), (-1, -1, 3)]
-    pyramid = [tuple(map(F, (a, b, h, -h))) for a, b, h in sides]
-    pyramid += [tuple(map(F, (0, 0, -1, 0))), tuple(map(F, (0, 0, 0, -1)))]
-    for rows, count in ((one_norm, 4), (pyramid, 9)):
-        gens, lin = cone_from_rows(rows, 4)
-        assert lin == () and len(gens) == count
-        assert set(gens) == _brute_cone_rays(rows, 4)
-    # at d=5: the one-norm lattice functionals (31 rows, each ray on 15), the
-    # homogenized rows (c, -b) and t >= 0 of a closed d=4 one-norm ball, and
-    # random rows with duplicated and positively rescaled copies
-    from asymgeo.cli.generators import gen_lattice_norm
-    from asymgeo.norm import Closedness, ball
-
-    one_norm5 = [tuple(F(mask >> j & 1) for j in range(5)) for mask in range(1, 32)]
-    q = gen_lattice_norm(4, "one")
-    closed_ball = ball(q, (F(1, 2), F(-1), F(2, 3), F(0)), F(5, 2), Closedness.CLOSED).as_set
-    homogenized = [(*c.normal, -c.rhs) for c in closed_ball.constraints] + [(0, 0, 0, 0, -1)]
+    # degenerate cones (``_degenerate_cones``) and, at d=5, random rows with
+    # duplicated and positively rescaled copies
     while True:
         rows = [rand_point(rng, 5, span=2) for _ in range(8)]
         if all(any(r) for r in rows) and not null_space_basis(rows, 5):
             break
     rows += [rows[0], rows[3], tuple(F(3, 2) * a for a in rows[1]), tuple(2 * a for a in rows[5])]
-    for rows, count in ((one_norm5, 5), (homogenized, 8), (rows, 8)):
-        gens, lin = cone_from_rows(rows, 5)
+    for rows, dim, count in (*_degenerate_cones(), (rows, 5, 8)):
+        gens, lin = cone_from_rows(rows, dim)
         assert lin == () and len(gens) == count
-        assert set(gens) == _brute_cone_rays(rows, 5)
+        assert set(gens) == _brute_cone_rays(rows, dim)
+
+
+def _degenerate_cones():
+    """Pointed cones where a ray is tight on many more than d - 1 rows, as
+    (rows, dim, extreme ray count): the d=4 one-norm lattice functionals
+    (each ray -e_i lies on 7 rows), the homogenized pyramid over an octagon
+    (the apex lies on 8 rows), the d=5 one-norm lattice functionals (31
+    rows, each ray on 15) and the homogenized rows (c, -b) and t >= 0 of a
+    closed d=4 one-norm ball."""
+    from asymgeo.cli.generators import gen_lattice_norm
+    from asymgeo.norm import Closedness, ball
+
+    one_norm = [tuple(F(mask >> j & 1) for j in range(4)) for mask in range(1, 16)]
+    sides = [(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2), (1, 1, 3), (1, -1, 3), (-1, 1, 3), (-1, -1, 3)]
+    pyramid = [tuple(map(F, (a, b, h, -h))) for a, b, h in sides]
+    pyramid += [tuple(map(F, (0, 0, -1, 0))), tuple(map(F, (0, 0, 0, -1)))]
+    one_norm5 = [tuple(F(mask >> j & 1) for j in range(5)) for mask in range(1, 32)]
+    q = gen_lattice_norm(4, "one")
+    closed_ball = ball(q, (F(1, 2), F(-1), F(2, 3), F(0)), F(5, 2), Closedness.CLOSED).as_set
+    homogenized = [(*c.normal, -c.rhs) for c in closed_ball.constraints] + [(0, 0, 0, 0, -1)]
+    return [(one_norm, 4, 4), (pyramid, 4, 9), (one_norm5, 5, 5), (homogenized, 5, 8)]
+
+
+def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
+    """The double description picks its base without ``_reduce`` and inserts
+    the other rows last to first; it returns what the lexicographic run (the
+    frozen ``ref_pointed_cone_rays``) returns.  Inputs: every pointed run of
+    build, decide and T1-T6 over 90 corpus seeds, random instances at
+    d = 4..7 and one-norm lattice balls at d = 3..5; the degenerate cones of
+    ``test_pointed_cone_rays_match_enumeration_oracle``; and rank-deficient
+    rows, where both return None."""
+    from asymgeo.cli.generators import gen_lattice_norm, gen_random_instance
+    from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems
+    from asymgeo.norm import Closedness, ball
+
+    captured = []
+    real = polyhedron._pointed_cone_rays
+
+    def capturing(rows, dim):
+        captured.append((list(rows), dim))
+        return real(rows, dim)
+
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(30)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6, 7) for k in range(4)]
+    rng = random.Random(61)
+    for d in (3, 4, 5):
+        q = gen_lattice_norm(d, "one")
+        for k in range(4):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            closedness = Closedness.CLOSED if k % 2 == 0 else Closedness.OPEN
+            cases.append((q, ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), closedness).as_set))
+    monkeypatch.setattr(polyhedron, "_pointed_cone_rays", capturing)
+    compact = 0
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is Verdict.COMPACT:
+            verify_theorems(inst, cert)
+            compact += 1
+    monkeypatch.undo()
+    assert compact >= 20 and {dim for _, dim in captured} >= set(range(2, 9))
+
+    inputs = captured + [(polyhedron._prepare_rows(rows), dim) for rows, dim, _ in _degenerate_cones()]
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        span = [rand_point(rng, d, span=2, max_den=1) for _ in range(rng.randint(0, d - 1))]
+        rows = []
+        for _ in range(rng.randint(0, 2 * d + 2)):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            rows.append(tuple(int(sum(a * v[t] for a, v in zip(coeffs, span))) for t in range(d)))
+        inputs.append((polyhedron._prepare_rows(rows), d))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the double description ran _reduce")
+
+    for module in (ratlp, polyhedron):
+        monkeypatch.setattr(module, "_reduce", forbidden)
+    kinds = {"pointed": 0, "rank below dim": 0}
+    for rows, dim in inputs:
+        got = polyhedron._pointed_cone_rays(rows, dim)
+        assert got == ref_pointed_cone_rays(rows, dim), (dim, rows)
+        kinds["pointed" if got is not None else "rank below dim"] += 1
+    assert kinds["pointed"] >= 200 and kinds["rank below dim"] >= 60, kinds
 
 
 def test_cone_from_rows_takes_int_rows_as_their_rational_copies():

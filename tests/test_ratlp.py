@@ -29,6 +29,7 @@ from asymgeo.ratlp import (
 from support import (
     rand_fraction,
     rand_point,
+    ref_basis,
     ref_feasible_nonneg,
     ref_lp_solve,
     ref_null_space_basis,
@@ -282,6 +283,47 @@ def test_elimination_matches_fraction_reference():
     assert int_deficient > 60
     with pytest.raises(ValueError, match="differing length"):
         ratlp._reduce([(1, 2), (3,)])
+
+
+def test_lazy_base_matches_the_full_elimination():
+    """``_basis`` picks the base that eliminating the whole [rows^T | I]
+    picks (the frozen ``ref_basis``): the same pivots, denominator and
+    identity block, or None exactly below rank dim.  Seeded int rows at
+    d = 1..7 of every rank, with zero rows, duplicates and dependent first
+    d rows; the rows are left as they were."""
+    rng = random.Random(191)
+    seen = set()
+    kinds = dict.fromkeys(("zero", "duplicate", "dependent head"), 0)
+    for _ in range(1500):
+        d = rng.randint(1, 7)
+        span = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        rows = []
+        for _ in range(rng.randint(0, 2 * d + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            rows.append(tuple(sum(a * v[t] for a, v in zip(coeffs, span)) for t in range(d)))
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * d)
+            kinds["zero"] += 1
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+            kinds["duplicate"] += 1
+        if len(rows) > d and rng.random() < 0.3:
+            # the first d rows are dependent: row d - 1 is 0 or rows[0] - 2 rows[d - 2]
+            rows[d - 1] = (0,) * d if d == 1 else tuple(a - 2 * b for a, b in zip(rows[0], rows[d - 2]))
+            kinds["dependent head"] += 1
+        before = list(rows)
+        got = ratlp._basis(rows, d)
+        assert rows == before
+        expected = ref_basis(rows, d)
+        if got is not None:
+            block, picked, det = got
+            got = [list(r) for r in block], picked, det
+        assert got == expected, (d, rows)
+        r = ref_rank(rows)
+        assert (got is None) == (r < d), (d, rows)
+        seen.add((d, r))
+    assert seen == {(d, r) for d in range(1, 8) for r in range(d + 1)}, sorted(seen)
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _rand_lp(rng: random.Random):

@@ -1,0 +1,83 @@
+"""How the double description scales: one JSON line per input family.
+
+Each family is built and decided (``Instance.build`` then
+``decide_compact``; no T1-T6) with ``polyhedron.cone_from_rows``, the one
+entry to the double description, wrapped under every name that holds it.
+A line holds the family, its instance count, the ``cone_from_rows`` calls,
+the rays they returned, the wall time spent inside them (``dd_s``) and the
+wall time of the whole family (``total_s``).  Report only: it checks no
+answer and gates nothing.  Standard library only; it imports the package
+from the ``src`` next to it.
+
+    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256]
+
+The families are random instances at each dimension d (the seeds
+``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them) and the
+arc hull at each segment count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from asymgeo import compactness, norm, polyhedron  # noqa: E402
+from asymgeo.cli.generators import gen_arc_hull, gen_random_instance  # noqa: E402
+from asymgeo.compactness import Instance, decide_compact  # noqa: E402
+
+SEEDS_PER_DIM = 16
+
+
+def measure(family: str, cases) -> dict:
+    """Build and decide every (gauge, region) of ``cases``, counting the DD;
+    the cases are made before, so the generator's own work is not counted."""
+    real = polyhedron.cone_from_rows
+    stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0}
+
+    def counting(rows, dim):
+        start = time.perf_counter()
+        result = real(rows, dim)
+        stats["dd_s"] += time.perf_counter() - start
+        stats["calls"] += 1
+        stats["rays_out"] += len(result[0])
+        return result
+
+    modules = [m for m in (polyhedron, norm, compactness) if getattr(m, "cone_from_rows", None) is real]
+    for module in modules:
+        module.cone_from_rows = counting
+    count = 0
+    start = time.perf_counter()
+    try:
+        for q, region in cases:
+            decide_compact(Instance.build(q, region))
+            count += 1
+    finally:
+        for module in modules:
+            module.cone_from_rows = real
+    return {"family": family, "instances": count, "cone_from_rows_calls": stats["calls"],
+            "rays_out": stats["rays_out"], "dd_s": round(stats["dd_s"], 4),
+            "total_s": round(time.perf_counter() - start, 4)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", type=int, nargs="*", default=[6, 7, 8],
+                        help="dimensions of the random families (default 6 7 8)")
+    parser.add_argument("--arcs", type=int, nargs="*", default=[64, 256],
+                        help="segment counts of the arc-hull families (default 64 256)")
+    args = parser.parse_args(argv)
+    for d in args.dims:
+        cases = [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
+        print(json.dumps(measure(f"random-d{d}", cases)), flush=True)
+    for n_arc in args.arcs:
+        print(json.dumps(measure(f"arc-{n_arc}", [gen_arc_hull(n_arc)])), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
