@@ -36,10 +36,12 @@ closure(K) + C is S + C field for field: its vertices are S's, and its rays
 are C's generators, which ``decide_compact`` checks on the stored ints.
 The minimal generators of a line-free polyhedron are unique (Fukuda &
 Prodon 1996), so equal fields mean equal sets, and the sandwich checks
-K <= S + C against the facets of closure(K) + C.  S <= K is read off the
-generators of S, and for the verified center T1 (every vertex of
-closure(K) + C lies in K) is that check.  T3 and T4 compare closed sets by
-their generators:
+K <= S + C against the facets of closure(K) + C.  S <= K holds iff the
+vertices of S lie in K; they are closure vertices, and whether each closure
+vertex lies in K is one AND of its mask with the strict rows, taken once
+per instance (``Instance._inside``, which the escape test reads too).  For
+the verified center T1 (every vertex of closure(K) + C lies in K) is that
+check.  T3 and T4 compare closed sets by their generators:
 S + C = closure(K) + C is that equality of values for the verified center
 (two ``_within`` inclusions against facets at hand for any other), and
 K + C equals its closure iff it is closed (``is_closed``).
@@ -47,6 +49,10 @@ The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
 its closure already holds C's directions, so adding C builds no new set,
 its center is S again, and its saturated hull shares the parent's facets.
+Where closure(K) + C has the facets as its own rows (a sum that added
+directions to the closure), T4's ``is_closed`` and T6's vertex tests and
+both its sandwich inclusions read masks; where the sum kept the closure's
+rows, they scan against the facets.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from asymgeo.polyhedron import (
     _extreme_flags,
     _int_member,
     _meets_face,
+    _members,
     _support,
     _within,
     closure,
@@ -156,6 +163,18 @@ class Instance:
         """closure + degeneracy cone, pruned to its extreme points and rays."""
         return minkowski_sum_with_cone(self.hull, self.degeneracy)
 
+    @cached_property
+    def _inside(self) -> list[bool]:
+        """Per listed vertex of the closure, whether it lies in the region
+        (``_members``: bits, where the closure came from the region's rows)."""
+        return _members(self.region, self.hull)
+
+    @cached_property
+    def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
+        """-a for each stored functional a of the gauge: the rows of -C that
+        ``_extreme_in_saturation`` adds at every vertex it tests."""
+        return tuple(map(vneg, self.norm._rows))
+
 
 def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
     """Extreme points of the (possibly half-open) region itself.
@@ -170,8 +189,8 @@ def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 def _region_extreme(inst: Instance) -> Iterator[tuple[Sequence[int], int]]:
     """The stored closure vertices (y, t) that ``region_extreme_points`` returns, lazily."""
     hull = inst.hull
-    return ((y, t) for (y, t), keep in zip(hull._verts, _extreme_flags(hull))
-            if keep and _int_member(inst.region, y, t))
+    return ((y, t) for (y, t), keep, inside in zip(hull._verts, _extreme_flags(hull), inst._inside)
+            if keep and inside)
 
 
 def _point(y: Sequence[int], t: int) -> Vec:
@@ -194,33 +213,37 @@ def center_candidate(inst: Instance) -> Polyhedron:
 
 
 def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
-              padded: Optional[Polyhedron] = None) -> Optional[Polyhedron]:
+              padded: Optional[Polyhedron] = None, members: Optional[dict] = None) -> Optional[Polyhedron]:
     """core + cone when core <= region <= core + cone holds, else None.
 
     The first inclusion is read off the core's generators (``_within``);
-    ``padded`` is core + cone when the caller already has it.
+    ``padded`` is core + cone when the caller already has it.  ``members``,
+    when given, maps stored points, the core's vertices among them, to their
+    membership in the region: the core is a polytope, so it lies in the
+    convex region iff its vertices do.
     """
-    if not _within(core, region):
+    if not (_within(core, region) if members is None else all(map(members.__getitem__, core._verts))):
         return None
     if padded is None:
         padded = minkowski_sum_with_cone(core, cone)
     return padded if subset(region, to_partial(padded)) else None
 
 
-def _extreme_in_saturation(inst: Instance, y: Sequence[int], t: int) -> bool:
-    """Is the closure vertex v = y / t extreme in closure + degeneracy cone?
+def _extreme_in_saturation(inst: Instance, mask: int) -> bool:
+    """Is the closure vertex v with mask ``mask`` (``hull._vert_masks``)
+    extreme in closure + degeneracy cone?
 
     With P the closure and C = {x : <a_i, x> <= 0} the cone, v is extreme in
     P + C iff its tangent cone T_P(v) = {x : A_v x <= 0} meets -C only in 0;
-    A_v are the rows of ``hull._rows`` tight at v.  If a nonzero c in C has
+    A_v are the rows of ``hull._rows`` tight at v, the set bits of its mask.  If a nonzero c in C has
     -c in T_P(v), v is the midpoint of v - εc in P and v + εc in P + C;
     otherwise T_P(v) + C is a pointed cone, v + T_P(v) + C holds P + C, and
     v is its apex.  One double description of {x : A_v x <= 0, <a_i, x> >= 0}
     decides it: the cone is {0} iff it has neither generators nor lineality.
     """
-    tight = [c for c, b in inst.hull._rows if sum(map(mul, c, y)) == b * t]
-    minus_cone = [vneg(a) for a in inst.norm._rows]
-    return cone_from_rows(tight + minus_cone, inst.norm.dim) == ((), ())
+    rows = inst.hull._rows
+    tight = [rows[j][0] for j in range(len(rows)) if mask >> j & 1]
+    return cone_from_rows([*tight, *inst._minus_functionals], inst.norm.dim)[:2] == ((), ())
 
 
 def decide_compact(inst: Instance) -> CompactnessCertificate:
@@ -245,14 +268,16 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         if any(sum(map(mul, a, d)) > 0 for a in inst.norm._rows):  # q(d) > 0
             return CompactnessCertificate(Verdict.NOT_COMPACT,
                                           witness=BadRecessionDirection(_point(d, 1)))
-    for y, t in inst.hull._verts:
-        if not _int_member(inst.region, y, t) and _extreme_in_saturation(inst, y, t):
+    hull = inst.hull
+    for (y, t), mask, inside in zip(hull._verts, hull._vert_masks, inst._inside):
+        if not inside and _extreme_in_saturation(inst, mask):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
     core = center_candidate(inst)
     sat = inst.saturated
     if sat._rays != inst.degeneracy._gens:
         raise InternalInvariantError("closure + cone has the cone's generators as its rays")
-    padded = _sandwich(core, inst.region, inst.degeneracy, sat)  # sat is core + cone
+    # sat is core + cone, and the core's vertices are closure vertices
+    padded = _sandwich(core, inst.region, inst.degeneracy, sat, dict(zip(hull._verts, inst._inside)))
     if padded is None:
         return CompactnessCertificate(Verdict.UNKNOWN)
     inst._verified_sums[core] = padded
@@ -298,7 +323,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
         if top is None or top[0] > b * top[1]:
             raise InternalInvariantError("sum rows bound the closure")
         flags.append(top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b))
-    part = PartialPolyhedron._make(dim=inst.region.dim, _scales=(1,) * len(flags),
+    part = PartialPolyhedron._make(dim=inst.region.dim, _scales=(1,) * len(flags), _closed_rows=sat._int_hrep,
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
     if not contains_line(sat):
         vars(part)["_closure"] = sat
@@ -354,7 +379,7 @@ def verify_theorems(inst: Instance,
     NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T1
     tests the saturated hull's vertices against the region, except for the
     center ``decide_compact`` verified: those vertices are its own, and its
-    sandwich has placed them in the region (``_within``).  T3 checks the
+    sandwich has placed them in the region (``Instance._inside``).  T3 checks the
     sandwich and reads center + C = closure + C off their stored
     generators: for the center ``decide_compact`` verified the two values
     are equal, and otherwise it checks an inclusion each way, each set's

@@ -64,7 +64,7 @@ class AsymNorm(_Value):
 
     @cached_property
     def _degeneracy(self) -> Cone:
-        gens, lin = cone_from_rows(self._rows, self.dim)
+        gens, lin, *_ = cone_from_rows(self._rows, self.dim)
         if lin:
             raise InternalInvariantError("a definite gauge has a pointed degeneracy cone")
         return Cone._make(dim=self.dim, _gens=gens, _lin=())

@@ -18,14 +18,27 @@ H-representation; emptiness and closedness are read off the closure's
 generators.  The incidence predicates (extreme points and rays, lines,
 the recession cone's lineality) read ``Polyhedron._rows``, any integer
 inequality description of the set, as one bitmask of tight rows per
-generator, and run no elimination: a generator is extreme iff no other one
-is tight on all its rows, and a line lies in the set iff some ray is
-tight on every row.  A closure keeps the rows it was converted from, so they run without a
-vertex-to-facet conversion, and the facets are computed only where they
-are needed, as int rows (``_int_hrep``, by ``_int_facets``).  The ray
-masks, the line test and the support values the predicates ask for
-(``_supports``, one per row) are memoized on the value, and the
-conversions seed the line test.
+generator (``_vert_masks``, ``_ray_masks``), and run no elimination: a
+generator is extreme iff no other one is tight on all its rows, and a line
+lies in the set iff some ray is tight on every row.  A closure keeps the
+rows it was converted from, so they run without a vertex-to-facet
+conversion, and the facets are computed only where they are needed, as int
+rows (``_int_hrep``, by ``_int_facets``).
+
+The masks come from the double description, which tracks the rows tight
+on each ray anyway: ``cone_from_rows`` returns them over its prepared rows,
+the closure maps them back to its own rows per set bit, the facet
+conversion transposes them onto the generators where the facets are the
+rows, and the pruned Minkowski sum keeps those of the generators it keeps.
+``_tight_masks`` rescans only rows seeded without masks; no value the
+decision pipeline makes has such rows.  A predicate on a value's own rows
+reads bits: a closure vertex lies in the region iff no strict row is tight
+on it (``_members``), the region is empty iff a strict row is tight on
+every generator, and ``_within`` (so ``is_closed``) of a region whose rows
+are the very ``_rows`` of the polyhedron (``_own_rows``) takes one OR over
+the vertex masks.  The masks, the line test and the support values the
+other predicates scan for (``_supports``, one per row) are memoized on the
+value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -51,18 +64,19 @@ The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
 hold rows but no closure.
 
-Sets are desk scale: dimension <= 6 and at most a few hundred rows, so the
-algorithms favour determinism and verifiability over asymptotics.
+Sets are desk scale: dimension <= 12 (the largest the parser and ``gen``
+take) and at most a few hundred rows, so the algorithms favour determinism
+and verifiability over asymptotics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, or_
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
@@ -183,9 +197,23 @@ class PartialPolyhedron(_Value):
                       for (c, b, strict), s in zip(self._rows, self._scales)])
 
     @cached_property
+    def _closed_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The rows (c, b) without their strict flags: the closure's ``_rows``,
+        the very tuple (``_own_rows``), and seeded where a region is made from
+        a polyhedron's facets."""
+        return tuple([(c, b) for c, b, _ in self._rows])
+
+    @cached_property
+    def _strict_mask(self) -> int:
+        """The strict rows as one bitmask over ``_rows``."""
+        return sum([1 << j for j, (_, _, strict) in enumerate(self._rows) if strict])
+
+    @cached_property
     def _closure(self) -> Optional[Polyhedron]:
-        poly = dd_convert_h_to_v([(c, b) for c, b, _ in self._rows], self.dim)
-        if poly is None or not _meets_face(self, poly, (0,) * self.dim, 0):
+        """The conversion of ``_closed_rows``; the region is empty iff that is,
+        or a strict row is tight on every generator of it."""
+        poly = _h_to_v(self._closed_rows, self.dim)
+        if poly is None or reduce(and_, poly._ray_masks, reduce(and_, poly._vert_masks)) & self._strict_mask:
             return None
         return poly
 
@@ -232,23 +260,41 @@ class Polyhedron(_Value):
     @cached_property
     def _int_hrep(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The facets as primitive int rows (c, b), sorted: the one
-        vertex-to-facet conversion of the value (``_int_facets``)."""
-        return _int_facets(self)
+        vertex-to-facet conversion of the value (``_int_facets``).  When no
+        rows were seeded the facets become ``_rows``, with the incidence the
+        conversion found as the masks."""
+        facets, vert_masks, ray_masks = _int_facets(self)
+        if "_rows" not in vars(self):
+            vars(self).update(_rows=facets, _vert_masks=vert_masks, _ray_masks=ray_masks)
+        return facets
 
     @cached_property
     def _rows(self) -> tuple[tuple[Sequence[int], int], ...]:
         """An integer inequality description (c, b) of the set, read by the
-        incidence predicates: ``_int_hrep`` unless ``dd_convert_h_to_v`` seeded
-        it with the rows it converted.  Those may hold duplicate, rescaled,
-        redundant or zero rows; incidence decides the same on any inequality
-        description of the set."""
+        incidence predicates: ``_int_hrep`` unless a conversion seeded it
+        with the rows it converted (``dd_convert_h_to_v``) or a sum with its
+        union's (``minkowski_sum_with_cone``).  Those may hold duplicate,
+        rescaled, redundant or zero rows; incidence decides the same on any
+        inequality description of the set."""
         return self._int_hrep
 
     @cached_property
+    def _vert_masks(self) -> tuple[int, ...]:
+        """Per vertex, the ``_rows`` tight on it.  Whatever made the rows
+        seeded these masks (reading ``_rows`` may run the facet conversion,
+        which seeds them); rows seeded without masks are scanned
+        (``_tight_masks``)."""
+        rows = self._rows
+        return vars(self).get("_vert_masks") or _tight_masks(rows, self._verts)
+
+    @cached_property
     def _ray_masks(self) -> tuple[int, ...]:
-        """Per ray, the ``_rows`` its direction is tight on (``_tight_masks``);
+        """Per ray, the ``_rows`` its direction is tight on, as ``_vert_masks``;
         a polytope reads no row."""
-        return _tight_masks(self._rows, [(r, 0) for r in self._rays]) if self._rays else ()
+        if not self._rays:
+            return ()
+        rows = self._rows
+        return vars(self).get("_ray_masks") or _tight_masks(rows, [(r, 0) for r in self._rays])
 
     @cached_property
     def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
@@ -314,7 +360,8 @@ def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[tuple[int, ...]]]:
+def _pointed_cone_rays(rows: list[tuple[int, ...]],
+                       dim: int) -> Optional[tuple[list[tuple[int, ...]], list[int]]]:
     """Extreme rays of the pointed cone {x : <row, x> <= 0 for all rows}.
 
     Classic double description over Python ints: start from a simplicial
@@ -330,9 +377,11 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
     adjacent iff they share at least dim - 2 tight rows and no third ray is
     tight on all of those (the combinatorial test, valid because the ray set
     stays minimal).
-    Requires the rows of ``_prepare_rows``; returns primitive int tuples, or
-    None when the rows have rank below dim (the cone has lineality), which
-    the elimination that picks the base (``_basis``) finds out first.
+    Requires the rows of ``_prepare_rows``; returns the rays as primitive int
+    tuples, sorted, and aligned with them their final masks, the rows tight
+    on each (bit i for ``rows[i]``); or None when the rows have rank below
+    dim (the cone has lineality), which the elimination that picks the base
+    (``_basis``) finds out first.
     """
     # The base is the lexicographically first independent rows B; the
     # identity block of its elimination is det * B^-1 transposed,
@@ -388,12 +437,14 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], dim: int) -> Optional[list[t
                     next_rays.append(tuple(w) if g == 1 else tuple([a // g for a in w]))
                     next_inc.append(common | bit)
         rays, inc = next_rays, next_inc
-    return sorted(set(rays))
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    return [rays[k] for k in order], [inc[k] for k in order]
 
 
-def cone_from_rows(rows: Sequence[Sequence],
-                   dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Generators and lineality basis of {x : <row, x> <= 0 for all rows}.
+def cone_from_rows(rows: Sequence[Sequence], dim: int) -> tuple[
+        tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...], list[tuple[int, ...]]]:
+    """Generators and lineality basis of {x : <row, x> <= 0 for all rows},
+    then the generators' incidence and the rows it indexes.
 
     The one entry to the double description: int or rational rows in,
     primitive int tuples out, the generators sorted.  A pointed cone takes
@@ -404,16 +455,32 @@ def cone_from_rows(rows: Sequence[Sequence],
     vector l enters as the rows l and -l, so the same pointed run, in the
     same coordinates, yields the extreme rays of the cone's intersection with
     the orthogonal complement of the lineality (Fukuda & Prodon 1996).
+    The third item holds, per generator, the DD's mask of the rows tight on
+    it, over the fourth, the prepared rows of the run that made it (with the
+    equation rows when the cone has lineality, and those hold on every
+    generator).  The conversions map the masks back to their own rows; no
+    other caller reads them.
     """
     prepared = _prepare_rows(rows)
-    rays = _pointed_cone_rays(prepared, dim)
-    if rays is not None:
-        return tuple(rays), ()
-    lin = tuple(_null_space(prepared, dim))
-    rays = _pointed_cone_rays(_prepare_rows([*prepared, *lin, *map(vneg, lin)]), dim)
-    if rays is None:
-        raise InternalInvariantError("the rows and their null space span the space")
-    return tuple(rays), lin
+    run = _pointed_cone_rays(prepared, dim)
+    lin = ()
+    if run is None:
+        lin = tuple(_null_space(prepared, dim))
+        prepared = _prepare_rows([*prepared, *lin, *map(vneg, lin)])
+        run = _pointed_cone_rays(prepared, dim)
+        if run is None:
+            raise InternalInvariantError("the rows and their null space span the space")
+    return tuple(run[0]), lin, tuple(run[1]), prepared
+
+
+def _spread(mask: int, images: Sequence[int]) -> int:
+    """The union of ``images[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -422,33 +489,54 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
-    Rows may be int or rational.  The value is built from the DD's int
-    output as it is (``_make``): a primitive generator (y, t) is already the
-    vertex's stored form, and the vertices are sorted on ints.  The result's
-    ``_rows`` are the given rows as ints, so its incidence predicates run
-    without a vertex-to-facet conversion, and it contains a line iff the
-    homogenization cone has lineality.
+    Rows may be int or rational; the result's ``_rows`` are the given rows
+    as ints, so its incidence predicates run without a vertex-to-facet
+    conversion (``_h_to_v``).
     """
     cleared = [_clear((*c, b))[1] for c, b in hrep]
-    rows = [(*r[:-1], -r[-1]) for r in cleared]
-    rows.append((0,) * dim + (-1,))
-    gens, lin = cone_from_rows(rows, dim + 1)
-    verts = []
-    raydirs = set()
-    for g in gens:
-        if g[-1] > 0:
-            verts.append((g[:-1], g[-1]))
+    return _h_to_v(tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), dim)
+
+
+def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional[Polyhedron]:
+    """``dd_convert_h_to_v`` of int rows (c, b), which become the result's
+    ``_rows`` as given, the same tuple.
+
+    The value is built from the DD's int output as it is (``_make``): a
+    primitive generator (y, t) is already the vertex's stored form, and the
+    vertices are sorted on ints.  It contains a line iff the homogenization
+    cone has lineality, and its masks are the DD's incidence over the
+    prepared rows, mapped back per set bit: a prepared row stands for every
+    given row that is a positive multiple of it (duplicates, rescalings,
+    and ``0 <= b`` for b > 0 with ``t >= 0``), a zero row (``0 <= 0``) is
+    tight everywhere, and so is every row on a lineality direction.
+    """
+    homog = [(*c, -b) for c, b in rows]
+    gens, lin, masks, prepared = cone_from_rows([*homog, (0,) * dim + (-1,)], dim + 1)
+    index = {r: i for i, r in enumerate(prepared)}
+    images = [0] * len(prepared)
+    everywhere = 0
+    for j, r in enumerate(homog):
+        g = gcd(*r)
+        if g:
+            images[index[r if g == 1 else tuple([a // g for a in r])]] |= 1 << j
         else:
-            raydirs.add(g[:-1])
+            everywhere |= 1 << j
+    verts, rays = {}, {}
+    for g, m in zip(gens, masks):
+        if g[-1] > 0:
+            verts[g[:-1], g[-1]] = _spread(m, images) | everywhere
+        else:
+            rays[g[:-1]] = _spread(m, images) | everywhere
     for l in lin:
         if l[-1] != 0:
             raise InternalInvariantError("homogenization lineality must be horizontal")
-        raydirs.add(l[:-1])
-        raydirs.add(vneg(l[:-1]))
+        rays[l[:-1]] = rays[vneg(l[:-1])] = (1 << len(rows)) - 1
     if not verts:
         return None
-    poly = Polyhedron._make(dim=dim, _verts=_sorted_points(verts), _rays=tuple(sorted(raydirs)))
-    vars(poly).update(_rows=tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), _has_line=bool(lin))
+    points, raydirs = _sorted_points(verts), tuple(sorted(rays))
+    poly = Polyhedron._make(dim=dim, _verts=points, _rays=raydirs)
+    vars(poly).update(_rows=rows, _has_line=bool(lin), _vert_masks=tuple(map(verts.__getitem__, points)),
+                      _ray_masks=tuple(map(rays.__getitem__, raydirs)))
     return poly
 
 
@@ -456,11 +544,12 @@ def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
     """Inequality representation of a closed polyhedron: the rows of
     ``_int_facets`` as ``Fraction``s, primitive integer data in sorted order.
     Each call converts afresh; ``Polyhedron.hrep`` is the memoized view."""
-    return _fraction_rows(_int_facets(poly))
+    return _fraction_rows(_int_facets(poly)[0])
 
 
-def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The facets of a closed polyhedron as int rows (c, b), <c, x> <= b.
+def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The facets of a closed polyhedron as int rows (c, b), <c, x> <= b,
+    then per vertex and per ray the mask of the facets tight on it.
 
     Every vertex-to-facet conversion runs here.  Dualizes the homogenization
     cone: its polar is described by the generators as rows (the int vertices
@@ -469,34 +558,50 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[int, ...], int], ...]:
     opposite row pairs pinning the affine hull; the rest are the polar's
     extreme rays, so facets, and only ``t >= 0`` (zero normal) is dropped.
     Both come out primitive, so the rows are primitive, in sorted order.
+    A polar ray's mask names the generators tight on its facet, and the
+    affine-hull rows are tight on all; transposed per set bit, they give each
+    generator's mask over the sorted facets.  The generators are primitive
+    and distinct as stored, so each is a prepared row of its own.
     """
-    rows = [(*y, t) for y, t in poly._verts] + [(*r, 0) for r in poly._rays]
-    gens, lin = cone_from_rows(rows, poly.dim + 1)
-    facets = set()
-    for *c, g in gens:
+    gen_rows = [(*y, t) for y, t in poly._verts] + [(*r, 0) for r in poly._rays]
+    gens, lin, masks, prepared = cone_from_rows(gen_rows, poly.dim + 1)
+    facets = {}
+    for (*c, g), m in zip(gens, masks):
         if any(c):
-            facets.add((tuple(c), -g))
+            facets[(tuple(c), -g)] = m
         elif g > 0:
             raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
+    every = (1 << len(prepared)) - 1
     for *c, g in lin:
         if not any(c):
             raise InternalInvariantError("affine-hull rows have nonzero normals")
-        facets.add((tuple(c), -g))
-        facets.add((tuple([-a for a in c]), g))
-    return tuple(sorted(facets))
+        facets[(tuple(c), -g)] = facets[(tuple([-a for a in c]), g)] = every
+    rows = sorted(facets)
+    tight = [0] * len(prepared)
+    for f, row in enumerate(rows):
+        bit, m = 1 << f, facets[row]
+        while m:
+            low = m & -m
+            tight[low.bit_length() - 1] |= bit
+            m ^= low
+    index = {r: i for i, r in enumerate(prepared)}
+    per_gen = [tight[index[r]] for r in gen_rows]
+    cut = len(poly._verts)
+    return tuple(rows), tuple(per_gen[:cut]), tuple(per_gen[cut:])
 
 
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
     Built from the int facets as they are (``_make``): its rows are
-    ``poly._int_hrep``, primitive, so of scale 1.  Nothing else is seeded:
-    its closure, like every closure, is the double description of its rows,
-    so equal sets get equal closures whatever generators ``poly`` lists.
+    ``poly._int_hrep``, primitive, so of scale 1, and that tuple is its
+    ``_closed_rows``.  Its closure is not seeded: like every closure, it is
+    the double description of its rows, so equal sets get equal closures
+    whatever generators ``poly`` lists.
     """
     rows = poly._int_hrep
     return PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
-                                   _scales=(1,) * len(rows))
+                                   _scales=(1,) * len(rows), _closed_rows=rows)
 
 
 def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
@@ -578,6 +683,27 @@ def _int_member(region: PartialPolyhedron, y: Sequence[int], t: int) -> bool:
     return True
 
 
+def _own_rows(poly: Polyhedron, region: PartialPolyhedron) -> bool:
+    """Are the region's rows, strict flags aside, the very rows ``poly._rows``?
+
+    Then the region's closure is ``poly``, and ``poly``'s masks index the
+    region's rows: a vertex lies in the region iff no strict row is tight on
+    it.  The test is one of identity, so it reads no row, and it is false
+    where ``poly`` has not made its rows yet."""
+    rows = vars(poly).get("_rows")
+    return rows is not None and rows is vars(region).get("_closed_rows")
+
+
+def _members(region: PartialPolyhedron, poly: Polyhedron) -> list[bool]:
+    """Per listed vertex of ``poly``, whether it lies in the region: one AND
+    per vertex where the region's rows are ``poly``'s own (``_own_rows``),
+    else ``_int_member``."""
+    if _own_rows(poly, region):
+        strict = region._strict_mask
+        return [not m & strict for m in poly._vert_masks]
+    return [_int_member(region, y, t) for y, t in poly._verts]
+
+
 def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     """Topological closure; None when the region is empty.
 
@@ -640,8 +766,14 @@ def _within(poly: Polyhedron, region: PartialPolyhedron,
     value and row); the maximum must exist and stay within the row's bound.
     A strict row must not reach its bound on the closed ``poly``, and on
     ``part`` it reaches it only where its optimal face over ``poly`` meets
-    ``part``.
+    ``part``.  When the region's rows are ``poly``'s own (``_own_rows``)
+    every row holds on ``poly``, and a strict one reaches its bound iff it
+    is tight at a listed vertex: the masks answer, and no support is scanned.
     """
+    if _own_rows(poly, region):
+        reached = region._strict_mask & reduce(or_, poly._vert_masks)
+        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b))
+                       for j, (c, b, _) in enumerate(region._rows))
     for c, b, strict in region._rows:
         top = _support(poly, c)
         if top is None or top[0] > b * top[1]:
@@ -752,7 +884,7 @@ def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
 
 def _extreme_flags(poly: Polyhedron) -> list[bool]:
     """Per listed vertex, whether it is extreme (see ``extreme_points``)."""
-    return _maximal(_tight_masks(poly._rows, poly._verts), poly._ray_masks)
+    return _maximal(poly._vert_masks, poly._ray_masks)
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -780,8 +912,9 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     signs of its lineality basis, all primitive already.  Without a line the
     sum keeps only its extreme points and extreme rays, both read off the
     incidence bitmasks of the union.  It shares the union's rows (``_rows``,
-    and the facets ``_int_hrep`` once computed), so they serve every later
-    use of the sum, and it is known to be line-free.  A pointed cone whose
+    and the facets ``_int_hrep`` once computed) and keeps the masks of the
+    generators it keeps, so they serve every later use of the sum, and it is
+    known to be line-free.  A pointed cone whose
     generators are all rays of ``poly`` adds nothing: the union is ``poly``
     itself, and no new value (and no vertex-to-facet conversion) is made for
     it.  With a line there are no extreme points, and the union is returned
@@ -796,10 +929,11 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
         total = Polyhedron._make(dim=poly.dim, _verts=poly._verts, _rays=tuple(sorted(rays)))
     if contains_line(total):
         return total
-    keep = _extreme_flags(total)
+    keep, ray_keep = _extreme_flags(total), _maximal(total._ray_masks)
     out = Polyhedron._make(dim=poly.dim, _verts=tuple(compress(total._verts, keep)),
-                           _rays=tuple(compress(total._rays, _maximal(total._ray_masks))))
-    vars(out).update(_rows=total._rows, _has_line=False)
+                           _rays=tuple(compress(total._rays, ray_keep)))
+    vars(out).update(_rows=total._rows, _has_line=False, _vert_masks=tuple(compress(total._vert_masks, keep)),
+                     _ray_masks=tuple(compress(total._ray_masks, ray_keep)))
     if "_int_hrep" in vars(total):
         vars(out)["_int_hrep"] = total._int_hrep
     return out

@@ -237,9 +237,9 @@ def test_local_test_agrees_with_lp_extremality():
         rays = hull.rays + gens
         if contains_line(hull) or any(in_cone(vneg(r), rays) for r in rays):
             continue
-        for v, (y, t) in zip(hull.vertices, hull._verts):
+        for v, mask in zip(hull.vertices, hull._vert_masks):
             lp = not in_conv_plus_cone(v, [w for w in hull.vertices if w != v], rays)
-            assert compactness._extreme_in_saturation(inst, y, t) == lp, (q, inst.region, v)
+            assert compactness._extreme_in_saturation(inst, mask) == lp, (q, inst.region, v)
             checked[lp] += 1
         cert = decide_compact(inst)
         if isinstance(cert.witness, BadRecessionDirection):
@@ -356,11 +356,11 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     def entry(rows, dim):
         inside.append(rows)
         try:
-            gens, lin = real_entry(rows, dim)
+            result = real_entry(rows, dim)
         finally:
             inside.pop()
-        returned.extend(gens + lin)
-        return gens, lin
+        returned.extend(result[0] + result[1])
+        return result
 
     def facets(poly):
         facet_runs.append(poly)
@@ -376,6 +376,84 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     assert not stray, stray[:3]
     assert facet_runs and returned
     assert all(type(g) is tuple and all(type(a) is int for a in g) for g in returned)
+
+
+def _mask_cases():
+    """The reference catalog, 300 corpus seeds, random instances at d = 4..6,
+    closed and open one-norm lattice balls at d = 3..5 and the 16- and
+    64-segment arc hulls."""
+    from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
+
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(4)]
+    rng = random.Random(83)
+    for d in (3, 4, 5):
+        q = gen_lattice_norm(d, "one")
+        for k in range(4):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            closedness = Closedness.CLOSED if k % 2 == 0 else Closedness.OPEN
+            cases.append((q, ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), closedness).as_set))
+    return cases + [gen_arc_hull(16), gen_arc_hull(64)]
+
+
+def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
+    """The conversions hand their incidence to the values they make: over
+    build, decide and T1-T6 on ``_mask_cases``, every closure, every value
+    whose facets were converted and every pruned sum carries vertex and ray
+    masks equal to ``_tight_masks`` on its ``_rows``, each facet conversion
+    returns the masks of its generators over the facets, and a closure
+    vertex lies in the region iff no strict row is tight on it, as
+    ``member`` says.  ``_tight_masks`` itself never runs."""
+    real_tight = polyhedron._tight_masks
+    made, faceted, tight_calls = [], [], []
+    real_h_to_v, real_facets, real_sum = polyhedron._h_to_v, polyhedron._int_facets, polyhedron.minkowski_sum_with_cone
+
+    def h_to_v(rows, dim):
+        poly = real_h_to_v(rows, dim)
+        made.append(poly)
+        return poly
+
+    def facets(poly):
+        out = real_facets(poly)
+        faceted.append((poly, out))
+        return out
+
+    def summing(poly, cone):
+        out = real_sum(poly, cone)
+        made.append(out)
+        return out
+
+    def counting(rows, gens):
+        tight_calls.append(rows)
+        return real_tight(rows, gens)
+
+    monkeypatch.setattr(polyhedron, "_h_to_v", h_to_v)
+    monkeypatch.setattr(polyhedron, "_int_facets", facets)
+    monkeypatch.setattr(polyhedron, "_tight_masks", counting)
+    for module in (polyhedron, compactness):
+        monkeypatch.setattr(module, "minkowski_sum_with_cone", summing)
+    kinds = {"made": 0, "sum": 0, "facets": 0, "inside": 0, "outside": 0}
+    for q, region in _mask_cases():
+        made.clear()
+        faceted.clear()
+        inst = Instance.build(q, region)
+        verify_theorems(inst, decide_compact(inst))
+        hull = inst.hull
+        for v, mask, inside in zip(hull.vertices, hull._vert_masks, inst._inside):
+            assert (not mask & region._strict_mask) == inside == member(region, v), (region, v)
+            kinds["inside" if inside else "outside"] += 1
+        for poly in made + [p for p, _ in faceted if vars(p)["_rows"] is p._int_hrep]:
+            assert vars(poly)["_vert_masks"] == real_tight(poly._rows, poly._verts), poly
+            assert vars(poly)["_ray_masks"] == real_tight(poly._rows, [(r, 0) for r in poly._rays]), poly
+        for poly, (rows, vert_masks, ray_masks) in faceted:
+            assert vert_masks == real_tight(rows, poly._verts), poly
+            assert ray_masks == real_tight(rows, [(r, 0) for r in poly._rays]), poly
+        kinds["made"] += len(made)
+        kinds["sum"] += "saturated" in vars(inst)
+        kinds["facets"] += len(faceted)
+    assert not tight_calls
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_support_memo_answers_as_a_fresh_scan(monkeypatch):

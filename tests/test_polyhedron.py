@@ -443,7 +443,7 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         if not rows or null_space_basis(rows, d):
             continue  # oracle handles pointed cones only
         checked += 1
-        gens, lin = cone_from_rows(rows, d)
+        gens, lin, *_ = cone_from_rows(rows, d)
         assert lin == ()
         assert set(gens) == _brute_cone_rays(rows, d), (d, rows)
     # degenerate cones (``_degenerate_cones``) and, at d=5, random rows with
@@ -454,7 +454,7 @@ def test_pointed_cone_rays_match_enumeration_oracle():
             break
     rows += [rows[0], rows[3], tuple(F(3, 2) * a for a in rows[1]), tuple(2 * a for a in rows[5])]
     for rows, dim, count in (*_degenerate_cones(), (rows, 5, 8)):
-        gens, lin = cone_from_rows(rows, dim)
+        gens, lin, *_ = cone_from_rows(rows, dim)
         assert lin == () and len(gens) == count
         assert set(gens) == _brute_cone_rays(rows, dim)
 
@@ -537,6 +537,7 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
     kinds = {"pointed": 0, "rank below dim": 0}
     for rows, dim in inputs:
         got = polyhedron._pointed_cone_rays(rows, dim)
+        got = got and got[0]
         assert got == ref_pointed_cone_rays(rows, dim), (dim, rows)
         kinds["pointed" if got is not None else "rank below dim"] += 1
     assert kinds["pointed"] >= 200 and kinds["rank below dim"] >= 60, kinds
@@ -562,8 +563,8 @@ def test_cone_from_rows_takes_int_rows_as_their_rational_copies():
         prepared = polyhedron._prepare_rows(rows)
         assert prepared == polyhedron._prepare_rows(rational), rows
         assert all(type(a) is int for r in prepared for a in r) and prepared == sorted(set(prepared))
-        gens, lin = polyhedron.cone_from_rows(rows, d)
-        assert (gens, lin) == polyhedron.cone_from_rows(rational, d), rows
+        gens, lin, *_ = polyhedron.cone_from_rows(rows, d)
+        assert (gens, lin) == polyhedron.cone_from_rows(rational, d)[:2], rows
         seen["lineality" if lin else "pointed"] += 1
         seen["common factor"] += any(gcd(*r) > 1 for r in rows)
     assert min(seen.values()) >= 40, seen
@@ -878,7 +879,8 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     elimination outside the double descriptions that make their rows, and
     the line test is memoized on the value.  A polytope answers it without
     reading a row, and a closure and a pruned sum carry the answer their
-    construction found."""
+    construction found; a closure comes with the ray masks its double
+    description found, and they are the incidence over its rows."""
     real_reduce, real_entry = ratlp._reduce, polyhedron.cone_from_rows
     inside, stray = [], []
 
@@ -911,7 +913,9 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     strip = closure(region(2, ((1, 0), 1, False), ((-1, 0), 1, False), ((2, 0), 5, True)))
     hull = closure(region(2, ((-1, 0), 0, True), ((0, -1), 0, False), ((-1, -1), 1, False)))
     assert contains_line(strip) and not contains_line(hull)
-    assert {"_ray_masks", "_int_hrep"}.isdisjoint(strip.__dict__) and {"_ray_masks", "_int_hrep"}.isdisjoint(hull.__dict__)
+    for p in (strip, hull):
+        assert "_int_hrep" not in p.__dict__
+        assert p.__dict__["_ray_masks"] == polyhedron._tight_masks(p._rows, [(r, 0) for r in p._rays])
     assert extreme_points(strip) == () and extreme_points(hull) == ((0, 0),)
 
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
@@ -975,6 +979,54 @@ def test_seeded_rows_answer_as_the_facets_do():
     assert min(kinds.values()) >= 15, kinds
 
 
+def test_conversion_masks_survive_degenerate_rows():
+    """The closure's masks are the DD's incidence mapped back to the region's
+    own rows, and the facet conversion's are transposed to its generators:
+    on regions whose rows repeat, rescale, imply or trivially hold
+    (``_with_redundant_rows``), with random strict flags and the rows
+    ``0 < 1``, ``0 <= 0`` and sometimes ``0 < 0`` added, at d = 1..4 with and without
+    lines, the seeded masks equal ``_tight_masks`` on the same rows, a
+    vertex lies in the region iff no strict row is tight on it (``member``),
+    and the region is empty, by the masks, iff the margin LP says so.  The
+    values the facets are converted for carry the masks of those facets."""
+    rng = random.Random(89)
+    kinds = {"line": 0, "empty": 0, "strict vertex": 0, "0 < 0": 0}
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, 4))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
+        if rays and rng.random() < 0.4:
+            rays.append(vneg(rays[0]))
+        poly = Polyhedron(d, verts, rays)
+        zero = zero_vec(d)
+        rows = [Constraint(c, b, rng.random() < 0.3) for c, b in _with_redundant_rows(rng, poly)]
+        rows += [Constraint(zero, F(1), True), Constraint(zero, F(0), False)]  # 0 < 1, 0 <= 0
+        void = rng.random() < 0.1
+        if void:
+            rows.append(Constraint(zero, F(0), True))                          # 0 < 0
+        k = PartialPolyhedron(d, tuple(rows))
+        hull = closure(k)
+        assert (hull is None) == partial_is_empty(k), k
+        kinds["0 < 0"] += void
+        if hull is None:
+            kinds["empty"] += 1
+            continue
+        assert vars(poly)["_rows"] is poly._int_hrep  # its facets, converted for _with_redundant_rows
+        for p in (hull, poly):
+            assert vars(p)["_vert_masks"] == polyhedron._tight_masks(p._rows, p._verts), p
+            assert vars(p)["_ray_masks"] == polyhedron._tight_masks(p._rows, [(r, 0) for r in p._rays]), p
+        for v, mask in zip(hull.vertices, hull._vert_masks):
+            assert (not mask & k._strict_mask) == member(k, v), (k, v)
+            kinds["strict vertex"] += bool(mask & k._strict_mask)
+        kinds["line"] += contains_line(hull)
+    for rows, empty in (([((1,), 0, False), ((-1,), -1, False)], True),        # x <= 0, x >= 1
+                        ([((1,), 0, False), ((-1,), 0, False), ((1,), 0, True)], True),  # x = 0, x < 0
+                        ([((0, 0), 0, False), ((0, 0), 1, True), ((1, 0), 2, True)], False)):
+        k = PartialPolyhedron(len(rows[0][0]), tuple(Constraint(*r) for r in rows))
+        assert (closure(k) is None) == empty == partial_is_empty(k), k
+    assert min(kinds.values()) >= 5, kinds
+
+
 def test_incidence_extremality_matches_lp_reference():
     """Extreme points, extreme rays and lines read off incidence bitmasks
     equal the LP reference at d = 1..4, on closures whose rows repeat,
@@ -1026,13 +1078,13 @@ def _cone_from_rows_null_space_first(rows, dim):
         return (), tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
     lin = tuple(tuple(int(a) for a in l) for l in null_space_basis(prepared, dim))
     if not lin:
-        return tuple(polyhedron._pointed_cone_rays(prepared, dim)), ()
+        return tuple(polyhedron._pointed_cone_rays(prepared, dim)[0]), ()
     comp = [tuple(int(a) for a in w) for w in null_space_basis(lin, dim)]
     proj = polyhedron._prepare_rows([tuple(sum(a * b for a, b in zip(h, w)) for w in comp) for h in prepared])
     if not proj:
         return (), lin
     back = []
-    for y in polyhedron._pointed_cone_rays(proj, len(comp)):
+    for y in polyhedron._pointed_cone_rays(proj, len(comp))[0]:
         x = [sum(yi * w[t] for yi, w in zip(y, comp)) for t in range(dim)]
         g = gcd(*x)
         back.append(tuple(a // g for a in x))
@@ -1065,7 +1117,7 @@ def test_pointed_cones_take_no_null_space_elimination(monkeypatch):
         expected = _cone_from_rows_null_space_first(rows, d)
         pointed = bool(rows) and ref_rank(rows) == d
         monkeypatch.setattr(polyhedron, "_null_space", forbidden if pointed else real)
-        assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
+        assert polyhedron.cone_from_rows(rows, d)[:2] == expected, (d, rows)
         kinds["pointed" if pointed else "lineality" if expected[0] else "lineality only"] += 1
     assert min(kinds.values()) >= 40, kinds
 
@@ -1107,7 +1159,7 @@ def test_cones_with_lineality_take_one_null_space_elimination(monkeypatch):
         for rows in cases:
             expected = _cone_from_rows_null_space_first(rows, d)
             calls.clear()
-            assert polyhedron.cone_from_rows(rows, d) == expected, (d, rows)
+            assert polyhedron.cone_from_rows(rows, d)[:2] == expected, (d, rows)
             assert len(calls) == 1, (d, rows)
             seen.add((d, len(expected[1])))
             kinds["lineality" if expected[0] else "lineality only"] += 1

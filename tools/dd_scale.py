@@ -1,13 +1,16 @@
 """How the double description scales: one JSON line per input family.
 
 Each family is built and decided (``Instance.build`` then
-``decide_compact``; no T1-T6) with ``polyhedron.cone_from_rows``, the one
-entry to the double description, wrapped under every name that holds it.
-A line holds the family, its instance count, the ``cone_from_rows`` calls,
-the rays they returned, the wall time spent inside them (``dd_s``) and the
-wall time of the whole family (``total_s``).  Report only: it checks no
-answer and gates nothing.  Standard library only; it imports the package
-from the ``src`` next to it.
+``decide_compact``) with ``polyhedron.cone_from_rows``, the one entry to the
+double description, wrapped under every name that holds it, and each
+COMPACT instance then runs the checks T1-T6 (``verify_theorems``).
+A line holds the family, its instance count, the ``cone_from_rows`` calls
+of build and decide, the rays they returned, the wall time spent inside
+them (``dd_s``), the wall time of build and decide over the family
+(``total_s``), its COMPACT count and the wall time of their T1-T6
+(``checks_s``), so ``total_s + checks_s`` is the whole pipeline.  Report
+only: it checks no answer and gates nothing.  Standard library only; it
+imports the package from the ``src`` next to it.
 
     python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256]
 
@@ -28,40 +31,53 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from asymgeo import compactness, norm, polyhedron  # noqa: E402
 from asymgeo.cli.generators import gen_arc_hull, gen_random_instance  # noqa: E402
-from asymgeo.compactness import Instance, decide_compact  # noqa: E402
+from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems  # noqa: E402
 
 SEEDS_PER_DIM = 16
 
 
 def measure(family: str, cases) -> dict:
-    """Build and decide every (gauge, region) of ``cases``, counting the DD;
-    the cases are made before, so the generator's own work is not counted."""
+    """Build and decide every (gauge, region) of ``cases``, counting the DD,
+    then check each COMPACT one; the cases are made before, so the
+    generator's own work is not counted, and the checks' DD runs are not."""
     real = polyhedron.cone_from_rows
     stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0}
+    counted = [True]
 
     def counting(rows, dim):
         start = time.perf_counter()
         result = real(rows, dim)
-        stats["dd_s"] += time.perf_counter() - start
-        stats["calls"] += 1
-        stats["rays_out"] += len(result[0])
+        if counted[0]:
+            stats["dd_s"] += time.perf_counter() - start
+            stats["calls"] += 1
+            stats["rays_out"] += len(result[0])
         return result
 
     modules = [m for m in (polyhedron, norm, compactness) if getattr(m, "cone_from_rows", None) is real]
     for module in modules:
         module.cone_from_rows = counting
-    count = 0
-    start = time.perf_counter()
+    count = compact = 0
+    total_s = checks_s = 0.0
     try:
         for q, region in cases:
-            decide_compact(Instance.build(q, region))
+            start = time.perf_counter()
+            inst = Instance.build(q, region)
+            cert = decide_compact(inst)
+            total_s += time.perf_counter() - start
             count += 1
+            if cert.verdict is Verdict.COMPACT:
+                counted[0] = False
+                start = time.perf_counter()
+                verify_theorems(inst, cert)
+                checks_s += time.perf_counter() - start
+                counted[0] = True
+                compact += 1
     finally:
         for module in modules:
             module.cone_from_rows = real
     return {"family": family, "instances": count, "cone_from_rows_calls": stats["calls"],
             "rays_out": stats["rays_out"], "dd_s": round(stats["dd_s"], 4),
-            "total_s": round(time.perf_counter() - start, 4)}
+            "total_s": round(total_s, 4), "compact": compact, "checks_s": round(checks_s, 4)}
 
 
 def main(argv=None) -> int:
