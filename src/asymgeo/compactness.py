@@ -49,10 +49,9 @@ The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
 its closure already holds C's directions, so adding C builds no new set,
 its center is S again, and its saturated hull shares the parent's facets.
-Where closure(K) + C has the facets as its own rows (a sum that added
-directions to the closure), T4's ``is_closed`` and T6's vertex tests and
-both its sandwich inclusions read masks; where the sum kept the closure's
-rows, they scan against the facets.
+closure(K) + C always has its facets as its rows, with their masks, and
+these are the rows of K + C, so T4's ``is_closed``, T6's vertex tests and
+T6's sandwich read masks and scan nothing.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from asymgeo.polyhedron import (
     _extreme_flags,
     _int_member,
     _meets_face,
-    _members,
+    _own_rows,
     _support,
     _within,
     closure,
@@ -165,9 +164,13 @@ class Instance:
 
     @cached_property
     def _inside(self) -> list[bool]:
-        """Per listed vertex of the closure, whether it lies in the region
-        (``_members``: bits, where the closure came from the region's rows)."""
-        return _members(self.region, self.hull)
+        """Per listed vertex of the closure, whether it lies in the region:
+        no strict row is tight on it, one AND per vertex, since the closure's
+        masks index the region's rows (``_own_rows``)."""
+        if not _own_rows(self.hull, self.region):
+            raise InternalInvariantError("the closure's rows are the region's")
+        strict = self.region._strict_mask
+        return [not m & strict for m in self.hull._vert_masks]
 
     @cached_property
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
@@ -312,9 +315,10 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     (always under a COMPACT verdict) ``minkowski_sum_with_cone`` pruned it to
     its extreme points and extreme rays, the unique minimal generators that
     the double description of these rows also yields (Fukuda & Prodon 1996),
-    so the result comes with its closure known.  A sum with a line is the
-    unpruned union, not that canonical form, and its closure is left to the
-    conversion.
+    so the result comes with its closure known, whose rows, with their
+    masks, are the result's own (the sum has its facets as its rows).  A
+    sum with a line is the unpruned union, not that canonical form, and its
+    closure is left to the conversion.
     """
     sat = inst.saturated
     flags = []
@@ -326,6 +330,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     part = PartialPolyhedron._make(dim=inst.region.dim, _scales=(1,) * len(flags), _closed_rows=sat._int_hrep,
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
     if not contains_line(sat):
+        if not _own_rows(sat, part):
+            raise InternalInvariantError("the saturated hull's rows are its facets")
         vars(part)["_closure"] = sat
     return part
 

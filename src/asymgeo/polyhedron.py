@@ -27,18 +27,22 @@ rows (``_int_hrep``, by ``_int_facets``).
 
 The masks come from the double description, which tracks the rows tight
 on each ray anyway: ``cone_from_rows`` returns them over its prepared rows,
-the closure maps them back to its own rows per set bit, the facet
-conversion transposes them onto the generators where the facets are the
-rows, and the pruned Minkowski sum keeps those of the generators it keeps.
-``_tight_masks`` rescans only rows seeded without masks; no value the
-decision pipeline makes has such rows.  A predicate on a value's own rows
-reads bits: a closure vertex lies in the region iff no strict row is tight
-on it (``_members``), the region is empty iff a strict row is tight on
-every generator, and ``_within`` (so ``is_closed``) of a region whose rows
-are the very ``_rows`` of the polyhedron (``_own_rows``) takes one OR over
-the vertex masks.  The masks, the line test and the support values the
-other predicates scan for (``_supports``, one per row) are memoized on the
-value.
+the closure maps them back to its own rows per set bit, and the facet
+conversion transposes them onto the generators where the facets become the
+rows.  The pruned Minkowski sum keeps its union's rows and masks only where
+those rows are the union's facets, and otherwise leaves its own to its
+first incidence read, which converts its facets.  So rows never come
+without masks (that would be a broken invariant), and a region's closure
+has the region's rows, the very tuple ``_closed_rows``, as its ``_rows``
+(``_own_rows``).  A predicate on a region and its closure reads bits: a
+closure vertex lies in the region iff no strict row is tight on it, the
+region is empty iff a strict row is tight on every generator, closed iff
+no strict row is tight on a vertex, and it meets a face of its closure iff
+no strict row is tight on every generator of the face (``_meets_face``).
+``_within`` takes one OR over the vertex masks where the region's rows are
+the polyhedron's own, and scans support values (``_supports``, one per
+row) against any other rows.  The masks, the line test and the support
+values are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -272,29 +276,25 @@ class Polyhedron(_Value):
     def _rows(self) -> tuple[tuple[Sequence[int], int], ...]:
         """An integer inequality description (c, b) of the set, read by the
         incidence predicates: ``_int_hrep`` unless a conversion seeded it
-        with the rows it converted (``dd_convert_h_to_v``) or a sum with its
-        union's (``minkowski_sum_with_cone``).  Those may hold duplicate,
-        rescaled, redundant or zero rows; incidence decides the same on any
-        inequality description of the set."""
+        with the rows it converted (``dd_convert_h_to_v``, the region's
+        ``_closed_rows`` for a closure) or a pruned sum with its union's
+        facets (``minkowski_sum_with_cone``).  Converted rows may be
+        duplicate, rescaled, redundant or zero; incidence decides the same
+        on any inequality description of the set.  Whatever seeds the rows
+        seeds their masks."""
         return self._int_hrep
 
     @cached_property
     def _vert_masks(self) -> tuple[int, ...]:
-        """Per vertex, the ``_rows`` tight on it.  Whatever made the rows
-        seeded these masks (reading ``_rows`` may run the facet conversion,
-        which seeds them); rows seeded without masks are scanned
-        (``_tight_masks``)."""
-        rows = self._rows
-        return vars(self).get("_vert_masks") or _tight_masks(rows, self._verts)
+        """Per vertex, the ``_rows`` tight on it, as seeded with the rows
+        (reading ``_rows`` may run the facet conversion, which seeds both)."""
+        return _seeded_masks(self, "_vert_masks")
 
     @cached_property
     def _ray_masks(self) -> tuple[int, ...]:
         """Per ray, the ``_rows`` its direction is tight on, as ``_vert_masks``;
         a polytope reads no row."""
-        if not self._rays:
-            return ()
-        rows = self._rows
-        return vars(self).get("_ray_masks") or _tight_masks(rows, [(r, 0) for r in self._rays])
+        return _seeded_masks(self, "_ray_masks") if self._rays else ()
 
     @cached_property
     def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
@@ -313,6 +313,15 @@ class Polyhedron(_Value):
         reads no row, and ``dd_convert_h_to_v`` and ``minkowski_sum_with_cone``
         seed the answer they already know."""
         return bool(self._rays) and (1 << len(self._rows)) - 1 in self._ray_masks
+
+
+def _seeded_masks(poly: Polyhedron, name: str) -> tuple[int, ...]:
+    """The masks ``name`` seeded with ``poly._rows``, made first if need be."""
+    poly._rows  # the facet conversion, if it runs, seeds the masks with the rows
+    masks = vars(poly).get(name)
+    if masks is None:
+        raise InternalInvariantError("rows are seeded with their masks")
+    return masks
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -686,22 +695,12 @@ def _int_member(region: PartialPolyhedron, y: Sequence[int], t: int) -> bool:
 def _own_rows(poly: Polyhedron, region: PartialPolyhedron) -> bool:
     """Are the region's rows, strict flags aside, the very rows ``poly._rows``?
 
-    Then the region's closure is ``poly``, and ``poly``'s masks index the
-    region's rows: a vertex lies in the region iff no strict row is tight on
-    it.  The test is one of identity, so it reads no row, and it is false
-    where ``poly`` has not made its rows yet."""
+    Then ``poly``'s masks index the region's rows, as a closure's always do:
+    a vertex lies in the region iff no strict row is tight on it.  The test
+    is one of identity, so it reads no row, and it is false where ``poly``
+    has not made its rows yet."""
     rows = vars(poly).get("_rows")
     return rows is not None and rows is vars(region).get("_closed_rows")
-
-
-def _members(region: PartialPolyhedron, poly: Polyhedron) -> list[bool]:
-    """Per listed vertex of ``poly``, whether it lies in the region: one AND
-    per vertex where the region's rows are ``poly``'s own (``_own_rows``),
-    else ``_int_member``."""
-    if _own_rows(poly, region):
-        strict = region._strict_mask
-        return [not m & strict for m in poly._vert_masks]
-    return [_int_member(region, y, t) for y, t in poly._verts]
 
 
 def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
@@ -719,32 +718,33 @@ def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, t
     """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
 
     The face is generated by the vertices attaining ``top`` and the rays
-    orthogonal to ``normal``.  A strict row removes the subface where it is
-    tight, and finitely many faces cover a nonempty convex set only if one
-    is the whole set: the region meets the face iff no strict row is
-    tight on all of it, so a region without strict rows meets every face
-    and no face is scanned.  Int input passes as is; every test runs on ints.
+    orthogonal to ``normal``, one dot product each.  A strict row removes
+    the subface where it is tight, and finitely many faces cover a nonempty
+    convex set only if one is the whole set: the region meets the face iff
+    no strict row is tight on all of it, that is on every generator of it.
+    The closure's masks index the region's rows (``_own_rows``), so one AND
+    of the face's masks decides, and a region without strict rows meets
+    every face unscanned.  Int input passes as is; every test runs on ints.
     """
-    strict = [(c, b) for c, b, s in region._rows if s]
+    strict = region._strict_mask
     if not strict:
         return True
+    if not _own_rows(hull, region):
+        raise InternalInvariantError("the hull is the region's closure")
     *normal, top = _clear((*normal, top))[1]
-    verts = [(y, t) for y, t in hull._verts if sum(map(mul, normal, y)) == top * t]
-    rays = [r for r in hull._rays if sum(map(mul, normal, r)) == 0]
-    return all(any(sum(map(mul, c, y)) < b * t for y, t in verts) or any(sum(map(mul, c, r)) for r in rays)
-               for c, b in strict)
+    face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
+    face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
+    return not reduce(and_, face, strict)
 
 
 def is_closed(region: PartialPolyhedron) -> bool:
-    """True iff the region equals its closure, that is iff the closure lies
-    in the region (``_within``, read off the closure's generators).
-
-    The closure satisfies every row non-strictly, so it leaves the region
-    only where a strict row is tight, that is where the row attains its
-    maximum over the closure, at a listed vertex.
+    """True iff the region equals its closure, that is iff no strict row is
+    tight on the closure.  A tight row attains its maximum over the closure
+    there, at a listed vertex, so the closure's vertex masks, which index
+    the region's rows, answer with one OR.
     """
     hull = closure(region)
-    return hull is None or _within(hull, region)
+    return hull is None or not region._strict_mask & reduce(or_, hull._vert_masks)
 
 
 def subset(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
@@ -821,21 +821,6 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
     return feasible_nonneg(rows, list(x) + [Fraction(1)])
 
 
-def _tight_masks(rows: Sequence[tuple[Sequence[int], int]],
-                 gens: Sequence[tuple[Sequence[int], int]]) -> tuple[int, ...]:
-    """Incidence as bitmasks: per generator (y, t), bit i is set iff row i
-    (c, b) is tight on it, <c, y> = b * t (the point y / t for t > 0, the
-    direction y for t = 0)."""
-    masks = []
-    for y, t in gens:
-        mask = 0
-        for i, (c, b) in enumerate(rows):
-            if sum(map(mul, c, y)) == b * t:
-                mask |= 1 << i
-        masks.append(mask)
-    return tuple(masks)
-
-
 def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
     """Per mask, whether no other mask and no rival holds all of its bits."""
     pool = (*masks, *rivals)
@@ -896,12 +881,8 @@ def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    return tuple(sorted(_first_nonzero_unit(r) for r, keep in zip(poly.rays, _maximal(poly._ray_masks)) if keep))
-
-
-def _first_nonzero_unit(r: Vec) -> Vec:
-    lead = next(a for a in r if a != 0)
-    return vscale(1 / abs(lead), r)
+    rays = compress(poly.rays, _maximal(poly._ray_masks))
+    return tuple(sorted(vscale(1 / abs(next(a for a in r if a != 0)), r) for r in rays))
 
 
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
@@ -911,10 +892,11 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     union's rays are the int rays of ``poly``, the cone's generators and both
     signs of its lineality basis, all primitive already.  Without a line the
     sum keeps only its extreme points and extreme rays, both read off the
-    incidence bitmasks of the union.  It shares the union's rows (``_rows``,
-    and the facets ``_int_hrep`` once computed) and keeps the masks of the
-    generators it keeps, so they serve every later use of the sum, and it is
-    known to be line-free.  A pointed cone whose
+    incidence bitmasks of the union, and it is known to be line-free.  Where
+    the union's rows are its facets it shares them (``_rows`` and
+    ``_int_hrep``) and keeps the masks of the generators it keeps; otherwise
+    (the union is a closure, which keeps its region's rows) it gets no rows,
+    and its first incidence read converts its facets.  A pointed cone whose
     generators are all rays of ``poly`` adds nothing: the union is ``poly``
     itself, and no new value (and no vertex-to-facet conversion) is made for
     it.  With a line there are no extreme points, and the union is returned
@@ -931,9 +913,8 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
         return total
     keep, ray_keep = _extreme_flags(total), _maximal(total._ray_masks)
     out = Polyhedron._make(dim=poly.dim, _verts=tuple(compress(total._verts, keep)),
-                           _rays=tuple(compress(total._rays, ray_keep)))
-    vars(out).update(_rows=total._rows, _has_line=False, _vert_masks=tuple(compress(total._vert_masks, keep)),
-                     _ray_masks=tuple(compress(total._ray_masks, ray_keep)))
-    if "_int_hrep" in vars(total):
-        vars(out)["_int_hrep"] = total._int_hrep
+                           _rays=tuple(compress(total._rays, ray_keep)), _has_line=False)
+    if vars(total).get("_int_hrep") is total._rows:
+        vars(out).update(_rows=total._rows, _int_hrep=total._rows, _vert_masks=tuple(compress(total._vert_masks, keep)),
+                         _ray_masks=tuple(compress(total._ray_masks, ray_keep)))
     return out

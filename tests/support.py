@@ -45,12 +45,14 @@ def interval_compact_oracle(lo: Optional[Fraction], hi: Optional[Fraction],
       interior point, cover K, yet any finite union stops short of b and
       misses interval points.
     """
-    assert hi is None or lo is None or (lo, not lo_open) < (hi, True), "nonempty intervals only"
+    if not (hi is None or lo is None or (lo, not lo_open) < (hi, True)):
+        raise ValueError("nonempty intervals only")
     if hi is None:
         # spot-check the escape: beyond any candidate finite union bound N
         for bound in (Fraction(1), Fraction(10), Fraction(100)):
             inside = max(bound, Fraction(0) if lo is None else Fraction(lo)) + 1
-            assert lo is None or inside > lo
+            if not (lo is None or inside > lo):
+                raise AssertionError("the escaping point lies in the interval")
         return False
     if hi_open:
         # points of K exceed every b - eps: take the midpoint toward b
@@ -58,14 +60,16 @@ def interval_compact_oracle(lo: Optional[Fraction], hi: Optional[Fraction],
         for k in (1, 4, 16):
             eps = (Fraction(hi) - anchor) / (2 ** k)
             missed = Fraction(hi) - eps / 2
-            assert missed < hi and (lo is None or missed > lo)
+            if not (missed < hi and (lo is None or missed > lo)):
+                raise AssertionError("the missed point lies in the interval")
         return False
     return True
 
 
 def affine_image(region: PartialPolyhedron, scale: Fraction, shift) -> PartialPolyhedron:
     """The set {scale * x + shift : x in region} for scale > 0."""
-    assert scale > 0
+    if not scale > 0:
+        raise ValueError("the scale must be positive")
     rows = tuple(
         Constraint(c.normal, scale * c.rhs + dot(c.normal, shift), c.strict)
         for c in region.constraints
@@ -211,7 +215,8 @@ def ref_lp_solve(objective, constraints):
 
     if arts:
         enter = optimize([Fraction(0)] * nreal + [Fraction(-1)] * len(arts), ncols)
-        assert enter is None, "phase one cannot be unbounded"
+        if enter is not None:
+            raise AssertionError("phase one cannot be unbounded")
         if sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) > 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         keep = []
@@ -264,7 +269,8 @@ def ref_feasible_nonneg(matrix_rows, rhs_col):
                + [Fraction(0)] * m + [sum((r[-1] for r in tab), Fraction(0))])
     basis = list(range(n, n + m))
     enter = _ref_bland(tab, basis, n + m)
-    assert enter is None, "phase one is bounded"
+    if enter is not None:
+        raise AssertionError("phase one is bounded")
     return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0
 
 
@@ -593,3 +599,25 @@ def ref_repr(value) -> str:
     names = REF_PUBLIC[type(value)]
     attrs = ref_attributes(type(value), *[getattr(value, n) for n in names])
     return f"{type(value).__name__}({', '.join(f'{n}={a!r}' for n, a in zip(names, attrs))})"
+
+
+# ---------------------------------------------------------------------------
+# Reference incidence: tight rows by dot products
+# ---------------------------------------------------------------------------
+# The earlier ``polyhedron._tight_masks``, which rescanned rows seeded
+# without masks.  The conversions now seed every value's masks, so the
+# tests compare those masks against this scan.  Do not optimize it.
+
+
+def ref_tight_masks(rows, gens) -> tuple:
+    """Incidence as bitmasks: per generator (y, t), bit i is set iff row i
+    (c, b) is tight on it, <c, y> = b * t (the point y / t for t > 0, the
+    direction y for t = 0)."""
+    masks = []
+    for y, t in gens:
+        mask = 0
+        for i, (c, b) in enumerate(rows):
+            if sum(map(mul, c, y)) == b * t:
+                mask |= 1 << i
+        masks.append(mask)
+    return tuple(masks)

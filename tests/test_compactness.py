@@ -65,6 +65,7 @@ from support import (
     ref_member,
     ref_repr,
     ref_support_value,
+    ref_tight_masks,
 )
 
 F = Fraction
@@ -378,15 +379,12 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     assert all(type(g) is tuple and all(type(a) is int for a in g) for g in returned)
 
 
-def _mask_cases():
-    """The reference catalog, 300 corpus seeds, random instances at d = 4..6,
-    closed and open one-norm lattice balls at d = 3..5 and the 16- and
-    64-segment arc hulls."""
+def _balls_and_arcs():
+    """Closed and open one-norm lattice balls at d = 3..5, around seeded
+    rational centers, and the 16- and 64-segment arc hulls."""
     from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
 
-    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
-    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
-    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(4)]
+    cases = []
     rng = random.Random(83)
     for d in (3, 4, 5):
         q = gen_lattice_norm(d, "one")
@@ -397,16 +395,88 @@ def _mask_cases():
     return cases + [gen_arc_hull(16), gen_arc_hull(64)]
 
 
+def _mask_cases():
+    """The reference catalog, 300 corpus seeds, random instances at d = 4..6,
+    closed and open one-norm lattice balls at d = 3..5 and the 16- and
+    64-segment arc hulls."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(4)]
+    return cases + _balls_and_arcs()
+
+
+def test_certified_checks_read_bits(monkeypatch):
+    """A region's closure has the region's rows, the very tuple, as its own,
+    and so has the closure ``saturate_region`` seeds; closure + C has its
+    facets as its rows.  So T1-T6 for the certificate ``decide_compact``
+    made read masks: on every COMPACT instance of the reference catalog,
+    the corpus seeds ``1000*d + k`` (d = 1..3, k < 300), the lattice balls
+    and the arc hulls of ``_balls_and_arcs``, ``verify_theorems`` scans no
+    support value and tests no vertex row by row."""
+    scans = []
+    real_scan, real_member = polyhedron._scan_support, polyhedron._int_member
+
+    def scanning(poly, c):
+        scans.append("_scan_support")
+        return real_scan(poly, c)
+
+    def testing(region, y, t):
+        scans.append("_int_member")
+        return real_member(region, y, t)
+
+    monkeypatch.setattr(polyhedron, "_scan_support", scanning)
+    for module in (polyhedron, compactness):
+        monkeypatch.setattr(module, "_int_member", testing)
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
+    compact = 0
+    for q, region in cases + _balls_and_arcs():
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is not Verdict.COMPACT:
+            continue
+        compact += 1
+        scans.clear()
+        verify_theorems(inst, cert)
+        assert not scans, (q, region, scans)
+        for k in (region, saturate_region(inst)):
+            assert closure(k)._rows is k._closed_rows, k
+        assert inst.saturated._rows is inst.saturated._int_hrep
+    assert compact >= 150, compact
+
+
+def test_rows_without_their_incidence_are_a_broken_invariant():
+    """Rows seeded without masks, a closure whose rows are not its
+    region's and a saturated hull whose rows are not its facets raise
+    ``InternalInvariantError`` where the masks would be read."""
+    inst = build(SUP2, UNIT_SQUARE)
+    bare = Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)])
+    vars(bare)["_rows"] = inst.hull._rows
+    for name in ("_vert_masks", "_ray_masks"):
+        with pytest.raises(ratlp.InternalInvariantError, match="seeded with their masks"):
+            getattr(bare, name)
+    square = closure(UNIT_SQUARE)
+    half_open = PartialPolyhedron(2, (*UNIT_SQUARE.constraints[:3], UNIT_SQUARE.constraints[3]._replace(strict=True)))
+    with pytest.raises(ratlp.InternalInvariantError, match="the region's closure"):
+        _meets_face(half_open, square, (0, -1), 0)
+    with pytest.raises(ratlp.InternalInvariantError, match="the region's"):
+        Instance(SUP2, half_open, square)._inside
+    forged = build(SUP2, UNIT_SQUARE)
+    vars(forged)["saturated"] = dd_convert_h_to_v([(c.normal, c.rhs) for c in UNIT_SQUARE.constraints], 2)
+    with pytest.raises(ratlp.InternalInvariantError, match="its facets"):
+        saturate_region(forged)
+
+
 def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
     """The conversions hand their incidence to the values they make: over
     build, decide and T1-T6 on ``_mask_cases``, every closure, every value
     whose facets were converted and every pruned sum carries vertex and ray
-    masks equal to ``_tight_masks`` on its ``_rows``, each facet conversion
-    returns the masks of its generators over the facets, and a closure
-    vertex lies in the region iff no strict row is tight on it, as
-    ``member`` says.  ``_tight_masks`` itself never runs."""
-    real_tight = polyhedron._tight_masks
-    made, faceted, tight_calls = [], [], []
+    masks equal to ``ref_tight_masks`` on its ``_rows``, each facet
+    conversion returns the masks of its generators over the facets, and a
+    closure vertex lies in the region iff no strict row is tight on it, as
+    ``member`` says.  Every value's masks are already seeded: none is left
+    to a rescan."""
+    made, faceted = [], []
     real_h_to_v, real_facets, real_sum = polyhedron._h_to_v, polyhedron._int_facets, polyhedron.minkowski_sum_with_cone
 
     def h_to_v(rows, dim):
@@ -424,13 +494,8 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
         made.append(out)
         return out
 
-    def counting(rows, gens):
-        tight_calls.append(rows)
-        return real_tight(rows, gens)
-
     monkeypatch.setattr(polyhedron, "_h_to_v", h_to_v)
     monkeypatch.setattr(polyhedron, "_int_facets", facets)
-    monkeypatch.setattr(polyhedron, "_tight_masks", counting)
     for module in (polyhedron, compactness):
         monkeypatch.setattr(module, "minkowski_sum_with_cone", summing)
     kinds = {"made": 0, "sum": 0, "facets": 0, "inside": 0, "outside": 0}
@@ -444,15 +509,15 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
             assert (not mask & region._strict_mask) == inside == member(region, v), (region, v)
             kinds["inside" if inside else "outside"] += 1
         for poly in made + [p for p, _ in faceted if vars(p)["_rows"] is p._int_hrep]:
-            assert vars(poly)["_vert_masks"] == real_tight(poly._rows, poly._verts), poly
-            assert vars(poly)["_ray_masks"] == real_tight(poly._rows, [(r, 0) for r in poly._rays]), poly
+            assert {"_rows", "_vert_masks", "_ray_masks"} <= vars(poly).keys(), poly
+            assert vars(poly)["_vert_masks"] == ref_tight_masks(poly._rows, poly._verts), poly
+            assert vars(poly)["_ray_masks"] == ref_tight_masks(poly._rows, [(r, 0) for r in poly._rays]), poly
         for poly, (rows, vert_masks, ray_masks) in faceted:
-            assert vert_masks == real_tight(rows, poly._verts), poly
-            assert ray_masks == real_tight(rows, [(r, 0) for r in poly._rays]), poly
+            assert vert_masks == ref_tight_masks(rows, poly._verts), poly
+            assert ray_masks == ref_tight_masks(rows, [(r, 0) for r in poly._rays]), poly
         kinds["made"] += len(made)
         kinds["sum"] += "saturated" in vars(inst)
         kinds["facets"] += len(faceted)
-    assert not tight_calls
     assert min(kinds.values()) >= 20, kinds
 
 

@@ -48,6 +48,7 @@ from support import (
     ref_pointed_cone_rays,
     ref_rank,
     ref_support_value,
+    ref_tight_masks,
 )
 
 F = Fraction
@@ -915,7 +916,7 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     assert contains_line(strip) and not contains_line(hull)
     for p in (strip, hull):
         assert "_int_hrep" not in p.__dict__
-        assert p.__dict__["_ray_masks"] == polyhedron._tight_masks(p._rows, [(r, 0) for r in p._rays])
+        assert p.__dict__["_ray_masks"] == ref_tight_masks(p._rows, [(r, 0) for r in p._rays])
     assert extreme_points(strip) == () and extreme_points(hull) == ((0, 0),)
 
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
@@ -985,7 +986,7 @@ def test_conversion_masks_survive_degenerate_rows():
     on regions whose rows repeat, rescale, imply or trivially hold
     (``_with_redundant_rows``), with random strict flags and the rows
     ``0 < 1``, ``0 <= 0`` and sometimes ``0 < 0`` added, at d = 1..4 with and without
-    lines, the seeded masks equal ``_tight_masks`` on the same rows, a
+    lines, the seeded masks equal ``ref_tight_masks`` on the same rows, a
     vertex lies in the region iff no strict row is tight on it (``member``),
     and the region is empty, by the masks, iff the margin LP says so.  The
     values the facets are converted for carry the masks of those facets."""
@@ -1013,8 +1014,8 @@ def test_conversion_masks_survive_degenerate_rows():
             continue
         assert vars(poly)["_rows"] is poly._int_hrep  # its facets, converted for _with_redundant_rows
         for p in (hull, poly):
-            assert vars(p)["_vert_masks"] == polyhedron._tight_masks(p._rows, p._verts), p
-            assert vars(p)["_ray_masks"] == polyhedron._tight_masks(p._rows, [(r, 0) for r in p._rays]), p
+            assert vars(p)["_vert_masks"] == ref_tight_masks(p._rows, p._verts), p
+            assert vars(p)["_ray_masks"] == ref_tight_masks(p._rows, [(r, 0) for r in p._rays]), p
         for v, mask in zip(hull.vertices, hull._vert_masks):
             assert (not mask & k._strict_mask) == member(k, v), (k, v)
             kinds["strict vertex"] += bool(mask & k._strict_mask)
@@ -1054,7 +1055,9 @@ def test_incidence_extremality_matches_lp_reference():
             pts.append(tuple(a + b for a, b in zip(pts[0], rds[0])))
             rds.append(tuple(a + b for a, b in zip(rds[0], rds[-1])))
         padded = Polyhedron(d, pts, rds)
-        object.__setattr__(padded, "_rows", hull._rows)
+        object.__setattr__(padded, "_rows", hull._rows)  # with its masks, as every seeding site does
+        object.__setattr__(padded, "_vert_masks", ref_tight_masks(hull._rows, padded._verts))
+        object.__setattr__(padded, "_ray_masks", ref_tight_masks(hull._rows, [(r, 0) for r in padded._rays]))
         for p in (hull, padded):
             line = any(in_cone(vneg(r), p.rays) for r in p.rays)
             assert contains_line(p) == line, p
@@ -1203,12 +1206,22 @@ def test_generator_inclusion_agrees_with_subset():
     assert min(seen.values()) >= 20, seen
 
 
-def test_minkowski_shortcut_returns_the_union_value():
+def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
     """A pointed cone whose generators are all rays of poly adds nothing:
     the sum is the value the generator union gives (vertices, rays and
-    facets), it reuses poly's rows, and its facets come from poly when
-    poly has them.  Cases include polyhedra with a line, the cone {0}, and
-    cones with lineality, which must not take the shortcut."""
+    facets).  It shares poly's rows, masks and facets only when poly's rows
+    are its facets; a closure keeps the rows it was converted from, and its
+    sum gets no rows.  The sum itself runs no facet conversion, and a sum
+    other than poly has its facets as its rows.  Cases include polyhedra
+    with a line, the cone {0}, and cones with lineality, which must not take
+    the shortcut."""
+    real_facets, runs = polyhedron._int_facets, []
+
+    def facets(poly):
+        runs.append(poly)
+        return real_facets(poly)
+
+    monkeypatch.setattr(polyhedron, "_int_facets", facets)
     rng = random.Random(89)
     kinds = {"shortcut": 0, "line": 0, "zero cone": 0, "lineality": 0}
     for n in range(160):
@@ -1234,13 +1247,18 @@ def test_minkowski_shortcut_returns_the_union_value():
                            + cone.lineality_basis + tuple(vneg(l) for l in cone.lineality_basis))
         expected = total if contains_line(total) else Polyhedron(d, extreme_points(total), extreme_rays(total))
         had_hrep = "_int_hrep" in poly.__dict__
+        runs.clear()
         got = minkowski_sum_with_cone(poly, cone)
         shortcut = not cone.lineality_basis
         if shortcut and not contains_line(poly):
-            assert got._rows is poly._rows
-            # no facets are computed for the sum; a closure's rows serve,
-            # and other values have computed theirs to read incidence
-            assert ("_int_hrep" in got.__dict__) == ("_int_hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
+            # no facets are computed for the sum; other values than a
+            # closure have computed theirs to read incidence
+            assert runs == [poly] * (n % 2)
+            assert ("_int_hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
+            shared = vars(poly).get("_int_hrep") is poly._rows
+            assert shared == (n % 2 == 1)
+            assert vars(got).get("_rows") is (poly._rows if shared else None)
+            assert ("_int_hrep" in got.__dict__) == ("_vert_masks" in got.__dict__) == shared
         elif shortcut:
             assert got is poly
         else:
@@ -1248,6 +1266,7 @@ def test_minkowski_shortcut_returns_the_union_value():
         assert got == expected, (poly, cone)
         assert got.vertices == expected.vertices and got.rays == expected.rays
         assert got.hrep == Polyhedron(d, expected.vertices, expected.rays).hrep
+        assert got is poly or got._rows is got._int_hrep
         kinds["lineality" if cone.lineality_basis else "line" if contains_line(poly)
               else "zero cone" if not cone.generators else "shortcut"] += 1
     assert min(kinds.values()) >= 15, kinds
