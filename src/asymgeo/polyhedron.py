@@ -6,43 +6,42 @@ per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
 closure, the facets, the degeneracy cone and the local tangent-cone test
-all pass through it, with int rows, which are prepared as they are; a
-pointed cone costs one base elimination (``ratlp._basis``, which forms the
-columns it reads only) and one insertion of the other rows, last to first,
-and a cone with lineality one null-space elimination more and a second
-pointed run, in the same coordinates, with the null space's basis as
-equation rows), and every
-predicate (membership, inclusion, extremality, closedness) reduces to
-exact support-function scans and to incidence against an
-H-representation; emptiness and closedness are read off the closure's
-generators.  The incidence predicates (extreme points and rays, lines,
-the recession cone's lineality) read ``Polyhedron._rows``, any integer
-inequality description of the set, as one bitmask of tight rows per
-generator (``_vert_masks``, ``_ray_masks``), and run no elimination: a
-generator is extreme iff no other one is tight on all its rows, and a line
-lies in the set iff some ray is tight on every row.  A closure keeps the
-rows it was converted from, so they run without a vertex-to-facet
-conversion, and the facets are computed only where they are needed, as int
-rows (``_int_hrep``, by ``_int_facets``).
+all pass through it, with int rows, taken as they are and run in the order
+of their primitive forms; a pointed cone costs one base elimination
+(``ratlp._basis``, which forms the columns it reads only) and one insertion
+of the other rows, last to first, and a cone with lineality one null-space
+elimination more and a second pointed run, in the same coordinates, with
+the null space's basis as equation rows), and every predicate (membership,
+inclusion, extremality, closedness) reduces to exact support-function scans
+and to incidence against an H-representation; emptiness and closedness are
+read off the closure's generators.  The incidence predicates (extreme
+points and rays, lines, the recession cone's lineality) read
+``Polyhedron._rows``, any integer inequality description of the set, as one
+bitmask of tight rows per generator (``_vert_masks``, ``_ray_masks``), and
+run no elimination: a generator is extreme iff no other one is tight on all
+its rows, and a line lies in the set iff some ray is tight on every row.  A
+closure keeps the rows it was converted from, so they run without a
+vertex-to-facet conversion, and the facets are computed only where they are
+needed, as int rows (``_int_hrep``, by ``_int_facets``).
 
-The masks come from the double description, which tracks the rows tight
-on each ray anyway: ``cone_from_rows`` returns them over its prepared rows,
-the closure maps them back to its own rows per set bit, and the facet
-conversion transposes them onto the generators where the facets become the
-rows.  The pruned Minkowski sum keeps its union's rows and masks only where
-those rows are the union's facets, and otherwise leaves its own to its
-first incidence read, which converts its facets.  So rows never come
-without masks (that would be a broken invariant), and a region's closure
-has the region's rows, the very tuple ``_closed_rows``, as its ``_rows``
-(``_own_rows``).  A predicate on a region and its closure reads bits: a
-closure vertex lies in the region iff no strict row is tight on it, the
-region is empty iff a strict row is tight on every generator, closed iff
-no strict row is tight on a vertex, and it meets a face of its closure iff
-no strict row is tight on every generator of the face (``_meets_face``).
-``_within`` takes one OR over the vertex masks where the region's rows are
-the polyhedron's own, and scans support values (``_supports``, one per
-row) against any other rows.  The masks, the line test and the support
-values are memoized on the value.
+The masks come from the double description, which tracks the rows tight on
+each ray anyway: ``cone_from_rows`` returns them over the rows it was
+handed, bit i for the i-th, so the closure keeps them as they are (less the
+bit of ``t >= 0``), and the facet conversion transposes them onto the
+generators where the facets become the rows.  The pruned Minkowski sum
+keeps its union's rows and masks only where those rows are the union's
+facets, and otherwise leaves its own to its first incidence read, which
+converts its facets.  So rows never come without masks (that would be a
+broken invariant), and a region's closure has the region's rows, the very
+tuple ``_closed_rows``, as its ``_rows`` (``_own_rows``).  A predicate on a
+region and its closure reads bits: a closure vertex lies in the region iff
+no strict row is tight on it, the region is empty iff a strict row is tight
+on every generator, closed iff no strict row is tight on a vertex, and it
+meets a face of its closure iff no strict row is tight on every generator
+of the face (``_meets_face``).  ``_within`` takes one OR over the vertex
+masks where the region's rows are the polyhedron's own, and scans support
+values (``_supports``, one per row) against any other rows.  The masks, the
+line test and the support values are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -92,6 +91,7 @@ from asymgeo.ratlp import (
     _basis,
     _clear,
     _null_space,
+    _primitive,
     _reduce,
     as_vec,
     feasible_nonneg,
@@ -148,6 +148,8 @@ class Cone(_Value):
     _public = ("dim", "generators", "lineality_basis")
 
     def __init__(self, dim: int, generators: Sequence[Vec], lineality_basis: Sequence[Vec] = ()):
+        if dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {dim}")
         gens = _canonical_rays(generators, dim)
         lin = []
         for b in lineality_basis:
@@ -185,6 +187,8 @@ class PartialPolyhedron(_Value):
     _public = ("dim", "constraints")
 
     def __init__(self, dim: int, constraints: Sequence[Constraint]):
+        if dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {dim}")
         rows, scales = [], []
         for normal, rhs, strict in constraints:
             normal = tuple(normal)
@@ -355,64 +359,60 @@ def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...
 
 def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Primitive, deduplicated, lexicographically sorted nonzero rows, as int
-    tuples; int rows are taken as they are (divided only by a gcd above 1),
-    rational ones cleared first."""
+    tuples (the constructors' canonical form of rays and lineality basis
+    vectors); int rows are taken as they are, rational ones cleared first."""
     if not _all_int(chain.from_iterable(rows)):
         rows = [_clear(r)[1] for r in rows]
-    seen = set()
-    for r in rows:
-        g = gcd(*r)
-        if g == 1:
-            seen.add(tuple(r))
-        elif g:
-            seen.add(tuple([a // g for a in r]))
-    return sorted(seen)
+    return sorted({r for r in map(_primitive, rows) if any(r)})
 
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]],
+def _pointed_cone_rays(rows: Sequence[Sequence[int]],
                        dim: int) -> Optional[tuple[list[tuple[int, ...]], list[int]]]:
     """Extreme rays of the pointed cone {x : <row, x> <= 0 for all rows}.
 
     Classic double description over Python ints: start from a simplicial
     subcone given by a maximal independent row subset, then insert the
     remaining rows one at a time, last to first, combining adjacent rays
-    across the new hyperplane.  The rays do not depend on the insertion
-    order, but the work does (Fukuda & Prodon 1996): on random inputs at
-    d = 4..8 the reverse lexicographic order makes fewer rays and candidate
-    pairs than the lexicographic one, though more on the homogenized rows
-    of a one-norm lattice ball.  Each ray carries its incidence (the
-    processed rows it is tight on) as one bitmask, and a combined ray is
-    tight exactly where both parents are, plus on the new row.  Two rays are
-    adjacent iff they share at least dim - 2 tight rows and no third ray is
-    tight on all of those (the combinatorial test, valid because the ray set
-    stays minimal).
-    Requires the rows of ``_prepare_rows``; returns the rays as primitive int
+    across the new hyperplane.  The rows are taken as given and run in the
+    lexicographic order of their primitive forms (``ratlp._primitive``): a
+    duplicate or a positive multiple runs next to its first copy, and it, like
+    a zero row, cuts no ray and only gains its bit where it is tight.  The rays
+    do not depend on the insertion order, but the work does (Fukuda &
+    Prodon 1996): on random inputs at d = 4..8 the reverse lexicographic
+    order makes fewer rays and candidate pairs than the lexicographic one,
+    though more on the homogenized rows of a one-norm lattice ball.  Each
+    ray carries its incidence (the processed rows it is tight on) as one
+    bitmask, and a combined ray is tight exactly where both parents are,
+    plus on the new row.  Two rays are adjacent iff they share at least
+    dim - 2 tight rows and no third ray is tight on all of those (the
+    combinatorial test, valid because the ray set stays minimal).
+    Requires int rows of length dim; returns the rays as primitive int
     tuples, sorted, and aligned with them their final masks, the rows tight
-    on each (bit i for ``rows[i]``); or None when the rows have rank below
-    dim (the cone has lineality), which the elimination that picks the base
-    (``_basis``) finds out first.
+    on each (bit i for ``rows[i]`` as given); or None when the rows have
+    rank below dim (the cone has lineality), which the elimination that
+    picks the base (``_basis``) finds out first.
     """
     # The base is the lexicographically first independent rows B; the
     # identity block of its elimination is det * B^-1 transposed,
     # det = |det B| > 0: row j is a positive multiple of column j of B^-1,
     # so minus it is the ray tight on every chosen row but the j-th.
-    picked = _basis(rows, dim)
+    keys = list(map(_primitive, rows))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    picked = _basis([keys[i] for i in order], dim)
     if picked is None:
         return None
     block, base_idx, _ = picked
-    rays = []
-    for w in block:
-        g = gcd(*w)
-        rays.append(tuple([-a // g for a in w]))
-    base = sum(1 << i for i in base_idx)
-    inc = [base & ~(1 << i) for i in base_idx]
+    rays = [_primitive([-a for a in w]) for w in block]
+    base_bits = [1 << order[k] for k in base_idx]
+    base = sum(base_bits)
+    inc = [base & ~bit for bit in base_bits]
     need = dim - 2
 
-    for i in reversed(range(len(rows))):
-        if base >> i & 1:
-            continue
-        row = rows[i]
+    for i in reversed(order):
         bit = 1 << i
+        if base & bit:
+            continue
+        row = keys[i]
         # one pass splits the rays: cut (v > 0) go, tight ones gain the bit,
         # strictly kept ones (v < 0) stay as they are and pair with the cut;
         # a row that cuts no ray only updates the masks
@@ -446,14 +446,14 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]],
                     next_rays.append(tuple(w) if g == 1 else tuple([a // g for a in w]))
                     next_inc.append(common | bit)
         rays, inc = next_rays, next_inc
-    order = sorted(range(len(rays)), key=rays.__getitem__)
-    return [rays[k] for k in order], [inc[k] for k in order]
+    ranked = sorted(range(len(rays)), key=rays.__getitem__)
+    return [rays[k] for k in ranked], [inc[k] for k in ranked]
 
 
 def cone_from_rows(rows: Sequence[Sequence], dim: int) -> tuple[
-        tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...], list[tuple[int, ...]]]:
+        tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Generators and lineality basis of {x : <row, x> <= 0 for all rows},
-    then the generators' incidence and the rows it indexes.
+    then the generators' incidence over the rows.
 
     The one entry to the double description: int or rational rows in,
     primitive int tuples out, the generators sorted.  A pointed cone takes
@@ -464,32 +464,25 @@ def cone_from_rows(rows: Sequence[Sequence], dim: int) -> tuple[
     vector l enters as the rows l and -l, so the same pointed run, in the
     same coordinates, yields the extreme rays of the cone's intersection with
     the orthogonal complement of the lineality (Fukuda & Prodon 1996).
-    The third item holds, per generator, the DD's mask of the rows tight on
-    it, over the fourth, the prepared rows of the run that made it (with the
-    equation rows when the cone has lineality, and those hold on every
-    generator).  The conversions map the masks back to their own rows; no
-    other caller reads them.
+    The third item holds, per generator, the mask of the rows tight on it,
+    bit i for ``rows[i]`` as given (the equation rows' bits are dropped);
+    duplicate, rescaled and zero rows get their bits like any other row.
     """
-    prepared = _prepare_rows(rows)
-    run = _pointed_cone_rays(prepared, dim)
+    for r in rows:
+        if len(r) != dim:
+            raise ValueError(f"row of length {len(r)} in dimension {dim}")
+    if not _all_int(chain.from_iterable(rows)):
+        rows = [_clear(r)[1] for r in rows]
+    run = _pointed_cone_rays(rows, dim)
     lin = ()
     if run is None:
-        lin = tuple(_null_space(prepared, dim))
-        prepared = _prepare_rows([*prepared, *lin, *map(vneg, lin)])
-        run = _pointed_cone_rays(prepared, dim)
+        lin = tuple(_null_space(rows, dim))
+        run = _pointed_cone_rays([*rows, *lin, *map(vneg, lin)], dim)
         if run is None:
             raise InternalInvariantError("the rows and their null space span the space")
-    return tuple(run[0]), lin, tuple(run[1]), prepared
-
-
-def _spread(mask: int, images: Sequence[int]) -> int:
-    """The union of ``images[i]`` over the set bits i of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= images[low.bit_length() - 1]
-        mask ^= low
-    return out
+        full = (1 << len(rows)) - 1
+        run = run[0], [m & full for m in run[1]]
+    return tuple(run[0]), lin, tuple(run[1])
 
 
 def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
@@ -498,10 +491,13 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
-    Rows may be int or rational; the result's ``_rows`` are the given rows
-    as ints, so its incidence predicates run without a vertex-to-facet
-    conversion (``_h_to_v``).
+    Rows may be int or rational, each normal of length ``dim``; the result's
+    ``_rows`` are the given rows as ints, so its incidence predicates run
+    without a vertex-to-facet conversion (``_h_to_v``).
     """
+    for c, _ in hrep:
+        if len(c) != dim:
+            raise ValueError(f"constraint row of length {len(c)} in dimension {dim}")
     cleared = [_clear((*c, b))[1] for c, b in hrep]
     return _h_to_v(tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), dim)
 
@@ -513,33 +509,22 @@ def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional
     The value is built from the DD's int output as it is (``_make``): a
     primitive generator (y, t) is already the vertex's stored form, and the
     vertices are sorted on ints.  It contains a line iff the homogenization
-    cone has lineality, and its masks are the DD's incidence over the
-    prepared rows, mapped back per set bit: a prepared row stands for every
-    given row that is a positive multiple of it (duplicates, rescalings,
-    and ``0 <= b`` for b > 0 with ``t >= 0``), a zero row (``0 <= 0``) is
-    tight everywhere, and so is every row on a lineality direction.
+    cone has lineality.  The DD's masks index the homogenized rows, so they
+    are the masks over ``rows`` once the bit of ``t >= 0``, the last row,
+    is dropped; every row is tight on a lineality direction.
     """
-    homog = [(*c, -b) for c, b in rows]
-    gens, lin, masks, prepared = cone_from_rows([*homog, (0,) * dim + (-1,)], dim + 1)
-    index = {r: i for i, r in enumerate(prepared)}
-    images = [0] * len(prepared)
-    everywhere = 0
-    for j, r in enumerate(homog):
-        g = gcd(*r)
-        if g:
-            images[index[r if g == 1 else tuple([a // g for a in r])]] |= 1 << j
-        else:
-            everywhere |= 1 << j
+    gens, lin, masks = cone_from_rows([*[(*c, -b) for c, b in rows], (0,) * dim + (-1,)], dim + 1)
+    full = (1 << len(rows)) - 1
     verts, rays = {}, {}
     for g, m in zip(gens, masks):
         if g[-1] > 0:
-            verts[g[:-1], g[-1]] = _spread(m, images) | everywhere
+            verts[g[:-1], g[-1]] = m & full
         else:
-            rays[g[:-1]] = _spread(m, images) | everywhere
+            rays[g[:-1]] = m & full
     for l in lin:
         if l[-1] != 0:
             raise InternalInvariantError("homogenization lineality must be horizontal")
-        rays[l[:-1]] = rays[vneg(l[:-1])] = (1 << len(rows)) - 1
+        rays[l[:-1]] = rays[vneg(l[:-1])] = full
     if not verts:
         return None
     points, raydirs = _sorted_points(verts), tuple(sorted(rays))
@@ -567,36 +552,34 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[tuple[int, ...], int], ..
     opposite row pairs pinning the affine hull; the rest are the polar's
     extreme rays, so facets, and only ``t >= 0`` (zero normal) is dropped.
     Both come out primitive, so the rows are primitive, in sorted order.
-    A polar ray's mask names the generators tight on its facet, and the
-    affine-hull rows are tight on all; transposed per set bit, they give each
-    generator's mask over the sorted facets.  The generators are primitive
-    and distinct as stored, so each is a prepared row of its own.
+    A polar ray's mask names the generators tight on its facet (bit i for
+    the i-th generator row), and the affine-hull rows are tight on all;
+    transposed per set bit, they give each generator's mask over the sorted
+    facets.
     """
     gen_rows = [(*y, t) for y, t in poly._verts] + [(*r, 0) for r in poly._rays]
-    gens, lin, masks, prepared = cone_from_rows(gen_rows, poly.dim + 1)
+    gens, lin, masks = cone_from_rows(gen_rows, poly.dim + 1)
     facets = {}
     for (*c, g), m in zip(gens, masks):
         if any(c):
             facets[(tuple(c), -g)] = m
         elif g > 0:
             raise InternalInvariantError("a nonempty polyhedron admits no contradictory row")
-    every = (1 << len(prepared)) - 1
+    every = (1 << len(gen_rows)) - 1
     for *c, g in lin:
         if not any(c):
             raise InternalInvariantError("affine-hull rows have nonzero normals")
         facets[(tuple(c), -g)] = facets[(tuple([-a for a in c]), g)] = every
     rows = sorted(facets)
-    tight = [0] * len(prepared)
+    tight = [0] * len(gen_rows)
     for f, row in enumerate(rows):
         bit, m = 1 << f, facets[row]
         while m:
             low = m & -m
             tight[low.bit_length() - 1] |= bit
             m ^= low
-    index = {r: i for i, r in enumerate(prepared)}
-    per_gen = [tight[index[r]] for r in gen_rows]
     cut = len(poly._verts)
-    return tuple(rows), tuple(per_gen[:cut]), tuple(per_gen[cut:])
+    return tuple(rows), tuple(tight[:cut]), tuple(tight[cut:])
 
 
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
@@ -838,13 +821,11 @@ def recession_cone(poly: Polyhedron) -> Cone:
         return Cone._make(dim=poly.dim, _gens=(), _lin=())
     full = (1 << len(poly._rows)) - 1
     lin_members = [r for r, m in zip(poly._rays, poly._ray_masks) if m == full]
-    basis = []
+    basis = ()
     if lin_members:
         work, pivots, _ = _reduce(lin_members)
-        for row in work[:len(pivots)]:
-            g = gcd(*row)
-            basis.append(tuple(a // g for a in row))
-    return Cone._make(dim=poly.dim, _gens=poly._rays, _lin=tuple(basis))
+        basis = tuple(map(_primitive, work[:len(pivots)]))
+    return Cone._make(dim=poly.dim, _gens=poly._rays, _lin=basis)
 
 
 def contains_line(poly: Polyhedron) -> bool:

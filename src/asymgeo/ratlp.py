@@ -5,7 +5,9 @@ point anywhere.  The kernel itself is an integer fraction-free one: rows are
 cleared of denominators on entry (int rows, which the double description and
 the definiteness check hand over, pass as they are) and results become
 ``Fraction`` on return, except the int null space ``_null_space`` that the
-double description reads.
+double description reads.  One int helper, ``_primitive``, divides a row by
+the gcd of its entries for every caller outside the double description's
+ray combination.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  Two loops run the eliminations:
 ``_reduce`` (``rref``, ``rank`` and ``_null_space``, with its view
@@ -79,9 +81,14 @@ def is_zero_vec(u) -> bool:
 def primitive(u) -> tuple[Rational, ...]:
     """Scale ``u`` to coprime integers, preserving direction (zero stays zero),
     so that equal directions and constraint rows compare equal."""
-    ints = _clear(u)[1]
-    g = gcd(*ints)
-    return tuple(Fraction(n // g) for n in ints) if g else zero_vec(len(u))
+    return tuple(map(Fraction, _primitive(_clear(u)[1])))
+
+
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """``primitive`` of an int row, as ints: divided by the gcd of its
+    entries when that is above 1 (a zero row stays zero)."""
+    g = gcd(*row)
+    return tuple(row) if g < 2 else tuple([a // g for a in row])
 
 
 def _all_int(values: Iterable) -> bool:
@@ -179,10 +186,9 @@ def _phase_one(tab: list[Sequence[int]], basis: list[int], scales: list[int], nr
 # --- Elimination -------------------------------------------------------------
 
 
-def _reduce(rows: Sequence[Sequence[Rational]],
-            ncols: Optional[int] = None) -> tuple[list[Sequence[int]], list[int], int]:
-    """Gauss-Jordan over the first ``ncols`` columns (default all) of the rows
-    cleared to ints; returns (rows, pivot columns, common denominator).
+def _reduce(rows: Sequence[Sequence[Rational]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Gauss-Jordan over the columns of the rows cleared to ints; returns
+    (rows, pivot columns, common denominator).
     Pivot row k comes k-th; it stops once every row holds a pivot.  Int
     rows are taken as they are (``_pivot`` replaces a row, never mutates it)."""
     work = list(rows)
@@ -193,7 +199,7 @@ def _reduce(rows: Sequence[Sequence[Rational]],
         raise ValueError("rows of differing length")
     pivots: list[int] = []
     det = 1
-    for col in range(width if ncols is None else ncols):
+    for col in range(width):
         r = len(pivots)
         if r == n:
             break
@@ -259,21 +265,24 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
 
 def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
     """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors:
-    the ``Fraction`` view of ``_null_space``."""
+    the ``Fraction`` view of ``_null_space``.  A row whose length is not
+    ``dim`` raises ``ValueError``."""
     return [tuple(map(Fraction, v)) for v in _null_space(rows, dim)]
 
 
 def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int, ...]]:
     """``null_space_basis`` as primitive int tuples, one per non-pivot column."""
-    work, pivots, det = _reduce(rows, dim)
+    for r in rows:
+        if len(r) != dim:
+            raise ValueError(f"row of length {len(r)} in dimension {dim}")
+    work, pivots, det = _reduce(rows)
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
         v = [0] * dim
         v[f] = det
         for row, p in zip(work, pivots):
             v[p] = -row[f]
-        g = gcd(*v)
-        basis.append(tuple([a // g for a in v]))
+        basis.append(_primitive(v))
     return basis
 
 

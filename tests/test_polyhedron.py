@@ -571,6 +571,85 @@ def test_cone_from_rows_takes_int_rows_as_their_rational_copies():
     assert min(seen.values()) >= 40, seen
 
 
+def _tight_bits(rows, g):
+    """The rows tight on g as a bitmask, bit i for ``rows[i]``, by dot products."""
+    return sum(1 << i for i, r in enumerate(rows) if sum((a * b for a, b in zip(r, g)), F(0)) == 0)
+
+
+def test_cone_from_rows_masks_index_the_given_rows():
+    """Bit i of each generator's mask is ``rows[i]`` as the caller passed
+    it, and the generators and lineality are those of the sorted,
+    deduplicated rows: the degenerate cones, cones with lineality and random
+    rows at d = 2..6, each as drawn and with duplicates, positive multiples
+    (int and rational), zero rows and the order shuffled."""
+    rng = random.Random(131)
+    cases = [(rows, dim) for rows, dim, _ in _degenerate_cones()]
+    for d in range(2, 7):
+        for _ in range(12):
+            cases.append(([rand_point(rng, d, span=2, max_den=1) for _ in range(rng.randint(1, d + 4))], d))
+        # orthogonal to a line or a plane: the cone has lineality
+        for k in (1, 2):
+            lineality = [rand_point(rng, d, span=2, max_den=1) for _ in range(k)]
+            complement = null_space_basis(lineality, d)
+            cases.append(([tuple(sum((rng.randint(-2, 2) * w[t] for w in complement), F(0)) for t in range(d))
+                           for _ in range(rng.randint(1, d + 3))], d))
+    kinds = {"duplicate": 0, "zero": 0, "lineality": 0, "pointed": 0}
+    for rows, d in cases:
+        rows = [tuple(map(F, r)) for r in rows]
+        variants = [rows]
+        for _ in range(3):
+            messy = rows + [rng.choice(rows) for _ in range(rng.randint(1, 3))]
+            k, q = rng.randint(2, 4), F(rng.randint(1, 5), rng.randint(2, 4))
+            messy += [tuple(k * a for a in rng.choice(rows)), tuple(q * a for a in rng.choice(rows))]
+            messy += [(F(0),) * d] * rng.randint(0, 2)
+            rng.shuffle(messy)
+            variants.append(messy)
+        expected = polyhedron.cone_from_rows(polyhedron._prepare_rows(rows), d)[:2]
+        for given in variants:
+            ints = [tuple(int(a) for a in r) for r in given] if all(a.denominator == 1 for r in given for a in r) else None
+            for form in filter(None, (given, ints)):
+                gens, lin, masks = polyhedron.cone_from_rows(form, d)
+                assert (gens, lin) == expected, (d, form)
+                assert len(masks) == len(gens)
+                assert list(masks) == [_tight_bits(given, g) for g in gens], (d, form)
+            kinds["duplicate"] += len(set(given)) < len(given)
+            kinds["zero"] += not all(any(r) for r in given)
+        kinds["lineality" if expected[1] else "pointed"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_conversions_reject_rows_of_the_wrong_length():
+    """A row shorter or longer than the dimension is refused, naming its
+    length, by ``dd_convert_h_to_v``, ``cone_from_rows`` and
+    ``null_space_basis``; none zips it against the others to a wrong answer."""
+    box = [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)]
+    for rows in (box, [((1,), 1), ((0, 1), 1)]):
+        with pytest.raises(ValueError, match="of length [13] in dimension 2"):
+            dd_convert_h_to_v(rows, 2)
+    for rows in ([(1, 0, 5), (0, 1, 5)], [(1,), (0, 1)]):
+        with pytest.raises(ValueError, match="of length [13] in dimension 2"):
+            polyhedron.cone_from_rows(rows, 2)
+    for rows in ([(1, 2, 3)], [(1,)], [(F(1), F(2), F(3))]):
+        with pytest.raises(ValueError, match="of length [13] in dimension 2"):
+            null_space_basis(rows, 2)
+    assert null_space_basis([(1, 2)], 2) == [(F(-2), F(1))]
+    assert null_space_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
+
+
+def test_a_negative_dimension_is_refused_and_zero_is_the_point():
+    """``PartialPolyhedron`` and ``Cone`` refuse dim < 0; dim 0 is the
+    one-point space, whose closure is the point unless a row fails at 0."""
+    for make in (lambda: PartialPolyhedron(-1, ()), lambda: Cone(-1, ()), lambda: Cone(-2, (), ())):
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            make()
+    point = Polyhedron(0, [()])
+    assert closure(PartialPolyhedron(0, ())) == point == dd_convert_h_to_v([], 0)
+    assert closure(PartialPolyhedron(0, [Constraint((), F(1), True)])) == point
+    assert closure(PartialPolyhedron(0, [Constraint((), F(0), True)])) is None
+    assert closure(PartialPolyhedron(0, [Constraint((), F(-1), False)])) is None
+    assert Cone(0, ()).generators == () and contains_line(point) is False
+
+
 def test_h_to_v_takes_int_and_rational_rows_alike():
     """The same rows as ints and as ``Fraction``s give the same vertices,
     rays and integer rows (or both None)."""
@@ -892,10 +971,10 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
         finally:
             inside.pop()
 
-    def counting(rows, ncols=None):
+    def counting(rows):
         if not inside:
             stray.append(rows)
-        return real_reduce(rows, ncols)
+        return real_reduce(rows)
 
     monkeypatch.setattr(polyhedron, "cone_from_rows", entry)
     for module in (ratlp, polyhedron):
