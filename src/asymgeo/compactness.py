@@ -21,37 +21,42 @@ sandwich, and a NOT_COMPACT verdict ships a witness that re-verifies by
 direct evaluation.  If the internal sandwich check ever failed the verdict
 would be reported UNKNOWN rather than guessed.
 
-Only a COMPACT verdict needs C and closure(K) + C themselves, the sum with
-its facets: for the center, the sandwich and the checks T1, T3 and T4.  Both
-are computed on first use.  A NOT_COMPACT verdict builds neither, so it runs
-no double description of C.  It reads everything off the closure's
+Only a COMPACT verdict needs C and closure(K) + C themselves: for the
+center, the sandwich and the checks T1, T3 and T4.  Both are computed on
+first use.  A NOT_COMPACT verdict builds neither, so it runs no double
+description of C.  It reads everything off the closure's
 generators, the region's own rows and the gauge's functionals: (a) through
 the closure's recession cone, and (b), once (a) holds, through a local test
 at each closure vertex that misses K (its tangent cone must meet -C only in
 0; see ``_extreme_in_saturation``).
 
-A COMPACT verdict with the checks T1-T6 converts vertices to facets once,
-for closure(K) + C.  Once every recession direction has gauge 0, the pruned
-closure(K) + C is S + C field for field: its vertices are S's, and its rays
-are C's generators, which ``decide_compact`` checks on the stored ints.
+A COMPACT verdict with the checks T1-T6 converts vertices to facets at
+most once, for closure(K) + C, and not at all when the closure holds C.
+A closed gauge ball does: rec(B) = C and B + C = B, so closure(K) + C is
+the closure itself, the very value with the region's rows and masks, and
+the sandwich, T3, T4 and T6 read those masks only (``_own_rows``).  Once
+every recession direction has gauge 0, the pruned closure(K) + C is S + C
+field for field: its vertices are S's, and its rays are C's generators,
+which ``decide_compact`` checks on the stored ints.
 The minimal generators of a line-free polyhedron are unique (Fukuda &
 Prodon 1996), so equal fields mean equal sets, and the sandwich checks
-K <= S + C against the facets of closure(K) + C.  S <= K holds iff the
+K <= S + C against the rows of closure(K) + C.  S <= K holds iff the
 vertices of S lie in K; they are closure vertices, and whether each closure
 vertex lies in K is one AND of its mask with the strict rows, taken once
 per instance (``Instance._inside``, which the escape test reads too).  For
 the verified center T1 (every vertex of closure(K) + C lies in K) is that
 check.  T3 and T4 compare closed sets by their generators:
 S + C = closure(K) + C is that equality of values for the verified center
-(two ``_within`` inclusions against facets at hand for any other), and
+(two ``_within`` inclusions against the rows at hand for any other), and
 K + C equals its closure iff it is closed (``is_closed``).
 The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
 its closure already holds C's directions, so adding C builds no new set,
-its center is S again, and its saturated hull shares the parent's facets.
-closure(K) + C always has its facets as its rows, with their masks, and
-these are the rows of K + C, so T4's ``is_closed``, T6's vertex tests and
-T6's sandwich read masks and scan nothing.
+its center is S again, and its saturated hull is its closure, the value
+closure(K) + C.  closure(K) + C is the closure or has its facets as its
+rows, with their masks, and these are the rows of K + C, whose strict
+flags are read off those masks; so T4's ``is_closed``, T6's vertex tests
+and T6's sandwich read masks and scan nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import mul, or_
 from typing import Iterator, Optional, Sequence, Union
 
 from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
@@ -73,7 +78,7 @@ from asymgeo.polyhedron import (
     _int_member,
     _meets_face,
     _own_rows,
-    _support,
+    _scan_support,
     _within,
     closure,
     cone_from_rows,
@@ -159,7 +164,9 @@ class Instance:
 
     @cached_property
     def saturated(self) -> Polyhedron:
-        """closure + degeneracy cone, pruned to its extreme points and rays."""
+        """closure + degeneracy cone, pruned to its extreme points and rays:
+        the closure itself, the very value, when the cone adds no direction
+        to a line-free closure (a closed gauge ball is its own sum)."""
         return minkowski_sum_with_cone(self.hull, self.degeneracy)
 
     @cached_property
@@ -261,7 +268,8 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     closure + C is built only when no vertex escapes.  It is then the center
     plus C: the center is its vertices, and its rays must be C's generators
     (a broken invariant otherwise), so the sandwich checks the region
-    against its facets and builds no second sum.  Everything is tested on
+    against its rows (the closure's own when it is the closure, which
+    read masks) and builds no second sum.  Everything is tested on
     the stored ints of the cone, the gauge and the vertices; only the
     witness becomes ``Fraction``s.
     """
@@ -304,34 +312,54 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
 def saturate_region(inst: Instance) -> PartialPolyhedron:
     """The half-open sum region + degeneracy cone as a partial polyhedron.
 
-    Rows come from the closed sum's facets; a row is strict exactly when its
-    optimal face over the closure never meets the region, since a boundary
-    point of the sum decomposes as (face point of the closure) + (cone
-    point).  The strict flags are decided on the int facets ``_int_hrep``,
-    which are also the result's rows (``_make``), primitive, so of scale 1.
+    Its rows are the closed sum's ``_rows``, the very tuple, each of scale 1:
+    the closure's own rows (its region's) when the sum is the closure, and
+    its facets otherwise (a broken invariant else).  A row is strict exactly
+    when it reaches its bound on the closure and its optimal face over the
+    closure never meets the region, since a point of the sum on the row
+    decomposes as (face point of the closure) + (cone point).  Any row of
+    the sum may carry that flag, and every facet of the sum is the face of
+    one of its rows, so the flags cut out region + cone on any rows.  The
+    sum's vertices are closure vertices, so the masks decide: a row reaches
+    its bound iff it is tight at a vertex of the sum, and it is not strict
+    when that vertex lies in the region (``Instance._inside``).  The other
+    rows test their face (``_meets_face``), off the masks on the closure's
+    own rows.  Where the sandwich has not verified region <= sum, the
+    closure's support is scanned on every row instead, and each must bound
+    it.
 
     The sum holds the region, so it is nonempty, and its closure is the set
     of ``inst.saturated``, whatever the flags.  When that set is line-free
     (always under a COMPACT verdict) ``minkowski_sum_with_cone`` pruned it to
     its extreme points and extreme rays, the unique minimal generators that
-    the double description of these rows also yields (Fukuda & Prodon 1996),
+    the double description of its rows also yields (Fukuda & Prodon 1996),
     so the result comes with its closure known, whose rows, with their
-    masks, are the result's own (the sum has its facets as its rows).  A
-    sum with a line is the unpruned union, not that canonical form, and its
-    closure is left to the conversion.
+    masks, are the result's own.  A sum with a line is the unpruned union,
+    not that canonical form, and its closure is left to the conversion.
     """
-    sat = inst.saturated
+    sat, hull, region = inst.saturated, inst.hull, inst.region
+    rows = sat._rows
+    own = sat is hull
+    if not own and rows is not vars(sat).get("_int_hrep"):
+        raise InternalInvariantError("the saturated hull is the closure or has its facets as its rows")
+    bounded = own or any(padded is sat for padded in inst._verified_sums.values())
+    inside = dict(zip(hull._verts, inst._inside))
+    reached = reduce(or_, sat._vert_masks)
+    met = reduce(or_, [m for v, m in zip(sat._verts, sat._vert_masks) if inside.get(v)], 0)
     flags = []
-    for c, b in sat._int_hrep:
-        top = _support(inst.hull, c)
-        if top is None or top[0] > b * top[1]:
-            raise InternalInvariantError("sum rows bound the closure")
-        flags.append(top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b))
-    part = PartialPolyhedron._make(dim=inst.region.dim, _scales=(1,) * len(flags), _closed_rows=sat._int_hrep,
-                                   _rows=tuple([(c, b, s) for (c, b), s in zip(sat._int_hrep, flags)]))
+    for j, (c, b) in enumerate(rows):
+        bit = 1 << j
+        if bounded:
+            hit = bool(reached & bit)
+        else:
+            top = _scan_support(hull, c)
+            if top is None or top[0] > b * top[1]:
+                raise InternalInvariantError("sum rows bound the closure")
+            hit = top[0] == b * top[1]
+        flags.append(hit and not met & bit and not _meets_face(region, hull, c, b, bit if own else 0))
+    part = PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
+                                   _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]))
     if not contains_line(sat):
-        if not _own_rows(sat, part):
-            raise InternalInvariantError("the saturated hull's rows are its facets")
         vars(part)["_closure"] = sat
     return part
 
@@ -389,7 +417,7 @@ def verify_theorems(inst: Instance,
     sandwich and reads center + C = closure + C off their stored
     generators: for the center ``decide_compact`` verified the two values
     are equal, and otherwise it checks an inclusion each way, each set's
-    generators against the other's facets (``_within``);
+    generators against the other's rows (``_within``);
     T4 is ``is_closed`` of the half-open sum, whose closure is closure + C:
     of the two inclusions between them, the sum lies in its closure by
     construction, and the other is closedness.

@@ -28,20 +28,25 @@ The masks come from the double description, which tracks the rows tight on
 each ray anyway: ``cone_from_rows`` returns them over the rows it was
 handed, bit i for the i-th, so the closure keeps them as they are (less the
 bit of ``t >= 0``), and the facet conversion transposes them onto the
-generators where the facets become the rows.  The pruned Minkowski sum
-keeps its union's rows and masks only where those rows are the union's
-facets, and otherwise leaves its own to its first incidence read, which
-converts its facets.  So rows never come without masks (that would be a
-broken invariant), and a region's closure has the region's rows, the very
-tuple ``_closed_rows``, as its ``_rows`` (``_own_rows``).  A predicate on a
+generators where the facets become the rows.  The Minkowski sum with a
+cone is the union value itself, rows and masks and all, when pruning keeps
+every generator (a line-free closure that the cone adds no direction to is
+its own sum); a pruned sum keeps its union's rows and masks only where
+those rows are the union's facets, and otherwise leaves its own to its
+first incidence read, which converts its facets.  ``to_partial`` takes a
+value's ``_rows`` as they are, so it converts nothing where rows are at
+hand.  So rows never come without masks (that would be a broken
+invariant), and a region's closure has the region's rows, the very tuple
+``_closed_rows``, as its ``_rows`` (``_own_rows``).  A predicate on a
 region and its closure reads bits: a closure vertex lies in the region iff
 no strict row is tight on it, the region is empty iff a strict row is tight
 on every generator, closed iff no strict row is tight on a vertex, and it
 meets a face of its closure iff no strict row is tight on every generator
-of the face (``_meets_face``).  ``_within`` takes one OR over the vertex
+of the face (``_meets_face``, which reads the face of one of the closure's
+own rows off the masks as well).  ``_within`` takes one OR over the vertex
 masks where the region's rows are the polyhedron's own, and scans support
-values (``_supports``, one per row) against any other rows.  The masks, the
-line test and the support values are memoized on the value.
+values (``_scan_support``, one per row) against any other rows.  The masks
+and the line test are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -282,10 +287,10 @@ class Polyhedron(_Value):
         incidence predicates: ``_int_hrep`` unless a conversion seeded it
         with the rows it converted (``dd_convert_h_to_v``, the region's
         ``_closed_rows`` for a closure) or a pruned sum with its union's
-        facets (``minkowski_sum_with_cone``).  Converted rows may be
-        duplicate, rescaled, redundant or zero; incidence decides the same
-        on any inequality description of the set.  Whatever seeds the rows
-        seeds their masks."""
+        facets (``minkowski_sum_with_cone``); ``to_partial`` takes it as it
+        is.  Converted rows may be duplicate, rescaled, redundant or zero;
+        incidence decides the same on any inequality description of the
+        set.  Whatever seeds the rows seeds their masks."""
         return self._int_hrep
 
     @cached_property
@@ -299,14 +304,6 @@ class Polyhedron(_Value):
         """Per ray, the ``_rows`` its direction is tight on, as ``_vert_masks``;
         a polytope reads no row."""
         return _seeded_masks(self, "_ray_masks") if self._rays else ()
-
-    @cached_property
-    def _supports(self) -> dict[tuple[int, ...], Optional[tuple[int, int]]]:
-        """Memo of ``_support``: int row -> its value on the set (``_within``,
-        so ``subset``, and ``saturate_region`` read it; ``support_value``
-        scans).  Not part of the value: equality, hash and repr read the
-        fields only."""
-        return {}
 
     @cached_property
     def _has_line(self) -> bool:
@@ -585,13 +582,14 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[tuple[int, ...], int], ..
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
     """The same closed set as an all-non-strict partial polyhedron.
 
-    Built from the int facets as they are (``_make``): its rows are
-    ``poly._int_hrep``, primitive, so of scale 1, and that tuple is its
-    ``_closed_rows``.  Its closure is not seeded: like every closure, it is
-    the double description of its rows, so equal sets get equal closures
-    whatever generators ``poly`` lists.
+    Built from the int rows ``poly._rows`` as they are (``_make``), each of
+    scale 1: the facets, unless a conversion seeded other rows (a closure's
+    are its region's).  That tuple is its ``_closed_rows``, so ``poly``'s
+    masks index its rows (``_own_rows``) and no facet conversion runs for
+    a value that has rows.  Its closure is not seeded: like every closure,
+    it is the double description of its rows.
     """
-    rows = poly._int_hrep
+    rows = poly._rows
     return PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
                                    _scales=(1,) * len(rows), _closed_rows=rows)
 
@@ -607,15 +605,6 @@ def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
         raise ValueError(f"direction of length {len(c)} in dimension {poly.dim}")
     top = _scan_support(poly, c)
     return None if top is None else Fraction(top[0], top[1] * s)
-
-
-def _support(poly: Polyhedron, c: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """``_scan_support`` once per value and int row: the predicates' entry,
-    memoized on the value (``_supports``)."""
-    memo = poly._supports
-    if c not in memo:
-        memo[c] = _scan_support(poly, c)
-    return memo[c]
 
 
 def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -697,11 +686,14 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     return region._closure
 
 
-def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational) -> bool:
+def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational,
+                bit: int = 0) -> bool:
     """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
 
     The face is generated by the vertices attaining ``top`` and the rays
-    orthogonal to ``normal``, one dot product each.  A strict row removes
+    orthogonal to ``normal``, one dot product each; when (normal, top) is
+    a row of ``hull._rows`` and ``bit`` its mask bit, they are the
+    generators tight on it, read off the masks.  A strict row removes
     the subface where it is tight, and finitely many faces cover a nonempty
     convex set only if one is the whole set: the region meets the face iff
     no strict row is tight on all of it, that is on every generator of it.
@@ -714,9 +706,12 @@ def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, t
         return True
     if not _own_rows(hull, region):
         raise InternalInvariantError("the hull is the region's closure")
-    *normal, top = _clear((*normal, top))[1]
-    face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
-    face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
+    if bit:
+        face = [m for m in chain(hull._vert_masks, hull._ray_masks) if m & bit]
+    else:
+        *normal, top = _clear((*normal, top))[1]
+        face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
+        face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
     return not reduce(and_, face, strict)
 
 
@@ -745,20 +740,21 @@ def _within(poly: Polyhedron, region: PartialPolyhedron,
     """``poly`` <= ``region``, or, for ``part`` whose closure is ``poly``,
     ``part`` <= ``region``, read off the generators of ``poly``.
 
-    Each row of the region is maximized over ``poly`` (``_support``, once per
-    value and row); the maximum must exist and stay within the row's bound.
+    Each row of the region is maximized over ``poly`` (``_scan_support``);
+    the maximum must exist and stay within the row's bound.
     A strict row must not reach its bound on the closed ``poly``, and on
     ``part`` it reaches it only where its optimal face over ``poly`` meets
     ``part``.  When the region's rows are ``poly``'s own (``_own_rows``)
     every row holds on ``poly``, and a strict one reaches its bound iff it
-    is tight at a listed vertex: the masks answer, and no support is scanned.
+    is tight at a listed vertex: the masks answer, faces included, and no
+    support is scanned.
     """
     if _own_rows(poly, region):
         reached = region._strict_mask & reduce(or_, poly._vert_masks)
-        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b))
+        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b, 1 << j))
                        for j, (c, b, _) in enumerate(region._rows))
     for c, b, strict in region._rows:
-        top = _support(poly, c)
+        top = _scan_support(poly, c)
         if top is None or top[0] > b * top[1]:
             return False
         if strict and top[0] == b * top[1] and (part is None or _meets_face(part, poly, c, b)):
@@ -782,7 +778,7 @@ def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
     reference that tests check the incidence predicates against.
     """
     x = as_vec(x)
-    gens = [as_vec(g) for g in generators]
+    gens = _lp_columns(generators, len(x), "generator")
     if not gens:
         return is_zero_vec(x)
     dim = len(x)
@@ -793,8 +789,8 @@ def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
 def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> bool:
     """LP membership of x in conv(points) + cone(rays); the LP reference, as ``in_cone``."""
     x = as_vec(x)
-    pts = [as_vec(p) for p in points]
-    rds = [as_vec(r) for r in rays]
+    pts = _lp_columns(points, len(x), "vertex")
+    rds = _lp_columns(rays, len(x), "ray")
     if not pts:
         return False
     dim = len(x)
@@ -802,6 +798,15 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
     rows = [[c[t] for c in cols] for t in range(dim)]
     rows.append([Fraction(1)] * len(pts) + [Fraction(0)] * len(rds))
     return feasible_nonneg(rows, list(x) + [Fraction(1)])
+
+
+def _lp_columns(vectors: Sequence[Vec], dim: int, kind: str) -> list[Vec]:
+    """The vectors as ``Fraction`` columns of the LP references, each checked to be ``dim`` long."""
+    cols = [as_vec(v) for v in vectors]
+    for v in cols:
+        if len(v) != dim:
+            raise ValueError(f"{kind} of length {len(v)} in dimension {dim}")
+    return cols
 
 
 def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
@@ -871,17 +876,19 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
 
     The union and the sum are built from int data (``_make``): the
     union's rays are the int rays of ``poly``, the cone's generators and both
-    signs of its lineality basis, all primitive already.  Without a line the
-    sum keeps only its extreme points and extreme rays, both read off the
-    incidence bitmasks of the union, and it is known to be line-free.  Where
-    the union's rows are its facets it shares them (``_rows`` and
-    ``_int_hrep``) and keeps the masks of the generators it keeps; otherwise
-    (the union is a closure, which keeps its region's rows) it gets no rows,
-    and its first incidence read converts its facets.  A pointed cone whose
-    generators are all rays of ``poly`` adds nothing: the union is ``poly``
-    itself, and no new value (and no vertex-to-facet conversion) is made for
+    signs of its lineality basis, all primitive already.  A pointed cone
+    whose generators are all rays of ``poly`` adds nothing: the union is
+    ``poly`` itself, with its rows and masks, and no new value is made for
     it.  With a line there are no extreme points, and the union is returned
-    as is.
+    as is.  Without one the sum keeps only its extreme points and extreme
+    rays, both read off the incidence bitmasks of the union.  When that
+    keeps every generator the sum is the union value itself: a line-free
+    closure that the cone adds no direction to is its own sum, rows and
+    masks and all, so no vertex-to-facet conversion runs for it.  A pruned
+    sum is a new value, known to be line-free; where the union's rows are
+    its facets it shares them (``_rows`` and ``_int_hrep``) and keeps the
+    masks of the generators it keeps, and otherwise its first incidence
+    read converts its facets.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
@@ -893,6 +900,8 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     if contains_line(total):
         return total
     keep, ray_keep = _extreme_flags(total), _maximal(total._ray_masks)
+    if all(keep) and all(ray_keep):
+        return total
     out = Polyhedron._make(dim=poly.dim, _verts=tuple(compress(total._verts, keep)),
                            _rays=tuple(compress(total._rays, ray_keep)), _has_line=False)
     if vars(total).get("_int_hrep") is total._rows:

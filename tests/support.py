@@ -15,7 +15,17 @@ from typing import Optional
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
 from asymgeo.norm import AsymNorm, make_norm
-from asymgeo.polyhedron import Cone, Constraint, PartialPolyhedron, Polyhedron, closure, to_partial
+from asymgeo.polyhedron import (
+    Cone,
+    Constraint,
+    PartialPolyhedron,
+    Polyhedron,
+    _int_facets,
+    _meets_face,
+    _scan_support,
+    closure,
+    to_partial,
+)
 from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, primitive
 
 
@@ -621,3 +631,28 @@ def ref_tight_masks(rows, gens) -> tuple:
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)
+
+
+# ---------------------------------------------------------------------------
+# Reference half-open sum: the facet construction
+# ---------------------------------------------------------------------------
+# The earlier ``compactness.saturate_region``, which converted the saturated
+# hull to its facets and decided each strict flag by a support scan of the
+# closure and a dot-product scan of its face.  The current one reads its
+# rows and flags off the saturated hull's own rows and masks, so the tests
+# compare the two sets.  Do not optimize it.
+
+
+def ref_saturate_region(inst) -> PartialPolyhedron:
+    """region + degeneracy cone on the facets of closure + cone (converted
+    afresh): a facet is strict exactly when the closure reaches its bound
+    and its optimal face over the closure misses the region.  Built by the
+    public constructor; its closure is not seeded."""
+    rows = []
+    for c, b in _int_facets(inst.saturated)[0]:
+        top = _scan_support(inst.hull, c)
+        if top is None or top[0] > b * top[1]:
+            raise AssertionError("sum rows bound the closure")
+        strict = top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b)
+        rows.append(Constraint(tuple(map(Fraction, c)), Fraction(b), strict))
+    return PartialPolyhedron(inst.region.dim, tuple(rows))

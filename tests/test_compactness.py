@@ -64,6 +64,7 @@ from support import (
     ref_meets_face,
     ref_member,
     ref_repr,
+    ref_saturate_region,
     ref_support_value,
     ref_tight_masks,
 )
@@ -291,12 +292,14 @@ def test_decision_pipeline_runs_no_fraction_dot(monkeypatch):
 
 
 def test_compact_path_runs_one_facet_dd(monkeypatch):
-    """A COMPACT verdict and T1-T6 convert vertices to facets once, for
-    closure + C, which is center + C: over the reference catalog, 300 corpus
-    seeds, seeds at d = 4 and 5 and five closed d=4 lattice balls, on fresh
-    values, every COMPACT instance runs exactly one vertex-to-facet DD and
-    every other none, and the sandwich is still checked on the region and
-    on region + C."""
+    """A COMPACT verdict and T1-T6 convert vertices to facets at most once,
+    for closure + C, which is center + C, and not at all when C adds no
+    direction to the closure, which is then its own saturated hull: over the
+    reference catalog, 300 corpus seeds, seeds at d = 4 and 5 and five
+    closed d=4 lattice balls, on fresh values, every COMPACT instance that C
+    adds a direction to runs exactly one vertex-to-facet DD, every other
+    instance none (the five closed balls among them), and the sandwich is
+    still checked on the region and on region + C."""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5) for k in range(8)]
@@ -319,20 +322,25 @@ def test_compact_path_runs_one_facet_dd(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "_int_facets", counting)
     monkeypatch.setattr(compactness, "_sandwich", checking)
-    compact = []
+    compact, own = [], []
     for i, (q, region) in enumerate(cases):
         calls.clear()
         sandwiched.clear()
         inst = Instance.build(q, region)
         cert = decide_compact(inst)
         verify_theorems(inst, cert)
-        assert len(calls) == (cert.verdict is Verdict.COMPACT), (i, cert.verdict, len(calls))
-        if cert.verdict is Verdict.COMPACT:
+        is_compact = cert.verdict is Verdict.COMPACT
+        adds = is_compact and not set(inst.degeneracy._gens) <= set(inst.hull._rays)
+        assert len(calls) == adds, (i, cert.verdict, len(calls))
+        if is_compact:
             compact.append(i)
+            assert (inst.saturated is inst.hull) == (not adds), i
+            if not adds:
+                own.append(i)
             # both inclusions are still checked on the region and, in T6, on region + C
             assert sandwiched == [inst.region, saturate_region(inst)]
-    assert len(compact) >= 70
-    assert all(len(cases) - 1 - j in compact for j in range(5))
+    assert len(compact) >= 70 and len(own) >= 10 and len(compact) - len(own) >= 40, (len(compact), len(own))
+    assert all(len(cases) - 1 - j in own for j in range(5))
 
 
 def test_every_dd_enters_through_cone_from_rows(monkeypatch):
@@ -412,7 +420,8 @@ def test_certified_checks_read_bits(monkeypatch):
     made read masks: on every COMPACT instance of the reference catalog,
     the corpus seeds ``1000*d + k`` (d = 1..3, k < 300), the lattice balls
     and the arc hulls of ``_balls_and_arcs``, ``verify_theorems`` scans no
-    support value and tests no vertex row by row."""
+    support value and tests no vertex row by row.  closure + C is the
+    closure itself, or has its facets as its rows."""
     scans = []
     real_scan, real_member = polyhedron._scan_support, polyhedron._int_member
 
@@ -441,14 +450,16 @@ def test_certified_checks_read_bits(monkeypatch):
         assert not scans, (q, region, scans)
         for k in (region, saturate_region(inst)):
             assert closure(k)._rows is k._closed_rows, k
-        assert inst.saturated._rows is inst.saturated._int_hrep
+        sat = inst.saturated
+        assert sat is inst.hull or sat._rows is vars(sat)["_int_hrep"]
     assert compact >= 150, compact
 
 
 def test_rows_without_their_incidence_are_a_broken_invariant():
     """Rows seeded without masks, a closure whose rows are not its
-    region's and a saturated hull whose rows are not its facets raise
-    ``InternalInvariantError`` where the masks would be read."""
+    region's and a saturated hull that is neither the closure nor has its
+    facets as its rows raise ``InternalInvariantError`` where the masks
+    would be read; the last also when it equals the closure as a value."""
     inst = build(SUP2, UNIT_SQUARE)
     bare = Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)])
     vars(bare)["_rows"] = inst.hull._rows
@@ -465,6 +476,14 @@ def test_rows_without_their_incidence_are_a_broken_invariant():
     vars(forged)["saturated"] = dd_convert_h_to_v([(c.normal, c.rhs) for c in UNIT_SQUARE.constraints], 2)
     with pytest.raises(ratlp.InternalInvariantError, match="its facets"):
         saturate_region(forged)
+    lower = interval(None, 1)  # (-inf, 1] + (-inf, 0] is itself
+    own = build(POS_PART, lower)
+    assert own.saturated is own.hull
+    twin = build(POS_PART, lower)
+    vars(twin)["saturated"] = dd_convert_h_to_v([(c.normal, c.rhs) for c in lower.constraints], 1)
+    assert twin.saturated == twin.hull and twin.saturated is not twin.hull
+    with pytest.raises(ratlp.InternalInvariantError, match="its facets"):
+        saturate_region(twin)
 
 
 def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
@@ -521,26 +540,24 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
     assert min(kinds.values()) >= 20, kinds
 
 
-def test_support_memo_answers_as_a_fresh_scan(monkeypatch):
-    """``_support`` is memoized on each value: over build, decide and T1-T6
-    on the reference catalog and d=4 lattice balls, every (value, row) it
-    answers equals a fresh scan of the generators, and repeats are served
-    by the memo.  A filled memo leaves equality, hash and repr as a fresh
-    value has them, and the int membership test on a vertex's (y, t) agrees
-    with ``member`` on the ``Fraction`` vertex."""
-    cases = [(entry.norm, entry.region) for entry in reference_catalog()] + _lattice_balls(8)
-    real = polyhedron._support
+def test_pipeline_scans_each_support_once(monkeypatch):
+    """No support value is memoized, and none needs to be: over build,
+    decide and T1-T6 on the reference catalog, 60 corpus seeds and d=4
+    lattice balls, no (value, row) is scanned twice, and every scan answers
+    what the ``Fraction`` reference says.  The int membership test on a
+    vertex's (y, t) agrees with ``member`` on the ``Fraction`` vertex."""
+    real = polyhedron._scan_support
     answered = []
 
     def recording(poly, c):
         top = real(poly, c)
-        answered.append((poly, c, top))
+        answered.append((poly, tuple(c), top))
         return top
 
     for module in (polyhedron, compactness):
-        monkeypatch.setattr(module, "_support", recording)
+        monkeypatch.setattr(module, "_scan_support", recording)
     inside = outside = 0
-    for q, region in cases:
+    for q, region in _pipeline_cases():
         inst = Instance.build(q, region)
         verify_theorems(inst, decide_compact(inst))
         for poly in (inst.hull, inst.saturated):
@@ -550,15 +567,65 @@ def test_support_memo_answers_as_a_fresh_scan(monkeypatch):
                 inside += got
                 outside += not got
     assert inside and outside
-    values = {id(poly): poly for poly, _, _ in answered}
-    assert len({(id(poly), c) for poly, c, _ in answered}) < len(answered)
+    assert len(answered) >= 50, len(answered)
+    assert len({(id(poly), c) for poly, c, _ in answered}) == len(answered)
     for poly, c, top in answered:
-        assert poly._supports[c] == top
         assert (None if top is None else F(*top)) == ref_support_value(poly, c)
-    for poly in values.values():
-        twin = Polyhedron(poly.dim, poly.vertices, poly.rays)
-        assert "_supports" not in vars(twin)
-        assert poly == twin and hash(poly) == hash(twin) and repr(poly) == repr(twin)
+
+
+def _flattened(q, region, normal):
+    """The instance cut to the hyperplane <normal, x> = <normal, p> through a
+    point p of the region: the mean of its closure's vertices plus the sum
+    of its rays, a positive combination of every generator, lies in the
+    closure's relative interior and so in the region."""
+    hull = closure(region)
+    n = len(hull.vertices)
+    p = [sum(col) / n for col in zip(*hull.vertices)]
+    p = [a + sum(r[i] for r in hull.rays) for i, a in enumerate(p)]
+    level = sum(a * b for a, b in zip(normal, p))
+    pair = (Constraint(tuple(map(F, normal)), level, False), Constraint(tuple(-F(a) for a in normal), -level, False))
+    return q, PartialPolyhedron(region.dim, region.constraints + pair)
+
+
+def test_saturate_region_is_the_facet_construction():
+    """``saturate_region`` puts region + C on the saturated hull's own rows
+    and reads most flags off masks; it is the set the earlier construction
+    on the facets of closure + C gives (``ref_saturate_region``), and the
+    two are closed or open together.  Over the reference catalog, 300
+    corpus seeds, the balls and arc hulls of ``_balls_and_arcs``, closures
+    that contain a line (slabs and strips, half-open or closed) and
+    lower-dimensional closures (corpus regions cut to a hyperplane through
+    one of their points).  Every closed ball is its own saturated hull."""
+    rng = random.Random(97)
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    balls = _balls_and_arcs()
+    cases += balls
+    slab = (Constraint((F(1), F(1), F(1)), F(1), True), Constraint((F(-1), F(-1), F(-1)), F(1), False))
+    strip = (Constraint((F(1), F(-2)), F(3), True), Constraint((F(-1), F(2)), F(0), True))
+    for region in (PartialPolyhedron(3, slab), PartialPolyhedron(2, strip), PartialPolyhedron(1, ())):
+        for _ in range(8):
+            cases.append((gen_random_norm(region.dim, rng), region))
+    cases += [_flattened(*gen_random_instance(d, 1000 * d + k), rand_point(rng, d, span=2, max_den=1))
+              for d in (2, 3) for k in range(100, 120)]
+    kinds = dict.fromkeys(("own", "faceted", "line", "flat", "closed", "open"), 0)
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        decide_compact(inst)
+        got, ref = saturate_region(inst), ref_saturate_region(inst)
+        assert set_equal(got, ref), (q, region)
+        closed = is_closed(got)
+        assert closed == is_closed(ref), (q, region)
+        kinds["closed" if closed else "open"] += 1
+        kinds["own" if inst.saturated is inst.hull else "faceted"] += 1
+        kinds["line"] += contains_line(inst.hull)
+        kinds["flat"] += any((tuple(vneg(c)), -b) in inst.hull._int_hrep for c, b in inst.hull._int_hrep)
+    for q, region in balls[:12]:
+        if not any(c.strict for c in region.constraints):
+            inst = Instance.build(q, region)
+            assert inst.saturated is inst.hull
+            assert decide_compact(inst).verdict is Verdict.COMPACT
+    assert min(kinds.values()) >= 20, kinds
 
 
 def _pipeline_cases():
@@ -833,7 +900,9 @@ def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
     verified center and with the same center handed to a fresh instance of
     the same gauge and region; only the second tests the vertices, each
     once.  A forged saturated hull with a vertex outside the region fails
-    T1 also for the verified center."""
+    T1 also for the verified center; its vertex is no closure vertex, so
+    the half-open sum falls back to the support scan, and T4 says what
+    the facet construction (``ref_saturate_region``) says."""
     tested = []
     real = compactness._int_member
 
@@ -866,8 +935,21 @@ def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
     cert = decide_compact(inst)
     sat = inst.saturated
     vars(inst)["saturated"] = Polyhedron(2, (*sat.vertices, (5, 5)), sat.rays)
-    t1 = verify_theorems(inst, cert).claims[0]
-    assert t1.claim_id == "T1" and t1.status is ClaimStatus.FAIL
+    scans = []
+    real_scan = polyhedron._scan_support
+
+    def scanning(poly, c):
+        scans.append(poly)
+        return real_scan(poly, c)
+
+    monkeypatch.setattr(compactness, "_scan_support", scanning)
+    claims = verify_theorems(inst, cert).claims
+    assert claims[0].claim_id == "T1" and claims[0].status is ClaimStatus.FAIL
+    assert inst.saturated._int_hrep and scans == [inst.hull] * len(inst.saturated._int_hrep)
+    monkeypatch.setattr(compactness, "_scan_support", real_scan)
+    ref = ref_saturate_region(inst)
+    assert set_equal(saturate_region(inst), ref)
+    assert claims[3].claim_id == "T4" and claims[3].status is (ClaimStatus.PASS if is_closed(ref) else ClaimStatus.FAIL)
 
 
 def test_t3_and_t4_compare_closed_sets_as_set_equal_does():

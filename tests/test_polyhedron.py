@@ -636,6 +636,27 @@ def test_conversions_reject_rows_of_the_wrong_length():
     assert null_space_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
 
 
+def test_in_cone_rejects_generators_of_the_wrong_length():
+    """``in_cone`` refuses a generator longer or shorter than the point,
+    naming its length; none is cut or padded to a wrong answer."""
+    for gens in ([(1, 0, 5)], [(1,)], [(1, 0), (0, 1, 0)], [(F(1), F(0), F(5))]):
+        with pytest.raises(ValueError, match="generator of length [13] in dimension 2"):
+            in_cone((1, 0), gens)
+    assert in_cone((1, 0), [(1, 0)]) and not in_cone((1, 0), [(0, 1)])
+
+
+def test_in_conv_plus_cone_rejects_generators_of_the_wrong_length():
+    """``in_conv_plus_cone`` refuses a vertex or a ray longer or shorter
+    than the point, naming its kind and length; none is cut or padded to a
+    wrong answer."""
+    for points, rays, kind in (([(1, 0, 7)], [], "vertex"), ([(1,)], [], "vertex"),
+                               ([(1, 0)], [(0, 1, 0)], "ray"), ([(0, 0)], [(1,)], "ray")):
+        with pytest.raises(ValueError, match=f"{kind} of length [13] in dimension 2"):
+            in_conv_plus_cone((1, 0), points, rays)
+    assert in_conv_plus_cone((1, 0), [(1, 0)], []) and in_conv_plus_cone((2, 0), [(1, 0)], [(1, 0)])
+    assert not in_conv_plus_cone((1, 1), [(1, 0)], [])
+
+
 def test_a_negative_dimension_is_refused_and_zero_is_the_point():
     """``PartialPolyhedron`` and ``Cone`` refuse dim < 0; dim 0 is the
     one-point space, whose closure is the point unless a row fails at 0."""
@@ -1288,12 +1309,13 @@ def test_generator_inclusion_agrees_with_subset():
 def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
     """A pointed cone whose generators are all rays of poly adds nothing:
     the sum is the value the generator union gives (vertices, rays and
-    facets).  It shares poly's rows, masks and facets only when poly's rows
-    are its facets; a closure keeps the rows it was converted from, and its
-    sum gets no rows.  The sum itself runs no facet conversion, and a sum
-    other than poly has its facets as its rows.  Cases include polyhedra
-    with a line, the cone {0}, and cones with lineality, which must not take
-    the shortcut."""
+    facets).  Where pruning keeps every generator it is poly itself, the
+    very value: always for a closure, which lists its minimal generators,
+    with no facet conversion and the rows it was converted from.  A pruned
+    sum shares poly's rows, masks and facets, and the sum itself runs no
+    facet conversion; a sum other than poly has its facets as its rows.
+    Cases include polyhedra with a line, the cone {0}, and cones with
+    lineality, which must not take the shortcut."""
     real_facets, runs = polyhedron._int_facets, []
 
     def facets(poly):
@@ -1302,7 +1324,7 @@ def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "_int_facets", facets)
     rng = random.Random(89)
-    kinds = {"shortcut": 0, "line": 0, "zero cone": 0, "lineality": 0}
+    kinds = {"shortcut": 0, "line": 0, "zero cone": 0, "lineality": 0, "closure": 0, "pruned": 0}
     for n in range(160):
         d = rng.randint(1, 3)
         verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, 4))]
@@ -1334,10 +1356,14 @@ def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
             # closure have computed theirs to read incidence
             assert runs == [poly] * (n % 2)
             assert ("_int_hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
-            shared = vars(poly).get("_int_hrep") is poly._rows
-            assert shared == (n % 2 == 1)
-            assert vars(got).get("_rows") is (poly._rows if shared else None)
-            assert ("_int_hrep" in got.__dict__) == ("_vert_masks" in got.__dict__) == shared
+            assert (vars(poly).get("_int_hrep") is poly._rows) == (n % 2 == 1)
+            if expected == poly:
+                assert got is poly
+                kinds["closure"] += n % 2 == 0
+            else:
+                assert n % 2 == 1, poly  # a closure lists only extreme generators
+                assert got is not poly and got._rows is poly._rows and got._int_hrep is poly._rows
+                kinds["pruned"] += 1
         elif shortcut:
             assert got is poly
         else:
