@@ -23,12 +23,14 @@ would be reported UNKNOWN rather than guessed.
 
 Only a COMPACT verdict needs C and closure(K) + C themselves: for the
 center, the sandwich and the checks T1, T3 and T4.  Both are computed on
-first use.  A NOT_COMPACT verdict builds neither, so it runs no double
-description of C.  It reads everything off the closure's
-generators, the region's own rows and the gauge's functionals: (a) through
-the closure's recession cone, and (b), once (a) holds, through a local test
-at each closure vertex that misses K (its tangent cone must meet -C only in
-0; see ``_extreme_in_saturation``).
+first use.  A NOT_COMPACT verdict builds neither, and it runs one double
+description, the closure's.  It reads everything off the closure's
+generators and masks, the region's own rows and the gauge's functionals:
+(a) through the closure's recession cone, and (b), once (a) holds, through
+a local test at each closure vertex that misses K: its tangent cone must
+meet -C only in 0, and the closure's edges at the vertex, read off its
+masks, are that cone's generators, so the test inserts the gauge's rows
+into them and runs no base elimination (``_extreme_in_saturation``).
 
 A COMPACT verdict with the checks T1-T6 converts vertices to facets at
 most once, for closure(K) + C, and not at all when the closure holds C.
@@ -65,15 +67,17 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from operator import mul, or_
 from typing import Iterator, Optional, Sequence, Union
 
-from asymgeo.ratlp import InternalInvariantError, Vec, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Vec, _primitive, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
     PartialPolyhedron,
     Polyhedron,
+    _cut,
     _extreme_flags,
     _int_member,
     _meets_face,
@@ -81,7 +85,6 @@ from asymgeo.polyhedron import (
     _scan_support,
     _within,
     closure,
-    cone_from_rows,
     contains_line,
     is_closed,
     minkowski_sum_with_cone,
@@ -182,8 +185,10 @@ class Instance:
     @cached_property
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
         """-a for each stored functional a of the gauge: the rows of -C that
-        ``_extreme_in_saturation`` adds at every vertex it tests."""
-        return tuple(map(vneg, self.norm._rows))
+        ``_extreme_in_saturation`` inserts at every vertex it tests, in the
+        reverse lexicographic order of their primitive forms, the order the
+        double description inserts its rows in (``_pointed_cone_rays``)."""
+        return tuple(sorted(map(vneg, self.norm._rows), key=_primitive, reverse=True))
 
 
 def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
@@ -239,21 +244,48 @@ def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
     return padded if subset(region, to_partial(padded)) else None
 
 
-def _extreme_in_saturation(inst: Instance, mask: int) -> bool:
-    """Is the closure vertex v with mask ``mask`` (``hull._vert_masks``)
-    extreme in closure + degeneracy cone?
+def _extreme_in_saturation(inst: Instance, k: int) -> bool:
+    """Is the k-th listed closure vertex v extreme in closure + degeneracy cone?
 
     With P the closure and C = {x : <a_i, x> <= 0} the cone, v is extreme in
-    P + C iff its tangent cone T_P(v) = {x : A_v x <= 0} meets -C only in 0;
-    A_v are the rows of ``hull._rows`` tight at v, the set bits of its mask.  If a nonzero c in C has
-    -c in T_P(v), v is the midpoint of v - εc in P and v + εc in P + C;
-    otherwise T_P(v) + C is a pointed cone, v + T_P(v) + C holds P + C, and
-    v is its apex.  One double description of {x : A_v x <= 0, <a_i, x> >= 0}
-    decides it: the cone is {0} iff it has neither generators nor lineality.
+    P + C iff its tangent cone T_P(v) meets -C only in 0.  If a nonzero c in
+    C has -c in T_P(v), v is the midpoint of v - εc in P and v + εc in
+    P + C; otherwise T_P(v) + C is a pointed cone, v + T_P(v) + C holds
+    P + C, and v is its apex.  ``decide_compact`` asks only once every
+    recession direction of P has gauge 0, so P is pointed, and T_P(v) is the
+    pointed cone {x : A_v x <= 0} (A_v the rows of ``hull._rows`` tight at
+    v, the set bits of its mask) spanned by the edges of P at v.  The closure
+    lists its extreme vertices and rays only, with their masks, so the edges
+    are read off incidence (Fukuda & Prodon 1996): a generator g is adjacent
+    to v iff at least dim - 1 rows are tight on both and no third generator
+    is tight on all of them.  The edge's direction is w - v for a vertex w
+    (t_v y_w - t_w y_v on the stored ints) and the ray itself for a ray,
+    tight on the rows of A_v that are tight on both.  Those edges and masks
+    are T_P(v)'s double description, so inserting the rows -a_i (``_cut``)
+    yields the extreme rays of T_P(v) cut by -C, and v is extreme iff none
+    is left; no base elimination runs and no tight row is inserted again.
     """
-    rows = inst.hull._rows
-    tight = [rows[j][0] for j in range(len(rows)) if mask >> j & 1]
-    return cone_from_rows([*tight, *inst._minus_functionals], inst.norm.dim)[:2] == ((), ())
+    hull = inst.hull
+    (yv, tv), mv = hull._verts[k], hull._vert_masks[k]
+    pool = (*hull._vert_masks, *hull._ray_masks)
+    dirs = chain(hull._verts, [(r, 0) for r in hull._rays])
+    need = inst.norm.dim - 1
+    edges, masks = [], []
+    for j, ((y, t), m) in enumerate(zip(dirs, pool)):
+        common = m & mv
+        if j == k or common.bit_count() < need:
+            continue
+        holders = 0
+        for h in pool:
+            if h & common == common:
+                holders += 1
+                if holders > 2:
+                    break
+        else:
+            edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
+            masks.append(common)
+    minus = enumerate(inst._minus_functionals, len(hull._rows))
+    return not _cut(edges, masks, minus, inst.norm.dim)[0]
 
 
 def decide_compact(inst: Instance) -> CompactnessCertificate:
@@ -280,8 +312,8 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
             return CompactnessCertificate(Verdict.NOT_COMPACT,
                                           witness=BadRecessionDirection(_point(d, 1)))
     hull = inst.hull
-    for (y, t), mask, inside in zip(hull._verts, hull._vert_masks, inst._inside):
-        if not inside and _extreme_in_saturation(inst, mask):
+    for k, ((y, t), inside) in enumerate(zip(hull._verts, inst._inside)):
+        if not inside and _extreme_in_saturation(inst, k):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
     core = center_candidate(inst)
     sat = inst.saturated

@@ -5,24 +5,26 @@ cone(rays)``; half-open sets are inequality (H) representations with a
 per-row strict flag.  Conversion between the two runs the double
 description method over Python ints, entered only through
 ``cone_from_rows`` (int or rational rows in, int generators out; the
-closure, the facets, the degeneracy cone and the local tangent-cone test
-all pass through it, with int rows, taken as they are and run in the order
-of their primitive forms; a pointed cone costs one base elimination
-(``ratlp._basis``, which forms the columns it reads only) and one insertion
-of the other rows, last to first, and a cone with lineality one null-space
+closure, the facets and the degeneracy cone all pass through it, with int
+rows, taken as they are and run in the order of their primitive forms; a
+pointed cone costs one base elimination (``ratlp._basis``, which forms the
+columns it reads only) and one insertion of the other rows, last to first,
+by the insertion loop ``_cut``, and a cone with lineality one null-space
 elimination more and a second pointed run, in the same coordinates, with
-the null space's basis as equation rows), and every predicate (membership,
-inclusion, extremality, closedness) reduces to exact support-function scans
-and to incidence against an H-representation; emptiness and closedness are
-read off the closure's generators.  The incidence predicates (extreme
-points and rays, lines, the recession cone's lineality) read
-``Polyhedron._rows``, any integer inequality description of the set, as one
-bitmask of tight rows per generator (``_vert_masks``, ``_ray_masks``), and
-run no elimination: a generator is extreme iff no other one is tight on all
-its rows, and a line lies in the set iff some ray is tight on every row.  A
-closure keeps the rows it was converted from, so they run without a
-vertex-to-facet conversion, and the facets are computed only where they are
-needed, as int rows (``_int_hrep``, by ``_int_facets``).
+the null space's basis as equation rows).  The local tangent-cone test of
+``asymgeo.compactness`` runs ``_cut`` alone, started from the edges of a
+closure at a vertex, which the closure's masks give.  Every predicate
+(membership, inclusion, extremality, closedness) reduces to exact
+support-function scans and to incidence against an H-representation;
+emptiness and closedness are read off the closure's generators.  The
+incidence predicates (extreme points and rays, lines, the recession cone's
+lineality) read ``Polyhedron._rows``, any integer inequality description
+of the set, as one bitmask of tight rows per generator (``_vert_masks``,
+``_ray_masks``), and run no elimination: a generator is extreme iff no
+other one is tight on all its rows, and a line lies in the set iff some ray
+is tight on every row.  A closure keeps the rows it was converted from, so
+they run without a vertex-to-facet conversion, and the facets are computed
+only where they are needed, as int rows (``_int_hrep``, by ``_int_facets``).
 
 The masks come from the double description, which tracks the rows tight on
 each ray anyway: ``cone_from_rows`` returns them over the rows it was
@@ -70,7 +72,9 @@ results are ``Fraction``s.
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
-hold rows but no closure.
+hold rows but no closure and need none: the random generator's rejection
+loop, up to d = 12, where the LP's cost grows slowly with the dimension and
+the double description's fast (see ``partial_is_empty``).
 
 Sets are desk scale: dimension <= 12 (the largest the parser and ``gen``
 take) and at most a few hundred rows, so the algorithms favour determinism
@@ -85,7 +89,7 @@ from functools import cached_property, reduce
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import and_, mul, or_
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
     InternalInvariantError,
@@ -369,20 +373,15 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
 
     Classic double description over Python ints: start from a simplicial
     subcone given by a maximal independent row subset, then insert the
-    remaining rows one at a time, last to first, combining adjacent rays
-    across the new hyperplane.  The rows are taken as given and run in the
-    lexicographic order of their primitive forms (``ratlp._primitive``): a
-    duplicate or a positive multiple runs next to its first copy, and it, like
-    a zero row, cuts no ray and only gains its bit where it is tight.  The rays
-    do not depend on the insertion order, but the work does (Fukuda &
-    Prodon 1996): on random inputs at d = 4..8 the reverse lexicographic
-    order makes fewer rays and candidate pairs than the lexicographic one,
-    though more on the homogenized rows of a one-norm lattice ball.  Each
-    ray carries its incidence (the processed rows it is tight on) as one
-    bitmask, and a combined ray is tight exactly where both parents are,
-    plus on the new row.  Two rays are adjacent iff they share at least
-    dim - 2 tight rows and no third ray is tight on all of those (the
-    combinatorial test, valid because the ray set stays minimal).
+    remaining rows one at a time, last to first (``_cut``).  The rows are
+    taken as given and run in the lexicographic order of their primitive
+    forms (``ratlp._primitive``): a duplicate or a positive multiple runs
+    next to its first copy, and it, like a zero row, cuts no ray and only
+    gains its bit where it is tight.  The rays do not depend on the
+    insertion order, but the work does (Fukuda & Prodon 1996): on random
+    inputs at d = 4..8 the reverse lexicographic order makes fewer rays and
+    candidate pairs than the lexicographic one, though more on the
+    homogenized rows of a one-norm lattice ball.
     Requires int rows of length dim; returns the rays as primitive int
     tuples, sorted, and aligned with them their final masks, the rows tight
     on each (bit i for ``rows[i]`` as given); or None when the rows have
@@ -402,14 +401,34 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
     rays = [_primitive([-a for a in w]) for w in block]
     base_bits = [1 << order[k] for k in base_idx]
     base = sum(base_bits)
-    inc = [base & ~bit for bit in base_bits]
-    need = dim - 2
+    return _cut(rays, [base & ~bit for bit in base_bits],
+                [(i, keys[i]) for i in reversed(order) if not base >> i & 1], dim)
 
-    for i in reversed(order):
+
+def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
+         rows: Iterable[tuple[int, Sequence[int]]], dim: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The double description's insertion loop: the extreme rays of a
+    pointed cone cut by more rows {x : <row, x> <= 0}.
+
+    ``rays`` are the extreme rays of a pointed cone in dimension ``dim``,
+    primitive, and ``masks`` aligned with them the rows of some inequality
+    description of that cone tight on each; ``rows`` are (i, row) pairs, in
+    the order they are inserted, and the row's bit in the masks is 1 << i.
+    Each insertion splits the rays: cut ones (<row, r> > 0) go, tight ones
+    gain the bit, and each pair of a cut ray and a strictly kept one that is
+    adjacent is combined into a ray on the new hyperplane, tight exactly
+    where both parents are, plus on the new row.  Two rays are adjacent iff
+    they share at least dim - 2 tight rows and no third ray is tight on all
+    of those (the combinatorial test, valid on any inequality description
+    because the ray set stays minimal).  Returns the rays, primitive and
+    sorted, and aligned with them their masks.
+    """
+    need = dim - 2
+    inc = list(masks)
+    for i, row in rows:
+        if not rays:
+            break
         bit = 1 << i
-        if base & bit:
-            continue
-        row = keys[i]
         # one pass splits the rays: cut (v > 0) go, tight ones gain the bit,
         # strictly kept ones (v < 0) stay as they are and pair with the cut;
         # a row that cuts no ray only updates the masks
@@ -632,9 +651,12 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
     Maximizes a margin variable added to every strict row (capped at 1);
     the set is nonempty iff the closed system is feasible with a strictly
     positive margin.  It serves callers with rows but no closure (the random
-    generator's rejection loop), where one LP is cheaper than a DD run.  The
-    LP gets the stored int rows, each with its strict margin scaled as the
-    row is.
+    generator's rejection loop, up to d = 12).  The closure's double
+    description would decide as well, and on the generator's own draws it
+    is not slower up to d = 6 (about 2x faster at d = 1..5, even at d = 6),
+    but it is 3-4x slower at d = 7-8 and 40-70x slower at d = 9-10 (Python
+    3.11, 2 vCPUs), so the LP stays.  The LP gets the stored int rows, each
+    with its strict margin scaled as the row is.
     """
     unit = (0,) * region.dim + (1,)
     rows = [((*c, s if strict else 0), b) for (c, b, strict), s in zip(region._rows, region._scales)]

@@ -24,9 +24,10 @@ from asymgeo.polyhedron import (
     _meets_face,
     _scan_support,
     closure,
+    cone_from_rows,
     to_partial,
 )
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, primitive
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, primitive, zero_vec
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -94,6 +95,27 @@ def rand_fraction(rng: random.Random, span: int = 3, max_den: int = 3) -> Fracti
 def rand_point(rng: random.Random, dim: int, span: int = 4, max_den: int = 3):
     return tuple(Fraction(rng.randint(-span * max_den, span * max_den), max_den)
                  for _ in range(dim))
+
+
+def with_redundant_rows(rng: random.Random, poly: Polyhedron):
+    """The facets of ``poly`` (or ``0 <= 0`` when it is the whole space) with
+    duplicate, positively rescaled, implied and ``0 <= 1`` rows added,
+    shuffled: another inequality description of the same set."""
+    d = poly.dim
+    base = list(poly.hrep) or [(zero_vec(d), Fraction(0))]
+    rows = list(base)
+    for _ in range(rng.randint(1, 4)):
+        (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
+        s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        rows += [
+            (c1, b1),                                             # duplicate
+            (tuple(s * a for a in c1), s * b1),                   # positive rescaling
+            (tuple(a + b for a, b in zip(c1, c2)), b1 + b2),      # implied by two rows
+            (c2, b2 + Fraction(rng.randint(0, 3))),               # implied, maybe slack
+        ]
+    rows.append((zero_vec(d), Fraction(1)))                       # 0 <= 1
+    rng.shuffle(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -656,3 +678,23 @@ def ref_saturate_region(inst) -> PartialPolyhedron:
         strict = top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b)
         rows.append(Constraint(tuple(map(Fraction, c)), Fraction(b), strict))
     return PartialPolyhedron(inst.region.dim, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Reference local test: one full double description per vertex
+# ---------------------------------------------------------------------------
+# The earlier ``compactness._extreme_in_saturation``, which ran the cone
+# {x : A_v x <= 0, <a_i, x> >= 0} through ``cone_from_rows`` afresh at each
+# vertex (a base elimination, then every tight row and every -a_i).  The
+# current one seeds the insertion loop with the closure's edges at v and
+# inserts the -a_i only, so the tests compare the two.  Do not optimize it.
+
+
+def ref_extreme_in_saturation(inst, mask: int) -> bool:
+    """Is the closure vertex with mask ``mask`` (``hull._vert_masks``)
+    extreme in closure + degeneracy cone?  Its tangent cone must meet -C in
+    0 only: the double description of the tight rows and the rows -a_i has
+    neither generators nor lineality."""
+    rows = inst.hull._rows
+    tight = [rows[j][0] for j in range(len(rows)) if mask >> j & 1]
+    return cone_from_rows([*tight, *inst._minus_functionals], inst.norm.dim)[:2] == ((), ())

@@ -60,6 +60,7 @@ from support import (
     interval_compact_oracle,
     rand_point,
     ref_attributes,
+    ref_extreme_in_saturation,
     ref_gauge_eval,
     ref_meets_face,
     ref_member,
@@ -67,6 +68,7 @@ from support import (
     ref_saturate_region,
     ref_support_value,
     ref_tight_masks,
+    with_redundant_rows,
 )
 
 F = Fraction
@@ -241,7 +243,7 @@ def test_local_test_agrees_with_lp_extremality():
             continue
         for v, mask in zip(hull.vertices, hull._vert_masks):
             lp = not in_conv_plus_cone(v, [w for w in hull.vertices if w != v], rays)
-            assert compactness._extreme_in_saturation(inst, mask) == lp, (q, inst.region, v)
+            assert compactness._extreme_in_saturation(inst, hull._vert_masks.index(mask)) == lp, (q, inst.region, v)
             checked[lp] += 1
         cert = decide_compact(inst)
         if isinstance(cert.witness, BadRecessionDirection):
@@ -250,6 +252,89 @@ def test_local_test_agrees_with_lp_extremality():
         assert cert.witness == (None if first is None else EscapedExtremePoint(first))
         escaped += first is not None
     assert min(checked.values()) >= 50 and escaped >= 40 and trivial >= 60, (checked, escaped, trivial)
+
+
+def test_edge_seeded_local_test_agrees_with_the_full_dd():
+    """The local test seeded with the closure's edges at v decides as the
+    full double description of {x : A_v x <= 0, <a_i, x> >= 0} does
+    (``ref_extreme_in_saturation``), at every vertex of every line-free
+    closure: the reference catalog, 900 corpus seeds, random instances at
+    d = 4..6, open one-norm lattice balls at d = 3..5, the cut vertex of
+    the 16- and 64-segment arc hulls, and closures given by redundant rows
+    (``with_redundant_rows``: duplicate, rescaled, implied and ``0 <= 1``
+    rows, so degenerate vertices) of random polytopes and polyhedra, many
+    of them lower-dimensional, under random gauges and gauges with C = {0}."""
+    from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
+
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(4)]
+    rng = random.Random(89)
+    for d in (3, 4, 5):
+        q = gen_lattice_norm(d, "one")
+        for _ in range(3):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            cases.append((q, ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), Closedness.OPEN).as_set))
+    arcs = [gen_arc_hull(16), gen_arc_hull(64)]
+    flat = trivial = 0
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, d + 1))]
+        rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
+        poly = Polyhedron(d, verts, rays)
+        region = PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in with_redundant_rows(rng, poly)))
+        q = gen_random_norm(d, rng)
+        if rng.random() < 0.5:
+            q = make_norm(d, q.functionals + (vneg(tuple(map(sum, zip(*q.functionals)))),))
+        trivial += not degeneracy_cone(q).generators
+        flat += len(extreme_points(poly)) + len(poly.rays) <= d
+        cases.append((q, region))
+    answers = {True: 0, False: 0}
+    for i, (q, region) in enumerate(cases + arcs):
+        inst = Instance.build(q, region)
+        if contains_line(inst.hull):
+            continue
+        for k, (mask, inside) in enumerate(zip(inst.hull._vert_masks, inst._inside)):
+            if i >= len(cases) and inside:  # an arc hull: its cut vertex only
+                continue
+            got = compactness._extreme_in_saturation(inst, k)
+            assert got == ref_extreme_in_saturation(inst, mask), (q, region, k)
+            answers[got] += 1
+    assert min(answers.values()) >= 500 and flat >= 20 and trivial >= 40, (answers, flat, trivial)
+
+
+def test_not_compact_verdict_runs_one_double_description(monkeypatch):
+    """A NOT_COMPACT verdict runs one double description, the closure's:
+    the local tests insert the gauge's rows into the closure's edges and
+    make no ``cone_from_rows`` call.  Over 300 corpus seeds and random
+    instances at d = 4..6, on fresh values, build and decide of every
+    NOT_COMPACT instance call ``cone_from_rows`` exactly once, on the
+    homogenized rows of the region, and escaped extreme points are among
+    the witnesses."""
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(8)]
+    real = polyhedron.cone_from_rows
+    calls = []
+
+    def counting(rows, dim):
+        calls.append((list(rows), dim))
+        return real(rows, dim)
+
+    for module in (polyhedron, norm_module, compactness):
+        if getattr(module, "cone_from_rows", None) is real:
+            monkeypatch.setattr(module, "cone_from_rows", counting)
+    kinds = []
+    for q, region in cases:
+        calls.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is not Verdict.NOT_COMPACT:
+            continue
+        d = region.dim
+        homogenized = [(*c, -b) for c, b in region._closed_rows] + [(0,) * d + (-1,)]
+        assert calls == [(homogenized, d + 1)], (q, region, len(calls))
+        kinds.append(type(cert.witness))
+    assert kinds.count(EscapedExtremePoint) >= 50 and kinds.count(BadRecessionDirection) >= 50, len(kinds)
 
 
 def _lattice_balls(count: int):
@@ -348,7 +433,8 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
     the reference catalog, 90 corpus seeds and d=4 lattice balls, every
     pointed-cone run (the facet conversions among them) happens inside a
     ``cone_from_rows`` call, and every generator that call returns is an
-    int tuple."""
+    int tuple.  (The local tangent-cone tests start the insertion loop
+    ``_cut`` from the closure's edges and run no pointed cone.)"""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(30)]
     cases += _lattice_balls(8)
@@ -377,7 +463,7 @@ def test_every_dd_enters_through_cone_from_rows(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "_pointed_cone_rays", pointed)
     monkeypatch.setattr(polyhedron, "_int_facets", facets)
-    for module in (polyhedron, norm_module, compactness):
+    for module in (polyhedron, norm_module):
         monkeypatch.setattr(module, "cone_from_rows", entry)
     for q, region in cases:
         inst = Instance.build(q, region)

@@ -49,6 +49,7 @@ from support import (
     ref_rank,
     ref_support_value,
     ref_tight_masks,
+    with_redundant_rows,
 )
 
 F = Fraction
@@ -487,8 +488,11 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
     frozen ``ref_pointed_cone_rays``) returns.  Inputs: every pointed run of
     build, decide and T1-T6 over 90 corpus seeds, random instances at
     d = 4..7 and one-norm lattice balls at d = 3..5; the degenerate cones of
-    ``test_pointed_cone_rays_match_enumeration_oracle``; and rank-deficient
-    rows, where both return None."""
+    ``test_pointed_cone_rays_match_enumeration_oracle``; random rows at
+    d = 2..7 with a duplicate and a rescaled copy (the local tangent-cone
+    tests of the pipeline start from the closure's edges and run no base,
+    so these keep the pointed count up); and rank-deficient rows, where
+    both return None."""
     from asymgeo.cli.generators import gen_lattice_norm, gen_random_instance
     from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems
     from asymgeo.norm import Closedness, ball
@@ -529,6 +533,11 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
             coeffs = [rng.randint(-2, 2) for _ in span]
             rows.append(tuple(int(sum(a * v[t] for a, v in zip(coeffs, span))) for t in range(d)))
         inputs.append((polyhedron._prepare_rows(rows), d))
+    for _ in range(80):
+        d = rng.randint(2, 7)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, 2 * d + 3))]
+        rows += [rng.choice(rows), tuple(2 * a for a in rng.choice(rows))]
+        inputs.append((rows, d))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the double description ran _reduce")
@@ -542,6 +551,43 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
         assert got == ref_pointed_cone_rays(rows, dim), (dim, rows)
         kinds["pointed" if got is not None else "rank below dim"] += 1
     assert kinds["pointed"] >= 200 and kinds["rank below dim"] >= 60, kinds
+
+
+def test_insertion_from_a_cone_s_rays_is_the_cold_run():
+    """``_cut`` started from a pointed cone's extreme rays and their masks
+    (the frozen lexicographic run ``ref_pointed_cone_rays`` on the first
+    rows, and ``ref_tight_masks``) and handed the other rows returns the
+    extreme rays of the cold run on all rows, sorted, each with the mask of
+    every row tight on it.  Random cones at d = 2..6, among them
+    lower-dimensional ones (a row and its negative), with duplicate,
+    rescaled and zero rows, before or after the split, and rows that cut
+    the cone down to {0}."""
+    rng = random.Random(97)
+    kinds = {"flat": 0, "zero": 0, "empty": 0, "checked": 0}
+    while kinds["checked"] < 150:
+        d = rng.randint(2, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, 2 * d + 2))]
+        if rng.random() < 0.3:
+            rows.append(tuple(-a for a in rng.choice(rows)))
+        if rng.random() < 0.4:
+            rows += [rng.choice(rows), tuple(3 * a for a in rng.choice(rows))]
+        if rng.random() < 0.3:
+            rows.append((0,) * d)
+        rng.shuffle(rows)
+        split = rng.randint(d, len(rows))
+        if ref_rank(rows[:split]) < d:
+            continue
+        rays = ref_pointed_cone_rays(rows[:split], d)
+        masks = ref_tight_masks([(r, 0) for r in rows[:split]], [(g, 1) for g in rays])
+        got = polyhedron._cut(rays, masks, enumerate(rows[split:], split), d)
+        expected = ref_pointed_cone_rays(rows, d)
+        full = ref_tight_masks([(r, 0) for r in rows], [(g, 1) for g in expected])
+        assert got == (expected, list(full)), (d, rows, split)
+        kinds["checked"] += 1
+        kinds["flat"] += any(vneg(r) in rows for r in rows if any(r))
+        kinds["zero"] += (0,) * d in rows
+        kinds["empty"] += not expected
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_cone_from_rows_takes_int_rows_as_their_rational_copies():
@@ -1027,27 +1073,6 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     assert not stray, stray
 
 
-def _with_redundant_rows(rng: random.Random, poly: Polyhedron):
-    """The facets of ``poly`` (or ``0 <= 0`` when it is the whole space) with
-    duplicate, positively rescaled, implied and ``0 <= 1`` rows added,
-    shuffled: another inequality description of the same set."""
-    d = poly.dim
-    base = list(poly.hrep) or [(zero_vec(d), F(0))]
-    rows = list(base)
-    for _ in range(rng.randint(1, 4)):
-        (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
-        s = F(rng.randint(1, 5), rng.randint(1, 3))
-        rows += [
-            (c1, b1),                                             # duplicate
-            (tuple(s * a for a in c1), s * b1),                   # positive rescaling
-            (tuple(a + b for a, b in zip(c1, c2)), b1 + b2),      # implied by two rows
-            (c2, b2 + F(rng.randint(0, 3))),                      # implied, maybe slack
-        ]
-    rows.append((zero_vec(d), F(1)))                              # 0 <= 1
-    rng.shuffle(rows)
-    return rows
-
-
 def test_seeded_rows_answer_as_the_facets_do():
     """The closure's incidence predicates read the region's own rows, which
     may repeat, rescale, imply or trivially hold; every answer equals the
@@ -1060,7 +1085,7 @@ def test_seeded_rows_answer_as_the_facets_do():
         rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
         if rays and rng.random() < 0.4:
             rays.append(vneg(rays[0]))
-        rows = _with_redundant_rows(rng, Polyhedron(d, verts, rays))
+        rows = with_redundant_rows(rng, Polyhedron(d, verts, rays))
         hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
         assert len(hull._rows) == len(rows)
         facets = Polyhedron(d, hull.vertices, hull.rays)
@@ -1084,7 +1109,7 @@ def test_conversion_masks_survive_degenerate_rows():
     """The closure's masks are the DD's incidence mapped back to the region's
     own rows, and the facet conversion's are transposed to its generators:
     on regions whose rows repeat, rescale, imply or trivially hold
-    (``_with_redundant_rows``), with random strict flags and the rows
+    (``with_redundant_rows``), with random strict flags and the rows
     ``0 < 1``, ``0 <= 0`` and sometimes ``0 < 0`` added, at d = 1..4 with and without
     lines, the seeded masks equal ``ref_tight_masks`` on the same rows, a
     vertex lies in the region iff no strict row is tight on it (``member``),
@@ -1100,7 +1125,7 @@ def test_conversion_masks_survive_degenerate_rows():
             rays.append(vneg(rays[0]))
         poly = Polyhedron(d, verts, rays)
         zero = zero_vec(d)
-        rows = [Constraint(c, b, rng.random() < 0.3) for c, b in _with_redundant_rows(rng, poly)]
+        rows = [Constraint(c, b, rng.random() < 0.3) for c, b in with_redundant_rows(rng, poly)]
         rows += [Constraint(zero, F(1), True), Constraint(zero, F(0), False)]  # 0 < 1, 0 <= 0
         void = rng.random() < 0.1
         if void:
@@ -1112,7 +1137,7 @@ def test_conversion_masks_survive_degenerate_rows():
         if hull is None:
             kinds["empty"] += 1
             continue
-        assert vars(poly)["_rows"] is poly._int_hrep  # its facets, converted for _with_redundant_rows
+        assert vars(poly)["_rows"] is poly._int_hrep  # its facets, converted for with_redundant_rows
         for p in (hull, poly):
             assert vars(p)["_vert_masks"] == ref_tight_masks(p._rows, p._verts), p
             assert vars(p)["_ray_masks"] == ref_tight_masks(p._rows, [(r, 0) for r in p._rays]), p
@@ -1145,7 +1170,7 @@ def test_incidence_extremality_matches_lp_reference():
         rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 3))]
         if rays and rng.random() < 0.3:
             rays.append(vneg(rays[0]))
-        rows = _with_redundant_rows(rng, Polyhedron(d, verts, rays))
+        rows = with_redundant_rows(rng, Polyhedron(d, verts, rays))
         hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
         assert hull.__dict__["_has_line"] == (ref_rank([c for c, _ in rows]) < d)
         pts, rds = list(hull.vertices), list(hull.rays)

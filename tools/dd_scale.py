@@ -2,19 +2,28 @@
 
 Each family is built and decided (``Instance.build`` then
 ``decide_compact``) with ``polyhedron.cone_from_rows``, the one entry to the
-double description, wrapped under every name that holds it, and each
-COMPACT instance then runs the checks T1-T6 (``verify_theorems``).
+double description, and ``polyhedron._cut``, its insertion loop, wrapped
+under every name that holds them, and each COMPACT instance then runs the
+checks T1-T6 (``verify_theorems``).
 A line holds the family, its instance count, the ``cone_from_rows`` calls
 of build and decide, the rays they returned, the wall time spent inside
-them (``dd_s``), the wall time of build and decide over the family
-(``total_s``), its COMPACT count, the wall time of their T1-T6
-(``checks_s``), so ``total_s + checks_s`` is the whole pipeline, and the
-vertex-to-facet conversions (``polyhedron._int_facets`` runs) of decide
-and T1-T6 together (``facet_dds``).  Report only: it checks no answer and
-gates nothing.  Standard library only; it imports the package from the
-``src`` next to it.
+them (``dd_s``), the ``_cut`` runs of build and decide outside a
+``cone_from_rows`` call (the local tangent-cone tests, which start from the
+closure's edges) and their wall time (``cut_calls``, ``cut_s``), the wall
+time of build and decide over the family (``total_s``), its COMPACT count,
+the wall time of their T1-T6 (``checks_s``), so ``total_s + checks_s`` is
+the whole pipeline, and the vertex-to-facet conversions
+(``polyhedron._int_facets`` runs) of decide and T1-T6 together
+(``facet_dds``).  With ``--repeat N`` each family runs N times on freshly
+made values (closures and degeneracy cones are memoized on them); each time
+is then the least of the N (``dd_s``, ``cut_s``, ``total_s``,
+``checks_s``), with the median next to it (``dd_s_median`` and so on), and
+the counts are those of the first run.  Wall-clock times move with the
+host's speed, so parent/change comparisons want several repeats and runs
+that alternate.  Report only: it checks no answer and gates nothing.
+Standard library only; it imports the package from the ``src`` next to it.
 
-    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6]
+    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3]
 
 The families are random instances at each dimension d (the seeds
 ``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
@@ -28,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -57,31 +67,60 @@ def closed_balls(d: int) -> list:
     return cases
 
 
-def measure(family: str, cases) -> dict:
-    """Build and decide every (gauge, region) of ``cases``, counting the DD,
-    then check each COMPACT one; the cases are made before, so the
-    generator's own work is not counted, and the checks' DD runs are not,
-    except in ``facet_dds``, which counts the facet conversions of both."""
-    real, real_facets = polyhedron.cone_from_rows, polyhedron._int_facets
-    stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "facet_dds": 0}
-    counted = [True]
+TIMES = ("dd_s", "cut_s", "total_s", "checks_s")
+
+
+def measure(family: str, make_cases, repeat: int = 1) -> dict:
+    """The report line of ``repeat`` runs (``run``), each on the fresh
+    values ``make_cases()`` returns: the first run's counts, and per time
+    the least and the median over the runs."""
+    runs = [run(make_cases()) for _ in range(repeat)]
+    out = {"family": family, **{k: v for k, v in runs[0].items() if k not in TIMES}}
+    for key in TIMES:
+        values = [r[key] for r in runs]
+        out[key] = round(min(values), 4)
+        out[f"{key}_median"] = round(statistics.median(values), 4)
+    return out
+
+
+def run(cases) -> dict:
+    """Build and decide every (gauge, region) of ``cases``, counting the DD
+    and the insertion loop, then check each COMPACT one; the cases are made
+    before, so the generator's own work is not counted, and the checks' DD
+    runs are not, except in ``facet_dds``, which counts the facet
+    conversions of both."""
+    real, real_cut, real_facets = polyhedron.cone_from_rows, polyhedron._cut, polyhedron._int_facets
+    stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "cut_calls": 0, "cut_s": 0.0, "facet_dds": 0}
+    counted, inside = [True], [0]
 
     def facets(poly):
         stats["facet_dds"] += 1
         return real_facets(poly)
 
     def counting(rows, dim):
+        inside[0] += 1
         start = time.perf_counter()
         result = real(rows, dim)
+        inside[0] -= 1
         if counted[0]:
             stats["dd_s"] += time.perf_counter() - start
             stats["calls"] += 1
             stats["rays_out"] += len(result[0])
         return result
 
-    modules = [m for m in (polyhedron, norm, compactness) if getattr(m, "cone_from_rows", None) is real]
-    for module in modules:
-        module.cone_from_rows = counting
+    def cutting(*args):
+        start = time.perf_counter()
+        result = real_cut(*args)
+        if counted[0] and not inside[0]:
+            stats["cut_s"] += time.perf_counter() - start
+            stats["cut_calls"] += 1
+        return result
+
+    wraps = (("cone_from_rows", real, counting), ("_cut", real_cut, cutting))
+    wrapped = [(m, name, fn, wrap) for name, fn, wrap in wraps
+               for m in (polyhedron, norm, compactness) if getattr(m, name, None) is fn]
+    for module, name, _, wrap in wrapped:
+        setattr(module, name, wrap)
     polyhedron._int_facets = facets
     count = compact = 0
     total_s = checks_s = 0.0
@@ -100,13 +139,12 @@ def measure(family: str, cases) -> dict:
                 counted[0] = True
                 compact += 1
     finally:
-        for module in modules:
-            module.cone_from_rows = real
+        for module, name, fn, _ in wrapped:
+            setattr(module, name, fn)
         polyhedron._int_facets = real_facets
-    return {"family": family, "instances": count, "cone_from_rows_calls": stats["calls"],
-            "rays_out": stats["rays_out"], "dd_s": round(stats["dd_s"], 4),
-            "total_s": round(total_s, 4), "compact": compact, "checks_s": round(checks_s, 4),
-            "facet_dds": stats["facet_dds"]}
+    return {"instances": count, "cone_from_rows_calls": stats["calls"], "rays_out": stats["rays_out"],
+            "dd_s": stats["dd_s"], "cut_calls": stats["cut_calls"], "cut_s": stats["cut_s"],
+            "total_s": total_s, "compact": compact, "checks_s": checks_s, "facet_dds": stats["facet_dds"]}
 
 
 def main(argv=None) -> int:
@@ -117,14 +155,18 @@ def main(argv=None) -> int:
                         help="segment counts of the arc-hull families (default 64 256)")
     parser.add_argument("--balls", type=int, nargs="*", default=[],
                         help="dimensions of the closed one-norm lattice ball families (default none)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs per family; times report the least and the median (default 1)")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     for d in args.dims:
-        cases = [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
-        print(json.dumps(measure(f"random-d{d}", cases)), flush=True)
+        cases = lambda d=d: [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
+        print(json.dumps(measure(f"random-d{d}", cases, args.repeat)), flush=True)
     for n_arc in args.arcs:
-        print(json.dumps(measure(f"arc-{n_arc}", [gen_arc_hull(n_arc)])), flush=True)
+        print(json.dumps(measure(f"arc-{n_arc}", lambda n=n_arc: [gen_arc_hull(n)], args.repeat)), flush=True)
     for d in args.balls:
-        print(json.dumps(measure(f"ball-d{d}", closed_balls(d))), flush=True)
+        print(json.dumps(measure(f"ball-d{d}", lambda d=d: closed_balls(d), args.repeat)), flush=True)
     return 0
 
 
