@@ -23,7 +23,13 @@ would be reported UNKNOWN rather than guessed.
 
 Only a COMPACT verdict needs C and closure(K) + C themselves: for the
 center, the sandwich and the checks T1, T3 and T4.  Both are computed on
-first use.  A NOT_COMPACT verdict builds neither, and it runs one double
+first use, and C is memoized on the gauge.  A COMPACT verdict reads C off
+the closure when every nonzero row normal of the closure is a positive
+multiple of a functional, as a gauge ball's rows are: C lies in the
+closure's recession cone row by row, (a) gives the other inclusion, so
+the closure's rays are C's generators and C's own double description
+never runs; a COMPACT closed ball runs one, its closure's.  A NOT_COMPACT
+verdict builds neither C nor closure(K) + C, and it runs one double
 description, the closure's.  It reads everything off the closure's
 generators and masks, the region's own rows and the gauge's functionals:
 (a) through the closure's recession cone, and (b), once (a) holds, through
@@ -55,7 +61,10 @@ The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
 its closure already holds C's directions, so adding C builds no new set,
 its center is S again, and its saturated hull is its closure, the value
-closure(K) + C.  closure(K) + C is the closure or has its facets as its
+closure(K) + C, whose recession cone and extreme flags are memoized on
+it: T6 evaluates no gauge on its rays, which are C's generators, and for
+a ball, whose closure(K) + C is the closure, it re-derives neither.
+closure(K) + C is the closure or has its facets as its
 rows, with their masks, and these are the rows of K + C, whose strict
 flags are read off those masks; so T4's ``is_closed``, T6's vertex tests
 and T6's sandwich read masks and scan nothing.
@@ -78,7 +87,6 @@ from asymgeo.polyhedron import (
     PartialPolyhedron,
     Polyhedron,
     _cut,
-    _extreme_flags,
     _int_member,
     _meets_face,
     _own_rows,
@@ -139,7 +147,8 @@ class Instance:
     cone are computed on first use; only a COMPACT verdict and the
     structure checks need them (the center, the sandwich, T1, T3 and T4),
     so a NOT_COMPACT verdict builds neither.  The cone is memoized on the
-    gauge as well, so T6's instance on the same gauge reuses it.  One memo
+    gauge, so T6's instance on the same gauge reuses it, and a COMPACT
+    decision reads it off the closure where it can.  One memo
     is not part of the value: ``_verified_sums`` maps each core whose
     sandwich ``decide_compact`` verified on this instance to core + cone,
     the saturated hull.  It is keyed by the core value itself; a center
@@ -162,7 +171,10 @@ class Instance:
 
     @cached_property
     def degeneracy(self) -> Cone:
-        """The degeneracy cone of the gauge (``degeneracy_cone``)."""
+        """The degeneracy cone of the gauge (``degeneracy_cone``), memoized on
+        the gauge: a COMPACT decision whose closure rows are all gauge rows
+        (a closed ball) seeds it with the closure's rays, and any other read
+        runs the double description of the functionals."""
         return degeneracy_cone(self.norm)
 
     @cached_property
@@ -204,7 +216,7 @@ def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
 def _region_extreme(inst: Instance) -> Iterator[tuple[Sequence[int], int]]:
     """The stored closure vertices (y, t) that ``region_extreme_points`` returns, lazily."""
     hull = inst.hull
-    return ((y, t) for (y, t), keep, inside in zip(hull._verts, _extreme_flags(hull), inst._inside)
+    return ((y, t) for (y, t), keep, inside in zip(hull._verts, hull._extreme_flags, inst._inside)
             if keep and inside)
 
 
@@ -292,12 +304,23 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     """Verdict plus certificate; see the module docstring for the criterion.
 
     Witnesses are deterministic: directions and points are examined in
-    sorted order and the first violation is reported.  Once every recession
+    sorted order and the first violation is reported.  No direction is
+    evaluated when the gauge already holds C and every one is a generator of
+    C (gauge 0): T6's second decision on a COMPACT instance, whose closure
+    is the first one's closure + C.  Once every recession
     direction of the closure P has gauge 0, rec(P) lies in the pointed cone
     C, so P is pointed and P + C is line-free with its vertices among P's:
     the escaped extreme point is the first vertex of P that misses the
     region and passes the local test of ``_extreme_in_saturation``, and
-    closure + C is built only when no vertex escapes.  It is then the center
+    closure + C is built only when no vertex escapes.  Before it is built,
+    C is read off P when every nonzero row normal of P (``hull._rows``) is
+    a positive multiple of a functional (their primitive forms are equal):
+    then C <= rec(P) row by row, and rec(P) <= C, so C = rec(P), and P's
+    rays, sorted, primitive and extreme, are C's generators, the double
+    description's of the functional rows (Fukuda & Prodon 1996).  They
+    seed the gauge's memo, so a COMPACT ball runs one double description,
+    its closure's.  Only this path seeds it, so a NOT_COMPACT verdict leaves
+    C unbuilt.  closure + C is then the center
     plus C: the center is its vertices, and its rays must be C's generators
     (a broken invariant otherwise), so the sandwich checks the region
     against its rows (the closure's own when it is the closure, which
@@ -305,16 +328,24 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     the stored ints of the cone, the gauge and the vertices; only the
     witness becomes ``Fraction``s.
     """
-    rec = recession_cone(inst.hull)
-    directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
-    for d in sorted(directions):
-        if any(sum(map(mul, a, d)) > 0 for a in inst.norm._rows):  # q(d) > 0
-            return CompactnessCertificate(Verdict.NOT_COMPACT,
-                                          witness=BadRecessionDirection(_point(d, 1)))
-    hull = inst.hull
+    hull, q = inst.hull, inst.norm
+    rec = recession_cone(hull)
+    known = vars(q).get("_degeneracy")
+    # C's generators have gauge 0, so a closure whose rays they all are has no escaping direction
+    if rec._lin or known is None or not set(rec._gens) <= set(known._gens):
+        directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
+        for d in sorted(directions):
+            if any(sum(map(mul, a, d)) > 0 for a in q._rows):  # q(d) > 0
+                return CompactnessCertificate(Verdict.NOT_COMPACT,
+                                              witness=BadRecessionDirection(_point(d, 1)))
     for k, ((y, t), inside) in enumerate(zip(hull._verts, inst._inside)):
         if not inside and _extreme_in_saturation(inst, k):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
+    if known is None:
+        gauge = set(map(_primitive, q._rows))
+        if all(_primitive(c) in gauge for c, _ in hull._rows if any(c)):
+            # C <= rec(P) row by row, and rec(P) <= C since no direction escaped
+            vars(q)["_degeneracy"] = Cone._make(dim=q.dim, _gens=hull._rays, _lin=())
     core = center_candidate(inst)
     sat = inst.saturated
     if sat._rays != inst.degeneracy._gens:

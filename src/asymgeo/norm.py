@@ -122,7 +122,11 @@ def degeneracy_cone(norm: AsymNorm) -> Cone:
 
     Pointedness is guaranteed by the definiteness check every gauge value passed,
     so the double description of the functional rows never yields
-    lineality.  Memoized on the gauge value.
+    lineality.  Memoized on the gauge value: a COMPACT decision whose
+    closure's nonzero row normals are all positive multiples of functionals
+    (a closed ball's are) seeds it with the closure's rays, which are then
+    the cone's generators (``decide_compact``), and no double description
+    runs for it; otherwise the first read runs the functionals' one.
     """
     return norm._degeneracy
 

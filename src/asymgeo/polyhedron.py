@@ -47,8 +47,9 @@ meets a face of its closure iff no strict row is tight on every generator
 of the face (``_meets_face``, which reads the face of one of the closure's
 own rows off the masks as well).  ``_within`` takes one OR over the vertex
 masks where the region's rows are the polyhedron's own, and scans support
-values (``_scan_support``, one per row) against any other rows.  The masks
-and the line test are memoized on the value.
+values (``_scan_support``, one per row) against any other rows.  The masks,
+the line test, the extreme flags and the recession cone are memoized on the
+value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -318,6 +319,31 @@ class Polyhedron(_Value):
         reads no row, and ``dd_convert_h_to_v`` and ``minkowski_sum_with_cone``
         seed the answer they already know."""
         return bool(self._rays) and (1 << len(self._rows)) - 1 in self._ray_masks
+
+    @cached_property
+    def _recession(self) -> Cone:
+        """``recession_cone``, made once per value."""
+        if not self._rays:
+            return Cone._make(dim=self.dim, _gens=(), _lin=())
+        full = (1 << len(self._rows)) - 1
+        lin_members = [r for r, m in zip(self._rays, self._ray_masks) if m == full]
+        basis = ()
+        if lin_members:
+            work, pivots, _ = _reduce(lin_members)
+            basis = tuple(map(_primitive, work[:len(pivots)]))
+        return Cone._make(dim=self.dim, _gens=self._rays, _lin=basis)
+
+    @cached_property
+    def _extreme_flags(self) -> Sequence[bool]:
+        """Per listed vertex, whether it is extreme (see ``extreme_points``);
+        a pruned sum seeds all true."""
+        return _maximal(self._vert_masks, self._ray_masks)
+
+    @cached_property
+    def _extreme_ray_flags(self) -> Sequence[bool]:
+        """Per listed ray, whether it is extreme (see ``extreme_rays``), as
+        ``_extreme_flags``."""
+        return _maximal(self._ray_masks)
 
 
 def _seeded_masks(poly: Polyhedron, name: str) -> tuple[int, ...]:
@@ -842,17 +868,11 @@ def recession_cone(poly: Polyhedron) -> Cone:
 
     The rays tight on every ``_rows`` row span the lineality, and its basis
     is their reduced row echelon form, each row made primitive; a polytope's
-    cone is {0}, and no rows are needed.  Built from the int rays as they are.
+    cone is {0}, and no rows are needed.  Built from the int rays as they
+    are, and memoized on the value, so a second decision on the same
+    closure (T6 on a set that is its own saturated hull) reads it again.
     """
-    if not poly._rays:
-        return Cone._make(dim=poly.dim, _gens=(), _lin=())
-    full = (1 << len(poly._rows)) - 1
-    lin_members = [r for r, m in zip(poly._rays, poly._ray_masks) if m == full]
-    basis = ()
-    if lin_members:
-        work, pivots, _ = _reduce(lin_members)
-        basis = tuple(map(_primitive, work[:len(pivots)]))
-    return Cone._make(dim=poly.dim, _gens=poly._rays, _lin=basis)
+    return poly._recession
 
 
 def contains_line(poly: Polyhedron) -> bool:
@@ -872,12 +892,7 @@ def extreme_points(poly: Polyhedron) -> tuple[Vec, ...]:
     redundant rows included.  A set containing a line has none: a ray in the
     lineality is tight on every row.
     """
-    return tuple(compress(poly.vertices, _extreme_flags(poly)))
-
-
-def _extreme_flags(poly: Polyhedron) -> list[bool]:
-    """Per listed vertex, whether it is extreme (see ``extreme_points``)."""
-    return _maximal(poly._vert_masks, poly._ray_masks)
+    return tuple(compress(poly.vertices, poly._extreme_flags))
 
 
 def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
@@ -889,7 +904,7 @@ def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    rays = compress(poly.rays, _maximal(poly._ray_masks))
+    rays = compress(poly.rays, poly._extreme_ray_flags)
     return tuple(sorted(vscale(1 / abs(next(a for a in r if a != 0)), r) for r in rays))
 
 
@@ -907,10 +922,10 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     keeps every generator the sum is the union value itself: a line-free
     closure that the cone adds no direction to is its own sum, rows and
     masks and all, so no vertex-to-facet conversion runs for it.  A pruned
-    sum is a new value, known to be line-free; where the union's rows are
-    its facets it shares them (``_rows`` and ``_int_hrep``) and keeps the
-    masks of the generators it keeps, and otherwise its first incidence
-    read converts its facets.
+    sum is a new value, known to be line-free with every listed generator
+    extreme; where the union's rows are its facets it shares them (``_rows``
+    and ``_int_hrep``) and keeps the masks of the generators it keeps, and
+    otherwise its first incidence read converts its facets.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
@@ -921,11 +936,12 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
         total = Polyhedron._make(dim=poly.dim, _verts=poly._verts, _rays=tuple(sorted(rays)))
     if contains_line(total):
         return total
-    keep, ray_keep = _extreme_flags(total), _maximal(total._ray_masks)
+    keep, ray_keep = total._extreme_flags, total._extreme_ray_flags
     if all(keep) and all(ray_keep):
         return total
-    out = Polyhedron._make(dim=poly.dim, _verts=tuple(compress(total._verts, keep)),
-                           _rays=tuple(compress(total._rays, ray_keep)), _has_line=False)
+    verts, rays = tuple(compress(total._verts, keep)), tuple(compress(total._rays, ray_keep))
+    out = Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays, _has_line=False,
+                           _extreme_flags=(True,) * len(verts), _extreme_ray_flags=(True,) * len(rays))
     if vars(total).get("_int_hrep") is total._rows:
         vars(out).update(_rows=total._rows, _int_hrep=total._rows, _vert_masks=tuple(compress(total._vert_masks, keep)),
                          _ray_masks=tuple(compress(total._ray_masks, ray_keep)))

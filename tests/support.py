@@ -698,3 +698,23 @@ def ref_extreme_in_saturation(inst, mask: int) -> bool:
     rows = inst.hull._rows
     tight = [rows[j][0] for j in range(len(rows)) if mask >> j & 1]
     return cone_from_rows([*tight, *inst._minus_functionals], inst.norm.dim)[:2] == ((), ())
+
+
+# ---------------------------------------------------------------------------
+# Reference predicate: when a COMPACT decision reads C off the closure
+# ---------------------------------------------------------------------------
+# ``decide_compact`` seeds the gauge's degeneracy cone with the closure's rays
+# when every nonzero row normal of the closure is a positive multiple of a
+# functional, which it tests on primitive forms.  This one tests parallelism
+# by 2x2 minors and the sign by a dot product, with no gcd.
+
+
+def ref_rows_are_gauge_rows(norm, region) -> bool:
+    """Is every nonzero row normal of the region (``region._rows``) a
+    positive multiple of some functional of the gauge (``norm._rows``)?"""
+
+    def positive_multiple(c, a):
+        return sum(map(mul, c, a)) > 0 and all(
+            c[i] * a[j] == c[j] * a[i] for i in range(len(c)) for j in range(i))
+
+    return all(any(positive_multiple(c, a) for a in norm._rows) for c, _, _ in region._rows if any(c))

@@ -27,9 +27,9 @@ from asymgeo.compactness import (
 )
 from asymgeo import compactness, polyhedron, ratlp
 from asymgeo import norm as norm_module
-from asymgeo.cli.generators import gen_random_instance, gen_random_norm, gen_random_region
+from asymgeo.cli.generators import gen_lattice_norm, gen_random_instance, gen_random_norm, gen_random_region
 from asymgeo.cli.instances import parse_instance, write_instance
-from asymgeo.cli.suite import reference_catalog
+from asymgeo.cli.suite import _check, reference_catalog
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval, make_norm
 from asymgeo.polyhedron import (
     Cone,
@@ -58,6 +58,7 @@ from support import (
     affine_image,
     interval,
     interval_compact_oracle,
+    rand_fraction,
     rand_point,
     ref_attributes,
     ref_extreme_in_saturation,
@@ -65,6 +66,7 @@ from support import (
     ref_meets_face,
     ref_member,
     ref_repr,
+    ref_rows_are_gauge_rows,
     ref_saturate_region,
     ref_support_value,
     ref_tight_masks,
@@ -188,7 +190,10 @@ def test_only_a_compact_verdict_builds_the_degeneracy_cone(monkeypatch):
     values, a NOT_COMPACT verdict and its report make no
     ``degeneracy_cone`` call and leave ``Instance.degeneracy`` unbuilt,
     while a COMPACT verdict with T1-T6 runs C's double description once
-    per gauge value, though T6 builds a second instance on the gauge."""
+    per gauge value, though T6 builds a second instance on the gauge, and
+    not at all when every nonzero region row normal is a positive multiple
+    of a functional (``ref_rows_are_gauge_rows``): C is then read off the
+    closure."""
     cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
     cases += [gen_random_instance(4, 4000 + k) for k in range(8)]
     cones, dds = [], []
@@ -216,8 +221,207 @@ def test_only_a_compact_verdict_builds_the_degeneracy_cone(monkeypatch):
             assert not cones and not dds and "degeneracy" not in vars(inst)
         else:
             assert cert.verdict is Verdict.COMPACT
-            assert len(dds) == 1 and "degeneracy" in vars(inst) and set(map(id, cones)) == {id(q)}
+            expected = 0 if ref_rows_are_gauge_rows(q, region) else 1
+            assert len(dds) == expected and "degeneracy" in vars(inst) and set(map(id, cones)) == {id(q)}
     assert verdicts.count(Verdict.COMPACT) >= 50 and verdicts.count(Verdict.NOT_COMPACT) >= 200
+
+
+# the gauge x v y v (x + y) and the triangle x <= 1, y <= 1, -x - y <= 5: the
+# row -x - y is a negative multiple of the functional x + y, so C (the
+# negative quadrant) is not the closure's recession cone {0}, and the
+# center is the one vertex (1, 1) of closure + C, not the triangle
+_NEGATIVE_MULTIPLE = (make_norm(2, [(1, 0), (0, 1), (1, 1)]), PartialPolyhedron(2, (
+    Constraint((F(1), F(0)), F(1), False),
+    Constraint((F(0), F(1)), F(1), False),
+    Constraint((F(-1), F(-1)), F(5), False),
+)))
+
+
+def _gauge_row_cases():
+    """(gauge, region) pairs whose rows are, all or in part, gauge rows: the
+    reference catalog, 900 corpus seeds, closed and open one-norm and sup
+    lattice balls at d = 2..5, closed balls of 100 random gauges at
+    d = 1..4 (radius 0 among them), intersections of two balls of one
+    gauge, regions cut by a proper subset of the functionals (rescaled),
+    and ``_NEGATIVE_MULTIPLE``."""
+    rng = random.Random(61)
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
+    for d in (2, 3, 4, 5):
+        for flavor in ("one", "sup"):
+            for closedness in (Closedness.CLOSED, Closedness.OPEN) * 2:
+                q = gen_lattice_norm(d, flavor)
+                radius = F(rng.randint(1, 6), rng.randint(1, 3))
+                cases.append((q, ball(q, rand_point(rng, d), radius, closedness).as_set))
+    for k in range(100):
+        d = 1 + k % 4
+        q = gen_random_norm(d, rng)
+        radius = F(0) if k % 5 == 0 else F(rng.randint(1, 6), rng.randint(1, 3))
+        cases.append((q, ball(q, rand_point(rng, d), radius, Closedness.CLOSED).as_set))
+    for k in range(40):
+        d = 1 + k % 4
+        q = gen_random_norm(d, rng) if k % 2 else gen_lattice_norm(d, "one")
+        rows = []
+        for _ in range(2):
+            closedness = Closedness.OPEN if rng.random() < 0.3 else Closedness.CLOSED
+            radius = F(rng.randint(1, 6), rng.randint(1, 3))
+            rows += ball(q, rand_point(rng, d, span=2), radius, closedness).as_set.constraints
+        region = PartialPolyhedron(d, rows)
+        if closure(region) is not None:
+            cases.append((q, region))
+    for k in range(60):
+        d = 1 + k % 4
+        q = gen_random_norm(d, rng)
+        functionals = list(q.functionals)
+        if len(functionals) < 2:
+            continue
+        if k % 2:  # a positive combination of two functionals leaves C as it is
+            q = make_norm(d, [*functionals, tuple(a + b for a, b in zip(*functionals[:2]))])
+        else:
+            functionals = rng.sample(functionals, rng.randint(1, len(functionals) - 1))
+        rows = [Constraint(tuple(F(scale) * a for a in f), rand_fraction(rng), False)
+                for f, scale in zip(functionals, (rng.randint(1, 4) for _ in functionals))]
+        region = PartialPolyhedron(d, rows)
+        if closure(region) is not None:
+            cases.append((q, region))
+    cases.append(_NEGATIVE_MULTIPLE)
+    return cases
+
+
+def test_degeneracy_cone_read_off_the_closure_is_the_double_description(monkeypatch):
+    """On a fresh gauge value, after ``decide_compact`` and
+    ``verify_theorems``, ``Instance.degeneracy`` and ``degeneracy_cone`` are
+    the double description of the functionals of a fresh gauge value, and C
+    is read off the closure (no double description of the functionals
+    runs) exactly when the verdict is COMPACT and every nonzero region row
+    normal is a positive multiple of a functional
+    (``ref_rows_are_gauge_rows``).  A row that is a negative multiple of a
+    functional takes the double description (``_NEGATIVE_MULTIPLE``)."""
+    real = norm_module.cone_from_rows
+    gauge_dds = []
+
+    def counting(rows, dim):
+        gauge_dds.append(rows)
+        return real(rows, dim)
+
+    monkeypatch.setattr(norm_module, "cone_from_rows", counting)
+    paths = {True: 0, False: 0, "negative multiple": False}
+    for q, region in _gauge_row_cases():
+        q = AsymNorm(q.dim, q.functionals)
+        gauge_dds.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        verify_theorems(inst, cert)
+        compact = cert.verdict is Verdict.COMPACT
+        read_off = "_degeneracy" in vars(q) and not gauge_dds
+        assert read_off == (compact and ref_rows_are_gauge_rows(q, region)), (q, region)
+        assert len(gauge_dds) == (compact and not read_off)
+        gens, lin, _ = real(AsymNorm(q.dim, q.functionals)._rows, q.dim)
+        assert inst.degeneracy is degeneracy_cone(q) == Cone._make(dim=q.dim, _gens=gens, _lin=lin)
+        if compact:
+            paths[read_off] += 1
+        if region is _NEGATIVE_MULTIPLE[1]:
+            assert not read_off and cert.center.vertices == ((1, 1),)
+            paths["negative multiple"] = True
+    assert paths[True] >= 150 and paths[False] >= 100 and paths["negative multiple"], paths
+
+
+def _closed_balls_on_fresh_gauges():
+    """Closed one-norm and sup lattice balls at d = 2..5 and closed balls of
+    random gauges at d = 1..4, each on its own gauge value."""
+    rng = random.Random(73)
+    cases = []
+    for d in (2, 3, 4, 5):
+        for flavor in ("one", "sup"):
+            for _ in range(3):
+                q = gen_lattice_norm(d, flavor)
+                radius = F(rng.randint(1, 6), rng.randint(1, 3))
+                cases.append((q, ball(q, rand_point(rng, d), radius, Closedness.CLOSED).as_set))
+    for k in range(24):
+        q = gen_random_norm(1 + k % 4, rng)
+        radius = F(rng.randint(0, 6), rng.randint(1, 3))
+        cases.append((q, ball(q, rand_point(rng, q.dim), radius, Closedness.CLOSED).as_set))
+    return cases
+
+
+def test_a_compact_closed_ball_runs_one_double_description(monkeypatch):
+    """Each COMPACT closed ball, on a fresh gauge value, runs exactly one
+    ``cone_from_rows`` over build, decide and T1-T6, its closure's (C is
+    read off the closure), and no ``_maximal`` call scans masks that an
+    earlier call scanned, so T6 re-derives no extreme flag the decision
+    found: lattice balls at d = 2..5 and balls of random gauges at d = 1..4."""
+    real, real_maximal = polyhedron.cone_from_rows, polyhedron._maximal
+    calls, scanned = [], []
+
+    def counting(rows, dim):
+        calls.append(rows)
+        return real(rows, dim)
+
+    def maximal(masks, rivals=()):
+        assert not any(masks is m and rivals is r for m, r in scanned), "masks scanned twice"
+        scanned.append((masks, rivals))
+        return real_maximal(masks, rivals)
+
+    for module in (polyhedron, norm_module):
+        monkeypatch.setattr(module, "cone_from_rows", counting)
+    monkeypatch.setattr(polyhedron, "_maximal", maximal)
+    cases = _closed_balls_on_fresh_gauges()
+    for q, region in cases:
+        calls.clear()
+        scanned.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        report = verify_theorems(inst, cert)
+        assert cert.verdict is Verdict.COMPACT and report.all_pass, (q, region)
+        assert len(calls) == 1 and inst.saturated is inst.hull, (q, region, len(calls))
+        assert scanned, (q, region)
+    assert len(cases) == 48
+
+
+def _report_without_rows(q, region) -> str:
+    """``asymgeo check``'s report of the instance, less its ``rows:`` line."""
+    text = _check("ball", q, region).render(include_timing=False)
+    return "".join(line for line in text.splitlines(True) if not line.startswith("rows:"))
+
+
+def test_lattice_ball_reports_survive_row_permutation_duplication_and_rescaling(monkeypatch):
+    """Closed and open one-norm and sup lattice balls at d = 3..5, with their
+    rows permuted, some rows duplicated, every row rescaled by a positive
+    rational, or a row 0 <= 1 added, give the ball's verdict, center and
+    claims (the report less its ``rows:`` line), and each still runs one
+    double description over build, decide and T1-T6, on a fresh gauge."""
+    real = polyhedron.cone_from_rows
+    calls = []
+
+    def counting(rows, dim):
+        calls.append(rows)
+        return real(rows, dim)
+
+    for module in (polyhedron, norm_module):
+        monkeypatch.setattr(module, "cone_from_rows", counting)
+    rng = random.Random(79)
+    verdicts = []
+    for d in (3, 4, 5):
+        for flavor in ("one", "sup"):
+            for closedness in (Closedness.CLOSED, Closedness.OPEN):
+                radius = F(rng.randint(1, 6), rng.randint(1, 3))
+                base = ball(gen_lattice_norm(d, flavor), rand_point(rng, d), radius, closedness).as_set
+                rows = list(base.constraints)
+                variants = [
+                    rng.sample(rows, len(rows)),
+                    rows + rng.sample(rows, rng.randint(1, len(rows))),
+                    [Constraint(tuple(s * a for a in c), s * b, strict)
+                     for (c, b, strict), s in zip(rows, (F(rng.randint(1, 7), rng.randint(1, 5)) for _ in rows))],
+                    rows + [Constraint((F(0),) * d, F(1), False)],
+                ]
+                expected = _report_without_rows(gen_lattice_norm(d, flavor), base)
+                verdicts.append(expected.split("verdict: ")[1].split("\n")[0])
+                for changed in variants:
+                    calls.clear()
+                    region = PartialPolyhedron(d, changed)
+                    assert _report_without_rows(gen_lattice_norm(d, flavor), region) == expected, (d, flavor)
+                    assert len(calls) == 1, (d, flavor, closedness, len(calls))
+    assert verdicts.count("COMPACT") == 6 and verdicts.count("NOT_COMPACT") == 6, verdicts
 
 
 def test_local_test_agrees_with_lp_extremality():

@@ -12,9 +12,11 @@ them (``dd_s``), the ``_cut`` runs of build and decide outside a
 closure's edges) and their wall time (``cut_calls``, ``cut_s``), the wall
 time of build and decide over the family (``total_s``), its COMPACT count,
 the wall time of their T1-T6 (``checks_s``), so ``total_s + checks_s`` is
-the whole pipeline, and the vertex-to-facet conversions
+the whole pipeline, the vertex-to-facet conversions
 (``polyhedron._int_facets`` runs) of decide and T1-T6 together
-(``facet_dds``).  With ``--repeat N`` each family runs N times on freshly
+(``facet_dds``), and the double descriptions of a gauge's functionals,
+its degeneracy cone's, over decide and T1-T6 (``gauge_dds``).  With
+``--repeat N`` each family runs N times on freshly
 made values (closures and degeneracy cones are memoized on them); each time
 is then the least of the N (``dd_s``, ``cut_s``, ``total_s``,
 ``checks_s``), with the median next to it (``dd_s_median`` and so on), and
@@ -28,8 +30,10 @@ Standard library only; it imports the package from the ``src`` next to it.
 The families are random instances at each dimension d (the seeds
 ``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
 hull at each segment count, and eight closed balls of the one-norm lattice
-gauge at each ball dimension, around seeded rational centers.  A closed
-ball is its own saturated hull, so its line reads ``facet_dds`` 0.
+gauge at each ball dimension, around seeded rational centers, each on its
+own gauge value, so no ball reuses the cone another one found.  A closed
+ball is its own saturated hull, and its cone is read off its closure, so
+its line reads ``facet_dds`` 0 and ``gauge_dds`` 0.
 """
 
 from __future__ import annotations
@@ -55,12 +59,13 @@ BALLS_PER_DIM = 8
 
 
 def closed_balls(d: int) -> list:
-    """Closed balls of the one-norm lattice gauge in dimension d, around
-    rational centers and of rational radii drawn from the seed ``1000*d``."""
-    q = gen_lattice_norm(d, "one")
+    """Closed balls of the one-norm lattice gauge in dimension d, each on a
+    gauge value of its own, around rational centers and of rational radii
+    drawn from the seed ``1000*d``."""
     rng = random.Random(1000 * d)
     cases = []
     for _ in range(BALLS_PER_DIM):
+        q = gen_lattice_norm(d, "one")
         center = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
         radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
         cases.append((q, ball(q, center, radius, Closedness.CLOSED).as_set))
@@ -87,17 +92,19 @@ def run(cases) -> dict:
     """Build and decide every (gauge, region) of ``cases``, counting the DD
     and the insertion loop, then check each COMPACT one; the cases are made
     before, so the generator's own work is not counted, and the checks' DD
-    runs are not, except in ``facet_dds``, which counts the facet
-    conversions of both."""
+    runs are not, except in ``facet_dds`` and ``gauge_dds``, which count the
+    facet conversions and the gauges' double descriptions of both."""
     real, real_cut, real_facets = polyhedron.cone_from_rows, polyhedron._cut, polyhedron._int_facets
-    stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "cut_calls": 0, "cut_s": 0.0, "facet_dds": 0}
+    stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "cut_calls": 0, "cut_s": 0.0, "facet_dds": 0, "gauge_dds": 0}
     counted, inside = [True], [0]
+    gauges = [q._rows for q, _ in cases]
 
     def facets(poly):
         stats["facet_dds"] += 1
         return real_facets(poly)
 
     def counting(rows, dim):
+        stats["gauge_dds"] += any(rows is g for g in gauges)
         inside[0] += 1
         start = time.perf_counter()
         result = real(rows, dim)
@@ -144,7 +151,8 @@ def run(cases) -> dict:
         polyhedron._int_facets = real_facets
     return {"instances": count, "cone_from_rows_calls": stats["calls"], "rays_out": stats["rays_out"],
             "dd_s": stats["dd_s"], "cut_calls": stats["cut_calls"], "cut_s": stats["cut_s"],
-            "total_s": total_s, "compact": compact, "checks_s": checks_s, "facet_dds": stats["facet_dds"]}
+            "total_s": total_s, "compact": compact, "checks_s": checks_s, "facet_dds": stats["facet_dds"],
+            "gauge_dds": stats["gauge_dds"]}
 
 
 def main(argv=None) -> int:
