@@ -199,7 +199,8 @@ class Instance:
         """-a for each stored functional a of the gauge: the rows of -C that
         ``_extreme_in_saturation`` inserts at every vertex it tests, in the
         reverse lexicographic order of their primitive forms, the order the
-        double description inserts its rows in (``_pointed_cone_rays``)."""
+        double description inserts the rows of an input in general position
+        in (``_pointed_cone_rays``)."""
         return tuple(sorted(map(vneg, self.norm._rows), key=_primitive, reverse=True))
 
 
@@ -270,7 +271,13 @@ def _extreme_in_saturation(inst: Instance, k: int) -> bool:
     lists its extreme vertices and rays only, with their masks, so the edges
     are read off incidence (Fukuda & Prodon 1996): a generator g is adjacent
     to v iff at least dim - 1 rows are tight on both and no third generator
-    is tight on all of them.  The edge's direction is w - v for a vertex w
+    is tight on all of them.  The third one is looked for only when v is
+    not simple, tight on more than dim rows: the rows tight at a vertex of
+    a pointed P have rank dim, and the mask names every one of them, so a
+    simple vertex's rows are independent, any dim - 1 of them shared by g
+    cut out a line, and P meets it in an edge at v, which g spans (a
+    vertex of it other than v is its far end, a ray its direction).  The
+    edge's direction is w - v for a vertex w
     (t_v y_w - t_w y_v on the stored ints) and the ray itself for a ray,
     tight on the rows of A_v that are tight on both.  Those edges and masks
     are T_P(v)'s double description, so inserting the rows -a_i (``_cut``)
@@ -282,20 +289,23 @@ def _extreme_in_saturation(inst: Instance, k: int) -> bool:
     pool = (*hull._vert_masks, *hull._ray_masks)
     dirs = chain(hull._verts, [(r, 0) for r in hull._rays])
     need = inst.norm.dim - 1
+    simple = mv.bit_count() == inst.norm.dim
     edges, masks = [], []
     for j, ((y, t), m) in enumerate(zip(dirs, pool)):
         common = m & mv
         if j == k or common.bit_count() < need:
             continue
-        holders = 0
-        for h in pool:
-            if h & common == common:
-                holders += 1
-                if holders > 2:
-                    break
-        else:
-            edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
-            masks.append(common)
+        if not simple:
+            holders = 0
+            for h in pool:
+                if h & common == common:
+                    holders += 1
+                    if holders > 2:
+                        break
+            if holders > 2:
+                continue
+        edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
+        masks.append(common)
     minus = enumerate(inst._minus_functionals, len(hull._rows))
     return not _cut(edges, masks, minus, inst.norm.dim)[0]
 

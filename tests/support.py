@@ -486,8 +486,8 @@ def ref_gauge_eval(norm, x):
 # ``asymgeo.ratlp`` (``_pivot``, ``_reduce`` on int rows) and of the earlier
 # ``polyhedron._pointed_cone_rays``, which picked its base by eliminating
 # the whole [rows^T | I] and inserted the other rows in lexicographic order,
-# kept so tests can compare the lazy base and the reverse insertion order
-# against them.  Do not optimize them.
+# kept so tests can compare the lazy base, the insertion order read off it
+# and the simple-ray adjacency shortcut against them.  Do not optimize them.
 
 
 def _ref_int_pivot(tab, i, j, det):

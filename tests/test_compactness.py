@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -51,7 +52,7 @@ from asymgeo.polyhedron import (
     set_equal,
     to_partial,
 )
-from asymgeo.ratlp import vneg
+from asymgeo.ratlp import vneg, zero_vec
 
 from support import (
     REF_PUBLIC,
@@ -463,11 +464,16 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
     full double description of {x : A_v x <= 0, <a_i, x> >= 0} does
     (``ref_extreme_in_saturation``), at every vertex of every line-free
     closure: the reference catalog, 900 corpus seeds, random instances at
-    d = 4..6, open one-norm lattice balls at d = 3..5, the cut vertex of
-    the 16- and 64-segment arc hulls, and closures given by redundant rows
-    (``with_redundant_rows``: duplicate, rescaled, implied and ``0 <= 1``
-    rows, so degenerate vertices) of random polytopes and polyhedra, many
-    of them lower-dimensional, under random gauges and gauges with C = {0}."""
+    d = 4..6, open and closed one-norm lattice balls at d = 3..5, the cut
+    vertex of the 16- and 64-segment arc hulls, and closures given by
+    redundant rows (``with_redundant_rows``: duplicate, rescaled, implied
+    and ``0 <= 1`` rows, so degenerate vertices) of random polytopes and
+    polyhedra, many of them lower-dimensional, under random gauges and
+    gauges with C = {0}; the same rows each tripled, with ``0 <= 0`` rows,
+    and cut by an equation pair (a row and its negative) through a vertex
+    or the interior.  Both sides of the simple-vertex shortcut run:
+    vertices tight on exactly d rows, whose edges skip the holder scan, and
+    vertices tight on more, where the scan decides."""
     from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
 
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
@@ -476,9 +482,9 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
     rng = random.Random(89)
     for d in (3, 4, 5):
         q = gen_lattice_norm(d, "one")
-        for _ in range(3):
+        for closedness in (Closedness.OPEN, Closedness.OPEN, Closedness.OPEN, Closedness.CLOSED):
             center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
-            cases.append((q, ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), Closedness.OPEN).as_set))
+            cases.append((q, ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), closedness).as_set))
     arcs = [gen_arc_hull(16), gen_arc_hull(64)]
     flat = trivial = 0
     for _ in range(120):
@@ -486,14 +492,21 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
         verts = [rand_point(rng, d, span=2) for _ in range(rng.randint(1, d + 1))]
         rays = [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 2))]
         poly = Polyhedron(d, verts, rays)
-        region = PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in with_redundant_rows(rng, poly)))
+        rows = with_redundant_rows(rng, poly)
         q = gen_random_norm(d, rng)
         if rng.random() < 0.5:
             q = make_norm(d, q.functionals + (vneg(tuple(map(sum, zip(*q.functionals)))),))
         trivial += not degeneracy_cone(q).generators
         flat += len(extreme_points(poly)) + len(poly.rays) <= d
-        cases.append((q, region))
+        cases.append((q, PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows))))
+        tripled = [row for row in poly.hrep for _ in range(3)] + [(zero_vec(d), F(0))]
+        e = rand_point(rng, d, span=2, max_den=1)
+        through = rng.choice([*poly.vertices, tuple(sum(x) / len(poly.vertices) for x in zip(*poly.vertices))])
+        pair = [(e, sum(map(mul, e, through))), (vneg(e), -sum(map(mul, e, through)))]
+        for extra in ([], pair):
+            cases.append((q, PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in tripled + extra))))
     answers = {True: 0, False: 0}
+    simple = {True: 0, False: 0}
     for i, (q, region) in enumerate(cases + arcs):
         inst = Instance.build(q, region)
         if contains_line(inst.hull):
@@ -504,7 +517,9 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
             got = compactness._extreme_in_saturation(inst, k)
             assert got == ref_extreme_in_saturation(inst, mask), (q, region, k)
             answers[got] += 1
+            simple[mask.bit_count() == region.dim] += 1
     assert min(answers.values()) >= 500 and flat >= 20 and trivial >= 40, (answers, flat, trivial)
+    assert min(simple.values()) >= 500, simple
 
 
 def test_not_compact_verdict_runs_one_double_description(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -45,6 +46,7 @@ from support import (
     ref_is_closed,
     ref_meets_face,
     ref_member,
+    ref_basis,
     ref_pointed_cone_rays,
     ref_rank,
     ref_support_value,
@@ -484,8 +486,10 @@ def _degenerate_cones():
 
 def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
     """The double description picks its base without ``_reduce`` and inserts
-    the other rows last to first; it returns what the lexicographic run (the
-    frozen ``ref_pointed_cone_rays``) returns.  Inputs: every pointed run of
+    the other rows in the order the base elimination reads off the input
+    (last to first, or first to last on a degenerate one); it returns what
+    the lexicographic run (the frozen ``ref_pointed_cone_rays``) returns,
+    whichever order it took.  Inputs: every pointed run of
     build, decide and T1-T6 over 90 corpus seeds, random instances at
     d = 4..7 and one-norm lattice balls at d = 3..5; the degenerate cones of
     ``test_pointed_cone_rays_match_enumeration_oracle``; random rows at
@@ -553,6 +557,95 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
     assert kinds["pointed"] >= 200 and kinds["rank below dim"] >= 60, kinds
 
 
+def _homogenized(region):
+    """The int rows (c, -b) of a region's closure and ``t >= 0``, in
+    dimension ``region.dim + 1``: the rows of its closure's double description."""
+    return [(*c, -b) for c, b in region._closed_rows] + [(0,) * region.dim + (-1,)]
+
+
+def _ref_nearest_first(rows, dim):
+    """Does the double description insert ``rows`` (rank ``dim``) first to
+    last?  The frozen elimination ``ref_basis`` picks the base out of the
+    rows sorted by their primitive forms; the order is first to last iff it
+    passes over, before its last pick, a nonzero row whose primitive form
+    no earlier row has."""
+    keys = sorted(primitive(r) for r in rows)
+    picks = ref_basis([[int(a) for a in k] for k in keys], dim)[1]
+    return any(any(keys[j]) and keys[j] not in keys[:j] for j in range(picks[-1]) if j not in picks)
+
+
+def test_insertion_order_is_read_off_the_base_elimination(monkeypatch):
+    """A pointed run hands ``_cut`` the non-base rows in the order of their
+    primitive forms (lexicographic, ties by position) when the base
+    elimination passed over a nonzero row that is no copy of the row
+    before it (``_ref_nearest_first``), and in the reverse order otherwise;
+    its rays are the frozen ``ref_pointed_cone_rays`` either way.
+    First to last: the homogenized closed balls of the one-norm lattice
+    gauge at d = 3..6.  Last to first: boxes (balls of the symmetric sup
+    norm), random rows in general position, the 16- and 64-segment arc
+    hulls, and the same random rows at d = 6-7 with their lexicographically
+    first row duplicated (as is or rescaled) and a zero row added, copies
+    the rule must not count.  Runs whose two orders coincide are not
+    counted."""
+    from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
+    from asymgeo.norm import Closedness, ball
+
+    rng = random.Random(71)
+    families = {"one-norm ball": [], "box": [], "general position": [], "arc hull": [], "first row copied": []}
+    for d in (3, 4, 5, 6):
+        q = gen_lattice_norm(d, "one")
+        for _ in range(3):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            region = ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), Closedness.CLOSED).as_set
+            families["one-norm ball"].append((_homogenized(region), d + 1))
+    for d in (1, 2, 3, 4, 5, 6):
+        for _ in range(3):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            rows = []
+            for j in range(d):
+                lo, hi = sorted((center[j] - rng.randint(1, 4), center[j] + rng.randint(1, 4)))
+                rows += [(tuple(F(int(i == j)) for i in range(d)), hi), (tuple(F(-int(i == j)) for i in range(d)), -lo)]
+            region = PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows))
+            families["box"].append((_homogenized(region), d + 1))
+    for _ in range(40):
+        d = rng.randint(2, 7)
+        rows = [tuple(rng.randint(-999, 999) for _ in range(d)) for _ in range(rng.randint(d + 1, 2 * d + 3))]
+        families["general position"].append((rows, d))
+        if d >= 6:
+            first = min(rows, key=primitive)
+            copy = first if rng.random() < 0.5 else tuple(3 * a for a in first)
+            families["first row copied"].append((rows + [copy, (0,) * d], d))
+    for n in (16, 64):
+        families["arc hull"].append((_homogenized(gen_arc_hull(n)[1]), 4))
+
+    handed = []
+    real = polyhedron._cut
+
+    def recording(rays, masks, rows, dim):
+        rows = list(rows)
+        handed.append([i for i, _ in rows])
+        return real(rays, masks, rows, dim)
+
+    monkeypatch.setattr(polyhedron, "_cut", recording)
+    sides = Counter()
+    for family, cases in families.items():
+        for rows, dim in cases:
+            handed.clear()
+            got = polyhedron._pointed_cone_rays(rows, dim)
+            assert got is not None and got[0] == ref_pointed_cone_rays(rows, dim), (family, rows)
+            order = sorted(range(len(rows)), key=lambda i: primitive(rows[i]))
+            base = set(range(len(rows))) - set(handed[0])
+            forward = [i for i in order if i not in base]
+            nearest = _ref_nearest_first(rows, dim)
+            assert handed == [forward if nearest else forward[::-1]], (family, rows)
+            if forward != forward[::-1]:
+                sides[family, nearest] += 1
+    assert set(sides) == {("one-norm ball", True), ("box", False), ("general position", False),
+                          ("arc hull", False), ("first row copied", False)}, sides
+    assert sides["one-norm ball", True] >= 12 and sides["first row copied", False] >= 8, sides
+    assert sides["general position", False] + sides["box", False] >= 40 and sides["arc hull", False] == 2, sides
+
+
 def test_insertion_from_a_cone_s_rays_is_the_cold_run():
     """``_cut`` started from a pointed cone's extreme rays and their masks
     (the frozen lexicographic run ``ref_pointed_cone_rays`` on the first
@@ -561,10 +654,20 @@ def test_insertion_from_a_cone_s_rays_is_the_cold_run():
     every row tight on it.  Random cones at d = 2..6, among them
     lower-dimensional ones (a row and its negative), with duplicate,
     rescaled and zero rows, before or after the split, and rows that cut
-    the cone down to {0}."""
+    the cone down to {0}; then degenerate ones: the homogenized closed
+    balls of the one-norm lattice gauge at d = 3..5, the homogenized
+    ``with_redundant_rows`` of random polyhedra, the same with every row
+    tripled, and cones cut by equation pairs (a row and its negative, as
+    the lineality path inserts them).  Both sides of the simple-ray
+    shortcut run: rays tight on exactly d - 1 rows, which skip the holder
+    scan, and rays tight on more, which the scan decides."""
+    from asymgeo.cli.generators import gen_lattice_norm
+    from asymgeo.norm import Closedness, ball
+
     rng = random.Random(97)
     kinds = {"flat": 0, "zero": 0, "empty": 0, "checked": 0}
-    while kinds["checked"] < 150:
+    cases = []
+    while len(cases) < 170:
         d = rng.randint(2, 6)
         rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, 2 * d + 2))]
         if rng.random() < 0.3:
@@ -573,8 +676,29 @@ def test_insertion_from_a_cone_s_rays_is_the_cold_run():
             rows += [rng.choice(rows), tuple(3 * a for a in rng.choice(rows))]
         if rng.random() < 0.3:
             rows.append((0,) * d)
+        cases.append(("random", rows, d))
+    for d in (3, 4, 5):
+        q = gen_lattice_norm(d, "one")
+        for _ in range(6):
+            center = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            region = ball(q, center, F(rng.randint(1, 6), rng.randint(1, 3)), Closedness.CLOSED).as_set
+            cases.append(("one-norm ball", _homogenized(region), d + 1))
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        poly = Polyhedron(d, [rand_point(rng, d, span=2) for _ in range(rng.randint(d + 1, d + 4))],
+                          [rand_point(rng, d, span=1, max_den=1) for _ in range(rng.randint(0, 1))])
+        rows = [ratlp._clear((*c, -b))[1] for c, b in with_redundant_rows(rng, poly)] + [(0,) * d + (-1,)]
+        cases.append(("redundant", rows, d + 1))
+        cases.append(("tripled", [r for r in rows for _ in range(3)], d + 1))
+        if rng.random() < 0.5:
+            e = tuple(rng.randint(-2, 2) for _ in range(d + 1))
+            cases.append(("equation pair", rows + [e, vneg(e)], d + 1))
+    for kind, rows, d in cases:
+        rows = list(rows)
         rng.shuffle(rows)
         split = rng.randint(d, len(rows))
+        while split < len(rows) and ref_rank(rows[:split]) < d:
+            split += 1
         if ref_rank(rows[:split]) < d:
             continue
         rays = ref_pointed_cone_rays(rows[:split], d)
@@ -584,10 +708,13 @@ def test_insertion_from_a_cone_s_rays_is_the_cold_run():
         full = ref_tight_masks([(r, 0) for r in rows], [(g, 1) for g in expected])
         assert got == (expected, list(full)), (d, rows, split)
         kinds["checked"] += 1
+        kinds[kind] = kinds.get(kind, 0) + 1
         kinds["flat"] += any(vneg(r) in rows for r in rows if any(r))
         kinds["zero"] += (0,) * d in rows
         kinds["empty"] += not expected
-    assert min(kinds.values()) >= 10, kinds
+        kinds["simple"] = kinds.get("simple", 0) + any(m.bit_count() == d - 1 for m in full)
+        kinds["not simple"] = kinds.get("not simple", 0) + any(m.bit_count() > d - 1 for m in full)
+    assert min(kinds.values()) >= 10 and kinds["checked"] >= 300, kinds
 
 
 def test_cone_from_rows_takes_int_rows_as_their_rational_copies():

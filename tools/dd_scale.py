@@ -22,10 +22,26 @@ is then the least of the N (``dd_s``, ``cut_s``, ``total_s``,
 ``checks_s``), with the median next to it (``dd_s_median`` and so on), and
 the counts are those of the first run.  Wall-clock times move with the
 host's speed, so parent/change comparisons want several repeats and runs
-that alternate.  Report only: it checks no answer and gates nothing.
+that alternate.  Report only: it checks no answer and gates nothing, but
+``--counts`` raises where its twin of ``_cut`` disagrees (below).
 Standard library only; it imports the package from the ``src`` next to it.
 
-    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3]
+With ``--counts`` each family runs once more, untimed, with every ``_cut``
+run replayed through ``counting_cut``, a twin of it kept here that counts
+its work, and the line gains those counts over build and decide: rows
+inserted (``rows_in``), candidate pairs of a cut and a kept ray
+(``pairs``), pairs sharing enough tight rows (``pairs_popcount``), rays
+made (``rays_made``), pairs that still needed the holder scan, neither ray
+being simple (``pairs_scanned``), and the pointed runs (``_cut`` called
+from ``polyhedron._pointed_cone_rays``, ``pointed_runs``) whose rows came
+first to last in the order of their primitive forms, nearest the base
+first (``nearest_first_runs``).  A twin that returns other rays or masks
+than ``_cut`` raises.  The first four depend only on the rows and their
+order, so the same tool run on an earlier ``src`` counts that code's work;
+``pairs_scanned`` counts the scans the simple-ray shortcut leaves, and
+code without it scans every one of ``pairs_popcount``.
+
+    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3] [--counts]
 
 The families are random instances at each dimension d (the seeds
 ``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
@@ -50,6 +66,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from asymgeo import compactness, norm, polyhedron  # noqa: E402
+from asymgeo.ratlp import _primitive  # noqa: E402
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance  # noqa: E402
 from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems  # noqa: E402
 from asymgeo.norm import Closedness, ball  # noqa: E402
@@ -75,17 +92,95 @@ def closed_balls(d: int) -> list:
 TIMES = ("dd_s", "cut_s", "total_s", "checks_s")
 
 
-def measure(family: str, make_cases, repeat: int = 1) -> dict:
+def measure(family: str, make_cases, repeat: int = 1, counts: bool = False) -> dict:
     """The report line of ``repeat`` runs (``run``), each on the fresh
     values ``make_cases()`` returns: the first run's counts, and per time
-    the least and the median over the runs."""
+    the least and the median over the runs; with ``counts``, the work
+    counts of one more run (``count_work``)."""
     runs = [run(make_cases()) for _ in range(repeat)]
     out = {"family": family, **{k: v for k, v in runs[0].items() if k not in TIMES}}
     for key in TIMES:
         values = [r[key] for r in runs]
         out[key] = round(min(values), 4)
         out[f"{key}_median"] = round(statistics.median(values), 4)
+    if counts:
+        out.update(count_work(make_cases()))
     return out
+
+
+COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
+
+
+def counting_cut(rays, masks, rows, dim, tally):
+    """``polyhedron._cut``, adding its work to ``tally`` (the ``COUNTS``)."""
+    need = dim - 2
+    inc = list(masks)
+    for i, row in rows:
+        if not rays:
+            break
+        tally["rows_in"] += 1
+        bit = 1 << i
+        cut, minus, next_rays, next_inc = [], [], [], []
+        for r, m in zip(rays, inc):
+            v = sum(a * b for a, b in zip(row, r))
+            if v > 0:
+                cut.append((v, r, m))
+                continue
+            if v:
+                minus.append((v, r, m))
+            else:
+                m |= bit
+            next_rays.append(r)
+            next_inc.append(m)
+        tally["pairs"] += len(cut) * len(minus)
+        for vp, rp, mp in cut:
+            for vq, rq, mq in minus:
+                common = mp & mq
+                if common.bit_count() < need:
+                    continue
+                tally["pairs_popcount"] += 1
+                if dim - 1 not in (mp.bit_count(), mq.bit_count()):
+                    tally["pairs_scanned"] += 1
+                    if sum(m & common == common for m in inc) > 2:
+                        continue
+                tally["rays_made"] += 1
+                next_rays.append(_primitive([vp * b - vq * a for a, b in zip(rp, rq)]))
+                next_inc.append(common | bit)
+        rays, inc = next_rays, next_inc
+    ranked = sorted(range(len(rays)), key=rays.__getitem__)
+    return [rays[k] for k in ranked], [inc[k] for k in ranked]
+
+
+def count_work(cases) -> dict:
+    """Build and decide every (gauge, region) of ``cases`` with each ``_cut``
+    run checked against ``counting_cut``: the ``COUNTS`` of build and
+    decide, ``pointed_runs`` and ``nearest_first_runs``."""
+    real_cut = polyhedron._cut
+    tally = dict.fromkeys((*COUNTS, "pointed_runs", "nearest_first_runs"), 0)
+
+    def replaying(pointed):
+        def cut(rays, masks, rows, dim):
+            rows = list(rows)
+            result = real_cut(rays, masks, rows, dim)
+            if counting_cut(rays, masks, rows, dim, tally) != result:
+                raise AssertionError("the counting twin of _cut returned other rays or masks")
+            if pointed:
+                keys = [_primitive(row) for _, row in rows]
+                tally["pointed_runs"] += 1
+                tally["nearest_first_runs"] += keys == sorted(keys) != keys[::-1]
+            return result
+        return cut
+
+    modules = [m for m in (polyhedron, compactness) if getattr(m, "_cut", None) is real_cut]
+    for module in modules:
+        module._cut = replaying(module is polyhedron)
+    try:
+        for q, region in cases:
+            decide_compact(Instance.build(q, region))
+    finally:
+        for module in modules:
+            module._cut = real_cut
+    return tally
 
 
 def run(cases) -> dict:
@@ -165,16 +260,17 @@ def main(argv=None) -> int:
                         help="dimensions of the closed one-norm lattice ball families (default none)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs per family; times report the least and the median (default 1)")
+    parser.add_argument("--counts", action="store_true",
+                        help="add the double description's work counts of one more, untimed run")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    for d in args.dims:
-        cases = lambda d=d: [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
-        print(json.dumps(measure(f"random-d{d}", cases, args.repeat)), flush=True)
-    for n_arc in args.arcs:
-        print(json.dumps(measure(f"arc-{n_arc}", lambda n=n_arc: [gen_arc_hull(n)], args.repeat)), flush=True)
-    for d in args.balls:
-        print(json.dumps(measure(f"ball-d{d}", lambda d=d: closed_balls(d), args.repeat)), flush=True)
+    families = [(f"random-d{d}", lambda d=d: [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)])
+                for d in args.dims]
+    families += [(f"arc-{n}", lambda n=n: [gen_arc_hull(n)]) for n in args.arcs]
+    families += [(f"ball-d{d}", lambda d=d: closed_balls(d)) for d in args.balls]
+    for family, make_cases in families:
+        print(json.dumps(measure(family, make_cases, args.repeat, args.counts)), flush=True)
     return 0
 
 
