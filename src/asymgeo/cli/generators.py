@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from asymgeo.norm import AsymNorm, make_norm
+from asymgeo.norm import AsymNorm, DefinitenessViolation, make_norm
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
@@ -18,7 +18,6 @@ from asymgeo.polyhedron import (
     dd_convert_v_to_h,
     partial_is_empty,
 )
-from asymgeo.ratlp import rank
 
 ONE_FLAVOR_DIM_LIMIT = 12  # 2^d - 1 one-norm functional rows; also the largest `gen --dim` and parsed `dim`
 
@@ -80,14 +79,17 @@ def _rand_rational(rng: random.Random) -> Fraction:
 
 
 def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
-    """Random valid gauge; resamples until the functionals span the space."""
+    """Random valid gauge; resamples until the functionals span the space,
+    which ``make_norm`` checks."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     while True:
         count = rng.randint(dim, dim + 2)
         rows = [tuple(_rand_rational(rng) for _ in range(dim)) for _ in range(count)]
-        if rank(rows) == dim:
+        try:
             return make_norm(dim, rows)
+        except DefinitenessViolation:
+            pass
 
 
 def gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:

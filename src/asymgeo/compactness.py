@@ -34,9 +34,10 @@ description, the closure's.  It reads everything off the closure's
 generators and masks, the region's own rows and the gauge's functionals:
 (a) through the closure's recession cone, and (b), once (a) holds, through
 a local test at each closure vertex that misses K: its tangent cone must
-meet -C only in 0, and the closure's edges at the vertex, read off its
-masks, are that cone's generators, so the test inserts the gauge's rows
-into them and runs no base elimination (``_extreme_in_saturation``).
+meet -C only in 0, and the closure's edges at the vertex, which
+``polyhedron._edges`` reads off its masks, are that cone's generators, so
+the test inserts the gauge's rows into them and runs no base elimination
+(``_extreme_in_saturation``).
 
 A COMPACT verdict with the checks T1-T6 converts vertices to facets at
 most once, for closure(K) + C, and not at all when the closure holds C.
@@ -51,7 +52,8 @@ Prodon 1996), so equal fields mean equal sets, and the sandwich checks
 K <= S + C against the rows of closure(K) + C.  S <= K holds iff the
 vertices of S lie in K; they are closure vertices, and whether each closure
 vertex lies in K is one AND of its mask with the strict rows, taken once
-per instance (``Instance._inside``, which the escape test reads too).  For
+per instance (``Instance._inside``, a map from each closure vertex to the
+answer, which the escape test and the half-open sum read too).  For
 the verified center T1 (every vertex of closure(K) + C lies in K) is that
 check.  T3 and T4 compare closed sets by their generators:
 S + C = closure(K) + C is that equality of values for the verified center
@@ -74,9 +76,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
 from operator import mul, or_
 from typing import Iterator, Optional, Sequence, Union
 
@@ -87,6 +87,8 @@ from asymgeo.polyhedron import (
     PartialPolyhedron,
     Polyhedron,
     _cut,
+    _edges,
+    _fractions,
     _int_member,
     _meets_face,
     _own_rows,
@@ -185,14 +187,14 @@ class Instance:
         return minkowski_sum_with_cone(self.hull, self.degeneracy)
 
     @cached_property
-    def _inside(self) -> list[bool]:
-        """Per listed vertex of the closure, whether it lies in the region:
-        no strict row is tight on it, one AND per vertex, since the closure's
-        masks index the region's rows (``_own_rows``)."""
+    def _inside(self) -> dict[tuple[tuple[int, ...], int], bool]:
+        """Per listed vertex (y, t) of the closure, in their order, whether it
+        lies in the region: no strict row is tight on it, one AND per vertex,
+        since the closure's masks index the region's rows (``_own_rows``)."""
         if not _own_rows(self.hull, self.region):
             raise InternalInvariantError("the closure's rows are the region's")
         strict = self.region._strict_mask
-        return [not m & strict for m in self.hull._vert_masks]
+        return {v: not m & strict for v, m in zip(self.hull._verts, self.hull._vert_masks)}
 
     @cached_property
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
@@ -211,19 +213,12 @@ def region_extreme_points(inst: Instance) -> tuple[Vec, ...]:
     flags keep or cut wholly, so the extreme points are exactly the closure
     vertices that survive membership.
     """
-    return tuple([_point(y, t) for y, t in _region_extreme(inst)])
+    return tuple([_fractions(y, t) for y, t in _region_extreme(inst)])
 
 
 def _region_extreme(inst: Instance) -> Iterator[tuple[Sequence[int], int]]:
     """The stored closure vertices (y, t) that ``region_extreme_points`` returns, lazily."""
-    hull = inst.hull
-    return ((y, t) for (y, t), keep, inside in zip(hull._verts, hull._extreme_flags, inst._inside)
-            if keep and inside)
-
-
-def _point(y: Sequence[int], t: int) -> Vec:
-    """The stored point (y, t) as the ``Fraction`` point y / t of a result."""
-    return tuple([Fraction(a, t) for a in y])
+    return (v for (v, inside), keep in zip(inst._inside.items(), inst.hull._extreme_flags) if keep and inside)
 
 
 def saturation_extreme_points(inst: Instance) -> tuple[Vec, ...]:
@@ -240,20 +235,15 @@ def center_candidate(inst: Instance) -> Polyhedron:
     return Polyhedron._make(dim=inst.region.dim, _verts=inst.saturated._verts, _rays=())
 
 
-def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone,
-              padded: Optional[Polyhedron] = None, members: Optional[dict] = None) -> Optional[Polyhedron]:
+def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone) -> Optional[Polyhedron]:
     """core + cone when core <= region <= core + cone holds, else None.
 
-    The first inclusion is read off the core's generators (``_within``);
-    ``padded`` is core + cone when the caller already has it.  ``members``,
-    when given, maps stored points, the core's vertices among them, to their
-    membership in the region: the core is a polytope, so it lies in the
-    convex region iff its vertices do.
+    The first inclusion is read off the core's generators (``_within``),
+    the second off the rows of core + cone (``subset``).
     """
-    if not (_within(core, region) if members is None else all(map(members.__getitem__, core._verts))):
+    if not _within(core, region):
         return None
-    if padded is None:
-        padded = minkowski_sum_with_cone(core, cone)
+    padded = minkowski_sum_with_cone(core, cone)
     return padded if subset(region, to_partial(padded)) else None
 
 
@@ -267,46 +257,15 @@ def _extreme_in_saturation(inst: Instance, k: int) -> bool:
     P + C, and v is its apex.  ``decide_compact`` asks only once every
     recession direction of P has gauge 0, so P is pointed, and T_P(v) is the
     pointed cone {x : A_v x <= 0} (A_v the rows of ``hull._rows`` tight at
-    v, the set bits of its mask) spanned by the edges of P at v.  The closure
-    lists its extreme vertices and rays only, with their masks, so the edges
-    are read off incidence (Fukuda & Prodon 1996): a generator g is adjacent
-    to v iff at least dim - 1 rows are tight on both and no third generator
-    is tight on all of them.  The third one is looked for only when v is
-    not simple, tight on more than dim rows: the rows tight at a vertex of
-    a pointed P have rank dim, and the mask names every one of them, so a
-    simple vertex's rows are independent, any dim - 1 of them shared by g
-    cut out a line, and P meets it in an edge at v, which g spans (a
-    vertex of it other than v is its far end, a ray its direction).  The
-    edge's direction is w - v for a vertex w
-    (t_v y_w - t_w y_v on the stored ints) and the ray itself for a ray,
-    tight on the rows of A_v that are tight on both.  Those edges and masks
-    are T_P(v)'s double description, so inserting the rows -a_i (``_cut``)
-    yields the extreme rays of T_P(v) cut by -C, and v is extreme iff none
-    is left; no base elimination runs and no tight row is inserted again.
+    v, the set bits of its mask) spanned by the edges of P at v, which
+    ``polyhedron._edges`` reads off the closure's masks with the rows of A_v
+    tight on each.  Those edges and masks are T_P(v)'s double description,
+    so inserting the rows -a_i (``_cut``) yields the extreme rays of T_P(v)
+    cut by -C, and v is extreme iff none is left; no base elimination runs,
+    no tight row is inserted again, and no adjacency is tested here.
     """
-    hull = inst.hull
-    (yv, tv), mv = hull._verts[k], hull._vert_masks[k]
-    pool = (*hull._vert_masks, *hull._ray_masks)
-    dirs = chain(hull._verts, [(r, 0) for r in hull._rays])
-    need = inst.norm.dim - 1
-    simple = mv.bit_count() == inst.norm.dim
-    edges, masks = [], []
-    for j, ((y, t), m) in enumerate(zip(dirs, pool)):
-        common = m & mv
-        if j == k or common.bit_count() < need:
-            continue
-        if not simple:
-            holders = 0
-            for h in pool:
-                if h & common == common:
-                    holders += 1
-                    if holders > 2:
-                        break
-            if holders > 2:
-                continue
-        edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
-        masks.append(common)
-    minus = enumerate(inst._minus_functionals, len(hull._rows))
+    edges, masks = _edges(inst.hull, k)
+    minus = enumerate(inst._minus_functionals, len(inst.hull._rows))
     return not _cut(edges, masks, minus, inst.norm.dim)[0]
 
 
@@ -347,10 +306,10 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
         for d in sorted(directions):
             if any(sum(map(mul, a, d)) > 0 for a in q._rows):  # q(d) > 0
                 return CompactnessCertificate(Verdict.NOT_COMPACT,
-                                              witness=BadRecessionDirection(_point(d, 1)))
-    for k, ((y, t), inside) in enumerate(zip(hull._verts, inst._inside)):
+                                              witness=BadRecessionDirection(_fractions(d)))
+    for k, ((y, t), inside) in enumerate(inst._inside.items()):
         if not inside and _extreme_in_saturation(inst, k):
-            return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_point(y, t)))
+            return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_fractions(y, t)))
     if known is None:
         gauge = set(map(_primitive, q._rows))
         if all(_primitive(c) in gauge for c, _ in hull._rows if any(c)):
@@ -360,11 +319,11 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     sat = inst.saturated
     if sat._rays != inst.degeneracy._gens:
         raise InternalInvariantError("closure + cone has the cone's generators as its rays")
-    # sat is core + cone, and the core's vertices are closure vertices
-    padded = _sandwich(core, inst.region, inst.degeneracy, sat, dict(zip(hull._verts, inst._inside)))
-    if padded is None:
+    # sat is core + cone, and the core, a polytope, lies in the region iff
+    # its vertices, which are closure vertices, do
+    if not (all(map(inst._inside.__getitem__, core._verts)) and subset(inst.region, to_partial(sat))):
         return CompactnessCertificate(Verdict.UNKNOWN)
-    inst._verified_sums[core] = padded
+    inst._verified_sums[core] = sat
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
 
@@ -416,9 +375,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     if not own and rows is not vars(sat).get("_int_hrep"):
         raise InternalInvariantError("the saturated hull is the closure or has its facets as its rows")
     bounded = own or any(padded is sat for padded in inst._verified_sums.values())
-    inside = dict(zip(hull._verts, inst._inside))
     reached = reduce(or_, sat._vert_masks)
-    met = reduce(or_, [m for v, m in zip(sat._verts, sat._vert_masks) if inside.get(v)], 0)
+    met = reduce(or_, [m for v, m in zip(sat._verts, sat._vert_masks) if inst._inside.get(v)], 0)
     flags = []
     for j, (c, b) in enumerate(rows):
         bit = 1 << j
@@ -429,7 +387,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
             if top is None or top[0] > b * top[1]:
                 raise InternalInvariantError("sum rows bound the closure")
             hit = top[0] == b * top[1]
-        flags.append(hit and not met & bit and not _meets_face(region, hull, c, b, bit if own else 0))
+        flags.append(hit and not met & bit and not _meets_face(region, hull, c, b))
     part = PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]))
     if not contains_line(sat):
@@ -512,7 +470,7 @@ def verify_theorems(inst: Instance,
     verified = inst._verified_sums.get(core)
     # the verified center is sat's vertices, and its sandwich placed them in the region
     escaped = None if verified is sat or contains_line(sat) else next(
-        (_point(y, t) for y, t in sat._verts if not _int_member(inst.region, y, t)), None)
+        (_fractions(y, t) for y, t in sat._verts if not _int_member(inst.region, y, t)), None)
     claims.append(_claim("T1", escaped is None,
                          None if escaped is None else f"escaped extreme point {escaped}"))
 

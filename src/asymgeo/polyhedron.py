@@ -14,18 +14,22 @@ row that marks the input degenerate; a cone with lineality one null-space
 elimination more and a second pointed run, in the same coordinates, with
 the null space's basis as equation rows).  The local tangent-cone test of
 ``asymgeo.compactness`` runs ``_cut`` alone, started from the edges of a
-closure at a vertex, which the closure's masks give.  Every predicate
-(membership, inclusion, extremality, closedness) reduces to exact
-support-function scans and to incidence against an H-representation;
-emptiness and closedness are read off the closure's generators.  The
-incidence predicates (extreme points and rays, lines, the recession cone's
-lineality) read ``Polyhedron._rows``, any integer inequality description
-of the set, as one bitmask of tight rows per generator (``_vert_masks``,
-``_ray_masks``), and run no elimination: a generator is extreme iff no
-other one is tight on all its rows, and a line lies in the set iff some ray
-is tight on every row.  A closure keeps the rows it was converted from, so
-they run without a vertex-to-facet conversion, and the facets are computed
-only where they are needed, as int rows (``_int_hrep``, by ``_int_facets``).
+closure at a vertex, which ``_edges`` reads off the closure's masks.
+Every predicate (membership, inclusion, extremality, closedness) reduces
+to exact support-function scans and to incidence against an
+H-representation; emptiness and closedness are read off the closure's
+generators.  The incidence predicates (extreme points and rays, lines, the
+recession cone's lineality) read ``Polyhedron._rows``, any integer
+inequality description of the set, as one bitmask of tight rows per
+generator (``_vert_masks``, ``_ray_masks``), and run no elimination: a
+generator is extreme iff no other one is tight on all its rows, and a line
+lies in the set iff some ray is tight on every row.  One holder scan,
+``_held`` (the combinatorial test of Fukuda & Prodon 1996), decides
+extremality (``_maximal``), the double description's adjacency (``_cut``)
+and a vertex's edges (``_edges``).  A closure keeps the rows it was
+converted from, so they run without a vertex-to-facet conversion, and the
+facets are computed only where they are needed, as int rows
+(``_int_hrep``, by ``_int_facets``).
 
 The masks come from the double description, which tracks the rows tight on
 each ray anyway: ``cone_from_rows`` returns them over the rows it was
@@ -45,8 +49,8 @@ region and its closure reads bits: a closure vertex lies in the region iff
 no strict row is tight on it, the region is empty iff a strict row is tight
 on every generator, closed iff no strict row is tight on a vertex, and it
 meets a face of its closure iff no strict row is tight on every generator
-of the face (``_meets_face``, which reads the face of one of the closure's
-own rows off the masks as well).  ``_within`` takes one OR over the vertex
+of the face (``_meets_face``, which finds the face's generators by one dot
+product each with its normal).  ``_within`` takes one OR over the vertex
 masks where the region's rows are the polyhedron's own, and scans support
 values (``_scan_support``, one per row) against any other rows.  The masks,
 the line test, the extreme flags and the recession cone are memoized on the
@@ -450,6 +454,24 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
                 [(i, keys[i]) for i in order if not base >> i & 1], dim)
 
 
+def _held(common: int, masks: Iterable[int], limit: int) -> bool:
+    """Are at most ``limit`` of ``masks`` tight on every bit of ``common``?
+
+    The combinatorial incidence test of Fukuda & Prodon 1996, the one
+    holder scan of the module: a listed generator is extreme iff only its
+    own mask holds its rows (``_maximal``, limit 1), and two of them are
+    adjacent iff only their two masks hold their common rows (``_cut`` and
+    ``_edges``, limit 2).  It stops at the first holder past the limit.
+    """
+    holders = 0
+    for m in masks:
+        if m & common == common:
+            holders += 1
+            if holders > limit:
+                return False
+    return True
+
+
 def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
          rows: Iterable[tuple[int, Sequence[int]]], dim: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The double description's insertion loop: the extreme rays of a
@@ -464,9 +486,9 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
     adjacent is combined into a ray on the new hyperplane, tight exactly
     where both parents are, plus on the new row.  Two rays are adjacent iff
     they share at least dim - 2 tight rows and no third ray is tight on all
-    of those (the combinatorial test, valid on any inequality description
-    because the ray set stays minimal).  The third ray is looked for only
-    when neither of the two is simple, tight on exactly dim - 1 rows: the
+    of those (``_held``, valid on any inequality description because the
+    ray set stays minimal).  The third ray is looked for only when neither
+    of the two is simple, tight on exactly dim - 1 rows: the
     rows tight on an extreme ray of a pointed cone have rank dim - 1, and
     the masks name every tight row of the current description, so a simple
     ray's rows are independent.  Any dim - 2 of them, shared by the other
@@ -474,7 +496,9 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
     cone holding both rays, whose two extreme rays they are: adjacent, as
     the scan would find.  A copy or a zero row adds a bit and no rank, so
     it never makes a ray look simple.  Returns the rays, primitive and
-    sorted, and aligned with them their masks.
+    sorted, and aligned with them their masks.  The loop is incremental:
+    rows run one at a time, each run from the last one's output, return
+    the same (``tools/dd_scale.py --counts`` reads the work that way).
     """
     need = dim - 2
     inc = list(masks)
@@ -503,16 +527,9 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
                 common = mp & mq
                 if common.bit_count() < need:
                     continue
-                if not simple and mq.bit_count() != dim - 1:
-                    # adjacent iff p and q are the only rays tight on all of common
-                    holders = 0
-                    for m in inc:
-                        if m & common == common:
-                            holders += 1
-                            if holders > 2:
-                                break
-                    if holders > 2:
-                        continue
+                # adjacent iff p and q are the only rays tight on all of common
+                if not (simple or mq.bit_count() == dim - 1 or _held(common, inc, 2)):
+                    continue
                 w = [vp * b - vq * a for a, b in zip(rp, rq)]
                 g = gcd(*w)
                 next_rays.append(tuple(w) if g == 1 else tuple([a // g for a in w]))
@@ -520,6 +537,39 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
         rays, inc = next_rays, next_inc
     ranked = sorted(range(len(rays)), key=rays.__getitem__)
     return [rays[k] for k in ranked], [inc[k] for k in ranked]
+
+
+def _edges(poly: Polyhedron, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The edges of a pointed ``poly`` at its k-th listed vertex v: their
+    directions, primitive, and aligned with them the ``_rows`` tight on
+    each, the double description of v's tangent cone that ``_cut`` starts
+    from.
+
+    The value lists its extreme vertices and rays only, with their masks,
+    so the edges are read off incidence (Fukuda & Prodon 1996): a generator
+    g is adjacent to v iff at least dim - 1 rows are tight on both and no
+    third generator is tight on all of them (``_held``).  The third one is
+    looked for only when v is not simple, tight on more than dim rows: the
+    rows tight at a vertex of a pointed polyhedron have rank dim, and the
+    mask names every one of them, so a simple vertex's rows are
+    independent, any dim - 1 of them shared by g cut out a line, and the
+    polyhedron meets it in an edge at v, which g spans (a vertex of it
+    other than v is its far end, a ray its direction).  The direction is
+    w - v for a vertex w (t_v y_w - t_w y_v on the stored ints) and the
+    ray itself for a ray, tight on the rows tight on both.
+    """
+    (yv, tv), mv = poly._verts[k], poly._vert_masks[k]
+    pool = (*poly._vert_masks, *poly._ray_masks)
+    dirs = chain(poly._verts, [(r, 0) for r in poly._rays])
+    simple = mv.bit_count() == poly.dim
+    edges, masks = [], []
+    for j, ((y, t), m) in enumerate(zip(dirs, pool)):
+        common = m & mv
+        if j == k or common.bit_count() < poly.dim - 1 or not (simple or _held(common, pool, 2)):
+            continue
+        edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
+        masks.append(common)
+    return edges, masks
 
 
 def cone_from_rows(rows: Sequence[Sequence], dim: int) -> tuple[
@@ -764,32 +814,30 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     return region._closure
 
 
-def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational,
-                bit: int = 0) -> bool:
+def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational) -> bool:
     """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
 
     The face is generated by the vertices attaining ``top`` and the rays
-    orthogonal to ``normal``, one dot product each; when (normal, top) is
-    a row of ``hull._rows`` and ``bit`` its mask bit, they are the
-    generators tight on it, read off the masks.  A strict row removes
+    orthogonal to ``normal``, one dot product each.  A strict row removes
     the subface where it is tight, and finitely many faces cover a nonempty
     convex set only if one is the whole set: the region meets the face iff
     no strict row is tight on all of it, that is on every generator of it.
     The closure's masks index the region's rows (``_own_rows``), so one AND
     of the face's masks decides, and a region without strict rows meets
     every face unscanned.  Int input passes as is; every test runs on ints.
+    A row of the closure's own takes the same path as any other: no
+    decision calls this test, and after a COMPACT one T1-T6 call it on no
+    row, since every vertex of closure + C lies in the region, so each row
+    they test is met there.
     """
     strict = region._strict_mask
     if not strict:
         return True
     if not _own_rows(hull, region):
         raise InternalInvariantError("the hull is the region's closure")
-    if bit:
-        face = [m for m in chain(hull._vert_masks, hull._ray_masks) if m & bit]
-    else:
-        *normal, top = _clear((*normal, top))[1]
-        face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
-        face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
+    *normal, top = _clear((*normal, top))[1]
+    face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
+    face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
     return not reduce(and_, face, strict)
 
 
@@ -829,7 +877,7 @@ def _within(poly: Polyhedron, region: PartialPolyhedron,
     """
     if _own_rows(poly, region):
         reached = region._strict_mask & reduce(or_, poly._vert_masks)
-        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b, 1 << j))
+        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b))
                        for j, (c, b, _) in enumerate(region._rows))
     for c, b, strict in region._rows:
         top = _scan_support(poly, c)
@@ -888,9 +936,10 @@ def _lp_columns(vectors: Sequence[Vec], dim: int, kind: str) -> list[Vec]:
 
 
 def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
-    """Per mask, whether no other mask and no rival holds all of its bits."""
+    """Per mask, whether no other mask and no rival holds all of its bits
+    (``_held``: the mask itself is its one holder)."""
     pool = (*masks, *rivals)
-    return [not any(m & a == a for j, m in enumerate(pool) if j != k) for k, a in enumerate(masks)]
+    return [_held(a, pool, 1) for a in masks]
 
 
 def recession_cone(poly: Polyhedron) -> Cone:

@@ -637,8 +637,10 @@ def ref_repr(value) -> str:
 # Reference incidence: tight rows by dot products
 # ---------------------------------------------------------------------------
 # The earlier ``polyhedron._tight_masks``, which rescanned rows seeded
-# without masks.  The conversions now seed every value's masks, so the
-# tests compare those masks against this scan.  Do not optimize it.
+# without masks, and the earlier ``polyhedron._maximal``, a pairwise scan
+# over the masks.  The conversions now seed every value's masks, and the
+# extreme flags come from the one holder scan ``polyhedron._held``, so the
+# tests compare those masks and flags against these.  Do not optimize them.
 
 
 def ref_tight_masks(rows, gens) -> tuple:
@@ -653,6 +655,12 @@ def ref_tight_masks(rows, gens) -> tuple:
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)
+
+
+def ref_maximal(masks, rivals=()) -> list:
+    """Per mask, whether no other mask and no rival holds all of its bits."""
+    pool = (*masks, *rivals)
+    return [not any(m & a == a for j, m in enumerate(pool) if j != k) for k, a in enumerate(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +694,29 @@ def ref_saturate_region(inst) -> PartialPolyhedron:
 # The earlier ``compactness._extreme_in_saturation``, which ran the cone
 # {x : A_v x <= 0, <a_i, x> >= 0} through ``cone_from_rows`` afresh at each
 # vertex (a base elimination, then every tight row and every -a_i).  The
-# current one seeds the insertion loop with the closure's edges at v and
-# inserts the -a_i only, so the tests compare the two.  Do not optimize it.
+# current one seeds the insertion loop with the closure's edges at v
+# (``polyhedron._edges``, by the combinatorial test) and inserts the -a_i
+# only, so the tests compare the two, and the edges against the algebraic
+# test of adjacency (``ref_edges``, by rank).  Do not optimize them.
+
+
+def ref_edges(poly, k: int) -> tuple[list, list]:
+    """The edges of a pointed polyhedron at its k-th listed vertex v, by the
+    algebraic test on ``Fraction`` views: a listed vertex w or ray r spans
+    one iff the rows of ``poly._rows`` tight on both, homogenized as
+    (c, -b), have rank dim - 1.  Each comes with its direction, w - v or r
+    made primitive, and the mask of those rows."""
+    rows, v, mv = poly._rows, poly.vertices[k], poly._vert_masks[k]
+    gens = [(tuple(a - b for a, b in zip(w, v)), m) for w, m in zip(poly.vertices, poly._vert_masks)]
+    gens += zip(poly.rays, poly._ray_masks)
+    edges, masks = [], []
+    for j, (direction, m) in enumerate(gens):
+        common = m & mv
+        tight = [(*c, -b) for i, (c, b) in enumerate(rows) if common >> i & 1]
+        if j != k and ref_rank(tight) == poly.dim - 1:
+            edges.append(primitive(direction))
+            masks.append(common)
+    return edges, masks
 
 
 def ref_extreme_in_saturation(inst, mask: int) -> bool:

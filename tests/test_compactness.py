@@ -37,6 +37,7 @@ from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
     Polyhedron,
+    _edges,
     _meets_face,
     _within,
     closure,
@@ -62,8 +63,10 @@ from support import (
     rand_fraction,
     rand_point,
     ref_attributes,
+    ref_edges,
     ref_extreme_in_saturation,
     ref_gauge_eval,
+    ref_maximal,
     ref_meets_face,
     ref_member,
     ref_repr,
@@ -473,7 +476,9 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
     and cut by an equation pair (a row and its negative) through a vertex
     or the interior.  Both sides of the simple-vertex shortcut run:
     vertices tight on exactly d rows, whose edges skip the holder scan, and
-    vertices tight on more, where the scan decides."""
+    vertices tight on more, where the scan decides.  The edges that seed
+    the test (``_edges``) are those of the algebraic test, by rank
+    (``ref_edges``), with the same directions and masks."""
     from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
 
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
@@ -511,9 +516,10 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
         inst = Instance.build(q, region)
         if contains_line(inst.hull):
             continue
-        for k, (mask, inside) in enumerate(zip(inst.hull._vert_masks, inst._inside)):
+        for k, (mask, inside) in enumerate(zip(inst.hull._vert_masks, inst._inside.values())):
             if i >= len(cases) and inside:  # an arc hull: its cut vertex only
                 continue
+            assert _edges(inst.hull, k) == ref_edges(inst.hull, k), (q, region, k)
             got = compactness._extreme_in_saturation(inst, k)
             assert got == ref_extreme_in_saturation(inst, mask), (q, region, k)
             answers[got] += 1
@@ -602,8 +608,9 @@ def test_compact_path_runs_one_facet_dd(monkeypatch):
     reference catalog, 300 corpus seeds, seeds at d = 4 and 5 and five
     closed d=4 lattice balls, on fresh values, every COMPACT instance that C
     adds a direction to runs exactly one vertex-to-facet DD, every other
-    instance none (the five closed balls among them), and the sandwich is
-    still checked on the region and on region + C."""
+    instance none (the five closed balls among them), and the sandwich's
+    second inclusion (``subset``) is still checked on the region and on
+    region + C."""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5) for k in range(8)]
@@ -618,14 +625,14 @@ def test_compact_path_runs_one_facet_dd(monkeypatch):
         return real(poly)
 
     sandwiched = []
-    real_sandwich = compactness._sandwich
+    real_subset = compactness.subset
 
-    def checking(core, region, *rest):
-        sandwiched.append(region)
-        return real_sandwich(core, region, *rest)
+    def checking(first, second):
+        sandwiched.append(first)
+        return real_subset(first, second)
 
     monkeypatch.setattr(polyhedron, "_int_facets", counting)
-    monkeypatch.setattr(compactness, "_sandwich", checking)
+    monkeypatch.setattr(compactness, "subset", checking)
     compact, own = [], []
     for i, (q, region) in enumerate(cases):
         calls.clear()
@@ -795,11 +802,12 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
     """The conversions hand their incidence to the values they make: over
     build, decide and T1-T6 on ``_mask_cases``, every closure, every value
     whose facets were converted and every pruned sum carries vertex and ray
-    masks equal to ``ref_tight_masks`` on its ``_rows``, each facet
-    conversion returns the masks of its generators over the facets, and a
-    closure vertex lies in the region iff no strict row is tight on it, as
-    ``member`` says.  Every value's masks are already seeded: none is left
-    to a rescan."""
+    masks equal to ``ref_tight_masks`` on its ``_rows``, and extreme flags
+    of its vertices and rays equal to the pairwise ``ref_maximal`` of those
+    masks; each facet conversion returns the masks of its generators over
+    the facets, and a closure vertex lies in the region iff no strict row is
+    tight on it, as ``member`` says.  Every value's masks are already
+    seeded: none is left to a rescan."""
     made, faceted = [], []
     real_h_to_v, real_facets, real_sum = polyhedron._h_to_v, polyhedron._int_facets, polyhedron.minkowski_sum_with_cone
 
@@ -829,13 +837,15 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
         inst = Instance.build(q, region)
         verify_theorems(inst, decide_compact(inst))
         hull = inst.hull
-        for v, mask, inside in zip(hull.vertices, hull._vert_masks, inst._inside):
+        for v, mask, inside in zip(hull.vertices, hull._vert_masks, inst._inside.values()):
             assert (not mask & region._strict_mask) == inside == member(region, v), (region, v)
             kinds["inside" if inside else "outside"] += 1
         for poly in made + [p for p, _ in faceted if vars(p)["_rows"] is p._int_hrep]:
             assert {"_rows", "_vert_masks", "_ray_masks"} <= vars(poly).keys(), poly
             assert vars(poly)["_vert_masks"] == ref_tight_masks(poly._rows, poly._verts), poly
             assert vars(poly)["_ray_masks"] == ref_tight_masks(poly._rows, [(r, 0) for r in poly._rays]), poly
+            assert list(poly._extreme_flags) == ref_maximal(poly._vert_masks, poly._ray_masks), poly
+            assert list(poly._extreme_ray_flags) == ref_maximal(poly._ray_masks), poly
         for poly, (rows, vert_masks, ray_masks) in faceted:
             assert vert_masks == ref_tight_masks(rows, poly._verts), poly
             assert ray_masks == ref_tight_masks(rows, [(r, 0) for r in poly._rays]), poly

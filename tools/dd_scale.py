@@ -23,23 +23,25 @@ is then the least of the N (``dd_s``, ``cut_s``, ``total_s``,
 the counts are those of the first run.  Wall-clock times move with the
 host's speed, so parent/change comparisons want several repeats and runs
 that alternate.  Report only: it checks no answer and gates nothing, but
-``--counts`` raises where its twin of ``_cut`` disagrees (below).
+``--counts`` raises where its replay of ``_cut`` disagrees (below).
 Standard library only; it imports the package from the ``src`` next to it.
 
 With ``--counts`` each family runs once more, untimed, with every ``_cut``
-run replayed through ``counting_cut``, a twin of it kept here that counts
-its work, and the line gains those counts over build and decide: rows
-inserted (``rows_in``), candidate pairs of a cut and a kept ray
-(``pairs``), pairs sharing enough tight rows (``pairs_popcount``), rays
-made (``rays_made``), pairs that still needed the holder scan, neither ray
-being simple (``pairs_scanned``), and the pointed runs (``_cut`` called
-from ``polyhedron._pointed_cone_rays``, ``pointed_runs``) whose rows came
-first to last in the order of their primitive forms, nearest the base
-first (``nearest_first_runs``).  A twin that returns other rays or masks
-than ``_cut`` raises.  The first four depend only on the rows and their
-order, so the same tool run on an earlier ``src`` counts that code's work;
-``pairs_scanned`` counts the scans the simple-ray shortcut leaves, and
-code without it scans every one of ``pairs_popcount``.
+run replayed (``replay``) one row at a time through ``_cut`` itself: the
+double description is incremental, so the last of those runs returns what
+one run over all the rows does, and a replay that returns other rays or
+masks raises.  The work is read off the rays and masks between rows, and
+the line gains it over build and decide: rows inserted (``rows_in``),
+candidate pairs of a cut and a kept ray (``pairs``), pairs sharing enough
+tight rows (``pairs_popcount``), rays made (``rays_made``), pairs that
+still needed the holder scan, neither ray being simple
+(``pairs_scanned``), and the pointed runs (``_cut`` called from
+``polyhedron._pointed_cone_rays``, ``pointed_runs``) whose rows came first
+to last in the order of their primitive forms, nearest the base first
+(``nearest_first_runs``).  The first four depend only on the rows and
+their order, so the same tool run on an earlier ``src`` counts that code's
+work; ``pairs_scanned`` counts the scans the simple-ray shortcut leaves,
+and code without it scans every one of ``pairs_popcount``.
 
     python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3] [--counts]
 
@@ -61,11 +63,13 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from asymgeo import compactness, norm, polyhedron  # noqa: E402
+from asymgeo.polyhedron import _cut  # noqa: E402
 from asymgeo.ratlp import _primitive  # noqa: E402
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance  # noqa: E402
 from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems  # noqa: E402
@@ -111,59 +115,41 @@ def measure(family: str, make_cases, repeat: int = 1, counts: bool = False) -> d
 COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
 
 
-def counting_cut(rays, masks, rows, dim, tally):
-    """``polyhedron._cut``, adding its work to ``tally`` (the ``COUNTS``)."""
-    need = dim - 2
-    inc = list(masks)
+def replay(rays, masks, rows, dim, tally):
+    """``polyhedron._cut`` over ``rows``, run one row at a time, adding its
+    work to ``tally`` (the ``COUNTS``), read off the rays and masks before
+    and after each row: the (ray, mask) pairs the one run returns."""
     for i, row in rows:
         if not rays:
             break
+        signs = [sum(map(mul, row, r)) for r in rays]
+        cut = [m for m, v in zip(masks, signs) if v > 0]
+        minus = [m for m, v in zip(masks, signs) if v < 0]
         tally["rows_in"] += 1
-        bit = 1 << i
-        cut, minus, next_rays, next_inc = [], [], [], []
-        for r, m in zip(rays, inc):
-            v = sum(a * b for a, b in zip(row, r))
-            if v > 0:
-                cut.append((v, r, m))
-                continue
-            if v:
-                minus.append((v, r, m))
-            else:
-                m |= bit
-            next_rays.append(r)
-            next_inc.append(m)
         tally["pairs"] += len(cut) * len(minus)
-        for vp, rp, mp in cut:
-            for vq, rq, mq in minus:
-                common = mp & mq
-                if common.bit_count() < need:
-                    continue
-                tally["pairs_popcount"] += 1
-                if dim - 1 not in (mp.bit_count(), mq.bit_count()):
-                    tally["pairs_scanned"] += 1
-                    if sum(m & common == common for m in inc) > 2:
-                        continue
-                tally["rays_made"] += 1
-                next_rays.append(_primitive([vp * b - vq * a for a, b in zip(rp, rq)]))
-                next_inc.append(common | bit)
-        rays, inc = next_rays, next_inc
-    ranked = sorted(range(len(rays)), key=rays.__getitem__)
-    return [rays[k] for k in ranked], [inc[k] for k in ranked]
+        for mp in cut:
+            for mq in minus:
+                if (mp & mq).bit_count() >= dim - 2:
+                    tally["pairs_popcount"] += 1
+                    tally["pairs_scanned"] += dim - 1 not in (mp.bit_count(), mq.bit_count())
+        kept = len(rays) - len(cut)
+        rays, masks = _cut(rays, masks, [(i, row)], dim)
+        tally["rays_made"] += len(rays) - kept
+    return sorted(zip(rays, masks))
 
 
 def count_work(cases) -> dict:
     """Build and decide every (gauge, region) of ``cases`` with each ``_cut``
-    run checked against ``counting_cut``: the ``COUNTS`` of build and
-    decide, ``pointed_runs`` and ``nearest_first_runs``."""
-    real_cut = polyhedron._cut
+    run checked against its ``replay``: the ``COUNTS`` of build and decide,
+    ``pointed_runs`` and ``nearest_first_runs``."""
     tally = dict.fromkeys((*COUNTS, "pointed_runs", "nearest_first_runs"), 0)
 
     def replaying(pointed):
         def cut(rays, masks, rows, dim):
             rows = list(rows)
-            result = real_cut(rays, masks, rows, dim)
-            if counting_cut(rays, masks, rows, dim, tally) != result:
-                raise AssertionError("the counting twin of _cut returned other rays or masks")
+            result = _cut(rays, masks, rows, dim)
+            if replay(rays, masks, rows, dim, tally) != list(zip(*result)):
+                raise AssertionError("_cut run one row at a time returned other rays or masks")
             if pointed:
                 keys = [_primitive(row) for _, row in rows]
                 tally["pointed_runs"] += 1
@@ -171,7 +157,7 @@ def count_work(cases) -> dict:
             return result
         return cut
 
-    modules = [m for m in (polyhedron, compactness) if getattr(m, "_cut", None) is real_cut]
+    modules = [m for m in (polyhedron, compactness) if getattr(m, "_cut", None) is _cut]
     for module in modules:
         module._cut = replaying(module is polyhedron)
     try:
@@ -179,7 +165,7 @@ def count_work(cases) -> dict:
             decide_compact(Instance.build(q, region))
     finally:
         for module in modules:
-            module._cut = real_cut
+            module._cut = _cut
     return tally
 
 
