@@ -9,14 +9,8 @@ the presentation boundary, with fixed formatting for byte-stable output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from asymgeo.compactness import (
-    CompactnessCertificate,
-    Instance,
-    decide_compact,
-    saturation_extreme_points,
-)
+from asymgeo.compactness import Instance, decide_compact, saturation_extreme_points
 from asymgeo.norm import AsymNorm
 from asymgeo.polyhedron import PartialPolyhedron
 
@@ -58,13 +52,12 @@ def _polygon(points, fill, stroke, opacity) -> str:
             f'stroke-width="0.02" fill-opacity="{opacity}"/>')
 
 
-def render_svg(norm: AsymNorm, region: PartialPolyhedron,
-               certificate: Optional[CompactnessCertificate] = None) -> str:
+def render_svg(norm: AsymNorm, region: PartialPolyhedron) -> str:
     """SVG 1.1 text for a 2-D instance; raises RenderError otherwise."""
     if norm.dim != 2 or region.dim != 2:
         raise RenderError("rendering requires dimension 2")
     inst = Instance.build(norm, region)
-    cert = certificate if certificate is not None else decide_compact(inst)
+    cert = decide_compact(inst)
 
     closure_pts = [ (v[0], v[1]) for v in inst.hull.vertices ]
     for v in inst.hull.vertices:

@@ -53,9 +53,11 @@ K <= S + C against the rows of closure(K) + C.  S <= K holds iff the
 vertices of S lie in K; they are closure vertices, and whether each closure
 vertex lies in K is one AND of its mask with the strict rows, taken once
 per instance (``Instance._inside``, a map from each closure vertex to the
-answer, which the escape test and the half-open sum read too).  For
-the verified center T1 (every vertex of closure(K) + C lies in K) is that
-check.  T3 and T4 compare closed sets by their generators:
+answer, which the escape test reads).  The vertices of closure(K) + C are
+closure vertices too, so their answers are one lookup each
+(``Instance._sum_inside``), and the sandwich, T1 (every vertex of
+closure(K) + C lies in K) and the half-open sum read that one list: no
+vertex is tested row by row.  T3 and T4 compare closed sets by their generators:
 S + C = closure(K) + C is that equality of values for the verified center
 (two ``_within`` inclusions against the rows at hand for any other), and
 K + C equals its closure iff it is closed (``is_closed``).
@@ -77,6 +79,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import compress
 from operator import mul, or_
 from typing import Iterator, Optional, Sequence, Union
 
@@ -89,10 +92,8 @@ from asymgeo.polyhedron import (
     _cut,
     _edges,
     _fractions,
-    _int_member,
     _meets_face,
     _own_rows,
-    _scan_support,
     _within,
     closure,
     contains_line,
@@ -150,12 +151,15 @@ class Instance:
     structure checks need them (the center, the sandwich, T1, T3 and T4),
     so a NOT_COMPACT verdict builds neither.  The cone is memoized on the
     gauge, so T6's instance on the same gauge reuses it, and a COMPACT
-    decision reads it off the closure where it can.  One memo
+    decision reads it off the closure where it can.  Whether each closure
+    vertex lies in the region (``_inside``) and each vertex of the
+    saturated hull (``_sum_inside``, read by the sandwich, T1 and the
+    half-open sum) are memoized on first read.  One memo
     is not part of the value: ``_verified_sums`` maps each core whose
     sandwich ``decide_compact`` verified on this instance to core + cone,
-    the saturated hull.  It is keyed by the core value itself; a center
-    handed to ``verify_theorems`` may carry rays, and then equals no
-    ray-free core."""
+    the saturated hull, which T3 reads.  It is keyed by the core value
+    itself; a center handed to ``verify_theorems`` may carry rays, and then
+    equals no ray-free core."""
 
     norm: AsymNorm
     region: PartialPolyhedron
@@ -195,6 +199,16 @@ class Instance:
             raise InternalInvariantError("the closure's rows are the region's")
         strict = self.region._strict_mask
         return {v: not m & strict for v, m in zip(self.hull._verts, self.hull._vert_masks)}
+
+    @cached_property
+    def _sum_inside(self) -> tuple[bool, ...]:
+        """Per listed vertex of ``saturated``, in order, whether it lies in
+        the region: the sum's vertices are closure vertices, so each is one
+        lookup in ``_inside`` (a broken invariant otherwise)."""
+        try:
+            return tuple(map(self._inside.__getitem__, self.saturated._verts))
+        except KeyError:
+            raise InternalInvariantError("the saturated hull's vertices are closure vertices") from None
 
     @cached_property
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
@@ -320,8 +334,8 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     if sat._rays != inst.degeneracy._gens:
         raise InternalInvariantError("closure + cone has the cone's generators as its rays")
     # sat is core + cone, and the core, a polytope, lies in the region iff
-    # its vertices, which are closure vertices, do
-    if not (all(map(inst._inside.__getitem__, core._verts)) and subset(inst.region, to_partial(sat))):
+    # its vertices, which are sat's, do
+    if not (all(inst._sum_inside) and subset(inst.region, to_partial(sat))):
         return CompactnessCertificate(Verdict.UNKNOWN)
     inst._verified_sums[core] = sat
     return CompactnessCertificate(Verdict.COMPACT, center=core)
@@ -352,13 +366,14 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     decomposes as (face point of the closure) + (cone point).  Any row of
     the sum may carry that flag, and every facet of the sum is the face of
     one of its rows, so the flags cut out region + cone on any rows.  The
-    sum's vertices are closure vertices, so the masks decide: a row reaches
-    its bound iff it is tight at a vertex of the sum, and it is not strict
-    when that vertex lies in the region (``Instance._inside``).  The other
-    rows test their face (``_meets_face``), off the masks on the closure's
-    own rows.  Where the sandwich has not verified region <= sum, the
-    closure's support is scanned on every row instead, and each must bound
-    it.
+    sum's vertices are closure vertices, and the closure lies in the sum,
+    so the masks decide on every call: a row reaches its bound on the
+    closure iff it is tight at a listed vertex of the sum (a pointed sum
+    has a vertex on every nonempty face, and a sum with a line is the
+    unpruned union, which lists every closure vertex), and it is not
+    strict when such a vertex lies in the region
+    (``Instance._sum_inside``).  The other rows test their face
+    (``_meets_face``), off the masks on the closure's own rows.
 
     The sum holds the region, so it is nonempty, and its closure is the set
     of ``inst.saturated``, whatever the flags.  When that set is line-free
@@ -371,23 +386,12 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     """
     sat, hull, region = inst.saturated, inst.hull, inst.region
     rows = sat._rows
-    own = sat is hull
-    if not own and rows is not vars(sat).get("_int_hrep"):
+    if sat is not hull and rows is not vars(sat).get("_int_hrep"):
         raise InternalInvariantError("the saturated hull is the closure or has its facets as its rows")
-    bounded = own or any(padded is sat for padded in inst._verified_sums.values())
     reached = reduce(or_, sat._vert_masks)
-    met = reduce(or_, [m for v, m in zip(sat._verts, sat._vert_masks) if inst._inside.get(v)], 0)
-    flags = []
-    for j, (c, b) in enumerate(rows):
-        bit = 1 << j
-        if bounded:
-            hit = bool(reached & bit)
-        else:
-            top = _scan_support(hull, c)
-            if top is None or top[0] > b * top[1]:
-                raise InternalInvariantError("sum rows bound the closure")
-            hit = top[0] == b * top[1]
-        flags.append(hit and not met & bit and not _meets_face(region, hull, c, b))
+    met = reduce(or_, compress(sat._vert_masks, inst._sum_inside), 0)
+    flags = [bool(reached >> j & 1) and not met >> j & 1 and not _meets_face(region, hull, c, b)
+             for j, (c, b) in enumerate(rows)]
     part = PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]))
     if not contains_line(sat):
@@ -442,9 +446,9 @@ def verify_theorems(inst: Instance,
 
     Requires a COMPACT verdict; otherwise every claim is reported
     NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T1
-    tests the saturated hull's vertices against the region, except for the
-    center ``decide_compact`` verified: those vertices are its own, and its
-    sandwich has placed them in the region (``Instance._inside``).  T3 checks the
+    reads whether each vertex of the saturated hull lies in the region off
+    the closure's masks (``Instance._sum_inside``, the list the sandwich
+    read), for any center.  T3 checks the
     sandwich and reads center + C = closure + C off their stored
     generators: for the center ``decide_compact`` verified the two values
     are equal, and otherwise it checks an inclusion each way, each set's
@@ -467,10 +471,8 @@ def verify_theorems(inst: Instance,
         raise InternalInvariantError("a COMPACT certificate carries its center")
 
     sat = inst.saturated
-    verified = inst._verified_sums.get(core)
-    # the verified center is sat's vertices, and its sandwich placed them in the region
-    escaped = None if verified is sat or contains_line(sat) else next(
-        (_fractions(y, t) for y, t in sat._verts if not _int_member(inst.region, y, t)), None)
+    escaped = None if contains_line(sat) else next(
+        (_fractions(y, t) for (y, t), inside in zip(sat._verts, inst._sum_inside) if not inside), None)
     claims.append(_claim("T1", escaped is None,
                          None if escaped is None else f"escaped extreme point {escaped}"))
 
@@ -478,7 +480,7 @@ def verify_theorems(inst: Instance,
     claims.append(_claim("T2", own_ext, "no extreme point found"))
 
     # a center decide_compact did not verify on this instance is checked here
-    padded = verified or _sandwich(core, inst.region, inst.degeneracy)
+    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
     t3 = padded is not None and (padded == sat or _within(padded, to_partial(sat))
                                  and _within(sat, to_partial(padded)))
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))

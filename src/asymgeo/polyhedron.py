@@ -776,15 +776,12 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
 
 def member(region: PartialPolyhedron, x: Vec) -> bool:
     """Exact membership by direct evaluation of every row, on ints: x = y / t
-    lies on the right side of (c, b) iff <c, y> against b * t does."""
+    lies on the right side of (c, b) iff <c, y> against b * t does.  A
+    closure vertex is tested off its mask instead, one AND with the strict
+    rows (``compactness.Instance._inside``)."""
     t, y = _clear(as_vec(x))
     if len(y) != region.dim:
         raise ValueError(f"point of length {len(y)} in dimension {region.dim}")
-    return _int_member(region, y, t)
-
-
-def _int_member(region: PartialPolyhedron, y: Sequence[int], t: int) -> bool:
-    """``member`` for the point y / t, t > 0, given as ints (a stored vertex)."""
     for c, b, strict in region._rows:
         val, bound = sum(map(mul, c, y)), b * t
         if val > bound or strict and val == bound:

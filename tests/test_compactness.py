@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -528,6 +529,69 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
     assert min(simple.values()) >= 500, simple
 
 
+def test_simple_rays_and_vertices_skip_the_holder_scan(monkeypatch):
+    """The adjacency scan ``polyhedron._held(common, masks, 2)`` runs only
+    where the rank argument leaves adjacency open.  In ``_cut`` a pair with
+    a simple ray, tight on dim - 1 rows, needs none: ``cone_from_rows`` of
+    random rows in general position (entries up to 10^6, d = 4..6), whose
+    rays are all simple and which make rays beyond the base's, and the
+    pipelines of the 16- and 64-segment arc hulls scan no pair there, while
+    the closed one-norm balls at d = 3..5, whose rays are tight on many
+    rows, do.  In ``_edges`` a simple vertex, tight on dim rows, needs
+    none: over 120 corpus seeds and the balls and arcs of
+    ``_balls_and_arcs``, the scan runs at vertices tight on more than dim
+    rows only, and both kinds of vertex are tested."""
+    calls = []
+    real_held, real_edges = polyhedron._held, compactness._edges
+
+    def holding(common, masks, limit):
+        if limit == 2:
+            calls.append(sys._getframe(1).f_code.co_name)
+        return real_held(common, masks, limit)
+
+    at = {True: [0, 0], False: [0, 0]}  # vertex simple: [its _edges runs, their scans]
+
+    def edging(poly, k):
+        before = len(calls)
+        out = real_edges(poly, k)
+        tally = at[poly._vert_masks[k].bit_count() == poly.dim]
+        tally[0] += 1
+        tally[1] += len(calls) - before
+        return out
+
+    def pipeline(q, region):
+        calls.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is Verdict.COMPACT:
+            verify_theorems(inst, cert)
+        return calls.count("_cut")
+
+    monkeypatch.setattr(polyhedron, "_held", holding)
+    monkeypatch.setattr(compactness, "_edges", edging)
+    rng = random.Random(71)
+    for d in (4, 5, 6):
+        for _ in range(4):
+            rows = []
+            while len(rows) < 2 * d + 2:  # each row negative on (1, ..., 1): a full-dimensional cone
+                row = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(d)]
+                if sum(row):
+                    rows.append(row if sum(row) < 0 else vneg(row))
+            gens, lin, _ = polyhedron.cone_from_rows(rows, d)
+            assert not lin and len(gens) > d, rows  # a ray past the base's d is an adjacent pair's
+    assert not calls, calls
+    cases = _balls_and_arcs()
+    assert [pipeline(q, region) for q, region in cases[-2:]] == [0, 0]
+    scanned = dict.fromkeys((3, 4, 5), 0)
+    for q, region in cases[:-2]:
+        if not any(c.strict for c in region.constraints):
+            scanned[q.dim] += pipeline(q, region)
+    assert all(scanned.values()), scanned
+    for q, region in cases + [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(40)]:
+        pipeline(q, region)
+    assert at[True][0] >= 20 and not at[True][1] and at[False][1], at
+
+
 def test_not_compact_verdict_runs_one_double_description(monkeypatch):
     """A NOT_COMPACT verdict runs one double description, the closure's:
     the local tests insert the gauge's rows into the closure's edges and
@@ -735,19 +799,18 @@ def test_certified_checks_read_bits(monkeypatch):
     support value and tests no vertex row by row.  closure + C is the
     closure itself, or has its facets as its rows."""
     scans = []
-    real_scan, real_member = polyhedron._scan_support, polyhedron._int_member
+    real_scan, real_member = polyhedron._scan_support, polyhedron.member
 
     def scanning(poly, c):
         scans.append("_scan_support")
         return real_scan(poly, c)
 
-    def testing(region, y, t):
-        scans.append("_int_member")
-        return real_member(region, y, t)
+    def testing(region, x):
+        scans.append("member")
+        return real_member(region, x)
 
     monkeypatch.setattr(polyhedron, "_scan_support", scanning)
-    for module in (polyhedron, compactness):
-        monkeypatch.setattr(module, "_int_member", testing)
+    monkeypatch.setattr(polyhedron, "member", testing)
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
     compact = 0
@@ -771,7 +834,10 @@ def test_rows_without_their_incidence_are_a_broken_invariant():
     """Rows seeded without masks, a closure whose rows are not its
     region's and a saturated hull that is neither the closure nor has its
     facets as its rows raise ``InternalInvariantError`` where the masks
-    would be read; the last also when it equals the closure as a value."""
+    would be read; the last also when it equals the closure as a value.  A
+    saturated hull with a vertex that is no closure vertex raises in T1 and
+    in ``saturate_region``, where the vertex would be looked up in
+    ``Instance._inside``."""
     inst = build(SUP2, UNIT_SQUARE)
     bare = Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)])
     vars(bare)["_rows"] = inst.hull._rows
@@ -796,6 +862,13 @@ def test_rows_without_their_incidence_are_a_broken_invariant():
     assert twin.saturated == twin.hull and twin.saturated is not twin.hull
     with pytest.raises(ratlp.InternalInvariantError, match="its facets"):
         saturate_region(twin)
+    cert = decide_compact(build(SUP2, UNIT_SQUARE))
+    stray = build(SUP2, UNIT_SQUARE)
+    sat = stray.saturated
+    vars(stray)["saturated"] = Polyhedron(2, (*sat.vertices, (5, 5)), sat.rays)
+    for check in (lambda: verify_theorems(stray, cert), lambda: saturate_region(stray)):
+        with pytest.raises(ratlp.InternalInvariantError, match="are closure vertices"):
+            check()
 
 
 def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
@@ -859,8 +932,10 @@ def test_pipeline_scans_each_support_once(monkeypatch):
     """No support value is memoized, and none needs to be: over build,
     decide and T1-T6 on the reference catalog, 60 corpus seeds and d=4
     lattice balls, no (value, row) is scanned twice, and every scan answers
-    what the ``Fraction`` reference says.  The int membership test on a
-    vertex's (y, t) agrees with ``member`` on the ``Fraction`` vertex."""
+    what the ``Fraction`` reference says.  Whether each vertex of the
+    closure (``Instance._inside``) and of closure + C
+    (``Instance._sum_inside``) lies in the region, read off the masks, is
+    what ``member`` and ``ref_member`` say on the ``Fraction`` vertex."""
     real = polyhedron._scan_support
     answered = []
 
@@ -869,15 +944,14 @@ def test_pipeline_scans_each_support_once(monkeypatch):
         answered.append((poly, tuple(c), top))
         return top
 
-    for module in (polyhedron, compactness):
-        monkeypatch.setattr(module, "_scan_support", recording)
+    monkeypatch.setattr(polyhedron, "_scan_support", recording)
     inside = outside = 0
     for q, region in _pipeline_cases():
         inst = Instance.build(q, region)
         verify_theorems(inst, decide_compact(inst))
-        for poly in (inst.hull, inst.saturated):
-            for v, (y, t) in zip(poly.vertices, poly._verts):
-                got = polyhedron._int_member(inst.region, y, t)
+        for poly, answers in ((inst.hull, inst._inside.values()), (inst.saturated, inst._sum_inside)):
+            assert len(answers) == len(poly._verts)
+            for v, got in zip(poly.vertices, answers):
                 assert got == member(inst.region, v) == ref_member(inst.region, v)
                 inside += got
                 outside += not got
@@ -940,6 +1014,44 @@ def test_saturate_region_is_the_facet_construction():
             inst = Instance.build(q, region)
             assert inst.saturated is inst.hull
             assert decide_compact(inst).verdict is Verdict.COMPACT
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_saturate_region_reads_masks_only(monkeypatch):
+    """Every row of ``saturate_region`` is known to reach its bound on the
+    closure, or not, off the masks of closure + C, whether or not a
+    sandwich was verified: the sum's vertices are closure vertices, and a
+    row of the sum reaches its bound on the closure iff it is tight at one
+    of them.  Over the corpus seeds ``1000*d + k`` (d = 1..3, k < 150), the
+    balls and arc hulls of ``_balls_and_arcs`` and closures that contain a
+    line, each undecided and again after ``decide_compact``, it scans no
+    support value, and its set is the facet construction's
+    (``ref_saturate_region``); sums with a line among them."""
+    rng = random.Random(29)
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(150)]
+    cases += _balls_and_arcs()
+    strip = (Constraint((F(1), F(-2)), F(3), True), Constraint((F(-1), F(2)), F(0), False))
+    cases += [(gen_random_norm(2, rng), PartialPolyhedron(2, strip)) for _ in range(8)]
+    scans = []
+    real_scan = polyhedron._scan_support
+
+    def scanning(poly, c):
+        scans.append(poly)
+        return real_scan(poly, c)
+
+    for module in (polyhedron, compactness):  # also where a module imports the name
+        monkeypatch.setattr(module, "_scan_support", scanning, raising=False)
+    kinds = dict.fromkeys(("undecided", *Verdict, "line"), 0)
+    for q, region in cases:
+        for decided in (False, True):
+            inst = Instance.build(q, region)
+            kinds[decide_compact(inst).verdict if decided else "undecided"] += 1
+            scans.clear()
+            got = saturate_region(inst)
+            assert not scans, (q, region, decided)
+            assert set_equal(got, ref_saturate_region(inst)), (q, region, decided)
+            kinds["line"] += contains_line(inst.saturated)
+    del kinds[Verdict.UNKNOWN]
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -1206,26 +1318,21 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
 
 
 def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
-    """T1 for the center ``decide_compact`` verified reads PASS off its
-    sandwich, which placed the saturated hull's vertices in the region; a
-    center that the instance did not verify is still tested vertex by
-    vertex.  Over every COMPACT instance among the corpus seeds
-    ``1000*d + k`` (d = 1..3, k < 500) and twenty d=4 lattice balls, T1 says
-    what testing each vertex of closure + C with ``member`` says, with the
-    verified center and with the same center handed to a fresh instance of
-    the same gauge and region; only the second tests the vertices, each
-    once.  A forged saturated hull with a vertex outside the region fails
-    T1 also for the verified center; its vertex is no closure vertex, so
-    the half-open sum falls back to the support scan, and T4 says what
-    the facet construction (``ref_saturate_region``) says."""
+    """T1 reads whether each vertex of closure + C lies in the region off
+    the closure's masks (``Instance._sum_inside``), the list the sandwich of
+    ``decide_compact`` reads.  Over every COMPACT instance among the corpus
+    seeds ``1000*d + k`` (d = 1..3, k < 500) and twenty d=4 lattice balls,
+    T1 says what testing each vertex of closure + C with ``member`` says,
+    with the verified center and with the same center handed to a fresh
+    instance of the same gauge and region, and neither tests a vertex row
+    by row."""
     tested = []
-    real = compactness._int_member
+    real = polyhedron.member
 
-    def counting(region, y, t):
+    def counting(region, x):
         tested.append(region)
-        return real(region, y, t)
+        return real(region, x)
 
-    monkeypatch.setattr(compactness, "_int_member", counting)
     cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(500)]
     cases += _lattice_balls(20)
     compact = 0
@@ -1237,34 +1344,13 @@ def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
         compact += 1
         sat = inst.saturated
         scan = ClaimStatus.PASS if all(member(region, v) for v in sat.vertices) else ClaimStatus.FAIL
-        counts = []
+        monkeypatch.setattr(polyhedron, "member", counting)
         for target in (inst, Instance.build(q, region)):
-            tested.clear()
             t1 = verify_theorems(target, cert).claims[0]
             assert t1.claim_id == "T1" and t1.status is scan, (q, region)
-            counts.append(sum(r is region for r in tested))  # T1 and T2 test the region itself
-        assert counts[1] - counts[0] == len(sat._verts), (q, region)
+        monkeypatch.setattr(polyhedron, "member", real)
+        assert not tested, (q, region)
     assert compact >= 300
-
-    inst = build(SUP2, UNIT_SQUARE)
-    cert = decide_compact(inst)
-    sat = inst.saturated
-    vars(inst)["saturated"] = Polyhedron(2, (*sat.vertices, (5, 5)), sat.rays)
-    scans = []
-    real_scan = polyhedron._scan_support
-
-    def scanning(poly, c):
-        scans.append(poly)
-        return real_scan(poly, c)
-
-    monkeypatch.setattr(compactness, "_scan_support", scanning)
-    claims = verify_theorems(inst, cert).claims
-    assert claims[0].claim_id == "T1" and claims[0].status is ClaimStatus.FAIL
-    assert inst.saturated._int_hrep and scans == [inst.hull] * len(inst.saturated._int_hrep)
-    monkeypatch.setattr(compactness, "_scan_support", real_scan)
-    ref = ref_saturate_region(inst)
-    assert set_equal(saturate_region(inst), ref)
-    assert claims[3].claim_id == "T4" and claims[3].status is (ClaimStatus.PASS if is_closed(ref) else ClaimStatus.FAIL)
 
 
 def test_t3_and_t4_compare_closed_sets_as_set_equal_does():

@@ -33,15 +33,16 @@ one run over all the rows does, and a replay that returns other rays or
 masks raises.  The work is read off the rays and masks between rows, and
 the line gains it over build and decide: rows inserted (``rows_in``),
 candidate pairs of a cut and a kept ray (``pairs``), pairs sharing enough
-tight rows (``pairs_popcount``), rays made (``rays_made``), pairs that
-still needed the holder scan, neither ray being simple
-(``pairs_scanned``), and the pointed runs (``_cut`` called from
+tight rows (``pairs_popcount``), rays made (``rays_made``), the holder
+scans the replayed ``_cut`` ran (``polyhedron._held`` calls,
+``pairs_scanned``), and the pointed runs (``_cut`` called from
 ``polyhedron._pointed_cone_rays``, ``pointed_runs``) whose rows came first
 to last in the order of their primitive forms, nearest the base first
 (``nearest_first_runs``).  The first four depend only on the rows and
 their order, so the same tool run on an earlier ``src`` counts that code's
-work; ``pairs_scanned`` counts the scans the simple-ray shortcut leaves,
-and code without it scans every one of ``pairs_popcount``.
+work; ``pairs_scanned`` counts the scans ``_cut`` really runs: those the
+simple-ray shortcut leaves, and every one of ``pairs_popcount`` in code
+without it.
 
     python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3] [--counts]
 
@@ -118,23 +119,28 @@ COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
 def replay(rays, masks, rows, dim, tally):
     """``polyhedron._cut`` over ``rows``, run one row at a time, adding its
     work to ``tally`` (the ``COUNTS``), read off the rays and masks before
-    and after each row: the (ray, mask) pairs the one run returns."""
-    for i, row in rows:
-        if not rays:
-            break
-        signs = [sum(map(mul, row, r)) for r in rays]
-        cut = [m for m, v in zip(masks, signs) if v > 0]
-        minus = [m for m, v in zip(masks, signs) if v < 0]
-        tally["rows_in"] += 1
-        tally["pairs"] += len(cut) * len(minus)
-        for mp in cut:
-            for mq in minus:
-                if (mp & mq).bit_count() >= dim - 2:
-                    tally["pairs_popcount"] += 1
-                    tally["pairs_scanned"] += dim - 1 not in (mp.bit_count(), mq.bit_count())
-        kept = len(rays) - len(cut)
-        rays, masks = _cut(rays, masks, [(i, row)], dim)
-        tally["rays_made"] += len(rays) - kept
+    and after each row, and its holder scans (``polyhedron._held`` calls)
+    counted as they run: the (ray, mask) pairs the one run returns."""
+    def holding(common, pool, limit):
+        tally["pairs_scanned"] += 1
+        return held(common, pool, limit)
+
+    held, polyhedron._held = polyhedron._held, holding
+    try:
+        for i, row in rows:
+            if not rays:
+                break
+            signs = [sum(map(mul, row, r)) for r in rays]
+            cut = [m for m, v in zip(masks, signs) if v > 0]
+            minus = [m for m, v in zip(masks, signs) if v < 0]
+            tally["rows_in"] += 1
+            tally["pairs"] += len(cut) * len(minus)
+            tally["pairs_popcount"] += sum((mp & mq).bit_count() >= dim - 2 for mp in cut for mq in minus)
+            kept = len(rays) - len(cut)
+            rays, masks = _cut(rays, masks, [(i, row)], dim)
+            tally["rays_made"] += len(rays) - kept
+    finally:
+        polyhedron._held = held
     return sorted(zip(rays, masks))
 
 
