@@ -95,7 +95,6 @@ class CatalogEntry:
     region: PartialPolyhedron
     expected_verdict: Verdict
     expected_center: Optional[tuple] = None  # exact vertex tuple, or None to skip
-    expect_all_claims_pass: bool = True
     note: Optional[str] = None
 
 
@@ -198,9 +197,7 @@ def run_reference_suite() -> tuple[list[RunReport], bool]:
         matched = report.verdict == entry.expected_verdict.value
         if center is not None and entry.expected_center is not None:
             matched = matched and tuple(sorted(center)) == tuple(sorted(entry.expected_center))
-        if report.claims and entry.expect_all_claims_pass:
-            all_pass = all(status == ClaimStatus.PASS.value for _, status in report.claims)
-            matched = matched and all_pass
+        matched = matched and all(status == ClaimStatus.PASS.value for _, status in report.claims)
         if entry.name.startswith("arc-hull"):
             # the centers must grow strictly with the sample count
             matched = matched and center is not None and len(center) > previous_center_size

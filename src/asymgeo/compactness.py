@@ -360,7 +360,8 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
 
     Its rows are the closed sum's ``_rows``, the very tuple, each of scale 1:
     the closure's own rows (its region's) when the sum is the closure, and
-    its facets otherwise (a broken invariant else).  A row is strict exactly
+    otherwise its facets, as its incidence record says (a broken invariant
+    else).  A row is strict exactly
     when it reaches its bound on the closure and its optimal face over the
     closure never meets the region, since a point of the sum on the row
     decomposes as (face point of the closure) + (cone point).  Any row of
@@ -386,7 +387,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     """
     sat, hull, region = inst.saturated, inst.hull, inst.region
     rows = sat._rows
-    if sat is not hull and rows is not vars(sat).get("_int_hrep"):
+    if sat is not hull and not sat._incidence.facets:
         raise InternalInvariantError("the saturated hull is the closure or has its facets as its rows")
     reached = reduce(or_, sat._vert_masks)
     met = reduce(or_, compress(sat._vert_masks, inst._sum_inside), 0)

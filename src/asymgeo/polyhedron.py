@@ -19,42 +19,45 @@ Every predicate (membership, inclusion, extremality, closedness) reduces
 to exact support-function scans and to incidence against an
 H-representation; emptiness and closedness are read off the closure's
 generators.  The incidence predicates (extreme points and rays, lines, the
-recession cone's lineality) read ``Polyhedron._rows``, any integer
-inequality description of the set, as one bitmask of tight rows per
-generator (``_vert_masks``, ``_ray_masks``), and run no elimination: a
-generator is extreme iff no other one is tight on all its rows, and a line
-lies in the set iff some ray is tight on every row.  One holder scan,
-``_held`` (the combinatorial test of Fukuda & Prodon 1996), decides
-extremality (``_maximal``), the double description's adjacency (``_cut``)
-and a vertex's edges (``_edges``).  A closure keeps the rows it was
-converted from, so they run without a vertex-to-facet conversion, and the
-facets are computed only where they are needed, as int rows
-(``_int_hrep``, by ``_int_facets``).
+recession cone's lineality) read one record per value,
+``Polyhedron._incidence`` (an ``_Incidence``): the rows of some integer
+inequality description of the set, one bitmask of tight rows per generator,
+and whether the rows are the facets; ``_rows``, ``_vert_masks`` and
+``_ray_masks`` are views of it.  They run no elimination: a generator is
+extreme iff no other one is tight on all its rows, and a line lies in the
+set iff some ray is tight on every row.  One holder scan, ``_held`` (the
+combinatorial test of Fukuda & Prodon 1996), decides extremality
+(``_maximal``), the double description's adjacency (``_cut``) and a
+vertex's edges (``_edges``).  A closure keeps the rows it was converted
+from, so they run without a vertex-to-facet conversion, and the facets are
+computed only where they are needed (``_int_facets``).
 
 The masks come from the double description, which tracks the rows tight on
 each ray anyway: ``cone_from_rows`` returns them over the rows it was
 handed, bit i for the i-th, so the closure keeps them as they are (less the
 bit of ``t >= 0``), and the facet conversion transposes them onto the
-generators where the facets become the rows.  The Minkowski sum with a
-cone is the union value itself, rows and masks and all, when pruning keeps
-every generator (a line-free closure that the cone adds no direction to is
-its own sum); a pruned sum keeps its union's rows and masks only where
-those rows are the union's facets, and otherwise leaves its own to its
-first incidence read, which converts its facets.  ``to_partial`` takes a
-value's ``_rows`` as they are, so it converts nothing where rows are at
-hand.  So rows never come without masks (that would be a broken
-invariant), and a region's closure has the region's rows, the very tuple
-``_closed_rows``, as its ``_rows`` (``_own_rows``).  A predicate on a
-region and its closure reads bits: a closure vertex lies in the region iff
+generators where the facets become the rows.  Each builder seeds the whole
+record in one assignment, so rows never come without their masks.  The
+conversion ``_h_to_v`` seeds the rows it converted, flagged as not the
+facets: a region's closure has the region's rows, the very tuple
+``_closed_rows`` (``_own_rows``).  The facet conversion (``_int_facets``,
+the record's default) makes the facets' record.  A pruned Minkowski sum
+takes its union's record, less the masks of the generators it drops, where
+those rows are the union's facets, and otherwise its first incidence read
+converts its facets; the sum is the union value itself, record and all,
+when pruning keeps every generator (a line-free closure that the cone adds
+no direction to is its own sum).  ``to_partial`` takes a value's ``_rows``
+as they are, so it converts nothing where rows are at hand.  A predicate on
+a region and its closure reads bits: a closure vertex lies in the region iff
 no strict row is tight on it, the region is empty iff a strict row is tight
 on every generator, closed iff no strict row is tight on a vertex, and it
 meets a face of its closure iff no strict row is tight on every generator
 of the face (``_meets_face``, which finds the face's generators by one dot
 product each with its normal).  ``_within`` takes one OR over the vertex
 masks where the region's rows are the polyhedron's own, and scans support
-values (``_scan_support``, one per row) against any other rows.  The masks,
-the line test, the extreme flags and the recession cone are memoized on the
-value.
+values (``_scan_support``, one per row) against any other rows.  The
+incidence record, the line test, the extreme flags and the recession cone
+are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -277,43 +280,38 @@ class Polyhedron(_Value):
 
     @cached_property
     def hrep(self) -> tuple[HRow, ...]:
-        """The facets (``dd_convert_v_to_h``): the ``Fraction`` view of ``_int_hrep``."""
-        return _fraction_rows(self._int_hrep)
+        """The facets as ``Fraction`` rows (``dd_convert_v_to_h``): the rows of
+        ``_incidence`` when they are the facets, else the value's one
+        vertex-to-facet conversion (``_int_facets``)."""
+        inc = self._incidence
+        return _fraction_rows((inc if inc.facets else _int_facets(self)).rows)
 
     @cached_property
-    def _int_hrep(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The facets as primitive int rows (c, b), sorted: the one
-        vertex-to-facet conversion of the value (``_int_facets``).  When no
-        rows were seeded the facets become ``_rows``, with the incidence the
-        conversion found as the masks."""
-        facets, vert_masks, ray_masks = _int_facets(self)
-        if "_rows" not in vars(self):
-            vars(self).update(_rows=facets, _vert_masks=vert_masks, _ray_masks=ray_masks)
-        return facets
+    def _incidence(self) -> _Incidence:
+        """The integer inequality description of the set that the incidence
+        predicates read, with its masks: the facets (``_int_facets``) unless
+        a builder seeded the record, ``_h_to_v`` with the rows it converted
+        (the region's ``_closed_rows`` for a closure) and a pruned sum with
+        its union's facets (``minkowski_sum_with_cone``)."""
+        return _int_facets(self)
 
-    @cached_property
+    @property
     def _rows(self) -> tuple[tuple[Sequence[int], int], ...]:
-        """An integer inequality description (c, b) of the set, read by the
-        incidence predicates: ``_int_hrep`` unless a conversion seeded it
-        with the rows it converted (``dd_convert_h_to_v``, the region's
-        ``_closed_rows`` for a closure) or a pruned sum with its union's
-        facets (``minkowski_sum_with_cone``); ``to_partial`` takes it as it
-        is.  Converted rows may be duplicate, rescaled, redundant or zero;
-        incidence decides the same on any inequality description of the
-        set.  Whatever seeds the rows seeds their masks."""
-        return self._int_hrep
+        """The rows (c, b) of ``_incidence``; ``to_partial`` takes them as
+        they are.  Converted rows may be duplicate, rescaled, redundant or
+        zero; incidence decides the same on any inequality description of
+        the set."""
+        return self._incidence.rows
 
-    @cached_property
+    @property
     def _vert_masks(self) -> tuple[int, ...]:
-        """Per vertex, the ``_rows`` tight on it, as seeded with the rows
-        (reading ``_rows`` may run the facet conversion, which seeds both)."""
-        return _seeded_masks(self, "_vert_masks")
+        """Per vertex, the ``_rows`` tight on it."""
+        return self._incidence.verts
 
-    @cached_property
+    @property
     def _ray_masks(self) -> tuple[int, ...]:
-        """Per ray, the ``_rows`` its direction is tight on, as ``_vert_masks``;
-        a polytope reads no row."""
-        return _seeded_masks(self, "_ray_masks") if self._rays else ()
+        """Per ray, the ``_rows`` its direction is tight on; a polytope reads no row."""
+        return self._incidence.rays if self._rays else ()
 
     @cached_property
     def _has_line(self) -> bool:
@@ -351,13 +349,15 @@ class Polyhedron(_Value):
         return _maximal(self._ray_masks)
 
 
-def _seeded_masks(poly: Polyhedron, name: str) -> tuple[int, ...]:
-    """The masks ``name`` seeded with ``poly._rows``, made first if need be."""
-    poly._rows  # the facet conversion, if it runs, seeds the masks with the rows
-    masks = vars(poly).get(name)
-    if masks is None:
-        raise InternalInvariantError("rows are seeded with their masks")
-    return masks
+class _Incidence(NamedTuple):
+    """An integer inequality description of a polyhedron, seeded whole: the
+    rows (c, b), <c, x> <= b; per vertex and per ray the mask of the rows
+    tight on it, bit j for ``rows[j]``; and whether the rows are the facets."""
+
+    rows: tuple[tuple[Sequence[int], int], ...]
+    verts: tuple[int, ...]
+    rays: tuple[int, ...]
+    facets: bool
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -650,22 +650,21 @@ def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional
     if not verts:
         return None
     points, raydirs = _sorted_points(verts), tuple(sorted(rays))
-    poly = Polyhedron._make(dim=dim, _verts=points, _rays=raydirs)
-    vars(poly).update(_rows=rows, _has_line=bool(lin), _vert_masks=tuple(map(verts.__getitem__, points)),
-                      _ray_masks=tuple(map(rays.__getitem__, raydirs)))
-    return poly
+    incidence = _Incidence(rows, tuple(map(verts.__getitem__, points)), tuple(map(rays.__getitem__, raydirs)), False)
+    return Polyhedron._make(dim=dim, _verts=points, _rays=raydirs, _has_line=bool(lin), _incidence=incidence)
 
 
 def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
-    """Inequality representation of a closed polyhedron: the rows of
-    ``_int_facets`` as ``Fraction``s, primitive integer data in sorted order.
-    Each call converts afresh; ``Polyhedron.hrep`` is the memoized view."""
-    return _fraction_rows(_int_facets(poly)[0])
+    """Inequality representation of a closed polyhedron: its facets as
+    ``Fraction`` rows, primitive integer data in sorted order, the memo
+    ``poly.hrep`` itself."""
+    return poly.hrep
 
 
-def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...], tuple[int, ...]]:
+def _int_facets(poly: Polyhedron) -> _Incidence:
     """The facets of a closed polyhedron as int rows (c, b), <c, x> <= b,
-    then per vertex and per ray the mask of the facets tight on it.
+    with per vertex and per ray the mask of the facets tight on it: the
+    default ``Polyhedron._incidence``.
 
     Every vertex-to-facet conversion runs here.  Dualizes the homogenization
     cone: its polar is described by the generators as rows (the int vertices
@@ -701,7 +700,7 @@ def _int_facets(poly: Polyhedron) -> tuple[tuple[tuple[tuple[int, ...], int], ..
             tight[low.bit_length() - 1] |= bit
             m ^= low
     cut = len(poly._verts)
-    return tuple(rows), tuple(tight[:cut]), tuple(tight[cut:])
+    return _Incidence(tuple(rows), tuple(tight[:cut]), tuple(tight[cut:]), True)
 
 
 def to_partial(poly: Polyhedron) -> PartialPolyhedron:
@@ -719,23 +718,13 @@ def to_partial(poly: Polyhedron) -> PartialPolyhedron:
                                    _scales=(1,) * len(rows), _closed_rows=rows)
 
 
-def support_value(poly: Polyhedron, direction: Vec) -> Optional[Rational]:
-    """sup of <direction, x> over the polyhedron; None when unbounded.
+def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
+    """sup of <c, x> over the polyhedron for an int row c, as (n, t) with
+    value n / t and t > 0; None when unbounded.
 
     Exact and LP-free: the supremum of a linear functional over
-    conv(V) + cone(R) is attained at a vertex unless some ray ascends.
-    """
-    s, c = _clear(direction)
-    if len(c) != poly.dim:
-        raise ValueError(f"direction of length {len(c)} in dimension {poly.dim}")
-    top = _scan_support(poly, c)
-    return None if top is None else Fraction(top[0], top[1] * s)
-
-
-def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
-    """``support_value`` for an int row c, as (n, t) with value n / t and t > 0.
-
-    The maximum over the vertices (y, t) is taken by cross-multiplying."""
+    conv(V) + cone(R) is attained at a vertex unless some ray ascends, and
+    the maximum over the vertices (y, t) is taken by cross-multiplying."""
     if any(sum(map(mul, c, r)) > 0 for r in poly._rays):
         return None
     best_n, best_t = None, 1
@@ -795,9 +784,9 @@ def _own_rows(poly: Polyhedron, region: PartialPolyhedron) -> bool:
     Then ``poly``'s masks index the region's rows, as a closure's always do:
     a vertex lies in the region iff no strict row is tight on it.  The test
     is one of identity, so it reads no row, and it is false where ``poly``
-    has not made its rows yet."""
-    rows = vars(poly).get("_rows")
-    return rows is not None and rows is vars(region).get("_closed_rows")
+    has not made its ``_incidence`` yet."""
+    inc = vars(poly).get("_incidence")
+    return inc is not None and inc.rows is vars(region).get("_closed_rows")
 
 
 def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
@@ -999,9 +988,10 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     closure that the cone adds no direction to is its own sum, rows and
     masks and all, so no vertex-to-facet conversion runs for it.  A pruned
     sum is a new value, known to be line-free with every listed generator
-    extreme; where the union's rows are its facets it shares them (``_rows``
-    and ``_int_hrep``) and keeps the masks of the generators it keeps, and
-    otherwise its first incidence read converts its facets.
+    extreme.  Where the union's rows are its facets (``_incidence.facets``)
+    they are the sum's facets too, and the sum takes the union's record with
+    the masks of the generators it keeps; otherwise its first incidence read
+    converts its facets.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
@@ -1018,7 +1008,8 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     verts, rays = tuple(compress(total._verts, keep)), tuple(compress(total._rays, ray_keep))
     out = Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays, _has_line=False,
                            _extreme_flags=(True,) * len(verts), _extreme_ray_flags=(True,) * len(rays))
-    if vars(total).get("_int_hrep") is total._rows:
-        vars(out).update(_rows=total._rows, _int_hrep=total._rows, _vert_masks=tuple(compress(total._vert_masks, keep)),
-                         _ray_masks=tuple(compress(total._ray_masks, ray_keep)))
+    inc = total._incidence
+    if inc.facets:
+        vars(out)["_incidence"] = inc._replace(verts=tuple(compress(inc.verts, keep)),
+                                               rays=tuple(compress(inc.rays, ray_keep)))
     return out

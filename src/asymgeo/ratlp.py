@@ -10,13 +10,14 @@ the gcd of its entries for every caller outside the double description's
 ray combination.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  Two loops run the eliminations:
-``_reduce`` (``rref``, ``rank`` and ``_null_space``, with its view
-``null_space_basis``, read their answers off it) and ``_basis``, the base
+``_reduce`` (``rank``, ``_null_space``, with its view ``null_space_basis``,
+and the reduced row echelon form of a recession cone's lineality basis in
+``asymgeo.polyhedron`` read their answers off it) and ``_basis``, the base
 of the double description and the definiteness check, which makes the
 pivots ``_reduce`` of [rows^T | I] makes but forms a column of rows^T only
-when its pivot search reaches it; ``lp_solve`` (two-phase,
-free variables split) and ``feasible_nonneg`` (phase one only) build a
-tableau for ``_bland``.  The compactness decision runs no LP: ``lp_solve``
+when its pivot search reaches it; ``lp_solve`` (two-phase, free variables
+split) and ``feasible_nonneg`` (phase one only) build a tableau for
+``_bland``.  The compactness decision runs no LP: ``lp_solve``
 serves the random generator's emptiness test, ``feasible_nonneg`` the LP
 membership tests kept as a reference.  Nor does it call ``dot``: the
 predicates compare int copies cleared by ``_clear``.
@@ -250,12 +251,6 @@ def _basis(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple[list[Seque
     if len(picked) < dim:
         return None
     return [t[:dim] for t in tab], picked, det
-
-
-def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work, pivots, det = _reduce(rows)
-    return [[Fraction(x, det) for x in r] for r in work[:len(pivots)]], pivots
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:

@@ -401,12 +401,12 @@ def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
 # ---------------------------------------------------------------------------
 # Frozen reference predicates: Fraction dot products
 # ---------------------------------------------------------------------------
-# Verbatim copies of the earlier Fraction versions of ``support_value``,
-# ``member`` and ``_meets_face`` (``asymgeo.polyhedron``) and ``gauge_eval``
-# (``asymgeo.norm``), kept so property tests can compare the integer
-# predicates against them, and the earlier ``is_closed``, which scanned the
-# support of each strict row over the closure where the current one reads
-# the closure's generators.  ``ref_meets_face`` is the full face scan: it
+# Verbatim copies of the earlier Fraction versions of ``support_value`` (now
+# ``_scan_support``), ``member`` and ``_meets_face`` (``asymgeo.polyhedron``)
+# and ``gauge_eval`` (``asymgeo.norm``), kept so property tests can compare
+# the integer predicates against them, and the earlier ``is_closed``, which
+# scanned the support of each strict row over the closure where the current
+# one reads the closure's generators.  ``ref_meets_face`` is the full face scan: it
 # scans the face also for a region without strict rows, which the current
 # ``_meets_face`` answers without one.  ``ref_ball_set`` is the earlier
 # ``ball`` region, made of ``Fraction`` rows by the public constructor, where
@@ -679,7 +679,7 @@ def ref_saturate_region(inst) -> PartialPolyhedron:
     and its optimal face over the closure misses the region.  Built by the
     public constructor; its closure is not seeded."""
     rows = []
-    for c, b in _int_facets(inst.saturated)[0]:
+    for c, b in _int_facets(inst.saturated).rows:
         top = _scan_support(inst.hull, c)
         if top is None or top[0] > b * top[1]:
             raise AssertionError("sum rows bound the closure")

@@ -24,7 +24,7 @@ from asymgeo.cli.generators import (
 from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
 from asymgeo.cli.main import main
 from asymgeo.cli.render import RenderError, render_svg
-from asymgeo.cli.suite import run_reference_suite
+from asymgeo.cli.suite import reference_catalog, run_reference_suite
 from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_certify
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
@@ -537,3 +537,16 @@ def test_cli_suite_output_matches_golden_file(capsys):
     golden = Path(__file__).parent / "data" / "suite_no_timing.txt"
     assert main(["suite", "--no-timing"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_render_output_matches_golden_files():
+    """``render`` stays byte-identical: the two 2-D catalog instances and
+    ``gen random --dim 2`` seeds 2001-2005, each against its SVG under
+    ``tests/data/render``."""
+    files = {"unit square, sup lattice gauge": "unit-square", "triangle under a symmetric gauge": "triangle"}
+    cases = [(files[e.name], e.norm, e.region) for e in reference_catalog() if e.region.dim == 2]
+    cases += [(f"random-{seed}", *gen_random_instance(2, seed)) for seed in range(2001, 2006)]
+    assert len(cases) == 7
+    golden = Path(__file__).parent / "data" / "render"
+    for name, norm, region in cases:
+        assert render_svg(norm, region) == (golden / f"{name}.svg").read_text(encoding="utf-8"), name

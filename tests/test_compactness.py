@@ -39,6 +39,7 @@ from asymgeo.polyhedron import (
     PartialPolyhedron,
     Polyhedron,
     _edges,
+    _int_facets,
     _meets_face,
     _within,
     closure,
@@ -826,24 +827,19 @@ def test_certified_checks_read_bits(monkeypatch):
         for k in (region, saturate_region(inst)):
             assert closure(k)._rows is k._closed_rows, k
         sat = inst.saturated
-        assert sat is inst.hull or sat._rows is vars(sat)["_int_hrep"]
+        assert sat is inst.hull or vars(sat)["_incidence"].facets
     assert compact >= 150, compact
 
 
 def test_rows_without_their_incidence_are_a_broken_invariant():
-    """Rows seeded without masks, a closure whose rows are not its
-    region's and a saturated hull that is neither the closure nor has its
-    facets as its rows raise ``InternalInvariantError`` where the masks
-    would be read; the last also when it equals the closure as a value.  A
-    saturated hull with a vertex that is no closure vertex raises in T1 and
-    in ``saturate_region``, where the vertex would be looked up in
+    """A closure whose rows are not its region's and a saturated hull that
+    is neither the closure nor has its facets as its rows raise
+    ``InternalInvariantError`` where the masks would be read; the last also
+    when it equals the closure as a value.  (Rows without masks cannot be
+    built: ``Polyhedron._incidence`` is seeded whole.)  A saturated hull
+    with a vertex that is no closure vertex raises in T1 and in
+    ``saturate_region``, where the vertex would be looked up in
     ``Instance._inside``."""
-    inst = build(SUP2, UNIT_SQUARE)
-    bare = Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)])
-    vars(bare)["_rows"] = inst.hull._rows
-    for name in ("_vert_masks", "_ray_masks"):
-        with pytest.raises(ratlp.InternalInvariantError, match="seeded with their masks"):
-            getattr(bare, name)
     square = closure(UNIT_SQUARE)
     half_open = PartialPolyhedron(2, (*UNIT_SQUARE.constraints[:3], UNIT_SQUARE.constraints[3]._replace(strict=True)))
     with pytest.raises(ratlp.InternalInvariantError, match="the region's closure"):
@@ -913,19 +909,79 @@ def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
         for v, mask, inside in zip(hull.vertices, hull._vert_masks, inst._inside.values()):
             assert (not mask & region._strict_mask) == inside == member(region, v), (region, v)
             kinds["inside" if inside else "outside"] += 1
-        for poly in made + [p for p, _ in faceted if vars(p)["_rows"] is p._int_hrep]:
-            assert {"_rows", "_vert_masks", "_ray_masks"} <= vars(poly).keys(), poly
-            assert vars(poly)["_vert_masks"] == ref_tight_masks(poly._rows, poly._verts), poly
-            assert vars(poly)["_ray_masks"] == ref_tight_masks(poly._rows, [(r, 0) for r in poly._rays]), poly
+        for poly in made + [p for p, _ in faceted if vars(p)["_incidence"].facets]:
+            assert "_incidence" in vars(poly), poly
+            inc = vars(poly)["_incidence"]
+            assert inc.verts == ref_tight_masks(inc.rows, poly._verts), poly
+            assert inc.rays == ref_tight_masks(inc.rows, [(r, 0) for r in poly._rays]), poly
             assert list(poly._extreme_flags) == ref_maximal(poly._vert_masks, poly._ray_masks), poly
             assert list(poly._extreme_ray_flags) == ref_maximal(poly._ray_masks), poly
-        for poly, (rows, vert_masks, ray_masks) in faceted:
+        for poly, (rows, vert_masks, ray_masks, facets) in faceted:
+            assert facets is True, poly
             assert vert_masks == ref_tight_masks(rows, poly._verts), poly
             assert ray_masks == ref_tight_masks(rows, [(r, 0) for r in poly._rays]), poly
         kinds["made"] += len(made)
         kinds["sum"] += "saturated" in vars(inst)
         kinds["facets"] += len(faceted)
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_the_facets_flag_never_lies(monkeypatch):
+    """``Polyhedron._incidence.facets`` is true only where the record's rows
+    are the facets, and each builder sets it as documented: over the corpus
+    seeds ``1000*d + k`` (d = 1..3, k < 100), the balls and arc hulls of
+    ``_balls_and_arcs`` and half-open strips and slabs with a line, decided
+    and, when COMPACT, with T1-T6 run, every closure carries
+    ``facets=False``, every pruned sum carries ``True``, every record
+    flagged as the facets equals the facet conversion's (``_int_facets``:
+    the rows and both mask tuples), and ``dd_convert_v_to_h`` of every value
+    made is its memo ``hrep``."""
+    rng = random.Random(61)
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
+    cases += _balls_and_arcs()
+    slab = (Constraint((F(1), F(1), F(1)), F(1), True), Constraint((F(-1), F(-1), F(-1)), F(1), False))
+    strip = (Constraint((F(1), F(-2)), F(3), True), Constraint((F(-1), F(2)), F(0), False))
+    for region in (PartialPolyhedron(3, slab), PartialPolyhedron(2, strip)):
+        cases += [(gen_random_norm(region.dim, rng), region) for _ in range(6)]
+    closures, made, pruned = [], [], []
+    real_h_to_v, make = polyhedron._h_to_v, polyhedron._Value._make.__func__
+
+    def h_to_v(rows, dim):
+        closures.append(real_h_to_v(rows, dim))
+        return closures[-1]
+
+    def recording(cls, **fields):
+        made.append(make(cls, **fields))
+        if "_extreme_flags" in fields:  # only a pruned sum is made with its extreme flags
+            pruned.append(made[-1])
+        return made[-1]
+
+    monkeypatch.setattr(polyhedron, "_h_to_v", h_to_v)
+    monkeypatch.setattr(polyhedron._Value, "_make", classmethod(recording))
+    kinds = {"closure": 0, "pruned": 0, "flagged": 0, "compact": 0, "line": 0}
+    for q, region in cases:
+        closures.clear()
+        made.clear()
+        pruned.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is Verdict.COMPACT:
+            verify_theorems(inst, cert)
+            kinds["compact"] += 1
+        kinds["line"] += contains_line(inst.hull)
+        for p in closures:
+            assert vars(p)["_incidence"].facets is False, p
+            kinds["closure"] += 1
+        for p in pruned:
+            assert p._incidence.facets is True, p
+            kinds["pruned"] += 1
+        for p in [p for p in made if type(p) is Polyhedron]:
+            inc = vars(p).get("_incidence")
+            if inc is not None and inc.facets:
+                assert inc == _int_facets(p), p
+                kinds["flagged"] += 1
+            assert polyhedron.dd_convert_v_to_h(p) is p.hrep, p
+    assert min(kinds.values()) >= 12, kinds
 
 
 def test_pipeline_scans_each_support_once(monkeypatch):
@@ -1008,7 +1064,8 @@ def test_saturate_region_is_the_facet_construction():
         kinds["closed" if closed else "open"] += 1
         kinds["own" if inst.saturated is inst.hull else "faceted"] += 1
         kinds["line"] += contains_line(inst.hull)
-        kinds["flat"] += any((tuple(vneg(c)), -b) in inst.hull._int_hrep for c, b in inst.hull._int_hrep)
+        facets = _int_facets(inst.hull).rows
+        kinds["flat"] += any((tuple(vneg(c)), -b) in facets for c, b in facets)
     for q, region in balls[:12]:
         if not any(c.strict for c in region.constraints):
             inst = Instance.build(q, region)
@@ -1084,9 +1141,11 @@ def _assert_public_value(value):
         assert got == getattr(public, name) == ref, name
     if isinstance(value, Polyhedron):
         assert value.hrep == public.hrep == polyhedron.dd_convert_v_to_h(public)
-        for name in ("_int_hrep", "_has_line"):
-            if name in vars(value):
-                assert vars(value)[name] == getattr(public, name), name
+        if "_has_line" in vars(value):
+            assert vars(value)["_has_line"] == public._has_line
+        inc = vars(value).get("_incidence")
+        if inc is not None and inc.facets:
+            assert inc == public._incidence
 
 
 def test_meets_face_agrees_with_the_full_face_scan():
@@ -1403,7 +1462,7 @@ def test_decide_compact_skips_the_hrep_of_a_bounded_hull():
         if inst.hull.rays:
             continue
         cert = decide_compact(inst)
-        assert "_int_hrep" not in inst.hull.__dict__
+        assert "hrep" not in inst.hull.__dict__ and not inst.hull._incidence.facets
         assert inst.hull.hrep
         assert decide_compact(inst) == cert
         verdicts.append(cert.verdict)

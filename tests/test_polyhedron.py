@@ -18,7 +18,10 @@ from asymgeo.polyhedron import (
     LinealityPresentError,
     PartialPolyhedron,
     Polyhedron,
+    _Incidence,
+    _int_facets,
     _meets_face,
+    _scan_support,
     closure,
     contains_line,
     dd_convert_h_to_v,
@@ -33,10 +36,9 @@ from asymgeo.polyhedron import (
     recession_cone,
     set_equal,
     subset,
-    support_value,
     to_partial,
 )
-from asymgeo.ratlp import as_vec, dot, null_space_basis, primitive, rank, rref, vneg, zero_vec
+from asymgeo.ratlp import _clear, as_vec, dot, null_space_basis, primitive, rank, vneg, zero_vec
 
 from support import (
     interval,
@@ -49,6 +51,7 @@ from support import (
     ref_basis,
     ref_pointed_cone_rays,
     ref_rank,
+    ref_rref,
     ref_support_value,
     ref_tight_masks,
     with_redundant_rows,
@@ -238,7 +241,7 @@ def test_recession_examples():
     assert recession_cone(half_space).lineality_basis == ((1, 0, 0), (0, 1, 1))
     for p in (box, ray, strip, line, half_space):
         members = _lp_lineality_members(p)
-        expected = tuple(primitive(tuple(row)) for row in rref(members)[0]) if members else ()
+        expected = tuple(primitive(tuple(row)) for row in ref_rref(members)[0]) if members else ()
         assert recession_cone(p).lineality_basis == expected, p
 
 
@@ -1036,7 +1039,7 @@ def test_meets_face_agrees_with_face_system():
         normals = [zero_vec(d), rand_point(rng, d, span=2, max_den=1)]
         normals += [c.normal for c in k.constraints]
         for normal in normals:
-            top = support_value(hull, normal)
+            top = ref_support_value(hull, normal)
             if top is None:
                 continue
             face = k.constraints + (Constraint(normal, top, False), Constraint(vneg(normal), -top, False))
@@ -1056,13 +1059,21 @@ def _mixed_vec(rng: random.Random, d: int):
     return tuple(_mixed_rational(rng) for _ in range(d))
 
 
+def _support(poly, direction):
+    """The support value of ``poly`` in ``direction`` as a ``Fraction``, read
+    off ``_scan_support`` of the direction cleared to ints."""
+    s, c = _clear(direction)
+    top = _scan_support(poly, c)
+    return None if top is None else F(top[0], top[1] * s)
+
+
 def test_predicates_match_fraction_reference():
-    """``support_value``, ``member`` and ``_meets_face`` run on int generators
-    and rows; they return what the frozen Fraction versions return, and the
-    support value is still a ``Fraction``.  Polyhedra mix denominators, zero
-    and negative entries, rays and lines; regions mix strict and non-strict
-    rows with rational right-hand sides, and the points tried include the
-    closure's vertices, where rows are tight."""
+    """``_scan_support``, ``member`` and ``_meets_face`` run on int generators
+    and rows; they return what the frozen Fraction versions return.
+    Polyhedra mix denominators, zero and negative entries, rays and lines;
+    regions mix strict and non-strict rows with rational right-hand sides,
+    and the points tried include the closure's vertices, where rows are
+    tight."""
     rng = random.Random(43)
     unbounded = bounded = inside = outside = met = missed = 0
     for _ in range(250):
@@ -1072,9 +1083,8 @@ def test_predicates_match_fraction_reference():
             rays.append(vneg(rays[0]))
         poly = Polyhedron(d, [_mixed_vec(rng, d) for _ in range(rng.randint(1, 5))], rays)
         for direction in [zero_vec(d)] + [_mixed_vec(rng, d) for _ in range(4)]:
-            got = support_value(poly, direction)
+            got = _support(poly, direction)
             assert got == ref_support_value(poly, direction)
-            assert got is None or type(got) is Fraction
             unbounded += got is None
             bounded += got is not None
 
@@ -1096,7 +1106,7 @@ def test_predicates_match_fraction_reference():
             top = ref_support_value(hull, normal)
             if top is None:
                 continue
-            assert support_value(hull, normal) == top
+            assert _support(hull, normal) == top
             got = _meets_face(k, hull, normal, top)
             assert got == ref_meets_face(k, hull, normal, top), (k, normal)
             met += got
@@ -1105,13 +1115,10 @@ def test_predicates_match_fraction_reference():
 
 
 def test_support_value_and_member_check_the_dimension():
-    """The int predicates zip rows with points, so a length mismatch must be
-    caught before any product is taken."""
-    poly = Polyhedron(2, [(0, 0), (1, 2)], [(1, 0)])
+    """``member`` zips rows with points, so a length mismatch must be caught
+    before any product is taken."""
     square = to_partial(Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
     for wrong in [(1,), (1, 0, 0)]:
-        with pytest.raises(ValueError):
-            support_value(poly, wrong)
         with pytest.raises(ValueError):
             member(square, wrong)
 
@@ -1181,15 +1188,15 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
 
     box = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert not contains_line(box) and extreme_rays(box) == ()
-    assert "_rows" not in box.__dict__
+    assert "_incidence" not in box.__dict__
     assert len(extreme_points(box)) == 4
 
     strip = closure(region(2, ((1, 0), 1, False), ((-1, 0), 1, False), ((2, 0), 5, True)))
     hull = closure(region(2, ((-1, 0), 0, True), ((0, -1), 0, False), ((-1, -1), 1, False)))
     assert contains_line(strip) and not contains_line(hull)
     for p in (strip, hull):
-        assert "_int_hrep" not in p.__dict__
-        assert p.__dict__["_ray_masks"] == ref_tight_masks(p._rows, [(r, 0) for r in p._rays])
+        assert "hrep" not in p.__dict__ and not p.__dict__["_incidence"].facets
+        assert p.__dict__["_incidence"].rays == ref_tight_masks(p._rows, [(r, 0) for r in p._rays])
     assert extreme_points(strip) == () and extreme_points(hull) == ((0, 0),)
 
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
@@ -1225,8 +1232,8 @@ def test_seeded_rows_answer_as_the_facets_do():
                 extreme_rays(hull)
         else:
             assert extreme_rays(hull) == extreme_rays(facets)
-        assert "_int_hrep" not in hull.__dict__
-        assert hull._int_hrep == tuple((tuple(int(a) for a in c), int(b)) for c, b in hull.hrep)
+        assert "hrep" not in hull.__dict__ and not hull.__dict__["_incidence"].facets
+        assert _int_facets(hull).rows == tuple((tuple(int(a) for a in c), int(b)) for c, b in hull.hrep)
         assert hull.hrep == facets.hrep
         kinds["line" if contains_line(hull) else "rays" if hull.rays else "polytope"] += 1
     assert min(kinds.values()) >= 15, kinds
@@ -1264,10 +1271,10 @@ def test_conversion_masks_survive_degenerate_rows():
         if hull is None:
             kinds["empty"] += 1
             continue
-        assert vars(poly)["_rows"] is poly._int_hrep  # its facets, converted for with_redundant_rows
+        assert vars(poly)["_incidence"].facets  # its facets, converted for with_redundant_rows
         for p in (hull, poly):
-            assert vars(p)["_vert_masks"] == ref_tight_masks(p._rows, p._verts), p
-            assert vars(p)["_ray_masks"] == ref_tight_masks(p._rows, [(r, 0) for r in p._rays]), p
+            assert vars(p)["_incidence"].verts == ref_tight_masks(p._rows, p._verts), p
+            assert vars(p)["_incidence"].rays == ref_tight_masks(p._rows, [(r, 0) for r in p._rays]), p
         for v, mask in zip(hull.vertices, hull._vert_masks):
             assert (not mask & k._strict_mask) == member(k, v), (k, v)
             kinds["strict vertex"] += bool(mask & k._strict_mask)
@@ -1307,9 +1314,8 @@ def test_incidence_extremality_matches_lp_reference():
             pts.append(tuple(a + b for a, b in zip(pts[0], rds[0])))
             rds.append(tuple(a + b for a, b in zip(rds[0], rds[-1])))
         padded = Polyhedron(d, pts, rds)
-        object.__setattr__(padded, "_rows", hull._rows)  # with its masks, as every seeding site does
-        object.__setattr__(padded, "_vert_masks", ref_tight_masks(hull._rows, padded._verts))
-        object.__setattr__(padded, "_ray_masks", ref_tight_masks(hull._rows, [(r, 0) for r in padded._rays]))
+        vars(padded)["_incidence"] = _Incidence(hull._rows, ref_tight_masks(hull._rows, padded._verts),
+                                                ref_tight_masks(hull._rows, [(r, 0) for r in padded._rays]), False)
         for p in (hull, padded):
             line = any(in_cone(vneg(r), p.rays) for r in p.rays)
             assert contains_line(p) == line, p
@@ -1499,7 +1505,7 @@ def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
         total = Polyhedron(d, poly.vertices, poly.rays + cone.generators
                            + cone.lineality_basis + tuple(vneg(l) for l in cone.lineality_basis))
         expected = total if contains_line(total) else Polyhedron(d, extreme_points(total), extreme_rays(total))
-        had_hrep = "_int_hrep" in poly.__dict__
+        had_hrep = "hrep" in poly.__dict__
         runs.clear()
         got = minkowski_sum_with_cone(poly, cone)
         shortcut = not cone.lineality_basis
@@ -1507,14 +1513,14 @@ def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
             # no facets are computed for the sum; other values than a
             # closure have computed theirs to read incidence
             assert runs == [poly] * (n % 2)
-            assert ("_int_hrep" in poly.__dict__) == (had_hrep or n % 2 == 1)
-            assert (vars(poly).get("_int_hrep") is poly._rows) == (n % 2 == 1)
+            assert ("hrep" in poly.__dict__) == had_hrep
+            assert vars(poly)["_incidence"].facets == (n % 2 == 1)
             if expected == poly:
                 assert got is poly
                 kinds["closure"] += n % 2 == 0
             else:
                 assert n % 2 == 1, poly  # a closure lists only extreme generators
-                assert got is not poly and got._rows is poly._rows and got._int_hrep is poly._rows
+                assert got is not poly and vars(got)["_incidence"].facets and got._rows is poly._rows
                 kinds["pruned"] += 1
         elif shortcut:
             assert got is poly
@@ -1523,7 +1529,7 @@ def test_minkowski_shortcut_returns_the_union_value(monkeypatch):
         assert got == expected, (poly, cone)
         assert got.vertices == expected.vertices and got.rays == expected.rays
         assert got.hrep == Polyhedron(d, expected.vertices, expected.rays).hrep
-        assert got is poly or got._rows is got._int_hrep
+        assert got is poly or got._incidence.facets
         kinds["lineality" if cone.lineality_basis else "line" if contains_line(poly)
               else "zero cone" if not cone.generators else "shortcut"] += 1
     assert min(kinds.values()) >= 15, kinds
