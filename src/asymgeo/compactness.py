@@ -43,7 +43,10 @@ A COMPACT verdict with the checks T1-T6 converts vertices to facets at
 most once, for closure(K) + C, and not at all when the closure holds C.
 A closed gauge ball does: rec(B) = C and B + C = B, so closure(K) + C is
 the closure itself, the very value with the region's rows and masks, and
-the sandwich, T3, T4 and T6 read those masks only (``_own_rows``).  Once
+the sandwich, T3, T4 and T6 scan no row: the closure is read off the region
+(``closure``), so its masks index the region's rows, and the two sandwiches
+find the region's rows to be the closure's own, the very tuple
+(``_within``).  Once
 every recession direction has gauge 0, the pruned closure(K) + C is S + C
 field for field: its vertices are S's, and its rays are C's generators,
 which ``decide_compact`` checks on the stored ints.
@@ -93,7 +96,6 @@ from asymgeo.polyhedron import (
     _edges,
     _fractions,
     _meets_face,
-    _own_rows,
     _within,
     closure,
     contains_line,
@@ -194,9 +196,10 @@ class Instance:
     def _inside(self) -> dict[tuple[tuple[int, ...], int], bool]:
         """Per listed vertex (y, t) of the closure, in their order, whether it
         lies in the region: no strict row is tight on it, one AND per vertex,
-        since the closure's masks index the region's rows (``_own_rows``)."""
-        if not _own_rows(self.hull, self.region):
-            raise InternalInvariantError("the closure's rows are the region's")
+        since the closure's masks index the region's rows: the closure is read
+        off the region (``closure``), and ``hull`` must be that very value."""
+        if self.hull is not closure(self.region):
+            raise InternalInvariantError("the hull is the region's closure")
         strict = self.region._strict_mask
         return {v: not m & strict for v, m in zip(self.hull._verts, self.hull._vert_masks)}
 
@@ -374,7 +377,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     unpruned union, which lists every closure vertex), and it is not
     strict when such a vertex lies in the region
     (``Instance._sum_inside``).  The other rows test their face
-    (``_meets_face``), off the masks on the closure's own rows.
+    (``_meets_face``, off the masks of the region's closure).
 
     The sum holds the region, so it is nonempty, and its closure is the set
     of ``inst.saturated``, whatever the flags.  When that set is line-free
@@ -391,7 +394,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
         raise InternalInvariantError("the saturated hull is the closure or has its facets as its rows")
     reached = reduce(or_, sat._vert_masks)
     met = reduce(or_, compress(sat._vert_masks, inst._sum_inside), 0)
-    flags = [bool(reached >> j & 1) and not met >> j & 1 and not _meets_face(region, hull, c, b)
+    flags = [bool(reached >> j & 1) and not met >> j & 1 and not _meets_face(region, c, b)
              for j, (c, b) in enumerate(rows)]
     part = PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]))

@@ -40,24 +40,25 @@ generators where the facets become the rows.  Each builder seeds the whole
 record in one assignment, so rows never come without their masks.  The
 conversion ``_h_to_v`` seeds the rows it converted, flagged as not the
 facets: a region's closure has the region's rows, the very tuple
-``_closed_rows`` (``_own_rows``).  The facet conversion (``_int_facets``,
-the record's default) makes the facets' record.  A pruned Minkowski sum
-takes its union's record, less the masks of the generators it drops, where
-those rows are the union's facets, and otherwise its first incidence read
-converts its facets; the sum is the union value itself, record and all,
-when pruning keeps every generator (a line-free closure that the cone adds
-no direction to is its own sum).  ``to_partial`` takes a value's ``_rows``
-as they are, so it converts nothing where rows are at hand.  A predicate on
-a region and its closure reads bits: a closure vertex lies in the region iff
-no strict row is tight on it, the region is empty iff a strict row is tight
-on every generator, closed iff no strict row is tight on a vertex, and it
-meets a face of its closure iff no strict row is tight on every generator
-of the face (``_meets_face``, which finds the face's generators by one dot
-product each with its normal).  ``_within`` takes one OR over the vertex
-masks where the region's rows are the polyhedron's own, and scans support
-values (``_scan_support``, one per row) against any other rows.  The
-incidence record, the line test, the extreme flags and the recession cone
-are memoized on the value.
+``_closed_rows``, so a predicate that reads the closure off the region
+(``closure``) holds masks that index the region's rows.  The facet
+conversion (``_int_facets``, the record's default) makes the facets'
+record.  A pruned Minkowski sum takes its union's record, less the masks of
+the generators it drops: the rows describe the union's set, which is the
+sum's, and their ``facets`` flag carries over; the sum is the union value
+itself, record and all, when pruning keeps every generator (a line-free
+closure that the cone adds no direction to is its own sum).  ``to_partial``
+takes a value's ``_rows`` as they are, so it converts nothing where rows
+are at hand.  A predicate on a region and its closure reads bits: a
+closure vertex lies in the region iff no strict row is tight on it, the
+region is empty iff a strict row is tight on every generator, closed iff no
+strict row is tight on a vertex, and it meets a face of its closure iff no
+strict row is tight on every generator of the face (``_meets_face``, which
+finds the face's generators by one dot product each with its normal).
+``_within`` scans support values (``_scan_support``, one per row); a region
+without strict rows whose rows are the polyhedron's own, the very tuple,
+holds it unscanned.  The incidence record, the line test, the extreme flags
+and the recession cone are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -225,8 +226,8 @@ class PartialPolyhedron(_Value):
     @cached_property
     def _closed_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The rows (c, b) without their strict flags: the closure's ``_rows``,
-        the very tuple (``_own_rows``), and seeded where a region is made from
-        a polyhedron's facets."""
+        the very tuple, and seeded where a region is made from a polyhedron's
+        ``_rows`` (``to_partial``, ``compactness.saturate_region``)."""
         return tuple([(c, b) for c, b, _ in self._rows])
 
     @cached_property
@@ -292,7 +293,7 @@ class Polyhedron(_Value):
         predicates read, with its masks: the facets (``_int_facets``) unless
         a builder seeded the record, ``_h_to_v`` with the rows it converted
         (the region's ``_closed_rows`` for a closure) and a pruned sum with
-        its union's facets (``minkowski_sum_with_cone``)."""
+        its union's record (``minkowski_sum_with_cone``)."""
         return _int_facets(self)
 
     @property
@@ -708,10 +709,10 @@ def to_partial(poly: Polyhedron) -> PartialPolyhedron:
 
     Built from the int rows ``poly._rows`` as they are (``_make``), each of
     scale 1: the facets, unless a conversion seeded other rows (a closure's
-    are its region's).  That tuple is its ``_closed_rows``, so ``poly``'s
-    masks index its rows (``_own_rows``) and no facet conversion runs for
-    a value that has rows.  Its closure is not seeded: like every closure,
-    it is the double description of its rows.
+    are its region's).  That tuple is its ``_closed_rows``, so it holds
+    ``poly`` unscanned (``_within``), and no facet conversion runs for a
+    value that has rows.  Its closure is not seeded: like every closure, it
+    is the double description of its rows.
     """
     rows = poly._rows
     return PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
@@ -778,17 +779,6 @@ def member(region: PartialPolyhedron, x: Vec) -> bool:
     return True
 
 
-def _own_rows(poly: Polyhedron, region: PartialPolyhedron) -> bool:
-    """Are the region's rows, strict flags aside, the very rows ``poly._rows``?
-
-    Then ``poly``'s masks index the region's rows, as a closure's always do:
-    a vertex lies in the region iff no strict row is tight on it.  The test
-    is one of identity, so it reads no row, and it is false where ``poly``
-    has not made its ``_incidence`` yet."""
-    inc = vars(poly).get("_incidence")
-    return inc is not None and inc.rows is vars(region).get("_closed_rows")
-
-
 def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     """Topological closure; None when the region is empty.
 
@@ -800,27 +790,26 @@ def closure(region: PartialPolyhedron) -> Optional[Polyhedron]:
     return region._closure
 
 
-def _meets_face(region: PartialPolyhedron, hull: Polyhedron, normal: Sequence, top: int | Rational) -> bool:
-    """Does the region meet the face of its closure ``hull`` where <normal, x> = top (its maximum)?
+def _meets_face(region: PartialPolyhedron, normal: Sequence, top: int | Rational) -> bool:
+    """Does the region meet the face of its closure where <normal, x> = top (its maximum there)?
 
-    The face is generated by the vertices attaining ``top`` and the rays
-    orthogonal to ``normal``, one dot product each.  A strict row removes
-    the subface where it is tight, and finitely many faces cover a nonempty
-    convex set only if one is the whole set: the region meets the face iff
-    no strict row is tight on all of it, that is on every generator of it.
-    The closure's masks index the region's rows (``_own_rows``), so one AND
-    of the face's masks decides, and a region without strict rows meets
-    every face unscanned.  Int input passes as is; every test runs on ints.
-    A row of the closure's own takes the same path as any other: no
-    decision calls this test, and after a COMPACT one T1-T6 call it on no
-    row, since every vertex of closure + C lies in the region, so each row
-    they test is met there.
+    The face is generated by the closure's vertices attaining ``top`` and
+    its rays orthogonal to ``normal``, one dot product each.  A strict row
+    removes the subface where it is tight, and finitely many faces cover a
+    nonempty convex set only if one is the whole set: the region meets the
+    face iff no strict row is tight on all of it, that is on every
+    generator of it.  The closure is read off the region (``closure``), so
+    its masks index the region's rows, one AND of the face's masks decides,
+    and a region without strict rows meets every face unscanned.  Int input
+    passes as is; every test runs on ints.  A row of the closure's own
+    takes the same path as any other: no decision calls this test, and
+    after a COMPACT one T1-T6 call it on no row, since every vertex of
+    closure + C lies in the region, so each row they test is met there.
     """
     strict = region._strict_mask
     if not strict:
         return True
-    if not _own_rows(hull, region):
-        raise InternalInvariantError("the hull is the region's closure")
+    hull = closure(region)
     *normal, top = _clear((*normal, top))[1]
     face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
     face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
@@ -856,20 +845,19 @@ def _within(poly: Polyhedron, region: PartialPolyhedron,
     the maximum must exist and stay within the row's bound.
     A strict row must not reach its bound on the closed ``poly``, and on
     ``part`` it reaches it only where its optimal face over ``poly`` meets
-    ``part``.  When the region's rows are ``poly``'s own (``_own_rows``)
-    every row holds on ``poly``, and a strict one reaches its bound iff it
-    is tight at a listed vertex: the masks answer, faces included, and no
-    support is scanned.
+    ``part`` (``_meets_face``).  A region without strict rows whose
+    ``_closed_rows`` are the very rows of ``poly``'s incidence record holds
+    ``poly`` unscanned: the two such inclusions a decision makes, a closed
+    ball's sandwich and T6's, are each ``subset(X, to_partial(closure(X)))``.
     """
-    if _own_rows(poly, region):
-        reached = region._strict_mask & reduce(or_, poly._vert_masks)
-        return not any(reached >> j & 1 and (part is None or _meets_face(part, poly, c, b))
-                       for j, (c, b, _) in enumerate(region._rows))
+    inc = vars(poly).get("_incidence")
+    if not region._strict_mask and inc is not None and inc.rows is vars(region).get("_closed_rows"):
+        return True
     for c, b, strict in region._rows:
         top = _scan_support(poly, c)
         if top is None or top[0] > b * top[1]:
             return False
-        if strict and top[0] == b * top[1] and (part is None or _meets_face(part, poly, c, b)):
+        if strict and top[0] == b * top[1] and (part is None or _meets_face(part, c, b)):
             return False
     return True
 
@@ -988,10 +976,9 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     closure that the cone adds no direction to is its own sum, rows and
     masks and all, so no vertex-to-facet conversion runs for it.  A pruned
     sum is a new value, known to be line-free with every listed generator
-    extreme.  Where the union's rows are its facets (``_incidence.facets``)
-    they are the sum's facets too, and the sum takes the union's record with
-    the masks of the generators it keeps; otherwise its first incidence read
-    converts its facets.
+    extreme, made with the union's incidence record less the masks of the
+    generators it drops: the union's rows describe the union's set, which
+    is the sum's, and their ``facets`` flag carries over.
     """
     if poly.dim != cone.dim:
         raise ValueError("dimension mismatch")
@@ -1006,10 +993,8 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
     if all(keep) and all(ray_keep):
         return total
     verts, rays = tuple(compress(total._verts, keep)), tuple(compress(total._rays, ray_keep))
-    out = Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays, _has_line=False,
-                           _extreme_flags=(True,) * len(verts), _extreme_ray_flags=(True,) * len(rays))
     inc = total._incidence
-    if inc.facets:
-        vars(out)["_incidence"] = inc._replace(verts=tuple(compress(inc.verts, keep)),
-                                               rays=tuple(compress(inc.rays, ray_keep)))
-    return out
+    return Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays, _has_line=False,
+                            _extreme_flags=(True,) * len(verts), _extreme_ray_flags=(True,) * len(rays),
+                            _incidence=inc._replace(verts=tuple(compress(inc.verts, keep)),
+                                                    rays=tuple(compress(inc.rays, ray_keep))))

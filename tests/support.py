@@ -683,7 +683,7 @@ def ref_saturate_region(inst) -> PartialPolyhedron:
         top = _scan_support(inst.hull, c)
         if top is None or top[0] > b * top[1]:
             raise AssertionError("sum rows bound the closure")
-        strict = top[0] == b * top[1] and not _meets_face(inst.region, inst.hull, c, b)
+        strict = top[0] == b * top[1] and not _meets_face(inst.region, c, b)
         rows.append(Constraint(tuple(map(Fraction, c)), Fraction(b), strict))
     return PartialPolyhedron(inst.region.dim, tuple(rows))
 

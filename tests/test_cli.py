@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -104,14 +105,32 @@ def test_parse_rejects_unknown_directives_and_bad_rows():
         parse_instance("version 1\ndim 1\nF: 1\n")
 
 
-@pytest.mark.parametrize("text, line, word", [
-    ("version 1\ndim 2\nF: 1 0\nF: 0 1\ndim 1\nH: 1 <= 1\n", 5, "dim"),
-    ("version 1\ndim 1\nF: 1\nversion 1\nH: 1 <= 1\n", 4, "version"),
+_DIM_TWICE = "version 1\ndim 2\nF: 1 0\nF: 0 1\ndim 1\nH: 1 <= 1\n"
+_VERSION_TWICE = "version 1\ndim 1\nF: 1\nversion 1\nH: 1 <= 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a repeated directive's case is named by its text, its line and the word
+    pytest.param(_DIM_TWICE, 5, "repeated 'dim' line", id=f"{_DIM_TWICE}-5-dim"),
+    pytest.param(_VERSION_TWICE, 4, "repeated 'version' line", id=f"{_VERSION_TWICE}-4-version"),
+    ("version\ndim 1\nF: 1\nH: 1 <= 1\n", 1, "expected 'version <tag>'"),
+    ("version 1\nF: 1\ndim 1\nH: 1 <= 1\n", 2, "dim must come before any row"),
+    ("version 1\ndim 2\nF: 1 0\nF: 0 1\nV: 0 0\nV: 1\n", 6, "expected 2 coordinates, got 1"),
+    ("version 2\ndim 1\nF: 1\nH: 1 <= 1\n", None, "unsupported version '2'"),
+    ("version 1\n# no dim line\n", None, "missing 'dim' line"),
+    ("version 1\ndim 1\nF: 1\nH: 1 <= 1\nV: 0\n", None, "give either H rows or a V/R block, not both"),
 ])
-def test_parse_rejects_a_repeated_directive(text, line, word):
+def test_parse_rejects_a_repeated_directive(text, line, message):
     """A second ``dim`` or ``version`` line is an instance error naming its
-    line; a second ``dim`` after rows would otherwise leave them too long."""
-    with pytest.raises(InstanceError, match=f"^line {line}: repeated '{word}' line$"):
+    line; a second ``dim`` after rows would otherwise leave them too long.
+    So is any other misplaced or malformed directive or set block: a
+    ``version`` line without its tag, a row before ``dim``, a ``V:`` line of
+    the wrong length, an unsupported version, no ``dim`` line and ``H:``
+    rows next to a ``V:`` block.  Each has its message, and its line where
+    the parser names one (None where the fault is found after the last
+    line)."""
+    where = "" if line is None else f"line {line}: "
+    with pytest.raises(InstanceError, match=f"^{re.escape(where + message)}$"):
         parse_instance(text)
 
 
@@ -473,6 +492,53 @@ def test_cli_center_reports_witness(tmp_path, capsys):
     assert main(["center", str(path)]) == 0
     out = capsys.readouterr().out
     assert "verdict: NOT_COMPACT" in out and "BadRecessionDirection" in out
+
+
+def _triangle_file(tmp_path):
+    """The catalog triangle under the symmetric gauge, written to a file."""
+    entry = next(e for e in reference_catalog() if e.name == "triangle under a symmetric gauge")
+    path = tmp_path / "triangle.txt"
+    path.write_text(write_instance(entry.norm, entry.region), encoding="utf-8")
+    return path
+
+
+def test_cli_ext_prints_the_region_extreme_points(tmp_path, capsys):
+    assert main(["ext", str(_triangle_file(tmp_path))]) == 0
+    assert capsys.readouterr().out == "ext: (0, 0)\next: (0, 1)\next: (1, 0)\n"
+
+
+def test_cli_center_prints_the_suite_center(tmp_path, capsys):
+    """``center`` on a COMPACT file prints one ``center:`` line per vertex,
+    the center the reference suite reports for the same instance."""
+    assert main(["center", str(_triangle_file(tmp_path))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: COMPACT"
+    golden = (Path(__file__).parent / "data" / "suite_no_timing.txt").read_text(encoding="utf-8")
+    block = next(b for b in golden.split("\n\n") if b.startswith("instance: triangle under a symmetric gauge\n"))
+    expected = next(line for line in block.splitlines() if line.startswith("center: "))
+    assert "center: " + "; ".join([line.removeprefix("center: ") for line in out[1:]]) == expected
+
+
+def test_cli_gen_arc_hull_writes_the_generated_instance(capsys):
+    assert main(["gen", "arc-hull", "--arc", "8"]) == 0
+    assert capsys.readouterr().out == write_instance(*gen_arc_hull(8))
+
+
+def test_cli_render_writes_to_stdout_without_an_output_file(tmp_path, capsys):
+    assert main(["render", str(_triangle_file(tmp_path))]) == 0
+    golden = Path(__file__).parent / "data" / "render" / "triangle.svg"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_cli_check_ends_with_its_timing_line(tmp_path, capsys):
+    """Without ``--no-timing`` the report gains one last line, its time, and
+    is otherwise the report printed with it."""
+    path = str(_triangle_file(tmp_path))
+    assert main(["check", path]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert main(["check", path, "--no-timing"]) == 0
+    assert re.fullmatch(r"timing_ms: [0-9]+\.[0-9]", timed[-1]), timed[-1]
+    assert timed[:-1] == capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("dim", ["-1", "0"])

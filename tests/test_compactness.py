@@ -10,6 +10,7 @@ from operator import mul
 import pytest
 
 from asymgeo.compactness import (
+    CLAIM_LABELS,
     BadRecessionDirection,
     ClaimStatus,
     CompactnessCertificate,
@@ -832,18 +833,17 @@ def test_certified_checks_read_bits(monkeypatch):
 
 
 def test_rows_without_their_incidence_are_a_broken_invariant():
-    """A closure whose rows are not its region's and a saturated hull that
+    """A hull that is not the region's closure and a saturated hull that
     is neither the closure nor has its facets as its rows raise
     ``InternalInvariantError`` where the masks would be read; the last also
     when it equals the closure as a value.  (Rows without masks cannot be
-    built: ``Polyhedron._incidence`` is seeded whole.)  A saturated hull
-    with a vertex that is no closure vertex raises in T1 and in
-    ``saturate_region``, where the vertex would be looked up in
+    built: ``Polyhedron._incidence`` is seeded whole; and ``_meets_face``
+    reads the closure off its region, so it takes no other hull.)  A
+    saturated hull with a vertex that is no closure vertex raises in T1 and
+    in ``saturate_region``, where the vertex would be looked up in
     ``Instance._inside``."""
     square = closure(UNIT_SQUARE)
     half_open = PartialPolyhedron(2, (*UNIT_SQUARE.constraints[:3], UNIT_SQUARE.constraints[3]._replace(strict=True)))
-    with pytest.raises(ratlp.InternalInvariantError, match="the region's closure"):
-        _meets_face(half_open, square, (0, -1), 0)
     with pytest.raises(ratlp.InternalInvariantError, match="the region's"):
         Instance(SUP2, half_open, square)._inside
     forged = build(SUP2, UNIT_SQUARE)
@@ -865,6 +865,22 @@ def test_rows_without_their_incidence_are_a_broken_invariant():
     for check in (lambda: verify_theorems(stray, cert), lambda: saturate_region(stray)):
         with pytest.raises(ratlp.InternalInvariantError, match="are closure vertices"):
             check()
+
+
+def test_a_failed_sandwich_is_unknown():
+    """When the vertex lookups and the rays check pass and the sandwich
+    fails, the verdict is UNKNOWN, with no center and no witness: the
+    catalog triangle under the symmetric gauge, whose cone {0} has no
+    generator, with its saturated hull forged as the segment between two of
+    its three closure vertices.  The structure report then calls every
+    claim NOT_APPLICABLE."""
+    entry = next(e for e in reference_catalog() if e.name == "triangle under a symmetric gauge")
+    inst = Instance.build(entry.norm, entry.region)
+    vars(inst)["saturated"] = Polyhedron(2, inst.hull.vertices[:2])
+    assert decide_compact(inst) == CompactnessCertificate(Verdict.UNKNOWN)
+    claims = verify_theorems(inst).claims
+    assert [c.claim_id for c in claims] == sorted(CLAIM_LABELS)
+    assert {c.status for c in claims} == {ClaimStatus.NOT_APPLICABLE}
 
 
 def test_seeded_masks_equal_recomputed_incidence(monkeypatch):
@@ -1163,7 +1179,7 @@ def test_meets_face_agrees_with_the_full_face_scan():
             has_strict = any(c.strict for c in part.constraints)
             for normal in [(0,) * q.dim] + [c.normal for c in part.constraints]:
                 top = ref_support_value(hull, normal)
-                got = _meets_face(part, hull, normal, top)
+                got = _meets_face(part, normal, top)
                 assert got == ref_meets_face(part, hull, normal, top), (part, normal)
                 if not has_strict:
                     kinds["no strict row"] += 1

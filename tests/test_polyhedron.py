@@ -155,6 +155,24 @@ def test_minkowski_examples():
     assert set_equal(to_partial(half_strip), expected)
 
 
+def test_a_pruned_sum_is_made_with_its_unions_record():
+    """A pruned sum takes the incidence record of the union it prunes, less
+    the masks of the generators it drops: the very rows and their
+    ``facets`` flag, here rows that are not the facets (one of them
+    redundant), and the masks of the generators it keeps.  Its extreme
+    points and facets are those of its set."""
+    p = Polyhedron(2, [(0, 0), (1, 0), (2, 0), (0, 2)])  # (1, 0) is not extreme
+    rows = (((-1, 0), 0), ((0, -1), 0), ((1, 1), 2), ((1, 0), 3))  # x <= 3 is redundant
+    vars(p)["_incidence"] = _Incidence(rows, ref_tight_masks(rows, p._verts), (), False)
+    got = minkowski_sum_with_cone(p, Cone(2, []))
+    assert got is not p and got.vertices == ((0, 0), (0, 2), (2, 0))
+    inc = vars(got)["_incidence"]
+    assert inc.rows is p._rows and inc.facets is False
+    assert (inc.verts, inc.rays) == (ref_tight_masks(rows, got._verts), ())
+    plain = Polyhedron(2, got.vertices)
+    assert extreme_points(got) == extreme_points(plain) and got.hrep == plain.hrep
+
+
 def test_minkowski_prunes_redundancy():
     p = minkowski_sum_with_cone(
         Polyhedron(2, [(0, 0)], [(-1, 0)]),
@@ -933,7 +951,7 @@ def _subset_oracle(k1: PartialPolyhedron, k2: PartialPolyhedron) -> bool:
 
 def test_subset_agrees_with_complement_oracle():
     rng = random.Random(23)
-    agree_true = agree_false = 0
+    agree_true = agree_false = own_true = own_false = 0
     for _ in range(250):
         d = rng.randint(1, 3)
 
@@ -949,7 +967,19 @@ def test_subset_agrees_with_complement_oracle():
         assert got == _subset_oracle(k1, k2), (k1, k2)
         agree_true += got
         agree_false += not got
+        hull = closure(k1)
+        if hull is None:
+            continue
+        # pairs whose rows are the closure's own: the early exit, and strict
+        # rows reaching the scan with their face test
+        own = to_partial(hull)
+        for first, second in ((k1, k1), (k1, own), (own, k1)):
+            got = subset(first, second)
+            assert got == _subset_oracle(first, second), (first, second)
+            own_true += got
+            own_false += not got
     assert agree_true > 20 and agree_false > 20
+    assert own_true > 100 and own_false > 20, (own_true, own_false)
 
 
 def test_partial_is_empty_cases():
@@ -1043,7 +1073,7 @@ def test_meets_face_agrees_with_face_system():
             if top is None:
                 continue
             face = k.constraints + (Constraint(normal, top, False), Constraint(vneg(normal), -top, False))
-            got = _meets_face(k, hull, normal, top)
+            got = _meets_face(k, normal, top)
             assert got == (not partial_is_empty(PartialPolyhedron(d, face))), (k, normal)
             met += got
             missed += not got
@@ -1107,7 +1137,7 @@ def test_predicates_match_fraction_reference():
             if top is None:
                 continue
             assert _support(hull, normal) == top
-            got = _meets_face(k, hull, normal, top)
+            got = _meets_face(k, normal, top)
             assert got == ref_meets_face(k, hull, normal, top), (k, normal)
             met += got
             missed += not got
