@@ -17,10 +17,12 @@ of the double description and the definiteness check, which makes the
 pivots ``_reduce`` of [rows^T | I] makes but forms a column of rows^T only
 when its pivot search reaches it; ``lp_solve`` (two-phase, free variables
 split) and ``feasible_nonneg`` (phase one only) build a tableau for
-``_bland``.  The compactness decision runs no LP: ``lp_solve``
-serves the random generator's emptiness test, ``feasible_nonneg`` the LP
-membership tests kept as a reference.  Nor does it call ``dot``: the
-predicates compare int copies cleared by ``_clear``.
+``_bland``.  The compactness decision runs no LP: ``feasible_nonneg``
+serves the random generator's emptiness test (Motzkin's alternative, in
+``asymgeo.polyhedron.partial_is_empty``) and the LP membership tests kept
+as a reference, and ``lp_solve`` stays as public API that no module of the
+package calls.  Nor does the decision call ``dot``: the predicates compare
+int copies cleared by ``_clear``.
 """
 
 from __future__ import annotations
@@ -373,8 +375,9 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
                     rhs_col: Sequence[Rational]) -> bool:
     """Does A lam = b admit lam >= 0?  Phase-one simplex, Bland's rule.
 
-    The tableau of the LP reference for polyhedral extremality: variables are
-    sign-constrained, so none is split and only the artificial phase runs.
+    Variables are sign-constrained, so none is split and only the artificial
+    phase runs: the tableau of the emptiness test's alternative system and
+    of the LP references for polyhedral extremality.
     """
     m = len(matrix_rows)
     if m != len(rhs_col):

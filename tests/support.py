@@ -27,7 +27,7 @@ from asymgeo.polyhedron import (
     cone_from_rows,
     to_partial,
 )
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, primitive, zero_vec
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, zero_vec
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -410,8 +410,10 @@ def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
 # scans the face also for a region without strict rows, which the current
 # ``_meets_face`` answers without one.  ``ref_ball_set`` is the earlier
 # ``ball`` region, made of ``Fraction`` rows by the public constructor, where
-# the current one makes the stored ints directly.  As with the kernel above,
-# do not optimize them.
+# the current one makes the stored ints directly.  ``ref_partial_is_empty``
+# is the earlier margin LP on the public ``lp_solve``, where the current
+# ``partial_is_empty`` runs one phase one on Motzkin's alternative.  As with
+# the kernel above, do not optimize them.
 
 
 def ref_support_value(poly, direction):
@@ -465,6 +467,19 @@ def ref_is_closed(region):
         if top == c.rhs:
             return False
     return True
+
+
+def ref_partial_is_empty(region):
+    """Maximize a margin t <= 1 added to every strict row: the region is
+    nonempty iff the closed system is feasible with t > 0."""
+    unit = (Fraction(0),) * region.dim + (Fraction(1),)
+    rows = [((*c.normal, Fraction(int(c.strict))), c.rhs) for c in region.constraints]
+    res = lp_solve(unit, [*rows, (unit, Fraction(1))])
+    if res.status is LpStatus.INFEASIBLE:
+        return True
+    if res.status is not LpStatus.OPTIMAL:
+        raise AssertionError("the margin objective is capped")
+    return res.value <= 0
 
 
 def ref_gauge_eval(norm, x):

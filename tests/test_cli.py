@@ -605,6 +605,17 @@ def test_cli_suite_output_matches_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_gen_random_output_matches_golden_file(dim, capsys):
+    """``gen random --dim d --seed 1000*d+3`` stays byte-identical for d = 1..12,
+    against ``tests/data/gen``.  Each draw the generator rejects as empty moves
+    its random stream, so the bytes pin every emptiness decision on the way."""
+    seed = 1000 * dim + 3
+    assert main(["gen", "random", "--dim", str(dim), "--seed", str(seed)]) == 0
+    golden = Path(__file__).parent / "data" / "gen" / f"random-{seed}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_render_output_matches_golden_files():
     """``render`` stays byte-identical: the two 2-D catalog instances and
     ``gen random --dim 2`` seeds 2001-2005, each against its SVG under

@@ -145,7 +145,7 @@ def test_decision_pipeline_runs_no_lp(monkeypatch):
 
     for module in (polyhedron, ratlp):
         monkeypatch.setattr(module, "feasible_nonneg", forbidden)
-        monkeypatch.setattr(module, "lp_solve", forbidden)
+    monkeypatch.setattr(ratlp, "lp_solve", forbidden)
     monkeypatch.setattr(polyhedron, "in_cone", forbidden)
     monkeypatch.setattr(polyhedron, "in_conv_plus_cone", forbidden)
     verdicts = []

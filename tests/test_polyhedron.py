@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymgeo import polyhedron, ratlp
+from asymgeo.cli import generators
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -48,6 +49,7 @@ from support import (
     ref_is_closed,
     ref_meets_face,
     ref_member,
+    ref_partial_is_empty,
     ref_basis,
     ref_pointed_cone_rays,
     ref_rank,
@@ -983,10 +985,47 @@ def test_subset_agrees_with_complement_oracle():
 
 
 def test_partial_is_empty_cases():
-    assert partial_is_empty(region(1, ((1,), 0, True), ((-1,), 0, True)))
-    assert not partial_is_empty(interval(0, 0))  # single point
-    assert partial_is_empty(region(1, ((0,), 0, True)))  # 0 < 0 never holds
-    assert not partial_is_empty(PartialPolyhedron(1, ()))  # whole line
+    """Hand cases, each against the margin LP and the closure as well."""
+    cases = [
+        (PartialPolyhedron(1, ()), False),                                   # whole line
+        (PartialPolyhedron(3, ()), False),
+        (region(1, ((0,), 0, True)), True),                                  # 0 < 0 never holds
+        (region(1, ((0,), -1, False)), True),                                # 0 <= -1
+        (region(1, ((0,), 1, False)), False),                                # 0 <= 1
+        (region(1, ((1,), 0, True), ((-1,), 0, True)), True),                # x < 0, -x < 0
+        (region(1, ((1,), 0, False), ((-1,), 0, True)), True),               # x <= 0, -x < 0
+        (interval(0, 0), False),                                             # the point x <= 0, -x <= 0
+        # x + y < 1 as is, doubled and at a third: a row's scale does not
+        # change the answer
+        (region(2, ((1, 1), 1, True), ((2, 2), 2, True), ((F(1, 3), F(1, 3)), F(1, 3), True),
+                ((-1, 0), 0, False), ((0, -1), 0, False)), False),
+        (region(2, ((1, 1), 1, True), ((2, 2), 2, True), ((F(1, 3), F(1, 3)), F(1, 3), True),
+                ((-1, -1), -1, False)), True),
+        # 0 <= x1 < 1 in d = 3 holds the lines along x2 and x3
+        (region(3, ((1, 0, 0), 1, True), ((-1, 0, 0), 0, False)), False),
+        (region(3, ((1, 0, 0), 0, True), ((-1, 0, 0), 0, False)), True),
+    ]
+    for k, empty in cases:
+        assert partial_is_empty(k) == ref_partial_is_empty(k) == (closure(k) is None) == empty, k
+
+
+def test_partial_is_empty_matches_margin_lp_on_generator_draws(monkeypatch):
+    """Every region the random generator's rejection loop tests for seeds
+    1000*d + j, d = 1..8, decides as the margin LP and the closure do."""
+    seen = []
+
+    def recorded(k):
+        seen.append((k, partial_is_empty(k)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(generators, "partial_is_empty", recorded)
+    for d in range(1, 9):
+        for j in range(170):
+            generators.gen_random_instance(d, 1000 * d + j)
+    for k, got in seen:
+        assert got == ref_partial_is_empty(k) == (closure(k) is None), k
+    empty = sum(got for _, got in seen)
+    assert len(seen) >= 2000 and 4 * empty >= len(seen), (len(seen), empty)
 
 
 def _random_half_open_region(rng: random.Random, d: int) -> PartialPolyhedron:
@@ -1009,12 +1048,12 @@ def _random_half_open_region(rng: random.Random, d: int) -> PartialPolyhedron:
 
 
 def test_closure_emptiness_agrees_with_margin_lp():
-    """``closure`` reads emptiness off the generators; the margin LP is the reference."""
+    """``closure`` reads emptiness off the generators; ``partial_is_empty`` and the margin LP agree."""
     rng = random.Random(31)
     empty_relaxation = empty_region_only = nonempty = 0
     for _ in range(300):
         k = _random_half_open_region(rng, rng.randint(1, 3))
-        assert (closure(k) is None) == partial_is_empty(k), k
+        assert (closure(k) is None) == partial_is_empty(k) == ref_partial_is_empty(k), k
         if dd_convert_h_to_v([(c.normal, c.rhs) for c in k.constraints], k.dim) is None:
             empty_relaxation += 1
         elif closure(k) is None:
