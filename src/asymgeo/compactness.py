@@ -44,16 +44,18 @@ most once, for closure(K) + C, and not at all when the closure holds C.
 A closed gauge ball does: rec(B) = C and B + C = B, so closure(K) + C is
 the closure itself, the very value with the region's rows and masks, and
 the sandwich, T3, T4 and T6 scan no row: the closure is read off the region
-(``closure``), so its masks index the region's rows, and the two sandwiches
-find the region's rows to be the closure's own, the very tuple
-(``_within``).  Once
-every recession direction has gauge 0, the pruned closure(K) + C is S + C
-field for field: its vertices are S's, and its rays are C's generators,
-which ``decide_compact`` checks on the stored ints.
+(``closure``), so its masks index the region's rows, and K <= closure(K) + C
+is K <= closure(K), which holds without a check, in the decision and in
+T6's, whose region K + C has closure(K) + C as its closure and its own sum.
+Once every recession direction has gauge 0, the pruned closure(K) + C is
+S + C field for field: its vertices are S's, and its rays are C's
+generators, which ``decide_compact`` checks on the stored ints.
 The minimal generators of a line-free polyhedron are unique (Fukuda &
 Prodon 1996), so equal fields mean equal sets, and the sandwich checks
-K <= S + C against the rows of closure(K) + C.  S <= K holds iff the
-vertices of S lie in K; they are closure vertices, and whether each closure
+K <= S + C against the rows of closure(K) + C where that is not the
+closure.  The sandwich is one fact on the instance
+(``Instance._sandwiched``), which the verdict and T3 read.  S <= K holds
+iff the vertices of S lie in K; they are closure vertices, and whether each closure
 vertex lies in K is one AND of its mask with the strict rows, taken once
 per instance (``Instance._inside``, a map from each closure vertex to the
 answer, which the escape test reads).  The vertices of closure(K) + C are
@@ -61,8 +63,9 @@ closure vertices too, so their answers are one lookup each
 (``Instance._sum_inside``), and the sandwich, T1 (every vertex of
 closure(K) + C lies in K) and the half-open sum read that one list: no
 vertex is tested row by row.  T3 and T4 compare closed sets by their generators:
-S + C = closure(K) + C is that equality of values for the verified center
-(two ``_within`` inclusions against the rows at hand for any other), and
+S + C = closure(K) + C is that equality of values for the center S of a
+sandwiched instance, and any other center has its sandwich checked and
+its sum compared by two ``_within`` inclusions against the rows at hand;
 K + C equals its closure iff it is closed (``is_closed``).
 The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
@@ -80,7 +83,7 @@ and T6's sandwich read masks and scan nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import mul, or_
@@ -147,35 +150,36 @@ class CompactnessCertificate:
 
 @dataclass(frozen=True)
 class Instance:
-    """A gauge together with a nonempty region and its closure, which every
-    operation needs.  The degeneracy cone and the saturated hull closure +
-    cone are computed on first use; only a COMPACT verdict and the
-    structure checks need them (the center, the sandwich, T1, T3 and T4),
-    so a NOT_COMPACT verdict builds neither.  The cone is memoized on the
+    """A gauge and a nonempty region, its two fields; everything else is
+    derived from them on first read and memoized on the instance.  ``hull``
+    is the region's closure, the very value ``closure`` memoizes on the
+    region, so its masks index the region's rows.  The degeneracy cone and
+    the saturated hull closure + cone are needed only by a COMPACT verdict
+    and the structure checks (the center, the sandwich, T1, T3 and T4), so
+    a NOT_COMPACT verdict builds neither.  The cone is memoized on the
     gauge, so T6's instance on the same gauge reuses it, and a COMPACT
     decision reads it off the closure where it can.  Whether each closure
     vertex lies in the region (``_inside``) and each vertex of the
     saturated hull (``_sum_inside``, read by the sandwich, T1 and the
-    half-open sum) are memoized on first read.  One memo
-    is not part of the value: ``_verified_sums`` maps each core whose
-    sandwich ``decide_compact`` verified on this instance to core + cone,
-    the saturated hull, which T3 reads.  It is keyed by the core value
-    itself; a center handed to ``verify_theorems`` may carry rays, and then
-    equals no ray-free core."""
+    half-open sum) are one list each, and whether the saturated hull is the
+    center candidate plus the cone with the region squeezed between the two
+    (``_sandwiched``) is one fact, which ``decide_compact`` and T3 read."""
 
     norm: AsymNorm
     region: PartialPolyhedron
-    hull: Polyhedron
-    _verified_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, norm: AsymNorm, region: PartialPolyhedron) -> "Instance":
         if norm.dim != region.dim:
             raise ValueError("gauge and region dimensions differ")
-        hull = closure(region)
-        if hull is None:
+        if closure(region) is None:
             raise EmptyRegionError("the region is empty")
-        return cls(norm, region, hull)
+        return cls(norm, region)
+
+    @cached_property
+    def hull(self) -> Polyhedron:
+        """The region's closure (``closure``)."""
+        return closure(self.region)
 
     @cached_property
     def degeneracy(self) -> Cone:
@@ -197,9 +201,7 @@ class Instance:
         """Per listed vertex (y, t) of the closure, in their order, whether it
         lies in the region: no strict row is tight on it, one AND per vertex,
         since the closure's masks index the region's rows: the closure is read
-        off the region (``closure``), and ``hull`` must be that very value."""
-        if self.hull is not closure(self.region):
-            raise InternalInvariantError("the hull is the region's closure")
+        off the region (``closure``), and ``hull`` is that very value."""
         strict = self.region._strict_mask
         return {v: not m & strict for v, m in zip(self.hull._verts, self.hull._vert_masks)}
 
@@ -212,6 +214,17 @@ class Instance:
             return tuple(map(self._inside.__getitem__, self.saturated._verts))
         except KeyError:
             raise InternalInvariantError("the saturated hull's vertices are closure vertices") from None
+
+    @cached_property
+    def _sandwiched(self) -> bool:
+        """S <= region <= S + C for the center candidate S, the saturated
+        hull's vertices: the saturated hull is S + C when its rays are C's
+        generators, S lies in the region iff its vertices do
+        (``_sum_inside``), and the region lies in the saturated hull when
+        that is the closure, else iff it holds against its rows (``subset``)."""
+        sat = self.saturated
+        return (sat._rays == self.degeneracy._gens and all(self._sum_inside)
+                and (sat is self.hull or subset(self.region, to_partial(sat))))
 
     @cached_property
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
@@ -308,11 +321,12 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     its closure's.  Only this path seeds it, so a NOT_COMPACT verdict leaves
     C unbuilt.  closure + C is then the center
     plus C: the center is its vertices, and its rays must be C's generators
-    (a broken invariant otherwise), so the sandwich checks the region
-    against its rows (the closure's own when it is the closure, which
-    read masks) and builds no second sum.  Everything is tested on
-    the stored ints of the cone, the gauge and the vertices; only the
-    witness becomes ``Fraction``s.
+    (a broken invariant otherwise), so the verdict is the instance's one
+    sandwich fact (``Instance._sandwiched``), which builds no second sum:
+    the region lies in closure + C without a check when that is the
+    closure, and is checked against its rows otherwise.  Everything is
+    tested on the stored ints of the cone, the gauge and the vertices; only
+    the witness becomes ``Fraction``s.
     """
     hull, q = inst.hull, inst.norm
     rec = recession_cone(hull)
@@ -333,14 +347,10 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
             # C <= rec(P) row by row, and rec(P) <= C since no direction escaped
             vars(q)["_degeneracy"] = Cone._make(dim=q.dim, _gens=hull._rays, _lin=())
     core = center_candidate(inst)
-    sat = inst.saturated
-    if sat._rays != inst.degeneracy._gens:
+    if inst.saturated._rays != inst.degeneracy._gens:
         raise InternalInvariantError("closure + cone has the cone's generators as its rays")
-    # sat is core + cone, and the core, a polytope, lies in the region iff
-    # its vertices, which are sat's, do
-    if not (all(inst._sum_inside) and subset(inst.region, to_partial(sat))):
+    if not inst._sandwiched:
         return CompactnessCertificate(Verdict.UNKNOWN)
-    inst._verified_sums[core] = sat
     return CompactnessCertificate(Verdict.COMPACT, center=core)
 
 
@@ -384,9 +394,10 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     (always under a COMPACT verdict) ``minkowski_sum_with_cone`` pruned it to
     its extreme points and extreme rays, the unique minimal generators that
     the double description of its rows also yields (Fukuda & Prodon 1996),
-    so the result comes with its closure known, whose rows, with their
-    masks, are the result's own.  A sum with a line is the unpruned union,
-    not that canonical form, and its closure is left to the conversion.
+    so the result is made with its closure known (``_make``), whose rows,
+    with their masks, are the result's own.  A sum with a line is the
+    unpruned union, not that canonical form, and its closure is left to the
+    conversion.
     """
     sat, hull, region = inst.saturated, inst.hull, inst.region
     rows = sat._rows
@@ -396,11 +407,9 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     met = reduce(or_, compress(sat._vert_masks, inst._sum_inside), 0)
     flags = [bool(reached >> j & 1) and not met >> j & 1 and not _meets_face(region, c, b)
              for j, (c, b) in enumerate(rows)]
-    part = PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
-                                   _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]))
-    if not contains_line(sat):
-        vars(part)["_closure"] = sat
-    return part
+    seed = {} if contains_line(sat) else {"_closure": sat}
+    return PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
+                                   _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]), **seed)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +461,13 @@ def verify_theorems(inst: Instance,
     NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T1
     reads whether each vertex of the saturated hull lies in the region off
     the closure's masks (``Instance._sum_inside``, the list the sandwich
-    read), for any center.  T3 checks the
-    sandwich and reads center + C = closure + C off their stored
-    generators: for the center ``decide_compact`` verified the two values
-    are equal, and otherwise it checks an inclusion each way, each set's
-    generators against the other's rows (``_within``);
+    read), for any center.  T3 takes closure + C as center + C for the
+    center candidate (no rays, the vertices of closure + C) when the
+    instance's sandwich fact holds (``Instance._sandwiched``, the fact
+    ``decide_compact`` read); any other center has its sandwich checked
+    (``_sandwich``), and center + C and closure + C are compared by an
+    inclusion each way, each set's generators against the other's rows
+    (``_within``), unless the two values are equal;
     T4 is ``is_closed`` of the half-open sum, whose closure is closure + C:
     of the two inclusions between them, the sum lies in its closure by
     construction, and the other is closedness.
@@ -483,8 +494,10 @@ def verify_theorems(inst: Instance,
     own_ext = next(_region_extreme(inst), None) is not None
     claims.append(_claim("T2", own_ext, "no extreme point found"))
 
-    # a center decide_compact did not verify on this instance is checked here
-    padded = inst._verified_sums.get(core) or _sandwich(core, inst.region, inst.degeneracy)
+    # the center candidate of a sandwiched instance has closure + C as its
+    # sum; any other center is checked here
+    candidate = not core._rays and core._verts == sat._verts
+    padded = sat if candidate and inst._sandwiched else _sandwich(core, inst.region, inst.degeneracy)
     t3 = padded is not None and (padded == sat or _within(padded, to_partial(sat))
                                  and _within(sat, to_partial(padded)))
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))

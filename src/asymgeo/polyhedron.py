@@ -55,10 +55,11 @@ region is empty iff a strict row is tight on every generator, closed iff no
 strict row is tight on a vertex, and it meets a face of its closure iff no
 strict row is tight on every generator of the face (``_meets_face``, which
 finds the face's generators by one dot product each with its normal).
-``_within`` scans support values (``_scan_support``, one per row); a region
-without strict rows whose rows are the polyhedron's own, the very tuple,
-holds it unscanned.  The incidence record, the line test, the extreme flags
-and the recession cone are memoized on the value.
+``_within`` scans support values (``_scan_support``, one per row) and
+reads no memo of either value: an inclusion that holds by construction, a
+region in its own closure, is not asked of it
+(``compactness.Instance._sandwiched``).  The incidence record, the line
+test, the extreme flags and the recession cone are memoized on the value.
 
 Each value stores one canonical int form as its dataclass fields, which
 equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
@@ -225,7 +226,7 @@ class PartialPolyhedron(_Value):
     def _closed_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The rows (c, b) without their strict flags: the closure's ``_rows``,
         the very tuple, and seeded where a region is made from a polyhedron's
-        ``_rows`` (``to_partial``, ``compactness.saturate_region``)."""
+        ``_rows`` with its closure known (``compactness.saturate_region``)."""
         return tuple([(c, b) for c, b, _ in self._rows])
 
     @cached_property
@@ -707,14 +708,13 @@ def to_partial(poly: Polyhedron) -> PartialPolyhedron:
 
     Built from the int rows ``poly._rows`` as they are (``_make``), each of
     scale 1: the facets, unless a conversion seeded other rows (a closure's
-    are its region's).  That tuple is its ``_closed_rows``, so it holds
-    ``poly`` unscanned (``_within``), and no facet conversion runs for a
-    value that has rows.  Its closure is not seeded: like every closure, it
-    is the double description of its rows.
+    are its region's), so no facet conversion runs for a value that has
+    rows.  Nothing else is seeded: like every closure, its closure is the
+    double description of its rows.
     """
     rows = poly._rows
     return PartialPolyhedron._make(dim=poly.dim, _rows=tuple([(c, b, False) for c, b in rows]),
-                                   _scales=(1,) * len(rows), _closed_rows=rows)
+                                   _scales=(1,) * len(rows))
 
 
 def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -838,14 +838,8 @@ def _within(poly: Polyhedron, region: PartialPolyhedron,
     the maximum must exist and stay within the row's bound.
     A strict row must not reach its bound on the closed ``poly``, and on
     ``part`` it reaches it only where its optimal face over ``poly`` meets
-    ``part`` (``_meets_face``).  A region without strict rows whose
-    ``_closed_rows`` are the very rows of ``poly``'s incidence record holds
-    ``poly`` unscanned: the two such inclusions a decision makes, a closed
-    ball's sandwich and T6's, are each ``subset(X, to_partial(closure(X)))``.
+    ``part`` (``_meets_face``).
     """
-    inc = vars(poly).get("_incidence")
-    if not region._strict_mask and inc is not None and inc.rows is vars(region).get("_closed_rows"):
-        return True
     for c, b, strict in region._rows:
         top = _scan_support(poly, c)
         if top is None or top[0] > b * top[1]:

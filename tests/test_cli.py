@@ -555,7 +555,7 @@ def test_cli_gen_random_rejects_nonpositive_dimension(dim):
             gen(int(dim), random.Random(0))
 
 
-@pytest.mark.parametrize("kind,dim", [("random", "1000000"), ("sup", "13")])
+@pytest.mark.parametrize("kind,dim", [("random", "1000000"), ("random", "13"), ("sup", "13")])
 def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim):
     """A separate process with a timeout: the limit is checked before any
     matrix of that size is built."""
@@ -566,6 +566,17 @@ def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"dimension {dim} is above the gen limit 12" in proc.stderr
+
+
+def test_generators_reject_bad_parameters():
+    """The lattice gauge wants a positive dimension and a known flavor, and
+    the arc hull at least two segments."""
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        gen_lattice_norm(0, "sup")
+    with pytest.raises(ValueError, match="^unknown flavor 'taxi'; use 'sup' or 'one'$"):
+        gen_lattice_norm(2, "taxi")
+    with pytest.raises(ValueError, match="^n_arc must be at least 2$"):
+        gen_arc_hull(1)
 
 
 def test_cli_gen_takes_the_limit_itself(capsys):

@@ -675,8 +675,8 @@ def test_compact_path_runs_one_facet_dd(monkeypatch):
     closed d=4 lattice balls, on fresh values, every COMPACT instance that C
     adds a direction to runs exactly one vertex-to-facet DD, every other
     instance none (the five closed balls among them), and the sandwich's
-    second inclusion (``subset``) is still checked on the region and on
-    region + C."""
+    second inclusion (``subset``) is checked on the region exactly when
+    closure + C is not the closure, and never on region + C."""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5) for k in range(8)]
@@ -714,8 +714,10 @@ def test_compact_path_runs_one_facet_dd(monkeypatch):
             assert (inst.saturated is inst.hull) == (not adds), i
             if not adds:
                 own.append(i)
-            # both inclusions are still checked on the region and, in T6, on region + C
-            assert sandwiched == [inst.region, saturate_region(inst)]
+            # the region lies in its closure, so the second inclusion is
+            # checked only where closure + C is not the closure; T6's
+            # region + C is never checked, its closure being its own sum
+            assert sandwiched == ([] if inst.saturated is inst.hull else [inst.region]), i
     assert len(compact) >= 70 and len(own) >= 10 and len(compact) - len(own) >= 40, (len(compact), len(own))
     assert all(len(cases) - 1 - j in own for j in range(5))
 
@@ -833,19 +835,15 @@ def test_certified_checks_read_bits(monkeypatch):
 
 
 def test_rows_without_their_incidence_are_a_broken_invariant():
-    """A hull that is not the region's closure and a saturated hull that
-    is neither the closure nor has its facets as its rows raise
-    ``InternalInvariantError`` where the masks would be read; the last also
-    when it equals the closure as a value.  (Rows without masks cannot be
-    built: ``Polyhedron._incidence`` is seeded whole; and ``_meets_face``
-    reads the closure off its region, so it takes no other hull.)  A
+    """A saturated hull that is neither the closure nor has its facets as
+    its rows raises ``InternalInvariantError`` where the masks would be
+    read, also when it equals the closure as a value.  (Rows without masks
+    cannot be built: ``Polyhedron._incidence`` is seeded whole; and
+    ``_meets_face`` reads the closure off its region, so it takes no other
+    hull.)  A
     saturated hull with a vertex that is no closure vertex raises in T1 and
     in ``saturate_region``, where the vertex would be looked up in
     ``Instance._inside``."""
-    square = closure(UNIT_SQUARE)
-    half_open = PartialPolyhedron(2, (*UNIT_SQUARE.constraints[:3], UNIT_SQUARE.constraints[3]._replace(strict=True)))
-    with pytest.raises(ratlp.InternalInvariantError, match="the region's"):
-        Instance(SUP2, half_open, square)._inside
     forged = build(SUP2, UNIT_SQUARE)
     vars(forged)["saturated"] = dd_convert_h_to_v([(c.normal, c.rhs) for c in UNIT_SQUARE.constraints], 2)
     with pytest.raises(ratlp.InternalInvariantError, match="its facets"):
@@ -1392,6 +1390,52 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
     assert inst.region in regions
 
 
+def _scanned_report(q, region, cert):
+    """T1-T6 as ``verify_theorems`` reports them when T3 checks the sandwich
+    of every center (``_sandwich``) and then both inclusions between
+    center + C and closure + C (``_within`` each way): on a fresh instance
+    whose ``_sandwiched`` fact is given as false, with that T3 status
+    recomputed here."""
+    inst = Instance.build(q, region)
+    vars(inst)["_sandwiched"] = False
+    report = verify_theorems(inst, cert)
+    sat = inst.saturated
+    padded = compactness._sandwich(cert.center, region, inst.degeneracy)
+    t3 = padded is not None and _within(padded, to_partial(sat)) and _within(sat, to_partial(padded))
+    assert report.claims[2].claim_id == "T3" and (report.claims[2].status is ClaimStatus.PASS) == t3
+    return report
+
+
+def test_forged_centers_get_the_report_of_the_scanned_sandwich():
+    """A COMPACT certificate forged with the center candidate as its center,
+    with and without one of C's generators added as a ray, on the corpus
+    seeds ``1000*d + k`` (d = 1..3, k < 300) and forty d=4 seeds: T1-T6 say
+    what the scanned reference says, status and detail, on the instance
+    ``decide_compact`` ran on, COMPACT or NOT_COMPACT.  The candidate of a
+    COMPACT instance has closure + C as its sum without a scan; every other
+    center has its sandwich checked."""
+    cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
+    cases += [gen_random_instance(4, 4000 + k) for k in range(40)]
+    seen = {(verdict, rayed): 0 for verdict in (Verdict.COMPACT, Verdict.NOT_COMPACT) for rayed in (False, True)}
+    failing = 0
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        verdict = decide_compact(inst).verdict
+        if contains_line(inst.saturated):
+            continue
+        core = center_candidate(inst)
+        centers = [core]
+        if inst.degeneracy._gens:
+            centers.append(Polyhedron(q.dim, core.vertices, inst.degeneracy.generators[:1]))
+        for center in centers:
+            cert = CompactnessCertificate(Verdict.COMPACT, center=center)
+            report = verify_theorems(inst, cert)
+            assert report == _scanned_report(q, region, cert), (q, region, center)
+            seen[verdict, bool(center.rays)] += 1
+            failing += not report.all_pass
+    assert min(seen.values()) >= 100 and failing >= 1000, (seen, failing)
+
+
 def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):
     """T1 reads whether each vertex of closure + C lies in the region off
     the closure's masks (``Instance._sum_inside``), the list the sandwich of
@@ -1589,6 +1633,19 @@ def test_sandwich_examples():
 def test_sandwich_requires_bounded_core():
     with pytest.raises(ValueError):
         sandwich_certify(Polyhedron(1, [(0,)], [(-1,)]), HALF_OPEN, POS_PART)
+
+
+def test_instance_and_sandwich_reject_a_dimension_mismatch():
+    """``Instance.build`` refuses a gauge and a region of two dimensions, and
+    ``sandwich_certify`` a core or a gauge whose dimension is not the
+    region's."""
+    with pytest.raises(ValueError, match="^gauge and region dimensions differ$"):
+        Instance.build(SUP2, HALF_OPEN)
+    with pytest.raises(ValueError, match="^gauge and region dimensions differ$"):
+        Instance.build(POS_PART, UNIT_SQUARE)
+    for core, norm in ((Polyhedron(2, [(0, 0)]), POS_PART), (Polyhedron(1, [(1,)]), SUP2)):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            sandwich_certify(core, HALF_OPEN, norm)
 
 
 def test_verify_theorems_pass_cases():

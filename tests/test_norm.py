@@ -282,6 +282,12 @@ def test_ball_negative_radius_rejected():
         ball(POS_PART, (0,), -1, Closedness.CLOSED)
 
 
+def test_ball_rejects_a_center_of_the_wrong_length():
+    for center in ((0, 0, 0), (0,)):
+        with pytest.raises(ValueError, match=f"center of length {len(center)} in dimension 2"):
+            ball(SUP2, center, 1, Closedness.OPEN)
+
+
 def test_ball_translation_identity():
     rng = random.Random(37)
     for seed in range(5):

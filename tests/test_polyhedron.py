@@ -832,6 +832,30 @@ def test_conversions_reject_rows_of_the_wrong_length():
     assert null_space_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
 
 
+def test_values_reject_coordinates_of_the_wrong_length():
+    """The public constructors refuse a constraint row, a vertex or a ray
+    longer or shorter than the dimension, naming its kind and length."""
+    for normal in ((1, 0, 0), (1,)):
+        with pytest.raises(ValueError, match=f"constraint row of length {len(normal)} in dimension 2"):
+            PartialPolyhedron(2, (Constraint((0, 1), 1, False), Constraint(normal, 1, True)))
+        with pytest.raises(ValueError, match=f"vertex of length {len(normal)} in dimension 2"):
+            Polyhedron(2, [(0, 0), normal])
+        with pytest.raises(ValueError, match=f"ray of length {len(normal)} in dimension 2"):
+            Cone(2, [(0, 1), normal])
+
+
+def test_binary_operations_reject_a_dimension_mismatch():
+    """``subset`` and ``minkowski_sum_with_cone`` refuse operands of two
+    dimensions, whichever side is the larger."""
+    line, plane = interval(0, 1), PartialPolyhedron(2, ())
+    for first, second in ((line, plane), (plane, line)):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            subset(first, second)
+    for poly, cone in ((Polyhedron(1, [(0,)]), Cone(2, [(1, 0)])), (Polyhedron(2, [(0, 0)]), Cone(1, [(1,)]))):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            minkowski_sum_with_cone(poly, cone)
+
+
 def test_in_cone_rejects_generators_of_the_wrong_length():
     """``in_cone`` refuses a generator longer or shorter than the point,
     naming its length; none is cut or padded to a wrong answer."""
@@ -972,8 +996,8 @@ def test_subset_agrees_with_complement_oracle():
         hull = closure(k1)
         if hull is None:
             continue
-        # pairs whose rows are the closure's own: the early exit, and strict
-        # rows reaching the scan with their face test
+        # pairs whose rows are the closure's own, scanned like any other,
+        # and strict rows reaching the scan with their face test
         own = to_partial(hull)
         for first, second in ((k1, k1), (k1, own), (own, k1)):
             got = subset(first, second)

@@ -105,6 +105,18 @@ def _rref(rows):
     return [[Fraction(x, det) for x in r] for r in work[:len(pivots)]], pivots
 
 
+def test_feasible_nonneg_and_dot_reject_shapes_that_do_not_fit():
+    """A ragged matrix, a right-hand side of another length than the
+    column, and two vectors of different lengths are refused."""
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        feasible_nonneg([[1, 0], [0, 1, 0]], [1, 1])
+    for rhs in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="^row/rhs count mismatch$"):
+            feasible_nonneg([[1, 0], [0, 1]], rhs)
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        dot((1, 2), (1, 2, 3))
+
+
 def test_rank_and_rref_reject_ragged_rows():
     with pytest.raises(ValueError):
         rank([(1, 0), (0, 1, 0)])
@@ -394,6 +406,33 @@ def test_src_holds_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
+    """Memo slots are read through their attributes and seeded through
+    ``_make``: ``vars`` is called in ``_Value._make``, the four public
+    constructors, and on the two lines where ``decide_compact`` reads and
+    seeds the gauge's degeneracy cone."""
+    root = Path(asymgeo.__file__).parent
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "vars":
+                found.append((path, ".".join(scope)))
+            visit(child, path, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path.relative_to(root)), ())
+    assert sorted(found) == [
+        ("compactness.py", "decide_compact"), ("compactness.py", "decide_compact"),
+        ("norm.py", "AsymNorm.__init__"),
+        ("polyhedron.py", "Cone.__init__"), ("polyhedron.py", "PartialPolyhedron.__init__"),
+        ("polyhedron.py", "Polyhedron.__init__"), ("polyhedron.py", "_Value._make"),
+    ]
 
 
 def test_src_imports_only_the_standard_library():
