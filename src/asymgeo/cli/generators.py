@@ -2,15 +2,23 @@
 
 The random generator draws small exact rationals (numerators in -3..3,
 denominators in 1..3) so LP subdeterminants stay tame, and rejects inputs
-that fail validation (rank-deficient gauges, empty regions).
+that fail validation (rank-deficient gauges, empty regions).  The lattice
+and random generators are internal builders: each draw is two ints, a
+numerator then a denominator, reduced by their gcd; every region row is
+cleared by the lcm of its own denominators and the functionals jointly by
+theirs (``ratlp._cleared``, as the parser clears its tokens), and the
+values are made of that stored form (``_make``).  No ``Fraction`` is made
+for them.  The arc-hull family's samples are rational by nature and go
+through the public constructors.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
-from asymgeo.norm import AsymNorm, DefinitenessViolation, make_norm
+from asymgeo.norm import AsymNorm, DefinitenessViolation, _check_definite
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
@@ -18,6 +26,7 @@ from asymgeo.polyhedron import (
     dd_convert_v_to_h,
     partial_is_empty,
 )
+from asymgeo.ratlp import _cleared
 
 ONE_FLAVOR_DIM_LIMIT = 12  # 2^d - 1 one-norm functional rows; also the largest `gen --dim` and parsed `dim`
 
@@ -27,22 +36,27 @@ def gen_lattice_norm(dim: int, flavor: str) -> AsymNorm:
 
     ``sup`` uses the coordinate functionals e_i; ``one`` uses one functional
     per nonempty coordinate subset (the subset-sum rows), which evaluates
-    the sum of positive parts exactly.
+    the sum of positive parts exactly.  Both are int rows, made into the
+    gauge as they are (``_make``).
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     flavor = flavor.lower()
     if flavor == "sup":
-        rows = [tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(dim)]
+        rows = _units(dim)
     elif flavor == "one":
         if dim > ONE_FLAVOR_DIM_LIMIT:
             raise ValueError(f"one-norm flavor limited to dimension {ONE_FLAVOR_DIM_LIMIT}")
-        rows = []
-        for mask in range(1, 1 << dim):
-            rows.append(tuple(Fraction(1 if mask >> j & 1 else 0) for j in range(dim)))
+        rows = tuple([tuple([mask >> j & 1 for j in range(dim)]) for mask in range(1, 1 << dim)])
     else:
         raise ValueError(f"unknown flavor {flavor!r}; use 'sup' or 'one'")
-    return make_norm(dim, rows)
+    # both hold every unit row, so the functionals span the space
+    return AsymNorm._make(dim=dim, _scale=1, _rows=rows)
+
+
+def _units(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors e_1, ..., e_dim as int rows."""
+    return tuple([tuple([int(i == j) for i in range(dim)]) for j in range(dim)])
 
 
 def arc_sample(t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -74,45 +88,52 @@ def gen_arc_hull(n_arc: int) -> tuple[AsymNorm, PartialPolyhedron]:
     return norm, PartialPolyhedron(3, tuple(rows))
 
 
-def _rand_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+def _draws(rng: random.Random, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """n random rationals p / q in lowest terms, as their numerators and
+    denominators: each drawn as p in -3..3, then q in 1..3, and reduced."""
+    pairs = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    return tuple(zip(*[(p // (g := gcd(p, q)), q // g) for p, q in pairs]))
 
 
 def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
-    """Random valid gauge; resamples until the functionals span the space,
-    which ``make_norm`` checks."""
+    """Random valid gauge of dim to dim + 2 drawn functionals, cleared jointly
+    by the lcm of their denominators; redrawn until they span the space, which
+    ``_check_definite`` decides on the ints the gauge is made of."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     while True:
-        count = rng.randint(dim, dim + 2)
-        rows = [tuple(_rand_rational(rng) for _ in range(dim)) for _ in range(count)]
+        draws = [_draws(rng, dim) for _ in range(rng.randint(dim, dim + 2))]
+        s = lcm(*[q for _, qs in draws for q in qs])
+        rows = tuple([_cleared(ps, qs, s) for ps, qs in draws])
         try:
-            return make_norm(dim, rows)
+            _check_definite(dim, rows)
         except DefinitenessViolation:
-            pass
+            continue
+        return AsymNorm._make(dim=dim, _scale=s, _rows=rows)
 
 
 def gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:
-    """Random nonempty region; half the draws add a bounding box."""
+    """Random nonempty region of dim + 1 to dim + 4 drawn rows, each (c, b)
+    cleared by the lcm of its denominators, and strict with probability 0.4;
+    half the draws add a bounding box |x_j| <= 1..3 of int rows.  Redrawn
+    until ``partial_is_empty`` finds the region nonempty."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     while True:
-        count = rng.randint(dim + 1, dim + 4)
-        rows = [
-            Constraint(
-                tuple(_rand_rational(rng) for _ in range(dim)),
-                _rand_rational(rng),
-                rng.random() < 0.4,
-            )
-            for _ in range(count)
-        ]
+        rows, scales = [], []
+        for _ in range(rng.randint(dim + 1, dim + 4)):
+            ps, qs = _draws(rng, dim + 1)
+            s = lcm(*qs)
+            ints = _cleared(ps, qs, s)
+            rows.append((ints[:-1], ints[-1], rng.random() < 0.4))
+            scales.append(s)
         if rng.random() < 0.5:
-            for j in range(dim):
-                e = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-                bound = Fraction(rng.randint(1, 3))
-                rows.append(Constraint(e, bound, rng.random() < 0.2))
-                rows.append(Constraint(tuple(-x for x in e), bound, rng.random() < 0.2))
-        region = PartialPolyhedron(dim, tuple(rows))
+            for e in _units(dim):
+                bound = rng.randint(1, 3)
+                rows.append((e, bound, rng.random() < 0.2))
+                rows.append((tuple([-x for x in e]), bound, rng.random() < 0.2))
+            scales += [1] * (2 * dim)
+        region = PartialPolyhedron._make(dim=dim, _rows=tuple(rows), _scales=tuple(scales))
         if not partial_is_empty(region):
             return region
 

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.norm import AsymNorm, _check_definite
 from asymgeo.polyhedron import PartialPolyhedron, Polyhedron, to_partial
+from asymgeo.ratlp import _cleared
 
 
 class InstanceError(ValueError):
@@ -79,11 +80,6 @@ def _row(toks: list[str], numbers: dict[str, tuple[int, int]],
     """The tokens' reduced numerators and denominators, by ``_number``."""
     ps, qs = zip(*[numbers.get(t) or _number(t, numbers, lineno) for t in toks])
     return ps, qs
-
-
-def _cleared(ps: tuple[int, ...], qs: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """The numbers p / q times s, a common multiple of the q's, as ints."""
-    return ps if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
 
 
 def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:

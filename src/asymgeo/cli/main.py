@@ -12,10 +12,11 @@ from fractions import Fraction
 
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
 from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
-from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, gen_arc_hull, gen_lattice_norm, gen_random_instance
+from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, _units, gen_arc_hull, gen_lattice_norm, gen_random_instance
 from asymgeo.cli.instances import InstanceError, _h_line, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import _check, run_reference_suite
+from asymgeo.polyhedron import PartialPolyhedron
 
 
 def _fmt_point(v) -> str:
@@ -84,14 +85,10 @@ def _cmd_gen(args) -> int:
         raise InstanceError(f"dimension {args.dim} is above the gen limit {ONE_FLAVOR_DIM_LIMIT}")
     if args.kind in ("sup", "one"):
         norm = gen_lattice_norm(args.dim, args.kind)
-        # a canonical bounded sample region: the unit box
-        from asymgeo.polyhedron import Constraint, PartialPolyhedron
-        rows = []
-        for j in range(args.dim):
-            e = tuple(Fraction(1 if i == j else 0) for i in range(args.dim))
-            rows.append(Constraint(e, Fraction(1), False))
-            rows.append(Constraint(tuple(-x for x in e), Fraction(0), False))
-        region = PartialPolyhedron(args.dim, tuple(rows))
+        # a canonical bounded sample region: the unit box 0 <= x <= 1, of int rows
+        rows = tuple([row for e in _units(args.dim)
+                      for row in ((e, 1, False), (tuple([-x for x in e]), 0, False))])
+        region = PartialPolyhedron._make(dim=args.dim, _rows=rows, _scales=(1,) * len(rows))
     elif args.kind == "random":
         norm, region = gen_random_instance(args.dim, args.seed)
     elif args.kind == "arc-hull":

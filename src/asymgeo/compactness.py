@@ -150,30 +150,37 @@ class CompactnessCertificate:
 
 @dataclass(frozen=True)
 class Instance:
-    """A gauge and a nonempty region, its two fields; everything else is
-    derived from them on first read and memoized on the instance.  ``hull``
-    is the region's closure, the very value ``closure`` memoizes on the
-    region, so its masks index the region's rows.  The degeneracy cone and
-    the saturated hull closure + cone are needed only by a COMPACT verdict
-    and the structure checks (the center, the sandwich, T1, T3 and T4), so
-    a NOT_COMPACT verdict builds neither.  The cone is memoized on the
-    gauge, so T6's instance on the same gauge reuses it, and a COMPACT
-    decision reads it off the closure where it can.  Whether each closure
-    vertex lies in the region (``_inside``) and each vertex of the
-    saturated hull (``_sum_inside``, read by the sandwich, T1 and the
-    half-open sum) are one list each, and whether the saturated hull is the
-    center candidate plus the cone with the region squeezed between the two
-    (``_sandwiched``) is one fact, which ``decide_compact`` and T3 read."""
+    """A gauge and a nonempty region of its dimension, its two fields, checked
+    whenever an instance is made, directly or by ``build``
+    (``__post_init__``); everything else is derived from them on first read
+    and memoized on the instance.  ``hull`` is the region's closure, the
+    very value ``closure`` memoizes on the region, so its masks index the
+    region's rows.  The degeneracy cone and the saturated hull closure +
+    cone are needed only by a COMPACT verdict and the structure checks (the
+    center, the sandwich, T1, T3 and T4), so a NOT_COMPACT verdict builds
+    neither.  The cone is memoized on the gauge, so T6's instance on the
+    same gauge reuses it, and a COMPACT decision reads it off the closure
+    where it can.  Whether each closure vertex lies in the region
+    (``_inside``) and each vertex of the saturated hull (``_sum_inside``,
+    read by the sandwich, T1 and the half-open sum) are one list each, and
+    whether the saturated hull is the center candidate plus the cone with
+    the region squeezed between the two (``_sandwiched``) is one fact,
+    which ``decide_compact`` and T3 read."""
 
     norm: AsymNorm
     region: PartialPolyhedron
 
+    def __post_init__(self) -> None:
+        """Raise unless the dimensions agree and the region is nonempty: its
+        closure, memoized on the region for ``hull``, is not None."""
+        if self.norm.dim != self.region.dim:
+            raise ValueError("gauge and region dimensions differ")
+        if closure(self.region) is None:
+            raise EmptyRegionError("the region is empty")
+
     @classmethod
     def build(cls, norm: AsymNorm, region: PartialPolyhedron) -> "Instance":
-        if norm.dim != region.dim:
-            raise ValueError("gauge and region dimensions differ")
-        if closure(region) is None:
-            raise EmptyRegionError("the region is empty")
+        """The checked instance of a gauge and a region (``__post_init__``)."""
         return cls(norm, region)
 
     @cached_property

@@ -37,8 +37,8 @@ class AsymNorm(_Value):
     their denominators); ``functionals`` is their ``Fraction`` view, and
     redundant rows never change values.  Every gauge value is definite: the
     constructor raises ``DefinitenessViolation`` when the functionals do not
-    span the space, and the parser runs the same check (``_check_definite``)
-    on the ints it makes the gauge of.
+    span the space, and the parser and the random generator run the same
+    check (``_check_definite``) on the ints they make the gauge of.
     """
 
     dim: int

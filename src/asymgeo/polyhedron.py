@@ -72,9 +72,10 @@ constructors (``Polyhedron(...)``, ``PartialPolyhedron(...)``,
 ``Cone(...)`` and ``AsymNorm(...)``) take any numbers, check them and
 canonicalize them into this form.  The internal builders (the conversions,
 the Minkowski sum, ``to_partial``, ``recession_cone``, and in other modules
-the instance parser, the gauge ball, the degeneracy cone, the center and
-the half-open sum) already hold it and hand it to ``_make``, which takes
-it as given.
+the instance parser, the lattice and random generators, the unit box of
+``gen sup|one``, the gauge ball, the degeneracy cone, the center and the
+half-open sum) already hold it and hand it to ``_make``, which takes it as
+given.
 The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
 ``generators``, ``lineality_basis``, ``functionals`` and the facets
 ``hrep``) are views, built on first read and memoized; the repr prints

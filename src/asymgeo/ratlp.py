@@ -108,6 +108,12 @@ def _clear(row: Sequence) -> tuple[int, Sequence[int]]:
     return s, [a.numerator * (s // a.denominator) for a in row]
 
 
+def _cleared(ps: Sequence[int], qs: Sequence[int], s: int) -> tuple[int, ...]:
+    """The numbers p / q times s, a common multiple of the q's, as ints: ``_clear``
+    for numbers held as int pairs (the parser's tokens, the generator's draws)."""
+    return tuple(ps) if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
+
+
 class InternalInvariantError(RuntimeError):
     """A broken invariant: a bug, never a bad input (raised, not asserted, so ``-O`` keeps it)."""
 

@@ -1,7 +1,7 @@
 """Shared test helpers: independent oracles, interval builders, transforms,
 the frozen Fraction references of the exact kernel, the predicates, the
-instance parser and the values' public attributes, and the frozen integer
-double description with its base elimination."""
+instance parser, the random generator and the values' public attributes,
+and the frozen integer double description with its base elimination."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
-from asymgeo.norm import AsymNorm, make_norm
+from asymgeo.norm import AsymNorm, DefinitenessViolation, make_norm
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -25,6 +25,7 @@ from asymgeo.polyhedron import (
     _scan_support,
     closure,
     cone_from_rows,
+    partial_is_empty,
     to_partial,
 )
 from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, zero_vec
@@ -396,6 +397,60 @@ def ref_parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
     else:
         raise InstanceError("missing set block (H rows or V/R block)")
     return norm, region
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference generator: Fraction draws through the public constructors
+# ---------------------------------------------------------------------------
+# Verbatim copies of the earlier ``asymgeo.cli.generators`` random generator,
+# which drew every number as a ``Fraction`` and built the gauge and the region
+# with ``make_norm`` and ``PartialPolyhedron``, kept so a differential test
+# can compare the integer generator against it.  Do not optimize them.
+
+
+def _ref_rand_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def ref_gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    while True:
+        count = rng.randint(dim, dim + 2)
+        rows = [tuple(_ref_rand_rational(rng) for _ in range(dim)) for _ in range(count)]
+        try:
+            return make_norm(dim, rows)
+        except DefinitenessViolation:
+            pass
+
+
+def ref_gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    while True:
+        count = rng.randint(dim + 1, dim + 4)
+        rows = [
+            Constraint(
+                tuple(_ref_rand_rational(rng) for _ in range(dim)),
+                _ref_rand_rational(rng),
+                rng.random() < 0.4,
+            )
+            for _ in range(count)
+        ]
+        if rng.random() < 0.5:
+            for j in range(dim):
+                e = tuple(Fraction(1 if i == j else 0) for i in range(dim))
+                bound = Fraction(rng.randint(1, 3))
+                rows.append(Constraint(e, bound, rng.random() < 0.2))
+                rows.append(Constraint(tuple(-x for x in e), bound, rng.random() < 0.2))
+        region = PartialPolyhedron(dim, tuple(rows))
+        if not partial_is_empty(region):
+            return region
+
+
+def ref_gen_random_instance(dim: int, seed: int) -> tuple[AsymNorm, PartialPolyhedron]:
+    rng = random.Random(seed)
+    return ref_gen_random_norm(dim, rng), ref_gen_random_region(dim, rng)
 
 
 # ---------------------------------------------------------------------------

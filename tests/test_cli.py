@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymgeo.cli import generators
 from asymgeo.cli.generators import (
     gen_arc_hull,
     gen_lattice_norm,
@@ -27,10 +28,10 @@ from asymgeo.cli.main import main
 from asymgeo.cli.render import RenderError, render_svg
 from asymgeo.cli.suite import reference_catalog, run_reference_suite
 from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_certify
-from asymgeo.norm import Closedness, DefinitenessViolation, ball, gauge_eval
-from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, set_equal
+from asymgeo.norm import Closedness, DefinitenessViolation, _check_definite, ball, gauge_eval
+from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, partial_is_empty, set_equal
 
-from support import interval, rand_point, ref_ball_set, ref_parse_instance, ref_repr
+from support import interval, rand_point, ref_ball_set, ref_gen_random_instance, ref_parse_instance, ref_repr
 
 F = Fraction
 
@@ -337,6 +338,67 @@ def test_random_instances_are_valid_and_deterministic():
         assert n1.dim == dim
 
 
+def _stored(norm, region) -> tuple:
+    """The stored ints of a generated pair, each number with its type."""
+    numbers = [norm._scale, *region._scales, *(a for f in norm._rows for a in f),
+               *(a for c, b, _ in region._rows for a in (*c, b))]
+    return (norm._scale, norm._rows, region._rows, region._scales), {type(a) for a in numbers}
+
+
+def test_random_generator_agrees_with_the_reference_generator(monkeypatch):
+    """For the seeds 1000*d + k, d = 1..12 (k < 32 up to d = 8, k < 8 above),
+    the integer generator returns the values, stored ints (all of type int)
+    and ``write_instance`` text of the earlier ``Fraction`` generator
+    (``ref_gen_random_instance``).  Both retry branches run on these seeds:
+    some gauge draw is rank deficient and drawn again, and some region draw
+    is rejected as empty."""
+    redrawn, rejected = [], []
+
+    def definite(dim, rows):
+        try:
+            _check_definite(dim, rows)
+        except DefinitenessViolation:
+            redrawn.append(dim)
+            raise
+
+    def empty(region):
+        if partial_is_empty(region):
+            rejected.append(region.dim)
+            return True
+        return False
+
+    monkeypatch.setattr(generators, "_check_definite", definite)
+    monkeypatch.setattr(generators, "partial_is_empty", empty)
+    for d in range(1, 13):
+        for k in range(32 if d < 9 else 8):
+            got, want = gen_random_instance(d, 1000 * d + k), ref_gen_random_instance(d, 1000 * d + k)
+            assert got == want, (d, k)
+            assert _stored(*got) == (_stored(*want)[0], {int}), (d, k)
+            assert write_instance(*got) == write_instance(*want), (d, k)
+    assert redrawn and rejected
+
+
+def test_generators_make_no_fraction(monkeypatch):
+    """The random and lattice generators draw, clear and build their values on
+    ints: ``gen_random_instance`` for d = 1..5 and ``gen_lattice_norm`` in
+    both flavors make no ``Fraction``."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for d in range(1, 6):
+        for k in range(10):
+            gen_random_instance(d, 1000 * d + k)
+        for flavor in ("sup", "one"):
+            gen_lattice_norm(d, flavor)
+    Fraction(1, 2)  # the counter sees a Fraction that is made
+    assert made == [(1, 2)]
+
+
 def test_reference_suite_passes_and_is_deterministic():
     reports, ok = run_reference_suite()
     assert ok
@@ -624,6 +686,15 @@ def test_gen_random_output_matches_golden_file(dim, capsys):
     seed = 1000 * dim + 3
     assert main(["gen", "random", "--dim", str(dim), "--seed", str(seed)]) == 0
     golden = Path(__file__).parent / "data" / "gen" / f"random-{seed}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["sup", "one"])
+def test_gen_lattice_output_matches_golden_file(kind, capsys):
+    """``gen sup|one --dim 3`` (the lattice gauge over the unit box) stays
+    byte-identical, against ``tests/data/gen``."""
+    assert main(["gen", kind, "--dim", "3"]) == 0
+    golden = Path(__file__).parent / "data" / "gen" / f"{kind}-3.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

@@ -1648,6 +1648,20 @@ def test_instance_and_sandwich_reject_a_dimension_mismatch():
             sandwich_certify(core, HALF_OPEN, norm)
 
 
+def test_a_directly_made_instance_is_checked_as_build_checks_it():
+    """``Instance(...)`` runs ``build``'s checks, with the same exceptions and
+    messages: an empty region is an ``EmptyRegionError`` when the instance
+    is made, not an ``AttributeError`` inside ``decide_compact``, and a 2-d
+    gauge with a 1-d region is refused."""
+    empty = PartialPolyhedron(1, (Constraint((1,), 0, True), Constraint((-1,), 0, False)))
+    for make in (Instance, Instance.build):
+        with pytest.raises(EmptyRegionError, match="^the region is empty$"):
+            make(AsymNorm(1, [(1,)]), empty)
+        with pytest.raises(ValueError, match="^gauge and region dimensions differ$"):
+            make(SUP2, HALF_OPEN)
+    assert Instance(POS_PART, HALF_OPEN) == Instance.build(POS_PART, HALF_OPEN)
+
+
 def test_verify_theorems_pass_cases():
     for norm, region in (
         (POS_PART, HALF_OPEN),
