@@ -90,8 +90,10 @@ def gen_arc_hull(n_arc: int) -> tuple[AsymNorm, PartialPolyhedron]:
 
 def _draws(rng: random.Random, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """n random rationals p / q in lowest terms, as their numerators and
-    denominators: each drawn as p in -3..3, then q in 1..3, and reduced."""
-    pairs = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    denominators: each drawn as p in -3..3, then q in 1..3, and reduced.
+    ``randrange(a, b + 1)`` is what ``randint(a, b)`` calls, so the stream
+    is randint's, one Python frame less per draw."""
+    pairs = [(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
     return tuple(zip(*[(p // (g := gcd(p, q)), q // g) for p, q in pairs]))
 
 

@@ -748,9 +748,10 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
     one ``feasible_nonneg`` run on d + 2 rows, a column (c_j, b_j, [j in S])
     per stored int row (its scale changes no answer) and (0, 1, 1) for z.
     It serves the random generator's rejection loop, up to d = 12.  On its
-    draws the closure's double description is 1.1-1.5x faster at d = 1..4,
-    then 1.1-1.5x slower at d = 5-6, 4x at 7, 8x at 8, 22x at 9 and 110x at
-    d = 10 (Python 3.11, 2 vCPUs), so the LP decides at every dimension.
+    draws the closure's double description is 1.05-1.6x slower at d = 1..4,
+    1.1-1.7x at 5, 2.6-3.2x at 6, 6x at 7, 10-13x at 8, 38-45x at 9 and
+    150-185x at d = 10 (Python 3.11, 2 vCPUs), so the LP decides at every
+    dimension.
     """
     dim = region.dim
     cols = [(*c, b, int(strict)) for c, b, strict in region._rows]

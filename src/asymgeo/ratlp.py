@@ -17,7 +17,10 @@ of the double description and the definiteness check, which makes the
 pivots ``_reduce`` of [rows^T | I] makes but forms a column of rows^T only
 when its pivot search reaches it; ``lp_solve`` (two-phase, free variables
 split) and ``feasible_nonneg`` (phase one only) build a tableau for
-``_bland``.  The compactness decision runs no LP: ``feasible_nonneg``
+``_bland`` and hand it an objective row already priced: ``lp_solve``
+prices each phase's cost row with ``_priced``, and ``feasible_nonneg``'s
+tableau is [A | b] with no artificial block, its objective row the
+sum of its rows.  The compactness decision runs no LP: ``feasible_nonneg``
 serves the random generator's emptiness test (Motzkin's alternative, in
 ``asymgeo.polyhedron.partial_is_empty``) and the LP membership tests kept
 as a reference, and ``lp_solve`` stays as public API that no module of the
@@ -145,20 +148,15 @@ def _pivot(tab: list[Sequence[int]], i: int, j: int, det: int) -> int:
     return p
 
 
-def _bland(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], ncols: int,
-           det: int) -> tuple[Optional[int], int]:
-    """Maximize ``cost``; returns (None at optimality, else an unbounded column; the denominator).
+def _bland(tab: list[Sequence[int]], basis: list[int], ncols: int, det: int) -> tuple[Optional[int], int]:
+    """Maximize the objective; returns (None at optimality, else an unbounded column; the denominator).
 
     ``tab`` holds one row per basic variable over ``det``, right-hand side
-    last; the priced cost row rides along as its last row until the end.
+    last, and the priced objective row as its last row, where it stays.
     Only the first ``ncols`` columns may enter, and the leaving row minimizes
     (ratio, basic variable), so the pivots are deterministic and cannot cycle.
     """
-    m = len(tab)
-    tab.append([det * x for x in cost] + [0])
-    for i, bi in enumerate(basis):
-        if tab[m][bi]:
-            det = _pivot(tab, i, bi, det)
+    m = len(tab) - 1
     while True:
         obj = tab[m]
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
@@ -175,8 +173,19 @@ def _bland(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], ncol
             break
         det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
-    tab.pop()
     return enter, det
+
+
+def _priced(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], det: int) -> list[int]:
+    """The row [det * cost | 0] after ``_pivot`` on each basic column with the
+    row riding along as the tableau's last: each basic column is det * e_i,
+    so those pivots rewrite that row only, by y - y[b_i] / det * row_i."""
+    obj = [det * x for x in cost] + [0]
+    for row, bi in zip(tab, basis):
+        f = obj[bi]
+        if f:
+            obj = [x - f * y // det for x, y in zip(obj, row)]
+    return obj
 
 
 def _phase_one(tab: list[Sequence[int]], basis: list[int], scales: list[int], nreal: int,
@@ -186,10 +195,11 @@ def _phase_one(tab: list[Sequence[int]], basis: list[int], scales: list[int], nr
     A row's artificial stands for s times the unscaled one (s its scale), so
     it costs L / s: L = lcm(scales) times the unscaled cost."""
     big = lcm(*scales)
-    enter, det = _bland(tab, basis, [0] * nreal + [-(big // s) for s in scales], nreal + len(scales), det)
+    tab.append(_priced(tab, basis, [0] * nreal + [-(big // s) for s in scales], det))
+    enter, det = _bland(tab, basis, nreal + len(scales), det)
     if enter is not None:
         raise InternalInvariantError("phase one is bounded")
-    return sum(row[-1] for row, bi in zip(tab, basis) if bi >= nreal) == 0, det
+    return tab.pop()[-1] == 0, det
 
 
 # --- Elimination -------------------------------------------------------------
@@ -360,7 +370,9 @@ def lp_solve(objective: Sequence[Rational],
         basis[:] = [basis[i] for i in keep]
 
     cost = _clear(c_obj)[1]
-    enter, det = _bland(tab, basis, [*cost, *(-x for x in cost), *[0] * m], nreal, det)
+    tab.append(_priced(tab, basis, [*cost, *(-x for x in cost), *[0] * m], det))
+    enter, det = _bland(tab, basis, nreal, det)
+    tab.pop()
 
     # xs: the basic solution (rhs column) at an optimum, else minus the ray
     # (-det on the entering variable, its column on the basic ones)
@@ -383,7 +395,16 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
 
     Variables are sign-constrained, so none is split and only the artificial
     phase runs: the tableau of the emptiness test's alternative system and
-    of the LP references for polyhedral extremality.
+    of the LP references for polyhedral extremality.  It is the rows [A | b]
+    alone, each cleared of its denominators and negated where b_i < 0.
+    Row i's artificial is its basic variable n + i, never stored: each
+    costs 1, so the priced objective row is the sum of the rows, made in
+    one pass, and it never enters again once it has left (Chvatal 1983,
+    ch. 8), so only the n columns of A may enter.  The system is feasible
+    iff that row's right-hand side, the sum of the artificials, ends at 0:
+    a cleared row's artificial is a positive multiple of the unscaled one,
+    and any positive costs make 0 the optimum exactly when A lam = b has a
+    solution lam >= 0.
     """
     m = len(matrix_rows)
     if m != len(rhs_col):
@@ -391,8 +412,13 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
     n = len(matrix_rows[0]) if m else 0
     if any(len(row) != n for row in matrix_rows):
         raise ValueError("ragged matrix")
-    cleared = [_clear((*row, bi)) for row, bi in zip(matrix_rows, rhs_col)]
-    # rhs made >= 0, one artificial per row
-    tab = [[x if row[-1] >= 0 else -x for x in row[:-1]] + [int(k == i) for k in range(m)] + [abs(row[-1])]
-           for i, (_, row) in enumerate(cleared)]
-    return _phase_one(tab, list(range(n, n + m)), [s for s, _ in cleared], n, 1)[0]
+    if not m:
+        return True  # lam = 0; with no rows zip(*tab) would price no column
+    tab = []
+    for row, bi in zip(matrix_rows, rhs_col):
+        row = _clear((*row, bi))[1]
+        tab.append(row if row[-1] >= 0 else [-x for x in row])
+    tab.append([sum(col) for col in zip(*tab)])
+    if _bland(tab, list(range(n, n + m)), n, 1)[0] is not None:
+        raise InternalInvariantError("phase one is bounded")
+    return tab[-1][-1] == 0

@@ -141,6 +141,16 @@ def test_feasible_nonneg():
     assert feasible_nonneg([[1, 0], [0, 1]], [1, 1])
     assert not feasible_nonneg([[1, 0], [0, 1]], [-1, 0])
     assert feasible_nonneg([], [])
+    # rows with no columns, right-hand side zero or not; an all-zero
+    # right-hand side (lam = 0 solves it); negative and rational entries
+    half = Fraction(1, 2)
+    assert feasible_nonneg([[]], [0])
+    assert feasible_nonneg([[], []], [0, 0])
+    assert not feasible_nonneg([[]], [3])
+    assert not feasible_nonneg([[], []], [0, -half])
+    assert feasible_nonneg([[-1, half], [Fraction(2, 3), -3]], [0, 0])
+    assert not feasible_nonneg([[-1, -half]], [Fraction(1, 3)])
+    assert feasible_nonneg([[-1, half]], [Fraction(1, 3)])
 
 
 def test_determinism_bit_identical():
@@ -386,16 +396,84 @@ def test_feasible_nonneg_matches_fraction_reference():
     rng = random.Random(37)
     outcomes = {True: 0, False: 0}
     for _ in range(1200):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        m, n = rng.randint(0, 4), rng.randint(0, 5)
         mat = _rand_matrix(rng, m, n)
         rhs = [rand_fraction(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
-        if rng.random() < 0.5:  # b in the cone of the columns
+        if rng.random() < 0.1:  # lam = 0 solves it
+            rhs = [Fraction(0)] * m
+        elif rng.random() < 0.5:  # b in the cone of the columns
             lam = [Fraction(rng.randint(0, 2), rng.randint(1, 3)) for _ in range(n)]
             rhs = [sum((a * x for a, x in zip(row, lam)), Fraction(0)) for row in mat]
         got = feasible_nonneg(mat, rhs)
         assert got == ref_feasible_nonneg(mat, rhs), (mat, rhs)
         outcomes[got] += 1
     assert min(outcomes.values()) > 200, outcomes
+
+
+def _motzkin_system(rng: random.Random, dim: int):
+    """The system ``polyhedron.partial_is_empty`` builds for a random
+    half-open region of dimension ``dim``: a column (c, b, [strict]) per row
+    and (0, 1, 1) for z, right-hand side d + 1 zeros and a 1.  Some rows are
+    copies of earlier ones and some all zero, so columns repeat or vanish;
+    some are the strict opposite of an earlier one, which empties the region."""
+    rows = []
+    for _ in range(rng.randint(1, dim + 4)):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(rng.choice(rows))
+        elif rows and roll < 0.25:
+            c, b, _ = rng.choice(rows)
+            rows.append((tuple(-a for a in c), -b, True))
+        elif roll < 0.35:
+            rows.append(((0,) * dim, 0, False))
+        else:
+            rows.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3), rng.random() < 0.4))
+    cols = [(*c, b, int(strict)) for c, b, strict in rows] + [(0,) * dim + (1, 1)]
+    return [list(r) for r in zip(*cols)], [0] * (dim + 1) + [1]
+
+
+def test_feasible_nonneg_matches_fraction_reference_on_motzkin_systems():
+    rng = random.Random(41)
+    outcomes = {True: 0, False: 0}
+    for dim in range(1, 7):
+        for _ in range(150):
+            mat, rhs = _motzkin_system(rng, dim)
+            got = feasible_nonneg(mat, rhs)
+            assert got == ref_feasible_nonneg(mat, rhs), (mat, rhs)
+            outcomes[got] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_feasible_nonneg_stores_no_artificial_and_pivots_only_bland_steps(monkeypatch):
+    """The emptiness kernel's tableau is [A | b] and its objective row is
+    priced in one pass: every row a pivot reads or writes has n + 1
+    entries, no pivot column is an artificial's (>= n), and every pivot is
+    a Bland step, on the first column of the objective row with a positive
+    entry, so no pricing pivot runs."""
+    pivot = ratlp._pivot
+    widths, columns, steps = set(), [], []
+
+    def watched(tab, i, j, det):
+        widths.update(map(len, tab))
+        columns.append(j)
+        steps.append(j == next((k for k in range(n) if tab[-1][k] > 0), None))
+        det = pivot(tab, i, j, det)
+        widths.update(map(len, tab))
+        return det
+
+    monkeypatch.setattr(ratlp, "_pivot", watched)
+    rng = random.Random(53)
+    for dim in range(1, 7):
+        for _ in range(40):
+            mat, rhs = _motzkin_system(rng, dim)
+            n = len(mat[0])
+            widths.clear()
+            columns.clear()
+            feasible_nonneg(mat, rhs)
+            assert widths <= {n + 1}, (mat, widths)
+            assert all(j < n for j in columns), (mat, columns)
+    assert len(steps) > 200
+    assert steps.count(True) == len(steps)
 
 
 def test_src_holds_no_assert_statement():
@@ -454,7 +532,7 @@ def test_src_imports_only_the_standard_library():
 
 
 def test_broken_invariant_raises_internal_invariant_error(monkeypatch):
-    monkeypatch.setattr(ratlp, "_bland", lambda tab, basis, cost, ncols, det: (0, det))
+    monkeypatch.setattr(ratlp, "_bland", lambda tab, basis, ncols, det: (0, det))
     with pytest.raises(InternalInvariantError):
         feasible_nonneg([[1, 0], [0, 1]], [1, 1])
     with pytest.raises(InternalInvariantError):

@@ -1,0 +1,114 @@
+"""How the emptiness LP scales: one JSON line per dimension.
+
+For each dimension d the random generator makes the instances of the seeds
+``1000*d + k``, k < 16, as ``asymgeo gen random`` draws them.  Every draw
+it tests for emptiness is one ``ratlp.feasible_nonneg`` run (through
+``polyhedron.partial_is_empty``), so a line holds:
+
+- ``runs``: the ``feasible_nonneg`` runs;
+- ``pivots``: the Bland steps among their ``ratlp._pivot`` calls, those on
+  the first column of the objective row (the tableau's last) with a
+  positive entry, and ``pricing_pivots``: the other calls, which price the
+  objective row on a basic column;
+- ``entries``: the tableau entries written, each row counted at its
+  width: the rows those calls rewrite, and the objective row each run
+  makes before its simplex loop (``ratlp._bland``) starts, with
+  ``entries_per_run`` next to it;
+- ``lp_s``: the least of 3 times of those runs, replayed on the recorded
+  systems with nothing wrapped, and ``gen_s``: the least of 3 times of
+  the 16 instances made from scratch.
+
+The counts depend only on the code in ``src``, so the same tool run on an
+earlier ``src`` counts that code's work, with no drift of the host's speed;
+the times do move with it.  Report only: it checks no answer and gates
+nothing.  Standard library only; it imports the package from the ``src``
+next to it.
+
+    python tools/lp_scale.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from asymgeo import polyhedron, ratlp  # noqa: E402
+from asymgeo.cli.generators import gen_random_instance  # noqa: E402
+
+DIMS = range(1, 9)
+SEEDS_PER_DIM = 16
+REPEAT = 3
+
+
+def make(d: int) -> list:
+    return [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
+
+
+def count(d: int) -> tuple[dict, list]:
+    """The work counts of one pass at dimension d, and the systems its
+    ``feasible_nonneg`` runs were handed."""
+    tally = {"runs": 0, "pivots": 0, "pricing_pivots": 0, "entries": 0}
+    systems = []
+
+    def pivot(tab, i, j, det):
+        p = tab[i][j]
+        obj = tab[-1]
+        bland = j == next((k for k in range(len(obj) - 1) if obj[k] > 0), None)
+        tally["pivots" if bland else "pricing_pivots"] += 1
+        rewritten = (p < 0) + sum(1 for k, row in enumerate(tab) if k != i and (row[j] or abs(p) != det))
+        tally["entries"] += rewritten * len(tab[i])
+        return real_pivot(tab, i, j, det)
+
+    def bland(tab, *args):
+        # the objective row, priced or to be priced, is one tableau row
+        tally["entries"] += len(tab[0])
+        return real_bland(tab, *args)
+
+    def feasible_nonneg(matrix_rows, rhs_col):
+        tally["runs"] += 1
+        systems.append((matrix_rows, rhs_col))
+        ratlp._pivot, ratlp._bland = pivot, bland
+        try:
+            return real_feasible_nonneg(matrix_rows, rhs_col)
+        finally:
+            ratlp._pivot, ratlp._bland = real_pivot, real_bland
+
+    real_pivot, real_bland, real_feasible_nonneg = ratlp._pivot, ratlp._bland, polyhedron.feasible_nonneg
+    polyhedron.feasible_nonneg = feasible_nonneg
+    try:
+        make(d)
+    finally:
+        polyhedron.feasible_nonneg = real_feasible_nonneg
+    return tally, systems
+
+
+def least_time(work) -> float:
+    best = float("inf")
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        work()
+        best = min(best, time.perf_counter() - start)
+    return round(best, 4)
+
+
+def measure(d: int) -> dict:
+    tally, systems = count(d)
+    lp_s = least_time(lambda: [ratlp.feasible_nonneg(a, b) for a, b in systems])
+    gen_s = least_time(lambda: make(d))
+    return {"dim": d, "instances": SEEDS_PER_DIM, **tally,
+            "entries_per_run": round(tally["entries"] / max(1, tally["runs"]), 1),
+            "lp_s": lp_s, "gen_s": gen_s}
+
+
+def main() -> int:
+    for d in DIMS:
+        print(json.dumps(measure(d)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
