@@ -91,10 +91,8 @@ def _cmd_gen(args) -> int:
         region = PartialPolyhedron._make(dim=args.dim, _rows=rows, _scales=(1,) * len(rows))
     elif args.kind == "random":
         norm, region = gen_random_instance(args.dim, args.seed)
-    elif args.kind == "arc-hull":
+    else:  # arc-hull: argparse restricts the kinds
         norm, region = gen_arc_hull(args.arc)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InstanceError(f"unknown kind {args.kind!r}")
     sys.stdout.write(write_instance(norm, region))
     return 0
 

@@ -98,10 +98,6 @@ class CatalogEntry:
     note: Optional[str] = None
 
 
-def _ray_gauge() -> AsymNorm:
-    return make_norm(1, [(1,)])
-
-
 def _interval(lo, lo_strict, hi, hi_strict) -> PartialPolyhedron:
     rows = []
     if hi is not None:
@@ -112,7 +108,7 @@ def _interval(lo, lo_strict, hi, hi_strict) -> PartialPolyhedron:
 
 
 def reference_catalog() -> list[CatalogEntry]:
-    ray = _ray_gauge()
+    ray = make_norm(1, [(1,)])
     sup2 = gen_lattice_norm(2, "sup")
     square = PartialPolyhedron(2, (
         Constraint((Fraction(1), Fraction(0)), Fraction(1), False),

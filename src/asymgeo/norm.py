@@ -94,7 +94,7 @@ def make_norm(dim: int, functionals) -> AsymNorm:
 def _check_definite(dim: int, int_functionals: tuple[tuple[int, ...], ...]) -> None:
     """Raise DefinitenessViolation unless the int functional rows span the space:
     the elimination that picks the double description's base finds a base."""
-    if _basis(int_functionals, dim) is None:
+    if len(_basis(int_functionals, dim)[1]) < dim:
         raise DefinitenessViolation(
             "functionals span a proper subspace; the gauge would vanish in both "
             "directions along a line"

@@ -285,7 +285,8 @@ class Polyhedron(_Value):
         ``_incidence`` when they are the facets, else the value's one
         vertex-to-facet conversion (``_int_facets``)."""
         inc = self._incidence
-        return _fraction_rows((inc if inc.facets else _int_facets(self)).rows)
+        rows = (inc if inc.facets else _int_facets(self)).rows
+        return tuple([(tuple(map(Fraction, c)), Fraction(b)) for c, b in rows])
 
     @cached_property
     def _incidence(self) -> _Incidence:
@@ -380,11 +381,6 @@ def _fractions(row: Sequence[int], den: int = 1) -> Vec:
     return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
 
 
-def _fraction_rows(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[HRow, ...]:
-    """Int rows (c, b) as ``Fraction`` rows."""
-    return tuple([(tuple(map(Fraction, c)), Fraction(b)) for c, b in rows])
-
-
 # ---------------------------------------------------------------------------
 # Double description
 # ---------------------------------------------------------------------------
@@ -437,10 +433,9 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
     keys = list(map(_primitive, rows))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ranked = [keys[i] for i in order]
-    picked = _basis(ranked, dim)
-    if picked is None:
+    block, base_idx, _ = _basis(ranked, dim)
+    if len(base_idx) < dim:
         return None
-    block, base_idx, _ = picked
     rays = [_primitive([-a for a in w]) for w in block]
     base_bits = [1 << order[k] for k in base_idx]
     base = sum(base_bits)
@@ -614,15 +609,13 @@ def dd_convert_h_to_v(hrep: Sequence[HRow], dim: int) -> Optional[Polyhedron]:
     Works on the homogenization cone {(x, t) : <c_j, x> - b_j t <= 0, t >= 0}:
     generators with positive last coordinate scale to vertices, the rest are
     recession directions, and lineality comes back as opposite ray pairs.
-    Rows may be int or rational, each normal of length ``dim``; the result's
-    ``_rows`` are the given rows as ints, so its incidence predicates run
-    without a vertex-to-facet conversion (``_h_to_v``).
+    Rows may be int or rational, each normal of length ``dim``: the closure
+    of the region of these rows, none strict, whose constructor checks and
+    clears them, so the result's ``_rows`` are the given rows as ints and
+    its incidence predicates run without a vertex-to-facet conversion
+    (``_h_to_v``).
     """
-    for c, _ in hrep:
-        if len(c) != dim:
-            raise ValueError(f"constraint row of length {len(c)} in dimension {dim}")
-    cleared = [_clear((*c, b))[1] for c, b in hrep]
-    return _h_to_v(tuple([(tuple(r[:-1]), r[-1]) for r in cleared]), dim)
+    return closure(PartialPolyhedron(dim, [(c, b, False) for c, b in hrep]))
 
 
 def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional[Polyhedron]:

@@ -9,22 +9,23 @@ double description reads.  One int helper, ``_primitive``, divides a row by
 the gcd of its entries for every caller outside the double description's
 ray combination.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
-rule loop (``_bland``) every simplex step.  Two loops run the eliminations:
-``_reduce`` (``rank``, ``_null_space``, with its view ``null_space_basis``,
-and the reduced row echelon form of a recession cone's lineality basis in
-``asymgeo.polyhedron`` read their answers off it) and ``_basis``, the base
-of the double description and the definiteness check, which makes the
-pivots ``_reduce`` of [rows^T | I] makes but forms a column of rows^T only
-when its pivot search reaches it; ``lp_solve`` (two-phase, free variables
-split) and ``feasible_nonneg`` (phase one only) build a tableau for
-``_bland`` and hand it an objective row already priced: ``lp_solve``
-prices each phase's cost row with ``_priced``, and ``feasible_nonneg``'s
-tableau is [A | b] with no artificial block, its objective row the
-sum of its rows.  The compactness decision runs no LP: ``feasible_nonneg``
-serves the random generator's emptiness test (Motzkin's alternative, in
-``asymgeo.polyhedron.partial_is_empty``) and the LP membership tests kept
-as a reference, and ``lp_solve`` stays as public API that no module of the
-package calls.  Nor does the decision call ``dot``: the predicates compare
+rule loop (``_bland``) every simplex step.  One loop runs the eliminations:
+``_basis``, the elimination of [rows^T | I] over its row columns, which
+keeps only the identity block and forms a column of rows^T when its pivot
+search reaches it.  It picks the base of the double description and of the
+definiteness check, and ``_reduce`` is it run on a matrix's columns
+(``rank``, ``_null_space``, with its view ``null_space_basis``, and the
+reduced row echelon form of a recession cone's lineality basis in
+``asymgeo.polyhedron`` read their answers off that).  ``lp_solve``
+(two-phase, free variables split) and ``feasible_nonneg`` (phase one only)
+build a tableau for ``_bland`` and hand it an objective row already
+priced: ``lp_solve`` prices each phase's cost row with ``_priced``, and
+``feasible_nonneg``'s tableau is [A | b] with no artificial block, its
+objective row the sum of its rows.  The compactness decision runs no LP:
+``feasible_nonneg`` serves the random generator's emptiness test
+(Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
+the LP membership tests kept as a reference, and ``lp_solve`` stays as
+public API that no module of the package calls.  Nor does the decision call ``dot``: the predicates compare
 int copies cleared by ``_clear``.
 """
 
@@ -188,62 +189,20 @@ def _priced(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], det
     return obj
 
 
-def _phase_one(tab: list[Sequence[int]], basis: list[int], scales: list[int], nreal: int,
-               det: int) -> tuple[bool, int]:
-    """Minimize the sum of the artificials (columns ``nreal`` on); returns (feasible, det).
-
-    A row's artificial stands for s times the unscaled one (s its scale), so
-    it costs L / s: L = lcm(scales) times the unscaled cost."""
-    big = lcm(*scales)
-    tab.append(_priced(tab, basis, [0] * nreal + [-(big // s) for s in scales], det))
-    enter, det = _bland(tab, basis, nreal + len(scales), det)
-    if enter is not None:
-        raise InternalInvariantError("phase one is bounded")
-    return tab.pop()[-1] == 0, det
-
-
 # --- Elimination -------------------------------------------------------------
 
 
-def _reduce(rows: Sequence[Sequence[Rational]]) -> tuple[list[Sequence[int]], list[int], int]:
-    """Gauss-Jordan over the columns of the rows cleared to ints; returns
-    (rows, pivot columns, common denominator).
-    Pivot row k comes k-th; it stops once every row holds a pivot.  Int
-    rows are taken as they are (``_pivot`` replaces a row, never mutates it)."""
-    work = list(rows)
-    if not _all_int(chain.from_iterable(work)):
-        work = [_clear(r)[1] for r in work]
-    n, width = len(work), len(work[0]) if work else 0
-    if len(set(map(len, work))) > 1:
-        raise ValueError("rows of differing length")
-    pivots: list[int] = []
-    det = 1
-    for col in range(width):
-        r = len(pivots)
-        if r == n:
-            break
-        for piv in range(r, n):
-            if work[piv][col]:
-                break
-        else:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        det = _pivot(work, r, col, det)
-        pivots.append(col)
-    return work, pivots, det
+def _basis(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[Sequence[int]], list[int], int]:
+    """The elimination of the int tableau [rows^T | I] over its row columns:
+    (identity block E, chosen row indices, common denominator), with fewer
+    than ``dim`` indices exactly when the rows have rank below ``dim``.
 
-
-def _basis(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple[list[Sequence[int]], list[int], int]]:
-    """The base that ``_reduce`` of [rows^T | I] over the row columns picks:
-    (identity block, chosen row indices, common denominator), or None when
-    the int rows have rank below ``dim``.
-
-    The row block of that elimination always equals M * rows^T, M the
-    identity block, so it is never built: column j is formed when the pivot
-    search reaches it, as the ``dim`` dot products M * row_j, and a pivot is
-    ``_pivot`` on the dim x (dim + 1) tableau [M | column j].  The pivots,
-    row swaps, denominator and block are those of ``_reduce``; it stops at
-    the dim-th pivot."""
+    Each step rewrites a row of the tableau by one linear combination of
+    its rows, so the row block always equals E * rows^T and is never built:
+    column j is formed when the pivot search reaches it, as the ``dim`` dot
+    products E * row_j, and a pivot is ``_pivot`` on the dim x (dim + 1)
+    tableau [E | column j].  Pivot k's row comes k-th, and it stops at the
+    dim-th pivot."""
     # the search forms the entries below the pivots up to the first nonzero
     # one, a pivot the rest of the column; the tableau's rows are made here
     # or by _pivot, so its column slot is written in place, and map() stops
@@ -266,9 +225,25 @@ def _basis(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple[list[Seque
         tab[r], tab[piv] = tab[piv], tab[r]
         det = _pivot(tab, r, dim, det)
         picked.append(j)
-    if len(picked) < dim:
-        return None
     return [t[:dim] for t in tab], picked, det
+
+
+def _reduce(rows: Sequence[Sequence[Rational]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Gauss-Jordan over the columns of the rows cleared to ints; returns
+    (rows, pivot columns, common denominator).
+    It is ``_basis`` run on the rows' columns, the elimination of
+    [rows | I]: its identity block E times the rows is that elimination's
+    row block, so the reduced rows are E * rows, with its pivots, swaps
+    and denominator.  Pivot row k comes k-th; it stops once every row holds
+    a pivot.  The input rows are left as they were."""
+    work = list(rows)
+    if not _all_int(chain.from_iterable(work)):
+        work = [_clear(r)[1] for r in work]
+    if len(set(map(len, work))) > 1:
+        raise ValueError("rows of differing length")
+    cols = list(zip(*work))
+    block, pivots, det = _basis(cols, len(work))
+    return [[sum(map(mul, e, c)) for c in cols] for e in block], pivots, det
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
@@ -284,11 +259,16 @@ def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple
 
 
 def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int, ...]]:
-    """``null_space_basis`` as primitive int tuples, one per non-pivot column."""
+    """``null_space_basis`` as primitive int tuples, one per non-pivot column.
+
+    Only the independent rows that ``_basis`` picks are reduced: they span
+    the same row space, whose reduced form, and so the basis, is unique,
+    and ``_reduce`` of n rows carries an n x n block."""
     for r in rows:
         if len(r) != dim:
             raise ValueError(f"row of length {len(r)} in dimension {dim}")
-    work, pivots, det = _reduce(rows)
+    rows = [_clear(r)[1] for r in rows]
+    work, pivots, det = _reduce([rows[j] for j in _basis(rows, dim)[1]])
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
         v = [0] * dim
@@ -353,8 +333,15 @@ def lp_solve(objective: Sequence[Rational],
     det = 1
 
     if arts:
-        feasible, det = _phase_one(tab, basis, [scales[i] for i in arts], nreal, det)
-        if not feasible:
+        # phase one minimizes the sum of the artificials (columns nreal on);
+        # a row's artificial stands for s times the unscaled one (s its
+        # scale), so it costs L / s: L = lcm(scales) times the unscaled cost
+        big = lcm(*[scales[i] for i in arts])
+        tab.append(_priced(tab, basis, [0] * nreal + [-(big // scales[i]) for i in arts], det))
+        enter, det = _bland(tab, basis, nreal + len(arts), det)
+        if enter is not None:
+            raise InternalInvariantError("phase one is bounded")
+        if tab.pop()[-1]:
             return LpOutcome(LpStatus.INFEASIBLE)
         # pivot remaining artificials out of the basis, or drop zero rows
         keep = []

@@ -552,12 +552,14 @@ def ref_gauge_eval(norm, x):
 # ---------------------------------------------------------------------------
 # Frozen reference: the double description's base and its lexicographic run
 # ---------------------------------------------------------------------------
-# Verbatim copies of the integer Bareiss step and elimination loop of
-# ``asymgeo.ratlp`` (``_pivot``, ``_reduce`` on int rows) and of the earlier
+# Verbatim copies of the integer Bareiss step of ``asymgeo.ratlp``
+# (``_pivot``), of the row-by-row elimination loop ``_reduce`` ran on int
+# rows before it became ``_basis`` on the rows' columns, and of the earlier
 # ``polyhedron._pointed_cone_rays``, which picked its base by eliminating
 # the whole [rows^T | I] and inserted the other rows in lexicographic order,
-# kept so tests can compare the lazy base, the insertion order read off it
-# and the simple-ray adjacency shortcut against them.  Do not optimize them.
+# kept so tests can compare ``_reduce``, the lazy base, the insertion order
+# read off it and the simple-ray adjacency shortcut against them.  Do not
+# optimize them.
 
 
 def _ref_int_pivot(tab, i, j, det):

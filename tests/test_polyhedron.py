@@ -833,11 +833,14 @@ def test_conversions_reject_rows_of_the_wrong_length():
 
 
 def test_values_reject_coordinates_of_the_wrong_length():
-    """The public constructors refuse a constraint row, a vertex or a ray
-    longer or shorter than the dimension, naming its kind and length."""
+    """The public constructors and ``dd_convert_h_to_v`` refuse a constraint
+    row, a vertex or a ray longer or shorter than the dimension, naming its
+    kind and length."""
     for normal in ((1, 0, 0), (1,)):
         with pytest.raises(ValueError, match=f"constraint row of length {len(normal)} in dimension 2"):
             PartialPolyhedron(2, (Constraint((0, 1), 1, False), Constraint(normal, 1, True)))
+        with pytest.raises(ValueError, match=f"constraint row of length {len(normal)} in dimension 2"):
+            dd_convert_h_to_v([((0, 1), 1), (normal, 1)], 2)
         with pytest.raises(ValueError, match=f"vertex of length {len(normal)} in dimension 2"):
             Polyhedron(2, [(0, 0), normal])
         with pytest.raises(ValueError, match=f"ray of length {len(normal)} in dimension 2"):

@@ -26,9 +26,9 @@ from asymgeo.ratlp import (
 )
 
 from support import (
+    _ref_int_reduce,
     rand_fraction,
     rand_point,
-    ref_basis,
     ref_feasible_nonneg,
     ref_lp_solve,
     ref_null_space_basis,
@@ -300,6 +300,8 @@ def test_elimination_matches_fraction_reference():
         before = [list(r) for r in ints]
         work, pivots, det = ratlp._reduce(ints)
         assert ints == before
+        ref_work, ref_pivots, ref_det = _ref_int_reduce(ints, n)
+        assert ([list(r) for r in work], pivots, det) == ([list(r) for r in ref_work], ref_pivots, ref_det), ints
         fracs = [[Fraction(a) for a in r] for r in ints]
         mixed = [[Fraction(a) if j % 2 else a for j, a in enumerate(r)] for r in ints]
         for other in (fracs, mixed):
@@ -314,11 +316,11 @@ def test_elimination_matches_fraction_reference():
 
 
 def test_lazy_base_matches_the_full_elimination():
-    """``_basis`` picks the base that eliminating the whole [rows^T | I]
-    picks (the frozen ``ref_basis``): the same pivots, denominator and
-    identity block, or None exactly below rank dim.  Seeded int rows at
-    d = 1..7 of every rank, with zero rows, duplicates and dependent first
-    d rows; the rows are left as they were."""
+    """``_basis`` is the elimination of the whole [rows^T | I] over its m
+    row columns (the frozen ``_ref_int_reduce``, run as ``ref_basis`` runs
+    it): the same identity block, pivots and denominator at every rank, and
+    as many pivots as the rank.  Seeded int rows at d = 1..7 of every rank, with zero rows,
+    duplicates and dependent first d rows; the rows are left as they were."""
     rng = random.Random(191)
     seen = set()
     kinds = dict.fromkeys(("zero", "duplicate", "dependent head"), 0)
@@ -340,15 +342,14 @@ def test_lazy_base_matches_the_full_elimination():
             rows[d - 1] = (0,) * d if d == 1 else tuple(a - 2 * b for a, b in zip(rows[0], rows[d - 2]))
             kinds["dependent head"] += 1
         before = list(rows)
-        got = ratlp._basis(rows, d)
+        block, picked, det = ratlp._basis(rows, d)
         assert rows == before
-        expected = ref_basis(rows, d)
-        if got is not None:
-            block, picked, det = got
-            got = [list(r) for r in block], picked, det
-        assert got == expected, (d, rows)
+        m = len(rows)
+        work, pivots, ref_det = _ref_int_reduce(
+            [[row[t] for row in rows] + [int(t == k) for k in range(d)] for t in range(d)], m)
+        assert ([list(r) for r in block], picked, det) == ([w[m:] for w in work], pivots, ref_det), (d, rows)
         r = ref_rank(rows)
-        assert (got is None) == (r < d), (d, rows)
+        assert len(picked) == r, (d, rows)
         seen.add((d, r))
     assert seen == {(d, r) for d in range(1, 8) for r in range(d + 1)}, sorted(seen)
     assert min(kinds.values()) >= 100, kinds
@@ -486,11 +487,9 @@ def test_src_holds_no_assert_statement():
     assert found == []
 
 
-def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
-    """Memo slots are read through their attributes and seeded through
-    ``_make``: ``vars`` is called in ``_Value._make``, the four public
-    constructors, and on the two lines where ``decide_compact`` reads and
-    seeds the gauge's degeneracy cone."""
+def _src_calls(name):
+    """(module path, enclosing definition) of each call of the bare name
+    ``name`` under ``src/asymgeo``, sorted."""
     root = Path(asymgeo.__file__).parent
     found = []
 
@@ -499,18 +498,33 @@ def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "vars":
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
                 found.append((path, ".".join(scope)))
             visit(child, path, scope)
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), str(path.relative_to(root)), ())
-    assert sorted(found) == [
+    return sorted(found)
+
+
+def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
+    """Memo slots are read through their attributes and seeded through
+    ``_make``: ``vars`` is called in ``_Value._make``, the four public
+    constructors, and on the two lines where ``decide_compact`` reads and
+    seeds the gauge's degeneracy cone."""
+    assert _src_calls("vars") == [
         ("compactness.py", "decide_compact"), ("compactness.py", "decide_compact"),
         ("norm.py", "AsymNorm.__init__"),
         ("polyhedron.py", "Cone.__init__"), ("polyhedron.py", "PartialPolyhedron.__init__"),
         ("polyhedron.py", "Polyhedron.__init__"), ("polyhedron.py", "_Value._make"),
     ]
+
+
+def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
+    """One elimination loop: ``_pivot`` is called in ``_basis``, which
+    ``_reduce`` runs, in the Bland loop ``_bland``, and where ``lp_solve``
+    pivots its artificials out of the basis after phase one."""
+    assert _src_calls("_pivot") == [("ratlp.py", "_basis"), ("ratlp.py", "_bland"), ("ratlp.py", "lp_solve")]
 
 
 def test_src_imports_only_the_standard_library():
