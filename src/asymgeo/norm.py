@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _basis, _clear, as_vec, rat, vneg
+from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _basis, _clear, _sized, as_vec, rat, vneg
 from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, _Value, cone_from_rows
 
 
@@ -49,10 +49,7 @@ class AsymNorm(_Value):
     def __init__(self, dim: int, functionals: Sequence[Vec]):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        rows = [tuple(f) for f in functionals]
-        for r in rows:
-            if len(r) != dim:
-                raise ValueError(f"functional of length {len(r)} in dimension {dim}")
+        rows = _sized("functional", [tuple(f) for f in functionals], dim)
         s, flat = _clear([a for r in rows for a in r])
         rows = tuple([tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)])
         _check_definite(dim, rows)
@@ -105,8 +102,7 @@ def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
     """q(x) = max(0, max_i <a_i, x>); always nonnegative.  With x = y / t it
     is the max of the ints <s * a_i, y>, divided by s * t once."""
     x = as_vec(x)
-    if len(x) != norm.dim:
-        raise ValueError(f"point of length {len(x)} in dimension {norm.dim}")
+    _sized("point", [x], norm.dim)
     t, y = _clear(x)
     return Fraction(max(0, max(sum(map(mul, a, y)) for a in norm._rows)), norm._scale * t)
 
@@ -146,8 +142,7 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     """
     center = as_vec(center)
     radius = rat(radius)
-    if len(center) != norm.dim:
-        raise ValueError(f"center of length {len(center)} in dimension {norm.dim}")
+    _sized("center", [center], norm.dim)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     strict = closedness is Closedness.OPEN

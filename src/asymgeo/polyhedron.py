@@ -107,12 +107,13 @@ from asymgeo.ratlp import (
     InternalInvariantError,
     Rational,
     Vec,
-    _all_int,
     _basis,
     _clear,
+    _int_rows,
     _null_space,
     _primitive,
     _reduce,
+    _sized,
     as_vec,
     feasible_nonneg,
     is_zero_vec,
@@ -172,8 +173,7 @@ class Cone(_Value):
         gens = _canonical_rays(generators, dim)
         lin = []
         for b in lineality_basis:
-            if len(b) != dim:
-                raise ValueError(f"lineality basis vector of length {len(b)} in dimension {dim}")
+            _sized("lineality basis vector", [b], dim)
             b = _prepare_rows([b])
             if not b:
                 raise ValueError("a lineality basis vector must be nonzero")
@@ -211,8 +211,7 @@ class PartialPolyhedron(_Value):
         rows, scales = [], []
         for normal, rhs, strict in constraints:
             normal = tuple(normal)
-            if len(normal) != dim:
-                raise ValueError(f"constraint row of length {len(normal)} in dimension {dim}")
+            _sized("constraint row", [normal], dim)
             s, row = _clear((*normal, rhs))
             rows.append((tuple(row[:-1]), row[-1], bool(strict)))
             scales.append(s)
@@ -266,9 +265,7 @@ class Polyhedron(_Value):
         verts = _sorted_points({(tuple(y), t) for t, y in map(_clear, vertices)})
         if not verts:
             raise ValueError("a Polyhedron must have at least one vertex; the empty set is represented by None")
-        for y, _ in verts:
-            if len(y) != dim:
-                raise ValueError(f"vertex of length {len(y)} in dimension {dim}")
+        _sized("vertex", [y for y, _ in verts], dim)
         vars(self).update(dim=dim, _verts=verts, _rays=_canonical_rays(rays, dim))
 
     @cached_property
@@ -332,11 +329,8 @@ class Polyhedron(_Value):
             return Cone._make(dim=self.dim, _gens=(), _lin=())
         full = (1 << len(self._rows)) - 1
         lin_members = [r for r, m in zip(self._rays, self._ray_masks) if m == full]
-        basis = ()
-        if lin_members:
-            work, pivots, _ = _reduce(lin_members)
-            basis = tuple(map(_primitive, work[:len(pivots)]))
-        return Cone._make(dim=self.dim, _gens=self._rays, _lin=basis)
+        work = _reduce([lin_members[j] for j in _basis(lin_members, self.dim)[1]])[0] if lin_members else ()
+        return Cone._make(dim=self.dim, _gens=self._rays, _lin=tuple(map(_primitive, work)))
 
     @cached_property
     def _extreme_flags(self) -> Sequence[bool]:
@@ -363,10 +357,7 @@ class _Incidence(NamedTuple):
 
 
 def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[tuple[int, ...], ...]:
-    for r in rays:
-        if len(r) != dim:
-            raise ValueError(f"ray of length {len(r)} in dimension {dim}")
-    return tuple(_prepare_rows(rays))
+    return tuple(_prepare_rows(_sized("ray", rays, dim)))
 
 
 def _sorted_points(points: Collection[tuple[tuple[int, ...], int]]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -390,9 +381,7 @@ def _prepare_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Primitive, deduplicated, lexicographically sorted nonzero rows, as int
     tuples (the constructors' canonical form of rays and lineality basis
     vectors); int rows are taken as they are, rational ones cleared first."""
-    if not _all_int(chain.from_iterable(rows)):
-        rows = [_clear(r)[1] for r in rows]
-    return sorted({r for r in map(_primitive, rows) if any(r)})
+    return sorted({r for r in map(_primitive, _int_rows(rows)) if any(r)})
 
 
 def _pointed_cone_rays(rows: Sequence[Sequence[int]],
@@ -586,11 +575,7 @@ def cone_from_rows(rows: Sequence[Sequence], dim: int) -> tuple[
     bit i for ``rows[i]`` as given (the equation rows' bits are dropped);
     duplicate, rescaled and zero rows get their bits like any other row.
     """
-    for r in rows:
-        if len(r) != dim:
-            raise ValueError(f"row of length {len(r)} in dimension {dim}")
-    if not _all_int(chain.from_iterable(rows)):
-        rows = [_clear(r)[1] for r in rows]
+    rows = _int_rows(_sized("row", rows, dim))
     run = _pointed_cone_rays(rows, dim)
     lin = ()
     if run is None:
@@ -758,8 +743,7 @@ def member(region: PartialPolyhedron, x: Vec) -> bool:
     closure vertex is tested off its mask instead, one AND with the strict
     rows (``compactness.Instance._inside``)."""
     t, y = _clear(as_vec(x))
-    if len(y) != region.dim:
-        raise ValueError(f"point of length {len(y)} in dimension {region.dim}")
+    _sized("point", [y], region.dim)
     for c, b, strict in region._rows:
         val, bound = sum(map(mul, c, y)), b * t
         if val > bound or strict and val == bound:
@@ -884,11 +868,7 @@ def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> boo
 
 def _lp_columns(vectors: Sequence[Vec], dim: int, kind: str) -> list[Vec]:
     """The vectors as ``Fraction`` columns of the LP references, each checked to be ``dim`` long."""
-    cols = [as_vec(v) for v in vectors]
-    for v in cols:
-        if len(v) != dim:
-            raise ValueError(f"{kind} of length {len(v)} in dimension {dim}")
-    return cols
+    return _sized(kind, [as_vec(v) for v in vectors], dim)
 
 
 def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:
@@ -902,10 +882,12 @@ def recession_cone(poly: Polyhedron) -> Cone:
     """cone(rays) of the polyhedron, with an explicit lineality basis.
 
     The rays tight on every ``_rows`` row span the lineality, and its basis
-    is their reduced row echelon form, each row made primitive; a polytope's
-    cone is {0}, and no rows are needed.  Built from the int rays as they
-    are, and memoized on the value, so a second decision on the same
-    closure (T6 on a set that is its own saturated hull) reads it again.
+    is their reduced row echelon form, each row made primitive: that of the
+    independent ones among them that ``ratlp._basis`` picks, since the
+    reduced form of a row space is unique.  A polytope's cone is {0}, and
+    no rows are needed.  Built from the int rays as they are, and memoized
+    on the value, so a second decision on the same closure (T6 on a set
+    that is its own saturated hull) reads it again.
     """
     return poly._recession
 

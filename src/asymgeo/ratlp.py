@@ -13,20 +13,25 @@ rule loop (``_bland``) every simplex step.  One loop runs the eliminations:
 ``_basis``, the elimination of [rows^T | I] over its row columns, which
 keeps only the identity block and forms a column of rows^T when its pivot
 search reaches it.  It picks the base of the double description and of the
-definiteness check, and ``_reduce`` is it run on a matrix's columns
-(``rank``, ``_null_space``, with its view ``null_space_basis``, and the
-reduced row echelon form of a recession cone's lineality basis in
-``asymgeo.polyhedron`` read their answers off that).  ``lp_solve``
-(two-phase, free variables split) and ``feasible_nonneg`` (phase one only)
-build a tableau for ``_bland`` and hand it an objective row already
-priced: ``lp_solve`` prices each phase's cost row with ``_priced``, and
-``feasible_nonneg``'s tableau is [A | b] with no artificial block, its
-objective row the sum of its rows.  The compactness decision runs no LP:
+definiteness check, and its count of picked rows is ``rank``.  ``_reduce``
+is it run on a matrix's columns, with an n x n block for n rows, so it is
+handed only the independent rows ``_basis`` picks: ``_null_space``, with
+its view ``null_space_basis``, and the reduced row echelon form of a
+recession cone's lineality basis in ``asymgeo.polyhedron`` read their
+answers off that.  One helper clears a row list to ints (``_int_rows``)
+and one raises the "of length ... in dimension" error (``_sized``).
+``lp_solve`` (two-phase, free variables split) and ``feasible_nonneg``
+(phase one only) share one phase one: the tableau is the cleared rows,
+negated where the right-hand side is negative, with no artificial
+column; an artificial is a basis label past the real columns, the
+objective row a weighted sum of the rows with an artificial, made in one
+pass, and only real columns enter.  ``lp_solve`` prices its phase-two
+cost row with ``_priced``.  The compactness decision runs no LP:
 ``feasible_nonneg`` serves the random generator's emptiness test
 (Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
 the LP membership tests kept as a reference, and ``lp_solve`` stays as
-public API that no module of the package calls.  Nor does the decision call ``dot``: the predicates compare
-int copies cleared by ``_clear``.
+public API that no module of the package calls.  Nor does the decision
+call ``dot``: the predicates compare int copies cleared by ``_clear``.
 """
 
 from __future__ import annotations
@@ -116,6 +121,26 @@ def _cleared(ps: Sequence[int], qs: Sequence[int], s: int) -> tuple[int, ...]:
     """The numbers p / q times s, a common multiple of the q's, as ints: ``_clear``
     for numbers held as int pairs (the parser's tokens, the generator's draws)."""
     return tuple(ps) if s == 1 else tuple([p * (s // q) for p, q in zip(ps, qs)])
+
+
+def _int_rows(rows: Iterable[Sequence[Rational]]) -> list[Sequence[int]]:
+    """The rows, as a list, cleared to ints by ``_clear``, one pass that leaves
+    int rows as they are; rows of differing length raise ``ValueError``."""
+    rows = list(rows)
+    if not _all_int(chain.from_iterable(rows)):
+        rows = [_clear(r)[1] for r in rows]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of differing length")
+    return rows
+
+
+def _sized(kind: str, vectors: Iterable[Sequence], dim: int) -> list[Sequence]:
+    """The vectors as a list; ``ValueError`` at the first whose length is not ``dim``."""
+    vectors = list(vectors)
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"{kind} of length {len(v)} in dimension {dim}")
+    return vectors
 
 
 class InternalInvariantError(RuntimeError):
@@ -235,20 +260,19 @@ def _reduce(rows: Sequence[Sequence[Rational]]) -> tuple[list[Sequence[int]], li
     [rows | I]: its identity block E times the rows is that elimination's
     row block, so the reduced rows are E * rows, with its pivots, swaps
     and denominator.  Pivot row k comes k-th; it stops once every row holds
-    a pivot.  The input rows are left as they were."""
-    work = list(rows)
-    if not _all_int(chain.from_iterable(work)):
-        work = [_clear(r)[1] for r in work]
-    if len(set(map(len, work))) > 1:
-        raise ValueError("rows of differing length")
+    a pivot.  The input rows are left as they were.  E is n x n for n
+    rows, so its callers hand it independent rows, those ``_basis`` picks."""
+    work = _int_rows(rows)
     cols = list(zip(*work))
     block, pivots, det = _basis(cols, len(work))
     return [[sum(map(mul, e, c)) for c in cols] for e in block], pivots, det
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact rank of the given rows over Q."""
-    return len(_reduce(rows)[1])
+    """Exact rank of the given rows over Q: the count of independent rows
+    ``_basis`` picks, with no reduction."""
+    rows = _int_rows(rows)
+    return len(_basis(rows, len(rows[0]) if rows else 0)[1])
 
 
 def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
@@ -262,12 +286,8 @@ def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int,
     """``null_space_basis`` as primitive int tuples, one per non-pivot column.
 
     Only the independent rows that ``_basis`` picks are reduced: they span
-    the same row space, whose reduced form, and so the basis, is unique,
-    and ``_reduce`` of n rows carries an n x n block."""
-    for r in rows:
-        if len(r) != dim:
-            raise ValueError(f"row of length {len(r)} in dimension {dim}")
-    rows = [_clear(r)[1] for r in rows]
+    the same row space, whose reduced form, and so the basis, is unique."""
+    rows = _int_rows(_sized("row", rows, dim))
     work, pivots, det = _reduce([rows[j] for j in _basis(rows, dim)[1]])
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
@@ -306,6 +326,8 @@ def lp_solve(objective: Sequence[Rational],
     Row j is scaled to integers by s_j > 0 while its slack and artificial keep
     coefficient 1, so they stand for s_j times the unscaled ones: no reduced
     cost or ratio changes sign or order, nor does the pivot sequence.
+    Phase one is ``feasible_nonneg``'s: an artificial is never stored, and
+    once it leaves the basis it never enters again (Chvatal 1983, ch. 8).
     """
     c_obj = as_vec(objective)
     d = len(c_obj)
@@ -321,24 +343,27 @@ def lp_solve(objective: Sequence[Rational],
     nreal = 2 * d + m  # u parts, w parts, slacks
     arts = [i for i, row in enumerate(rows) if row[-1] < 0]
 
-    # Rows over columns [u | w | s | artificials | rhs], rhs kept >= 0; the
-    # basis is the slacks, or the artificial where a row was negated.
+    # Rows over columns [u | w | s | rhs], rhs kept >= 0: a row with b < 0 is
+    # negated, and its basic variable is its artificial, the label nreal + i
+    # with no column; the others' is their slack.
     tab: list[list[int]] = []
-    basis = [nreal + arts.index(i) if row[-1] < 0 else 2 * d + i for i, row in enumerate(rows)]
+    basis = [nreal + i if row[-1] < 0 else 2 * d + i for i, row in enumerate(rows)]
     for i, row in enumerate(rows):
         sgn = -1 if row[-1] < 0 else 1
         cj = [sgn * x for x in row[:-1]]
-        tab.append(cj + [-x for x in cj] + [0] * (m + len(arts)) + [sgn * row[-1]])
-        tab[i][2 * d + i], tab[i][basis[i]] = sgn, 1
+        tab.append(cj + [-x for x in cj] + [0] * m + [sgn * row[-1]])
+        tab[i][2 * d + i] = sgn
     det = 1
 
     if arts:
-        # phase one minimizes the sum of the artificials (columns nreal on);
-        # a row's artificial stands for s times the unscaled one (s its
-        # scale), so it costs L / s: L = lcm(scales) times the unscaled cost
+        # phase one minimizes the sum of the artificials; a row's artificial
+        # stands for s times the unscaled one (s its scale), so it costs
+        # L / s, L = lcm(scales) times the unscaled cost, and the priced
+        # objective row is the sum of the negated rows by those weights
         big = lcm(*[scales[i] for i in arts])
-        tab.append(_priced(tab, basis, [0] * nreal + [-(big // scales[i]) for i in arts], det))
-        enter, det = _bland(tab, basis, nreal + len(arts), det)
+        weights = [big // scales[i] for i in arts]
+        tab.append([sum(map(mul, weights, col)) for col in zip(*[tab[i] for i in arts])])
+        enter, det = _bland(tab, basis, nreal, det)
         if enter is not None:
             raise InternalInvariantError("phase one is bounded")
         if tab.pop()[-1]:
@@ -353,8 +378,8 @@ def lp_solve(objective: Sequence[Rational],
                 det = _pivot(tab, i, j, det)
                 basis[i] = j
             keep.append(i)
-        tab[:] = [tab[i][:nreal] + tab[i][-1:] for i in keep]
-        basis[:] = [basis[i] for i in keep]
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
 
     cost = _clear(c_obj)[1]
     tab.append(_priced(tab, basis, [*cost, *(-x for x in cost), *[0] * m], det))

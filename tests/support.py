@@ -98,6 +98,20 @@ def rand_point(rng: random.Random, dim: int, span: int = 4, max_den: int = 3):
                  for _ in range(dim))
 
 
+def low_rank_rows(rng: random.Random, m: int, n: int, k: int) -> list[list[int]]:
+    """m int rows of length n in the span of k random int rows, each a
+    combination with coefficients in -2..2: the rank is at most k, and
+    zero and repeated rows are common."""
+    span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return [[sum(map(mul, coeffs, col)) for col in zip(*span)] if span else [0] * n
+            for coeffs in ([rng.randint(-2, 2) for _ in span] for _ in range(m))]
+
+
+def rank_two_rows() -> list[list[int]]:
+    """400 int rows of length 4 and rank 2, the same on every call."""
+    return low_rank_rows(random.Random(5), 400, 4, 2)
+
+
 def with_redundant_rows(rng: random.Random, poly: Polyhedron):
     """The facets of ``poly`` (or ``0 <= 0`` when it is the whole space) with
     duplicate, positively rescaled, implied and ``0 <= 1`` rows added,

@@ -112,8 +112,10 @@ def test_sym_gauge_examples():
 
 
 def test_gauge_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point of length 3 in dimension 2$"):
         gauge_eval(SUP2, (1, 2, 3))
+    with pytest.raises(ValueError, match="^point of length 1 in dimension 2$"):
+        gauge_eval(SUP2, (Fraction(1, 2),))
 
 
 def test_functional_lengths_are_checked_on_construction():

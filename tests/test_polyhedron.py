@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from asymgeo import polyhedron, ratlp
 from asymgeo.cli import generators
+from asymgeo.cli.suite import _check, reference_catalog
 from asymgeo.polyhedron import (
     Cone,
     Constraint,
@@ -45,6 +46,7 @@ from support import (
     interval,
     rand_fraction,
     rand_point,
+    rank_two_rows,
     ref_invert,
     ref_is_closed,
     ref_meets_face,
@@ -216,17 +218,24 @@ def test_extreme_rays_examples():
 
 
 def test_cone_rejects_a_lineality_vector_of_the_wrong_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lineality basis vector of length 3 in dimension 2$"):
         Cone(2, (), ((1, 2, 3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lineality basis vector of length 1 in dimension 2$"):
         Cone(2, (), ((1,),))
+    # the generators are checked first, then each basis vector in turn
+    with pytest.raises(ValueError, match="^ray of length 1 in dimension 2$"):
+        Cone(2, ((1,),), ((1, 2, 3),))
+    with pytest.raises(ValueError, match="^lineality basis vector of length 1 in dimension 2$"):
+        Cone(2, (), ((1,), (0, 0)))
 
 
 def test_cone_rejects_a_zero_lineality_vector():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a lineality basis vector must be nonzero$"):
         Cone(2, (), ((0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a lineality basis vector must be nonzero$"):
         Cone(2, ((1, 0),), ((0, 1), (F(0), F(0))))
+    with pytest.raises(ValueError, match="^a lineality basis vector must be nonzero$"):
+        Cone(2, (), ((0, 0), (1,)))
     assert Cone(2, (), ((0, F(-2, 3)),)).lineality_basis == ((0, -1),)
 
 
@@ -246,6 +255,19 @@ def _line_from_pointed():
     return minkowski_sum_with_cone(Polyhedron(2, [(0, 0)], [(1, 0)]), Cone(2, [(-1, 0)]))
 
 
+def _many_lineality_members():
+    """Polyhedra whose lineality members outnumber the dimension: a plane in
+    R^4 listed by 16 directions of both signs, with a pointed ray off it,
+    and a 3-space in R^4 by 26."""
+    u, v, w = (1, 2, 0, -1), (0, 1, 1, 3), (2, 0, -1, 1)
+    combos = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if gcd(p, q) == 1]
+    plane = Polyhedron(4, [(0, 0, 0, 0), (1, 1, 0, 0)],
+                       [tuple(p * a + q * b for a, b in zip(u, v)) for p, q in combos] + [(1, 0, 0, 0)])
+    space = Polyhedron(4, [(0, 0, 0, 0)], [tuple(p * a + q * b + t * c for a, b, c in zip(u, v, w))
+                                          for p in (-1, 0, 1) for q in (-1, 0, 1) for t in (-1, 0, 1)])
+    return plane, space
+
+
 def test_recession_examples():
     box = Polyhedron(2, [(0, 0), (1, 1)])
     rc = recession_cone(box)
@@ -259,10 +281,43 @@ def test_recession_examples():
     assert recession_cone(line).lineality_basis == ((1, 0),)
     half_space = Polyhedron(3, [(0, 0, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, -1), (0, 0, 1)])
     assert recession_cone(half_space).lineality_basis == ((1, 0, 0), (0, 1, 1))
-    for p in (box, ray, strip, line, half_space):
+    plane, space = _many_lineality_members()
+    for p, members in ((plane, 16), (space, 26)):
+        assert len(_lp_lineality_members(p)) == members > p.dim
+    for p in (box, ray, strip, line, half_space, plane, space):
         members = _lp_lineality_members(p)
         expected = tuple(primitive(tuple(row)) for row in ref_rref(members)[0]) if members else ()
         assert recession_cone(p).lineality_basis == expected, p
+
+
+def test_reduce_gets_only_independent_rows(monkeypatch):
+    """Every elimination hands ``_reduce`` independent rows, those
+    ``_basis`` picks, so it never carries a block wider than the rank:
+    each call makes as many pivots as it gets rows.  Over the reference
+    suite, a corpus sample at d <= 3, the recession cones of
+    ``_many_lineality_members`` and ``rank`` and ``null_space_basis`` of
+    400 rank-2 rows."""
+    reduce_rows = ratlp._reduce
+    calls = []
+
+    def independent(rows):
+        work, pivots, det = reduce_rows(rows)
+        calls.append((len(rows), len(pivots)))
+        return work, pivots, det
+
+    for module in (ratlp, polyhedron):
+        monkeypatch.setattr(module, "_reduce", independent)
+    for entry in reference_catalog():
+        _check(entry.name, entry.norm, entry.region)
+    for d in (1, 2, 3):
+        for k in range(200):
+            _check("corpus", *generators.gen_random_instance(d, 1000 * d + k))
+    for p in _many_lineality_members():
+        recession_cone(p)
+    rows = rank_two_rows()
+    assert rank(rows) == 2 and len(null_space_basis(rows, 4)) == 2
+    assert all(n == pivots for n, pivots in calls), calls
+    assert sum(n > 1 for n, _ in calls) >= 3, calls
 
 
 def test_contains_line_examples():
@@ -828,7 +883,8 @@ def test_conversions_reject_rows_of_the_wrong_length():
     for rows in ([(1, 2, 3)], [(1,)], [(F(1), F(2), F(3))]):
         with pytest.raises(ValueError, match="of length [13] in dimension 2"):
             null_space_basis(rows, 2)
-    assert null_space_basis([(1, 2)], 2) == [(F(-2), F(1))]
+    assert null_space_basis([(1, 2)], 2) == [(F(-2), F(1))] == null_space_basis(iter([(1, 2)]), 2)
+    assert polyhedron.cone_from_rows(iter([(1, 0), (0, 1)]), 2) == polyhedron.cone_from_rows([(1, 0), (0, 1)], 2)
     assert null_space_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
 
 
@@ -1214,8 +1270,8 @@ def test_support_value_and_member_check_the_dimension():
     """``member`` zips rows with points, so a length mismatch must be caught
     before any product is taken."""
     square = to_partial(Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
-    for wrong in [(1,), (1, 0, 0)]:
-        with pytest.raises(ValueError):
+    for wrong in [(1,), (1, 0, 0), (F(1, 2),)]:
+        with pytest.raises(ValueError, match=f"^point of length {len(wrong)} in dimension 2$"):
             member(square, wrong)
 
 

@@ -27,8 +27,10 @@ from asymgeo.ratlp import (
 
 from support import (
     _ref_int_reduce,
+    low_rank_rows,
     rand_fraction,
     rand_point,
+    rank_two_rows,
     ref_feasible_nonneg,
     ref_lp_solve,
     ref_null_space_basis,
@@ -84,6 +86,7 @@ def test_rank_examples():
     assert rank([(1, 0), (0, 1)]) == 2
     assert rank([(1, 1), (2, 2)]) == 1
     assert rank([]) == 0
+    assert rank(iter([(1, 2), (2, 4)])) == 1 and rank(r for r in [(1, 2), (0, 1)]) == 2
 
 
 def test_rank_rational_rows():
@@ -311,8 +314,41 @@ def test_elimination_matches_fraction_reference():
         assert null_space_basis(ints, n) == ref_null_space_basis(fracs, n), ints
         int_deficient += ref_rank(fracs) < min(m, n)
     assert int_deficient > 60
+    # tall rows of rank below their length, up to 400 of them, int or rational
+    tallest = 0
+    for _ in range(40):
+        m, n = rng.randint(6, 400), rng.randint(1, 5)
+        mat = low_rank_rows(rng, m, n, rng.randint(0, n - 1))
+        if rng.random() < 0.5:
+            mat = [[a * s for a in r] for r, s in zip(mat, (rand_fraction(rng) for _ in mat))]
+        assert rank(mat) == ref_rank(mat) < n, mat
+        assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
+        tallest = max(tallest, m)
+    assert tallest > 300
     with pytest.raises(ValueError, match="differing length"):
         ratlp._reduce([(1, 2), (3,)])
+
+
+def test_rank_and_null_space_pivot_a_small_tableau_on_many_rows(monkeypatch):
+    """``rank`` and ``null_space_basis`` of 400 rank-2 rows of length 4 eliminate
+    over the rows' length, not their count: the ``_pivot`` calls of each
+    touch at most 1,000 tableau entries (rows times width), where an
+    elimination carrying a 400 x 400 block touches 320,800."""
+    pivot = ratlp._pivot
+    touched = []
+
+    def counted(tab, i, j, det):
+        touched[-1] += len(tab) * len(tab[i])
+        return pivot(tab, i, j, det)
+
+    monkeypatch.setattr(ratlp, "_pivot", counted)
+    rows = rank_two_rows()
+    for call in (lambda: rank(rows), lambda: null_space_basis(rows, 4)):
+        touched.append(0)
+        call()
+    monkeypatch.undo()
+    assert rank(rows) == 2 and len(null_space_basis(rows, 4)) == 2
+    assert all(0 < t <= 1000 for t in touched), touched
 
 
 def test_lazy_base_matches_the_full_elimination():
@@ -445,24 +481,33 @@ def test_feasible_nonneg_matches_fraction_reference_on_motzkin_systems():
     assert min(outcomes.values()) > 200, outcomes
 
 
-def test_feasible_nonneg_stores_no_artificial_and_pivots_only_bland_steps(monkeypatch):
-    """The emptiness kernel's tableau is [A | b] and its objective row is
-    priced in one pass: every row a pivot reads or writes has n + 1
-    entries, no pivot column is an artificial's (>= n), and every pivot is
-    a Bland step, on the first column of the objective row with a positive
-    entry, so no pricing pivot runs."""
+def _watch_pivots(monkeypatch):
+    """Wrap ``ratlp._pivot``: the returned (widths, columns, steps) collect
+    the widths of the rows each call reads or writes, its pivot column, and
+    whether it is a Bland step, on the first column of the tableau's last
+    row with a positive entry (the objective row, while one rides along)."""
     pivot = ratlp._pivot
     widths, columns, steps = set(), [], []
 
     def watched(tab, i, j, det):
         widths.update(map(len, tab))
         columns.append(j)
-        steps.append(j == next((k for k in range(n) if tab[-1][k] > 0), None))
+        steps.append(j == next((k for k in range(len(tab[-1]) - 1) if tab[-1][k] > 0), None))
         det = pivot(tab, i, j, det)
         widths.update(map(len, tab))
         return det
 
     monkeypatch.setattr(ratlp, "_pivot", watched)
+    return widths, columns, steps
+
+
+def test_feasible_nonneg_stores_no_artificial_and_pivots_only_bland_steps(monkeypatch):
+    """The emptiness kernel's tableau is [A | b] and its objective row is
+    priced in one pass: every row a pivot reads or writes has n + 1
+    entries, no pivot column is an artificial's (>= n), and every pivot is
+    a Bland step, on the first column of the objective row with a positive
+    entry, so no pricing pivot runs."""
+    widths, columns, steps = _watch_pivots(monkeypatch)
     rng = random.Random(53)
     for dim in range(1, 7):
         for _ in range(40):
@@ -477,6 +522,27 @@ def test_feasible_nonneg_stores_no_artificial_and_pivots_only_bland_steps(monkey
     assert steps.count(True) == len(steps)
 
 
+def test_lp_solve_stores_no_artificial(monkeypatch):
+    """``lp_solve``'s phase one is ``feasible_nonneg``'s: over its nreal = 2d + m
+    columns (u, w and the slacks), every row a pivot reads or writes has
+    nreal + 1 entries and no pivot column is an artificial's (>= nreal),
+    in phase one, after it and in phase two."""
+    widths, columns, _ = _watch_pivots(monkeypatch)
+    rng = random.Random(59)
+    phase_one = pivots = 0
+    for _ in range(600):
+        obj, rows = _rand_lp(rng)
+        nreal = 2 * len(obj) + len(rows)
+        widths.clear()
+        columns.clear()
+        lp_solve(obj, rows)
+        assert widths <= {nreal + 1}, (obj, rows, widths)
+        assert all(j < nreal for j in columns), (obj, rows, columns)
+        phase_one += any(b < 0 for _, b in rows)
+        pivots += len(columns)
+    assert phase_one > 200 and pivots > 1000, (phase_one, pivots)
+
+
 def test_src_holds_no_assert_statement():
     """``python -O`` strips asserts, so invariant guards raise InternalInvariantError."""
     root = Path(asymgeo.__file__).parent
@@ -487,9 +553,9 @@ def test_src_holds_no_assert_statement():
     assert found == []
 
 
-def _src_calls(name):
-    """(module path, enclosing definition) of each call of the bare name
-    ``name`` under ``src/asymgeo``, sorted."""
+def _src_nodes(match):
+    """(module path, enclosing definition) of each AST node under
+    ``src/asymgeo`` for which ``match`` holds, sorted."""
     root = Path(asymgeo.__file__).parent
     found = []
 
@@ -498,13 +564,32 @@ def _src_calls(name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+            if match(child):
                 found.append((path, ".".join(scope)))
             visit(child, path, scope)
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), str(path.relative_to(root)), ())
     return sorted(found)
+
+
+def _src_calls(name):
+    """(module path, enclosing definition) of each call of the bare name
+    ``name`` under ``src/asymgeo``, sorted."""
+    return _src_nodes(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == name)
+
+
+def test_src_words_a_length_mismatch_only_in_sized():
+    """One length check: the only string under ``src/asymgeo`` that says
+    "of length ... in dimension" is the message of ``ratlp._sized``."""
+    def message(node):
+        if not isinstance(node, ast.JoinedStr):
+            return False
+        text = "{}".join(part.value for part in node.values if isinstance(part, ast.Constant))
+        return "of length {}" in text and "in dimension" in text
+
+    assert _src_nodes(message) == [("ratlp.py", "_sized")]
 
 
 def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():

@@ -18,6 +18,15 @@ it tests for emptiness is one ``ratlp.feasible_nonneg`` run (through
   systems with nothing wrapped, and ``gen_s``: the least of 3 times of
   the 16 instances made from scratch.
 
+A last line counts ``ratlp.lp_solve`` on a fixed family: each of those
+instances' regions, closed and shifted by a seeded integer point so that
+some right-hand sides are negative and phase one runs, maximized along
+15 seeded integer objectives, 1,920 LPs in all.  It holds the ``runs``,
+their ``outcomes``, the ``pivots`` made in the simplex loop, the
+``pivot_outs`` that move an artificial left in the basis after phase one
+out of it, and the ``entries`` written, counted as above with one
+objective row per simplex loop (one per phase); no time.
+
 The counts depend only on the code in ``src``, so the same tool run on an
 earlier ``src`` counts that code's work, with no drift of the host's speed;
 the times do move with it.  Report only: it checks no answer and gates
@@ -30,8 +39,11 @@ next to it.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
+from collections import Counter
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,11 +53,19 @@ from asymgeo.cli.generators import gen_random_instance  # noqa: E402
 
 DIMS = range(1, 9)
 SEEDS_PER_DIM = 16
+OBJECTIVES = 15
 REPEAT = 3
 
 
 def make(d: int) -> list:
     return [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
+
+
+def written(tab, i: int, j: int, det: int) -> int:
+    """The tableau entries a ``ratlp._pivot`` call on (i, j) writes: each
+    row it rewrites, counted at its width."""
+    p = tab[i][j]
+    return ((p < 0) + sum(1 for k, row in enumerate(tab) if k != i and (row[j] or abs(p) != det))) * len(tab[i])
 
 
 def count(d: int) -> tuple[dict, list]:
@@ -55,12 +75,10 @@ def count(d: int) -> tuple[dict, list]:
     systems = []
 
     def pivot(tab, i, j, det):
-        p = tab[i][j]
         obj = tab[-1]
         bland = j == next((k for k in range(len(obj) - 1) if obj[k] > 0), None)
         tally["pivots" if bland else "pricing_pivots"] += 1
-        rewritten = (p < 0) + sum(1 for k, row in enumerate(tab) if k != i and (row[j] or abs(p) != det))
-        tally["entries"] += rewritten * len(tab[i])
+        tally["entries"] += written(tab, i, j, det)
         return real_pivot(tab, i, j, det)
 
     def bland(tab, *args):
@@ -104,9 +122,51 @@ def measure(d: int) -> dict:
             "lp_s": lp_s, "gen_s": gen_s}
 
 
+def lp_family() -> list:
+    """The (objective, constraints) pairs of the ``lp_solve`` line."""
+    lps = []
+    for d in DIMS:
+        for k in range(SEEDS_PER_DIM):
+            seed = 1000 * d + k
+            rng = random.Random(seed)
+            shift = [rng.randint(-3, 3) for _ in range(d)]
+            rows = [(c, b + sum(map(mul, c, shift))) for c, b, _ in gen_random_instance(d, seed)[1].constraints]
+            lps += [(tuple(rng.randint(-3, 3) for _ in range(d)), rows) for _ in range(OBJECTIVES)]
+    return lps
+
+
+def measure_lp_solve() -> dict:
+    lps = lp_family()
+    tally = {"runs": len(lps), "pivots": 0, "pivot_outs": 0, "entries": 0}
+    in_loop = []
+
+    def pivot(tab, i, j, det):
+        tally["pivots" if in_loop else "pivot_outs"] += 1
+        tally["entries"] += written(tab, i, j, det)
+        return real_pivot(tab, i, j, det)
+
+    def bland(tab, *args):
+        tally["entries"] += len(tab[0])
+        in_loop.append(True)
+        try:
+            return real_bland(tab, *args)
+        finally:
+            in_loop.pop()
+
+    real_pivot, real_bland = ratlp._pivot, ratlp._bland
+    ratlp._pivot, ratlp._bland = pivot, bland
+    try:
+        outcomes = Counter(ratlp.lp_solve(obj, rows).status.value for obj, rows in lps)
+    finally:
+        ratlp._pivot, ratlp._bland = real_pivot, real_bland
+    return {"lp": "lp_solve", "dims": [DIMS[0], DIMS[-1]], "outcomes": dict(sorted(outcomes.items())),
+            **tally, "entries_per_run": round(tally["entries"] / tally["runs"], 1)}
+
+
 def main() -> int:
     for d in DIMS:
         print(json.dumps(measure(d)), flush=True)
+    print(json.dumps(measure_lp_solve()), flush=True)
     return 0
 
 
