@@ -8,7 +8,6 @@ self-verifying: any mismatch is reported and flips the overall status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -22,26 +21,22 @@ from asymgeo.compactness import (
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
 from asymgeo.norm import AsymNorm, make_norm
 from asymgeo.polyhedron import Constraint, PartialPolyhedron
+from asymgeo.ratlp import _Value
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(_Value):
     """One instance's outcome in stable, line-oriented form.
 
     ``matched`` is None outside suite runs (nothing to compare against).
     """
 
-    name: str
-    dim: int
-    functionals: int
-    rows: int
-    verdict: str
-    center: Optional[tuple] = None
-    witness: Optional[str] = None
-    claims: tuple = ()
-    note: Optional[str] = None
-    matched: Optional[bool] = None
-    timing_ms: float = 0.0
+    _fields = ("name", "dim", "functionals", "rows", "verdict", "center", "witness", "claims", "note",
+               "matched", "timing_ms")
+
+    def __init__(self, name: str, dim: int, functionals: int, rows: int, verdict: str,
+                 center: Optional[tuple] = None, witness: Optional[str] = None, claims: tuple = (),
+                 note: Optional[str] = None, matched: Optional[bool] = None, timing_ms: float = 0.0):
+        self._set(name, dim, functionals, rows, verdict, center, witness, claims, note, matched, timing_ms)
 
     def render(self, include_timing: bool = True) -> str:
         lines = [
@@ -88,14 +83,13 @@ def _check(name: str, norm: AsymNorm, region: PartialPolyhedron) -> RunReport:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    norm: AsymNorm
-    region: PartialPolyhedron
-    expected_verdict: Verdict
-    expected_center: Optional[tuple] = None  # exact vertex tuple, or None to skip
-    note: Optional[str] = None
+class CatalogEntry(_Value):
+    _fields = ("name", "norm", "region", "expected_verdict", "expected_center", "note")
+
+    def __init__(self, name: str, norm: AsymNorm, region: PartialPolyhedron, expected_verdict: Verdict,
+                 expected_center: Optional[tuple] = None, note: Optional[str] = None):
+        """``expected_center`` is the exact vertex tuple, or None to skip the comparison."""
+        self._set(name, norm, region, expected_verdict, expected_center, note)
 
 
 def _interval(lo, lo_strict, hi, hi_strict) -> PartialPolyhedron:
@@ -199,5 +193,7 @@ def run_reference_suite() -> tuple[list[RunReport], bool]:
             matched = matched and center is not None and len(center) > previous_center_size
             previous_center_size = len(center) if center is not None else 0
         ok = ok and matched
-        reports.append(replace(report, note=entry.note, matched=matched))
+        reports.append(RunReport(report.name, report.dim, report.functionals, report.rows, report.verdict,
+                                 report.center, report.witness, report.claims, entry.note, matched,
+                                 report.timing_ms))
     return reports, ok

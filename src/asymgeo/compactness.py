@@ -83,13 +83,12 @@ and T6's sandwich read masks and scan nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 from operator import mul, or_
 from typing import Iterator, Optional, Sequence, Union
 
-from asymgeo.ratlp import InternalInvariantError, Vec, _primitive, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Vec, _Value, _memo, _primitive, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
@@ -124,35 +123,38 @@ class Verdict(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class BadRecessionDirection:
+class BadRecessionDirection(_Value):
     """Closure recession direction of positive gauge: an escaping ray."""
 
-    direction: Vec
+    _fields = ("direction",)
+
+    def __init__(self, direction: Vec):
+        self._set(direction)
 
 
-@dataclass(frozen=True)
-class EscapedExtremePoint:
+class EscapedExtremePoint(_Value):
     """Extreme point of the saturated hull that the region fails to contain."""
 
-    point: Vec
+    _fields = ("point",)
+
+    def __init__(self, point: Vec):
+        self._set(point)
 
 
 Witness = Union[BadRecessionDirection, EscapedExtremePoint]
 
 
-@dataclass(frozen=True)
-class CompactnessCertificate:
-    verdict: Verdict
-    center: Optional[Polyhedron] = None
-    witness: Optional[Witness] = None
+class CompactnessCertificate(_Value):
+    _fields = ("verdict", "center", "witness")
+
+    def __init__(self, verdict: Verdict, center: Optional[Polyhedron] = None, witness: Optional[Witness] = None):
+        self._set(verdict, center, witness)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """A gauge and a nonempty region of its dimension, its two fields, checked
     whenever an instance is made, directly or by ``build``
-    (``__post_init__``); everything else is derived from them on first read
+    (``__init__``); everything else is derived from them on first read
     and memoized on the instance.  ``hull`` is the region's closure, the
     very value ``closure`` memoizes on the region, so its masks index the
     region's rows.  The degeneracy cone and the saturated hull closure +
@@ -167,28 +169,28 @@ class Instance:
     the region squeezed between the two (``_sandwiched``) is one fact,
     which ``decide_compact`` and T3 read."""
 
-    norm: AsymNorm
-    region: PartialPolyhedron
+    _fields = ("norm", "region")
 
-    def __post_init__(self) -> None:
+    def __init__(self, norm: AsymNorm, region: PartialPolyhedron):
         """Raise unless the dimensions agree and the region is nonempty: its
         closure, memoized on the region for ``hull``, is not None."""
-        if self.norm.dim != self.region.dim:
+        if norm.dim != region.dim:
             raise ValueError("gauge and region dimensions differ")
-        if closure(self.region) is None:
+        if closure(region) is None:
             raise EmptyRegionError("the region is empty")
+        self._set(norm, region)
 
     @classmethod
     def build(cls, norm: AsymNorm, region: PartialPolyhedron) -> "Instance":
-        """The checked instance of a gauge and a region (``__post_init__``)."""
+        """The checked instance of a gauge and a region (``__init__``)."""
         return cls(norm, region)
 
-    @cached_property
+    @_memo
     def hull(self) -> Polyhedron:
         """The region's closure (``closure``)."""
         return closure(self.region)
 
-    @cached_property
+    @_memo
     def degeneracy(self) -> Cone:
         """The degeneracy cone of the gauge (``degeneracy_cone``), memoized on
         the gauge: a COMPACT decision whose closure rows are all gauge rows
@@ -196,14 +198,14 @@ class Instance:
         runs the double description of the functionals."""
         return degeneracy_cone(self.norm)
 
-    @cached_property
+    @_memo
     def saturated(self) -> Polyhedron:
         """closure + degeneracy cone, pruned to its extreme points and rays:
         the closure itself, the very value, when the cone adds no direction
         to a line-free closure (a closed gauge ball is its own sum)."""
         return minkowski_sum_with_cone(self.hull, self.degeneracy)
 
-    @cached_property
+    @_memo
     def _inside(self) -> dict[tuple[tuple[int, ...], int], bool]:
         """Per listed vertex (y, t) of the closure, in their order, whether it
         lies in the region: no strict row is tight on it, one AND per vertex,
@@ -212,7 +214,7 @@ class Instance:
         strict = self.region._strict_mask
         return {v: not m & strict for v, m in zip(self.hull._verts, self.hull._vert_masks)}
 
-    @cached_property
+    @_memo
     def _sum_inside(self) -> tuple[bool, ...]:
         """Per listed vertex of ``saturated``, in order, whether it lies in
         the region: the sum's vertices are closure vertices, so each is one
@@ -222,7 +224,7 @@ class Instance:
         except KeyError:
             raise InternalInvariantError("the saturated hull's vertices are closure vertices") from None
 
-    @cached_property
+    @_memo
     def _sandwiched(self) -> bool:
         """S <= region <= S + C for the center candidate S, the saturated
         hull's vertices: the saturated hull is S + C when its rays are C's
@@ -233,7 +235,7 @@ class Instance:
         return (sat._rays == self.degeneracy._gens and all(self._sum_inside)
                 and (sat is self.hull or subset(self.region, to_partial(sat))))
 
-    @cached_property
+    @_memo
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
         """-a for each stored functional a of the gauge: the rows of -C that
         ``_extreme_in_saturation`` inserts at every vertex it tests, in the
@@ -440,20 +442,22 @@ CLAIM_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    status: ClaimStatus
-    detail: Optional[str] = None
+class ClaimResult(_Value):
+    _fields = ("claim_id", "status", "detail")
+
+    def __init__(self, claim_id: str, status: ClaimStatus, detail: Optional[str] = None):
+        self._set(claim_id, status, detail)
 
     @property
     def label(self) -> str:
         return CLAIM_LABELS[self.claim_id]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    claims: tuple[ClaimResult, ...]
+class TheoremReport(_Value):
+    _fields = ("claims",)
+
+    def __init__(self, claims: tuple[ClaimResult, ...]):
+        self._set(claims)
 
     @property
     def all_pass(self) -> bool:

@@ -11,15 +11,14 @@ gauge balls as (possibly half-open) polyhedra.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Sequence
 
-from asymgeo.ratlp import InternalInvariantError, Rational, Vec, _basis, _clear, _sized, as_vec, rat, vneg
-from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, _Value, cone_from_rows
+from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _memo, _sized, as_vec,
+                           rat, vneg)
+from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, cone_from_rows
 
 
 class DefinitenessViolation(ValueError):
@@ -27,7 +26,6 @@ class DefinitenessViolation(ValueError):
     both vanish along a line and the symmetrized gauge is not a norm."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class AsymNorm(_Value):
     """Gauge q(x) = max(0, max_i <a_i, x>) over exact rational functionals.
 
@@ -41,9 +39,7 @@ class AsymNorm(_Value):
     check (``_check_definite``) on the ints they make the gauge of.
     """
 
-    dim: int
-    _scale: int
-    _rows: tuple[tuple[int, ...], ...]
+    _fields = ("dim", "_scale", "_rows")
     _public = ("dim", "functionals")
 
     def __init__(self, dim: int, functionals: Sequence[Vec]):
@@ -55,11 +51,11 @@ class AsymNorm(_Value):
         _check_definite(dim, rows)
         vars(self).update(dim=dim, _scale=s, _rows=rows)
 
-    @cached_property
+    @_memo
     def functionals(self) -> tuple[Vec, ...]:
         return tuple([_fractions(f, self._scale) for f in self._rows])
 
-    @cached_property
+    @_memo
     def _degeneracy(self) -> Cone:
         gens, lin, *_ = cone_from_rows(self._rows, self.dim)
         if lin:
@@ -72,12 +68,11 @@ class Closedness(enum.Enum):
     CLOSED = "CLOSED"
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: Vec
-    radius: Rational
-    closedness: Closedness
-    as_set: PartialPolyhedron
+class Ball(_Value):
+    _fields = ("center", "radius", "closedness", "as_set")
+
+    def __init__(self, center: Vec, radius: Rational, closedness: Closedness, as_set: PartialPolyhedron):
+        self._set(center, radius, closedness, as_set)
 
 
 def make_norm(dim: int, functionals) -> AsymNorm:

@@ -61,13 +61,14 @@ region in its own closure, is not asked of it
 (``compactness.Instance._sandwiched``).  The incidence record, the line
 test, the extreme flags and the recession cone are memoized on the value.
 
-Each value stores one canonical int form as its dataclass fields, which
-equality, hash and the predicates read: a ``Polyhedron`` each vertex v as
-(y, t), t > 0 and v = y / t, and its rays primitive; a ``Cone`` its
-generators and lineality basis primitive; a ``PartialPolyhedron`` each row
-(c, b) cleared by the lcm of its denominators, with that scale; an
-``AsymNorm`` (``asymgeo.norm``) its functionals over their common
-denominator, with it.  So <c, v> <= b is <c, y> <= b * t.  The public
+Each value stores one canonical int form as the fields its class names in
+``_fields`` (the value base ``ratlp._Value``), which equality, hash and
+the predicates read: a ``Polyhedron`` each vertex v as (y, t), t > 0 and
+v = y / t, and its rays primitive; a ``Cone`` its generators and
+lineality basis primitive; a ``PartialPolyhedron`` each row (c, b)
+cleared by the lcm of its denominators, with that scale; an ``AsymNorm``
+(``asymgeo.norm``) its functionals over their common denominator, with
+it.  So <c, v> <= b is <c, y> <= b * t.  The public
 constructors (``Polyhedron(...)``, ``PartialPolyhedron(...)``,
 ``Cone(...)`` and ``AsymNorm(...)``) take any numbers, check them and
 canonicalize them into this form.  The internal builders (the conversions,
@@ -78,9 +79,10 @@ half-open sum) already hold it and hand it to ``_make``, which takes it as
 given.
 The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
 ``generators``, ``lineality_basis``, ``functionals`` and the facets
-``hrep``) are views, built on first read and memoized; the repr prints
-them, as the constructor call that makes the value.  Only views and public
-results are ``Fraction``s.
+``hrep``) are views, built on first read and memoized (``ratlp._memo``,
+as every memo of a value is); the repr prints them, as the constructor
+call that makes the value.  Only views and public results are
+``Fraction``s.
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
@@ -95,9 +97,8 @@ and verifiability over asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import and_, mul, or_
@@ -107,9 +108,11 @@ from asymgeo.ratlp import (
     InternalInvariantError,
     Rational,
     Vec,
+    _Value,
     _basis,
     _clear,
     _int_rows,
+    _memo,
     _null_space,
     _primitive,
     _reduce,
@@ -134,24 +137,6 @@ class Constraint(NamedTuple):
     strict: bool
 
 
-class _Value:
-    """What the four value types share: the maker of a value from its
-    stored form, and a repr of the public views named in ``_public``."""
-
-    _public: tuple[str, ...] = ()
-
-    @classmethod
-    def _make(cls, **fields):
-        """The value of canonical stored fields, taken as given: checks nothing."""
-        value = object.__new__(cls)
-        vars(value).update(fields)
-        return value
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._public)})"
-
-
-@dataclass(frozen=True, init=False, repr=False)
 class Cone(_Value):
     """Finitely generated cone, possibly with lineality.
 
@@ -162,9 +147,7 @@ class Cone(_Value):
     and ``lineality_basis`` are their ``Fraction`` views.
     """
 
-    dim: int
-    _gens: tuple[tuple[int, ...], ...]
-    _lin: tuple[tuple[int, ...], ...]
+    _fields = ("dim", "_gens", "_lin")
     _public = ("dim", "generators", "lineality_basis")
 
     def __init__(self, dim: int, generators: Sequence[Vec], lineality_basis: Sequence[Vec] = ()):
@@ -180,16 +163,15 @@ class Cone(_Value):
             lin.append(b[0])
         vars(self).update(dim=dim, _gens=gens, _lin=tuple(lin))
 
-    @cached_property
+    @_memo
     def generators(self) -> tuple[Vec, ...]:
         return tuple(map(_fractions, self._gens))
 
-    @cached_property
+    @_memo
     def lineality_basis(self) -> tuple[Vec, ...]:
         return tuple(map(_fractions, self._lin))
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class PartialPolyhedron(_Value):
     """Intersection of closed and open half-spaces.
 
@@ -200,9 +182,7 @@ class PartialPolyhedron(_Value):
     closure is memoized on the value.
     """
 
-    dim: int
-    _rows: tuple[tuple[tuple[int, ...], int, bool], ...]
-    _scales: tuple[int, ...]
+    _fields = ("dim", "_rows", "_scales")
     _public = ("dim", "constraints")
 
     def __init__(self, dim: int, constraints: Sequence[Constraint]):
@@ -217,24 +197,24 @@ class PartialPolyhedron(_Value):
             scales.append(s)
         vars(self).update(dim=dim, _rows=tuple(rows), _scales=tuple(scales))
 
-    @cached_property
+    @_memo
     def constraints(self) -> tuple[Constraint, ...]:
         return tuple([Constraint(_fractions(c, s), Fraction(b, s), strict)
                       for (c, b, strict), s in zip(self._rows, self._scales)])
 
-    @cached_property
+    @_memo
     def _closed_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The rows (c, b) without their strict flags: the closure's ``_rows``,
         the very tuple, and seeded where a region is made from a polyhedron's
         ``_rows`` with its closure known (``compactness.saturate_region``)."""
         return tuple([(c, b) for c, b, _ in self._rows])
 
-    @cached_property
+    @_memo
     def _strict_mask(self) -> int:
         """The strict rows as one bitmask over ``_rows``."""
         return sum([1 << j for j, (_, _, strict) in enumerate(self._rows) if strict])
 
-    @cached_property
+    @_memo
     def _closure(self) -> Optional[Polyhedron]:
         """The conversion of ``_closed_rows``; the region is empty iff that is,
         or a strict row is tight on every generator of it."""
@@ -244,7 +224,6 @@ class PartialPolyhedron(_Value):
         return poly
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Polyhedron(_Value):
     """Closed polyhedron conv(vertices) + cone(rays); never empty.
 
@@ -256,9 +235,7 @@ class Polyhedron(_Value):
     set.  ``vertices`` and ``rays`` are the ``Fraction`` views.
     """
 
-    dim: int
-    _verts: tuple[tuple[tuple[int, ...], int], ...]
-    _rays: tuple[tuple[int, ...], ...]
+    _fields = ("dim", "_verts", "_rays")
     _public = ("dim", "vertices", "rays")
 
     def __init__(self, dim: int, vertices: Sequence[Vec], rays: Sequence[Vec] = ()):
@@ -268,15 +245,15 @@ class Polyhedron(_Value):
         _sized("vertex", [y for y, _ in verts], dim)
         vars(self).update(dim=dim, _verts=verts, _rays=_canonical_rays(rays, dim))
 
-    @cached_property
+    @_memo
     def vertices(self) -> tuple[Vec, ...]:
         return tuple([_fractions(y, t) for y, t in self._verts])
 
-    @cached_property
+    @_memo
     def rays(self) -> tuple[Vec, ...]:
         return tuple(map(_fractions, self._rays))
 
-    @cached_property
+    @_memo
     def hrep(self) -> tuple[HRow, ...]:
         """The facets as ``Fraction`` rows (``dd_convert_v_to_h``): the rows of
         ``_incidence`` when they are the facets, else the value's one
@@ -285,7 +262,7 @@ class Polyhedron(_Value):
         rows = (inc if inc.facets else _int_facets(self)).rows
         return tuple([(tuple(map(Fraction, c)), Fraction(b)) for c, b in rows])
 
-    @cached_property
+    @_memo
     def _incidence(self) -> _Incidence:
         """The integer inequality description of the set that the incidence
         predicates read, with its masks: the facets (``_int_facets``) unless
@@ -312,7 +289,7 @@ class Polyhedron(_Value):
         """Per ray, the ``_rows`` its direction is tight on; a polytope reads no row."""
         return self._incidence.rays if self._rays else ()
 
-    @cached_property
+    @_memo
     def _has_line(self) -> bool:
         """Is some ray orthogonal to every ``_rows`` normal?
 
@@ -322,7 +299,7 @@ class Polyhedron(_Value):
         seed the answer they already know."""
         return bool(self._rays) and (1 << len(self._rows)) - 1 in self._ray_masks
 
-    @cached_property
+    @_memo
     def _recession(self) -> Cone:
         """``recession_cone``, made once per value."""
         if not self._rays:
@@ -332,13 +309,13 @@ class Polyhedron(_Value):
         work = _reduce([lin_members[j] for j in _basis(lin_members, self.dim)[1]])[0] if lin_members else ()
         return Cone._make(dim=self.dim, _gens=self._rays, _lin=tuple(map(_primitive, work)))
 
-    @cached_property
+    @_memo
     def _extreme_flags(self) -> Sequence[bool]:
         """Per listed vertex, whether it is extreme (see ``extreme_points``);
         a pruned sum seeds all true."""
         return _maximal(self._vert_masks, self._ray_masks)
 
-    @cached_property
+    @_memo
     def _extreme_ray_flags(self) -> Sequence[bool]:
         """Per listed ray, whether it is extreme (see ``extreme_rays``), as
         ``_extreme_flags``."""

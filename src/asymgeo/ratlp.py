@@ -32,12 +32,16 @@ cost row with ``_priced``.  The compactness decision runs no LP:
 the LP membership tests kept as a reference, and ``lp_solve`` stays as
 public API that no module of the package calls.  Nor does the decision
 call ``dot``: the predicates compare int copies cleared by ``_clear``.
+Every value type of the package, ``LpOutcome`` here and the gauges,
+polyhedra, instances, certificates and reports elsewhere, derives from
+one frozen base, ``_Value``, and memoizes with ``_memo``: no class is
+made by ``dataclasses``, whose generated code every process would run
+on import.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -145,6 +149,73 @@ def _sized(kind: str, vectors: Iterable[Sequence], dim: int) -> list[Sequence]:
 
 class InternalInvariantError(RuntimeError):
     """A broken invariant: a bug, never a bad input (raised, not asserted, so ``-O`` keeps it)."""
+
+
+# --- Values ------------------------------------------------------------------
+
+
+class _Value:
+    """The base of every value type, read off its class's ``_fields``: a
+    value equals one of the very same class with equal fields (else
+    ``NotImplemented``), hashes as the tuple of its fields, prints as the
+    call ``Name(field=..., ...)`` (or of the public views named in
+    ``_public``) and is frozen.  ``__init__`` sets the fields with
+    ``_set`` and ``_make`` takes them as given; memos (``_memo``) write
+    the value's ``__dict__``, past the frozen ``__setattr__``."""
+
+    _fields: tuple[str, ...] = ()
+    _public: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, **fields):
+        """The value of canonical stored fields, taken as given: checks nothing."""
+        value = object.__new__(cls)
+        vars(value).update(fields)
+        return value
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``_fields`` order, past the frozen ``__setattr__``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = self._public or self._fields
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _memo:
+    """An attribute computed on first read and stored in the value's
+    ``__dict__``, where later reads find it first: a non-data descriptor,
+    as ``functools.cached_property`` is, without the lock that one takes
+    on every first read up to Python 3.11."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 # --- The pivot kernel --------------------------------------------------------
@@ -308,14 +379,15 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "INFEASIBLE"
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(_Value):
     """Result of ``lp_solve``: ``witness`` is the optimizer when OPTIMAL and a
     recession direction with positive objective growth when UNBOUNDED."""
 
-    status: LpStatus
-    value: Optional[Rational] = None
-    witness: Optional[tuple[Rational, ...]] = None
+    _fields = ("status", "value", "witness")
+
+    def __init__(self, status: LpStatus, value: Optional[Rational] = None,
+                 witness: Optional[tuple[Rational, ...]] = None):
+        self._set(status, value, witness)
 
 
 def lp_solve(objective: Sequence[Rational],

@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,7 +246,7 @@ def test_writer_round_trips_the_stored_values():
         cases += [(norm, PartialPolyhedron(d, ())),
                   (norm, ball(norm, rand_point(rng, d, span=2), radius, Closedness.OPEN).as_set)]
     for norm, region in cases:
-        norm, region = [type(x)._make(**{f.name: getattr(x, f.name) for f in fields(x)}) for x in (norm, region)]
+        norm, region = [type(x)._make(**{n: getattr(x, n) for n in x._fields}) for x in (norm, region)]
         text = write_instance(norm, region)
         assert "functionals" not in vars(norm) and "constraints" not in vars(region)
         assert parse_instance(text) == (norm, region), text

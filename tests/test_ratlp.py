@@ -601,7 +601,7 @@ def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
         ("compactness.py", "decide_compact"), ("compactness.py", "decide_compact"),
         ("norm.py", "AsymNorm.__init__"),
         ("polyhedron.py", "Cone.__init__"), ("polyhedron.py", "PartialPolyhedron.__init__"),
-        ("polyhedron.py", "Polyhedron.__init__"), ("polyhedron.py", "_Value._make"),
+        ("polyhedron.py", "Polyhedron.__init__"), ("ratlp.py", "_Value._make"),
     ]
 
 
