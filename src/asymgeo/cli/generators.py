@@ -6,10 +6,11 @@ that fail validation (rank-deficient gauges, empty regions).  The lattice
 and random generators are internal builders: each draw is two ints, a
 numerator then a denominator, reduced by their gcd; every region row is
 cleared by the lcm of its own denominators and the functionals jointly by
-theirs (``ratlp._cleared``, as the parser clears its tokens), and the
-values are made of that stored form (``_make``).  No ``Fraction`` is made
-for them.  The arc-hull family's samples are rational by nature and go
-through the public constructors.
+theirs (``ratlp._cleared``, as the parser clears its tokens, and
+``norm._gauge``, the parser's gauge builder), and the values are made of
+that stored form (``_make``).  No ``Fraction`` is made for them.  The
+arc-hull family's samples are rational by nature and go through the
+public constructors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from asymgeo.norm import AsymNorm, DefinitenessViolation, _check_definite
+from asymgeo.norm import AsymNorm, DefinitenessViolation, _gauge
 from asymgeo.polyhedron import (
     Constraint,
     PartialPolyhedron,
@@ -98,20 +99,17 @@ def _draws(rng: random.Random, n: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
-    """Random valid gauge of dim to dim + 2 drawn functionals, cleared jointly
-    by the lcm of their denominators; redrawn until they span the space, which
+    """Random valid gauge of dim to dim + 2 drawn functionals, made by
+    ``norm._gauge``, which clears them jointly by the lcm of their
+    denominators; redrawn until they span the space, which its
     ``_check_definite`` decides on the ints the gauge is made of."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     while True:
-        draws = [_draws(rng, dim) for _ in range(rng.randint(dim, dim + 2))]
-        s = lcm(*[q for _, qs in draws for q in qs])
-        rows = tuple([_cleared(ps, qs, s) for ps, qs in draws])
         try:
-            _check_definite(dim, rows)
+            return _gauge(dim, [_draws(rng, dim) for _ in range(rng.randint(dim, dim + 2))])
         except DefinitenessViolation:
             continue
-        return AsymNorm._make(dim=dim, _scale=s, _rows=rows)
 
 
 def gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
-from asymgeo.norm import AsymNorm, _check_definite
+from asymgeo.norm import AsymNorm, _gauge
 from asymgeo.polyhedron import PartialPolyhedron, Polyhedron, to_partial
 from asymgeo.ratlp import _cleared
 
@@ -87,10 +87,10 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
 
     An internal builder: each distinct number token is checked and reduced
     to ints once per call, every H row is cleared by the lcm of its
-    denominators and the functionals jointly by theirs, and both values are
-    made of that stored form (``_make``), after the gauge's definiteness
-    check on its ints; no ``Fraction`` is made for them.  A V/R block goes
-    through the public constructors.
+    denominators and the functionals jointly by theirs (``norm._gauge``),
+    and both values are made of that stored form (``_make``), after the
+    gauge's definiteness check on its ints; no ``Fraction`` is made for
+    them.  A V/R block goes through the public constructors.
     """
     version: Optional[str] = None
     dim: Optional[int] = None
@@ -161,10 +161,7 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
         raise InstanceError("missing 'dim' line")
     if not functionals:
         raise InstanceError("missing functional rows (F:)")
-    s = lcm(*[q for _, qs in functionals for q in qs])
-    norm_rows = tuple([_cleared(ps, qs, s) for ps, qs in functionals])
-    _check_definite(dim, norm_rows)
-    norm = AsymNorm._make(dim=dim, _scale=s, _rows=norm_rows)
+    norm = _gauge(dim, functionals)
 
     vertices, rays = generators["V"], generators["R"]
     if rows and (vertices or rays):

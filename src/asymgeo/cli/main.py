@@ -63,7 +63,7 @@ def _cmd_theta(args) -> int:
 def _cmd_ball(args) -> int:
     norm, _ = _load(args.file)
     center = tuple(_parse_rational(tok, "--center") for tok in args.center.split(",")) \
-        if args.center else (Fraction(0),) * norm.dim
+        if args.center is not None else (Fraction(0),) * norm.dim
     closed = Closedness.OPEN if args.open else Closedness.CLOSED
     b = ball(norm, center, _parse_rational(args.radius, "--radius"), closed)
     for row, s in zip(b.as_set._rows, b.as_set._scales):

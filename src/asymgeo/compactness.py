@@ -21,14 +21,16 @@ sandwich, and a NOT_COMPACT verdict ships a witness that re-verifies by
 direct evaluation.  If the internal sandwich check ever failed the verdict
 would be reported UNKNOWN rather than guessed.
 
-Only a COMPACT verdict needs C and closure(K) + C themselves: for the
-center, the sandwich and the checks T1, T3 and T4.  Both are computed on
-first use, and C is memoized on the gauge.  A COMPACT verdict reads C off
-the closure when every nonzero row normal of the closure is a positive
+Only a COMPACT verdict needs closure(K) + C: for the center, the
+sandwich and the checks T1, T3 and T4.  C and test (a) are facts of the
+instance (``Instance.degeneracy``, ``Instance._escaping``), each derived on
+first read from the instance's own fields, so no decision depends on what
+an earlier one on the same gauge value computed.  Once (a) holds, C is read
+off the closure when every nonzero row normal of the closure is a positive
 multiple of a functional, as a gauge ball's rows are: C lies in the
-closure's recession cone row by row, (a) gives the other inclusion, so
-the closure's rays are C's generators and C's own double description
-never runs; a COMPACT closed ball runs one, its closure's.  A NOT_COMPACT
+closure's recession cone row by row, (a) gives the other inclusion, so the
+closure's rays are C's generators and C's own double description never
+runs; a COMPACT closed ball runs one, its closure's.  A NOT_COMPACT
 verdict builds neither C nor closure(K) + C, and it runs one double
 description, the closure's.  It reads everything off the closure's
 generators and masks, the region's own rows and the gauge's functionals:
@@ -72,8 +74,10 @@ The half-open K + C comes with its closure, closure(K) + C
 its closure already holds C's directions, so adding C builds no new set,
 its center is S again, and its saturated hull is its closure, the value
 closure(K) + C, whose recession cone and extreme flags are memoized on
-it: T6 evaluates no gauge on its rays, which are C's generators, and for
-a ball, whose closure(K) + C is the closure, it re-derives neither.
+it.  T6's instance is handed C and, when (a) held, (a) itself:
+rec(closure(K) + C) = rec(closure(K)) + C has gauge 0 by subadditivity.
+So it derives C no second time and evaluates no gauge on its rays, and
+for a ball, whose closure(K) + C is the closure, it re-derives nothing.
 closure(K) + C is the closure or has its facets as its
 rows, with their masks, and these are the rows of K + C, whose strict
 flags are read off those masks; so T4's ``is_closed``, T6's vertex tests
@@ -157,17 +161,18 @@ class Instance(_Value):
     (``__init__``); everything else is derived from them on first read
     and memoized on the instance.  ``hull`` is the region's closure, the
     very value ``closure`` memoizes on the region, so its masks index the
-    region's rows.  The degeneracy cone and the saturated hull closure +
-    cone are needed only by a COMPACT verdict and the structure checks (the
-    center, the sandwich, T1, T3 and T4), so a NOT_COMPACT verdict builds
-    neither.  The cone is memoized on the gauge, so T6's instance on the
-    same gauge reuses it, and a COMPACT decision reads it off the closure
-    where it can.  Whether each closure vertex lies in the region
-    (``_inside``) and each vertex of the saturated hull (``_sum_inside``,
-    read by the sandwich, T1 and the half-open sum) are one list each, and
-    whether the saturated hull is the center candidate plus the cone with
-    the region squeezed between the two (``_sandwiched``) is one fact,
-    which ``decide_compact`` and T3 read."""
+    region's rows.  Test (a) of the decision is one fact (``_escaping``).
+    The degeneracy cone and the saturated hull closure + cone are needed
+    only by a COMPACT verdict and the structure checks (the center, the
+    sandwich, T1, T3 and T4), so a NOT_COMPACT verdict builds neither.  The
+    cone is read off the closure where it can be (``degeneracy``).  T6's
+    instance, on the region + cone, is made with this one's cone and, when
+    it holds, test (a) (``_make``), so it derives neither again.  Whether
+    each closure vertex lies in the region (``_inside``) and each vertex of
+    the saturated hull (``_sum_inside``, read by the sandwich, T1 and the
+    half-open sum) are one list each, and whether the saturated hull is the
+    center candidate plus the cone with the region squeezed between the two
+    (``_sandwiched``) is one fact, which ``decide_compact`` and T3 read."""
 
     _fields = ("norm", "region")
 
@@ -191,12 +196,33 @@ class Instance(_Value):
         return closure(self.region)
 
     @_memo
+    def _escaping(self) -> Optional[tuple[int, ...]]:
+        """Test (a): the first recession direction of the closure, in sorted
+        order, with positive gauge, as stored ints, or None when every one
+        has gauge 0.  The directions are the recession cone's generators and
+        both signs of its lineality basis; q(d) > 0 iff some <a_i, d> > 0."""
+        rec, rows = recession_cone(self.hull), self.norm._rows
+        directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
+        return next((d for d in sorted(directions) if any(sum(map(mul, a, d)) > 0 for a in rows)), None)
+
+    @_memo
     def degeneracy(self) -> Cone:
-        """The degeneracy cone of the gauge (``degeneracy_cone``), memoized on
-        the gauge: a COMPACT decision whose closure rows are all gauge rows
-        (a closed ball) seeds it with the closure's rays, and any other read
-        runs the double description of the functionals."""
-        return degeneracy_cone(self.norm)
+        """The degeneracy cone C of the gauge, read off the closure P when no
+        recession direction escapes (``_escaping``) and every nonzero row
+        normal of P (``hull._rows``) is a positive multiple of a functional
+        (their primitive forms are equal), as a closed ball's are: then
+        C <= rec(P) row by row and rec(P) <= C, so C = rec(P), and P's rays,
+        sorted, primitive and extreme, are C's generators, the double
+        description's of the functional rows (Fukuda & Prodon 1996).
+        Otherwise it is ``degeneracy_cone``, the gauge's own double
+        description.  The rule needs only (a), which it tests itself, so any
+        caller may read it, on any verdict."""
+        hull, q = self.hull, self.norm
+        if self._escaping is None:
+            gauge = set(map(_primitive, q._rows))
+            if all(_primitive(c) in gauge for c, _ in hull._rows if any(c)):
+                return Cone._make(dim=q.dim, _gens=hull._rays, _lin=())
+        return degeneracy_cone(q)
 
     @_memo
     def saturated(self) -> Polyhedron:
@@ -312,49 +338,28 @@ def decide_compact(inst: Instance) -> CompactnessCertificate:
     """Verdict plus certificate; see the module docstring for the criterion.
 
     Witnesses are deterministic: directions and points are examined in
-    sorted order and the first violation is reported.  No direction is
-    evaluated when the gauge already holds C and every one is a generator of
-    C (gauge 0): T6's second decision on a COMPACT instance, whose closure
-    is the first one's closure + C.  Once every recession
-    direction of the closure P has gauge 0, rec(P) lies in the pointed cone
-    C, so P is pointed and P + C is line-free with its vertices among P's:
-    the escaped extreme point is the first vertex of P that misses the
-    region and passes the local test of ``_extreme_in_saturation``, and
-    closure + C is built only when no vertex escapes.  Before it is built,
-    C is read off P when every nonzero row normal of P (``hull._rows``) is
-    a positive multiple of a functional (their primitive forms are equal):
-    then C <= rec(P) row by row, and rec(P) <= C, so C = rec(P), and P's
-    rays, sorted, primitive and extreme, are C's generators, the double
-    description's of the functional rows (Fukuda & Prodon 1996).  They
-    seed the gauge's memo, so a COMPACT ball runs one double description,
-    its closure's.  Only this path seeds it, so a NOT_COMPACT verdict leaves
-    C unbuilt.  closure + C is then the center
-    plus C: the center is its vertices, and its rays must be C's generators
-    (a broken invariant otherwise), so the verdict is the instance's one
-    sandwich fact (``Instance._sandwiched``), which builds no second sum:
-    the region lies in closure + C without a check when that is the
-    closure, and is checked against its rows otherwise.  Everything is
-    tested on the stored ints of the cone, the gauge and the vertices; only
-    the witness becomes ``Fraction``s.
+    sorted order and the first violation is reported; the escaping
+    direction of test (a) is the instance's fact (``Instance._escaping``).
+    Once every recession direction of the closure P has gauge 0, rec(P)
+    lies in the pointed cone C, so P is pointed and P + C is line-free with
+    its vertices among P's: the escaped extreme point is the first vertex
+    of P that misses the region and passes the local test of
+    ``_extreme_in_saturation``, and closure + C is built only when no
+    vertex escapes, with C read off P where it can be
+    (``Instance.degeneracy``).  closure + C is then the center plus C: the
+    center is its vertices, and its rays must be C's generators (a broken
+    invariant otherwise), so the verdict is the instance's one sandwich
+    fact (``Instance._sandwiched``), which builds no second sum: the region
+    lies in closure + C without a check when that is the closure, and is
+    checked against its rows otherwise.  Everything is tested on the stored
+    ints of the cone, the gauge and the vertices; only the witness becomes
+    ``Fraction``s.
     """
-    hull, q = inst.hull, inst.norm
-    rec = recession_cone(hull)
-    known = vars(q).get("_degeneracy")
-    # C's generators have gauge 0, so a closure whose rays they all are has no escaping direction
-    if rec._lin or known is None or not set(rec._gens) <= set(known._gens):
-        directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
-        for d in sorted(directions):
-            if any(sum(map(mul, a, d)) > 0 for a in q._rows):  # q(d) > 0
-                return CompactnessCertificate(Verdict.NOT_COMPACT,
-                                              witness=BadRecessionDirection(_fractions(d)))
+    if inst._escaping is not None:
+        return CompactnessCertificate(Verdict.NOT_COMPACT, witness=BadRecessionDirection(_fractions(inst._escaping)))
     for k, ((y, t), inside) in enumerate(inst._inside.items()):
         if not inside and _extreme_in_saturation(inst, k):
             return CompactnessCertificate(Verdict.NOT_COMPACT, witness=EscapedExtremePoint(_fractions(y, t)))
-    if known is None:
-        gauge = set(map(_primitive, q._rows))
-        if all(_primitive(c) in gauge for c, _ in hull._rows if any(c)):
-            # C <= rec(P) row by row, and rec(P) <= C since no direction escaped
-            vars(q)["_degeneracy"] = Cone._make(dim=q.dim, _gens=hull._rays, _lin=())
     core = center_candidate(inst)
     if inst.saturated._rays != inst.degeneracy._gens:
         raise InternalInvariantError("closure + cone has the cone's generators as its rays")
@@ -469,7 +474,9 @@ def verify_theorems(inst: Instance,
     """Evaluate the six structural claims that hold for compact regions.
 
     Requires a COMPACT verdict; otherwise every claim is reported
-    NOT_APPLICABLE.  FAIL entries carry a concrete counterexample.  T1
+    NOT_APPLICABLE, and a COMPACT certificate without a center, a bad
+    input, raises ``ValueError``.  FAIL entries carry a concrete
+    counterexample.  T1
     reads whether each vertex of the saturated hull lies in the region off
     the closure's masks (``Instance._sum_inside``, the list the sandwich
     read), for any center.  T3 takes closure + C as center + C for the
@@ -494,7 +501,7 @@ def verify_theorems(inst: Instance,
     claims = []
     core = cert.center
     if core is None:
-        raise InternalInvariantError("a COMPACT certificate carries its center")
+        raise ValueError("a COMPACT certificate carries its center")
 
     sat = inst.saturated
     escaped = None if contains_line(sat) else next(
@@ -520,7 +527,10 @@ def verify_theorems(inst: Instance,
     t5 = not contains_line(inst.hull)
     claims.append(_claim("T5", t5, "closure contains a line"))
 
-    sum_inst = Instance.build(inst.norm, half_open_sum)
+    # K + C holds K, so it is nonempty, and rec(closure(K) + C) = rec(closure(K)) + C
+    # has gauge 0 when rec(closure(K)) has (subadditivity)
+    known = {"_escaping": None} if inst._escaping is None else {}
+    sum_inst = Instance._make(norm=inst.norm, region=half_open_sum, degeneracy=inst.degeneracy, **known)
     t6 = decide_compact(sum_inst).verdict is Verdict.COMPACT
     claims.append(_claim("T6", t6, "the saturated region is not judged compact"))
 

@@ -5,19 +5,20 @@ homogeneous and subadditive by construction; definiteness (the pair
 q(x) = q(-x) = 0 forces x = 0) holds exactly when the functionals span the
 whole space, which the constructor enforces.  The module also extracts the
 degeneracy cone {x : q(x) = 0}, evaluates the symmetrized norm, and builds
-gauge balls as (possibly half-open) polyhedra.
+gauge balls as (possibly half-open) polyhedra.  The parser and the random
+generator make their gauges of int pairs with one builder (``_gauge``).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _memo, _sized, as_vec,
-                           rat, vneg)
+from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _cleared, _memo, _sized,
+                           as_vec, rat, vneg)
 from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, cone_from_rows
 
 
@@ -36,7 +37,9 @@ class AsymNorm(_Value):
     redundant rows never change values.  Every gauge value is definite: the
     constructor raises ``DefinitenessViolation`` when the functionals do not
     span the space, and the parser and the random generator run the same
-    check (``_check_definite``) on the ints they make the gauge of.
+    check (``_check_definite``) on the ints they make the gauge of
+    (``_gauge``).  ``_degeneracy`` is the double description of the
+    functionals, memoized on the gauge and written by no other value.
     """
 
     _fields = ("dim", "_scale", "_rows")
@@ -93,6 +96,16 @@ def _check_definite(dim: int, int_functionals: tuple[tuple[int, ...], ...]) -> N
         )
 
 
+def _gauge(dim: int, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> AsymNorm:
+    """The gauge of functionals held as int pairs (numerators, denominators),
+    cleared jointly by the lcm of all their denominators (``_cleared``) and
+    checked definite (``_check_definite``), made of that stored form."""
+    s = lcm(*[q for _, qs in pairs for q in qs])
+    rows = tuple([_cleared(ps, qs, s) for ps, qs in pairs])
+    _check_definite(dim, rows)
+    return AsymNorm._make(dim=dim, _scale=s, _rows=rows)
+
+
 def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
     """q(x) = max(0, max_i <a_i, x>); always nonnegative.  With x = y / t it
     is the max of the ints <s * a_i, y>, divided by s * t once."""
@@ -113,11 +126,9 @@ def degeneracy_cone(norm: AsymNorm) -> Cone:
 
     Pointedness is guaranteed by the definiteness check every gauge value passed,
     so the double description of the functional rows never yields
-    lineality.  Memoized on the gauge value: a COMPACT decision whose
-    closure's nonzero row normals are all positive multiples of functionals
-    (a closed ball's are) seeds it with the closure's rays, which are then
-    the cone's generators (``decide_compact``), and no double description
-    runs for it; otherwise the first read runs the functionals' one.
+    lineality.  Memoized on the gauge value (``AsymNorm._degeneracy``),
+    which only the first read writes.  A decision reads C off the region's
+    closure where it can instead (``compactness.Instance.degeneracy``).
     """
     return norm._degeneracy
 

@@ -119,9 +119,9 @@ from asymgeo.ratlp import (
     _sized,
     as_vec,
     feasible_nonneg,
-    is_zero_vec,
     vneg,
     vscale,
+    zero_vec,
 )
 
 HRow = tuple[Vec, Rational]  # <normal, x> <= rhs
@@ -818,15 +818,12 @@ def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
     """LP membership of x in the cone spanned by the generators.
 
     No predicate of this module calls it: it is the independent LP
-    reference that tests check the incidence predicates against.
+    reference that tests check the incidence predicates against, and it is
+    ``in_conv_plus_cone`` with the origin as the one point, since
+    cone(G) = conv{0} + cone(G).
     """
     x = as_vec(x)
-    gens = _lp_columns(generators, len(x), "generator")
-    if not gens:
-        return is_zero_vec(x)
-    dim = len(x)
-    rows = [[g[t] for g in gens] for t in range(dim)]
-    return feasible_nonneg(rows, list(x))
+    return in_conv_plus_cone(x, [zero_vec(len(x))], _lp_columns(generators, len(x), "generator"))
 
 
 def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> bool:

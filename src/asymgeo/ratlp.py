@@ -25,8 +25,9 @@ and one raises the "of length ... in dimension" error (``_sized``).
 negated where the right-hand side is negative, with no artificial
 column; an artificial is a basis label past the real columns, the
 objective row a weighted sum of the rows with an artificial, made in one
-pass, and only real columns enter.  ``lp_solve`` prices its phase-two
-cost row with ``_priced``.  The compactness decision runs no LP:
+pass, and only real columns enter.  ``lp_solve`` carries its phase-two
+cost row through phase one, which keeps it priced, so no pass prices it.
+The compactness decision runs no LP:
 ``feasible_nonneg`` serves the random generator's emptiness test
 (Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
 the LP membership tests kept as a reference, and ``lp_solve`` stays as
@@ -249,13 +250,15 @@ def _bland(tab: list[Sequence[int]], basis: list[int], ncols: int, det: int) -> 
     """Maximize the objective; returns (None at optimality, else an unbounded column; the denominator).
 
     ``tab`` holds one row per basic variable over ``det``, right-hand side
-    last, and the priced objective row as its last row, where it stays.
-    Only the first ``ncols`` columns may enter, and the leaving row minimizes
-    (ratio, basic variable), so the pivots are deterministic and cannot cycle.
+    last, in basis order, then any rows that ride along (``lp_solve``'s
+    cost row in phase one), and the priced objective row as its last row,
+    where it stays.  Only the first ``ncols`` columns may enter, and the
+    leaving row minimizes (ratio, basic variable), so the pivots are
+    deterministic and cannot cycle.
     """
-    m = len(tab) - 1
+    m = len(basis)
     while True:
-        obj = tab[m]
+        obj = tab[-1]
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             break
@@ -271,18 +274,6 @@ def _bland(tab: list[Sequence[int]], basis: list[int], ncols: int, det: int) -> 
         det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
     return enter, det
-
-
-def _priced(tab: list[Sequence[int]], basis: list[int], cost: Sequence[int], det: int) -> list[int]:
-    """The row [det * cost | 0] after ``_pivot`` on each basic column with the
-    row riding along as the tableau's last: each basic column is det * e_i,
-    so those pivots rewrite that row only, by y - y[b_i] / det * row_i."""
-    obj = [det * x for x in cost] + [0]
-    for row, bi in zip(tab, basis):
-        f = obj[bi]
-        if f:
-            obj = [x - f * y // det for x, y in zip(obj, row)]
-    return obj
 
 
 # --- Elimination -------------------------------------------------------------
@@ -400,6 +391,10 @@ def lp_solve(objective: Sequence[Rational],
     cost or ratio changes sign or order, nor does the pivot sequence.
     Phase one is ``feasible_nonneg``'s: an artificial is never stored, and
     once it leaves the basis it never enters again (Chvatal 1983, ch. 8).
+    The cost row [cost | -cost | 0 | 0] rides along from the start: it is
+    priced there, since every starting basic variable costs 0, and every
+    pivot of phase one and every pivot-out keeps it priced, so phase two
+    starts on it as it is.
     """
     c_obj = as_vec(objective)
     d = len(c_obj)
@@ -425,6 +420,8 @@ def lp_solve(objective: Sequence[Rational],
         cj = [sgn * x for x in row[:-1]]
         tab.append(cj + [-x for x in cj] + [0] * m + [sgn * row[-1]])
         tab[i][2 * d + i] = sgn
+    cost = _clear(c_obj)[1]
+    tab.append([*cost, *[-x for x in cost], *[0] * (m + 1)])
     det = 1
 
     if arts:
@@ -440,7 +437,8 @@ def lp_solve(objective: Sequence[Rational],
             raise InternalInvariantError("phase one is bounded")
         if tab.pop()[-1]:
             return LpOutcome(LpStatus.INFEASIBLE)
-        # pivot remaining artificials out of the basis, or drop zero rows
+        # pivot remaining artificials out of the basis, or drop zero rows;
+        # the cost row, last, is kept
         keep = []
         for i in range(m):
             if basis[i] >= nreal:
@@ -450,11 +448,9 @@ def lp_solve(objective: Sequence[Rational],
                 det = _pivot(tab, i, j, det)
                 basis[i] = j
             keep.append(i)
-        tab = [tab[i] for i in keep]
+        tab = [tab[i] for i in (*keep, m)]
         basis = [basis[i] for i in keep]
 
-    cost = _clear(c_obj)[1]
-    tab.append(_priced(tab, basis, [*cost, *(-x for x in cost), *[0] * m], det))
     enter, det = _bland(tab, basis, nreal, det)
     tab.pop()
 

@@ -25,7 +25,7 @@ from asymgeo.cli.generators import (
 from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
 from asymgeo.cli.main import main
 from asymgeo.cli.render import RenderError, render_svg
-from asymgeo.cli.suite import reference_catalog, run_reference_suite
+from asymgeo.cli.suite import _check, reference_catalog, run_reference_suite
 from asymgeo.compactness import Instance, Verdict, decide_compact, sandwich_certify
 from asymgeo.norm import Closedness, DefinitenessViolation, _check_definite, ball, gauge_eval
 from asymgeo.polyhedron import Constraint, PartialPolyhedron, member, partial_is_empty, set_equal
@@ -366,14 +366,18 @@ def test_random_generator_agrees_with_the_reference_generator(monkeypatch):
             return True
         return False
 
-    monkeypatch.setattr(generators, "_check_definite", definite)
+    # norm._gauge runs the check; the reference generator's make_norm runs
+    # it too, so only the integer generator runs with the counters in place
+    monkeypatch.setattr("asymgeo.norm._check_definite", definite)
     monkeypatch.setattr(generators, "partial_is_empty", empty)
-    for d in range(1, 13):
-        for k in range(32 if d < 9 else 8):
-            got, want = gen_random_instance(d, 1000 * d + k), ref_gen_random_instance(d, 1000 * d + k)
-            assert got == want, (d, k)
-            assert _stored(*got) == (_stored(*want)[0], {int}), (d, k)
-            assert write_instance(*got) == write_instance(*want), (d, k)
+    seeds = [(d, 1000 * d + k) for d in range(1, 13) for k in range(32 if d < 9 else 8)]
+    made = [gen_random_instance(d, seed) for d, seed in seeds]
+    monkeypatch.undo()
+    for (d, seed), got in zip(seeds, made):
+        want = ref_gen_random_instance(d, seed)
+        assert got == want, seed
+        assert _stored(*got) == (_stored(*want)[0], {int}), seed
+        assert write_instance(*got) == write_instance(*want), seed
     assert redrawn and rejected
 
 
@@ -547,6 +551,17 @@ def test_cli_ball_rejects_numbers_outside_the_grammar(tmp_path, capsys, option):
     assert "bad rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center", ["", "1,2,"])
+def test_cli_ball_rejects_an_empty_center_coordinate(tmp_path, capsys, center):
+    """An empty ``--center=`` is a center of one empty coordinate, not the
+    origin: it exits 2 as an empty last coordinate does, naming the token."""
+    path = tmp_path / "sup.txt"
+    path.write_text("version 1\ndim 2\nF: 1 0\nF: 0 1\nH: 0 0 <= 0\n", encoding="utf-8")
+    assert main(["ball", str(path), "--radius", "1", f"--center={center}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--center: bad rational ''" in captured.err
+
+
 def test_cli_center_reports_witness(tmp_path, capsys):
     path = tmp_path / "ray_up.txt"
     path.write_text("version 1\ndim 1\nF: 1\nH: -1 <= 0\n", encoding="utf-8")
@@ -675,6 +690,33 @@ def test_cli_suite_output_matches_golden_file(capsys):
     golden = Path(__file__).parent / "data" / "suite_no_timing.txt"
     assert main(["suite", "--no-timing"]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def _ball_reports() -> str:
+    """The ``check --no-timing`` reports of every instance file under
+    ``tests/data/balls``, in name order: closed and open one-norm and sup
+    lattice balls at d = 2..4 and regions cut by a proper subset of their
+    functionals (``cut-a``, ``cut-b``).  Each is decided once on its parsed
+    gauge, as ``check`` decides it, and once more on a gauge value that has
+    already decided its closed unit ball with T1-T6, named ``..., after a
+    closed ball``; the reports are separated by blank lines."""
+    reports = []
+    for path in sorted((Path(__file__).parent / "data" / "balls").glob("*.txt")):
+        name = f"tests/data/balls/{path.name}"
+        text = path.read_text(encoding="utf-8")
+        reports.append(_check(name, *parse_instance(text)).render(include_timing=False))
+        q, region = parse_instance(text)
+        assert _check("unit ball", q, ball(q, (F(0),) * q.dim, 1, Closedness.CLOSED).as_set).verdict == "COMPACT"
+        reports.append(_check(f"{name}, after a closed ball", q, region).render(include_timing=False))
+    return "\n".join(reports)
+
+
+def test_ball_check_reports_match_golden_file():
+    """The ball and cut reports (``_ball_reports``) stay byte-identical, against
+    ``tests/data/balls_no_timing.txt``: a decision does not depend on what its
+    gauge value decided before."""
+    golden = Path(__file__).parent / "data" / "balls_no_timing.txt"
+    assert _ball_reports() == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ from asymgeo.compactness import (
 )
 from asymgeo import compactness, polyhedron, ratlp
 from asymgeo import norm as norm_module
-from asymgeo.cli.generators import gen_lattice_norm, gen_random_instance, gen_random_norm, gen_random_region
+from asymgeo.cli.generators import _units, gen_lattice_norm, gen_random_instance, gen_random_norm, gen_random_region
 from asymgeo.cli.instances import parse_instance, write_instance
 from asymgeo.cli.suite import _check, reference_catalog
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone, gauge_eval, make_norm
@@ -196,11 +197,11 @@ def test_only_a_compact_verdict_builds_the_degeneracy_cone(monkeypatch):
     corpus seeds ``1000*d + k`` and eight d=4 random instances, on fresh
     values, a NOT_COMPACT verdict and its report make no
     ``degeneracy_cone`` call and leave ``Instance.degeneracy`` unbuilt,
-    while a COMPACT verdict with T1-T6 runs C's double description once
-    per gauge value, though T6 builds a second instance on the gauge, and
-    not at all when every nonzero region row normal is a positive multiple
-    of a functional (``ref_rows_are_gauge_rows``): C is then read off the
-    closure."""
+    while a COMPACT verdict with T1-T6 makes one ``degeneracy_cone`` call,
+    which runs C's double description, though T6 builds a second instance
+    on the gauge, and none at all when every nonzero region row normal is a
+    positive multiple of a functional (``ref_rows_are_gauge_rows``): C is
+    then read off the closure."""
     cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(100)]
     cases += [gen_random_instance(4, 4000 + k) for k in range(8)]
     cones, dds = [], []
@@ -229,7 +230,8 @@ def test_only_a_compact_verdict_builds_the_degeneracy_cone(monkeypatch):
         else:
             assert cert.verdict is Verdict.COMPACT
             expected = 0 if ref_rows_are_gauge_rows(q, region) else 1
-            assert len(dds) == expected and "degeneracy" in vars(inst) and set(map(id, cones)) == {id(q)}
+            assert len(dds) == len(cones) == expected and "degeneracy" in vars(inst)
+            assert set(map(id, cones)) <= {id(q)}
     assert verdicts.count(Verdict.COMPACT) >= 50 and verdicts.count(Verdict.NOT_COMPACT) >= 200
 
 
@@ -297,13 +299,15 @@ def _gauge_row_cases():
 
 def test_degeneracy_cone_read_off_the_closure_is_the_double_description(monkeypatch):
     """On a fresh gauge value, after ``decide_compact`` and
-    ``verify_theorems``, ``Instance.degeneracy`` and ``degeneracy_cone`` are
-    the double description of the functionals of a fresh gauge value, and C
-    is read off the closure (no double description of the functionals
-    runs) exactly when the verdict is COMPACT and every nonzero region row
-    normal is a positive multiple of a functional
-    (``ref_rows_are_gauge_rows``).  A row that is a negative multiple of a
-    functional takes the double description (``_NEGATIVE_MULTIPLE``)."""
+    ``verify_theorems``, ``Instance.degeneracy`` equals ``degeneracy_cone``
+    and the double description of the functionals of a fresh gauge value,
+    on a COMPACT verdict and, read after the decision, on a NOT_COMPACT one
+    (whose decision builds no C), and C is read off the closure (no double
+    description of the functionals runs) exactly when the verdict is
+    COMPACT and every nonzero region row normal is a positive multiple of a
+    functional (``ref_rows_are_gauge_rows``).  A row that is a negative
+    multiple of a functional takes the double description
+    (``_NEGATIVE_MULTIPLE``)."""
     real = norm_module.cone_from_rows
     gauge_dds = []
 
@@ -312,7 +316,7 @@ def test_degeneracy_cone_read_off_the_closure_is_the_double_description(monkeypa
         return real(rows, dim)
 
     monkeypatch.setattr(norm_module, "cone_from_rows", counting)
-    paths = {True: 0, False: 0, "negative multiple": False}
+    paths = {True: 0, False: 0, "negative multiple": False, "not compact": 0}
     for q, region in _gauge_row_cases():
         q = AsymNorm(q.dim, q.functionals)
         gauge_dds.clear()
@@ -320,17 +324,75 @@ def test_degeneracy_cone_read_off_the_closure_is_the_double_description(monkeypa
         cert = decide_compact(inst)
         verify_theorems(inst, cert)
         compact = cert.verdict is Verdict.COMPACT
-        read_off = "_degeneracy" in vars(q) and not gauge_dds
+        assert ("degeneracy" in vars(inst)) == compact
+        read_off = compact and not gauge_dds
         assert read_off == (compact and ref_rows_are_gauge_rows(q, region)), (q, region)
         assert len(gauge_dds) == (compact and not read_off)
         gens, lin, _ = real(AsymNorm(q.dim, q.functionals)._rows, q.dim)
-        assert inst.degeneracy is degeneracy_cone(q) == Cone._make(dim=q.dim, _gens=gens, _lin=lin)
+        assert inst.degeneracy == degeneracy_cone(q) == Cone._make(dim=q.dim, _gens=gens, _lin=lin)
         if compact:
             paths[read_off] += 1
+        else:
+            paths["not compact"] += 1
         if region is _NEGATIVE_MULTIPLE[1]:
             assert not read_off and cert.center.vertices == ((1, 1),)
             paths["negative multiple"] = True
     assert paths[True] >= 150 and paths[False] >= 100 and paths["negative multiple"], paths
+    assert paths["not compact"] >= 500, paths
+
+
+def test_a_decision_writes_nothing_on_its_gauge_value(monkeypatch):
+    """C is the instance's: after a COMPACT decision with T1-T6 on the
+    closed unit ball of a lattice gauge (C read off its closure), the gauge
+    value holds no ``_degeneracy``, and a second region decided on that same
+    value makes the same ``cone_from_rows`` calls as on a fresh one: the
+    regions of ``tests/data/balls`` (one-norm and sup balls and cuts by a
+    proper subset of the functionals, d = 2..4) and the unit box, whose
+    rows -e_i are no functionals, so C takes its double description."""
+    calls = []
+    real = polyhedron.cone_from_rows
+
+    def recording(rows, dim):
+        calls.append((tuple(rows), dim))
+        return real(rows, dim)
+
+    monkeypatch.setattr(polyhedron, "cone_from_rows", recording)
+    monkeypatch.setattr(norm_module, "cone_from_rows", recording)
+
+    def decided(q, region):
+        calls.clear()
+        inst = Instance.build(q, region)
+        cert = decide_compact(inst)
+        if cert.verdict is Verdict.COMPACT:
+            assert verify_theorems(inst, cert).all_pass
+        return cert, list(calls)
+
+    files = sorted((Path(__file__).parent / "data" / "balls").glob("*.txt"))
+    texts = [path.read_text(encoding="utf-8") for path in files]
+    for flavor in ("one", "sup"):
+        for d in (2, 3, 4):
+            box = [row for e in _units(d) for row in (Constraint(e, 1, False), Constraint(vneg(e), 0, False))]
+            texts.append(write_instance(gen_lattice_norm(d, flavor), PartialPolyhedron(d, box)))
+    verdicts = []
+    for text in texts:
+        q, region = parse_instance(text)
+        unit = ball(q, zero_vec(q.dim), 1, Closedness.CLOSED).as_set
+        assert decided(q, unit)[0].verdict is Verdict.COMPACT
+        assert "_degeneracy" not in vars(q)
+        again = decided(q, region)
+        assert again == decided(*parse_instance(text)), text
+        verdicts.append(again[0].verdict)
+    assert verdicts.count(Verdict.COMPACT) >= 10 and verdicts.count(Verdict.NOT_COMPACT) >= 10
+
+
+def test_a_compact_certificate_without_a_center_is_a_bad_input():
+    """The certificate handed to ``verify_theorems`` is the caller's input:
+    a COMPACT one without a center raises ``ValueError``, not the
+    ``InternalInvariantError`` of a broken invariant."""
+    q = gen_lattice_norm(2, "one")
+    inst = Instance.build(q, ball(q, zero_vec(2), 1, Closedness.CLOSED).as_set)
+    with pytest.raises(ValueError, match="^a COMPACT certificate carries its center$"):
+        verify_theorems(inst, CompactnessCertificate(Verdict.COMPACT))
 
 
 def _closed_balls_on_fresh_gauges():
@@ -1294,8 +1356,8 @@ def test_pipeline_runs_without_the_public_constructors(monkeypatch):
 def test_the_pipeline_builds_views_on_demand_only(monkeypatch):
     """Parsing, build, decide and T1-T6 read the stored ints only: over 60
     corpus seeds ``1000*d + k`` and d=4 lattice balls, COMPACT and
-    NOT_COMPACT both, no value the pipeline made (``_make``) holds a
-    ``Fraction`` view in its ``vars()``."""
+    NOT_COMPACT both, no value the pipeline made (``_make``, T6's instance
+    among them) holds a ``Fraction`` view in its ``vars()``."""
     views = {"vertices", "rays", "constraints", "generators", "lineality_basis", "functionals", "hrep"}
     cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)] + _lattice_balls(8)
     texts = [write_instance(q, region) for q, region in cases]
@@ -1314,7 +1376,7 @@ def test_the_pipeline_builds_views_on_demand_only(monkeypatch):
         verify_theorems(inst, cert)
         verdicts.append(cert.verdict)
     assert verdicts.count(Verdict.COMPACT) >= 5 and verdicts.count(Verdict.NOT_COMPACT) >= 5
-    assert {type(value) for value in made} == {Polyhedron, PartialPolyhedron, Cone, AsymNorm}
+    assert {type(value) for value in made} == {Polyhedron, PartialPolyhedron, Cone, AsymNorm, Instance}
     for value in made:
         assert not views & vars(value).keys(), (type(value).__name__, views & vars(value).keys())
 

@@ -592,13 +592,11 @@ def test_src_words_a_length_mismatch_only_in_sized():
     assert _src_nodes(message) == [("ratlp.py", "_sized")]
 
 
-def test_src_calls_vars_only_where_a_value_is_made_or_the_gauge_memo_is_read():
+def test_src_calls_vars_only_where_a_value_is_made():
     """Memo slots are read through their attributes and seeded through
-    ``_make``: ``vars`` is called in ``_Value._make``, the four public
-    constructors, and on the two lines where ``decide_compact`` reads and
-    seeds the gauge's degeneracy cone."""
+    ``_make``: ``vars`` is called in ``_Value._make`` and the four public
+    constructors, so no value reads or writes another's memo."""
     assert _src_calls("vars") == [
-        ("compactness.py", "decide_compact"), ("compactness.py", "decide_compact"),
         ("norm.py", "AsymNorm.__init__"),
         ("polyhedron.py", "Cone.__init__"), ("polyhedron.py", "PartialPolyhedron.__init__"),
         ("polyhedron.py", "Polyhedron.__init__"), ("ratlp.py", "_Value._make"),

@@ -50,9 +50,9 @@ The families are random instances at each dimension d (the seeds
 ``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
 hull at each segment count, and eight closed balls of the one-norm lattice
 gauge at each ball dimension, around seeded rational centers, each on its
-own gauge value, so no ball reuses the cone another one found.  A closed
-ball is its own saturated hull, and its cone is read off its closure, so
-its line reads ``facet_dds`` 0 and ``gauge_dds`` 0.
+own gauge value.  A closed ball is its own saturated hull, and its
+instance reads its cone off its closure and hands it to T6's, so its line
+reads ``facet_dds`` 0 and ``gauge_dds`` 0.
 """
 
 from __future__ import annotations

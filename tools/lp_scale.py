@@ -30,7 +30,9 @@ kernel that let a departed artificial enter again would make more
 ``pivots`` made in the simplex loop, the ``pivot_outs`` that move an
 artificial left in the basis after phase one out of it, and the
 ``entries`` written, counted as above with one objective row per simplex
-loop (one per phase); no time.
+loop (one per phase); the rows the pivots rewrite include the cost row,
+which ``lp_solve`` carries through phase one and so prices with no pass
+of its own.  No time.
 
 The counts depend only on the code in ``src``, so the same tool run on an
 earlier ``src`` counts that code's work, with no drift of the host's speed;
