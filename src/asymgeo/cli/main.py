@@ -15,12 +15,8 @@ from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_con
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, _units, gen_arc_hull, gen_lattice_norm, gen_random_instance
 from asymgeo.cli.instances import InstanceError, _h_line, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import RenderError, render_svg
-from asymgeo.cli.suite import _check, run_reference_suite
+from asymgeo.cli.suite import _check, _fmt_point, run_reference_suite
 from asymgeo.polyhedron import PartialPolyhedron
-
-
-def _fmt_point(v) -> str:
-    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _load(path: str):

@@ -24,6 +24,11 @@ from asymgeo.polyhedron import Constraint, PartialPolyhedron
 from asymgeo.ratlp import _Value
 
 
+def _fmt_point(v) -> str:
+    """A point as ``(x1, x2, ...)``, its coordinates in ``str`` form."""
+    return "(" + ", ".join(map(str, v)) + ")"
+
+
 class RunReport(_Value):
     """One instance's outcome in stable, line-oriented form.
 
@@ -47,8 +52,7 @@ class RunReport(_Value):
             f"verdict: {self.verdict}",
         ]
         if self.center is not None:
-            pts = "; ".join("(" + ", ".join(str(x) for x in v) + ")" for v in self.center)
-            lines.append(f"center: {pts}")
+            lines.append(f"center: {'; '.join(map(_fmt_point, self.center))}")
         if self.witness is not None:
             lines.append(f"witness: {self.witness}")
         for cid, status in self.claims:

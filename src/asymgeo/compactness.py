@@ -66,9 +66,13 @@ closure vertices too, so their answers are one lookup each
 closure(K) + C lies in K) and the half-open sum read that one list: no
 vertex is tested row by row.  T3 and T4 compare closed sets by their generators:
 S + C = closure(K) + C is that equality of values for the center S of a
-sandwiched instance, and any other center has its sandwich checked and
-its sum compared by two ``_within`` inclusions against the rows at hand;
-K + C equals its closure iff it is closed (``is_closed``).
+sandwiched instance, so T3 of that center is the instance's sandwich fact.
+Any other center S' passes iff the fact holds, S' lies in K (``_within``)
+and S' + C equals closure(K) + C as a value: S' <= K <= S' + C =
+closure(K) + C as sets implies the fact, and both sums are line-free and
+pruned, so they are equal as sets iff they are equal as values, and no
+second sandwich runs.  K + C equals its closure iff it is closed
+(``is_closed``).
 The half-open K + C comes with its closure, closure(K) + C
 (``saturate_region``), so T4 and T6 run no DD for it.  T6 decides K + C:
 its closure already holds C's directions, so adding C builds no new set,
@@ -300,18 +304,6 @@ def center_candidate(inst: Instance) -> Polyhedron:
     return Polyhedron._make(dim=inst.region.dim, _verts=inst.saturated._verts, _rays=())
 
 
-def _sandwich(core: Polyhedron, region: PartialPolyhedron, cone: Cone) -> Optional[Polyhedron]:
-    """core + cone when core <= region <= core + cone holds, else None.
-
-    The first inclusion is read off the core's generators (``_within``),
-    the second off the rows of core + cone (``subset``).
-    """
-    if not _within(core, region):
-        return None
-    padded = minkowski_sum_with_cone(core, cone)
-    return padded if subset(region, to_partial(padded)) else None
-
-
 def _extreme_in_saturation(inst: Instance, k: int) -> bool:
     """Is the k-th listed closure vertex v extreme in closure + degeneracy cone?
 
@@ -374,12 +366,14 @@ def sandwich_certify(core: Polyhedron, region: PartialPolyhedron, norm: AsymNorm
     A true result certifies compactness of the region: the core is a
     bounded polytope, and gauge-open sets absorb the degeneracy cone, so
     any cover of the core extends over the padded set and hence the region.
+    The first inclusion is read off the core's generators (``_within``),
+    the second off the rows of core + cone (``subset``).
     """
     if core._rays:
         raise ValueError("the core must be a bounded polytope")
     if core.dim != region.dim or norm.dim != region.dim:
         raise ValueError("dimension mismatch")
-    return _sandwich(core, region, degeneracy_cone(norm)) is not None
+    return _within(core, region) and subset(region, to_partial(minkowski_sum_with_cone(core, degeneracy_cone(norm))))
 
 
 def saturate_region(inst: Instance) -> PartialPolyhedron:
@@ -422,7 +416,7 @@ def saturate_region(inst: Instance) -> PartialPolyhedron:
     flags = [bool(reached >> j & 1) and not met >> j & 1 and not _meets_face(region, c, b)
              for j, (c, b) in enumerate(rows)]
     seed = {} if contains_line(sat) else {"_closure": sat}
-    return PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags), _closed_rows=rows,
+    return PartialPolyhedron._make(dim=region.dim, _scales=(1,) * len(flags),
                                    _rows=tuple([(c, b, s) for (c, b), s in zip(rows, flags)]), **seed)
 
 
@@ -474,18 +468,17 @@ def verify_theorems(inst: Instance,
     """Evaluate the six structural claims that hold for compact regions.
 
     Requires a COMPACT verdict; otherwise every claim is reported
-    NOT_APPLICABLE, and a COMPACT certificate without a center, a bad
-    input, raises ``ValueError``.  FAIL entries carry a concrete
-    counterexample.  T1
+    NOT_APPLICABLE, and a COMPACT certificate without a center, or with
+    one of another dimension than the instance's, a bad input, raises
+    ``ValueError`` before any claim is evaluated.  FAIL entries carry a
+    concrete counterexample.  T1
     reads whether each vertex of the saturated hull lies in the region off
     the closure's masks (``Instance._sum_inside``, the list the sandwich
-    read), for any center.  T3 takes closure + C as center + C for the
-    center candidate (no rays, the vertices of closure + C) when the
-    instance's sandwich fact holds (``Instance._sandwiched``, the fact
-    ``decide_compact`` read); any other center has its sandwich checked
-    (``_sandwich``), and center + C and closure + C are compared by an
-    inclusion each way, each set's generators against the other's rows
-    (``_within``), unless the two values are equal;
+    read), for any center.  T3 needs the instance's sandwich fact
+    (``Instance._sandwiched``, the fact ``decide_compact`` read), which is
+    T3 of the center candidate (no rays, the vertices of closure + C); any
+    other center is checked against the region (``_within``) and its
+    center + C compared with closure + C as a value;
     T4 is ``is_closed`` of the half-open sum, whose closure is closure + C:
     of the two inclusions between them, the sum lies in its closure by
     construction, and the other is closedness.
@@ -502,6 +495,8 @@ def verify_theorems(inst: Instance,
     core = cert.center
     if core is None:
         raise ValueError("a COMPACT certificate carries its center")
+    if core.dim != inst.region.dim:
+        raise ValueError("dimension mismatch")
 
     sat = inst.saturated
     escaped = None if contains_line(sat) else next(
@@ -512,12 +507,11 @@ def verify_theorems(inst: Instance,
     own_ext = next(_region_extreme(inst), None) is not None
     claims.append(_claim("T2", own_ext, "no extreme point found"))
 
-    # the center candidate of a sandwiched instance has closure + C as its
-    # sum; any other center is checked here
+    # the center candidate's T3 is the instance's sandwich fact; any other
+    # center must lie in the region and have closure + C as its sum
     candidate = not core._rays and core._verts == sat._verts
-    padded = sat if candidate and inst._sandwiched else _sandwich(core, inst.region, inst.degeneracy)
-    t3 = padded is not None and (padded == sat or _within(padded, to_partial(sat))
-                                 and _within(sat, to_partial(padded)))
+    t3 = inst._sandwiched and (candidate or _within(core, inst.region)
+                               and minkowski_sum_with_cone(core, inst.degeneracy) == sat)
     claims.append(_claim("T3", t3, "sandwich inclusion or sum identity failed"))
 
     half_open_sum = saturate_region(inst)

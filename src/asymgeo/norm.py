@@ -5,8 +5,9 @@ homogeneous and subadditive by construction; definiteness (the pair
 q(x) = q(-x) = 0 forces x = 0) holds exactly when the functionals span the
 whole space, which the constructor enforces.  The module also extracts the
 degeneracy cone {x : q(x) = 0}, evaluates the symmetrized norm, and builds
-gauge balls as (possibly half-open) polyhedra.  The parser and the random
-generator make their gauges of int pairs with one builder (``_gauge``).
+gauge balls as (possibly half-open) polyhedra.  The public constructor,
+the parser and the random generator make their gauges' stored form with
+one builder (``_gauge``), of int pairs.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ class AsymNorm(_Value):
     ints ``_rows`` over their common denominator ``_scale`` (the lcm of all
     their denominators); ``functionals`` is their ``Fraction`` view, and
     redundant rows never change values.  Every gauge value is definite: the
-    constructor raises ``DefinitenessViolation`` when the functionals do not
-    span the space, and the parser and the random generator run the same
-    check (``_check_definite``) on the ints they make the gauge of
-    (``_gauge``).  ``_degeneracy`` is the double description of the
-    functionals, memoized on the gauge and written by no other value.
+    constructor, the parser and the random generator make the stored form
+    with one builder (``_gauge``), which raises ``DefinitenessViolation``
+    when the functionals do not span the space (``_check_definite``); the
+    constructor hands it each row cleared on its own, and the lcm of the
+    rows' lcms is the joint one.  ``_degeneracy`` is the double description
+    of the functionals, memoized on the gauge and written by no other value.
     """
 
     _fields = ("dim", "_scale", "_rows")
@@ -49,10 +51,8 @@ class AsymNorm(_Value):
         if dim < 1:
             raise ValueError("dimension must be positive")
         rows = _sized("functional", [tuple(f) for f in functionals], dim)
-        s, flat = _clear([a for r in rows for a in r])
-        rows = tuple([tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)])
-        _check_definite(dim, rows)
-        vars(self).update(dim=dim, _scale=s, _rows=rows)
+        gauge = _gauge(dim, [(r, (s,) * dim) for s, r in map(_clear, rows)])
+        vars(self).update(dim=dim, _scale=gauge._scale, _rows=gauge._rows)
 
     @_memo
     def functionals(self) -> tuple[Vec, ...]:

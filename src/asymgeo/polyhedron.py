@@ -39,17 +39,17 @@ bit of ``t >= 0``), and the facet conversion transposes them onto the
 generators where the facets become the rows.  Each builder seeds the whole
 record in one assignment, so rows never come without their masks.  The
 conversion ``_h_to_v`` seeds the rows it converted, flagged as not the
-facets: a region's closure has the region's rows, the very tuple
-``_closed_rows``, so a predicate that reads the closure off the region
-(``closure``) holds masks that index the region's rows.  The facet
-conversion (``_int_facets``, the record's default) makes the facets'
-record.  A pruned Minkowski sum takes its union's record, less the masks of
-the generators it drops: the rows describe the union's set, which is the
-sum's, and their ``facets`` flag carries over; the sum is the union value
-itself, record and all, when pruning keeps every generator (a line-free
-closure that the cone adds no direction to is its own sum).  ``to_partial``
-takes a value's ``_rows`` as they are, so it converts nothing where rows
-are at hand.  A predicate on a region and its closure reads bits: a
+facets: a region's closure has the region's rows (c, b), in their order
+and without their strict flags (``PartialPolyhedron._closure``), so a
+predicate that reads the closure off the region (``closure``) holds masks
+that index the region's rows.  The facet conversion (``_int_facets``, the
+record's default) makes the facets' record.  A pruned Minkowski sum takes
+its union's record, less the masks of the generators it drops: the rows
+describe the union's set, which is the sum's, and their ``facets`` flag
+carries over; the sum is the union value itself, record and all, when
+pruning keeps every generator (a line-free closure that the cone adds no
+direction to is its own sum).  ``to_partial`` takes a value's ``_rows`` as
+they are, so it converts nothing where rows are at hand.  A predicate on a region and its closure reads bits: a
 closure vertex lies in the region iff no strict row is tight on it, the
 region is empty iff a strict row is tight on every generator, closed iff no
 strict row is tight on a vertex, and it meets a face of its closure iff no
@@ -59,7 +59,10 @@ finds the face's generators by one dot product each with its normal).
 reads no memo of either value: an inclusion that holds by construction, a
 region in its own closure, is not asked of it
 (``compactness.Instance._sandwiched``).  The incidence record, the line
-test, the extreme flags and the recession cone are memoized on the value.
+test, the extreme flags and the recession cone are memoized on the value;
+a builder seeds a memo only where it saves work (the record, a pruned
+sum's extreme flags), never the line test, which is one ``in`` over the
+ray masks.
 
 Each value stores one canonical int form as the fields its class names in
 ``_fields`` (the value base ``ratlp._Value``), which equality, hash and
@@ -153,7 +156,7 @@ class Cone(_Value):
     def __init__(self, dim: int, generators: Sequence[Vec], lineality_basis: Sequence[Vec] = ()):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
-        gens = _canonical_rays(generators, dim)
+        gens = tuple(_prepare_rows(_sized("ray", generators, dim)))
         lin = []
         for b in lineality_basis:
             _sized("lineality basis vector", [b], dim)
@@ -203,22 +206,16 @@ class PartialPolyhedron(_Value):
                       for (c, b, strict), s in zip(self._rows, self._scales)])
 
     @_memo
-    def _closed_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The rows (c, b) without their strict flags: the closure's ``_rows``,
-        the very tuple, and seeded where a region is made from a polyhedron's
-        ``_rows`` with its closure known (``compactness.saturate_region``)."""
-        return tuple([(c, b) for c, b, _ in self._rows])
-
-    @_memo
     def _strict_mask(self) -> int:
         """The strict rows as one bitmask over ``_rows``."""
         return sum([1 << j for j, (_, _, strict) in enumerate(self._rows) if strict])
 
     @_memo
     def _closure(self) -> Optional[Polyhedron]:
-        """The conversion of ``_closed_rows``; the region is empty iff that is,
-        or a strict row is tight on every generator of it."""
-        poly = _h_to_v(self._closed_rows, self.dim)
+        """The conversion of the rows (c, b) without their strict flags, which
+        become the closure's ``_rows``; the region is empty iff that is
+        empty, or a strict row is tight on every generator of it."""
+        poly = _h_to_v(tuple([(c, b) for c, b, _ in self._rows]), self.dim)
         if poly is None or reduce(and_, poly._ray_masks, reduce(and_, poly._vert_masks)) & self._strict_mask:
             return None
         return poly
@@ -243,7 +240,7 @@ class Polyhedron(_Value):
         if not verts:
             raise ValueError("a Polyhedron must have at least one vertex; the empty set is represented by None")
         _sized("vertex", [y for y, _ in verts], dim)
-        vars(self).update(dim=dim, _verts=verts, _rays=_canonical_rays(rays, dim))
+        vars(self).update(dim=dim, _verts=verts, _rays=tuple(_prepare_rows(_sized("ray", rays, dim))))
 
     @_memo
     def vertices(self) -> tuple[Vec, ...]:
@@ -267,7 +264,7 @@ class Polyhedron(_Value):
         """The integer inequality description of the set that the incidence
         predicates read, with its masks: the facets (``_int_facets``) unless
         a builder seeded the record, ``_h_to_v`` with the rows it converted
-        (the region's ``_closed_rows`` for a closure) and a pruned sum with
+        (the region's rows (c, b) for a closure) and a pruned sum with
         its union's record (``minkowski_sum_with_cone``)."""
         return _int_facets(self)
 
@@ -294,18 +291,17 @@ class Polyhedron(_Value):
         """Is some ray orthogonal to every ``_rows`` normal?
 
         Their intersection is the lineality space of the recession cone, a
-        face of cone(rays), so a ray lies in it unless it is {0}.  A polytope
-        reads no row, and ``dd_convert_h_to_v`` and ``minkowski_sum_with_cone``
-        seed the answer they already know."""
+        face of cone(rays), so a ray lies in it unless it is {0}.  It is one
+        ``in`` test over the ray masks, which every builder leaves to this
+        memo; a polytope reads no row."""
         return bool(self._rays) and (1 << len(self._rows)) - 1 in self._ray_masks
 
     @_memo
     def _recession(self) -> Cone:
-        """``recession_cone``, made once per value."""
-        if not self._rays:
-            return Cone._make(dim=self.dim, _gens=(), _lin=())
-        full = (1 << len(self._rows)) - 1
-        lin_members = [r for r, m in zip(self._rays, self._ray_masks) if m == full]
+        """``recession_cone``, made once per value: the rays as its
+        generators and a basis of the span of the rays tight on every row,
+        the lineality space.  A polytope reads no row (``_ray_masks``)."""
+        lin_members = [r for r, m in zip(self._rays, self._ray_masks) if m == (1 << len(self._rows)) - 1]
         work = _reduce([lin_members[j] for j in _basis(lin_members, self.dim)[1]])[0] if lin_members else ()
         return Cone._make(dim=self.dim, _gens=self._rays, _lin=tuple(map(_primitive, work)))
 
@@ -331,10 +327,6 @@ class _Incidence(NamedTuple):
     verts: tuple[int, ...]
     rays: tuple[int, ...]
     facets: bool
-
-
-def _canonical_rays(rays: Sequence[Vec], dim: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_prepare_rows(_sized("ray", rays, dim)))
 
 
 def _sorted_points(points: Collection[tuple[tuple[int, ...], int]]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -589,7 +581,8 @@ def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional
     vertices are sorted on ints.  It contains a line iff the homogenization
     cone has lineality.  The DD's masks index the homogenized rows, so they
     are the masks over ``rows`` once the bit of ``t >= 0``, the last row,
-    is dropped; every row is tight on a lineality direction.
+    is dropped; every row is tight on a lineality direction, so the line
+    test (``_has_line``) finds that mask among the rays'.
     """
     gens, lin, masks = cone_from_rows([*[(*c, -b) for c, b in rows], (0,) * dim + (-1,)], dim + 1)
     full = (1 << len(rows)) - 1
@@ -607,7 +600,7 @@ def _h_to_v(rows: tuple[tuple[tuple[int, ...], int], ...], dim: int) -> Optional
         return None
     points, raydirs = _sorted_points(verts), tuple(sorted(rays))
     incidence = _Incidence(rows, tuple(map(verts.__getitem__, points)), tuple(map(rays.__getitem__, raydirs)), False)
-    return Polyhedron._make(dim=dim, _verts=points, _rays=raydirs, _has_line=bool(lin), _incidence=incidence)
+    return Polyhedron._make(dim=dim, _verts=points, _rays=raydirs, _incidence=incidence)
 
 
 def dd_convert_v_to_h(poly: Polyhedron) -> tuple[HRow, ...]:
@@ -932,7 +925,7 @@ def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:
         return total
     verts, rays = tuple(compress(total._verts, keep)), tuple(compress(total._rays, ray_keep))
     inc = total._incidence
-    return Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays, _has_line=False,
+    return Polyhedron._make(dim=poly.dim, _verts=verts, _rays=rays,
                             _extreme_flags=(True,) * len(verts), _extreme_ray_flags=(True,) * len(rays),
                             _incidence=inc._replace(verts=tuple(compress(inc.verts, keep)),
                                                     rays=tuple(compress(inc.rays, ray_keep))))

@@ -1,7 +1,8 @@
 """Shared test helpers: independent oracles, interval builders, transforms,
 the frozen Fraction references of the exact kernel, the predicates, the
 instance parser, the random generator and the values' public attributes,
-and the frozen integer double description with its base elimination."""
+the frozen integer double description with its base elimination, and the
+earlier T3."""
 
 from __future__ import annotations
 
@@ -23,9 +24,12 @@ from asymgeo.polyhedron import (
     _int_facets,
     _meets_face,
     _scan_support,
+    _within,
     closure,
     cone_from_rows,
+    minkowski_sum_with_cone,
     partial_is_empty,
+    subset,
     to_partial,
 )
 from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, zero_vec
@@ -772,6 +776,37 @@ def ref_saturate_region(inst) -> PartialPolyhedron:
         strict = top[0] == b * top[1] and not _meets_face(inst.region, c, b)
         rows.append(Constraint(tuple(map(Fraction, c)), Fraction(b), strict))
     return PartialPolyhedron(inst.region.dim, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Reference T3: a second sandwich and an inclusion each way
+# ---------------------------------------------------------------------------
+# The earlier T3 of ``compactness.verify_theorems`` for a center other than
+# the candidate: the center's own sandwich (the earlier
+# ``compactness._sandwich``), then center + C and closure + C compared as
+# sets by an inclusion each way.  The current one reads the instance's
+# sandwich fact and compares the two sums as values, so the tests compare
+# the two.  Do not optimize them.
+
+
+def ref_sandwich(core, region, cone):
+    """core + cone when core <= region <= core + cone holds, else None: the
+    first inclusion off the core's generators (``_within``), the second off
+    the rows of core + cone (``subset``)."""
+    if not _within(core, region):
+        return None
+    padded = minkowski_sum_with_cone(core, cone)
+    return padded if subset(region, to_partial(padded)) else None
+
+
+def ref_t3(inst, core) -> bool:
+    """core <= region <= core + C, and core + C equals closure + C as a set:
+    equal values, or an inclusion each way, each set's generators against
+    the other's rows."""
+    sat = inst.saturated
+    padded = ref_sandwich(core, inst.region, inst.degeneracy)
+    return padded is not None and (padded == sat or _within(padded, to_partial(sat))
+                                   and _within(sat, to_partial(padded)))
 
 
 # ---------------------------------------------------------------------------

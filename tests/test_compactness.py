@@ -76,7 +76,9 @@ from support import (
     ref_repr,
     ref_rows_are_gauge_rows,
     ref_saturate_region,
+    ref_sandwich,
     ref_support_value,
+    ref_t3,
     ref_tight_masks,
     with_redundant_rows,
 )
@@ -684,7 +686,7 @@ def test_not_compact_verdict_runs_one_double_description(monkeypatch):
         if cert.verdict is not Verdict.NOT_COMPACT:
             continue
         d = region.dim
-        homogenized = [(*c, -b) for c, b in region._closed_rows] + [(0,) * d + (-1,)]
+        homogenized = [(*c, -b) for c, b, _ in region._rows] + [(0,) * d + (-1,)]
         assert calls == [(homogenized, d + 1)], (q, region, len(calls))
         kinds.append(type(cert.witness))
     assert kinds.count(EscapedExtremePoint) >= 50 and kinds.count(BadRecessionDirection) >= 50, len(kinds)
@@ -856,8 +858,8 @@ def _mask_cases():
 
 
 def test_certified_checks_read_bits(monkeypatch):
-    """A region's closure has the region's rows, the very tuple, as its own,
-    and so has the closure ``saturate_region`` seeds; closure + C has its
+    """A region's closure has the region's rows (c, b), in their order, as
+    its own, and so has the closure ``saturate_region`` seeds; closure + C has its
     facets as its rows.  So T1-T6 for the certificate ``decide_compact``
     made read masks: on every COMPACT instance of the reference catalog,
     the corpus seeds ``1000*d + k`` (d = 1..3, k < 300), the lattice balls
@@ -890,7 +892,7 @@ def test_certified_checks_read_bits(monkeypatch):
         verify_theorems(inst, cert)
         assert not scans, (q, region, scans)
         for k in (region, saturate_region(inst)):
-            assert closure(k)._rows is k._closed_rows, k
+            assert closure(k)._rows == tuple([(c, b) for c, b, _ in k._rows]), k
         sat = inst.saturated
         assert sat is inst.hull or vars(sat)["_incidence"].facets
     assert compact >= 150, compact
@@ -1325,7 +1327,7 @@ def test_parsed_tokens_reduce_and_clear_as_the_public_path_does():
 
 def test_pipeline_runs_without_the_public_constructors(monkeypatch):
     """Parsing, build, decide and T1-T6 make every value from trusted int
-    data: with ``_canonical_rays`` and the ``__init__`` of
+    data: with ``_prepare_rows`` and the ``__init__`` of
     ``Polyhedron``, ``PartialPolyhedron``, ``Cone`` and ``AsymNorm`` made to
     raise, the H-form texts of the catalog, 60 corpus seeds and d=4 lattice
     balls parse and give the certificates and reports they give without the
@@ -1345,7 +1347,7 @@ def test_pipeline_runs_without_the_public_constructors(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a public constructor ran on internal data")
 
-    monkeypatch.setattr(polyhedron, "_canonical_rays", forbidden)
+    monkeypatch.setattr(polyhedron, "_prepare_rows", forbidden)
     for cls in (Polyhedron, PartialPolyhedron, Cone, AsymNorm):
         monkeypatch.setattr(cls, "__init__", forbidden)
     assert run([parse_instance(t) for t in texts]) == expected
@@ -1423,23 +1425,24 @@ def test_a_saturated_hull_with_forged_rays_raises():
 
 
 def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
-    """T3 takes the ``core + C`` that ``decide_compact`` verified on the same
-    instance and center; a center that ``decide_compact`` did not pick still
-    has its sandwich checked, and fails T3 when the sandwich fails, also
-    when it has the verified center's vertices and a ray besides."""
+    """T3 of the center ``decide_compact`` picked is the sandwich fact it
+    verified on the same instance; a center that ``decide_compact`` did not
+    pick is still checked against the region, and fails T3 when its
+    sandwich fails, also when it has the verified center's vertices and a
+    ray besides."""
     inst = build(SUP2, UNIT_SQUARE)
     cert = decide_compact(inst)
     assert cert.verdict is Verdict.COMPACT
     regions = []
-    real = compactness._sandwich
+    real = compactness._within
 
     def counting(core, region, *rest):
         regions.append(region)
         return real(core, region, *rest)
 
-    monkeypatch.setattr(compactness, "_sandwich", counting)
+    monkeypatch.setattr(compactness, "_within", counting)
     assert verify_theorems(inst, cert).all_pass
-    assert inst.region not in regions  # only T6's nested decision, on region + C
+    assert inst.region not in regions
     forged = CompactnessCertificate(Verdict.COMPACT, center=Polyhedron(2, [(0, 0)]))
     t3 = verify_theorems(inst, forged).claims[2]
     assert t3.claim_id == "T3" and t3.status is ClaimStatus.FAIL
@@ -1453,17 +1456,13 @@ def test_t3_reuses_only_the_sandwich_decide_compact_verified(monkeypatch):
 
 
 def _scanned_report(q, region, cert):
-    """T1-T6 as ``verify_theorems`` reports them when T3 checks the sandwich
-    of every center (``_sandwich``) and then both inclusions between
-    center + C and closure + C (``_within`` each way): on a fresh instance
-    whose ``_sandwiched`` fact is given as false, with that T3 status
-    recomputed here."""
+    """T1-T6 as ``verify_theorems`` reports them on a fresh instance, with
+    its T3 status checked against the earlier T3 (``support.ref_t3``: the
+    center's own sandwich, then an inclusion each way between center + C
+    and closure + C)."""
     inst = Instance.build(q, region)
-    vars(inst)["_sandwiched"] = False
     report = verify_theorems(inst, cert)
-    sat = inst.saturated
-    padded = compactness._sandwich(cert.center, region, inst.degeneracy)
-    t3 = padded is not None and _within(padded, to_partial(sat)) and _within(sat, to_partial(padded))
+    t3 = ref_t3(inst, cert.center)
     assert report.claims[2].claim_id == "T3" and (report.claims[2].status is ClaimStatus.PASS) == t3
     return report
 
@@ -1472,10 +1471,10 @@ def test_forged_centers_get_the_report_of_the_scanned_sandwich():
     """A COMPACT certificate forged with the center candidate as its center,
     with and without one of C's generators added as a ray, on the corpus
     seeds ``1000*d + k`` (d = 1..3, k < 300) and forty d=4 seeds: T1-T6 say
-    what the scanned reference says, status and detail, on the instance
-    ``decide_compact`` ran on, COMPACT or NOT_COMPACT.  The candidate of a
-    COMPACT instance has closure + C as its sum without a scan; every other
-    center has its sandwich checked."""
+    what a fresh instance reports, with T3 as the scanned reference says,
+    status and detail, on the instance ``decide_compact`` ran on, COMPACT or
+    NOT_COMPACT.  T3 of the candidate is the instance's sandwich fact; every
+    other center is checked against the region and its sum compared."""
     cases = [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(300)]
     cases += [gen_random_instance(4, 4000 + k) for k in range(40)]
     seen = {(verdict, rayed): 0 for verdict in (Verdict.COMPACT, Verdict.NOT_COMPACT) for rayed in (False, True)}
@@ -1496,6 +1495,70 @@ def test_forged_centers_get_the_report_of_the_scanned_sandwich():
             seen[verdict, bool(center.rays)] += 1
             failing += not report.all_pass
     assert min(seen.values()) >= 100 and failing >= 1000, (seen, failing)
+
+
+def _forged_centers(inst, rng):
+    """Vertex sets forged from a COMPACT instance: subsets of the center
+    candidate's vertices, the candidate plus a closure vertex, all closure
+    vertices, the candidate plus a point outside the region, and single
+    candidate vertices."""
+    cand, closed = list(center_candidate(inst).vertices), list(inst.hull.vertices)
+    out = [rng.sample(cand, rng.randint(1, len(cand) - 1)) for _ in range(2 if len(cand) > 1 else 0)]
+    extra = [v for v in closed if v not in cand]
+    if extra:
+        out.append(cand + [rng.choice(extra)])
+    out.append(closed)
+    for scale in (1, 3, 50):
+        p = tuple(F(rng.randint(-6, 6) * scale, rng.randint(1, 3)) for _ in range(inst.norm.dim))
+        if not member(inst.region, p):
+            out.append(cand + [p])
+            break
+    return out + [[v] for v in cand[:3]]
+
+
+def test_t3_matches_the_scanned_sandwich_on_forged_centers():
+    """T3 reads the instance's sandwich fact, and compares a center other
+    than the candidate with closure + C as a value after checking it lies
+    in the region.  On every COMPACT instance among the corpus seeds
+    ``1000*d + k`` (d = 1..3, k < 500), over more than 1,500 forged centers
+    (``_forged_centers``), it says what the earlier T3 says
+    (``support.ref_t3``, a second sandwich and an inclusion each way), and
+    ``sandwich_certify`` says what that second sandwich says."""
+    rng = random.Random(39)
+    outcomes = {True: 0, False: 0}
+    for d in (1, 2, 3):
+        for k in range(500):
+            q, region = gen_random_instance(d, 1000 * d + k)
+            inst = Instance.build(q, region)
+            if decide_compact(inst).verdict is not Verdict.COMPACT:
+                continue
+            for verts in _forged_centers(inst, rng):
+                center = Polyhedron(d, verts)
+                t3 = verify_theorems(inst, CompactnessCertificate(Verdict.COMPACT, center=center)).claims[2]
+                expected = ref_t3(inst, center)
+                assert t3.claim_id == "T3" and (t3.status is ClaimStatus.PASS) == expected, (d, k, verts)
+                assert sandwich_certify(center, region, q) == (ref_sandwich(center, region, inst.degeneracy)
+                                                                is not None), (d, k, verts)
+                outcomes[expected] += 1
+    assert sum(outcomes.values()) >= 1500 and min(outcomes.values()) >= 500, outcomes
+
+
+def test_a_center_of_another_dimension_is_a_bad_input():
+    """A COMPACT certificate whose center has another dimension than the
+    instance raises ``ValueError`` before any claim is evaluated, as
+    ``sandwich_certify`` does, whether or not the center lies in the
+    region's coordinate range: on the catalog's unit square, a 1-D center
+    (5) once got a report with T3 FAIL and (1) an error from inside the
+    Minkowski sum."""
+    entry = next(e for e in reference_catalog() if e.name.startswith("unit square"))
+    inst = Instance.build(entry.norm, entry.region)
+    assert decide_compact(inst).verdict is Verdict.COMPACT
+    for point in ((5,), (1,), (1, 1, 1)):
+        center = Polyhedron(len(point), [point])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_theorems(inst, CompactnessCertificate(Verdict.COMPACT, center=center))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sandwich_certify(center, entry.region, entry.norm)
 
 
 def test_t1_reads_the_verified_sandwich_as_the_scan_does(monkeypatch):

@@ -638,7 +638,7 @@ def test_kernel_returns_the_lexicographic_rays_without_reduce(monkeypatch):
 def _homogenized(region):
     """The int rows (c, -b) of a region's closure and ``t >= 0``, in
     dimension ``region.dim + 1``: the rows of its closure's double description."""
-    return [(*c, -b) for c, b in region._closed_rows] + [(0,) * region.dim + (-1,)]
+    return [(*c, -b) for c, b, _ in region._rows] + [(0,) * region.dim + (-1,)]
 
 
 def _ref_nearest_first(rows, dim):
@@ -1311,9 +1311,9 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
     extreme_points, extreme_rays and minkowski_sum_with_cone run no
     elimination outside the double descriptions that make their rows, and
     the line test is memoized on the value.  A polytope answers it without
-    reading a row, and a closure and a pruned sum carry the answer their
-    construction found; a closure comes with the ray masks its double
-    description found, and they are the incidence over its rows."""
+    reading a row, and a pruned sum answers it off the masks it was made
+    with; a closure comes with the ray masks its double description found,
+    and they are the incidence over its rows."""
     real_reduce, real_entry = ratlp._reduce, polyhedron.cone_from_rows
     inside, stray = [], []
 
@@ -1353,7 +1353,7 @@ def test_line_test_is_memoized_on_the_value(monkeypatch):
 
     out = minkowski_sum_with_cone(Polyhedron(2, [(0, 0), (1, 1)], [(1, 0)]), Cone(2, ((0, 1),)))
     assert out == Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)])
-    assert out.__dict__["_has_line"] is False
+    assert not contains_line(out) and out.__dict__["_has_line"] is False
     assert minkowski_sum_with_cone(hull, Cone(2, ((1, 0),))) == hull
     assert contains_line(_line_from_pointed())
     assert not stray, stray
@@ -1446,8 +1446,8 @@ def test_incidence_extremality_matches_lp_reference():
     redundant points and rays next to those rows: a vertex is extreme iff
     the other vertices and the rays do not generate it, a ray iff the other
     rays do not, and a line lies in the set iff the rays generate the
-    opposite of one of them.  The line test a closure comes with equals
-    rank(normals) < dim."""
+    opposite of one of them.  The line test of a closure, memoized on it,
+    equals rank(normals) < dim."""
     rng = random.Random(101)
     kinds = {"polytope": 0, "rays": 0, "line": 0}
     for _ in range(150):
@@ -1458,7 +1458,7 @@ def test_incidence_extremality_matches_lp_reference():
             rays.append(vneg(rays[0]))
         rows = with_redundant_rows(rng, Polyhedron(d, verts, rays))
         hull = closure(PartialPolyhedron(d, tuple(Constraint(c, b, False) for c, b in rows)))
-        assert hull.__dict__["_has_line"] == (ref_rank([c for c, _ in rows]) < d)
+        assert contains_line(hull) == hull.__dict__["_has_line"] == (ref_rank([c for c, _ in rows]) < d)
         pts, rds = list(hull.vertices), list(hull.rays)
         if len(pts) >= 2:
             pts.append(tuple((a + b) / 2 for a, b in zip(pts[0], pts[1])))

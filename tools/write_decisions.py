@@ -1,0 +1,80 @@
+"""Rewrite the decision golden, ``tests/data/decisions.txt``.
+
+One line per instance: its name, its verdict and the first 16 hex digits
+of the SHA-256 of its ``asymgeo check --no-timing`` report, whose bytes
+hold the center, the witness and the claims T1-T6.  Each instance goes
+through the text form first (``write_instance``, then ``parse_instance``),
+as ``check`` reads it from a file.  The families:
+
+- random instances at d = 1..3 on the seeds ``1000*d + k``, k < 500 (the
+  acceptance corpus), and at d = 4..7 with k < 16, as ``asymgeo gen
+  random`` draws them;
+- the arc hulls of 16, 64 and 256 segments;
+- eight balls of the one-norm lattice gauge at each d = 2..5, closed and
+  open, around the centers and of the radii that ``tools/dd_scale.py``'s
+  ``closed_balls`` draws from ``random.Random(1000*d)``.
+
+A change that moves a line changes a verdict, a center, a witness or a
+claim.  The Tier-1 test ``tests/test_decisions.py`` recomputes every line
+and compares.  Standard library only; it imports the package from the
+``src`` next to it, and takes no options.
+
+    python tools/write_decisions.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance  # noqa: E402
+from asymgeo.cli.instances import parse_instance, write_instance  # noqa: E402
+from asymgeo.cli.suite import _check  # noqa: E402
+from asymgeo.norm import Closedness, ball  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "data" / "decisions.txt"
+BALLS_PER_DIM = 8
+
+
+def instances():
+    """(name, gauge, region) per instance, family by family, in file order."""
+    for d, count in ((1, 500), (2, 500), (3, 500), (4, 16), (5, 16), (6, 16), (7, 16)):
+        for k in range(count):
+            yield (f"random-{1000 * d + k}", *gen_random_instance(d, 1000 * d + k))
+    for n in (16, 64, 256):
+        yield (f"arc-{n}", *gen_arc_hull(n))
+    for d in range(2, 6):
+        rng = random.Random(1000 * d)
+        for i in range(BALLS_PER_DIM):
+            q = gen_lattice_norm(d, "one")
+            center = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+            radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            for closedness in (Closedness.CLOSED, Closedness.OPEN):
+                name = f"one-ball-{d}-{i}-{closedness.value.lower()}"
+                yield name, q, ball(q, center, radius, closedness).as_set
+
+
+def decision_line(name, norm, region) -> str:
+    """``<name> <verdict> <digest>`` of the check report of the written instance."""
+    report = _check(name, *parse_instance(write_instance(norm, region)))
+    digest = hashlib.sha256(report.render(include_timing=False).encode()).hexdigest()[:16]
+    return f"{name} {report.verdict} {digest}"
+
+
+def decision_lines() -> list[str]:
+    return [decision_line(*case) for case in instances()]
+
+
+def main() -> int:
+    GOLDEN.write_text("\n".join(decision_lines()) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
