@@ -11,6 +11,15 @@ theirs (``ratlp._cleared``, as the parser clears its tokens, and
 that stored form (``_make``).  No ``Fraction`` is made for them.  The
 arc-hull family's samples are rational by nature and go through the
 public constructors.
+
+Every int the random generator draws is drawn as ``randint`` draws it,
+from the generator's ``getrandbits`` with none of ``randint``'s Python
+frames in between: for a range of ``width`` values, ``k =
+width.bit_length()`` bits, drawn again while they read ``width`` or more
+(``_randint``, and inlined in ``_draws``).  So the stream, and every
+instance a seed makes, is the one ``randint`` gives, and it rests on the
+Mersenne Twister's raw words (``getrandbits``) rather than on the
+algorithm of ``randrange``, which Python does not promise to keep.
 """
 
 from __future__ import annotations
@@ -89,13 +98,42 @@ def gen_arc_hull(n_arc: int) -> tuple[AsymNorm, PartialPolyhedron]:
     return norm, PartialPolyhedron(3, tuple(rows))
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn as it draws: ``width.bit_length()``
+    bits from ``getrandbits``, drawn again while they read ``width`` or
+    more, so the value and the generator's state after it are randint's
+    (a width of 1 draws too: one bit, until it reads 0)."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+# _LOWEST[p + 3][q - 1] is (p, q) in lowest terms, for p in -3..3 and q in 1..3
+_LOWEST = tuple([tuple([(p // gcd(p, q), q // gcd(p, q)) for q in (1, 2, 3)]) for p in range(-3, 4)])
+
+
 def _draws(rng: random.Random, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """n random rationals p / q in lowest terms, as their numerators and
-    denominators: each drawn as p in -3..3, then q in 1..3, and reduced.
-    ``randrange(a, b + 1)`` is what ``randint(a, b)`` calls, so the stream
-    is randint's, one Python frame less per draw."""
-    pairs = [(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
-    return tuple(zip(*[(p // (g := gcd(p, q)), q // g) for p, q in pairs]))
+    denominators: each drawn as p in -3..3, then q in 1..3, as
+    ``_randint(rng, -3, 3)`` and ``_randint(rng, 1, 3)`` draw them (3 bits,
+    drawn again on 7, then 2 bits, drawn again on 3), and reduced by
+    ``_LOWEST``."""
+    bits = rng.getrandbits
+    ps, qs = [], []
+    for _ in range(n):
+        a = bits(3)
+        while a == 7:
+            a = bits(3)
+        b = bits(2)
+        while b == 3:
+            b = bits(2)
+        p, q = _LOWEST[a][b]
+        ps.append(p)
+        qs.append(q)
+    return tuple(ps), tuple(qs)
 
 
 def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
@@ -107,7 +145,7 @@ def gen_random_norm(dim: int, rng: random.Random) -> AsymNorm:
         raise ValueError("dimension must be positive")
     while True:
         try:
-            return _gauge(dim, [_draws(rng, dim) for _ in range(rng.randint(dim, dim + 2))])
+            return _gauge(dim, [_draws(rng, dim) for _ in range(_randint(rng, dim, dim + 2))])
         except DefinitenessViolation:
             continue
 
@@ -119,19 +157,20 @@ def gen_random_region(dim: int, rng: random.Random) -> PartialPolyhedron:
     until ``partial_is_empty`` finds the region nonempty."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+    box = [(e, tuple([-x for x in e])) for e in _units(dim)]
     while True:
         rows, scales = [], []
-        for _ in range(rng.randint(dim + 1, dim + 4)):
+        for _ in range(_randint(rng, dim + 1, dim + 4)):
             ps, qs = _draws(rng, dim + 1)
             s = lcm(*qs)
             ints = _cleared(ps, qs, s)
             rows.append((ints[:-1], ints[-1], rng.random() < 0.4))
             scales.append(s)
         if rng.random() < 0.5:
-            for e in _units(dim):
-                bound = rng.randint(1, 3)
+            for e, minus_e in box:
+                bound = _randint(rng, 1, 3)
                 rows.append((e, bound, rng.random() < 0.2))
-                rows.append((tuple([-x for x in e]), bound, rng.random() < 0.2))
+                rows.append((minus_e, bound, rng.random() < 0.2))
             scales += [1] * (2 * dim)
         region = PartialPolyhedron._make(dim=dim, _rows=tuple(rows), _scales=tuple(scales))
         if not partial_is_empty(region):

@@ -381,6 +381,29 @@ def test_random_generator_agrees_with_the_reference_generator(monkeypatch):
     assert redrawn and rejected
 
 
+def test_generator_draws_are_randint_draws():
+    """``generators._randint(rng, lo, hi)`` returns what
+    ``randint(lo, hi)`` returns on the same seed and leaves the generator
+    where randint leaves it, so the next ``random()`` is equal: seeds 0-19,
+    every width 1-65 (each power of two up to 64 and its neighbours) and
+    lo in -7, 0 and 3, three draws each.  A width of 1 draws too, as
+    randint does.  ``_draws``, which inlines the draw, gives the pairs
+    ``randint(-3, 3), randint(1, 3)`` in lowest terms."""
+    for seed in range(20):
+        for width in range(1, 66):
+            for lo in (-7, 0, 3):
+                want, got = random.Random(seed), random.Random(seed)
+                hi = lo + width - 1
+                assert [generators._randint(got, lo, hi) for _ in range(3)] == \
+                    [want.randint(lo, hi) for _ in range(3)], (seed, width, lo)
+                assert got.random() == want.random(), (seed, width, lo)
+        want, got = random.Random(seed), random.Random(seed)
+        ps, qs = generators._draws(got, 40)
+        pairs = [Fraction(want.randint(-3, 3), want.randint(1, 3)) for _ in range(40)]
+        assert list(zip(ps, qs)) == [(f.numerator, f.denominator) for f in pairs], seed
+        assert got.random() == want.random(), seed
+
+
 def test_generators_make_no_fraction(monkeypatch):
     """The random and lattice generators draw, clear and build their values on
     ints: ``gen_random_instance`` for d = 1..5 and ``gen_lattice_norm`` in
