@@ -25,21 +25,28 @@ Only a COMPACT verdict needs closure(K) + C: for the center, the
 sandwich and the checks T1, T3 and T4.  C and test (a) are facts of the
 instance (``Instance.degeneracy``, ``Instance._escaping``), each derived on
 first read from the instance's own fields, so no decision depends on what
-an earlier one on the same gauge value computed.  Once (a) holds, C is read
-off the closure when every nonzero row normal of the closure is a positive
-multiple of a functional, as a gauge ball's rows are: C lies in the
-closure's recession cone row by row, (a) gives the other inclusion, so the
-closure's rays are C's generators and C's own double description never
-runs; a COMPACT closed ball runs one, its closure's.  A NOT_COMPACT
-verdict builds neither C nor closure(K) + C, and it runs one double
-description, the closure's.  It reads everything off the closure's
-generators and masks, the region's own rows and the gauge's functionals:
-(a) through the closure's recession cone, and (b), once (a) holds, through
-a local test at each closure vertex that misses K: its tangent cone must
-meet -C only in 0, and the closure's edges at the vertex, which
-``polyhedron._edges`` reads off its masks, are that cone's generators, so
-the test inserts the gauge's rows into them and runs no base elimination
-(``_extreme_in_saturation``).
+an earlier one on the same gauge value computed.  A NOT_COMPACT verdict
+builds neither C nor closure(K) + C, and it runs one double description,
+the closure's.  It reads everything off the closure's generators and
+masks, the region's own rows and the gauge's functionals: (a) through the
+closure's recession cone, and (b), once (a) holds, through a local test at
+each closure vertex that misses K: its tangent cone must meet -C only in
+0, and the closure's edges at the vertex, which ``polyhedron._edges`` reads
+off its masks, are that cone's generators, so the test inserts the gauge's
+rows into them and runs no base elimination (``_tangent_cone_misses``).
+
+One more fact of the instance compares the closure's nonzero row normals
+with the gauge's functionals, as primitive forms (``Instance._rows_in_gauge``),
+and a gauge ball passes it.  When every row normal is a positive multiple
+of a functional, C lies in the closure's recession cone row by row, so
+closure(K) + C is the closure: (b)'s local test is the closure's own
+extreme flag, with no edge read and no row inserted
+(``_extreme_in_saturation``), and once (a) holds, which gives the other
+inclusion, the closure's rays are C's generators and C's own double
+description never runs; a COMPACT closed ball runs one, its closure's.
+When moreover every nonzero functional is a positive multiple of a row
+normal, the recession cone is C itself, so (a) holds with no cone made
+and no direction scanned, as it does on a bounded closure.
 
 A COMPACT verdict with the checks T1-T6 converts vertices to facets at
 most once, for closure(K) + C, and not at all when the closure holds C.
@@ -166,6 +173,10 @@ class Instance(_Value):
     and memoized on the instance.  ``hull`` is the region's closure, the
     very value ``closure`` memoizes on the region, so its masks index the
     region's rows.  Test (a) of the decision is one fact (``_escaping``).
+    Whether the closure's row directions are among the gauge's, and whether
+    they are all of them, is another (``_rows_in_gauge``): on a gauge ball
+    it answers test (a) with no scan, yields the cone off the closure and
+    makes each local test of the decision the closure's extreme flag.
     The degeneracy cone and the saturated hull closure + cone are needed
     only by a COMPACT verdict and the structure checks (the center, the
     sandwich, T1, T3 and T4), so a NOT_COMPACT verdict builds neither.  The
@@ -200,11 +211,47 @@ class Instance(_Value):
         return closure(self.region)
 
     @_memo
+    def _rows_in_gauge(self) -> tuple[bool, bool]:
+        """(rows <= gauge, rows = gauge) for the closure P: whether every
+        nonzero row normal of P (``hull._rows``) is a positive multiple of a
+        functional (their primitive forms are equal), and whether moreover
+        every nonzero functional is a positive multiple of one of them, as a
+        gauge ball's rows are.  The first row normal that is no functional's
+        ends the scan.  The first row's normal c, when its first entry c_1 is
+        nonzero, is tested first with no gcd, so a region that is no ball is
+        mostly told in one pass over the functionals: a is a positive
+        multiple of c iff a_1 c = c_1 a and a_1 c_1 > 0, and the last
+        entries are compared before the rest.  rows <= gauge gives
+        C <= rec(P) row by row, so P + C = P; rows = gauge gives
+        rec(P) = {x : <a_i, x> <= 0} = C (a zero functional bounds
+        nothing)."""
+        rows, functionals = self.hull._rows, self.norm._rows
+        c = rows[0][0] if rows else ()
+        if c and c[0] and not any(a[0] * c[0] > 0 and a[0] * c[-1] == a[-1] * c[0]
+                                  and [a[0] * x for x in c] == [c[0] * y for y in a] for a in functionals):
+            return False, False
+        gauge, seen = set(map(_primitive, functionals)), set()
+        gauge.discard((0,) * self.norm.dim)
+        for c, _ in rows:
+            if any(c):
+                direction = _primitive(c)
+                if direction not in gauge:
+                    return False, False
+                seen.add(direction)
+        return True, seen == gauge
+
+    @_memo
     def _escaping(self) -> Optional[tuple[int, ...]]:
         """Test (a): the first recession direction of the closure, in sorted
         order, with positive gauge, as stored ints, or None when every one
-        has gauge 0.  The directions are the recession cone's generators and
-        both signs of its lineality basis; q(d) > 0 iff some <a_i, d> > 0."""
+        has gauge 0.  A bounded closure, with no rays, has no recession
+        direction, and when the closure's row directions are the gauge's
+        (``_rows_in_gauge``) its recession cone is C: in both cases none
+        escapes, and neither the cone nor a dot product is made.  Otherwise
+        the directions are the recession cone's generators and both signs
+        of its lineality basis; q(d) > 0 iff some <a_i, d> > 0."""
+        if not self.hull._rays or self._rows_in_gauge[1]:
+            return None
         rec, rows = recession_cone(self.hull), self.norm._rows
         directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
         return next((d for d in sorted(directions) if any(sum(map(mul, a, d)) > 0 for a in rows)), None)
@@ -213,20 +260,17 @@ class Instance(_Value):
     def degeneracy(self) -> Cone:
         """The degeneracy cone C of the gauge, read off the closure P when no
         recession direction escapes (``_escaping``) and every nonzero row
-        normal of P (``hull._rows``) is a positive multiple of a functional
-        (their primitive forms are equal), as a closed ball's are: then
-        C <= rec(P) row by row and rec(P) <= C, so C = rec(P), and P's rays,
-        sorted, primitive and extreme, are C's generators, the double
-        description's of the functional rows (Fukuda & Prodon 1996).
-        Otherwise it is ``degeneracy_cone``, the gauge's own double
-        description.  The rule needs only (a), which it tests itself, so any
-        caller may read it, on any verdict."""
-        hull, q = self.hull, self.norm
-        if self._escaping is None:
-            gauge = set(map(_primitive, q._rows))
-            if all(_primitive(c) in gauge for c, _ in hull._rows if any(c)):
-                return Cone._make(dim=q.dim, _gens=hull._rays, _lin=())
-        return degeneracy_cone(q)
+        normal of P is a positive multiple of a functional
+        (``_rows_in_gauge``), as a closed ball's are: then C <= rec(P) row by
+        row and rec(P) <= C, so C = rec(P), and P's rays, sorted, primitive
+        and extreme, are C's generators, the double description's of the
+        functional rows (Fukuda & Prodon 1996).  Otherwise it is
+        ``degeneracy_cone``, the gauge's own double description.  The rule
+        needs only (a), which it tests itself, so any caller may read it, on
+        any verdict."""
+        if self._escaping is None and self._rows_in_gauge[0]:
+            return Cone._make(dim=self.norm.dim, _gens=self.hull._rays, _lin=())
+        return degeneracy_cone(self.norm)
 
     @_memo
     def saturated(self) -> Polyhedron:
@@ -268,7 +312,7 @@ class Instance(_Value):
     @_memo
     def _minus_functionals(self) -> tuple[tuple[int, ...], ...]:
         """-a for each stored functional a of the gauge: the rows of -C that
-        ``_extreme_in_saturation`` inserts at every vertex it tests, in the
+        ``_tangent_cone_misses`` inserts at every vertex it tests, in the
         reverse lexicographic order of their primitive forms, the order the
         double description inserts the rows of an input in general position
         in (``_pointed_cone_rays``)."""
@@ -306,6 +350,23 @@ def center_candidate(inst: Instance) -> Polyhedron:
 
 def _extreme_in_saturation(inst: Instance, k: int) -> bool:
     """Is the k-th listed closure vertex v extreme in closure + degeneracy cone?
+
+    With P the closure and C = {x : <a_i, x> <= 0} the cone: when every
+    nonzero row normal of P is a positive multiple of a functional
+    (``Instance._rows_in_gauge``), as a gauge ball's are, C <= rec(P) row by
+    row, so P + C = P and v is extreme in it iff it is in P, which P's
+    extreme flags say (``hull._extreme_flags``); no edge is read and no row
+    is inserted.  Otherwise the tangent cone decides
+    (``_tangent_cone_misses``).
+    """
+    if inst._rows_in_gauge[0]:
+        return inst.hull._extreme_flags[k]
+    return _tangent_cone_misses(inst, k)
+
+
+def _tangent_cone_misses(inst: Instance, k: int) -> bool:
+    """Does the tangent cone of the closure at its k-th listed vertex v meet
+    -C only in 0, that is, is v extreme in closure + degeneracy cone?
 
     With P the closure and C = {x : <a_i, x> <= 0} the cone, v is extreme in
     P + C iff its tangent cone T_P(v) meets -C only in 0.  If a nonzero c in

@@ -2,7 +2,7 @@
 the frozen Fraction references of the exact kernel, the predicates, the
 instance parser, the random generator and the values' public attributes,
 the frozen integer double description with its base elimination, and the
-earlier T3."""
+earlier T3 and test (a) scan."""
 
 from __future__ import annotations
 
@@ -29,10 +29,11 @@ from asymgeo.polyhedron import (
     cone_from_rows,
     minkowski_sum_with_cone,
     partial_is_empty,
+    recession_cone,
     subset,
     to_partial,
 )
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, zero_vec
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, vneg, zero_vec
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -847,24 +848,51 @@ def ref_extreme_in_saturation(inst, mask: int) -> bool:
     neither generators nor lineality."""
     rows = inst.hull._rows
     tight = [rows[j][0] for j in range(len(rows)) if mask >> j & 1]
-    return cone_from_rows([*tight, *inst._minus_functionals], inst.norm.dim)[:2] == ((), ())
+    return cone_from_rows([*tight, *map(vneg, inst.norm._rows)], inst.norm.dim)[:2] == ((), ())
 
 
 # ---------------------------------------------------------------------------
-# Reference predicate: when a COMPACT decision reads C off the closure
+# Reference test (a): the scan of every closure recession direction
+# ---------------------------------------------------------------------------
+# The earlier ``compactness.Instance._escaping``, which made the closure's
+# recession cone and took a dot product of each direction with each
+# functional on every instance.  The current one skips both when the
+# closure's row directions are the gauge's, so the tests compare the two.
+
+
+def ref_escaping(inst):
+    """The first recession direction of the closure, in sorted order, with
+    positive gauge, as stored ints, or None: the recession cone's generators
+    and both signs of its lineality basis, each against every functional."""
+    rec, rows = recession_cone(inst.hull), inst.norm._rows
+    directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
+    return next((d for d in sorted(directions) if any(sum(map(mul, a, d)) > 0 for a in rows)), None)
+
+
+# ---------------------------------------------------------------------------
+# Reference predicates: when a decision reads C and test (a) off the closure
 # ---------------------------------------------------------------------------
 # ``decide_compact`` seeds the gauge's degeneracy cone with the closure's rays
 # when every nonzero row normal of the closure is a positive multiple of a
-# functional, which it tests on primitive forms.  This one tests parallelism
-# by 2x2 minors and the sign by a dot product, with no gcd.
+# functional, and skips test (a)'s scan when moreover every functional is a
+# positive multiple of a row normal, which it tests on primitive forms.  These
+# test parallelism by 2x2 minors and the sign by a dot product, with no gcd.
 
 
 def ref_rows_are_gauge_rows(norm, region) -> bool:
     """Is every nonzero row normal of the region (``region._rows``) a
     positive multiple of some functional of the gauge (``norm._rows``)?"""
 
-    def positive_multiple(c, a):
-        return sum(map(mul, c, a)) > 0 and all(
-            c[i] * a[j] == c[j] * a[i] for i in range(len(c)) for j in range(i))
+    return all(any(_positive_multiple(c, a) for a in norm._rows) for c, _, _ in region._rows if any(c))
 
-    return all(any(positive_multiple(c, a) for a in norm._rows) for c, _, _ in region._rows if any(c))
+
+def ref_gauge_rows_are_rows(norm, region) -> bool:
+    """Is every nonzero functional of the gauge (``norm._rows``) a positive
+    multiple of some row normal of the region (``region._rows``)?"""
+    return all(any(_positive_multiple(a, c) for c, _, _ in region._rows) for a in norm._rows if any(a))
+
+
+def _positive_multiple(c, a) -> bool:
+    """Is the int row c a positive multiple of the int row a?  Parallel by
+    2x2 minors, the same side by a dot product."""
+    return sum(map(mul, c, a)) > 0 and all(c[i] * a[j] == c[j] * a[i] for i in range(len(c)) for j in range(i))

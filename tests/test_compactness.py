@@ -68,8 +68,10 @@ from support import (
     rand_point,
     ref_attributes,
     ref_edges,
+    ref_escaping,
     ref_extreme_in_saturation,
     ref_gauge_eval,
+    ref_gauge_rows_are_rows,
     ref_maximal,
     ref_meets_face,
     ref_member,
@@ -477,22 +479,159 @@ def test_lattice_ball_reports_survive_row_permutation_duplication_and_rescaling(
             for closedness in (Closedness.CLOSED, Closedness.OPEN):
                 radius = F(rng.randint(1, 6), rng.randint(1, 3))
                 base = ball(gen_lattice_norm(d, flavor), rand_point(rng, d), radius, closedness).as_set
-                rows = list(base.constraints)
-                variants = [
-                    rng.sample(rows, len(rows)),
-                    rows + rng.sample(rows, rng.randint(1, len(rows))),
-                    [Constraint(tuple(s * a for a in c), s * b, strict)
-                     for (c, b, strict), s in zip(rows, (F(rng.randint(1, 7), rng.randint(1, 5)) for _ in rows))],
-                    rows + [Constraint((F(0),) * d, F(1), False)],
-                ]
+                variants = _row_variants(rng, base)
                 expected = _report_without_rows(gen_lattice_norm(d, flavor), base)
                 verdicts.append(expected.split("verdict: ")[1].split("\n")[0])
-                for changed in variants:
+                for region in variants:
                     calls.clear()
-                    region = PartialPolyhedron(d, changed)
                     assert _report_without_rows(gen_lattice_norm(d, flavor), region) == expected, (d, flavor)
                     assert len(calls) == 1, (d, flavor, closedness, len(calls))
     assert verdicts.count("COMPACT") == 6 and verdicts.count("NOT_COMPACT") == 6, verdicts
+
+
+def _row_variants(rng: random.Random, region: PartialPolyhedron) -> list[PartialPolyhedron]:
+    """The region with its rows permuted, with some rows duplicated, with
+    every row rescaled by a positive rational, and with a row 0 <= 1 added:
+    the same set on other rows."""
+    rows, d = list(region.constraints), region.dim
+    variants = [
+        rng.sample(rows, len(rows)),
+        rows + rng.sample(rows, rng.randint(1, len(rows))),
+        [Constraint(tuple(s * a for a in c), s * b, strict)
+         for (c, b, strict), s in zip(rows, (F(rng.randint(1, 7), rng.randint(1, 5)) for _ in rows))],
+        rows + [Constraint((F(0),) * d, F(1), False)],
+    ]
+    return [PartialPolyhedron(d, changed) for changed in variants]
+
+
+def _gauge_balls():
+    """(gauge, ball) of closed and open balls on fresh gauge values, two of
+    each kind per dimension, around seeded rational centers: the one-norm and
+    sup lattice gauges at d = 2..5 and random gauges at d = 1..4."""
+    rng = random.Random(97)
+    makers = [(d, lambda d=d, f=f: gen_lattice_norm(d, f)) for f in ("one", "sup") for d in (2, 3, 4, 5)]
+    makers += [(d, lambda d=d: gen_random_norm(d, rng)) for d in (1, 2, 3, 4)]
+    cases = []
+    for d, make in makers:
+        for closedness in (Closedness.CLOSED, Closedness.OPEN):
+            for _ in range(2):
+                q = make()
+                radius = F(rng.randint(1, 6), rng.randint(1, 3))
+                cases.append((q, ball(q, rand_point(rng, d), radius, closedness)))
+    return cases
+
+
+def _local_work(monkeypatch) -> dict[str, int]:
+    """Counts, from now on, of the ``recession_cone`` calls (test (a)'s
+    scan), the ``_edges`` calls and the ``_cut`` runs outside a
+    ``cone_from_rows`` call (the local tangent-cone tests)."""
+    counts = dict.fromkeys(("recession_cone", "_edges", "_cut"), 0)
+    inside = [0]
+    real = {name: getattr(polyhedron, name) for name in ("cone_from_rows", "recession_cone", "_edges", "_cut")}
+
+    def dd(rows, dim):
+        inside[0] += 1
+        try:
+            return real["cone_from_rows"](rows, dim)
+        finally:
+            inside[0] -= 1
+
+    def counting(name):
+        def wrapped(*args):
+            counts[name] += name != "_cut" or not inside[0]
+            return real[name](*args)
+        return wrapped
+
+    wraps = {"cone_from_rows": dd, **{name: counting(name) for name in counts}}
+    for module in (polyhedron, norm_module, compactness):
+        for name, wrap in wraps.items():
+            if getattr(module, name, None) is real[name]:
+                monkeypatch.setattr(module, name, wrap)
+    return counts
+
+
+def _pipeline(q, region) -> Verdict:
+    """Build and decide, then T1-T6 on a COMPACT verdict: the verdict."""
+    inst = Instance.build(q, region)
+    cert = decide_compact(inst)
+    if cert.verdict is Verdict.COMPACT:
+        assert verify_theorems(inst, cert).all_pass, (q, region)
+    return cert.verdict
+
+
+def test_gauge_balls_skip_the_escape_scan_and_the_tangent_cones(monkeypatch):
+    """A gauge ball's closure has the gauge's directions as its row normals,
+    so its recession cone is C and it is its own sum with C: over build,
+    decide and T1-T6, no recession cone is made (test (a) holds unscanned),
+    no edge is read and no ``_cut`` runs outside ``cone_from_rows`` (each
+    local test is the closure's extreme flag).  Closed and open one-norm and
+    sup lattice balls at d = 2..5 and random-gauge balls at d = 1..4
+    (``_gauge_balls``), each also with its rows permuted, duplicated,
+    rescaled and with a row 0 <= 1 added (``_row_variants``).  The same ball
+    cut by the row x_1 >= center_1, whose normal is no gauge direction,
+    still scans its recession cone when it has one (a bounded closure has
+    no recession direction to scan), and an open one still runs the local
+    tests at its vertices."""
+    counts = _local_work(monkeypatch)
+    rng = random.Random(101)
+    verdicts, cut, scanned = [], {Closedness.CLOSED: 0, Closedness.OPEN: 0}, 0
+    for q, b in _gauge_balls():
+        for region in [b.as_set, *_row_variants(rng, b.as_set)]:
+            verdicts.append(_pipeline(q, region))
+            assert counts == dict.fromkeys(counts, 0), (q, region, counts)
+        d = q.dim
+        halved = PartialPolyhedron(d, (*b.as_set.constraints,
+                                       Constraint((F(-1),) + (F(0),) * (d - 1), -b.center[0], False)))
+        if ref_rows_are_gauge_rows(q, halved):  # -e_1 is a direction of this gauge
+            continue
+        _pipeline(q, halved)
+        assert counts["recession_cone"] == bool(closure(halved)._rays), (q, halved, counts)
+        scanned += counts["recession_cone"]
+        if b.closedness is Closedness.OPEN:
+            assert counts["_edges"] and counts["_cut"], (q, halved, counts)
+        cut[b.closedness] += 1
+        counts.update(dict.fromkeys(counts, 0))
+    assert verdicts.count(Verdict.COMPACT) == verdicts.count(Verdict.NOT_COMPACT) == 5 * 24, verdicts
+    assert min(cut.values()) >= 20 and scanned >= 36, (cut, scanned)
+
+
+def test_the_gauge_row_read_off_agrees_with_the_long_way():
+    """Where the closure's row directions are the gauge's, test (a) is read
+    off as None, and where they are all gauge directions, every local test
+    is read off the closure's extreme flags; the long way agrees.  Over the
+    reference catalog, the corpus (d = 1..3, k < 500), random instances at
+    d = 4..6, the balls of ``_gauge_balls`` with their row variants
+    (``_row_variants``) and the regions of ``_gauge_row_cases``, some cut
+    by a proper subset of the functionals (rows <= gauge, not =): the two
+    answers of ``Instance._rows_in_gauge`` are those of the gcd-free
+    predicates, test (a) is the earlier scan of every recession direction
+    (``ref_escaping``) on every instance, and where the read-off fires on a
+    line-free closure, each closure vertex's answer is the full double
+    description's (``ref_extreme_in_saturation``) and the edge-seeded
+    tangent-cone test's."""
+    cases = [(entry.norm, entry.region) for entry in reference_catalog()]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(500)]
+    cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(8)]
+    rng = random.Random(103)
+    for q, b in _gauge_balls():
+        cases += [(q, region) for region in [b.as_set, *_row_variants(rng, b.as_set)]]
+    cases += _gauge_row_cases()
+    fired = {"scan": 0, "local": 0, "within": 0, "vertices": 0}
+    for q, region in cases:
+        inst = Instance.build(q, region)
+        within, equal = inst._rows_in_gauge
+        assert within == ref_rows_are_gauge_rows(q, region), (q, region)
+        assert equal == (within and ref_gauge_rows_are_rows(q, region)), (q, region)
+        assert inst._escaping == ref_escaping(inst), (q, region)
+        fired["scan"] += equal
+        fired["within"] += within and not equal
+        if within and not contains_line(inst.hull):
+            fired["local"] += 1
+            for k, mask in enumerate(inst.hull._vert_masks):
+                got = compactness._extreme_in_saturation(inst, k)
+                assert got == ref_extreme_in_saturation(inst, mask) == compactness._tangent_cone_misses(inst, k)
+                fired["vertices"] += 1
+    assert fired["scan"] >= 600 and fired["local"] >= 700 and fired["within"] >= 100 and fired["vertices"] >= 1400, fired
 
 
 def test_local_test_agrees_with_lp_extremality():
@@ -530,9 +669,12 @@ def test_local_test_agrees_with_lp_extremality():
 
 
 def test_edge_seeded_local_test_agrees_with_the_full_dd():
-    """The local test seeded with the closure's edges at v decides as the
-    full double description of {x : A_v x <= 0, <a_i, x> >= 0} does
-    (``ref_extreme_in_saturation``), at every vertex of every line-free
+    """The local test seeded with the closure's edges at v
+    (``_tangent_cone_misses``, called directly, since a ball's decision reads
+    its closure's extreme flags instead) decides as the full double
+    description of {x : A_v x <= 0, <a_i, x> >= 0} does
+    (``ref_extreme_in_saturation``), and so does the decision's local test
+    (``_extreme_in_saturation``), at every vertex of every line-free
     closure: the reference catalog, 900 corpus seeds, random instances at
     d = 4..6, open and closed one-norm lattice balls at d = 3..5, the cut
     vertex of the 16- and 64-segment arc hulls, and closures given by
@@ -587,8 +729,9 @@ def test_edge_seeded_local_test_agrees_with_the_full_dd():
             if i >= len(cases) and inside:  # an arc hull: its cut vertex only
                 continue
             assert _edges(inst.hull, k) == ref_edges(inst.hull, k), (q, region, k)
-            got = compactness._extreme_in_saturation(inst, k)
+            got = compactness._tangent_cone_misses(inst, k)
             assert got == ref_extreme_in_saturation(inst, mask), (q, region, k)
+            assert compactness._extreme_in_saturation(inst, k) == got, (q, region, k)
             answers[got] += 1
             simple[mask.bit_count() == region.dim] += 1
     assert min(answers.values()) >= 500 and flat >= 20 and trivial >= 40, (answers, flat, trivial)

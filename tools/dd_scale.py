@@ -50,7 +50,8 @@ The families are random instances at each dimension d (the seeds
 ``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
 hull at each segment count, and eight closed balls of the one-norm lattice
 gauge at each ball dimension, around seeded rational centers, each on its
-own gauge value.  A closed ball is its own saturated hull, and its
+own gauge value, then the open balls of the same draws (``open-ball-d<d>``).
+A closed ball is its own saturated hull, and its
 instance reads its cone off its closure and hands it to T6's, so its line
 reads ``facet_dds`` 0 and ``gauge_dds`` 0.
 """
@@ -80,17 +81,17 @@ SEEDS_PER_DIM = 16
 BALLS_PER_DIM = 8
 
 
-def closed_balls(d: int) -> list:
-    """Closed balls of the one-norm lattice gauge in dimension d, each on a
-    gauge value of its own, around rational centers and of rational radii
-    drawn from the seed ``1000*d``."""
+def one_balls(d: int, closedness: Closedness) -> list:
+    """Balls of the one-norm lattice gauge in dimension d, closed or open,
+    each on a gauge value of its own, around rational centers and of
+    rational radii drawn from the seed ``1000*d``."""
     rng = random.Random(1000 * d)
     cases = []
     for _ in range(BALLS_PER_DIM):
         q = gen_lattice_norm(d, "one")
         center = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
         radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        cases.append((q, ball(q, center, radius, Closedness.CLOSED).as_set))
+        cases.append((q, ball(q, center, radius, closedness).as_set))
     return cases
 
 
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     parser.add_argument("--arcs", type=int, nargs="*", default=[64, 256],
                         help="segment counts of the arc-hull families (default 64 256)")
     parser.add_argument("--balls", type=int, nargs="*", default=[],
-                        help="dimensions of the closed one-norm lattice ball families (default none)")
+                        help="dimensions of the closed and open one-norm lattice ball families (default none)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs per family; times report the least and the median (default 1)")
     parser.add_argument("--counts", action="store_true",
@@ -260,7 +261,8 @@ def main(argv=None) -> int:
     families = [(f"random-d{d}", lambda d=d: [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)])
                 for d in args.dims]
     families += [(f"arc-{n}", lambda n=n: [gen_arc_hull(n)]) for n in args.arcs]
-    families += [(f"ball-d{d}", lambda d=d: closed_balls(d)) for d in args.balls]
+    families += [(f"ball-d{d}", lambda d=d: one_balls(d, Closedness.CLOSED)) for d in args.balls]
+    families += [(f"open-ball-d{d}", lambda d=d: one_balls(d, Closedness.OPEN)) for d in args.balls]
     for family, make_cases in families:
         print(json.dumps(measure(family, make_cases, args.repeat, args.counts)), flush=True)
     return 0

@@ -12,7 +12,11 @@ as ``check`` reads it from a file.  The families:
 - the arc hulls of 16, 64 and 256 segments;
 - eight balls of the one-norm lattice gauge at each d = 2..5, closed and
   open, around the centers and of the radii that ``tools/dd_scale.py``'s
-  ``closed_balls`` draws from ``random.Random(1000*d)``.
+  ``one_balls`` draws from ``random.Random(1000*d)``;
+- the same draws under the sup lattice gauge at d = 2..5;
+- eight balls of random gauges at each d = 1..4, closed and open, each
+  gauge drawn (``gen_random_norm``) from ``random.Random(1000*d)`` before
+  its center and radius.
 
 A change that moves a line changes a verdict, a center, a witness or a
 claim.  The Tier-1 test ``tests/test_decisions.py`` recomputes every line
@@ -33,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance  # noqa: E402
+from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance, gen_random_norm  # noqa: E402
 from asymgeo.cli.instances import parse_instance, write_instance  # noqa: E402
 from asymgeo.cli.suite import _check  # noqa: E402
 from asymgeo.norm import Closedness, ball  # noqa: E402
@@ -49,15 +53,23 @@ def instances():
             yield (f"random-{1000 * d + k}", *gen_random_instance(d, 1000 * d + k))
     for n in (16, 64, 256):
         yield (f"arc-{n}", *gen_arc_hull(n))
-    for d in range(2, 6):
+    yield from balls("one", range(2, 6), lambda d, rng: gen_lattice_norm(d, "one"))
+    yield from balls("sup", range(2, 6), lambda d, rng: gen_lattice_norm(d, "sup"))
+    yield from balls("gauge", range(1, 5), gen_random_norm)
+
+
+def balls(prefix, dims, gauge):
+    """(name, gauge, region) of ``BALLS_PER_DIM`` closed and open balls at each
+    d of ``dims``, each on the gauge value ``gauge(d, rng)`` makes, drawn
+    with its center and radius from ``random.Random(1000*d)``."""
+    for d in dims:
         rng = random.Random(1000 * d)
         for i in range(BALLS_PER_DIM):
-            q = gen_lattice_norm(d, "one")
+            q = gauge(d, rng)
             center = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
             radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
             for closedness in (Closedness.CLOSED, Closedness.OPEN):
-                name = f"one-ball-{d}-{i}-{closedness.value.lower()}"
-                yield name, q, ball(q, center, radius, closedness).as_set
+                yield f"{prefix}-ball-{d}-{i}-{closedness.value.lower()}", q, ball(q, center, radius, closedness).as_set
 
 
 def decision_line(name, norm, region) -> str:

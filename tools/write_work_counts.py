@@ -6,7 +6,7 @@ that depends only on the code in ``src``:
 
 - ``tools/dd_scale.py --dims 6 7 8 --arcs 64 256 512 --balls 4 5 6
   --counts``: the double description's calls, rays and work counts on
-  the random, arc-hull and one-norm ball families;
+  the random, arc-hull, and closed and open one-norm ball families;
 - ``tools/lp_scale.py``: the emptiness LPs the random generator runs at
   d = 1..8, their pivots and tableau entries, and the ``lp_solve``
   families.
