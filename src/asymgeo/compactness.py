@@ -100,10 +100,10 @@ from __future__ import annotations
 import enum
 from functools import reduce
 from itertools import compress
-from operator import mul, or_
+from operator import or_
 from typing import Iterator, Optional, Sequence, Union
 
-from asymgeo.ratlp import InternalInvariantError, Vec, _Value, _memo, _primitive, rat, vneg, zero_vec
+from asymgeo.ratlp import InternalInvariantError, Vec, _Value, _memo, _primitive, _unrolled, rat, vneg, zero_vec
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
@@ -252,9 +252,9 @@ class Instance(_Value):
         of its lineality basis; q(d) > 0 iff some <a_i, d> > 0."""
         if not self.hull._rays or self._rows_in_gauge[1]:
             return None
-        rec, rows = recession_cone(self.hull), self.norm._rows
+        rec, rows, dot = recession_cone(self.hull), self.norm._rows, _unrolled("dot", self.norm.dim)
         directions = {*rec._gens, *rec._lin, *map(vneg, rec._lin)}
-        return next((d for d in sorted(directions) if any(sum(map(mul, a, d)) > 0 for a in rows)), None)
+        return next((d for d in sorted(directions) if any(dot(a, d) > 0 for a in rows)), None)
 
     @_memo
     def degeneracy(self) -> Cone:

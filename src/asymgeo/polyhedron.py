@@ -120,6 +120,7 @@ from asymgeo.ratlp import (
     _primitive,
     _reduce,
     _sized,
+    _unrolled,
     as_vec,
     feasible_nonneg,
     vneg,
@@ -450,12 +451,16 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
     cone holding both rays, whose two extreme rays they are: adjacent, as
     the scan would find.  A copy or a zero row adds a bit and no rank, so
     it never makes a ray look simple.  Returns the rays, primitive and
-    sorted, and aligned with them their masks.  The loop is incremental:
-    rows run one at a time, each run from the last one's output, return
-    the same (``tools/dd_scale.py --counts`` reads the work that way).
+    sorted, and aligned with them their masks.  The split's dot products,
+    the pairs' combinations vp * rq - vq * rp and their division by the
+    gcd run through the kernels of length dim (``ratlp._unrolled``).  The
+    loop is incremental: rows run one at a time, each run from the last
+    one's output, return the same (``tools/dd_scale.py --counts`` reads the
+    work that way).
     """
     need = dim - 2
     inc = list(masks)
+    dot, comb, div = _unrolled("dot", dim), _unrolled("comb", dim), _unrolled("div", dim)
     for i, row in rows:
         if not rays:
             break
@@ -465,7 +470,7 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
         # a row that cuts no ray only updates the masks
         cut, minus, next_rays, next_inc = [], [], [], []
         for r, m in zip(rays, inc):
-            v = sum(map(mul, row, r))
+            v = dot(row, r)
             if v > 0:
                 cut.append((v, r, m))
                 continue
@@ -484,9 +489,9 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
                 # adjacent iff p and q are the only rays tight on all of common
                 if not (simple or mq.bit_count() == dim - 1 or _held(common, inc, 2)):
                     continue
-                w = [vp * b - vq * a for a, b in zip(rp, rq)]
+                w = comb(vp, vq, rp, rq)
                 g = gcd(*w)
-                next_rays.append(tuple(w) if g == 1 else tuple([a // g for a in w]))
+                next_rays.append(w if g == 1 else div(w, g))
                 next_inc.append(common | bit)
         rays, inc = next_rays, next_inc
     ranked = sorted(range(len(rays)), key=rays.__getitem__)
@@ -516,12 +521,13 @@ def _edges(poly: Polyhedron, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
     pool = (*poly._vert_masks, *poly._ray_masks)
     dirs = chain(poly._verts, [(r, 0) for r in poly._rays])
     simple = mv.bit_count() == poly.dim
+    comb = _unrolled("comb", poly.dim)
     edges, masks = [], []
     for j, ((y, t), m) in enumerate(zip(dirs, pool)):
         common = m & mv
         if j == k or common.bit_count() < poly.dim - 1 or not (simple or _held(common, pool, 2)):
             continue
-        edges.append(_primitive([tv * a - t * b for a, b in zip(y, yv)]))
+        edges.append(_primitive(comb(tv, t, yv, y)))
         masks.append(common)
     return edges, masks
 

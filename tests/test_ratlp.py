@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -608,6 +610,91 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
     ``_reduce`` runs, in the Bland loop ``_bland``, and where ``lp_solve``
     pivots its artificials out of the basis after phase one."""
     assert _src_calls("_pivot") == [("ratlp.py", "_basis"), ("ratlp.py", "_bland"), ("ratlp.py", "lp_solve")]
+
+
+# the generic expression of each kernel kind, written out here on its own
+_GENERIC_KERNELS = {
+    "dot": lambda a, b: sum(x * y for x, y in zip(a, b)),
+    "comb": lambda p, q, a, b: tuple(p * y - q * x for x, y in zip(a, b)),
+    "div": lambda r, g: tuple(x // g for x in r),
+    "update": lambda p, f, x, y, d: [p * u - f * v for u, v in zip(x, y)],
+    "update_div": lambda p, f, x, y, d: [(p * u - f * v) // d for u, v in zip(x, y)],
+}
+
+
+def _kernel_args(kind, n, rng):
+    """Seeded arguments of the kernel ``kind`` for vectors of length n:
+    ints of both signs, zeros and ints of 100 bits and more, with an exact
+    divisor where the kernel divides."""
+    def entry():
+        return rng.choice([0, rng.randint(-9, 9), rng.randint(-2 ** 130, 2 ** 130),
+                           rng.choice([1, -1]) * (2 ** 100 + rng.randint(0, 9))])
+
+    def vec(make=tuple):
+        return make(entry() for _ in range(n))
+
+    nonzero = rng.choice([1, -1]) * rng.choice([1, 2, 7, 2 ** 100 + 1])
+    if kind == "dot":
+        return vec(), vec()
+    if kind == "comb":
+        return entry(), entry(), vec(), vec()
+    if kind == "div":
+        g = abs(nonzero)
+        return [g * a for a in vec()], g
+    d = abs(nonzero) if kind == "update_div" else 1
+    return d * nonzero, d * entry(), vec(list), vec(list), d
+
+
+def test_unrolled_kernels_equal_their_generic_expressions():
+    """Every kernel kind at every length 0..cap + 1 returns what its generic
+    expression does, of the same type (tuple or list), on seeded ints with
+    zeros, negatives, entries of 100 bits and more and exact divisors;
+    lengths 1..cap are compiled, and 0 and cap + 1 get the generic form."""
+    rng = random.Random(42)
+    cap = ratlp._UNROLL_CAP
+    assert set(_GENERIC_KERNELS) == set(ratlp._TEMPLATES)
+    for kind, generic in _GENERIC_KERNELS.items():
+        for n in range(cap + 2):
+            kernel = ratlp._unrolled(kind, n)
+            assert (kernel is ratlp._TEMPLATES[kind][-1]) == (not 0 < n <= cap), (kind, n)
+            assert ratlp._unrolled(kind, n) is kernel
+            for _ in range(20):
+                args = _kernel_args(kind, n, rng)
+                got, want = kernel(*args), generic(*args)
+                assert type(got) is type(want) and got == want, (kind, n, args)
+
+
+def test_the_cli_compiles_no_kernel_on_import():
+    """A fresh interpreter that imports ``asymgeo.cli.main`` holds an empty
+    kernel table: each kernel is compiled on its first use."""
+    src = str(Path(asymgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import asymgeo.cli.main, asymgeo.ratlp as r; print(len(r._KERNELS))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_src_kernels_take_dot_products_and_combinations_only_through_unrolled():
+    """The double description's and the elimination's loops (``_cut``,
+    ``_edges``, ``_basis``, ``_pivot``, ``_primitive``) and test (a)
+    (``Instance._escaping``) hold no ``sum(map(mul, ...))`` and no
+    comprehension over ``zip(...)``: they take their dot products,
+    combinations and divisions from ``ratlp._unrolled``."""
+    def generic(node):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            return any(isinstance(g.iter, ast.Call) and isinstance(g.iter.func, ast.Name) and g.iter.func.id == "zip"
+                       for g in node.generators)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+                and bool(node.args) and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "map"
+                and bool(node.args[0].args) and isinstance(node.args[0].args[0], ast.Name)
+                and node.args[0].args[0].id == "mul")
+
+    kernels = {("polyhedron.py", "_cut"), ("polyhedron.py", "_edges"), ("ratlp.py", "_basis"),
+               ("ratlp.py", "_pivot"), ("ratlp.py", "_primitive"), ("compactness.py", "Instance._escaping")}
+    assert kernels & set(_src_nodes(generic)) == set()
+    assert kernels <= set(_src_calls("_unrolled"))
 
 
 def test_src_imports_only_the_standard_library():
