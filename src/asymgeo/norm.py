@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _cleared, _memo, _sized,
-                           as_vec, rat, vneg)
+                           _unrolled, as_vec, rat, vneg)
 from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, cone_from_rows
 
 
@@ -108,11 +107,12 @@ def _gauge(dim: int, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> As
 
 def gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
     """q(x) = max(0, max_i <a_i, x>); always nonnegative.  With x = y / t it
-    is the max of the ints <s * a_i, y>, divided by s * t once."""
-    x = as_vec(x)
-    _sized("point", [x], norm.dim)
-    t, y = _clear(x)
-    return Fraction(max(0, max(sum(map(mul, a, y)) for a in norm._rows)), norm._scale * t)
+    is the max of the ints <s * a_i, y> (the ``dot`` kernel), divided by
+    s * t once."""
+    t, y = _clear(as_vec(x))
+    _sized("point", [y], norm.dim)
+    dot = _unrolled("dot", norm.dim)
+    return Fraction(max(0, max(dot(a, y) for a in norm._rows)), norm._scale * t)
 
 
 def sym_gauge_eval(norm: AsymNorm, x: Vec) -> Rational:
@@ -143,8 +143,9 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     The rows are made as ints from the stored functionals: with each
     functional a / s, the center y / t and the radius p / q, the row
     <a / s, x> <= p / q + <a, y> / (s t) has the common denominator s t q
-    over the numerators (t q a, s t p + q <a, y>), and dividing both by
-    their gcd clears it by the lcm of its denominators, the stored form.
+    over the numerators (t q a, s t p + q <a, y>), <a, y> by the ``dot``
+    kernel, and dividing both by their gcd clears it by the lcm of its
+    denominators, the stored form.
     """
     center = as_vec(center)
     radius = rat(radius)
@@ -157,9 +158,10 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     den = norm._scale * t * q
     lift, top = t * q, p * norm._scale * t
     rows, scales = [], []
+    dot = _unrolled("dot", norm.dim)
     for a in norm._rows:
         normal = [lift * c for c in a]
-        rhs = top + q * sum(map(mul, a, y))
+        rhs = top + q * dot(a, y)
         g = gcd(den, rhs, *normal)
         rows.append((tuple([c // g for c in normal]), rhs // g, strict))
         scales.append(den // g)

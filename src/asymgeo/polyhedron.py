@@ -56,8 +56,10 @@ strict row is tight on a vertex, and it meets a face of its closure iff no
 strict row is tight on every generator of the face (``_meets_face``, which
 finds the face's generators by one dot product each with its normal).
 ``_within`` scans support values (``_scan_support``, one per row) and
-reads no memo of either value: an inclusion that holds by construction, a
-region in its own closure, is not asked of it
+reads no memo of either value; these scans, membership and the face test
+take their int dot products from the ``dot`` kernel of length dim
+(``ratlp._unrolled``), as the double description does.  An inclusion that
+holds by construction, a region in its own closure, is not asked of it
 (``compactness.Instance._sandwiched``).  The incidence record, the line
 test, the extreme flags and the recession cone are memoized on the value;
 a builder seeds a memo only where it saves work (the record, a pruned
@@ -104,7 +106,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import and_, mul, or_
+from operator import and_, or_
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from asymgeo.ratlp import (
@@ -678,12 +680,15 @@ def _scan_support(poly: Polyhedron, c: Sequence[int]) -> Optional[tuple[int, int
 
     Exact and LP-free: the supremum of a linear functional over
     conv(V) + cone(R) is attained at a vertex unless some ray ascends, and
-    the maximum over the vertices (y, t) is taken by cross-multiplying."""
-    if any(sum(map(mul, c, r)) > 0 for r in poly._rays):
+    the maximum over the vertices (y, t) is taken by cross-multiplying.
+    Each value <c, r> and <c, y> is one call of the ``dot`` kernel of
+    length dim (``ratlp._unrolled``)."""
+    dot = _unrolled("dot", poly.dim)
+    if any(dot(c, r) > 0 for r in poly._rays):
         return None
     best_n, best_t = None, 1
     for y, t in poly._verts:
-        n = sum(map(mul, c, y))
+        n = dot(c, y)
         if best_n is None or n * best_t > best_n * t:
             best_n, best_t = n, t
     return best_n, best_t
@@ -715,13 +720,14 @@ def partial_is_empty(region: PartialPolyhedron) -> bool:
 
 def member(region: PartialPolyhedron, x: Vec) -> bool:
     """Exact membership by direct evaluation of every row, on ints: x = y / t
-    lies on the right side of (c, b) iff <c, y> against b * t does.  A
-    closure vertex is tested off its mask instead, one AND with the strict
-    rows (``compactness.Instance._inside``)."""
+    lies on the right side of (c, b) iff <c, y>, by the ``dot`` kernel,
+    against b * t does.  A closure vertex is tested off its mask instead,
+    one AND with the strict rows (``compactness.Instance._inside``)."""
     t, y = _clear(as_vec(x))
     _sized("point", [y], region.dim)
+    dot = _unrolled("dot", region.dim)
     for c, b, strict in region._rows:
-        val, bound = sum(map(mul, c, y)), b * t
+        val, bound = dot(c, y), b * t
         if val > bound or strict and val == bound:
             return False
     return True
@@ -742,25 +748,26 @@ def _meets_face(region: PartialPolyhedron, normal: Sequence, top: int | Rational
     """Does the region meet the face of its closure where <normal, x> = top (its maximum there)?
 
     The face is generated by the closure's vertices attaining ``top`` and
-    its rays orthogonal to ``normal``, one dot product each.  A strict row
-    removes the subface where it is tight, and finitely many faces cover a
-    nonempty convex set only if one is the whole set: the region meets the
-    face iff no strict row is tight on all of it, that is on every
-    generator of it.  The closure is read off the region (``closure``), so
-    its masks index the region's rows, one AND of the face's masks decides,
-    and a region without strict rows meets every face unscanned.  Int input
-    passes as is; every test runs on ints.  A row of the closure's own
-    takes the same path as any other: no decision calls this test, and
-    after a COMPACT one T1-T6 call it on no row, since every vertex of
-    closure + C lies in the region, so each row they test is met there.
+    its rays orthogonal to ``normal``, one call of the ``dot`` kernel each.
+    A strict row removes the subface where it is tight, and finitely many
+    faces cover a nonempty convex set only if one is the whole set: the
+    region meets the face iff no strict row is tight on all of it, that is
+    on every generator of it.  The closure is read off the region
+    (``closure``), so its masks index the region's rows, one AND of the
+    face's masks decides, and a region without strict rows meets every face
+    unscanned.  Int input passes as is; every test runs on ints.  A row of
+    the closure's own takes the same path as any other: no decision calls
+    this test, and after a COMPACT one T1-T6 call it on no row, since every
+    vertex of closure + C lies in the region, so each row they test is met
+    there.
     """
     strict = region._strict_mask
     if not strict:
         return True
-    hull = closure(region)
+    hull, dot = closure(region), _unrolled("dot", region.dim)
     *normal, top = _clear((*normal, top))[1]
-    face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if sum(map(mul, normal, y)) == top * t]
-    face += [m for r, m in zip(hull._rays, hull._ray_masks) if not sum(map(mul, normal, r))]
+    face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if dot(normal, y) == top * t]
+    face += [m for r, m in zip(hull._rays, hull._ray_masks) if not dot(normal, r)]
     return not reduce(and_, face, strict)
 
 

@@ -21,10 +21,14 @@ recession cone's lineality basis in ``asymgeo.polyhedron`` read their
 answers off that.  One helper clears a row list to ints (``_int_rows``)
 and one raises the "of length ... in dimension" error (``_sized``).
 The per-entry work of the double description and the eliminations, on
-vectors of at most 14 entries at d <= 12, runs through straight-line
+vectors of at most 14 entries at d <= 12, runs through four straight-line
 kernels (``_unrolled``): a dot product, the combination p * b - q * a, an
-exact division and the Bareiss row update, each written out entry by
-entry for one vector length.  The interpreter's cost is per element: at 5
+exact division and the Bareiss row update (p * x - f * y) // d, which
+divides by 1 at a first pivot, each written out entry by entry for one
+vector length.  Every other int dot product of the package takes the same
+``dot`` kernel: the support scans, the face test and membership of
+``asymgeo.polyhedron``, the gauge and the ball of ``asymgeo.norm`` and
+phase one's weighted sum here.  The interpreter's cost is per element: at 5
 entries ``sum(map(mul, a, b))`` took 0.35 us against 0.17 us for
 ``a[0] * b[0] + ... + a[4] * b[4]``, and the combination's list
 comprehension over ``zip`` 0.73 us against 0.26 us (Python 3.11.7, a
@@ -47,7 +51,8 @@ The compactness decision runs no LP:
 (Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
 the LP membership tests kept as a reference, and ``lp_solve`` stays as
 public API that no module of the package calls.  Nor does the decision
-call ``dot``: the predicates compare int copies cleared by ``_clear``.
+call the ``Fraction`` ``dot``: the predicates compare int copies cleared
+by ``_clear``, through the ``dot`` kernel.
 Every value type of the package, ``LpOutcome`` here and the gauges,
 polyhedra, instances, certificates and reports elsewhere, derives from
 one frozen base, ``_Value``, and memoizes with ``_memo``: no class is
@@ -238,16 +243,14 @@ class _memo:
 
 _UNROLL_CAP = 16
 # kind: (arguments, entry i, separator, shape of the joined entries, generic form);
-# "update" takes the divisor d of "update_div" and leaves it, so _pivot makes one call
+# "update" divides by the running denominator d, which is 1 at a first pivot
 _TEMPLATES = {
     "dot": ("a, b", "a[{i}] * b[{i}]", " + ", "{}", lambda a, b: sum(map(mul, a, b))),
     "comb": ("p, q, a, b", "p * b[{i}] - q * a[{i}]", ", ", "({},)",
              lambda p, q, a, b: tuple([p * y - q * x for x, y in zip(a, b)])),
     "div": ("r, g", "r[{i}] // g", ", ", "({},)", lambda r, g: tuple([x // g for x in r])),
-    "update": ("p, f, x, y, d", "p * x[{i}] - f * y[{i}]", ", ", "[{}]",
-               lambda p, f, x, y, d: [p * u - f * v for u, v in zip(x, y)]),
-    "update_div": ("p, f, x, y, d", "(p * x[{i}] - f * y[{i}]) // d", ", ", "[{}]",
-                   lambda p, f, x, y, d: [(p * u - f * v) // d for u, v in zip(x, y)]),
+    "update": ("p, f, x, y, d", "(p * x[{i}] - f * y[{i}]) // d", ", ", "[{}]",
+               lambda p, f, x, y, d: [(p * u - f * v) // d for u, v in zip(x, y)]),
 }
 _KERNELS: dict[tuple[str, int], Callable] = {}
 
@@ -278,15 +281,16 @@ def _pivot(tab: list[Sequence[int]], i: int, j: int, det: int) -> int:
     is negated if need be so that its entry p = |tab[i][j]| is the new
     denominator; every other row y becomes (p * y - y[j] * row_i) / det, which
     divides exactly (Bareiss 1968: entries are minors of the input), by the
-    row update kernel of the tableau's width (``_unrolled``; with no
-    division while ``det`` is 1).  The rows are of equal length.
+    row update kernel of the tableau's width (``_unrolled``), one kernel
+    whatever ``det`` is: at a first pivot it divides by 1.  The rows are of
+    equal length.
     """
     row = tab[i]
     p = row[j]
     if p < 0:
         p = -p
         row = tab[i] = [-x for x in row]
-    update = _unrolled("update" if det == 1 else "update_div", len(row))
+    update = _unrolled("update", len(row))
     for k, other in enumerate(tab):
         if k != i:
             f = other[j]
@@ -481,8 +485,8 @@ def lp_solve(objective: Sequence[Rational],
         # L / s, L = lcm(scales) times the unscaled cost, and the priced
         # objective row is the sum of the negated rows by those weights
         big = lcm(*[scales[i] for i in arts])
-        weights = [big // scales[i] for i in arts]
-        tab.append([sum(map(mul, weights, col)) for col in zip(*[tab[i] for i in arts])])
+        weights, weigh = [big // scales[i] for i in arts], _unrolled("dot", len(arts))
+        tab.append([weigh(weights, col) for col in zip(*[tab[i] for i in arts])])
         enter, det = _bland(tab, basis, nreal, det)
         if enter is not None:
             raise InternalInvariantError("phase one is bounded")

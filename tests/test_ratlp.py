@@ -431,6 +431,32 @@ def test_lp_solve_matches_fraction_reference():
     assert phase_one_feasible > 100
 
 
+def test_lp_solve_with_more_negative_rows_than_the_unroll_cap_matches_fraction_reference():
+    """Phase one's weighted sum is a dot product over the rows with an
+    artificial; past ``_UNROLL_CAP`` of them it takes the ``dot`` kernel's
+    generic form.  Every LP here has 18 to 21 rows with a negative
+    right-hand side, all satisfied by a point p, the row -x_1 - ... - x_d
+    <= -(p_1 + ... + p_d) among them; in every third one an added row
+    x_1 + ... + x_d <= p_1 + ... + p_d - 1 makes it infeasible."""
+    rng = random.Random(43)
+    seen = {status: 0 for status in LpStatus}
+    for trial in range(24):
+        d = rng.randint(2, 4)
+        p = [Fraction(rng.randint(4, 9), rng.randint(1, 2)) for _ in range(d)]
+        rows = [((-1,) * d, -sum(p))]
+        for _ in range(rng.randint(17, 20)):
+            c = tuple(Fraction(-rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d))
+            rows.append((c, dot(c, p) + Fraction(rng.randint(0, 3), rng.randint(1, 3))))
+        if trial % 3 == 0:
+            rows.append(((1,) * d, sum(p) - 1))
+        assert sum(b < 0 for _, b in rows) > ratlp._UNROLL_CAP
+        obj = rng.choice([(-1,) * d, (1,) + (0,) * (d - 1), rand_point(rng, d)])
+        res = lp_solve(obj, rows)
+        assert res == ref_lp_solve(obj, rows), (obj, rows)
+        seen[res.status] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_feasible_nonneg_matches_fraction_reference():
     rng = random.Random(37)
     outcomes = {True: 0, False: 0}
@@ -617,15 +643,15 @@ _GENERIC_KERNELS = {
     "dot": lambda a, b: sum(x * y for x, y in zip(a, b)),
     "comb": lambda p, q, a, b: tuple(p * y - q * x for x, y in zip(a, b)),
     "div": lambda r, g: tuple(x // g for x in r),
-    "update": lambda p, f, x, y, d: [p * u - f * v for u, v in zip(x, y)],
-    "update_div": lambda p, f, x, y, d: [(p * u - f * v) // d for u, v in zip(x, y)],
+    "update": lambda p, f, x, y, d: [(p * u - f * v) // d for u, v in zip(x, y)],
 }
 
 
 def _kernel_args(kind, n, rng):
     """Seeded arguments of the kernel ``kind`` for vectors of length n:
     ints of both signs, zeros and ints of 100 bits and more, with an exact
-    divisor where the kernel divides."""
+    divisor where the kernel divides (the row update's is 1, as at a first
+    pivot, or above it)."""
     def entry():
         return rng.choice([0, rng.randint(-9, 9), rng.randint(-2 ** 130, 2 ** 130),
                            rng.choice([1, -1]) * (2 ** 100 + rng.randint(0, 9))])
@@ -641,7 +667,7 @@ def _kernel_args(kind, n, rng):
     if kind == "div":
         g = abs(nonzero)
         return [g * a for a in vec()], g
-    d = abs(nonzero) if kind == "update_div" else 1
+    d = rng.choice([1, abs(nonzero)])
     return d * nonzero, d * entry(), vec(list), vec(list), d
 
 
@@ -675,26 +701,60 @@ def test_the_cli_compiles_no_kernel_on_import():
     assert proc.stdout == "0\n"
 
 
-def test_src_kernels_take_dot_products_and_combinations_only_through_unrolled():
-    """The double description's and the elimination's loops (``_cut``,
-    ``_edges``, ``_basis``, ``_pivot``, ``_primitive``) and test (a)
-    (``Instance._escaping``) hold no ``sum(map(mul, ...))`` and no
-    comprehension over ``zip(...)``: they take their dot products,
-    combinations and divisions from ``ratlp._unrolled``."""
-    def generic(node):
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            return any(isinstance(g.iter, ast.Call) and isinstance(g.iter.func, ast.Name) and g.iter.func.id == "zip"
-                       for g in node.generators)
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
-                and bool(node.args) and isinstance(node.args[0], ast.Call)
-                and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "map"
-                and bool(node.args[0].args) and isinstance(node.args[0].args[0], ast.Name)
-                and node.args[0].args[0].id == "mul")
+def _sum_map_mul(node):
+    """Is ``node`` the call ``sum(map(mul, ...))``?"""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+            and bool(node.args) and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "map"
+            and bool(node.args[0].args) and isinstance(node.args[0].args[0], ast.Name)
+            and node.args[0].args[0].id == "mul")
 
+
+def test_a_first_check_compiles_the_kernels_of_its_lengths_only():
+    """A fresh interpreter that parses and checks
+    ``tests/data/balls/one-4-closed.txt`` as ``asymgeo check`` does
+    (``parse_instance`` and ``suite._check``) compiles exactly these seven
+    kernels: one row update per tableau width, whatever the denominator."""
+    src = str(Path(asymgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = Path(__file__).parent / "data" / "balls" / "one-4-closed.txt"
+    code = ("import asymgeo.ratlp as r\n"
+            "from asymgeo.cli.instances import parse_instance\n"
+            "from asymgeo.cli.suite import _check\n"
+            f"_check('one-4-closed', *parse_instance(open({str(path)!r}, encoding='utf-8').read()))\n"
+            "print(sorted(r._KERNELS))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [("comb", 5), ("div", 4), ("div", 5), ("dot", 4), ("dot", 5),
+                                             ("update", 5), ("update", 6)]
+
+
+def test_src_kernels_take_dot_products_and_combinations_only_through_unrolled():
+    """One integer dot product: the only ``sum(map(mul, ...))`` under
+    ``src/asymgeo`` is the generic form of the ``dot`` kernel in
+    ``ratlp._TEMPLATES``, so the support scan, the face test, membership,
+    the gauge, the ball and phase one's weighted sum call the kernel.  The
+    double description's and the elimination's loops (``_cut``,
+    ``_edges``, ``_basis``, ``_pivot``, ``_primitive``) and test (a)
+    (``Instance._escaping``) hold no comprehension over ``zip(...)``
+    either: they take their dot products, combinations and divisions from
+    ``ratlp._unrolled``."""
+    def over_zip(node):
+        return isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)) and any(
+            isinstance(g.iter, ast.Call) and isinstance(g.iter.func, ast.Name) and g.iter.func.id == "zip"
+            for g in node.generators)
+
+    tree = ast.parse(Path(ratlp.__file__).read_text(encoding="utf-8"))
+    templates = next(node for node in tree.body if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_TEMPLATES"])
+    assert len([node for node in ast.walk(templates) if _sum_map_mul(node)]) == 1
+    assert _src_nodes(_sum_map_mul) == [("ratlp.py", "")]
     kernels = {("polyhedron.py", "_cut"), ("polyhedron.py", "_edges"), ("ratlp.py", "_basis"),
                ("ratlp.py", "_pivot"), ("ratlp.py", "_primitive"), ("compactness.py", "Instance._escaping")}
-    assert kernels & set(_src_nodes(generic)) == set()
-    assert kernels <= set(_src_calls("_unrolled"))
+    assert kernels & set(_src_nodes(over_zip)) == set()
+    scans = {("polyhedron.py", "_scan_support"), ("polyhedron.py", "_meets_face"), ("polyhedron.py", "member"),
+             ("norm.py", "gauge_eval"), ("norm.py", "ball"), ("ratlp.py", "lp_solve")}
+    assert kernels | scans <= set(_src_calls("_unrolled"))
 
 
 def test_src_imports_only_the_standard_library():

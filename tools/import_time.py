@@ -10,10 +10,11 @@ import time in microseconds over the runs (null for a module no run
 imported; one imported at start-up, as ``typing`` may be by ``site``, is
 timed where it was imported); ``first_check_us``, the least time of that
 first parse and check, which pays for compiling each ``ratlp`` kernel it
-uses on first use; and ``kernels_compiled``, the size of the kernel table
-after it.  The times move with the host's speed and load, so compare two
-trees on the same host, one run after the other.  Report only: it gates
-nothing.  Standard library only, no options.
+uses on first use; ``kernels_compiled``, the size of the kernel table
+after it; and ``kernels``, that table's sorted (kind, length) keys, so a
+new kind or length shows.  The times move with the host's speed and load,
+so compare two trees on the same host, one run after the other.  Report
+only: it gates nothing.  Standard library only, no options.
 
     python tools/import_time.py
 """
@@ -32,16 +33,17 @@ SRC = ROOT / "src"
 MODULES = ("asymgeo.cli.main", "dataclasses", "typing")
 RUNS = 7
 INSTANCE = ROOT / "tests" / "data" / "balls" / "one-4-closed.txt"
-# the import, then one timed parse and check; prints (microseconds, kernel table size)
+# the import, then one timed parse and check; prints the microseconds, then
+# the kernel table's sorted (kind, length) keys as JSON
 FIRST_CHECK = f"""
-import time, asymgeo.cli.main
+import json, time, asymgeo.cli.main
 from asymgeo.cli.instances import parse_instance
 from asymgeo.cli.suite import _check
 from asymgeo.ratlp import _KERNELS
 text = open({str(INSTANCE)!r}, encoding="utf-8").read()
 start = time.perf_counter()
 _check("one-4-closed", *parse_instance(text))
-print(round((time.perf_counter() - start) * 1e6), len(_KERNELS))
+print(round((time.perf_counter() - start) * 1e6), json.dumps(sorted(_KERNELS)))
 """
 
 
@@ -69,10 +71,11 @@ def main() -> int:
         for name in MODULES:
             if name in times:
                 best[name] = times[name] if best[name] is None else min(best[name], times[name])
-        check_us, compiled = map(int, proc.stdout.split())
-        checks.append(check_us)
+        check_us, kernels = proc.stdout.split(" ", 1)
+        checks.append(int(check_us))
+    kernels = json.loads(kernels)
     print(json.dumps({"runs": RUNS, "least_cumulative_us": best, "first_check_us": min(checks),
-                      "kernels_compiled": compiled}))
+                      "kernels_compiled": len(kernels), "kernels": kernels}))
     return 0
 
 
