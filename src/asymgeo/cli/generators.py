@@ -9,8 +9,9 @@ cleared by the lcm of its own denominators and the functionals jointly by
 theirs (``ratlp._cleared``, as the parser clears its tokens, and
 ``norm._gauge``, the parser's gauge builder), and the values are made of
 that stored form (``_make``).  No ``Fraction`` is made for them.  The
-arc-hull family's samples are rational by nature and go through the
-public constructors.
+arc-hull family's samples are rational by nature and make its hull
+through the public constructor; its region is made of the hull's int
+facets (``_make``).
 
 Every int the random generator draws is drawn as ``randint`` draws it,
 from the generator's ``getrandbits`` with none of ``randint``'s Python
@@ -29,13 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from asymgeo.norm import AsymNorm, DefinitenessViolation, _gauge
-from asymgeo.polyhedron import (
-    Constraint,
-    PartialPolyhedron,
-    Polyhedron,
-    dd_convert_v_to_h,
-    partial_is_empty,
-)
+from asymgeo.polyhedron import PartialPolyhedron, Polyhedron, partial_is_empty
 from asymgeo.ratlp import _cleared
 
 ONE_FLAVOR_DIM_LIMIT = 12  # 2^d - 1 one-norm functional rows; also the largest `gen --dim` and parsed `dim`
@@ -84,6 +79,11 @@ def gen_arc_hull(n_arc: int) -> tuple[AsymNorm, PartialPolyhedron]:
     arc's limit point (0,0,1); a strict supporting row tight only there
     cuts that vertex, so the region is genuinely not closed, yet it is
     always judged compact with a finite center.
+
+    The samples are ``Fraction``s and make the hull through the public
+    constructor; the region is made of ints (``_make``): the hull's int
+    facets ``_rows`` (the rows its ``hrep`` view shows, in that order) and
+    the cut, each of scale 1.
     """
     if n_arc < 2:
         raise ValueError("n_arc must be at least 2")
@@ -91,11 +91,9 @@ def gen_arc_hull(n_arc: int) -> tuple[AsymNorm, PartialPolyhedron]:
     samples = [arc_sample(Fraction(k, n_arc)) for k in range(n_arc + 1)]
     vertices = samples + [(Fraction(0),) * 3, (Fraction(0), Fraction(1), Fraction(1))]
     hull = Polyhedron(3, tuple(vertices))
-    rows = [Constraint(c, b, False) for c, b in dd_convert_v_to_h(hull)]
     # x3 - x2 <= 1 holds on the hull and is tight exactly at (0,0,1)
-    cut = (Fraction(0), Fraction(-1), Fraction(1))
-    rows.append(Constraint(cut, Fraction(1), True))
-    return norm, PartialPolyhedron(3, tuple(rows))
+    rows = (*[(c, b, False) for c, b in hull._rows], ((0, -1, 1), 1, True))
+    return norm, PartialPolyhedron._make(dim=3, _rows=rows, _scales=(1,) * len(rows))
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:

@@ -117,10 +117,9 @@ def parse_instance(text: str) -> tuple[AsymNorm, PartialPolyhedron]:
             if dim is not None:
                 raise _fail(lineno, "repeated 'dim' line")
             parts = line.split()
-            if (len(parts) != 2 or re.fullmatch("[0-9]+", parts[1]) is None
-                    or _number(parts[1], numbers, lineno)[0] < 1):
+            if (len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit())
+                    or (dim := _number(parts[1], numbers, lineno)[0]) < 1):
                 raise _fail(lineno, "expected 'dim <positive integer>'")
-            dim = int(parts[1])
             if dim > ONE_FLAVOR_DIM_LIMIT:
                 raise _fail(lineno, f"dim {dim} is above the limit {ONE_FLAVOR_DIM_LIMIT}")
             continue

@@ -103,7 +103,8 @@ from itertools import compress
 from operator import or_
 from typing import Iterator, Optional, Sequence, Union
 
-from asymgeo.ratlp import InternalInvariantError, Vec, _Value, _memo, _primitive, _unrolled, rat, vneg, zero_vec
+from asymgeo.ratlp import (InternalInvariantError, Vec, _Value, _fractions, _memo, _primitive, _unrolled, rat, vneg,
+                           zero_vec)
 from asymgeo.norm import AsymNorm, Closedness, ball, degeneracy_cone
 from asymgeo.polyhedron import (
     Cone,
@@ -111,7 +112,6 @@ from asymgeo.polyhedron import (
     Polyhedron,
     _cut,
     _edges,
-    _fractions,
     _meets_face,
     _within,
     closure,

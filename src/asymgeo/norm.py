@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _cleared, _memo, _sized,
-                           _unrolled, as_vec, rat, vneg)
-from asymgeo.polyhedron import Cone, PartialPolyhedron, _fractions, cone_from_rows
+from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _cleared, _fractions,
+                           _memo, _sized, _unrolled, as_vec, rat, vneg)
+from asymgeo.polyhedron import Cone, PartialPolyhedron, cone_from_rows
 
 
 class DefinitenessViolation(ValueError):

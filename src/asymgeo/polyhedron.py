@@ -87,7 +87,10 @@ The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
 ``hrep``) are views, built on first read and memoized (``ratlp._memo``,
 as every memo of a value is); the repr prints them, as the constructor
 call that makes the value.  Only views and public results are
-``Fraction``s.
+``Fraction``s, and every view's vectors come from the stored ints
+through ``ratlp._fractions``; no internal path reads a view to get ints
+back (``extreme_rays`` normalizes the int rays, and the arc-hull
+generator takes a hull's int facets).
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
 an independent reference, and ``partial_is_empty`` serves callers that
@@ -116,6 +119,7 @@ from asymgeo.ratlp import (
     _Value,
     _basis,
     _clear,
+    _fractions,
     _int_rows,
     _memo,
     _null_space,
@@ -126,7 +130,6 @@ from asymgeo.ratlp import (
     as_vec,
     feasible_nonneg,
     vneg,
-    vscale,
     zero_vec,
 )
 
@@ -260,7 +263,7 @@ class Polyhedron(_Value):
         vertex-to-facet conversion (``_int_facets``)."""
         inc = self._incidence
         rows = (inc if inc.facets else _int_facets(self)).rows
-        return tuple([(tuple(map(Fraction, c)), Fraction(b)) for c, b in rows])
+        return tuple([(_fractions(c), Fraction(b)) for c, b in rows])
 
     @_memo
     def _incidence(self) -> _Incidence:
@@ -337,11 +340,6 @@ def _sorted_points(points: Collection[tuple[tuple[int, ...], int]]) -> tuple[tup
     that of y * (L / t), L the lcm of the t's."""
     big = lcm(*[t for _, t in points])
     return tuple(sorted(points, key=lambda yt: [a * (big // yt[1]) for a in yt[0]]))
-
-
-def _fractions(row: Sequence[int], den: int = 1) -> Vec:
-    """An int row over ``den`` > 0 as the ``Fraction`` tuple of a view."""
-    return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
 
 
 # ---------------------------------------------------------------------------
@@ -901,8 +899,8 @@ def extreme_rays(poly: Polyhedron) -> tuple[Vec, ...]:
     """
     if contains_line(poly):
         raise LinealityPresentError("extreme rays are undefined for sets containing a line")
-    rays = compress(poly.rays, poly._extreme_ray_flags)
-    return tuple(sorted(vscale(1 / abs(next(a for a in r if a != 0)), r) for r in rays))
+    rays = compress(poly._rays, poly._extreme_ray_flags)
+    return tuple(sorted([_fractions(r, abs(next(filter(None, r)))) for r in rays]))
 
 
 def minkowski_sum_with_cone(poly: Polyhedron, cone: Cone) -> Polyhedron:

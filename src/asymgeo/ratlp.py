@@ -7,7 +7,14 @@ the definiteness check hand over, pass as they are) and results become
 ``Fraction`` on return, except the int null space ``_null_space`` that the
 double description reads.  One int helper, ``_primitive``, divides a row by
 the gcd of its entries for every caller outside the double description's
-ray combination.
+ray combination.  One builder, ``_fractions``, turns an int row over a
+positive denominator into a ``Fraction`` tuple: the kernel's results here
+(``primitive``, ``null_space_basis``, ``lp_solve``'s witnesses) and every
+view, extreme point, extreme ray and witness that ``asymgeo.polyhedron``,
+``asymgeo.norm`` and ``asymgeo.compactness`` make of their stored ints.
+It lives in this module because int results first become ``Fraction``s
+here, and because the kernel imports no other module of the package while
+they all import it.
 One Bareiss pivot (``_pivot``) does every elimination step and one Bland's
 rule loop (``_bland``) every simplex step.  One loop runs the eliminations:
 ``_basis``, the elimination of [rows^T | I] over its row columns, which
@@ -118,7 +125,7 @@ def is_zero_vec(u) -> bool:
 def primitive(u) -> tuple[Rational, ...]:
     """Scale ``u`` to coprime integers, preserving direction (zero stays zero),
     so that equal directions and constraint rows compare equal."""
-    return tuple(map(Fraction, _primitive(_clear(u)[1])))
+    return _fractions(_primitive(_clear(u)[1]))
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -126,6 +133,12 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     entries when that is above 1 (a zero row stays zero)."""
     g = gcd(*row)
     return tuple(row) if g < 2 else _unrolled("div", len(row))(row, g)
+
+
+def _fractions(row: Sequence[int], den: int = 1) -> Vec:
+    """An int row over ``den`` > 0 as a ``Fraction`` tuple: the one builder
+    that turns the package's stored ints into public vectors."""
+    return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
 
 
 def _all_int(values: Iterable) -> bool:
@@ -396,7 +409,7 @@ def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple
     """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors:
     the ``Fraction`` view of ``_null_space``.  A row whose length is not
     ``dim`` raises ``ValueError``."""
-    return [tuple(map(Fraction, v)) for v in _null_space(rows, dim)]
+    return [_fractions(v) for v in _null_space(rows, dim)]
 
 
 def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int, ...]]:
@@ -517,11 +530,10 @@ def lp_solve(objective: Sequence[Rational],
     for row, bi in zip(tab, basis):
         xs[bi] = row[-1 if enter is None else enter]
     if enter is None:
-        point = tuple(Fraction(xs[j] - xs[d + j], det) for j in range(d))
+        point = _fractions([xs[j] - xs[d + j] for j in range(d)], det)
         return LpOutcome(LpStatus.OPTIMAL, value=dot(c_obj, point), witness=point)
     s = scales[enter - 2 * d] if enter >= 2 * d else 1  # an entering slack stands for s_k of them
-    return LpOutcome(LpStatus.UNBOUNDED, witness=tuple(Fraction(s * (xs[d + j] - xs[j]), det)
-                                                       for j in range(d)))
+    return LpOutcome(LpStatus.UNBOUNDED, witness=_fractions([s * (xs[d + j] - xs[j]) for j in range(d)], det))
 
 
 def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],

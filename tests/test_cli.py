@@ -64,7 +64,7 @@ def test_parse_accepts_only_the_number_grammar(tok):
         parse_instance(bad)
 
 
-@pytest.mark.parametrize("tok", ["\u0663", "\u00b2"])
+@pytest.mark.parametrize("tok", ["\u0663", "\u00b2", "\uff13"])
 def test_parse_dim_accepts_ascii_digits_only(tok):
     with pytest.raises(InstanceError, match="line 1: expected 'dim"):
         parse_instance(f"dim {tok}2\n")
@@ -119,14 +119,21 @@ _VERSION_TWICE = "version 1\ndim 1\nF: 1\nversion 1\nH: 1 <= 1\n"
     ("version 2\ndim 1\nF: 1\nH: 1 <= 1\n", None, "unsupported version '2'"),
     ("version 1\n# no dim line\n", None, "missing 'dim' line"),
     ("version 1\ndim 1\nF: 1\nH: 1 <= 1\nV: 0\n", None, "give either H rows or a V/R block, not both"),
+    *[(f"version 1\n{line}\nF: 1\n", 2, "expected 'dim <positive integer>'")
+      for line in ["dim", "dim 0", "dim 00", "dim +3", "dim -1", "dim 1/2", "dim 2 3"]],
+    # an accepted dim is read as the number its digits spell, zeros and all
+    ("version 1\ndim 007\nF: 1\n", 3, "expected 7 coefficients, got 1"),
+    ("version 1\ndim 12\nF: 1\n", 3, "expected 12 coefficients, got 1"),
 ])
 def test_parse_rejects_a_repeated_directive(text, line, message):
     """A second ``dim`` or ``version`` line is an instance error naming its
     line; a second ``dim`` after rows would otherwise leave them too long.
     So is any other misplaced or malformed directive or set block: a
     ``version`` line without its tag, a row before ``dim``, a ``V:`` line of
-    the wrong length, an unsupported version, no ``dim`` line and ``H:``
-    rows next to a ``V:`` block.  Each has its message, and its line where
+    the wrong length, an unsupported version, no ``dim`` line, ``H:``
+    rows next to a ``V:`` block and a ``dim`` that is not one token of
+    ASCII digits above 0 (a read ``dim`` shows in the next row's count).
+    Each has its message, and its line where
     the parser names one (None where the fault is found after the last
     line)."""
     where = "" if line is None else f"line {line}: "
@@ -759,6 +766,15 @@ def test_gen_lattice_output_matches_golden_file(kind, capsys):
     byte-identical, against ``tests/data/gen``."""
     assert main(["gen", kind, "--dim", "3"]) == 0
     golden = Path(__file__).parent / "data" / "gen" / f"{kind}-3.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_gen_arc_hull_output_matches_golden_file(capsys):
+    """``gen arc-hull --arc 16`` stays byte-identical, against
+    ``tests/data/gen``: the hull's facets in their sorted order, then the
+    strict cut."""
+    assert main(["gen", "arc-hull", "--arc", "16"]) == 0
+    golden = Path(__file__).parent / "data" / "gen" / "arc-hull-16.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

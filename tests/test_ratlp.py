@@ -15,6 +15,7 @@ import pytest
 
 import asymgeo
 from asymgeo import ratlp
+from asymgeo.polyhedron import Polyhedron, extreme_rays
 from asymgeo.ratlp import (
     InternalInvariantError,
     LpStatus,
@@ -636,6 +637,34 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
     ``_reduce`` runs, in the Bland loop ``_bland``, and where ``lp_solve``
     pivots its artificials out of the basis after phase one."""
     assert _src_calls("_pivot") == [("ratlp.py", "_basis"), ("ratlp.py", "_bland"), ("ratlp.py", "lp_solve")]
+
+
+def test_src_builds_fraction_tuples_only_in_fractions():
+    """One int-to-``Fraction`` tuple builder: ``_fractions`` is defined only
+    in ``ratlp``, where the kernel's results become ``Fraction``s, and
+    ``primitive``, ``null_space_basis``, ``lp_solve``, ``Polyhedron.hrep``
+    and ``extreme_rays`` call it and build no ``Fraction`` tuple themselves:
+    no ``map(Fraction, ...)`` and no comprehension or generator whose
+    element is a ``Fraction(...)`` call.  ``extreme_rays`` reads the int
+    rays, so it leaves the ``rays`` view unmade."""
+    def builds(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map":
+            return bool(node.args) and isinstance(node.args[0], ast.Name) and node.args[0].id == "Fraction"
+        return (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)) and isinstance(node.elt, ast.Call)
+                and isinstance(node.elt.func, ast.Name) and node.elt.func.id == "Fraction")
+
+    root = Path(asymgeo.__file__).parent
+    defined = [str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "_fractions"]
+    assert defined == ["ratlp.py"]
+    sites = {("ratlp.py", "primitive"), ("ratlp.py", "null_space_basis"), ("ratlp.py", "lp_solve"),
+             ("polyhedron.py", "Polyhedron.hrep"), ("polyhedron.py", "extreme_rays")}
+    assert sites <= set(_src_calls("_fractions"))
+    assert sites & set(_src_nodes(builds)) == set()
+    poly = Polyhedron(2, [(0, 0)], [(2, 3), (0, 1)])
+    assert extreme_rays(poly) == ((0, 1), (1, Fraction(3, 2)))
+    assert "rays" not in vars(poly)
 
 
 # the generic expression of each kernel kind, written out here on its own
