@@ -33,7 +33,8 @@ class AsymNorm(_Value):
     The zero functional is implicit (it is the 0 inside the max), so q >= 0
     holds structurally.  Functional rows are stored as supplied, as the
     ints ``_rows`` over their common denominator ``_scale`` (the lcm of all
-    their denominators); ``functionals`` is their ``Fraction`` view, and
+    their denominators); ``functionals`` is their ``Fraction`` view, made
+    through one memo, so the view holds one object per distinct entry, and
     redundant rows never change values.  Every gauge value is definite: the
     constructor, the parser and the random generator make the stored form
     with one builder (``_gauge``), which raises ``DefinitenessViolation``
@@ -55,7 +56,8 @@ class AsymNorm(_Value):
 
     @_memo
     def functionals(self) -> tuple[Vec, ...]:
-        return tuple([_fractions(f, self._scale) for f in self._rows])
+        memo, s = {}, self._scale
+        return tuple([_fractions(f, s, memo) for f in self._rows])
 
     @_memo
     def _degeneracy(self) -> Cone:

@@ -88,8 +88,10 @@ The ``Fraction`` attributes (``vertices``, ``rays``, ``constraints``,
 as every memo of a value is); the repr prints them, as the constructor
 call that makes the value.  Only views and public results are
 ``Fraction``s, and every view's vectors come from the stored ints
-through ``ratlp._fractions``; no internal path reads a view to get ints
-back (``extreme_rays`` normalizes the int rays, and the arc-hull
+through ``ratlp._fractions``; ``vertices`` and ``constraints`` pass it one
+memo per denominator for the call, so they hold one ``Fraction`` object
+per distinct (entry, denominator) pair.  No internal path reads a view to
+get ints back (``extreme_rays`` normalizes the int rays, and the arc-hull
 generator takes a hull's int facets).
 
 The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
@@ -105,6 +107,7 @@ and verifiability over asymptotics.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
@@ -187,8 +190,9 @@ class PartialPolyhedron(_Value):
     Denotes {x : <c_j, x> < b_j for strict rows, <= b_j otherwise}.  Rows
     are stored as given, each (c, b, strict) with (c, b) as ints, cleared
     by the lcm ``_scales[j]`` of its denominators; redundancy never changes
-    the denoted set.  ``constraints`` is their ``Fraction`` view, and the
-    closure is memoized on the value.
+    the denoted set.  ``constraints`` is their ``Fraction`` view, each row
+    (c, b) made through its scale's memo, so the right-hand sides share
+    the normals' objects; the closure is memoized on the value.
     """
 
     _fields = ("dim", "_rows", "_scales")
@@ -208,8 +212,12 @@ class PartialPolyhedron(_Value):
 
     @_memo
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple([Constraint(_fractions(c, s), Fraction(b, s), strict)
-                      for (c, b, strict), s in zip(self._rows, self._scales)])
+        memos, view = defaultdict(dict), []
+        for (c, b, strict), s in zip(self._rows, self._scales):
+            f = _fractions((*c, b), s, memos[s])
+            # the NamedTuple's own constructor body, without its Python frame
+            view.append(tuple.__new__(Constraint, (f[:-1], f[-1], strict)))
+        return tuple(view)
 
     @_memo
     def _strict_mask(self) -> int:
@@ -235,7 +243,9 @@ class Polyhedron(_Value):
     of the vertices; the rays primitive, deduplicated and sorted.
     Lineality is represented by opposite ray pairs.  The listed vertices
     need not all be extreme; ``extreme_points`` computes the true extreme
-    set.  ``vertices`` and ``rays`` are the ``Fraction`` views.
+    set.  ``vertices`` and ``rays`` are the ``Fraction`` views; ``vertices``
+    is made through one memo per denominator, so equal coordinates over one
+    denominator are one object.
     """
 
     _fields = ("dim", "_verts", "_rays")
@@ -250,7 +260,8 @@ class Polyhedron(_Value):
 
     @_memo
     def vertices(self) -> tuple[Vec, ...]:
-        return tuple([_fractions(y, t) for y, t in self._verts])
+        memos = defaultdict(dict)
+        return tuple([_fractions(y, t, memos[t]) for y, t in self._verts])
 
     @_memo
     def rays(self) -> tuple[Vec, ...]:

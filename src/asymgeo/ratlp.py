@@ -12,6 +12,13 @@ positive denominator into a ``Fraction`` tuple: the kernel's results here
 (``primitive``, ``null_space_basis``, ``lp_solve``'s witnesses) and every
 view, extreme point, extreme ray and witness that ``asymgeo.polyhedron``,
 ``asymgeo.norm`` and ``asymgeo.compactness`` make of their stored ints.
+The gauge's ``functionals``, a region's ``constraints`` and a polyhedron's
+``vertices`` hand it one memo per denominator for all their rows, so each
+of these views holds one ``Fraction`` object per distinct (entry,
+denominator) pair: a d = 4 lattice ball's gauge and region rows hold 135
+entries and about 18 distinct numbers.  A memo lives for one call of the
+view; nothing is cached across values, and equal views of equal values
+share no object.
 It lives in this module because int results first become ``Fraction``s
 here, and because the kernel imports no other module of the package while
 they all import it.
@@ -135,10 +142,19 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(row) if g < 2 else _unrolled("div", len(row))(row, g)
 
 
-def _fractions(row: Sequence[int], den: int = 1) -> Vec:
+def _fractions(row: Sequence[int], den: int = 1, memo: Optional[dict] = None) -> Vec:
     """An int row over ``den`` > 0 as a ``Fraction`` tuple: the one builder
-    that turns the package's stored ints into public vectors."""
-    return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
+    that turns the package's stored ints into public vectors.
+
+    A view passes ``memo``, one dict of numerator -> ``Fraction`` over
+    ``den`` for all its rows over that ``den``, so each (entry, den) pair of
+    the view is made once and every other occurrence is that same object;
+    the dict lives for that one call of the view.  ``Fraction(a)`` skips the
+    gcd that ``Fraction(a, 1)`` takes."""
+    if memo is None:
+        return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
+    return tuple([memo[a] if a in memo else memo.setdefault(a, Fraction(a, den) if den != 1 else Fraction(a))
+                  for a in row])
 
 
 def _all_int(values: Iterable) -> bool:

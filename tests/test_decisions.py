@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,3 +31,15 @@ def test_every_decision_matches_the_golden():
     assert len(lines) == len(golden) == 1759
     moved = [(want, got) for want, got in zip(golden, lines) if want != got]
     assert not moved, f"{len(moved)} decisions moved, the first: {moved[:3]}"
+
+
+def test_an_unknown_option_exits_2_and_leaves_the_golden_as_it_is(capsys):
+    """``write_decisions.py`` takes no options: any argument is a usage
+    error, exit 2, before any line is computed or the golden rewritten."""
+    writer = _writer()
+    before = writer.GOLDEN.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        writer.main(["--bogus"])
+    assert exit_info.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    assert writer.GOLDEN.read_bytes() == before

@@ -15,6 +15,8 @@ import pytest
 
 import asymgeo
 from asymgeo import ratlp
+from asymgeo.cli.generators import gen_lattice_norm
+from asymgeo.norm import Closedness, ball
 from asymgeo.polyhedron import Polyhedron, extreme_rays
 from asymgeo.ratlp import (
     InternalInvariantError,
@@ -642,29 +644,97 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
 def test_src_builds_fraction_tuples_only_in_fractions():
     """One int-to-``Fraction`` tuple builder: ``_fractions`` is defined only
     in ``ratlp``, where the kernel's results become ``Fraction``s, and
-    ``primitive``, ``null_space_basis``, ``lp_solve``, ``Polyhedron.hrep``
-    and ``extreme_rays`` call it and build no ``Fraction`` tuple themselves:
-    no ``map(Fraction, ...)`` and no comprehension or generator whose
-    element is a ``Fraction(...)`` call.  ``extreme_rays`` reads the int
-    rays, so it leaves the ``rays`` view unmade."""
+    ``primitive``, ``null_space_basis``, ``lp_solve``, ``Polyhedron.hrep``,
+    ``extreme_rays`` and the views (``functionals``, ``constraints``,
+    ``vertices``, ``rays``, ``generators``, ``lineality_basis``) call or map
+    it and build no ``Fraction`` tuple themselves: no ``map(Fraction, ...)``
+    and no comprehension or generator whose element is a ``Fraction(...)``
+    call.  The views call no ``Fraction(...)`` at all, so the memo lookup
+    lives only in ``ratlp``, and no module of ``src/`` holds a dict of
+    ``Fraction``s at module level: each memo lives for one call of a view.
+    ``extreme_rays`` reads the int rays, so it leaves the ``rays`` view
+    unmade."""
     def builds(node):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map":
             return bool(node.args) and isinstance(node.args[0], ast.Name) and node.args[0].id == "Fraction"
-        return (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)) and isinstance(node.elt, ast.Call)
+        return (isinstance(node, (ast.ListComp, ast.GeneratorExp)) and isinstance(node.elt, ast.Call)
                 and isinstance(node.elt.func, ast.Name) and node.elt.func.id == "Fraction")
+
+    def maps_fractions(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"
+                and bool(node.args) and isinstance(node.args[0], ast.Name) and node.args[0].id == "_fractions")
 
     root = Path(asymgeo.__file__).parent
     defined = [str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and node.name == "_fractions"]
     assert defined == ["ratlp.py"]
-    sites = {("ratlp.py", "primitive"), ("ratlp.py", "null_space_basis"), ("ratlp.py", "lp_solve"),
-             ("polyhedron.py", "Polyhedron.hrep"), ("polyhedron.py", "extreme_rays")}
-    assert sites <= set(_src_calls("_fractions"))
+    views = {("norm.py", "AsymNorm.functionals"), ("polyhedron.py", "PartialPolyhedron.constraints"),
+             ("polyhedron.py", "Polyhedron.vertices"), ("polyhedron.py", "Polyhedron.rays"),
+             ("polyhedron.py", "Cone.generators"), ("polyhedron.py", "Cone.lineality_basis")}
+    sites = views | {("ratlp.py", "primitive"), ("ratlp.py", "null_space_basis"), ("ratlp.py", "lp_solve"),
+                     ("polyhedron.py", "Polyhedron.hrep"), ("polyhedron.py", "extreme_rays")}
+    assert sites <= set(_src_calls("_fractions")) | set(_src_nodes(maps_fractions))
     assert sites & set(_src_nodes(builds)) == set()
+    assert views & set(_src_calls("Fraction")) == set()
     poly = Polyhedron(2, [(0, 0)], [(2, 3), (0, 1)])
     assert extreme_rays(poly) == ((0, 1), (1, Fraction(3, 2)))
     assert "rays" not in vars(poly)
+    # once views are built, no module holds a dict of Fractions (or of
+    # dicts of them): that would be a cache shared across values
+    q = gen_lattice_norm(2, "one")
+    assert q.functionals and ball(q, (0, 0), 1, Closedness.CLOSED).as_set.constraints and poly.vertices
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("asymgeo")]
+    assert not [(m.__name__, k) for m in modules for k, v in vars(m).items()
+                if not k.startswith("__") and isinstance(v, dict)
+                and any(isinstance(x, (Fraction, dict)) for x in v.values())]
+
+
+def _one_object_per_key(entries, keys):
+    """The ``Fraction`` objects ``entries`` hold, as a set of ids, after
+    checking that they hold one object per distinct key, each key being the
+    (stored int, denominator) pair an entry was made of."""
+    entries, keys = list(entries), list(keys)
+    assert len(entries) == len(keys)
+    ids_of = {}
+    for f, key in zip(entries, keys):
+        assert f == Fraction(*key)
+        ids_of.setdefault(key, set()).add(id(f))
+    assert all(len(ids) == 1 for ids in ids_of.values())
+    ids = {id(f) for f in entries}
+    assert len(ids) == len(ids_of)
+    return ids
+
+
+def test_each_view_holds_one_fraction_per_distinct_entry_and_denominator():
+    """``functionals``, ``constraints`` and ``vertices`` pass one memo per
+    denominator through all their rows (``_fractions``), so each holds one
+    ``Fraction`` object per distinct (entry, denominator) pair of its stored
+    ints, the constraints' right-hand sides included; a memo lives for one
+    call, so the views of two equal values share no object."""
+    q = gen_lattice_norm(4, "one")
+    center, radius = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 3)), Fraction(3, 2)
+    region = ball(q, center, radius, Closedness.CLOSED).as_set
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    box = Polyhedron(2, [(third, third), (third, two_thirds), (two_thirds, third), (two_thirds, two_thirds)])
+
+    functionals = _one_object_per_key([a for f in q.functionals for a in f],
+                                      [(a, q._scale) for f in q._rows for a in f])
+    assert len(functionals) == 2 < sum(map(len, q._rows))  # 0 and 1, over 15 rows
+    constraints = _one_object_per_key([a for c in region.constraints for a in (*c.normal, c.rhs)],
+                                      [(a, s) for (c, b, _), s in zip(region._rows, region._scales) for a in (*c, b)])
+    assert len(constraints) < 5 * len(region._rows)
+    vertices = _one_object_per_key([a for v in box.vertices for a in v],
+                                   [(a, t) for y, t in box._verts for a in y])
+    assert {t for _, t in box._verts} == {3} and len(vertices) == 2
+
+    q_again = gen_lattice_norm(4, "one")
+    region_again = ball(q_again, center, radius, Closedness.CLOSED).as_set
+    box_again = Polyhedron(2, [(third, third), (third, two_thirds), (two_thirds, third), (two_thirds, two_thirds)])
+    assert (q_again, region_again, box_again) == (q, region, box)
+    assert functionals.isdisjoint(id(a) for f in q_again.functionals for a in f)
+    assert constraints.isdisjoint(id(a) for c in region_again.constraints for a in (*c.normal, c.rhs))
+    assert vertices.isdisjoint(id(a) for v in box_again.vertices for a in v)
 
 
 # the generic expression of each kernel kind, written out here on its own

@@ -21,13 +21,15 @@ as ``check`` reads it from a file.  The families:
 A change that moves a line changes a verdict, a center, a witness or a
 claim.  The Tier-1 test ``tests/test_decisions.py`` recomputes every line
 and compares.  Standard library only; it imports the package from the
-``src`` next to it, and takes no options.
+``src`` next to it.  It takes no options: any argument is a usage error
+(exit 2) that writes nothing.
 
     python tools/write_decisions.py
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import sys
@@ -83,7 +85,8 @@ def decision_lines() -> list[str]:
     return [decision_line(*case) for case in instances()]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     GOLDEN.write_text("\n".join(decision_lines()) + "\n", encoding="utf-8")
     return 0
 
