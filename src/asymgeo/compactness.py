@@ -216,23 +216,15 @@ class Instance(_Value):
         nonzero row normal of P (``hull._rows``) is a positive multiple of a
         functional (their primitive forms are equal), and whether moreover
         every nonzero functional is a positive multiple of one of them, as a
-        gauge ball's rows are.  The first row normal that is no functional's
-        ends the scan.  The first row's normal c, when its first entry c_1 is
-        nonzero, is tested first with no gcd, so a region that is no ball is
-        mostly told in one pass over the functionals: a is a positive
-        multiple of c iff a_1 c = c_1 a and a_1 c_1 > 0, and the last
-        entries are compared before the rest.  rows <= gauge gives
-        C <= rec(P) row by row, so P + C = P; rows = gauge gives
+        gauge ball's rows are.  The rows' primitive forms are scanned once
+        against the set of the functionals', and the first row normal that
+        is no functional's ends the scan.  rows <= gauge gives C <= rec(P)
+        row by row, so P + C = P; rows = gauge gives
         rec(P) = {x : <a_i, x> <= 0} = C (a zero functional bounds
         nothing)."""
-        rows, functionals = self.hull._rows, self.norm._rows
-        c = rows[0][0] if rows else ()
-        if c and c[0] and not any(a[0] * c[0] > 0 and a[0] * c[-1] == a[-1] * c[0]
-                                  and [a[0] * x for x in c] == [c[0] * y for y in a] for a in functionals):
-            return False, False
-        gauge, seen = set(map(_primitive, functionals)), set()
+        gauge, seen = set(map(_primitive, self.norm._rows)), set()
         gauge.discard((0,) * self.norm.dim)
-        for c, _ in rows:
+        for c, _ in self.hull._rows:
             if any(c):
                 direction = _primitive(c)
                 if direction not in gauge:

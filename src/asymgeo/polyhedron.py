@@ -109,9 +109,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from itertools import chain, compress
-from math import gcd, lcm
+from math import gcd
 from operator import and_, or_
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
@@ -347,10 +347,24 @@ class _Incidence(NamedTuple):
 
 
 def _sorted_points(points: Collection[tuple[tuple[int, ...], int]]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Points (y, t), t > 0, in the lexicographic order of y / t, which is
-    that of y * (L / t), L the lcm of the t's."""
-    big = lcm(*[t for _, t in points])
-    return tuple(sorted(points, key=lambda yt: [a * (big // yt[1]) for a in yt[0]]))
+    """Points (y, t), t > 0, in the lexicographic order of y / t
+    (``_point_order``)."""
+    return tuple(sorted(points, key=cmp_to_key(_point_order)))
+
+
+def _point_order(p: tuple[tuple[int, ...], int], q: tuple[tuple[int, ...], int]) -> int:
+    """-1, 0 or 1 as y / t is lexicographically below, at or above z / s,
+    for p = (y, t) and q = (z, s), t, s > 0: at the first i where they
+    differ, y_i / t against z_i / s is y_i * s against z_i * t.  No joint
+    denominator is formed, since the lcm of all the t's grows with the
+    point count (51,641 bits over the 15,225 vertices of the random d = 11
+    closure of seed 11003)."""
+    (y, t), (z, s) = p, q
+    for a, b in zip(y, z):
+        a, b = a * s, b * t
+        if a != b:
+            return -1 if a < b else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -763,17 +777,14 @@ def _meets_face(region: PartialPolyhedron, normal: Sequence, top: int | Rational
     region meets the face iff no strict row is tight on all of it, that is
     on every generator of it.  The closure is read off the region
     (``closure``), so its masks index the region's rows, one AND of the
-    face's masks decides, and a region without strict rows meets every face
-    unscanned.  Int input passes as is; every test runs on ints.  A row of
-    the closure's own takes the same path as any other: no decision calls
-    this test, and after a COMPACT one T1-T6 call it on no row, since every
-    vertex of closure + C lies in the region, so each row they test is met
-    there.
+    face's masks decides, so a region without strict rows, whose mask is 0,
+    meets every face.  Int input passes as is; every test runs on ints.  A
+    row of the closure's own takes the same path as any other: no decision
+    calls this test, and after a COMPACT one T1-T6 call it on no row, since
+    every vertex of closure + C lies in the region, so each row they test is
+    met there.
     """
-    strict = region._strict_mask
-    if not strict:
-        return True
-    hull, dot = closure(region), _unrolled("dot", region.dim)
+    strict, hull, dot = region._strict_mask, closure(region), _unrolled("dot", region.dim)
     *normal, top = _clear((*normal, top))[1]
     face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if dot(normal, y) == top * t]
     face += [m for r, m in zip(hull._rays, hull._ray_masks) if not dot(normal, r)]

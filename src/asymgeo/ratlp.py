@@ -108,25 +108,8 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vneg(u):
     return tuple(map(neg, u))
-
-
-def vscale(t: Rational, u) -> tuple[Rational, ...]:
-    t = Fraction(t)
-    return tuple(t * a for a in u)
-
-
-def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def primitive(u) -> tuple[Rational, ...]:

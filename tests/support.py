@@ -1,8 +1,8 @@
-"""Shared test helpers: independent oracles, interval builders, transforms,
-the frozen Fraction references of the exact kernel, the predicates, the
-instance parser, the random generator and the values' public attributes,
-the frozen integer double description with its base elimination, and the
-earlier T3 and test (a) scan."""
+"""Shared test helpers: the ``Fraction`` vector helpers, independent
+oracles, interval builders, transforms, the frozen Fraction references of
+the exact kernel, the predicates, the instance parser, the random generator
+and the values' public attributes, the frozen integer double description
+with its base elimination, and the earlier T3 and test (a) scan."""
 
 from __future__ import annotations
 
@@ -33,7 +33,24 @@ from asymgeo.polyhedron import (
     subset,
     to_partial,
 )
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, is_zero_vec, lp_solve, primitive, vneg, zero_vec
+from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, lp_solve, primitive, vneg, zero_vec
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(t, u) -> tuple[Fraction, ...]:
+    t = Fraction(t)
+    return tuple(t * a for a in u)
+
+
+def is_zero_vec(u) -> bool:
+    return all(a == 0 for a in u)
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:

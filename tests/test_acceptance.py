@@ -40,9 +40,9 @@ from asymgeo.polyhedron import (
     set_equal,
     to_partial,
 )
-from asymgeo.ratlp import LpStatus, dot, lp_solve, vadd, vscale, vsub
+from asymgeo.ratlp import LpStatus, dot, lp_solve
 
-from support import interval, interval_compact_oracle, rand_fraction, rand_point
+from support import interval, interval_compact_oracle, rand_fraction, rand_point, vadd, vscale, vsub
 
 F = Fraction
 POS_PART = make_norm(1, [(1,)])

@@ -603,12 +603,13 @@ def test_the_gauge_row_read_off_agrees_with_the_long_way():
     d = 4..6, the balls of ``_gauge_balls`` with their row variants
     (``_row_variants``) and the regions of ``_gauge_row_cases``, some cut
     by a proper subset of the functionals (rows <= gauge, not =): the two
-    answers of ``Instance._rows_in_gauge`` are those of the gcd-free
-    predicates, test (a) is the earlier scan of every recession direction
-    (``ref_escaping``) on every instance, and where the read-off fires on a
-    line-free closure, each closure vertex's answer is the full double
-    description's (``ref_extreme_in_saturation``) and the edge-seeded
-    tangent-cone test's."""
+    answers of ``Instance._rows_in_gauge``, one scan of the rows' primitive
+    forms, are those of the gcd-free reference predicates (2x2 minors and a
+    dot product per pair of rows), test (a) is the earlier scan of every
+    recession direction (``ref_escaping``) on every instance, and where the
+    read-off fires on a line-free closure, each closure vertex's answer is
+    the full double description's (``ref_extreme_in_saturation``) and the
+    edge-seeded tangent-cone test's."""
     cases = [(entry.norm, entry.region) for entry in reference_catalog()]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(500)]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (4, 5, 6) for k in range(8)]
@@ -1370,11 +1371,12 @@ def _assert_public_value(value):
 
 
 def test_meets_face_agrees_with_the_full_face_scan():
-    """``_meets_face`` answers True without a scan when the region has no
-    strict row; with or without one, it answers what the full scan of the
-    face (``ref_meets_face``) answers, over the pipeline cases: each region,
-    its rows made non-strict and its half-open sum with the cone, against
-    the closure's face for the zero normal and for each row normal."""
+    """``_meets_face`` takes one path with or without a strict row (a
+    region with none has the strict mask 0, which meets every face), and it
+    answers what the full scan of the face (``ref_meets_face``) answers,
+    over the pipeline cases: each region, its rows made non-strict and its
+    half-open sum with the cone, against the closure's face for the zero
+    normal and for each row normal."""
     kinds = {"strict met": 0, "strict missed": 0, "no strict row": 0}
     for q, region in _pipeline_cases():
         inst = Instance.build(q, region)

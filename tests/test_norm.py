@@ -29,9 +29,9 @@ from asymgeo.polyhedron import (
     partial_is_empty,
     set_equal,
 )
-from asymgeo.ratlp import vadd, vneg, vscale, vsub
+from asymgeo.ratlp import vneg
 
-from support import rand_point, ref_ball_set, ref_gauge_eval
+from support import rand_point, ref_ball_set, ref_gauge_eval, vadd, vscale, vsub
 
 POS_PART = make_norm(1, [(1,)])  # gauge max(0, t) on the line
 SUP2 = make_norm(2, [(1, 0), (0, 1)])

@@ -24,6 +24,7 @@ from asymgeo.polyhedron import (
     _int_facets,
     _meets_face,
     _scan_support,
+    _sorted_points,
     closure,
     contains_line,
     dd_convert_h_to_v,
@@ -112,6 +113,30 @@ def test_round_trip_on_random_points():
                 assert not in_h
             else:
                 assert in_h == in_conv_plus_cone(x, p.vertices, p.rays)
+
+
+def test_sorted_points_is_the_lexicographic_order_of_the_fractions():
+    """``_sorted_points`` orders int points (y, t) as the tuples of
+    ``Fraction``s y / t sort, on seeded random sets at d = 1..12 with
+    denominators up to 10**12, handed over shuffled.  Coordinates drawn
+    from a short list of values make many points agree on a prefix, so the
+    order is often decided past the first coordinate."""
+    rng = random.Random(4601)
+    for d in range(1, 13):
+        for _ in range(12):
+            dens = [1, rng.randint(2, 10**3), rng.randint(2, 10**12), rng.randint(2, 10**12)]
+            common = [Fraction(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(3)]
+
+            def draw():
+                if rng.random() < 0.6:
+                    return rng.choice(common)
+                return Fraction(rng.randint(-10**9, 10**9), rng.choice(dens))
+
+            points = {(tuple(y), t) for t, y in (_clear([draw() for _ in range(d)]) for _ in range(rng.randint(0, 40)))}
+            shuffled = list(points)
+            rng.shuffle(shuffled)
+            want = tuple(sorted(points, key=lambda yt: [Fraction(a, yt[1]) for a in yt[0]]))
+            assert _sorted_points(shuffled) == want, d
 
 
 # --- closure / membership / closedness --------------------------------------

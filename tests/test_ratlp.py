@@ -30,6 +30,7 @@ from asymgeo.ratlp import (
     zero_vec,
 )
 
+import support
 from support import (
     _ref_int_reduce,
     low_rank_rows,
@@ -872,6 +873,15 @@ def test_src_imports_only_the_standard_library():
             found += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"asymgeo"}]
     assert found == []
+
+
+def test_the_fraction_vector_helpers_live_in_the_tests():
+    """``vadd``, ``vsub``, ``vscale`` and ``is_zero_vec`` have no caller in
+    ``src/``: ``asymgeo.ratlp`` defines none of them, and the tests take
+    them from ``tests/support.py``."""
+    helpers = {"vadd", "vsub", "vscale", "is_zero_vec"}
+    assert not helpers & set(vars(ratlp))
+    assert helpers <= set(vars(support))
 
 
 def test_broken_invariant_raises_internal_invariant_error(monkeypatch):

@@ -7,7 +7,7 @@ through the text form first (``write_instance``, then ``parse_instance``),
 as ``check`` reads it from a file.  The families:
 
 - random instances at d = 1..3 on the seeds ``1000*d + k``, k < 500 (the
-  acceptance corpus), and at d = 4..7 with k < 16, as ``asymgeo gen
+  acceptance corpus), and at d = 4..9 with k < 16, as ``asymgeo gen
   random`` draws them;
 - the arc hulls of 16, 64 and 256 segments;
 - eight balls of the one-norm lattice gauge at each d = 2..5, closed and
@@ -50,7 +50,7 @@ BALLS_PER_DIM = 8
 
 def instances():
     """(name, gauge, region) per instance, family by family, in file order."""
-    for d, count in ((1, 500), (2, 500), (3, 500), (4, 16), (5, 16), (6, 16), (7, 16)):
+    for d, count in ((1, 500), (2, 500), (3, 500), (4, 16), (5, 16), (6, 16), (7, 16), (8, 16), (9, 16)):
         for k in range(count):
             yield (f"random-{1000 * d + k}", *gen_random_instance(d, 1000 * d + k))
     for n in (16, 64, 256):
