@@ -94,11 +94,12 @@ per distinct (entry, denominator) pair.  No internal path reads a view to
 get ints back (``extreme_rays`` normalizes the int rays, and the arc-hull
 generator takes a hull's int facets).
 
-The LP membership tests (``in_cone``, ``in_conv_plus_cone``) stay only as
-an independent reference, and ``partial_is_empty`` serves callers that
-hold rows but no closure and need none (the random generator's rejection
-loop, up to d = 12): one phase one on d + 2 rows, Motzkin's alternative,
-where the double description's cost grows fast with the dimension.
+The incidence predicates run no LP, and the LP membership references the
+tests check them against live in ``tests/support.py``.  One LP is left:
+``partial_is_empty`` serves callers that hold rows but no closure and need
+none (the random generator's rejection loop, up to d = 12), with one phase
+one on d + 2 rows, Motzkin's alternative, where the double description's
+cost grows fast with the dimension.
 
 Sets are desk scale: dimension <= 12 (the largest the parser and ``gen``
 take) and at most a few hundred rows, so the algorithms favour determinism
@@ -133,7 +134,6 @@ from asymgeo.ratlp import (
     as_vec,
     feasible_nonneg,
     vneg,
-    zero_vec,
 )
 
 HRow = tuple[Vec, Rational]  # <normal, x> <= rhs
@@ -838,37 +838,6 @@ def set_equal(first: PartialPolyhedron, second: PartialPolyhedron) -> bool:
 # ---------------------------------------------------------------------------
 # Generator-side predicates
 # ---------------------------------------------------------------------------
-
-
-def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
-    """LP membership of x in the cone spanned by the generators.
-
-    No predicate of this module calls it: it is the independent LP
-    reference that tests check the incidence predicates against, and it is
-    ``in_conv_plus_cone`` with the origin as the one point, since
-    cone(G) = conv{0} + cone(G).
-    """
-    x = as_vec(x)
-    return in_conv_plus_cone(x, [zero_vec(len(x))], _lp_columns(generators, len(x), "generator"))
-
-
-def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> bool:
-    """LP membership of x in conv(points) + cone(rays); the LP reference, as ``in_cone``."""
-    x = as_vec(x)
-    pts = _lp_columns(points, len(x), "vertex")
-    rds = _lp_columns(rays, len(x), "ray")
-    if not pts:
-        return False
-    dim = len(x)
-    cols = pts + rds
-    rows = [[c[t] for c in cols] for t in range(dim)]
-    rows.append([Fraction(1)] * len(pts) + [Fraction(0)] * len(rds))
-    return feasible_nonneg(rows, list(x) + [Fraction(1)])
-
-
-def _lp_columns(vectors: Sequence[Vec], dim: int, kind: str) -> list[Vec]:
-    """The vectors as ``Fraction`` columns of the LP references, each checked to be ``dim`` long."""
-    return _sized(kind, [as_vec(v) for v in vectors], dim)
 
 
 def _maximal(masks: Sequence[int], rivals: Sequence[int] = ()) -> list[bool]:

@@ -9,9 +9,9 @@ double description reads.  One int helper, ``_primitive``, divides a row by
 the gcd of its entries for every caller outside the double description's
 ray combination.  One builder, ``_fractions``, turns an int row over a
 positive denominator into a ``Fraction`` tuple: the kernel's results here
-(``primitive``, ``null_space_basis``, ``lp_solve``'s witnesses) and every
-view, extreme point, extreme ray and witness that ``asymgeo.polyhedron``,
-``asymgeo.norm`` and ``asymgeo.compactness`` make of their stored ints.
+(``lp_solve``'s witnesses) and every view, extreme point, extreme ray and
+witness that ``asymgeo.polyhedron``, ``asymgeo.norm`` and
+``asymgeo.compactness`` make of their stored ints.
 The gauge's ``functionals``, a region's ``constraints`` and a polyhedron's
 ``vertices`` hand it one memo per denominator for all their rows, so each
 of these views holds one ``Fraction`` object per distinct (entry,
@@ -29,11 +29,12 @@ keeps only the identity block and forms a column of rows^T when its pivot
 search reaches it.  It picks the base of the double description and of the
 definiteness check, and its count of picked rows is ``rank``.  ``_reduce``
 is it run on a matrix's columns, with an n x n block for n rows, so it is
-handed only the independent rows ``_basis`` picks: ``_null_space``, with
-its view ``null_space_basis``, and the reduced row echelon form of a
-recession cone's lineality basis in ``asymgeo.polyhedron`` read their
-answers off that.  One helper clears a row list to ints (``_int_rows``)
-and one raises the "of length ... in dimension" error (``_sized``).
+handed only the independent rows ``_basis`` picks: ``_null_space``, on the
+int rows that ``asymgeo.polyhedron.cone_from_rows`` has cleared and sized,
+and the reduced row echelon form of a recession cone's lineality basis in
+``asymgeo.polyhedron`` read their answers off that.  One helper clears a
+row list to ints (``_int_rows``) and one raises the "of length ... in
+dimension" error (``_sized``).
 The per-entry work of the double description and the eliminations, on
 vectors of at most 14 entries at d <= 12, runs through four straight-line
 kernels (``_unrolled``): a dot product, the combination p * b - q * a, an
@@ -63,10 +64,10 @@ cost row through phase one, which keeps it priced, so no pass prices it.
 The compactness decision runs no LP:
 ``feasible_nonneg`` serves the random generator's emptiness test
 (Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
-the LP membership tests kept as a reference, and ``lp_solve`` stays as
-public API that no module of the package calls.  Nor does the decision
-call the ``Fraction`` ``dot``: the predicates compare int copies cleared
-by ``_clear``, through the ``dot`` kernel.
+the tests' LP membership references (``tests/support.py``), and
+``lp_solve`` stays as public API that no module of the package calls.
+Nor does the decision call the ``Fraction`` ``dot``: the predicates
+compare int copies cleared by ``_clear``, through the ``dot`` kernel.
 Every value type of the package, ``LpOutcome`` here and the gauges,
 polyhedra, instances, certificates and reports elsewhere, derives from
 one frozen base, ``_Value``, and memoizes with ``_memo``: no class is
@@ -112,14 +113,9 @@ def vneg(u):
     return tuple(map(neg, u))
 
 
-def primitive(u) -> tuple[Rational, ...]:
-    """Scale ``u`` to coprime integers, preserving direction (zero stays zero),
-    so that equal directions and constraint rows compare equal."""
-    return _fractions(_primitive(_clear(u)[1]))
-
-
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    """``primitive`` of an int row, as ints: divided by the gcd of its
+    """An int row scaled to coprime integers, direction kept, so that equal
+    directions and constraint rows compare equal: divided by the gcd of its
     entries when that is above 1 (a zero row stays zero)."""
     g = gcd(*row)
     return tuple(row) if g < 2 else _unrolled("div", len(row))(row, g)
@@ -404,19 +400,13 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
     return len(_basis(rows, len(rows[0]) if rows else 0)[1])
 
 
-def null_space_basis(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[Rational, ...]]:
-    """Deterministic basis of {x : <row, x> = 0 for every row}, primitive vectors:
-    the ``Fraction`` view of ``_null_space``.  A row whose length is not
-    ``dim`` raises ``ValueError``."""
-    return [_fractions(v) for v in _null_space(rows, dim)]
-
-
-def _null_space(rows: Sequence[Sequence[Rational]], dim: int) -> list[tuple[int, ...]]:
-    """``null_space_basis`` as primitive int tuples, one per non-pivot column.
+def _null_space(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """Deterministic basis of {x : <row, x> = 0 for every row}, primitive int
+    tuples, one per non-pivot column.  Takes a list of int rows of length
+    ``dim``, as ``asymgeo.polyhedron.cone_from_rows`` clears and sizes them.
 
     Only the independent rows that ``_basis`` picks are reduced: they span
     the same row space, whose reduced form, and so the basis, is unique."""
-    rows = _int_rows(_sized("row", rows, dim))
     work, pivots, det = _reduce([rows[j] for j in _basis(rows, dim)[1]])
     basis = []
     for f in (c for c in range(dim) if c not in pivots):

@@ -1,8 +1,9 @@
 """Shared test helpers: the ``Fraction`` vector helpers, independent
 oracles, interval builders, transforms, the frozen Fraction references of
-the exact kernel, the predicates, the instance parser, the random generator
-and the values' public attributes, the frozen integer double description
-with its base elimination, and the earlier T3 and test (a) scan."""
+the exact kernel, the LP membership references, the predicates, the
+instance parser, the random generator and the values' public attributes,
+the frozen integer double description with its base elimination, and the
+earlier T3 and test (a) scan."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT
 from asymgeo.cli.instances import InstanceError, _fail, _parse_rational
@@ -33,7 +34,8 @@ from asymgeo.polyhedron import (
     subset,
     to_partial,
 )
-from asymgeo.ratlp import LpOutcome, LpStatus, as_vec, dot, lp_solve, primitive, vneg, zero_vec
+from asymgeo.ratlp import (LpOutcome, LpStatus, Vec, _clear, _fractions, _primitive, _sized, as_vec, dot,
+                           feasible_nonneg, lp_solve, vneg, zero_vec)
 
 
 def vadd(u, v):
@@ -51,6 +53,13 @@ def vscale(t, u) -> tuple[Fraction, ...]:
 
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
+
+
+def primitive(u) -> tuple[Fraction, ...]:
+    """``u`` scaled to coprime integers, direction kept (zero stays zero), as
+    ``Fraction``s, so that equal directions and constraint rows compare
+    equal: the kernel's ``_primitive`` of ``u`` cleared to ints."""
+    return _fractions(_primitive(_clear(u)[1]))
 
 
 def interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> PartialPolyhedron:
@@ -341,6 +350,45 @@ def ref_feasible_nonneg(matrix_rows, rhs_col):
     if enter is not None:
         raise AssertionError("phase one is bounded")
     return sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0
+
+
+# ---------------------------------------------------------------------------
+# LP membership references
+# ---------------------------------------------------------------------------
+# Membership in cone(G) and conv(P) + cone(R) as one phase one of the
+# kernel's ``feasible_nonneg`` each, kept so tests can check the incidence
+# predicates of ``asymgeo.polyhedron``, which run no LP, against them.
+
+
+def in_cone(x: Vec, generators: Sequence[Vec]) -> bool:
+    """LP membership of x in the cone spanned by the generators.
+
+    No predicate of ``asymgeo.polyhedron`` calls it: it is the independent
+    LP reference that tests check the incidence predicates against, and it
+    is ``in_conv_plus_cone`` with the origin as the one point, since
+    cone(G) = conv{0} + cone(G).
+    """
+    x = as_vec(x)
+    return in_conv_plus_cone(x, [zero_vec(len(x))], _lp_columns(generators, len(x), "generator"))
+
+
+def in_conv_plus_cone(x: Vec, points: Sequence[Vec], rays: Sequence[Vec]) -> bool:
+    """LP membership of x in conv(points) + cone(rays); the LP reference, as ``in_cone``."""
+    x = as_vec(x)
+    pts = _lp_columns(points, len(x), "vertex")
+    rds = _lp_columns(rays, len(x), "ray")
+    if not pts:
+        return False
+    dim = len(x)
+    cols = pts + rds
+    rows = [[c[t] for c in cols] for t in range(dim)]
+    rows.append([Fraction(1)] * len(pts) + [Fraction(0)] * len(rds))
+    return feasible_nonneg(rows, list(x) + [Fraction(1)])
+
+
+def _lp_columns(vectors: Sequence[Vec], dim: int, kind: str) -> list[Vec]:
+    """The vectors as ``Fraction`` columns of the LP references, each checked to be ``dim`` long."""
+    return _sized(kind, [as_vec(v) for v in vectors], dim)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,13 @@ from asymgeo.polyhedron import (
     dd_convert_h_to_v,
     extreme_points,
     extreme_rays,
-    in_conv_plus_cone,
     member,
     set_equal,
     to_partial,
 )
 from asymgeo.ratlp import LpStatus, dot, lp_solve
 
-from support import interval, interval_compact_oracle, rand_fraction, rand_point, vadd, vscale, vsub
+from support import in_conv_plus_cone, interval, interval_compact_oracle, rand_fraction, rand_point, vadd, vscale, vsub
 
 F = Fraction
 POS_PART = make_norm(1, [(1,)])

@@ -48,8 +48,6 @@ from asymgeo.polyhedron import (
     contains_line,
     dd_convert_h_to_v,
     extreme_points,
-    in_cone,
-    in_conv_plus_cone,
     is_closed,
     member,
     minkowski_sum_with_cone,
@@ -62,6 +60,8 @@ from asymgeo.ratlp import vneg, zero_vec
 from support import (
     REF_PUBLIC,
     affine_image,
+    in_cone,
+    in_conv_plus_cone,
     interval,
     interval_compact_oracle,
     rand_fraction,
@@ -140,7 +140,8 @@ def test_saturation_extreme_points_agree_with_lp_extremality():
 def test_decision_pipeline_runs_no_lp(monkeypatch):
     """Build, decide and the structure checks read everything off double
     description output: over the reference suite and 60 corpus seeds, no
-    LP runs."""
+    LP runs.  ``feasible_nonneg``, as ``polyhedron`` and ``ratlp`` bind it,
+    and ``lp_solve`` are every LP entry of ``src/``."""
     catalog = reference_catalog()
     cases = [(entry.norm, entry.region) for entry in catalog]
     cases += [gen_random_instance(d, 1000 * d + k) for d in (1, 2, 3) for k in range(20)]
@@ -151,8 +152,6 @@ def test_decision_pipeline_runs_no_lp(monkeypatch):
     for module in (polyhedron, ratlp):
         monkeypatch.setattr(module, "feasible_nonneg", forbidden)
     monkeypatch.setattr(ratlp, "lp_solve", forbidden)
-    monkeypatch.setattr(polyhedron, "in_cone", forbidden)
-    monkeypatch.setattr(polyhedron, "in_conv_plus_cone", forbidden)
     verdicts = []
     for norm, region in cases:
         inst = Instance.build(norm, region)

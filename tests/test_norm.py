@@ -24,14 +24,13 @@ from asymgeo.polyhedron import (
     PartialPolyhedron,
     closure,
     contains_line,
-    in_cone,
     member,
     partial_is_empty,
     set_equal,
 )
 from asymgeo.ratlp import vneg
 
-from support import rand_point, ref_ball_set, ref_gauge_eval, vadd, vscale, vsub
+from support import in_cone, rand_point, ref_ball_set, ref_gauge_eval, vadd, vscale, vsub
 
 POS_PART = make_norm(1, [(1,)])  # gauge max(0, t) on the line
 SUP2 = make_norm(2, [(1, 0), (0, 1)])

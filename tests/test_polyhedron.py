@@ -30,8 +30,6 @@ from asymgeo.polyhedron import (
     dd_convert_h_to_v,
     extreme_points,
     extreme_rays,
-    in_cone,
-    in_conv_plus_cone,
     is_closed,
     member,
     minkowski_sum_with_cone,
@@ -41,10 +39,13 @@ from asymgeo.polyhedron import (
     subset,
     to_partial,
 )
-from asymgeo.ratlp import _clear, as_vec, dot, null_space_basis, primitive, rank, vneg, zero_vec
+from asymgeo.ratlp import _clear, as_vec, dot, rank, vneg, zero_vec
 
 from support import (
+    in_cone,
+    in_conv_plus_cone,
     interval,
+    primitive,
     rand_fraction,
     rand_point,
     rank_two_rows,
@@ -52,6 +53,7 @@ from support import (
     ref_is_closed,
     ref_meets_face,
     ref_member,
+    ref_null_space_basis,
     ref_partial_is_empty,
     ref_basis,
     ref_pointed_cone_rays,
@@ -320,8 +322,8 @@ def test_reduce_gets_only_independent_rows(monkeypatch):
     ``_basis`` picks, so it never carries a block wider than the rank:
     each call makes as many pivots as it gets rows.  Over the reference
     suite, a corpus sample at d <= 3, the recession cones of
-    ``_many_lineality_members`` and ``rank`` and ``null_space_basis`` of
-    400 rank-2 rows."""
+    ``_many_lineality_members`` and ``rank`` and ``_null_space`` of 400
+    rank-2 rows."""
     reduce_rows = ratlp._reduce
     calls = []
 
@@ -340,7 +342,7 @@ def test_reduce_gets_only_independent_rows(monkeypatch):
     for p in _many_lineality_members():
         recession_cone(p)
     rows = rank_two_rows()
-    assert rank(rows) == 2 and len(null_space_basis(rows, 4)) == 2
+    assert rank(rows) == 2 and len(ratlp._null_space(rows, 4)) == 2
     assert all(n == pivots for n, pivots in calls), calls
     assert sum(n > 1 for n, _ in calls) >= 3, calls
 
@@ -510,7 +512,7 @@ def _brute_cone_rays(rows, dim):
     first (a positive factor keeps the cone), and each candidate direction is
     tried once."""
     from itertools import combinations
-    from asymgeo.ratlp import null_space_basis, primitive, rank as _rank
+    from asymgeo.ratlp import rank as _rank
 
     rows = [tuple(map(int, primitive(r))) for r in rows]
 
@@ -521,7 +523,7 @@ def _brute_cone_rays(rows, dim):
         return {s for s in ((1,), (-1,)) if feasible(s)}
     out, tried = set(), set()
     for sub in combinations(rows, dim - 1):
-        null = null_space_basis(sub, dim)
+        null = ref_null_space_basis(sub, dim)
         if len(null) != 1:  # the subset has rank below dim - 1
             continue
         direction = tuple(map(int, null[0]))
@@ -538,7 +540,6 @@ def _brute_cone_rays(rows, dim):
 
 def test_pointed_cone_rays_match_enumeration_oracle():
     from asymgeo.polyhedron import cone_from_rows
-    from asymgeo.ratlp import null_space_basis
 
     rng = random.Random(17)
     checked = 0
@@ -547,7 +548,7 @@ def test_pointed_cone_rays_match_enumeration_oracle():
         m = rng.randint(d, d + 4)
         rows = [rand_point(rng, d, span=2) for _ in range(m)]
         rows = [r for r in rows if any(c != 0 for c in r)]
-        if not rows or null_space_basis(rows, d):
+        if not rows or ref_null_space_basis(rows, d):
             continue  # oracle handles pointed cones only
         checked += 1
         gens, lin, *_ = cone_from_rows(rows, d)
@@ -557,7 +558,7 @@ def test_pointed_cone_rays_match_enumeration_oracle():
     # duplicated and positively rescaled copies
     while True:
         rows = [rand_point(rng, 5, span=2) for _ in range(8)]
-        if all(any(r) for r in rows) and not null_space_basis(rows, 5):
+        if all(any(r) for r in rows) and not ref_null_space_basis(rows, 5):
             break
     rows += [rows[0], rows[3], tuple(F(3, 2) * a for a in rows[1]), tuple(2 * a for a in rows[5])]
     for rows, dim, count in (*_degenerate_cones(), (rows, 5, 8)):
@@ -761,10 +762,14 @@ def test_insertion_from_a_cone_s_rays_is_the_cold_run():
     balls of the one-norm lattice gauge at d = 3..5, the homogenized
     ``with_redundant_rows`` of random polyhedra, the same with every row
     tripled, and cones cut by equation pairs (a row and its negative, as
-    the lineality path inserts them).  Both sides of the simple-ray
-    shortcut run: rays tight on exactly d - 1 rows, which skip the holder
-    scan, and rays tight on more, which the scan decides."""
-    from asymgeo.cli.generators import gen_lattice_norm
+    the lineality path inserts them); last, the many-row and
+    high-dimension shapes that a new pairing or conflict list would change:
+    the homogenized closures of the 16- and 64-segment arc hulls and of
+    random instances at d = 7 and 8 (seeds 1000 * d + 0 and 1), five
+    seeded shuffles of each.  Both sides of the simple-ray shortcut run:
+    rays tight on exactly d - 1 rows, which skip the holder scan, and rays
+    tight on more, which the scan decides."""
+    from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance
     from asymgeo.norm import Closedness, ball
 
     rng = random.Random(97)
@@ -796,6 +801,11 @@ def test_insertion_from_a_cone_s_rays_is_the_cold_run():
         if rng.random() < 0.5:
             e = tuple(rng.randint(-2, 2) for _ in range(d + 1))
             cases.append(("equation pair", rows + [e, vneg(e)], d + 1))
+    for n in (16, 64):
+        cases += [("arc hull", _homogenized(gen_arc_hull(n)[1]), 4)] * 5
+    for d in (7, 8):
+        for k in (0, 1):
+            cases += [(f"random d={d}", _homogenized(gen_random_instance(d, 1000 * d + k)[1]), d + 1)] * 5
     for kind, rows, d in cases:
         rows = list(rows)
         rng.shuffle(rows)
@@ -866,7 +876,7 @@ def test_cone_from_rows_masks_index_the_given_rows():
         # orthogonal to a line or a plane: the cone has lineality
         for k in (1, 2):
             lineality = [rand_point(rng, d, span=2, max_den=1) for _ in range(k)]
-            complement = null_space_basis(lineality, d)
+            complement = ref_null_space_basis(lineality, d)
             cases.append(([tuple(sum((rng.randint(-2, 2) * w[t] for w in complement), F(0)) for t in range(d))
                            for _ in range(rng.randint(1, d + 3))], d))
     kinds = {"duplicate": 0, "zero": 0, "lineality": 0, "pointed": 0}
@@ -896,8 +906,9 @@ def test_cone_from_rows_masks_index_the_given_rows():
 
 def test_conversions_reject_rows_of_the_wrong_length():
     """A row shorter or longer than the dimension is refused, naming its
-    length, by ``dd_convert_h_to_v``, ``cone_from_rows`` and
-    ``null_space_basis``; none zips it against the others to a wrong answer."""
+    length, by ``dd_convert_h_to_v`` and ``cone_from_rows``; neither zips it
+    against the others to a wrong answer.  ``ratlp._null_space`` takes the
+    rows ``cone_from_rows`` has sized."""
     box = [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)]
     for rows in (box, [((1,), 1), ((0, 1), 1)]):
         with pytest.raises(ValueError, match="of length [13] in dimension 2"):
@@ -905,12 +916,9 @@ def test_conversions_reject_rows_of_the_wrong_length():
     for rows in ([(1, 0, 5), (0, 1, 5)], [(1,), (0, 1)]):
         with pytest.raises(ValueError, match="of length [13] in dimension 2"):
             polyhedron.cone_from_rows(rows, 2)
-    for rows in ([(1, 2, 3)], [(1,)], [(F(1), F(2), F(3))]):
-        with pytest.raises(ValueError, match="of length [13] in dimension 2"):
-            null_space_basis(rows, 2)
-    assert null_space_basis([(1, 2)], 2) == [(F(-2), F(1))] == null_space_basis(iter([(1, 2)]), 2)
+    assert ratlp._null_space([(1, 2)], 2) == [(F(-2), F(1))]
     assert polyhedron.cone_from_rows(iter([(1, 0), (0, 1)]), 2) == polyhedron.cone_from_rows([(1, 0), (0, 1)], 2)
-    assert null_space_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
+    assert ratlp._null_space([], 2) == [(F(1), F(0)), (F(0), F(1))]
 
 
 def test_values_reject_coordinates_of_the_wrong_length():
@@ -1514,10 +1522,10 @@ def _cone_from_rows_null_space_first(rows, dim):
     prepared = polyhedron._prepare_rows(rows)
     if not prepared:
         return (), tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
-    lin = tuple(tuple(int(a) for a in l) for l in null_space_basis(prepared, dim))
+    lin = tuple(tuple(int(a) for a in l) for l in ref_null_space_basis(prepared, dim))
     if not lin:
         return tuple(polyhedron._pointed_cone_rays(prepared, dim)[0]), ()
-    comp = [tuple(int(a) for a in w) for w in null_space_basis(lin, dim)]
+    comp = [tuple(int(a) for a in w) for w in ref_null_space_basis(lin, dim)]
     proj = polyhedron._prepare_rows([tuple(sum(a * b for a, b in zip(h, w)) for w in comp) for h in prepared])
     if not proj:
         return (), lin
@@ -1585,7 +1593,7 @@ def test_cones_with_lineality_take_one_null_space_elimination(monkeypatch):
                 lineality = []
                 while ref_rank(lineality) < k:
                     lineality = [rand_point(rng, d, span=2, max_den=1) for _ in range(k)]
-                complement = null_space_basis(lineality, d)
+                complement = ref_null_space_basis(lineality, d)
                 rows = []
                 for _ in range(rng.randint(0, 2 * d + 2)):
                     coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in complement]

@@ -6,6 +6,7 @@ import ast
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import asymgeo
-from asymgeo import ratlp
+from asymgeo import polyhedron, ratlp
 from asymgeo.cli.generators import gen_lattice_norm
 from asymgeo.norm import Closedness, ball
 from asymgeo.polyhedron import Polyhedron, extreme_rays
@@ -24,8 +25,6 @@ from asymgeo.ratlp import (
     dot,
     feasible_nonneg,
     lp_solve,
-    null_space_basis,
-    primitive,
     rank,
     zero_vec,
 )
@@ -34,6 +33,7 @@ import support
 from support import (
     _ref_int_reduce,
     low_rank_rows,
+    primitive,
     rand_fraction,
     rand_point,
     rank_two_rows,
@@ -101,7 +101,7 @@ def test_rank_rational_rows():
 
 
 def test_invert_and_null_space():
-    basis = null_space_basis([(1, 1, 0)], 3)
+    basis = ratlp._null_space([(1, 1, 0)], 3)
     assert len(basis) == 2
     for b in basis:
         assert dot((1, 1, 0), b) == 0
@@ -294,7 +294,7 @@ def test_elimination_matches_fraction_reference():
         mat = _rand_matrix(rng, m, n)
         assert _rref(mat) == ref_rref(mat), mat
         assert rank(mat) == ref_rank(mat), mat
-        assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
+        assert ratlp._null_space(ratlp._int_rows(mat), n) == ref_null_space_basis(mat, n), mat
         deficient += ref_rank(mat) < min(m, n)
     assert deficient > 300
     # int rows are eliminated as they are: the same rows, pivots and
@@ -317,7 +317,7 @@ def test_elimination_matches_fraction_reference():
             other_work, other_pivots, other_det = ratlp._reduce(other)
             assert ([list(r) for r in work], pivots, det) == ([list(r) for r in other_work], other_pivots, other_det)
         assert _rref(ints) == ref_rref(fracs) and rank(ints) == ref_rank(fracs), ints
-        assert null_space_basis(ints, n) == ref_null_space_basis(fracs, n), ints
+        assert ratlp._null_space(ints, n) == ref_null_space_basis(fracs, n), ints
         int_deficient += ref_rank(fracs) < min(m, n)
     assert int_deficient > 60
     # tall rows of rank below their length, up to 400 of them, int or rational
@@ -328,7 +328,7 @@ def test_elimination_matches_fraction_reference():
         if rng.random() < 0.5:
             mat = [[a * s for a in r] for r, s in zip(mat, (rand_fraction(rng) for _ in mat))]
         assert rank(mat) == ref_rank(mat) < n, mat
-        assert null_space_basis(mat, n) == ref_null_space_basis(mat, n), mat
+        assert ratlp._null_space(ratlp._int_rows(mat), n) == ref_null_space_basis(mat, n), mat
         tallest = max(tallest, m)
     assert tallest > 300
     with pytest.raises(ValueError, match="differing length"):
@@ -336,7 +336,7 @@ def test_elimination_matches_fraction_reference():
 
 
 def test_rank_and_null_space_pivot_a_small_tableau_on_many_rows(monkeypatch):
-    """``rank`` and ``null_space_basis`` of 400 rank-2 rows of length 4 eliminate
+    """``rank`` and ``_null_space`` of 400 rank-2 rows of length 4 eliminate
     over the rows' length, not their count: the ``_pivot`` calls of each
     touch at most 1,000 tableau entries (rows times width), where an
     elimination carrying a 400 x 400 block touches 320,800."""
@@ -349,11 +349,11 @@ def test_rank_and_null_space_pivot_a_small_tableau_on_many_rows(monkeypatch):
 
     monkeypatch.setattr(ratlp, "_pivot", counted)
     rows = rank_two_rows()
-    for call in (lambda: rank(rows), lambda: null_space_basis(rows, 4)):
+    for call in (lambda: rank(rows), lambda: ratlp._null_space(rows, 4)):
         touched.append(0)
         call()
     monkeypatch.undo()
-    assert rank(rows) == 2 and len(null_space_basis(rows, 4)) == 2
+    assert rank(rows) == 2 and len(ratlp._null_space(rows, 4)) == 2
     assert all(0 < t <= 1000 for t in touched), touched
 
 
@@ -645,9 +645,9 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
 def test_src_builds_fraction_tuples_only_in_fractions():
     """One int-to-``Fraction`` tuple builder: ``_fractions`` is defined only
     in ``ratlp``, where the kernel's results become ``Fraction``s, and
-    ``primitive``, ``null_space_basis``, ``lp_solve``, ``Polyhedron.hrep``,
-    ``extreme_rays`` and the views (``functionals``, ``constraints``,
-    ``vertices``, ``rays``, ``generators``, ``lineality_basis``) call or map
+    ``lp_solve``, ``Polyhedron.hrep``, ``extreme_rays`` and the views
+    (``functionals``, ``constraints``, ``vertices``, ``rays``,
+    ``generators``, ``lineality_basis``) call or map
     it and build no ``Fraction`` tuple themselves: no ``map(Fraction, ...)``
     and no comprehension or generator whose element is a ``Fraction(...)``
     call.  The views call no ``Fraction(...)`` at all, so the memo lookup
@@ -673,8 +673,7 @@ def test_src_builds_fraction_tuples_only_in_fractions():
     views = {("norm.py", "AsymNorm.functionals"), ("polyhedron.py", "PartialPolyhedron.constraints"),
              ("polyhedron.py", "Polyhedron.vertices"), ("polyhedron.py", "Polyhedron.rays"),
              ("polyhedron.py", "Cone.generators"), ("polyhedron.py", "Cone.lineality_basis")}
-    sites = views | {("ratlp.py", "primitive"), ("ratlp.py", "null_space_basis"), ("ratlp.py", "lp_solve"),
-                     ("polyhedron.py", "Polyhedron.hrep"), ("polyhedron.py", "extreme_rays")}
+    sites = views | {("ratlp.py", "lp_solve"), ("polyhedron.py", "Polyhedron.hrep"), ("polyhedron.py", "extreme_rays")}
     assert sites <= set(_src_calls("_fractions")) | set(_src_nodes(maps_fractions))
     assert sites & set(_src_nodes(builds)) == set()
     assert views & set(_src_calls("Fraction")) == set()
@@ -882,6 +881,88 @@ def test_the_fraction_vector_helpers_live_in_the_tests():
     helpers = {"vadd", "vsub", "vscale", "is_zero_vec"}
     assert not helpers & set(vars(ratlp))
     assert helpers <= set(vars(support))
+
+
+def _functions_without_a_caller():
+    """The module-level functions under ``src/asymgeo``, as sorted
+    ``module.name`` strings, that no code of ``src/`` names outside their own
+    body and that fall in none of these groups: exported by
+    ``asymgeo/__init__.py`` or ``asymgeo/cli/__init__.py``, the console
+    script of ``pyproject.toml``, or imported by ``tests/test_acceptance.py``.
+
+    A name is resolved in the module that reads it: to a function defined
+    there or imported from a module of the package, unless the enclosing
+    function binds it itself (an argument or an assignment, as the local
+    ``dot`` kernels of the double description)."""
+    root = Path(asymgeo.__file__).parent
+    trees = {".".join(path.relative_to(root).with_suffix("").parts): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.rglob("*.py"))}
+    defined = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+
+    def key(module):
+        mod = module.removeprefix("asymgeo").lstrip(".")
+        return mod if mod in trees else ".".join(filter(None, (mod, "__init__")))
+
+    def imports(tree):
+        return {alias.asname or alias.name: (key(node.module), alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "asymgeo" for alias in node.names}
+
+    bound = {mod: {**imports(tree), **{name: (m, name) for m, name in defined if m == mod}}
+             for mod, tree in trees.items()}
+
+    def resolve(mod, name):
+        while (mod, name) not in defined and name in bound.get(mod, {}) and bound[mod][name] != (mod, name):
+            mod, name = bound[mod][name]
+        return mod, name
+
+    def local_names(fn):
+        args = fn.args
+        names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif not isinstance(node, ast.Lambda):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                stack.extend(ast.iter_child_nodes(node))
+        return names
+
+    called = set()
+
+    def visit(node, mod, owner, scopes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                inner = child.name if isinstance(node, ast.Module) and isinstance(child, ast.FunctionDef) else owner
+                visit(child, mod, inner, (*scopes, local_names(child)))
+                continue
+            if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                    and not any(child.id in s for s in scopes) and child.id in bound[mod]):
+                target = resolve(mod, child.id)
+                if target != (mod, owner):
+                    called.add(target)
+            visit(child, mod, owner, scopes)
+
+    for mod, tree in trees.items():
+        visit(tree, mod, None, ())
+    public = {resolve(mod, name) for mod in ("__init__", "cli.__init__") for name in imports(trees[mod])}
+    scripts = re.findall(r'"asymgeo\.([\w.]+):(\w+)"', (Path(__file__).parents[1] / "pyproject.toml").read_text())
+    gate = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    accepted = {resolve(mod, name) for mod, name in imports(gate).values()}
+    return sorted(f"{mod}.{name}" for mod, name in defined - called - public - set(scripts) - accepted)
+
+
+def test_every_function_in_src_has_a_caller_in_src_or_is_public():
+    """``src/`` holds only code that ``src/`` itself, the public API, the
+    CLI entry or the acceptance gate calls (ROADMAP item 8's groups): the
+    LP membership references and the ``Fraction`` views of ``_primitive``
+    and ``_null_space`` that only tests called live in the tests."""
+    assert _functions_without_a_caller() == []
+    for name in ("in_cone", "in_conv_plus_cone", "_lp_columns", "primitive", "null_space_basis"):
+        assert not hasattr(ratlp, name) and not hasattr(polyhedron, name), name
 
 
 def test_broken_invariant_raises_internal_invariant_error(monkeypatch):
