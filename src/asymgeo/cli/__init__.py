@@ -1,6 +1,5 @@
-"""Command-line front end: instance files, generators, suite, rendering."""
+"""Command-line front end: instance files, generators, suite, rendering.
 
-from asymgeo.cli.instances import InstanceError, parse_instance, write_instance
-from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance
-from asymgeo.cli.suite import RunReport, run_reference_suite
-from asymgeo.cli.render import render_svg
+The package re-exports nothing: each name lives in its own module, and
+loading one module loads only what that module needs.
+"""

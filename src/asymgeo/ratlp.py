@@ -61,6 +61,10 @@ column; an artificial is a basis label past the real columns, the
 objective row a weighted sum of the rows with an artificial, made in one
 pass, and only real columns enter.  ``lp_solve`` carries its phase-two
 cost row through phase one, which keeps it priced, so no pass prices it.
+After a feasible phase one it pivots each artificial still basic out on
+the first nonzero real column of its row, which exists: that row never
+pivoted, and its own slack column, nonzero in it alone, stays nonzero
+through every Bareiss step on the other rows.
 The compactness decision runs no LP:
 ``feasible_nonneg`` serves the random generator's emptiness test
 (Motzkin's alternative, in ``asymgeo.polyhedron.partial_is_empty``) and
@@ -494,19 +498,16 @@ def lp_solve(objective: Sequence[Rational],
             raise InternalInvariantError("phase one is bounded")
         if tab.pop()[-1]:
             return LpOutcome(LpStatus.INFEASIBLE)
-        # pivot remaining artificials out of the basis, or drop zero rows;
-        # the cost row, last, is kept
-        keep = []
+        # pivot remaining artificials out of the basis.  Row i's artificial
+        # is still basic only if no pivot was on row i; its slack column is
+        # then 0 in every other constraint row, so each pivot on a row k
+        # only multiplied row i's slack entry by p / det > 0.  A nonzero
+        # real column exists, at worst that slack.
         for i in range(m):
             if basis[i] >= nreal:
-                j = next((j for j in range(nreal) if tab[i][j]), None)
-                if j is None:
-                    continue  # redundant row (0 = 0)
+                j = next(j for j in range(nreal) if tab[i][j])
                 det = _pivot(tab, i, j, det)
                 basis[i] = j
-            keep.append(i)
-        tab = [tab[i] for i in (*keep, m)]
-        basis = [basis[i] for i in keep]
 
     enter, det = _bland(tab, basis, nreal, det)
     tab.pop()

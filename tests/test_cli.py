@@ -647,6 +647,19 @@ def test_cli_check_ends_with_its_timing_line(tmp_path, capsys):
     assert timed[:-1] == capsys.readouterr().out.splitlines()
 
 
+def test_importing_a_cli_module_loads_only_its_own_imports():
+    """``asymgeo/cli/__init__.py`` re-exports nothing, so a fresh
+    interpreter that imports the generators and the parser loads no other
+    module of ``asymgeo.cli``: not the suite, not the renderer."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, asymgeo.cli.generators, asymgeo.cli.instances\n"
+            "print(sorted(m for m in sys.modules if m.startswith('asymgeo.cli')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['asymgeo.cli', 'asymgeo.cli.generators', 'asymgeo.cli.instances']\n"
+
+
 @pytest.mark.parametrize("dim", ["-1", "0"])
 def test_cli_gen_random_rejects_nonpositive_dimension(dim):
     """A separate process with a timeout, so that a resampling loop that never ends fails the test."""
@@ -662,9 +675,10 @@ def test_cli_gen_random_rejects_nonpositive_dimension(dim):
 
 
 @pytest.mark.parametrize("kind,dim", [("random", "1000000"), ("random", "13"), ("sup", "13")])
-def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim):
+def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim, capsys):
     """A separate process with a timeout: the limit is checked before any
-    matrix of that size is built."""
+    matrix of that size is built.  ``main`` in this process refuses it the
+    same way, with exit status 2, nothing on stdout and one error line."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "asymgeo.cli.main", "gen", kind, "--dim", dim],
@@ -672,6 +686,8 @@ def test_cli_gen_rejects_dimensions_above_the_limit(kind, dim):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"dimension {dim} is above the gen limit 12" in proc.stderr
+    assert main(["gen", kind, "--dim", dim]) == 2
+    assert capsys.readouterr() == ("", f"error: dimension {dim} is above the gen limit 12\n")
 
 
 def test_generators_reject_bad_parameters():

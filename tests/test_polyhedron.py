@@ -867,7 +867,14 @@ def test_cone_from_rows_masks_index_the_given_rows():
     it, and the generators and lineality are those of the sorted,
     deduplicated rows: the degenerate cones, cones with lineality and random
     rows at d = 2..6, each as drawn and with duplicates, positive multiples
-    (int and rational), zero rows and the order shuffled."""
+    (int and rational), zero rows and the order shuffled.  Then the net for
+    a change of insertion order: the homogenized closures of 30 corpus
+    instances at d = 1..3, of the 16-, 64- and 256-segment arc hulls and of
+    random instances at d = 4..8 (seeds 1000 * d + 0 and 1), each as made
+    and with a copy of row i and a multiple of row j appended.  In a seeded
+    shuffled order pi each gives the same generators and lineality, and the
+    same masks once bit pi(k) maps back to bit k; the appended rows' bits
+    are those of rows i and j."""
     rng = random.Random(131)
     cases = [(rows, dim) for rows, dim, _ in _degenerate_cones()]
     for d in range(2, 7):
@@ -902,6 +909,33 @@ def test_cone_from_rows_masks_index_the_given_rows():
             kinds["zero"] += not all(any(r) for r in given)
         kinds["lineality" if expected[1] else "pointed"] += 1
     assert min(kinds.values()) >= 10, kinds
+    net = []
+    for d in (1, 2, 3):
+        net += [("corpus", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
+                for k in range(0, 500, 50)]
+    net += [("arc hull", _homogenized(generators.gen_arc_hull(n)[1]), 4) for n in (16, 64, 256)]
+    net += [("random", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
+            for d in range(4, 9) for k in (0, 1)]
+    copies_tight = 0
+    for kind, rows, d in net:
+        n, i, j, q = len(rows), rng.randrange(len(rows)), rng.randrange(len(rows)), rng.randint(2, 4)
+        extended = rows + [rows[i], tuple(q * a for a in rows[j])]
+        gens, lin, masks = polyhedron.cone_from_rows(rows, d)
+        wide = polyhedron.cone_from_rows(extended, d)
+        assert wide[:2] == (gens, lin), (kind, d, i, j)
+        # the rows' own bits, then the copy of row i and the multiple of row j
+        assert [(m & (1 << n) - 1, m >> n & 1, m >> n + 1 & 1) for m in wide[2]] \
+            == [(m, m >> i & 1, m >> j & 1) for m in masks], (kind, d, i, j)
+        for given, given_masks in ((rows, masks), (extended, wide[2])):
+            # a row order pi: position p of the shuffled rows holds given[order[p]]
+            order = list(range(len(given)))
+            rng.shuffle(order)
+            got = polyhedron.cone_from_rows([given[k] for k in order], d)
+            assert got[:2] == (gens, lin), (kind, d, order)
+            back = [sum(1 << order[p] for p in range(len(order)) if m >> p & 1) for m in got[2]]
+            assert back == list(given_masks), (kind, d, order)
+        copies_tight += any(m >> i & 1 for m in masks) + any(m >> j & 1 for m in masks)
+    assert copies_tight >= 40, copies_tight
 
 
 def test_conversions_reject_rows_of_the_wrong_length():

@@ -421,7 +421,29 @@ def _rand_lp(rng: random.Random):
     return obj, rows
 
 
-def test_lp_solve_matches_fraction_reference():
+def test_lp_solve_matches_fraction_reference(monkeypatch):
+    """1200 random LPs, then 400 more with an equation among their rows (a
+    row and its negative).  An equation leaves an artificial basic at 0
+    after phase one, which ``lp_solve`` pivots out on the first nonzero
+    real column of its row (a ``_pivot`` call outside ``_bland``); that
+    column is often the row's own slack, which stays nonzero in it."""
+    bland, pivot = ratlp._bland, ratlp._pivot
+    simplex, pivot_outs = [], []
+
+    def watched_bland(*args):
+        simplex.append(True)
+        try:
+            return bland(*args)
+        finally:
+            simplex.pop()
+
+    def watched_pivot(tab, i, j, det):
+        if not simplex:
+            pivot_outs.append((i, j))
+        return pivot(tab, i, j, det)
+
+    monkeypatch.setattr(ratlp, "_bland", watched_bland)
+    monkeypatch.setattr(ratlp, "_pivot", watched_pivot)
     rng = random.Random(31)
     seen = {status: 0 for status in LpStatus}
     phase_one_feasible = 0
@@ -433,6 +455,19 @@ def test_lp_solve_matches_fraction_reference():
         phase_one_feasible += res.status is not LpStatus.INFEASIBLE and any(b < 0 for _, b in rows)
     assert min(seen.values()) > 100, seen
     assert phase_one_feasible > 100
+    rng = random.Random(61)
+    pivoted_out = own_slack = 0
+    for _ in range(400):
+        obj, rows = _rand_lp(rng)
+        if rows:
+            c, b = rng.choice(rows)
+            rows.append((tuple(-x for x in c), -b))
+        pivot_outs.clear()
+        res = lp_solve(obj, rows)
+        assert res == ref_lp_solve(obj, rows), (obj, rows)
+        pivoted_out += bool(pivot_outs)
+        own_slack += sum(j == 2 * len(obj) + i for i, j in pivot_outs)
+    assert pivoted_out > 50 and own_slack > 20, (pivoted_out, own_slack)
 
 
 def test_lp_solve_with_more_negative_rows_than_the_unroll_cap_matches_fraction_reference():
