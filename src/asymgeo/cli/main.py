@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from asymgeo.compactness import Instance, decide_compact, region_extreme_points
-from asymgeo.norm import Closedness, DefinitenessViolation, ball, degeneracy_cone
+from asymgeo.norm import Closedness, ball, degeneracy_cone
 from asymgeo.cli.generators import ONE_FLAVOR_DIM_LIMIT, _units, gen_arc_hull, gen_lattice_norm, gen_random_instance
 from asymgeo.cli.instances import InstanceError, _h_line, _parse_rational, parse_instance, write_instance
 from asymgeo.cli.render import render_svg
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, DefinitenessViolation, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

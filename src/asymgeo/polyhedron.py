@@ -112,7 +112,6 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import chain, compress
-from math import gcd
 from operator import and_, or_
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
@@ -476,16 +475,17 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
     cone holding both rays, whose two extreme rays they are: adjacent, as
     the scan would find.  A copy or a zero row adds a bit and no rank, so
     it never makes a ray look simple.  Returns the rays, primitive and
-    sorted, and aligned with them their masks.  The split's dot products,
-    the pairs' combinations vp * rq - vq * rp and their division by the
-    gcd run through the kernels of length dim (``ratlp._unrolled``).  The
-    loop is incremental: rows run one at a time, each run from the last
-    one's output, return the same (``tools/dd_scale.py --counts`` reads the
-    work that way).
+    sorted, and aligned with them their masks.  The split's dot products
+    and the pairs' combinations vp * rq - vq * rp run through the kernels
+    of length dim (``ratlp._unrolled``), and each combination is made
+    primitive by ``ratlp._primitive``, as every int row is.  The loop is
+    incremental: rows run one at a time, each run from the last one's
+    output, return the same (``tools/dd_scale.py --counts`` reads the work
+    that way).
     """
     need = dim - 2
     inc = list(masks)
-    dot, comb, div = _unrolled("dot", dim), _unrolled("comb", dim), _unrolled("div", dim)
+    dot, comb = _unrolled("dot", dim), _unrolled("comb", dim)
     for i, row in rows:
         if not rays:
             break
@@ -514,9 +514,7 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
                 # adjacent iff p and q are the only rays tight on all of common
                 if not (simple or mq.bit_count() == dim - 1 or _held(common, inc, 2)):
                     continue
-                w = comb(vp, vq, rp, rq)
-                g = gcd(*w)
-                next_rays.append(w if g == 1 else div(w, g))
+                next_rays.append(_primitive(comb(vp, vq, rp, rq)))
                 next_inc.append(common | bit)
         rays, inc = next_rays, next_inc
     ranked = sorted(range(len(rays)), key=rays.__getitem__)
@@ -778,14 +776,15 @@ def _meets_face(region: PartialPolyhedron, normal: Sequence, top: int | Rational
     on every generator of it.  The closure is read off the region
     (``closure``), so its masks index the region's rows, one AND of the
     face's masks decides, so a region without strict rows, whose mask is 0,
-    meets every face.  Int input passes as is; every test runs on ints.  A
-    row of the closure's own takes the same path as any other: no decision
-    calls this test, and after a COMPACT one T1-T6 call it on no row, since
-    every vertex of closure + C lies in the region, so each row they test is
-    met there.
+    meets every face.  The normal and ``top`` are taken as given: the
+    callers pass a region's int rows (``_within``,
+    ``compactness.saturate_region``), and a ``Fraction`` normal and top
+    take the same ``dot`` kernel, exact on either.  A row of the closure's
+    own takes the same path as any other: no decision calls this test, and
+    after a COMPACT one T1-T6 call it on no row, since every vertex of
+    closure + C lies in the region, so each row they test is met there.
     """
     strict, hull, dot = region._strict_mask, closure(region), _unrolled("dot", region.dim)
-    *normal, top = _clear((*normal, top))[1]
     face = [m for (y, t), m in zip(hull._verts, hull._vert_masks) if dot(normal, y) == top * t]
     face += [m for r, m in zip(hull._rays, hull._ray_masks) if not dot(normal, r)]
     return not reduce(and_, face, strict)

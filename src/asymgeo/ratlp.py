@@ -6,11 +6,12 @@ cleared of denominators on entry (int rows, which the double description and
 the definiteness check hand over, pass as they are) and results become
 ``Fraction`` on return, except the int null space ``_null_space`` that the
 double description reads.  One int helper, ``_primitive``, divides a row by
-the gcd of its entries for every caller outside the double description's
-ray combination.  One builder, ``_fractions``, turns an int row over a
-positive denominator into a ``Fraction`` tuple: the kernel's results here
-(``lp_solve``'s witnesses) and every view, extreme point, extreme ray and
-witness that ``asymgeo.polyhedron``, ``asymgeo.norm`` and
+the gcd of its entries for every caller, the double description's ray
+combination (``asymgeo.polyhedron._cut``) among them, and it alone asks
+for the exact division kernel.  One builder, ``_fractions``, turns an int
+row over a positive denominator into a ``Fraction`` tuple: the kernel's
+results here (``lp_solve``'s witnesses) and every view, extreme point,
+extreme ray and witness that ``asymgeo.polyhedron``, ``asymgeo.norm`` and
 ``asymgeo.compactness`` make of their stored ints.
 The gauge's ``functionals``, a region's ``constraints`` and a polyhedron's
 ``vertices`` hand it one memo per denominator for all their rows, so each
@@ -55,12 +56,15 @@ of large emptiness tests) the kernel is its generic form, since an
 expression of 1000 terms took 9 ms to compile and one of 3000 exceeded
 the compiler's recursion limit.
 ``lp_solve`` (two-phase, free variables split) and ``feasible_nonneg``
-(phase one only) share one phase one: the tableau is the cleared rows,
-negated where the right-hand side is negative, with no artificial
-column; an artificial is a basis label past the real columns, the
-objective row a weighted sum of the rows with an artificial, made in one
-pass, and only real columns enter.  ``lp_solve`` carries its phase-two
-cost row through phase one, which keeps it priced, so no pass prices it.
+(phase one only) share one phase one, ``_phase_one``, which appends the
+priced objective row, runs ``_bland`` from denominator 1, raises the
+"phase one is bounded" invariant and pops the row again: the tableau is
+the cleared rows, negated where the right-hand side is negative, with no
+artificial column; an artificial is a basis label past the real columns,
+the objective row a weighted sum of the rows with an artificial, made in
+one pass by the caller, and only real columns enter.  ``lp_solve``
+carries its phase-two cost row through phase one, which keeps it priced,
+so no pass prices it.
 After a feasible phase one it pivots each artificial still basic out on
 the first nonzero real column of its row, which exists: that row never
 pivoted, and its own slack column, nonzero in it alone, stays nonzero
@@ -132,10 +136,10 @@ def _fractions(row: Sequence[int], den: int = 1, memo: Optional[dict] = None) ->
     A view passes ``memo``, one dict of numerator -> ``Fraction`` over
     ``den`` for all its rows over that ``den``, so each (entry, den) pair of
     the view is made once and every other occurrence is that same object;
-    the dict lives for that one call of the view.  ``Fraction(a)`` skips the
-    gcd that ``Fraction(a, 1)`` takes."""
-    if memo is None:
-        return tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(a, den) for a in row])
+    the dict lives for that one call of the view, and a call without one
+    (``lp_solve``'s witness, a lone ray) uses a dict of its own.
+    ``Fraction(a)`` skips the gcd that ``Fraction(a, 1)`` takes."""
+    memo = {} if memo is None else memo
     return tuple([memo[a] if a in memo else memo.setdefault(a, Fraction(a, den) if den != 1 else Fraction(a))
                   for a in row])
 
@@ -425,6 +429,24 @@ def _null_space(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]
 # --- Linear programming ------------------------------------------------------
 
 
+def _phase_one(tab: list[Sequence[int]], basis: list[int], ncols: int, objective: list[int]) -> Optional[int]:
+    """Phase one of both LPs: minimize the sum of the artificials, from det 1.
+
+    ``tab`` holds the rows with right-hand sides >= 0, in basis order, then
+    any rows that ride along; ``basis`` labels an artificial past the
+    ``ncols`` real columns, which alone may enter, and ``objective`` is the
+    priced objective row, a positive weighted sum of the rows with an
+    artificial.  It is appended, ``_bland`` runs, and it is popped again;
+    returns the denominator, or None when its right-hand side, the weighted
+    sum of the artificials, stays above 0: then the system is infeasible.
+    """
+    tab.append(objective)
+    enter, det = _bland(tab, basis, ncols, 1)
+    if enter is not None:
+        raise InternalInvariantError("phase one is bounded")
+    return None if tab.pop()[-1] else det
+
+
 class LpStatus(enum.Enum):
     OPTIMAL = "OPTIMAL"
     UNBOUNDED = "UNBOUNDED"
@@ -450,8 +472,9 @@ def lp_solve(objective: Sequence[Rational],
     Row j is scaled to integers by s_j > 0 while its slack and artificial keep
     coefficient 1, so they stand for s_j times the unscaled ones: no reduced
     cost or ratio changes sign or order, nor does the pivot sequence.
-    Phase one is ``feasible_nonneg``'s: an artificial is never stored, and
-    once it leaves the basis it never enters again (Chvatal 1983, ch. 8).
+    Phase one is ``_phase_one``, as in ``feasible_nonneg``, on the rows'
+    weighted sum: an artificial is never stored, and once it leaves the
+    basis it never enters again (Chvatal 1983, ch. 8).
     The cost row [cost | -cost | 0 | 0] rides along from the start: it is
     priced there, since every starting basic variable costs 0, and every
     pivot of phase one and every pivot-out keeps it priced, so phase two
@@ -492,11 +515,8 @@ def lp_solve(objective: Sequence[Rational],
         # objective row is the sum of the negated rows by those weights
         big = lcm(*[scales[i] for i in arts])
         weights, weigh = [big // scales[i] for i in arts], _unrolled("dot", len(arts))
-        tab.append([weigh(weights, col) for col in zip(*[tab[i] for i in arts])])
-        enter, det = _bland(tab, basis, nreal, det)
-        if enter is not None:
-            raise InternalInvariantError("phase one is bounded")
-        if tab.pop()[-1]:
+        det = _phase_one(tab, basis, nreal, [weigh(weights, col) for col in zip(*[tab[i] for i in arts])])
+        if det is None:
             return LpOutcome(LpStatus.INFEASIBLE)
         # pivot remaining artificials out of the basis.  Row i's artificial
         # is still basic only if no pivot was on row i; its slack column is
@@ -535,13 +555,13 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
     of the LP references for polyhedral extremality.  It is the rows [A | b]
     alone, each cleared of its denominators and negated where b_i < 0.
     Row i's artificial is its basic variable n + i, never stored: each
-    costs 1, so the priced objective row is the sum of the rows, made in
-    one pass, and it never enters again once it has left (Chvatal 1983,
-    ch. 8), so only the n columns of A may enter.  The system is feasible
-    iff that row's right-hand side, the sum of the artificials, ends at 0:
-    a cleared row's artificial is a positive multiple of the unscaled one,
-    and any positive costs make 0 the optimum exactly when A lam = b has a
-    solution lam >= 0.
+    costs 1, so the priced objective row that ``_phase_one`` is handed is
+    the sum of the rows, made in one pass, and it never enters again once
+    it has left (Chvatal 1983, ch. 8), so only the n columns of A may
+    enter.  The system is feasible iff that row's right-hand side, the sum
+    of the artificials, ends at 0: a cleared row's artificial is a positive
+    multiple of the unscaled one, and any positive costs make 0 the optimum
+    exactly when A lam = b has a solution lam >= 0.
     """
     m = len(matrix_rows)
     if m != len(rhs_col):
@@ -555,7 +575,4 @@ def feasible_nonneg(matrix_rows: Sequence[Sequence[Rational]],
     for row, bi in zip(matrix_rows, rhs_col):
         row = _clear((*row, bi))[1]
         tab.append(row if row[-1] >= 0 else [-x for x in row])
-    tab.append([sum(col) for col in zip(*tab)])
-    if _bland(tab, list(range(n, n + m)), n, 1)[0] is not None:
-        raise InternalInvariantError("phase one is bounded")
-    return tab[-1][-1] == 0
+    return _phase_one(tab, list(range(n, n + m)), n, [sum(col) for col in zip(*tab)]) is not None

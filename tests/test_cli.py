@@ -86,10 +86,19 @@ def test_parse_names_the_line_of_an_over_long_number(tmp_path, capsys):
     assert "line 5: number too long" in capsys.readouterr().err
 
 
-def test_parse_surfaces_rank_deficiency():
+def test_parse_surfaces_rank_deficiency(tmp_path, capsys):
+    """A rank-deficient gauge is a ``DefinitenessViolation``, a ``ValueError``,
+    and the CLI reports it as an input error: exit status 2, nothing on
+    stdout and one error line."""
     text = "version 1\ndim 2\nF: 1 0\nH: 1 0 <= 1\n"
     with pytest.raises(DefinitenessViolation):
         parse_instance(text)
+    path = tmp_path / "flat.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: functionals span a proper subspace; the gauge would vanish in both directions along a line\n"
 
 
 def test_parse_rejects_unknown_directives_and_bad_rows():

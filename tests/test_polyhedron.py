@@ -870,11 +870,14 @@ def test_cone_from_rows_masks_index_the_given_rows():
     (int and rational), zero rows and the order shuffled.  Then the net for
     a change of insertion order: the homogenized closures of 30 corpus
     instances at d = 1..3, of the 16-, 64- and 256-segment arc hulls and of
-    random instances at d = 4..8 (seeds 1000 * d + 0 and 1), each as made
-    and with a copy of row i and a multiple of row j appended.  In a seeded
-    shuffled order pi each gives the same generators and lineality, and the
-    same masks once bit pi(k) maps back to bit k; the appended rows' bits
-    are those of rows i and j."""
+    random instances at d = 4..8 (seeds 1000 * d + 0 and 1), and cylinders
+    over the d = 2, 3 corpus regions and those random regions, each row's
+    first coordinate zeroed before it is homogenized, so that at least 25
+    of those 30 cones have lineality; each as made and with a copy of row i
+    and a multiple of row j appended.  In a seeded shuffled order pi each
+    gives the same generators and lineality, and the same masks once bit
+    pi(k) maps back to bit k; the appended rows' bits are those of rows i
+    and j."""
     rng = random.Random(131)
     cases = [(rows, dim) for rows, dim, _ in _degenerate_cones()]
     for d in range(2, 7):
@@ -916,11 +919,17 @@ def test_cone_from_rows_masks_index_the_given_rows():
     net += [("arc hull", _homogenized(generators.gen_arc_hull(n)[1]), 4) for n in (16, 64, 256)]
     net += [("random", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
             for d in range(4, 9) for k in (0, 1)]
-    copies_tight = 0
+    # the first coordinate of a homogenized row is the region row's, so
+    # zeroing it there makes the region's cylinder along e_1 (d is the
+    # region's dimension + 1: the corpus regions at d = 2, 3)
+    net += [("cylinder", [(0, *r[1:]) for r in rows], d) for kind, rows, d in net
+            if kind == "corpus" and d > 2 or kind == "random"]
+    copies_tight = cylinder_lines = 0
     for kind, rows, d in net:
         n, i, j, q = len(rows), rng.randrange(len(rows)), rng.randrange(len(rows)), rng.randint(2, 4)
         extended = rows + [rows[i], tuple(q * a for a in rows[j])]
         gens, lin, masks = polyhedron.cone_from_rows(rows, d)
+        cylinder_lines += kind == "cylinder" and bool(lin)
         wide = polyhedron.cone_from_rows(extended, d)
         assert wide[:2] == (gens, lin), (kind, d, i, j)
         # the rows' own bits, then the copy of row i and the multiple of row j
@@ -936,6 +945,7 @@ def test_cone_from_rows_masks_index_the_given_rows():
             assert back == list(given_masks), (kind, d, order)
         copies_tight += any(m >> i & 1 for m in masks) + any(m >> j & 1 for m in masks)
     assert copies_tight >= 40, copies_tight
+    assert cylinder_lines >= 25, cylinder_lines
 
 
 def test_conversions_reject_rows_of_the_wrong_length():

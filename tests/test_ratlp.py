@@ -677,6 +677,21 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
     assert _src_calls("_pivot") == [("ratlp.py", "_basis"), ("ratlp.py", "_bland"), ("ratlp.py", "lp_solve")]
 
 
+def test_src_divides_by_a_gcd_only_in_primitive_and_runs_one_phase_one():
+    """One primitive-form helper: the ``div`` kernel is asked of
+    ``_unrolled`` only in ``_primitive``, so the double description's
+    insertion loop makes its rays primitive through it.  One phase one:
+    ``_bland`` is called in ``_phase_one``, which ``feasible_nonneg`` and
+    ``lp_solve`` both run, and once more in ``lp_solve``, its phase two."""
+    def asks_div(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_unrolled"
+                and bool(node.args) and isinstance(node.args[0], ast.Constant) and node.args[0].value == "div")
+
+    assert _src_nodes(asks_div) == [("ratlp.py", "_primitive")]
+    assert _src_calls("_bland") == [("ratlp.py", "_phase_one"), ("ratlp.py", "lp_solve")]
+    assert _src_calls("_phase_one") == [("ratlp.py", "feasible_nonneg"), ("ratlp.py", "lp_solve")]
+
+
 def test_src_builds_fraction_tuples_only_in_fractions():
     """One int-to-``Fraction`` tuple builder: ``_fractions`` is defined only
     in ``ratlp``, where the kernel's results become ``Fraction``s, and

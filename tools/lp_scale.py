@@ -18,7 +18,7 @@ it tests for emptiness is one ``ratlp.feasible_nonneg`` run (through
   systems with nothing wrapped, and ``gen_s``: the least of 3 times of
   the 16 instances made from scratch.
 
-Two last lines count ``ratlp.lp_solve`` on fixed families.  In the
+Three last lines count ``ratlp.lp_solve`` on fixed families.  In the
 ``shifted`` one each of those instances' regions, closed and shifted by a
 seeded integer point so that some right-hand sides are negative and phase
 one runs, is maximized along 15 seeded integer objectives, 1,920 LPs in
@@ -26,13 +26,15 @@ all.  The ``repeated`` one adds to each region a copy of every row with a
 negative right-hand side, some rescaled, and two rows at right-hand side
 0 (``lp_family``), so phase one pivots on degenerate vertices, where a
 kernel that let a departed artificial enter again would make more
-``pivots``.  Each line holds the ``runs``, their ``outcomes``, the
-``pivots`` made in the simplex loop, the ``pivot_outs`` that move an
-artificial left in the basis after phase one out of it, and the
-``entries`` written, counted as above with one objective row per simplex
-loop (one per phase); the rows the pivots rewrite include the cost row,
-which ``lp_solve`` carries through phase one and so prices with no pass
-of its own.  No time.
+``pivots``.  The ``equation`` one adds to each region the negative of one
+seeded row, an equation whose artificial may stay basic at 0 after a
+feasible phase one, so its ``pivot_outs`` are not 0.  Each line holds
+the ``runs``, their ``outcomes``, the ``pivots`` made in the simplex
+loop, the ``pivot_outs`` that move an artificial left in the basis after
+phase one out of it, and the ``entries`` written, counted as above with
+one objective row per simplex loop (one per phase); the rows the pivots
+rewrite include the cost row, which ``lp_solve`` carries through phase
+one and so prices with no pass of its own.  No time.
 
 The counts depend only on the code in ``src``, so the same tool run on an
 earlier ``src`` counts that code's work, with no drift of the host's speed;
@@ -130,14 +132,17 @@ def measure(d: int) -> dict:
             "lp_s": lp_s, "gen_s": gen_s}
 
 
-def lp_family(repeated: bool = False) -> list:
-    """The (objective, constraints) pairs of an ``lp_solve`` line.  With
-    ``repeated``, each region also carries a copy of every row with a
-    negative right-hand side, as it is or rescaled by a seeded positive
-    rational (two artificials on one row), and its first two rows' normals
-    at right-hand side 0, which make the vertices phase one walks
-    degenerate: ratio tests tie at 0, where an artificial that left the
-    basis could enter again, as ``tests/test_ratlp._rand_lp``'s draws do."""
+def lp_family(family: str) -> list:
+    """The (objective, constraints) pairs of the ``lp_solve`` line ``family``.
+    A ``repeated`` region also carries a copy of every row with a negative
+    right-hand side, as it is or rescaled by a seeded positive rational (two
+    artificials on one row), and its first two rows' normals at right-hand
+    side 0, which make the vertices phase one walks degenerate: ratio tests
+    tie at 0, where an artificial that left the basis could enter again, as
+    ``tests/test_ratlp._rand_lp``'s draws do.  An ``equation`` region is a
+    ``shifted`` one with the negative of one seeded row appended, so that
+    row holds as an equation and its artificial can stay basic at 0 after
+    phase one, to be pivoted out."""
     lps = []
     for d in DIMS:
         for k in range(SEEDS_PER_DIM):
@@ -145,17 +150,20 @@ def lp_family(repeated: bool = False) -> list:
             rng = random.Random(seed)
             shift = [rng.randint(-3, 3) for _ in range(d)]
             rows = [(c, b + sum(map(mul, c, shift))) for c, b, _ in gen_random_instance(d, seed)[1].constraints]
-            if repeated:
+            if family == "repeated":
                 for c, b in [row for row in rows if row[1] < 0]:
                     s = rng.choice([Fraction(1), Fraction(rng.randint(1, 4), rng.randint(1, 4))])
                     rows.append((tuple(s * a for a in c), s * b))
                 rows += [(c, 0) for c, _ in rows[:2]]
+            elif family == "equation":
+                c, b = rng.choice(rows)
+                rows.append((tuple(-a for a in c), -b))
             lps += [(tuple(rng.randint(-3, 3) for _ in range(d)), rows) for _ in range(OBJECTIVES)]
     return lps
 
 
-def measure_lp_solve(repeated: bool) -> dict:
-    lps = lp_family(repeated)
+def measure_lp_solve(family: str) -> dict:
+    lps = lp_family(family)
     tally = {"runs": len(lps), "pivots": 0, "pivot_outs": 0, "entries": 0}
     in_loop = []
 
@@ -178,7 +186,7 @@ def measure_lp_solve(repeated: bool) -> dict:
         outcomes = Counter(ratlp.lp_solve(obj, rows).status.value for obj, rows in lps)
     finally:
         ratlp._pivot, ratlp._bland = real_pivot, real_bland
-    return {"lp": "lp_solve", "family": "repeated" if repeated else "shifted", "dims": [DIMS[0], DIMS[-1]],
+    return {"lp": "lp_solve", "family": family, "dims": [DIMS[0], DIMS[-1]],
             "outcomes": dict(sorted(outcomes.items())), **tally,
             "entries_per_run": round(tally["entries"] / tally["runs"], 1)}
 
@@ -186,8 +194,8 @@ def measure_lp_solve(repeated: bool) -> dict:
 def main() -> int:
     for d in DIMS:
         print(json.dumps(measure(d)), flush=True)
-    for repeated in (False, True):
-        print(json.dumps(measure_lp_solve(repeated)), flush=True)
+    for family in ("shifted", "repeated", "equation"):
+        print(json.dumps(measure_lp_solve(family)), flush=True)
     return 0
 
 

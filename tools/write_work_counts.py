@@ -8,8 +8,9 @@ that depends only on the code in ``src``:
   --counts``: the double description's calls, rays and work counts on
   the random, arc-hull, and closed and open one-norm ball families;
 - ``tools/lp_scale.py``: the emptiness LPs the random generator runs at
-  d = 1..8, their pivots and tableau entries, and the ``lp_solve``
-  families.
+  d = 1..8, their pivots and tableau entries, and the three ``lp_solve``
+  families (``shifted``, ``repeated`` and ``equation``, whose
+  artificials left basic at 0 after phase one are pivoted out).
 
 A change that moves a line does other work on the same inputs (or draws
 other inputs).  The two tools run in this process, one after the other.
