@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from asymgeo.ratlp import (InternalInvariantError, Rational, Vec, _Value, _basis, _clear, _cleared, _fractions,
-                           _memo, _sized, _unrolled, as_vec, rat, vneg)
+                           _memo, _primitive, _sized, _unrolled, as_vec, rat, vneg)
 from asymgeo.polyhedron import Cone, PartialPolyhedron, cone_from_rows
 
 
@@ -146,7 +146,8 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     functional a / s, the center y / t and the radius p / q, the row
     <a / s, x> <= p / q + <a, y> / (s t) has the common denominator s t q
     over the numerators (t q a, s t p + q <a, y>), <a, y> by the ``dot``
-    kernel, and dividing both by their gcd clears it by the lcm of its
+    kernel, and the primitive form of (denominator, right-hand side,
+    normal) (``ratlp._primitive``) clears it by the lcm of its
     denominators, the stored form.
     """
     center = as_vec(center)
@@ -162,11 +163,9 @@ def ball(norm: AsymNorm, center: Vec, radius, closedness: Closedness) -> Ball:
     rows, scales = [], []
     dot = _unrolled("dot", norm.dim)
     for a in norm._rows:
-        normal = [lift * c for c in a]
-        rhs = top + q * dot(a, y)
-        g = gcd(den, rhs, *normal)
-        rows.append((tuple([c // g for c in normal]), rhs // g, strict))
-        scales.append(den // g)
+        s, rhs, *normal = _primitive((den, top + q * dot(a, y), *[lift * c for c in a]))
+        rows.append((tuple(normal), rhs, strict))
+        scales.append(s)
     if strict and radius == 0:
         # 0 < radius fails identically: the open ball of radius 0 is empty
         rows.append(((0,) * norm.dim, 0, True))

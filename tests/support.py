@@ -2,8 +2,8 @@
 oracles, interval builders, transforms, the frozen Fraction references of
 the exact kernel, the LP membership references, the predicates, the
 instance parser, the random generator and the values' public attributes,
-the frozen integer double description with its base elimination, and the
-earlier T3 and test (a) scan."""
+the frozen integer double description with its base elimination, the
+earlier T3 and test (a) scan, and the product of instances."""
 
 from __future__ import annotations
 
@@ -961,3 +961,25 @@ def _positive_multiple(c, a) -> bool:
     """Is the int row c a positive multiple of the int row a?  Parallel by
     2x2 minors, the same side by a dot product."""
     return sum(map(mul, c, a)) > 0 and all(c[i] * a[j] == c[j] * a[i] for i in range(len(c)) for j in range(i))
+
+
+# --- Products ------------------------------------------------------------------
+# K1 x ... x Kn under max(q1, ..., qn) is compact iff every factor is (the
+# gauge induces the product topology: Tychonoff one way, the projections the
+# other), and the center of a compact product is the product of the centers,
+# since closure + C splits into the factors' sums and ext(A x B) = ext A x ext B.
+
+
+def product(factors) -> tuple[AsymNorm, PartialPolyhedron]:
+    """(gauge, region) of the product of the (gauge, region) ``factors``:
+    each factor's functionals and rows padded with zeros into its own block
+    of coordinates, every row keeping its strict flag, so the gauge is the
+    max of the factors' gauges and the region is the product of theirs."""
+    dim = sum(q.dim for q, _ in factors)
+    functionals, rows, offset = [], [], 0
+    for q, region in factors:
+        before, after = (Fraction(0),) * offset, (Fraction(0),) * (dim - offset - q.dim)
+        functionals += [(*before, *a, *after) for a in q.functionals]
+        rows += [Constraint((*before, *c, *after), b, strict) for c, b, strict in region.constraints]
+        offset += q.dim
+    return make_norm(dim, functionals), PartialPolyhedron(dim, rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -64,6 +65,7 @@ from support import (
     in_conv_plus_cone,
     interval,
     interval_compact_oracle,
+    product,
     rand_fraction,
     rand_point,
     ref_attributes,
@@ -2059,3 +2061,70 @@ def test_escaped_witness_is_verifiable():
     assert isinstance(w, EscapedExtremePoint)
     assert w.point in extreme_points(inst.saturated)
     assert not member(inst.region, w.point)
+
+
+def _cut_lattice_ball(rng: random.Random, d: int):
+    """A sup or one-norm lattice ball in dimension d, mostly closed, cut by
+    one row whose normal has a negative entry, so it is no gauge direction
+    and the ball shortcut (closure + C is the closure) does not fire; the
+    center stays strictly inside."""
+    q = gen_lattice_norm(d, rng.choice(["sup", "one"]))
+    center = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d))
+    radius = F(rng.randint(1, 4), rng.randint(1, 2))
+    closedness = Closedness.OPEN if rng.random() < 0.25 else Closedness.CLOSED
+    normal = [rng.randint(-2, 2) for _ in range(d)]
+    normal[rng.randrange(d)] = -rng.randint(1, 2)
+    rhs = sum(map(mul, normal, center)) + rng.randint(1, 2)
+    cut = Constraint(tuple(map(F, normal)), rhs, rng.random() < 0.5)
+    return q, PartialPolyhedron(d, (*ball(q, center, radius, closedness).as_set.constraints, cut))
+
+
+def test_a_product_is_compact_iff_every_factor_is_and_its_center_is_the_product_of_theirs():
+    """Products of 2-4 factors (``support.product``) at total d <= 12: the
+    factors are corpus instances at d = 1..3, COMPACT or not, and lattice
+    balls cut by a row that is no gauge direction.  The product is COMPACT
+    iff every factor is; a COMPACT product's center vertices are the
+    concatenations of its factors' center vertices and T1-T6 pass; a
+    NOT_COMPACT product's witness re-verifies: an escaped point lies in
+    the closure and not in the region, an escaping direction is a
+    recession direction of the closure with positive gauge.  The general
+    COMPACT path (closure + C is not the closure) runs at d >= 4, which
+    no random instance reaches."""
+    rng = random.Random(19)
+    corpus = [(case, decide_compact(Instance.build(*case)))
+              for d in (1, 2, 3) for case in (gen_random_instance(d, 1000 * d + k) for k in range(40))]
+    compact = [x for x in corpus if x[1].verdict is Verdict.COMPACT]
+    others = [x for x in corpus if x[1].verdict is not Verdict.COMPACT]
+    assert compact and others
+    general, kinds = 0, set()
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            u = rng.random()
+            if u < 0.45:
+                case = _cut_lattice_ball(rng, rng.randint(1, 3))
+                factors.append((case, decide_compact(Instance.build(*case))))
+            else:
+                factors.append(rng.choice(compact if u < 0.85 else others))
+        inst = Instance.build(*product([case for case, _ in factors]))
+        assert inst.norm.dim <= 12
+        cert = decide_compact(inst)
+        assert (cert.verdict is Verdict.COMPACT) == all(c.verdict is Verdict.COMPACT for _, c in factors)
+        if cert.verdict is Verdict.COMPACT:
+            want = {tuple(itertools.chain(*vs)) for vs in itertools.product(*[c.center.vertices for _, c in factors])}
+            assert set(cert.center.vertices) == want
+            report = verify_theorems(inst, cert)
+            assert report.all_pass, [(c.claim_id, c.status.value, c.detail) for c in report.claims]
+            general += inst.norm.dim >= 4 and inst.saturated is not inst.hull
+            continue
+        kinds.add(type(cert.witness))
+        if isinstance(cert.witness, EscapedExtremePoint):
+            p = cert.witness.point
+            assert all(sum(map(mul, c, p)) <= b for c, b, _ in inst.region.constraints)
+            assert not member(inst.region, p)
+        else:
+            direction = cert.witness.direction
+            assert all(sum(map(mul, c, direction)) <= 0 for c, _, _ in inst.region.constraints)
+            assert gauge_eval(inst.norm, direction) > 0
+    assert general >= 40, general
+    assert kinds == {BadRecessionDirection, EscapedExtremePoint}

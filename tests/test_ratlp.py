@@ -680,14 +680,22 @@ def test_src_pivots_only_in_the_elimination_loop_and_the_simplex():
 def test_src_divides_by_a_gcd_only_in_primitive_and_runs_one_phase_one():
     """One primitive-form helper: the ``div`` kernel is asked of
     ``_unrolled`` only in ``_primitive``, so the double description's
-    insertion loop makes its rays primitive through it.  One phase one:
-    ``_bland`` is called in ``_phase_one``, which ``feasible_nonneg`` and
-    ``lp_solve`` both run, and once more in ``lp_solve``, its phase two."""
+    insertion loop makes its rays primitive through it, and so does
+    ``norm.ball`` its rows: no code in ``norm.py`` names ``gcd``.  One
+    phase one: ``_bland`` is called in ``_phase_one``, which
+    ``feasible_nonneg`` and ``lp_solve`` both run, and once more in
+    ``lp_solve``, its phase two."""
     def asks_div(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_unrolled"
                 and bool(node.args) and isinstance(node.args[0], ast.Constant) and node.args[0].value == "div")
 
+    def names_gcd(node):
+        return (isinstance(node, ast.Name) and node.id == "gcd"
+                or isinstance(node, ast.alias) and node.name == "gcd")
+
     assert _src_nodes(asks_div) == [("ratlp.py", "_primitive")]
+    assert [site for site in _src_nodes(names_gcd) if site[0] == "norm.py"] == []
+    assert ("ratlp.py", "_primitive") in _src_nodes(names_gcd)
     assert _src_calls("_bland") == [("ratlp.py", "_phase_one"), ("ratlp.py", "lp_solve")]
     assert _src_calls("_phase_one") == [("ratlp.py", "feasible_nonneg"), ("ratlp.py", "lp_solve")]
 

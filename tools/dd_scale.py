@@ -3,8 +3,8 @@
 Each family is built and decided (``Instance.build`` then
 ``decide_compact``) with ``polyhedron.cone_from_rows``, the one entry to the
 double description, and ``polyhedron._cut``, its insertion loop, wrapped
-under every name that holds them, and each COMPACT instance then runs the
-checks T1-T6 (``verify_theorems``).
+in every module that holds them (``harness.rebound``), and each COMPACT
+instance then runs the checks T1-T6 (``verify_theorems``).
 A line holds the family, its instance count, the ``cone_from_rows`` calls
 of build and decide, the rays they returned, the wall time spent inside
 them (``dd_s``), the ``_cut`` runs of build and decide outside a
@@ -24,14 +24,17 @@ the counts are those of the first run.  Wall-clock times move with the
 host's speed, so parent/change comparisons want several repeats and runs
 that alternate.  Report only: it checks no answer and gates nothing, but
 ``--counts`` raises where its replay of ``_cut`` disagrees (below).
-Standard library only; it imports the package from the ``src`` next to it.
+Standard library only; it imports the package through ``harness``, from
+the ``src`` next to it.
 
 With ``--counts`` each family runs once more, untimed, with every ``_cut``
 run replayed (``replay``) one row at a time through ``_cut`` itself: the
 double description is incremental, so the last of those runs returns what
 one run over all the rows does, and a replay that returns other rays or
-masks raises.  The work is read off the rays and masks between rows, and
-the line gains it over build and decide: rows inserted (``rows_in``),
+masks raises.  The work is read off what each row's run returned, with
+no dot product of the tool's own: a ray that is gone was cut, a ray that
+gained the row's bit is tight, and the others are strictly kept.  The
+line gains it over build and decide: rows inserted (``rows_in``),
 candidate pairs of a cut and a kept ray (``pairs``), pairs sharing enough
 tight rows (``pairs_popcount``), rays made (``rays_made``), the holder
 scans the replayed ``_cut`` ran (``polyhedron._held`` calls,
@@ -46,11 +49,13 @@ without it.
 
     python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3] [--counts]
 
-The families are random instances at each dimension d (the seeds
-``1000*d + k`` for k < 16, as ``asymgeo gen random`` draws them), the arc
-hull at each segment count, and eight closed balls of the one-norm lattice
-gauge at each ball dimension, around seeded rational centers, each on its
-own gauge value, then the open balls of the same draws (``open-ball-d<d>``).
+The families are random instances at each dimension d
+(``harness.random_family``: the seeds ``1000*d + k`` for k < 16, as
+``asymgeo gen random`` draws them), the arc hull at each segment count,
+and the eight closed balls of the one-norm lattice gauge that
+``harness.balls`` draws at each ball dimension, around seeded rational
+centers, each on its own gauge value, then the open balls of the same
+draws (``open-ball-d<d>``).
 A closed ball is its own saturated hull, and its
 instance reads its cone off its closure and hands it to T6's, so its line
 reads ``facet_dds`` 0 and ``gauge_dds`` 0.
@@ -60,39 +65,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import statistics
-import sys
 import time
-from fractions import Fraction
-from operator import mul
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# first: importing harness puts the src next to this directory on the path
+from harness import balls, random_family, rebound
 
-from asymgeo import compactness, norm, polyhedron  # noqa: E402
-from asymgeo.polyhedron import _cut  # noqa: E402
-from asymgeo.ratlp import _primitive  # noqa: E402
-from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm, gen_random_instance  # noqa: E402
-from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems  # noqa: E402
-from asymgeo.norm import Closedness, ball  # noqa: E402
-
-SEEDS_PER_DIM = 16
-BALLS_PER_DIM = 8
+from asymgeo import compactness, polyhedron
+from asymgeo.polyhedron import _cut, _held, _int_facets, cone_from_rows
+from asymgeo.ratlp import _primitive
+from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
+from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems
+from asymgeo.norm import Closedness
 
 
 def one_balls(d: int, closedness: Closedness) -> list:
-    """Balls of the one-norm lattice gauge in dimension d, closed or open,
-    each on a gauge value of its own, around rational centers and of
-    rational radii drawn from the seed ``1000*d``."""
-    rng = random.Random(1000 * d)
-    cases = []
-    for _ in range(BALLS_PER_DIM):
-        q = gen_lattice_norm(d, "one")
-        center = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
-        radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        cases.append((q, ball(q, center, radius, closedness).as_set))
-    return cases
+    """(gauge, region) of the closed or open balls of the one-norm lattice
+    gauge in dimension d that ``harness.balls`` draws."""
+    suffix = f"-{closedness.value.lower()}"
+    return [(q, region) for name, q, region in balls("one", [d], lambda d, rng: gen_lattice_norm(d, "one"))
+            if name.endswith(suffix)]
 
 
 TIMES = ("dd_s", "cut_s", "total_s", "checks_s")
@@ -119,29 +111,27 @@ COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
 
 def replay(rays, masks, rows, dim, tally):
     """``polyhedron._cut`` over ``rows``, run one row at a time, adding its
-    work to ``tally`` (the ``COUNTS``), read off the rays and masks before
-    and after each row, and its holder scans (``polyhedron._held`` calls)
-    counted as they run: the (ray, mask) pairs the one run returns."""
+    work to ``tally`` (the ``COUNTS``), read off what each row's run
+    returned: a cut ray is gone, a tight ray gained the row's bit, and the
+    other rays are kept as they were; its holder scans
+    (``polyhedron._held`` calls) are counted as they run.  Returns the
+    (ray, mask) pairs the one run returns."""
     def holding(common, pool, limit):
         tally["pairs_scanned"] += 1
-        return held(common, pool, limit)
+        return _held(common, pool, limit)
 
-    held, polyhedron._held = polyhedron._held, holding
-    try:
+    with rebound("_held", holding):
         for i, row in rows:
             if not rays:
                 break
-            signs = [sum(map(mul, row, r)) for r in rays]
-            cut = [m for m, v in zip(masks, signs) if v > 0]
-            minus = [m for m, v in zip(masks, signs) if v < 0]
+            after = dict(zip(*_cut(rays, masks, [(i, row)], dim)))
+            cut = [m for r, m in zip(rays, masks) if r not in after]
+            minus = [m for r, m in zip(rays, masks) if r in after and not after[r] >> i & 1]
             tally["rows_in"] += 1
             tally["pairs"] += len(cut) * len(minus)
             tally["pairs_popcount"] += sum((mp & mq).bit_count() >= dim - 2 for mp in cut for mq in minus)
-            kept = len(rays) - len(cut)
-            rays, masks = _cut(rays, masks, [(i, row)], dim)
-            tally["rays_made"] += len(rays) - kept
-    finally:
-        polyhedron._held = held
+            tally["rays_made"] += len(after) - len(rays) + len(cut)
+            rays, masks = list(after), list(after.values())
     return sorted(zip(rays, masks))
 
 
@@ -164,15 +154,9 @@ def count_work(cases) -> dict:
             return result
         return cut
 
-    modules = [m for m in (polyhedron, compactness) if getattr(m, "_cut", None) is _cut]
-    for module in modules:
-        module._cut = replaying(module is polyhedron)
-    try:
+    with rebound("_cut", replaying(True), [polyhedron]), rebound("_cut", replaying(False), [compactness]):
         for q, region in cases:
             decide_compact(Instance.build(q, region))
-    finally:
-        for module in modules:
-            module._cut = _cut
     return tally
 
 
@@ -182,20 +166,19 @@ def run(cases) -> dict:
     before, so the generator's own work is not counted, and the checks' DD
     runs are not, except in ``facet_dds`` and ``gauge_dds``, which count the
     facet conversions and the gauges' double descriptions of both."""
-    real, real_cut, real_facets = polyhedron.cone_from_rows, polyhedron._cut, polyhedron._int_facets
     stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "cut_calls": 0, "cut_s": 0.0, "facet_dds": 0, "gauge_dds": 0}
     counted, inside = [True], [0]
     gauges = [q._rows for q, _ in cases]
 
     def facets(poly):
         stats["facet_dds"] += 1
-        return real_facets(poly)
+        return _int_facets(poly)
 
     def counting(rows, dim):
         stats["gauge_dds"] += any(rows is g for g in gauges)
         inside[0] += 1
         start = time.perf_counter()
-        result = real(rows, dim)
+        result = cone_from_rows(rows, dim)
         inside[0] -= 1
         if counted[0]:
             stats["dd_s"] += time.perf_counter() - start
@@ -205,21 +188,15 @@ def run(cases) -> dict:
 
     def cutting(*args):
         start = time.perf_counter()
-        result = real_cut(*args)
+        result = _cut(*args)
         if counted[0] and not inside[0]:
             stats["cut_s"] += time.perf_counter() - start
             stats["cut_calls"] += 1
         return result
 
-    wraps = (("cone_from_rows", real, counting), ("_cut", real_cut, cutting))
-    wrapped = [(m, name, fn, wrap) for name, fn, wrap in wraps
-               for m in (polyhedron, norm, compactness) if getattr(m, name, None) is fn]
-    for module, name, _, wrap in wrapped:
-        setattr(module, name, wrap)
-    polyhedron._int_facets = facets
     count = compact = 0
     total_s = checks_s = 0.0
-    try:
+    with rebound("cone_from_rows", counting), rebound("_cut", cutting), rebound("_int_facets", facets):
         for q, region in cases:
             start = time.perf_counter()
             inst = Instance.build(q, region)
@@ -233,10 +210,6 @@ def run(cases) -> dict:
                 checks_s += time.perf_counter() - start
                 counted[0] = True
                 compact += 1
-    finally:
-        for module, name, fn, _ in wrapped:
-            setattr(module, name, fn)
-        polyhedron._int_facets = real_facets
     return {"instances": count, "cone_from_rows_calls": stats["calls"], "rays_out": stats["rays_out"],
             "dd_s": stats["dd_s"], "cut_calls": stats["cut_calls"], "cut_s": stats["cut_s"],
             "total_s": total_s, "compact": compact, "checks_s": checks_s, "facet_dds": stats["facet_dds"],
@@ -258,8 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    families = [(f"random-d{d}", lambda d=d: [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)])
-                for d in args.dims]
+    families = [(f"random-d{d}", lambda d=d: random_family(d)) for d in args.dims]
     families += [(f"arc-{n}", lambda n=n: [gen_arc_hull(n)]) for n in args.arcs]
     families += [(f"ball-d{d}", lambda d=d: one_balls(d, Closedness.CLOSED)) for d in args.balls]
     families += [(f"open-ball-d{d}", lambda d=d: one_balls(d, Closedness.OPEN)) for d in args.balls]

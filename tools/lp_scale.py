@@ -1,19 +1,18 @@
 """How the emptiness LP scales: one JSON line per dimension.
 
 For each dimension d the random generator makes the instances of the seeds
-``1000*d + k``, k < 16, as ``asymgeo gen random`` draws them.  Every draw
-it tests for emptiness is one ``ratlp.feasible_nonneg`` run (through
-``polyhedron.partial_is_empty``), so a line holds:
+``1000*d + k``, k < 16, as ``asymgeo gen random`` draws them
+(``harness.random_family``).  Every draw it tests for emptiness is one
+``ratlp.feasible_nonneg`` run (through ``polyhedron.partial_is_empty``),
+so a line holds:
 
 - ``runs``: the ``feasible_nonneg`` runs;
-- ``pivots``: the Bland steps among their ``ratlp._pivot`` calls, those on
-  the first column of the objective row (the tableau's last) with a
-  positive entry, and ``pricing_pivots``: the other calls, which price the
-  objective row on a basic column;
+- ``pivots``: their ``ratlp._pivot`` calls made while the simplex loop
+  (``ratlp._bland``) is on the stack, and ``pricing_pivots``: the calls
+  made outside it;
 - ``entries``: the tableau entries written, each row counted at its
-  width: the rows those calls rewrite, and the objective row each run
-  makes before its simplex loop (``ratlp._bland``) starts, with
-  ``entries_per_run`` next to it;
+  width: the rows those calls replaced, and the objective row each
+  simplex loop starts from, with ``entries_per_run`` next to it;
 - ``lp_s``: the least of 3 times of those runs, replayed on the recorded
   systems with nothing wrapped, and ``gen_s``: the least of 3 times of
   the 16 instances made from scratch.
@@ -30,17 +29,21 @@ kernel that let a departed artificial enter again would make more
 seeded row, an equation whose artificial may stay basic at 0 after a
 feasible phase one, so its ``pivot_outs`` are not 0.  Each line holds
 the ``runs``, their ``outcomes``, the ``pivots`` made in the simplex
-loop, the ``pivot_outs`` that move an artificial left in the basis after
-phase one out of it, and the ``entries`` written, counted as above with
-one objective row per simplex loop (one per phase); the rows the pivots
-rewrite include the cost row, which ``lp_solve`` carries through phase
-one and so prices with no pass of its own.  No time.
+loop, the ``pivot_outs`` made outside it, which move an artificial left
+in the basis after phase one out of it, and the ``entries`` written,
+counted as above, with one objective row per simplex loop (one per
+phase); the rows the pivots replace include the cost row, which
+``lp_solve`` carries through phase one and so prices with no pass of its
+own.  No time.
 
-The counts depend only on the code in ``src``, so the same tool run on an
-earlier ``src`` counts that code's work, with no drift of the host's speed;
-the times do move with it.  Report only: it checks no answer and gates
-nothing.  Standard library only; it imports the package from the ``src``
-next to it.
+One context (``counting``) counts both kinds of line, through
+``harness.rebound``; it reads the rows a pivot replaced off the tableau
+and keeps no copy of the kernel's rules.  The counts depend only on the
+code in ``src``, so the same tool run on an earlier ``src`` counts that
+code's work, with no drift of the host's speed; the times do move with
+it.  Report only: it checks no answer and gates nothing.  Standard
+library only; it imports the package through ``harness``, from the
+``src`` next to it.
 
     python tools/lp_scale.py
 """
@@ -49,33 +52,50 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import mul
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# first: importing harness puts the src next to this directory on the path
+from harness import SEEDS_PER_DIM, random_family, rebound
 
-from asymgeo import polyhedron, ratlp  # noqa: E402
-from asymgeo.cli.generators import gen_random_instance  # noqa: E402
+from asymgeo import ratlp
+from asymgeo.ratlp import _bland, _pivot, feasible_nonneg
 
 DIMS = range(1, 9)
-SEEDS_PER_DIM = 16
 OBJECTIVES = 15
 REPEAT = 3
 
 
-def make(d: int) -> list:
-    return [gen_random_instance(d, 1000 * d + k) for k in range(SEEDS_PER_DIM)]
+@contextmanager
+def counting(tally: dict, outside: str):
+    """Count into ``tally``, for the block, the ``ratlp._pivot`` calls made
+    while ``ratlp._bland`` is on the stack (``pivots``) and the others
+    (``outside``), and the tableau entries written (``entries``): each
+    row a pivot replaced, at its width, and the objective row each
+    ``_bland`` run starts from."""
+    depth = [0]
 
+    def pivot(tab, i, j, det):
+        before = list(tab)
+        det = _pivot(tab, i, j, det)
+        tally["pivots" if depth[0] else outside] += 1
+        tally["entries"] += sum(len(row) for old, row in zip(before, tab) if row is not old)
+        return det
 
-def written(tab, i: int, j: int, det: int) -> int:
-    """The tableau entries a ``ratlp._pivot`` call on (i, j) writes: each
-    row it rewrites, counted at its width."""
-    p = tab[i][j]
-    return ((p < 0) + sum(1 for k, row in enumerate(tab) if k != i and (row[j] or abs(p) != det))) * len(tab[i])
+    def bland(tab, *args):
+        # the objective row, priced or to be priced, is one tableau row
+        tally["entries"] += len(tab[0])
+        depth[0] += 1
+        try:
+            return _bland(tab, *args)
+        finally:
+            depth[0] -= 1
+
+    with rebound("_pivot", pivot), rebound("_bland", bland):
+        yield
 
 
 def count(d: int) -> tuple[dict, list]:
@@ -84,33 +104,14 @@ def count(d: int) -> tuple[dict, list]:
     tally = {"runs": 0, "pivots": 0, "pricing_pivots": 0, "entries": 0}
     systems = []
 
-    def pivot(tab, i, j, det):
-        obj = tab[-1]
-        bland = j == next((k for k in range(len(obj) - 1) if obj[k] > 0), None)
-        tally["pivots" if bland else "pricing_pivots"] += 1
-        tally["entries"] += written(tab, i, j, det)
-        return real_pivot(tab, i, j, det)
-
-    def bland(tab, *args):
-        # the objective row, priced or to be priced, is one tableau row
-        tally["entries"] += len(tab[0])
-        return real_bland(tab, *args)
-
-    def feasible_nonneg(matrix_rows, rhs_col):
+    def recording(matrix_rows, rhs_col):
         tally["runs"] += 1
         systems.append((matrix_rows, rhs_col))
-        ratlp._pivot, ratlp._bland = pivot, bland
-        try:
-            return real_feasible_nonneg(matrix_rows, rhs_col)
-        finally:
-            ratlp._pivot, ratlp._bland = real_pivot, real_bland
+        with counting(tally, "pricing_pivots"):
+            return feasible_nonneg(matrix_rows, rhs_col)
 
-    real_pivot, real_bland, real_feasible_nonneg = ratlp._pivot, ratlp._bland, polyhedron.feasible_nonneg
-    polyhedron.feasible_nonneg = feasible_nonneg
-    try:
-        make(d)
-    finally:
-        polyhedron.feasible_nonneg = real_feasible_nonneg
+    with rebound("feasible_nonneg", recording):
+        random_family(d)
     return tally, systems
 
 
@@ -125,8 +126,8 @@ def least_time(work) -> float:
 
 def measure(d: int) -> dict:
     tally, systems = count(d)
-    lp_s = least_time(lambda: [ratlp.feasible_nonneg(a, b) for a, b in systems])
-    gen_s = least_time(lambda: make(d))
+    lp_s = least_time(lambda: [feasible_nonneg(a, b) for a, b in systems])
+    gen_s = least_time(lambda: random_family(d))
     return {"dim": d, "instances": SEEDS_PER_DIM, **tally,
             "entries_per_run": round(tally["entries"] / max(1, tally["runs"]), 1),
             "lp_s": lp_s, "gen_s": gen_s}
@@ -145,11 +146,10 @@ def lp_family(family: str) -> list:
     phase one, to be pivoted out."""
     lps = []
     for d in DIMS:
-        for k in range(SEEDS_PER_DIM):
-            seed = 1000 * d + k
-            rng = random.Random(seed)
+        for k, (_, region) in enumerate(random_family(d)):
+            rng = random.Random(1000 * d + k)
             shift = [rng.randint(-3, 3) for _ in range(d)]
-            rows = [(c, b + sum(map(mul, c, shift))) for c, b, _ in gen_random_instance(d, seed)[1].constraints]
+            rows = [(c, b + sum(map(mul, c, shift))) for c, b, _ in region.constraints]
             if family == "repeated":
                 for c, b in [row for row in rows if row[1] < 0]:
                     s = rng.choice([Fraction(1), Fraction(rng.randint(1, 4), rng.randint(1, 4))])
@@ -165,27 +165,8 @@ def lp_family(family: str) -> list:
 def measure_lp_solve(family: str) -> dict:
     lps = lp_family(family)
     tally = {"runs": len(lps), "pivots": 0, "pivot_outs": 0, "entries": 0}
-    in_loop = []
-
-    def pivot(tab, i, j, det):
-        tally["pivots" if in_loop else "pivot_outs"] += 1
-        tally["entries"] += written(tab, i, j, det)
-        return real_pivot(tab, i, j, det)
-
-    def bland(tab, *args):
-        tally["entries"] += len(tab[0])
-        in_loop.append(True)
-        try:
-            return real_bland(tab, *args)
-        finally:
-            in_loop.pop()
-
-    real_pivot, real_bland = ratlp._pivot, ratlp._bland
-    ratlp._pivot, ratlp._bland = pivot, bland
-    try:
+    with counting(tally, "pivot_outs"):
         outcomes = Counter(ratlp.lp_solve(obj, rows).status.value for obj, rows in lps)
-    finally:
-        ratlp._pivot, ratlp._bland = real_pivot, real_bland
     return {"lp": "lp_solve", "family": family, "dims": [DIMS[0], DIMS[-1]],
             "outcomes": dict(sorted(outcomes.items())), **tally,
             "entries_per_run": round(tally["entries"] / tally["runs"], 1)}
