@@ -15,6 +15,12 @@ elimination more and a second pointed run, in the same coordinates, with
 the null space's basis as equation rows).  The local tangent-cone test of
 ``asymgeo.compactness`` runs ``_cut`` alone, started from the edges of a
 closure at a vertex, which ``_edges`` reads off the closure's masks.
+The double description counts its own work, always, in one dict of
+counts, ``_DD_WORK``: ``_cut`` adds its tally once per call, and
+``_pointed_cone_rays`` its runs and the order each took.
+Nothing in the package reads it; ``tools/dd_scale.py`` reports its change
+over build and decide, and the tests check it against a row-by-row
+reference.
 Every predicate (membership, inclusion, extremality, closedness) reduces
 to exact support-function scans and to incidence against an
 H-representation; emptiness and closedness are read off the closure's
@@ -136,6 +142,12 @@ from asymgeo.ratlp import (
 )
 
 HRow = tuple[Vec, Rational]  # <normal, x> <= rhs
+
+# the double description's work since import: ``_cut``'s tally, then the
+# pointed runs'; a plain dict, since an item update of a ``Counter`` costs
+# about four times as much and the updates run on every conversion
+_CUT_COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
+_DD_WORK = dict.fromkeys((*_CUT_COUNTS, "pointed_runs", "nearest_first_runs"), 0)
 
 
 class LinealityPresentError(ValueError):
@@ -407,7 +419,9 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
     tuples, sorted, and aligned with them their final masks, the rows tight
     on each (bit i for ``rows[i]`` as given); or None when the rows have
     rank below dim (the cone has lineality), which the elimination that
-    picks the base (``_basis``) finds out first.
+    picks the base (``_basis``) finds out first.  A run that reaches
+    ``_cut`` adds 1 to ``_DD_WORK``'s ``pointed_runs``, and 1 to its
+    ``nearest_first_runs`` when it keeps the first-to-last order.
     """
     # The base is the lexicographically first independent rows B; the
     # identity block of its elimination is det * B^-1 transposed,
@@ -426,11 +440,12 @@ def _pointed_cone_rays(rows: Sequence[Sequence[int]],
     # pick, none in general position (it picked the first dim rows); a
     # nonzero one that is no copy of the row before it is degenerate
     last = base_idx[-1] if base_idx else 0
-    if last < dim or not any(any(ranked[j]) and ranked[j] != ranked[j - 1]
-                             for j in set(range(last)).difference(base_idx)):
-        order.reverse()
+    nearest_first = last >= dim and any(any(ranked[j]) and ranked[j] != ranked[j - 1]
+                                        for j in set(range(last)).difference(base_idx))
+    _DD_WORK["pointed_runs"] += 1
+    _DD_WORK["nearest_first_runs"] += nearest_first
     return _cut(rays, [base & ~bit for bit in base_bits],
-                [(i, keys[i]) for i in order if not base >> i & 1], dim)
+                [(i, keys[i]) for i in (order if nearest_first else order[::-1]) if not base >> i & 1], dim)
 
 
 def _held(common: int, masks: Iterable[int], limit: int) -> bool:
@@ -480,15 +495,22 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
     of length dim (``ratlp._unrolled``), and each combination is made
     primitive by ``ratlp._primitive``, as every int row is.  The loop is
     incremental: rows run one at a time, each run from the last one's
-    output, return the same (``tools/dd_scale.py --counts`` reads the work
-    that way).
+    output, return the same.
+    Its tally goes to ``_DD_WORK`` once per call: the rows inserted
+    (``rows_in``, none after the rays run out), the candidate pairs of a
+    cut and a strictly kept ray (``pairs``), those sharing at least dim - 2
+    tight rows (``pairs_popcount``), the holder scans run on them
+    (``pairs_scanned``, ``_held`` calls) and the rays made
+    (``rays_made``); the one-row runs' tallies sum to the one run's.
     """
     need = dim - 2
     inc = list(masks)
     dot, comb = _unrolled("dot", dim), _unrolled("comb", dim)
+    rows_in = pairs = popcount = scanned = made = 0
     for i, row in rows:
         if not rays:
             break
+        rows_in += 1
         bit = 1 << i
         # one pass splits the rays: cut (v > 0) go, tight ones gain the bit,
         # strictly kept ones (v < 0) stay as they are and pair with the cut;
@@ -507,16 +529,23 @@ def _cut(rays: Sequence[tuple[int, ...]], masks: Sequence[int],
             next_inc.append(m)
         for vp, rp, mp in cut:
             simple = mp.bit_count() == dim - 1
+            pairs += len(minus)
             for vq, rq, mq in minus:
                 common = mp & mq
                 if common.bit_count() < need:
                     continue
+                popcount += 1
                 # adjacent iff p and q are the only rays tight on all of common
-                if not (simple or mq.bit_count() == dim - 1 or _held(common, inc, 2)):
-                    continue
+                if not (simple or mq.bit_count() == dim - 1):
+                    scanned += 1
+                    if not _held(common, inc, 2):
+                        continue
                 next_rays.append(_primitive(comb(vp, vq, rp, rq)))
                 next_inc.append(common | bit)
+                made += 1
         rays, inc = next_rays, next_inc
+    for key, n in zip(_CUT_COUNTS, (rows_in, pairs, popcount, made, scanned)):
+        _DD_WORK[key] += n
     ranked = sorted(range(len(rays)), key=rays.__getitem__)
     return [rays[k] for k in ranked], [inc[k] for k in ranked]
 

@@ -744,6 +744,18 @@ def ref_pointed_cone_rays(rows, dim):
     return sorted(set(rays))
 
 
+def ref_cut_work(rays, masks, i, after) -> dict:
+    """The ``pairs`` and ``rays_made`` of inserting row i into ``rays``
+    (aligned with ``masks``), read off what the insertion returned,
+    ``after`` (rays and their masks): a ray that is gone was cut, one still
+    there without bit i was kept strictly, each cut ray pairs with each
+    kept one, and a ray that was not there was made."""
+    out = dict(zip(*after))
+    cut = [r for r in rays if r not in out]
+    kept = [r for r in rays if r in out and not out[r] >> i & 1]
+    return {"pairs": len(cut) * len(kept), "rays_made": len(set(out) - set(rays))}
+
+
 # ---------------------------------------------------------------------------
 # Frozen reference values: the Fraction canonicalization of the constructors
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from support import (
     ref_null_space_basis,
     ref_partial_is_empty,
     ref_basis,
+    ref_cut_work,
     ref_pointed_cone_rays,
     ref_rank,
     ref_rref,
@@ -857,6 +858,27 @@ def test_cone_from_rows_takes_int_rows_as_their_rational_copies():
     assert min(seen.values()) >= 40, seen
 
 
+def _dd_net():
+    """The net for a change of insertion order, (kind, rows, d): the
+    homogenized closures of 30 corpus instances at d = 1..3, of the 16-,
+    64- and 256-segment arc hulls and of random instances at d = 4..8
+    (seeds 1000 * d + 0 and 1), and cylinders over the d = 2, 3 corpus
+    regions and those random regions."""
+    net = []
+    for d in (1, 2, 3):
+        net += [("corpus", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
+                for k in range(0, 500, 50)]
+    net += [("arc hull", _homogenized(generators.gen_arc_hull(n)[1]), 4) for n in (16, 64, 256)]
+    net += [("random", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
+            for d in range(4, 9) for k in (0, 1)]
+    # the first coordinate of a homogenized row is the region row's, so
+    # zeroing it there makes the region's cylinder along e_1 (d is the
+    # region's dimension + 1: the corpus regions at d = 2, 3)
+    net += [("cylinder", [(0, *r[1:]) for r in rows], d) for kind, rows, d in net
+            if kind == "corpus" and d > 2 or kind == "random"]
+    return net
+
+
 def _tight_bits(rows, g):
     """The rows tight on g as a bitmask, bit i for ``rows[i]``, by dot products."""
     return sum(1 << i for i, r in enumerate(rows) if sum((a * b for a, b in zip(r, g)), F(0)) == 0)
@@ -912,20 +934,8 @@ def test_cone_from_rows_masks_index_the_given_rows():
             kinds["zero"] += not all(any(r) for r in given)
         kinds["lineality" if expected[1] else "pointed"] += 1
     assert min(kinds.values()) >= 10, kinds
-    net = []
-    for d in (1, 2, 3):
-        net += [("corpus", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
-                for k in range(0, 500, 50)]
-    net += [("arc hull", _homogenized(generators.gen_arc_hull(n)[1]), 4) for n in (16, 64, 256)]
-    net += [("random", _homogenized(generators.gen_random_instance(d, 1000 * d + k)[1]), d + 1)
-            for d in range(4, 9) for k in (0, 1)]
-    # the first coordinate of a homogenized row is the region row's, so
-    # zeroing it there makes the region's cylinder along e_1 (d is the
-    # region's dimension + 1: the corpus regions at d = 2, 3)
-    net += [("cylinder", [(0, *r[1:]) for r in rows], d) for kind, rows, d in net
-            if kind == "corpus" and d > 2 or kind == "random"]
     copies_tight = cylinder_lines = 0
-    for kind, rows, d in net:
+    for kind, rows, d in _dd_net():
         n, i, j, q = len(rows), rng.randrange(len(rows)), rng.randrange(len(rows)), rng.randint(2, 4)
         extended = rows + [rows[i], tuple(q * a for a in rows[j])]
         gens, lin, masks = polyhedron.cone_from_rows(rows, d)
@@ -946,6 +956,51 @@ def test_cone_from_rows_masks_index_the_given_rows():
         copies_tight += any(m >> i & 1 for m in masks) + any(m >> j & 1 for m in masks)
     assert copies_tight >= 40, copies_tight
     assert cylinder_lines >= 25, cylinder_lines
+
+
+def _work_of(call):
+    """What ``call()`` returns, and the change of ``polyhedron._DD_WORK``
+    over it."""
+    before = polyhedron._DD_WORK.copy()
+    result = call()
+    work = Counter(polyhedron._DD_WORK)
+    work.subtract(before)
+    return result, work
+
+
+def test_cut_tallies_its_work_as_the_one_row_runs_do(monkeypatch):
+    """``_cut`` counts its own work into ``polyhedron._DD_WORK``, and the
+    tally is incremental as the loop is.  On every ``_cut`` run of the
+    ``_dd_net`` cones (pointed runs, and the second runs of the cones with
+    lineality), one cold run's tally is the sum of the tallies of its
+    one-row runs, each started from the last one's output, which ends on
+    the cold run's rays and masks; and each row's ``pairs`` and
+    ``rays_made`` are what its run returned (``ref_cut_work``): |cut| times
+    |strictly kept| and the rays that were not there."""
+    real, runs = polyhedron._cut, []
+
+    def recording(rays, masks, rows, dim):
+        rows = list(rows)
+        runs.append((rays, masks, rows, dim))
+        return real(rays, masks, rows, dim)
+
+    with monkeypatch.context() as m:
+        m.setattr(polyhedron, "_cut", recording)
+        for _, rows, d in _dd_net():
+            polyhedron.cone_from_rows(rows, d)
+    seen = Counter()
+    for rays, masks, rows, dim in runs:
+        cold, cold_work = _work_of(lambda: real(rays, masks, rows, dim))
+        total = Counter()
+        for i, row in rows:
+            after, work = _work_of(lambda: real(rays, masks, [(i, row)], dim))
+            assert {k: work[k] for k in ("pairs", "rays_made")} == ref_cut_work(rays, masks, i, after), (dim, i)
+            total.update(work)
+            rays, masks = after
+        assert (rays, masks) == cold, dim
+        assert total == cold_work, (dim, total, cold_work)
+        seen.update(cold_work)
+    assert len(runs) >= 70 and seen["pairs_scanned"] >= 10 and seen["rays_made"] >= 1000, (len(runs), seen)
 
 
 def test_conversions_reject_rows_of_the_wrong_length():

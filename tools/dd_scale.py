@@ -22,32 +22,23 @@ is then the least of the N (``dd_s``, ``cut_s``, ``total_s``,
 ``checks_s``), with the median next to it (``dd_s_median`` and so on), and
 the counts are those of the first run.  Wall-clock times move with the
 host's speed, so parent/change comparisons want several repeats and runs
-that alternate.  Report only: it checks no answer and gates nothing, but
-``--counts`` raises where its replay of ``_cut`` disagrees (below).
+that alternate.  Report only: it checks no answer and gates nothing.
 Standard library only; it imports the package through ``harness``, from
 the ``src`` next to it.
 
-With ``--counts`` each family runs once more, untimed, with every ``_cut``
-run replayed (``replay``) one row at a time through ``_cut`` itself: the
-double description is incremental, so the last of those runs returns what
-one run over all the rows does, and a replay that returns other rays or
-masks raises.  The work is read off what each row's run returned, with
-no dot product of the tool's own: a ray that is gone was cut, a ray that
-gained the row's bit is tight, and the others are strictly kept.  The
-line gains it over build and decide: rows inserted (``rows_in``),
-candidate pairs of a cut and a kept ray (``pairs``), pairs sharing enough
-tight rows (``pairs_popcount``), rays made (``rays_made``), the holder
-scans the replayed ``_cut`` ran (``polyhedron._held`` calls,
-``pairs_scanned``), and the pointed runs (``_cut`` called from
-``polyhedron._pointed_cone_rays``, ``pointed_runs``) whose rows came first
-to last in the order of their primitive forms, nearest the base first
-(``nearest_first_runs``).  The first four depend only on the rows and
-their order, so the same tool run on an earlier ``src`` counts that code's
-work; ``pairs_scanned`` counts the scans ``_cut`` really runs: those the
-simple-ray shortcut leaves, and every one of ``pairs_popcount`` in code
-without it.
+The line also holds the double description's work as the code counted
+it while it ran: the change of ``polyhedron._DD_WORK``, the tally that
+``_cut`` and ``_pointed_cone_rays`` keep, over each instance's build and
+decide, with T1-T6 left out.  ``_cut`` counts the rows it inserted (``rows_in``), the
+candidate pairs of a cut and a strictly kept ray (``pairs``), the pairs
+sharing enough tight rows (``pairs_popcount``), the rays it made
+(``rays_made``) and the holder scans it ran (``polyhedron._held`` calls,
+``pairs_scanned``); ``_pointed_cone_rays`` counts its runs
+(``pointed_runs``) and those that kept their rows first to last in the
+order of their primitive forms, nearest the base first
+(``nearest_first_runs``).
 
-    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3] [--counts]
+    python tools/dd_scale.py [--dims 6 7 8] [--arcs 64 256] [--balls 5 6] [--repeat 3]
 
 The families are random instances at each dimension d
 (``harness.random_family``: the seeds ``1000*d + k`` for k < 16, as
@@ -67,13 +58,12 @@ import argparse
 import json
 import statistics
 import time
+from collections import Counter
 
 # first: importing harness puts the src next to this directory on the path
 from harness import balls, random_family, rebound
 
-from asymgeo import compactness, polyhedron
-from asymgeo.polyhedron import _cut, _held, _int_facets, cone_from_rows
-from asymgeo.ratlp import _primitive
+from asymgeo.polyhedron import _DD_WORK, _cut, _int_facets, cone_from_rows
 from asymgeo.cli.generators import gen_arc_hull, gen_lattice_norm
 from asymgeo.compactness import Instance, Verdict, decide_compact, verify_theorems
 from asymgeo.norm import Closedness
@@ -90,74 +80,17 @@ def one_balls(d: int, closedness: Closedness) -> list:
 TIMES = ("dd_s", "cut_s", "total_s", "checks_s")
 
 
-def measure(family: str, make_cases, repeat: int = 1, counts: bool = False) -> dict:
+def measure(family: str, make_cases, repeat: int = 1) -> dict:
     """The report line of ``repeat`` runs (``run``), each on the fresh
     values ``make_cases()`` returns: the first run's counts, and per time
-    the least and the median over the runs; with ``counts``, the work
-    counts of one more run (``count_work``)."""
+    the least and the median over the runs."""
     runs = [run(make_cases()) for _ in range(repeat)]
     out = {"family": family, **{k: v for k, v in runs[0].items() if k not in TIMES}}
     for key in TIMES:
         values = [r[key] for r in runs]
         out[key] = round(min(values), 4)
         out[f"{key}_median"] = round(statistics.median(values), 4)
-    if counts:
-        out.update(count_work(make_cases()))
     return out
-
-
-COUNTS = ("rows_in", "pairs", "pairs_popcount", "rays_made", "pairs_scanned")
-
-
-def replay(rays, masks, rows, dim, tally):
-    """``polyhedron._cut`` over ``rows``, run one row at a time, adding its
-    work to ``tally`` (the ``COUNTS``), read off what each row's run
-    returned: a cut ray is gone, a tight ray gained the row's bit, and the
-    other rays are kept as they were; its holder scans
-    (``polyhedron._held`` calls) are counted as they run.  Returns the
-    (ray, mask) pairs the one run returns."""
-    def holding(common, pool, limit):
-        tally["pairs_scanned"] += 1
-        return _held(common, pool, limit)
-
-    with rebound("_held", holding):
-        for i, row in rows:
-            if not rays:
-                break
-            after = dict(zip(*_cut(rays, masks, [(i, row)], dim)))
-            cut = [m for r, m in zip(rays, masks) if r not in after]
-            minus = [m for r, m in zip(rays, masks) if r in after and not after[r] >> i & 1]
-            tally["rows_in"] += 1
-            tally["pairs"] += len(cut) * len(minus)
-            tally["pairs_popcount"] += sum((mp & mq).bit_count() >= dim - 2 for mp in cut for mq in minus)
-            tally["rays_made"] += len(after) - len(rays) + len(cut)
-            rays, masks = list(after), list(after.values())
-    return sorted(zip(rays, masks))
-
-
-def count_work(cases) -> dict:
-    """Build and decide every (gauge, region) of ``cases`` with each ``_cut``
-    run checked against its ``replay``: the ``COUNTS`` of build and decide,
-    ``pointed_runs`` and ``nearest_first_runs``."""
-    tally = dict.fromkeys((*COUNTS, "pointed_runs", "nearest_first_runs"), 0)
-
-    def replaying(pointed):
-        def cut(rays, masks, rows, dim):
-            rows = list(rows)
-            result = _cut(rays, masks, rows, dim)
-            if replay(rays, masks, rows, dim, tally) != list(zip(*result)):
-                raise AssertionError("_cut run one row at a time returned other rays or masks")
-            if pointed:
-                keys = [_primitive(row) for _, row in rows]
-                tally["pointed_runs"] += 1
-                tally["nearest_first_runs"] += keys == sorted(keys) != keys[::-1]
-            return result
-        return cut
-
-    with rebound("_cut", replaying(True), [polyhedron]), rebound("_cut", replaying(False), [compactness]):
-        for q, region in cases:
-            decide_compact(Instance.build(q, region))
-    return tally
 
 
 def run(cases) -> dict:
@@ -165,8 +98,11 @@ def run(cases) -> dict:
     and the insertion loop, then check each COMPACT one; the cases are made
     before, so the generator's own work is not counted, and the checks' DD
     runs are not, except in ``facet_dds`` and ``gauge_dds``, which count the
-    facet conversions and the gauges' double descriptions of both."""
+    facet conversions and the gauges' double descriptions of both.  The
+    DD's own tally (``_DD_WORK``) is read as its change over build and
+    decide."""
     stats = {"calls": 0, "rays_out": 0, "dd_s": 0.0, "cut_calls": 0, "cut_s": 0.0, "facet_dds": 0, "gauge_dds": 0}
+    work = Counter()
     counted, inside = [True], [0]
     gauges = [q._rows for q, _ in cases]
 
@@ -198,10 +134,13 @@ def run(cases) -> dict:
     total_s = checks_s = 0.0
     with rebound("cone_from_rows", counting), rebound("_cut", cutting), rebound("_int_facets", facets):
         for q, region in cases:
+            before = _DD_WORK.copy()
             start = time.perf_counter()
             inst = Instance.build(q, region)
             cert = decide_compact(inst)
             total_s += time.perf_counter() - start
+            work.update(_DD_WORK)
+            work.subtract(before)
             count += 1
             if cert.verdict is Verdict.COMPACT:
                 counted[0] = False
@@ -213,7 +152,7 @@ def run(cases) -> dict:
     return {"instances": count, "cone_from_rows_calls": stats["calls"], "rays_out": stats["rays_out"],
             "dd_s": stats["dd_s"], "cut_calls": stats["cut_calls"], "cut_s": stats["cut_s"],
             "total_s": total_s, "compact": compact, "checks_s": checks_s, "facet_dds": stats["facet_dds"],
-            "gauge_dds": stats["gauge_dds"]}
+            "gauge_dds": stats["gauge_dds"], **work}
 
 
 def main(argv=None) -> int:
@@ -226,8 +165,6 @@ def main(argv=None) -> int:
                         help="dimensions of the closed and open one-norm lattice ball families (default none)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs per family; times report the least and the median (default 1)")
-    parser.add_argument("--counts", action="store_true",
-                        help="add the double description's work counts of one more, untimed run")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -236,7 +173,7 @@ def main(argv=None) -> int:
     families += [(f"ball-d{d}", lambda d=d: one_balls(d, Closedness.CLOSED)) for d in args.balls]
     families += [(f"open-ball-d{d}", lambda d=d: one_balls(d, Closedness.OPEN)) for d in args.balls]
     for family, make_cases in families:
-        print(json.dumps(measure(family, make_cases, args.repeat, args.counts)), flush=True)
+        print(json.dumps(measure(family, make_cases, args.repeat)), flush=True)
     return 0
 
 

@@ -4,9 +4,9 @@ The golden holds the JSON lines of two report tools with every time left
 out (each key ending in ``_s`` or ``_s_median``), so what stays is work
 that depends only on the code in ``src``:
 
-- ``tools/dd_scale.py --dims 6 7 8 9 --arcs 64 256 512 --balls 4 5 6
-  --counts``: the double description's calls, rays and work counts on
-  the random, arc-hull, and closed and open one-norm ball families;
+- ``tools/dd_scale.py --dims 6 7 8 9 --arcs 64 256 512 --balls 4 5 6``:
+  the double description's calls, rays and work counts on the random,
+  arc-hull, and closed and open one-norm ball families;
 - ``tools/lp_scale.py``: the emptiness LPs the random generator runs at
   d = 1..8, their pivots and tableau entries, and the three ``lp_solve``
   families (``shifted``, ``repeated`` and ``equation``, whose
@@ -35,7 +35,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 GOLDEN = TOOLS.parent / "tests" / "data" / "work_counts.txt"
-DD_ARGS = ["--dims", "6", "7", "8", "9", "--arcs", "64", "256", "512", "--balls", "4", "5", "6", "--counts"]
+DD_ARGS = ["--dims", "6", "7", "8", "9", "--arcs", "64", "256", "512", "--balls", "4", "5", "6"]
 
 sys.path.insert(0, str(TOOLS))
 
